@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from modisac import harness
 from modisac.beamform import verify_covariance_subspace
 from modisac.opt_sdr import (
     MaxDetProblem,
@@ -14,6 +15,8 @@ from modisac.opt_sdr import (
     sdr_rrs,
     solve_maxdet,
     _candidate_se_bits,
+    _initial_point,
+    _newton_direction,
 )
 from oracles import channel_gains, waterfilling_se_bits
 
@@ -196,10 +199,86 @@ def test_fullspace_matches_reduced(small_data):
     assert verify_covariance_subspace(sol_full.r_bb, data.basis) < 1e-6
 
 
-def test_diagnostics_csv(tmp_path, small_problem):
-    _, problem = small_problem
-    path = str(tmp_path / "solver.csv")
-    solve_maxdet(problem, diagnostics_path=path)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "outer_t,inner_iter,objective,gap_surrogate,min_eig"
-    assert len(lines) > 2
+@pytest.fixture(scope="module")
+def full_data():
+    """Full-scale default scenario (K=6, N_RF=42), seed 0."""
+    return harness.prepare_scenario(harness.config_from_dict({"seed": 0}))
+
+
+def hermitian_basis(n):
+    """Orthonormal basis of Hermitian n x n matrices under Re tr(X^H Y).
+
+    Ordered as the n diagonal units, then the real and the imaginary
+    off-diagonal pairs of the upper triangle in row-major order.
+    """
+    iu, ju = np.triu_indices(n, 1)
+    re = n + np.arange(len(iu))
+    im = re + len(iu)
+    s = 1.0 / np.sqrt(2.0)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    basis[re, iu, ju] = basis[re, ju, iu] = s
+    basis[im, iu, ju] = 1j * s
+    basis[im, ju, iu] = -1j * s
+    return basis
+
+
+def hermitian_coords(x):
+    """Coordinates of Hermitian matrices (..., n, n) in hermitian_basis."""
+    iu, ju = np.triu_indices(x.shape[-1], 1)
+    upper = np.sqrt(2.0) * x[..., iu, ju]
+    diag = np.real(np.diagonal(x, axis1=-2, axis2=-1))
+    return np.concatenate([diag, upper.real, upper.imag], axis=-1)
+
+
+def dense_newton(r, t, problem, weight):
+    """Newton direction and slope from the dense n^2 x n^2 real Hessian.
+
+    The system is written in the eigenbasis W of the rate term's Hessian
+    factor M and solved after symmetric diagonal (Jacobi) scaling. There
+    t M (x) M is nearly diagonal, so the scaled system keeps its digits at
+    large t, where the unscaled one loses about log10(t |M|^2) of them.
+    """
+    n = problem.dim
+    h = problem.h_eff
+    a = np.eye(h.shape[0]) + h @ r @ h.conj().T / problem.sigma_c_sq
+    m = h.conj().T @ np.linalg.solve(a, h) / problem.sigma_c_sq
+    r_inv = np.linalg.inv(r)
+    p_slack = problem.power_budget - np.real(np.trace(r @ weight))
+    grad = -t * m - r_inv + weight / p_slack
+    rank_one = [weight / p_slack]
+    if problem.sensing_active:
+        s_slack = np.real(np.trace(r @ problem.psi)) - problem.gamma0
+        grad = grad - problem.psi / s_slack
+        rank_one.append(problem.psi / s_slack)
+    w = np.linalg.eigh(m)[1]
+    m, r_inv, grad, *rank_one = (w.conj().T @ x @ w for x in (m, r_inv, grad, *rank_one))
+
+    basis = hermitian_basis(n)
+    assert np.array_equal(hermitian_coords(basis), np.eye(n * n))
+    hess = t * hermitian_coords(m @ basis @ m) + hermitian_coords(r_inv @ basis @ r_inv)
+    for x in rank_one:
+        u = hermitian_coords(x)
+        hess += np.outer(u, u)
+    g = hermitian_coords(grad)
+    scale = 1.0 / np.sqrt(np.diag(hess))
+    direction = -scale * np.linalg.solve(hess * np.outer(scale, scale), scale * g)
+    delta = w @ np.tensordot(direction, basis, axes=1) @ w.conj().T
+    return delta, float(g @ direction)
+
+
+@pytest.mark.parametrize("t", [1.0, 1e6])
+@pytest.mark.parametrize("exact_power", [False, True], ids=["identity", "gram"])
+@pytest.mark.parametrize("sensing", [False, True], ids=["no_sensing", "sensing"])
+@pytest.mark.parametrize("scale", ["small_data", "full_data"])
+def test_newton_direction_matches_dense(request, scale, sensing, exact_power, t):
+    problem = request.getfixturevalue(scale).sdr_problem(exact_power=exact_power)
+    if not sensing:
+        problem = dataclasses.replace(problem, gamma0=0.0)
+    weight = problem.weight()
+    # strictly feasible and anisotropic: midpoint of the start and a rough optimum
+    r = 0.5 * (_initial_point(problem, weight) + solve_maxdet(problem, tol=1e-3).r_bb)
+    delta, slope = _newton_direction(r, t, problem, weight)
+    ref_delta, ref_slope = dense_newton(r, t, problem, weight)
+    assert np.linalg.norm(delta - ref_delta) <= 1e-9 * np.linalg.norm(ref_delta)
+    assert slope == pytest.approx(ref_slope, rel=1e-9)
