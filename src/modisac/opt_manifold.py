@@ -1,21 +1,24 @@
 """Joint Riemannian-Euclidean gradient descent for the digital beamformer.
 
-The digital stage factors as W_BB = U_B Sigma_B^{-1/2} U_B^H V~ Sigma~ with a
-unitary V~ and a rectangular diagonal Sigma~ carrying a real vector b. The
+The digital stage factors as W_BB = U_B Sigma_B^{-1/2} Q diag(b), where
+U_B Sigma_B U_B^H is the top-n_streams eigensystem of the reduced rate form,
+Q is an n_streams x n_streams unitary matrix and b a real gain vector. The
 rate objective, power budget and sensing constraint become functions of
-(V~, b); inequality constraints enter through a logarithmic barrier and the
-pair is descended jointly, with V~ restricted to the unitary manifold via
-tangent-space projection and an SVD polar retraction.
+(Q, b); inequality constraints enter through a logarithmic barrier and the
+pair is descended jointly over U(n_streams) x R^n_streams, with Q kept on
+the manifold via tangent-space projection and an SVD polar retraction.
 
-Only the first n_streams columns of V~ matter: they must span the column
-space of U_B for the factorization to diagonalize the rate form (the map to
-W_BB annihilates anything outside that span). Feasible-point construction
-respects this and the iteration preserves it.
+This is the descent over the n_rf x n_rf unitary V~ = [U_B Q, N] of the
+factorization W_BB = U_B Sigma_B^{-1/2} U_B^H V~ Sigma~ (N spanning the
+complement of col(U_B)), with the inert part left out. The reduction is
+exact: the power and sensing forms have range col(U_B), so the Euclidean
+gradient vanishes on N, the tangent projection moves only the active
+columns and keeps them inside col(U_B), and the polar factor of
+[U_B (Q + s xi), N] is [U_B polar(Q + s xi), N].
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -49,36 +52,29 @@ class EigB:
     """Truncated eigensystem of the reduced rate form plus problem data.
 
     b_mat is the noise-normalized Gram matrix of the effective channel,
-    truncated to its top n_streams eigenpairs (u_b, sigma_b). b_tilde and
-    inv_sqrt are U_B Sigma_B^{-1} U_B^H and U_B Sigma_B^{-1/2} U_B^H;
-    phi_tilde is the sensing form mapped through inv_sqrt on both sides.
-    null_basis spans the orthogonal complement of col(U_B).
+    truncated to its top n_streams eigenpairs (u_b, sigma_b). In the
+    coordinates of W_BB = U_B Sigma_B^{-1/2} Q diag(b) the power form is
+    diag(1 / sigma_b) and the sensing form is phi_q = Sigma_B^{-1/2} U_B^H
+    Psi U_B Sigma_B^{-1/2}, both n_streams x n_streams.
     """
 
     b_mat: np.ndarray
     u_b: np.ndarray
     sigma_b: np.ndarray
-    b_tilde: np.ndarray
-    phi_tilde: np.ndarray
-    inv_sqrt: np.ndarray
-    null_basis: np.ndarray
+    phi_q: np.ndarray
     power_budget: float
     n_streams: int
-
-    @property
-    def n_rf(self) -> int:
-        return self.b_mat.shape[0]
 
 
 @dataclass
 class ManifoldState:
-    """Iterate of the joint descent: unitary v_tilde and real stream gains b."""
+    """Iterate of the joint descent: n_streams x n_streams unitary q, real gains b."""
 
-    v_tilde: np.ndarray
+    q: np.ndarray
     b: np.ndarray
 
     def copy(self) -> "ManifoldState":
-        return ManifoldState(self.v_tilde.copy(), self.b.copy())
+        return ManifoldState(self.q.copy(), self.b.copy())
 
 
 @dataclass
@@ -170,41 +166,34 @@ def reduce_b(
         )
     u_b = vecs[:, :n_streams]
     sigma_b = vals[:n_streams]
-    null_basis = vecs[:, n_streams:]
-    b_tilde = (u_b / sigma_b[None, :]) @ u_b.conj().T
-    inv_sqrt = (u_b / np.sqrt(sigma_b)[None, :]) @ u_b.conj().T
-    n_rf = b_mat.shape[0]
     if psi is None:
-        phi_tilde = np.zeros((n_rf, n_rf), dtype=complex)
+        phi_q = np.zeros((n_streams, n_streams), dtype=complex)
     else:
-        phi_tilde = inv_sqrt @ psi @ inv_sqrt
-        phi_tilde = 0.5 * (phi_tilde + phi_tilde.conj().T)
+        scaled = u_b / np.sqrt(sigma_b)[None, :]
+        phi_q = scaled.conj().T @ psi @ scaled
+        phi_q = 0.5 * (phi_q + phi_q.conj().T)
     return EigB(
         b_mat=b_mat,
         u_b=u_b,
         sigma_b=sigma_b,
-        b_tilde=0.5 * (b_tilde + b_tilde.conj().T),
-        phi_tilde=phi_tilde,
-        inv_sqrt=inv_sqrt,
-        null_basis=null_basis,
+        phi_q=phi_q,
         power_budget=n_streams / m_antennas,
         n_streams=n_streams,
     )
 
 
 def assemble_wbb(eig: EigB, state: ManifoldState) -> np.ndarray:
-    """Digital beamformer U_B Sigma_B^{-1/2} U_B^H V~ Sigma~ for the state."""
-    cols = state.v_tilde[:, : eig.n_streams]
-    return eig.inv_sqrt @ (cols * state.b[None, :])
+    """Digital beamformer U_B Sigma_B^{-1/2} Q diag(b) for the state."""
+    return (eig.u_b / np.sqrt(eig.sigma_b)[None, :]) @ (state.q * state.b[None, :])
 
 
 def _quadratic_diagonals(
     state: ManifoldState, eig: EigB
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Real diagonals of V^H B~ V and V^H Phi~ V over the active columns."""
-    cols = state.v_tilde[:, : eig.n_streams]
-    diag_b = np.real(np.sum(cols.conj() * (eig.b_tilde @ cols), axis=0))
-    diag_phi = np.real(np.sum(cols.conj() * (eig.phi_tilde @ cols), axis=0))
+    """Real diagonals of Q^H Sigma_B^{-1} Q and Q^H Phi_q Q."""
+    q = state.q
+    diag_b = np.sum(np.abs(q) ** 2 / eig.sigma_b[:, None], axis=0)
+    diag_phi = np.real(np.sum(q.conj() * (eig.phi_q @ q), axis=0))
     return diag_b, diag_phi
 
 
@@ -258,35 +247,33 @@ def grad_b(
 def grad_v(
     state: ManifoldState, eig: EigB, phi_set: PhiSet, config: ManifoldConfig
 ) -> np.ndarray:
-    """Euclidean gradient with respect to V~; columns past n_streams are zero."""
+    """Euclidean gradient of the barrier objective with respect to Q."""
     power_slack, sens_slack, active = _slacks(state, eig, phi_set)
     if power_slack <= 0.0 or (active and sens_slack <= 0.0):
         raise InfeasiblePointError("gradient requested at an infeasible point")
-    ns = eig.n_streams
-    cols = state.v_tilde[:, :ns]
+    q = state.q
     b2 = state.b**2
     t = config.barrier_t
-    grad = np.zeros_like(state.v_tilde)
-    grad[:, :ns] = (2.0 / t) * (eig.b_tilde @ cols) * b2[None, :] / power_slack
+    grad = (2.0 / t) * (q / eig.sigma_b[:, None]) * b2[None, :] / power_slack
     if active:
-        grad[:, :ns] -= (2.0 / t) * (eig.phi_tilde @ cols) * b2[None, :] / sens_slack
+        grad -= (2.0 / t) * (eig.phi_q @ q) * b2[None, :] / sens_slack
     return grad
 
 
 def tangent_project(
-    v_tilde: np.ndarray, grad: np.ndarray, drift_tol: float = 1e-6
+    q: np.ndarray, grad: np.ndarray, drift_tol: float = 1e-6
 ) -> np.ndarray:
     """Project the negated gradient onto the unitary-group tangent space.
 
-    Returns -V skew(V^H G); the result Z satisfies Z^H V + V^H Z = 0 and has
+    Returns -Q skew(Q^H G); the result Z satisfies Z^H Q + Q^H Z = 0 and has
     nonpositive inner product with G.
     """
-    drift = np.linalg.norm(v_tilde.conj().T @ v_tilde - np.eye(v_tilde.shape[1]))
+    drift = _orthonormality_drift(q)
     if drift > drift_tol:
-        raise ValueError(f"v_tilde drifted off the manifold (||V^HV-I||={drift:.2e})")
-    a = v_tilde.conj().T @ grad
+        raise ValueError(f"q drifted off the manifold (||Q^HQ-I||={drift:.2e})")
+    a = q.conj().T @ grad
     skew = 0.5 * (a - a.conj().T)
-    return -v_tilde @ skew
+    return -q @ skew
 
 
 def stiefel_retract(z: np.ndarray) -> np.ndarray:
@@ -310,17 +297,6 @@ def _complete_to_unitary(first_col: np.ndarray) -> np.ndarray:
     # qr pins the first column only up to a unit phase; fix it exactly
     q[:, 0] = first_col
     return q
-
-
-def _state_from_direction(
-    eig: EigB, direction: np.ndarray, b: np.ndarray
-) -> ManifoldState:
-    """State whose active columns span col(U_B) with `direction` first."""
-    coeff = eig.u_b.conj().T @ direction
-    coeff = coeff / np.linalg.norm(coeff)
-    rot = _complete_to_unitary(coeff)
-    v = np.concatenate([eig.u_b @ rot, eig.null_basis], axis=1)
-    return ManifoldState(v_tilde=v, b=b.copy())
 
 
 def _waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
@@ -362,14 +338,12 @@ def phase1_feasible(
     ns, budget = eig.n_streams, eig.power_budget
     if phi_set.gamma0 <= 0.0:
         b = np.sqrt(_waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b)
-        v = np.concatenate([eig.u_b, eig.null_basis], axis=1)
-        return ManifoldState(v_tilde=v, b=b)
+        return ManifoldState(q=np.eye(ns, dtype=complex), b=b)
 
-    # Sensing form restricted to col(U_B), in power-normalized coordinates:
-    # directions v = U_B Sigma_B^{1/2} u / |.| have unit power curvature.
-    compressed = eig.u_b.conj().T @ eig.phi_tilde @ eig.u_b
+    # Sensing form in power-normalized coordinates: directions
+    # c = Sigma_B^{1/2} u / |.| have unit power curvature.
     scale = np.sqrt(eig.sigma_b)
-    pencil = (scale[:, None] * compressed) * scale[None, :]
+    pencil = (scale[:, None] * eig.phi_q) * scale[None, :]
     pencil = 0.5 * (pencil + pencil.conj().T)
     pvals, pvecs = np.linalg.eigh(pencil)
     bound = budget * float(pvals[-1])
@@ -381,23 +355,23 @@ def phase1_feasible(
         )
 
     candidates = []
-    lam, vecs = np.linalg.eigh(compressed)
+    lam, vecs = np.linalg.eigh(eig.phi_q)
     lam, vecs = lam[::-1], vecs[:, ::-1]
-    # power curvature of direction U_B vecs[:, i] is sum_j |vecs[j, i]|^2 / sigma_j
+    # power curvature of direction vecs[:, i] is sum_j |vecs[j, i]|^2 / sigma_j
     beta = np.sum(np.abs(vecs) ** 2 / eig.sigma_b[:, None], axis=0)
     positive = lam > 0
     if np.any(positive):
         ratios = np.where(positive, lam / beta, -np.inf)
         best = int(np.argmax(ratios))
-        candidates.append(eig.u_b @ vecs[:, best])
-    top = eig.u_b @ (scale * pvecs[:, -1])
+        candidates.append(vecs[:, best])
+    top = scale * pvecs[:, -1]
     candidates.append(top / np.linalg.norm(top))
 
     states = []
     # the unconstrained waterfilling split often clears the threshold for
     # free; offering it keeps the start continuous across threshold sweeps
     wf = ManifoldState(
-        v_tilde=np.concatenate([eig.u_b, eig.null_basis], axis=1),
+        q=np.eye(ns, dtype=complex),
         b=np.sqrt(_waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b),
     )
     p_slack, s_slack, _ = _slacks(wf, eig, phi_set)
@@ -413,7 +387,8 @@ def phase1_feasible(
             if b1_sq * phi_curv > phi_set.gamma0 and rho < 1.0:
                 b = np.zeros(ns)
                 b[0] = np.sqrt(b1_sq)
-                state = _state_from_direction(eig, direction, b)
+                q = _complete_to_unitary(direction / np.linalg.norm(direction))
+                state = ManifoldState(q=q, b=b)
                 states.append(_rebalance(state, eig, phi_set, b_curv, phi_curv))
                 break
             rho = 0.5 * (rho + 1.0)
@@ -426,9 +401,9 @@ def phase1_feasible(
 
 
 def _direction_curvatures(eig: EigB, direction: np.ndarray) -> tuple[float, float]:
-    """Power and sensing quadratic forms along a unit direction."""
-    b_curv = float(np.real(direction.conj() @ eig.b_tilde @ direction))
-    phi_curv = float(np.real(direction.conj() @ eig.phi_tilde @ direction))
+    """Power and sensing quadratic forms along a unit direction (U_B coordinates)."""
+    b_curv = float(np.sum(np.abs(direction) ** 2 / eig.sigma_b))
+    phi_curv = float(np.real(direction.conj() @ eig.phi_q @ direction))
     return b_curv, phi_curv
 
 
@@ -480,13 +455,12 @@ def rm_jgd(
     phi_set: PhiSet,
     config: ManifoldConfig,
     init: ManifoldState,
-    trace_path: Optional[str] = None,
 ) -> RmJgdResult:
-    """Joint gradient descent over (V~, b) with backtracking line search.
+    """Joint gradient descent over (Q, b) with backtracking line search.
 
-    Each iteration projects the V-gradient to the tangent space, takes the
+    Each iteration projects the Q-gradient to the tangent space, takes the
     steepest-descent pair direction, backtracks a common step until the
-    barrier strictly decreases (Armijo), and retracts V back onto the
+    barrier strictly decreases (Armijo), and retracts Q back onto the
     manifold. Terminates when both squared gradient norms fall below the
     tolerances, the iteration cap is reached, or no decreasing step exists.
     """
@@ -501,7 +475,6 @@ def rm_jgd(
     t = config.barrier_t
     if config.continuation is not None:
         rounds += config.continuation[1]
-    rows: list[tuple] = []
     for stage in range(rounds):
         if stage > 0:
             t *= config.continuation[0]
@@ -515,17 +488,9 @@ def rm_jgd(
             armijo_initial=config.armijo_initial,
             min_step=config.min_step,
         )
-        state, trace, iters, status, stage_rows = _descend(state, eig, phi_set, cfg)
+        state, trace, iters, status = _descend(state, eig, phi_set, cfg)
         stage_traces.append(trace)
         total_iters += iters
-        rows.extend(stage_rows)
-    if trace_path is not None:
-        with open(trace_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["iter", "f", "grad_norm_v", "grad_norm_b", "step_v", "step_b"]
-            )
-            writer.writerows(rows)
     return RmJgdResult(
         state=state,
         w_bb=assemble_wbb(eig, state),
@@ -555,21 +520,20 @@ def _backtrack(
 
 def _descend(
     state: ManifoldState, eig: EigB, phi_set: PhiSet, cfg: ManifoldConfig
-) -> tuple[ManifoldState, list[float], int, str, list[tuple]]:
+) -> tuple[ManifoldState, list[float], int, str]:
     f_cur = barrier_value(state, eig, phi_set, cfg)
     trace = [f_cur]
-    rows: list[tuple] = []
     status = "max_iter"
     iters = 0
     # Per-block trial steps grow between iterations: the landscape is nearly
-    # flat in b far from the budget while the barrier makes V steep, so a
+    # flat in b far from the budget while the barrier makes Q steep, so a
     # shared unit step would stall one block or the other.
     trial_v = cfg.armijo_initial
     trial_b = cfg.armijo_initial
     for n in range(cfg.max_iterations):
         gv = grad_v(state, eig, phi_set, cfg)
         gb = grad_b(state, eig, phi_set, cfg)
-        xi_v = tangent_project(state.v_tilde, gv)
+        xi_v = tangent_project(state.q, gv)
         xi_b = -gb
         norm_v_sq = float(np.linalg.norm(xi_v) ** 2)
         norm_b_sq = float(xi_b @ xi_b)
@@ -582,23 +546,19 @@ def _descend(
             trial_v,
             -norm_v_sq,
             lambda s: barrier_value(
-                ManifoldState(stiefel_retract(state.v_tilde + s * xi_v), state.b),
+                ManifoldState(stiefel_retract(state.q + s * xi_v), state.b),
                 eig, phi_set, cfg,
             ),
             cfg,
         ) if norm_v_sq >= cfg.eps_v else (None, f_cur)
-        v_new = (
-            stiefel_retract(state.v_tilde + step_v * xi_v)
-            if step_v is not None
-            else state.v_tilde
-        )
+        q_new = stiefel_retract(state.q + step_v * xi_v) if step_v is not None else state.q
 
         step_b, f_new = _backtrack(
             f_mid,
             trial_b,
             -norm_b_sq,
             lambda s: barrier_value(
-                ManifoldState(v_new, state.b + s * xi_b), eig, phi_set, cfg
+                ManifoldState(q_new, state.b + s * xi_b), eig, phi_set, cfg
             ),
             cfg,
         ) if norm_b_sq >= cfg.eps_b else (None, f_mid)
@@ -607,24 +567,14 @@ def _descend(
         if step_v is None and step_b is None:
             status = "stalled"
             break
-        state = ManifoldState(v_tilde=v_new, b=b_new)
+        state = ManifoldState(q=q_new, b=b_new)
         f_cur = f_new
-        if _orthonormality_drift(state.v_tilde) > 1e-8:
-            state.v_tilde = stiefel_retract(state.v_tilde)
+        if _orthonormality_drift(state.q) > 1e-8:
+            state.q = stiefel_retract(state.q)
         trial_v = 4.0 * step_v if step_v is not None else cfg.armijo_initial
         trial_b = 4.0 * step_b if step_b is not None else cfg.armijo_initial
         trial_v = min(max(trial_v, cfg.armijo_initial), 1e12)
         trial_b = min(max(trial_b, cfg.armijo_initial), 1e12)
         trace.append(f_cur)
         iters = n + 1
-        rows.append(
-            (
-                iters,
-                f_cur,
-                np.sqrt(norm_v_sq),
-                np.sqrt(norm_b_sq),
-                step_v if step_v is not None else 0.0,
-                step_b if step_b is not None else 0.0,
-            )
-        )
-    return state, trace, iters, status, rows
+    return state, trace, iters, status

@@ -415,10 +415,11 @@ def randomize_rank(
     matrices, rescale every candidate to the power budget with equality and
     return the rate-best candidate meeting the sensing constraint. The
     identity sketch is always injected first so an already rank-n_streams
-    optimum is recovered exactly.
+    optimum is recovered exactly. A `max_iter` solution is a strictly
+    feasible interior iterate and is randomized like an optimal one.
     """
-    if solution.status != "optimal":
-        raise ValueError(f"cannot randomize a solution with status {solution.status!r}")
+    if solution.status == "infeasible":
+        raise ValueError("cannot randomize an infeasible solution")
     ns = problem.n_streams
     if trials is None:
         trials = 10 * ns
@@ -465,7 +466,8 @@ def sdr_rrs(
     """Full SDR pipeline: solve the relaxation, then randomize the rank.
 
     On randomization failure the sketch count is increased once before the
-    failure is reported.
+    failure is reported. A relaxation stopped at its iteration cap still
+    yields a beamformer, reported with status `max_iter`.
     """
     cfg = config or SdrConfig()
     rng = rng or np.random.default_rng(0)
@@ -496,7 +498,8 @@ def sdr_rrs(
     scnr_val = np.nan
     if problem.phi_set is not None and problem.alphas is not None:
         scnr_val = scnr_reduced(w, problem.phi_set, problem.alphas)
-    return SdrResult(w_bb=w, se_bits=se, scnr=scnr_val, status="ok", solution=solution)
+    status = "max_iter" if solution.status == "max_iter" else "ok"
+    return SdrResult(w_bb=w, se_bits=se, scnr=scnr_val, status=status, solution=solution)
 
 
 def fdb_upper_bound(

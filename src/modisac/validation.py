@@ -261,8 +261,7 @@ def probe_state(
             np.eye(ns)
             + 0.3 * (rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns)))
         )
-        v = np.concatenate([eig.u_b @ q1, eig.null_basis], axis=1)
-        state = opt_manifold.ManifoldState(v, np.zeros(ns))
+        state = opt_manifold.ManifoldState(q1, np.zeros(ns))
         diag_b, diag_phi = opt_manifold._quadratic_diagonals(state, eig)
         b = np.minimum(
             0.5, np.sqrt(0.1 * budget / (ns * np.maximum(diag_b, 1e-300)))
@@ -276,13 +275,13 @@ def probe_state(
             for _ in range(30):
                 trial = b.copy()
                 trial[j0] = max(trial[j0], b_sens)
-                state = opt_manifold.ManifoldState(v, trial)
+                state = opt_manifold.ManifoldState(q1, trial)
                 p_slack, s_slack, _ = opt_manifold._slacks(state, eig, phi_set)
                 if p_slack > 0.3 * budget and s_slack > 2.0 * phi_set.gamma0:
                     return state
                 b *= 0.5
         else:
-            state = opt_manifold.ManifoldState(v, b)
+            state = opt_manifold.ManifoldState(q1, b)
             if opt_manifold._slacks(state, eig, phi_set)[0] > 0.3 * budget:
                 return state
     raise RuntimeError("could not construct a well-conditioned probe state")
@@ -321,10 +320,10 @@ def _fd_grad_b(state, eig, phi_set, cfg, h: float = 1e-6) -> np.ndarray:
         bp[i] += h
         bm[i] -= h
         fp = opt_manifold.barrier_value(
-            opt_manifold.ManifoldState(state.v_tilde, bp), eig, phi_set, cfg
+            opt_manifold.ManifoldState(state.q, bp), eig, phi_set, cfg
         )
         fm = opt_manifold.barrier_value(
-            opt_manifold.ManifoldState(state.v_tilde, bm), eig, phi_set, cfg
+            opt_manifold.ManifoldState(state.q, bm), eig, phi_set, cfg
         )
         out[i] = (fp - fm) / (2 * h)
     return out
@@ -332,12 +331,11 @@ def _fd_grad_b(state, eig, phi_set, cfg, h: float = 1e-6) -> np.ndarray:
 
 def _fd_grad_v(state, eig, phi_set, cfg, n_probe: int, rng_seed: int, h: float = 1e-6):
     rng = np.random.default_rng(rng_seed)
-    n = state.v_tilde.shape[0]
     ns = eig.n_streams
     probes = []
     for _ in range(n_probe):
-        i = int(rng.integers(n))
-        j = int(rng.integers(ns))  # columns past n_streams have zero gradient
+        i = int(rng.integers(ns))
+        j = int(rng.integers(ns))
         dre = _fd_dir(state, eig, phi_set, cfg, i, j, 1.0, h)
         dim = _fd_dir(state, eig, phi_set, cfg, i, j, 1.0j, h)
         probes.append((i, j, dre, dim))
@@ -345,7 +343,7 @@ def _fd_grad_v(state, eig, phi_set, cfg, n_probe: int, rng_seed: int, h: float =
 
 
 def _fd_dir(state, eig, phi_set, cfg, i, j, unit, h):
-    vp, vm = state.v_tilde.copy(), state.v_tilde.copy()
+    vp, vm = state.q.copy(), state.q.copy()
     vp[i, j] += h * unit
     vm[i, j] -= h * unit
     fp = opt_manifold.barrier_value(

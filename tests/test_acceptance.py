@@ -103,10 +103,10 @@ def _fd_b_full(state, eig, phi_set, cfg, h=1e-6):
         bm[i] -= h
         out[i] = (
             opt_manifold.barrier_value(
-                opt_manifold.ManifoldState(state.v_tilde, bp), eig, phi_set, cfg
+                opt_manifold.ManifoldState(state.q, bp), eig, phi_set, cfg
             )
             - opt_manifold.barrier_value(
-                opt_manifold.ManifoldState(state.v_tilde, bm), eig, phi_set, cfg
+                opt_manifold.ManifoldState(state.q, bm), eig, phi_set, cfg
             )
         ) / (2 * h)
     return out

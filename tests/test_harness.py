@@ -77,6 +77,16 @@ def test_run_scenario_unknown_algorithm():
         harness.run_scenario(harness.desk_config(), "gradient_descent")
 
 
+def test_sdr_rrs_reports_max_iter_iterate():
+    from modisac.opt_sdr import SdrConfig
+
+    cfg = harness.desk_config(seed=0)
+    row = harness.run_scenario(cfg, "sdr_rrs", sdr_config=SdrConfig(max_iter=5))
+    assert row.status == "max_iter"
+    assert row.power_proxy <= row.n_streams * (1 + 1e-9)
+    assert row.scnr_db >= row.scnr_threshold_db - 1e-4
+
+
 def test_refreshed_filter_improves_scnr(desk_data):
     cfg = desk_data.config
     n = cfg.n_antennas

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,17 +45,7 @@ def synthetic_eig(eigenvalues, budget: float, psi=None) -> EigB:
     n = vals.size
     h = np.diag(np.sqrt(vals)).astype(complex)
     eig = reduce_b(fake_basis(n), h, n, m_antennas=1, sigma_c_sq=1.0, psi=psi)
-    return EigB(
-        b_mat=eig.b_mat,
-        u_b=eig.u_b,
-        sigma_b=eig.sigma_b,
-        b_tilde=eig.b_tilde,
-        phi_tilde=eig.phi_tilde,
-        inv_sqrt=eig.inv_sqrt,
-        null_basis=eig.null_basis,
-        power_budget=budget,
-        n_streams=n,
-    )
+    return dataclasses.replace(eig, power_budget=budget)
 
 
 def no_sensing_phi() -> PhiSet:
@@ -74,10 +66,8 @@ def random_feasible_state(eig, phi_set, cfg, rng, scale=0.15) -> ManifoldState:
         q1, _ = np.linalg.qr(
             np.eye(ns) + scale * (rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns)))
         )
-        v1 = (eig.u_b @ q1) if eig.u_b.shape[1] == ns else eig.u_b
-        v = np.concatenate([v1, eig.null_basis], axis=1)
         b = base.b * rng.uniform(0.5, 0.85, size=ns)
-        state = ManifoldState(v_tilde=v, b=b)
+        state = ManifoldState(q=q1, b=b)
         power_slack, sens_slack, active = _slacks(state, eig, phi_set)
         healthy = power_slack > 0.05 * eig.power_budget and (
             not active or sens_slack > 0.5 * phi_set.gamma0
@@ -98,7 +88,9 @@ def test_reduce_b_identity_case():
     eig = reduce_b(fake_basis(4), np.eye(4, dtype=complex), 4, m_antennas=1)
     assert np.allclose(eig.sigma_b, 1.0)
     assert np.allclose(eig.u_b.conj().T @ eig.u_b, np.eye(4), atol=1e-12)
-    assert np.allclose(eig.b_tilde, np.eye(4), atol=1e-12)
+    # power form U_B Sigma_B^{-1} U_B^H
+    power_form = (eig.u_b / eig.sigma_b[None, :]) @ eig.u_b.conj().T
+    assert np.allclose(power_form, np.eye(4), atol=1e-12)
 
 
 def test_reduce_b_reconstruction(desk_problem):
@@ -120,14 +112,13 @@ def test_reduce_b_rank_error(desk_data):
 
 def test_phi_tilde_hermitian_and_quadratic_identity(desk_problem, rng):
     data, eig, phi_set = desk_problem
-    assert np.max(np.abs(eig.phi_tilde - eig.phi_tilde.conj().T)) < 1e-12
+    assert np.max(np.abs(eig.phi_q - eig.phi_q.conj().T)) < 1e-12
     psi = data.psi
     cfg = ManifoldConfig()
     state = random_feasible_state(eig, phi_set, cfg, rng)
     w = assemble_wbb(eig, state)
-    lhs = 0.0
-    cols = state.v_tilde[:, : eig.n_streams] * state.b[None, :]
-    lhs = float(np.real(np.sum(cols.conj() * (eig.phi_tilde @ cols))))
+    cols = state.q * state.b[None, :]
+    lhs = float(np.real(np.sum(cols.conj() * (eig.phi_q @ cols))))
     rhs = float(np.real(np.sum(w.conj() * (psi @ w))))
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
 
@@ -135,7 +126,7 @@ def test_phi_tilde_hermitian_and_quadratic_identity(desk_problem, rng):
 def test_assemble_zero_gains(desk_problem):
     _, eig, _ = desk_problem
     state = ManifoldState(
-        v_tilde=np.concatenate([eig.u_b, eig.null_basis], axis=1),
+        q=np.eye(eig.n_streams, dtype=complex),
         b=np.zeros(eig.n_streams),
     )
     assert np.all(assemble_wbb(eig, state) == 0.0)
@@ -144,7 +135,8 @@ def test_assemble_zero_gains(desk_problem):
 def test_assemble_diagonal_case():
     eig = synthetic_eig([1.0, 1.0, 1.0], budget=1.0)
     b = np.array([0.5, 0.2, 0.1])
-    state = ManifoldState(v_tilde=np.eye(3, dtype=complex), b=b)
+    # V~ = I in the full factorization is Q = U_B^H
+    state = ManifoldState(q=eig.u_b.conj().T, b=b)
     w = assemble_wbb(eig, state)
     assert np.allclose(w, np.diag(b), atol=1e-12)
 
@@ -164,7 +156,7 @@ def test_wbb_diagonalizes_rate_form(desk_problem, rng):
 def test_barrier_infeasible_is_infinite(desk_problem):
     _, eig, phi_set = desk_problem
     huge = ManifoldState(
-        v_tilde=np.concatenate([eig.u_b, eig.null_basis], axis=1),
+        q=np.eye(eig.n_streams, dtype=complex),
         b=np.full(eig.n_streams, 1e6),
     )
     assert barrier_value(huge, eig, phi_set, ManifoldConfig()) == np.inf
@@ -188,7 +180,7 @@ def test_barrier_decreases_along_gain_growth():
     vals = []
     for scale in (0.1, 0.2, 0.3):
         state = ManifoldState(
-            v_tilde=np.eye(2, dtype=complex), b=np.array([scale, 0.05])
+            q=eig.u_b.conj().T, b=np.array([scale, 0.05])
         )
         vals.append(barrier_value(state, eig, phi, cfg))
     assert vals[0] > vals[1] > vals[2]
@@ -198,7 +190,7 @@ def test_grad_b_zero_at_origin(desk_problem):
     _, eig, _ = desk_problem
     phi = no_sensing_phi()
     state = ManifoldState(
-        v_tilde=np.concatenate([eig.u_b, eig.null_basis], axis=1),
+        q=np.eye(eig.n_streams, dtype=complex),
         b=np.zeros(eig.n_streams),
     )
     assert np.allclose(grad_b(state, eig, phi, ManifoldConfig()), 0.0)
@@ -211,8 +203,8 @@ def _fd_b(state, eig, phi_set, cfg, h=1e-6):
         bp[i] += h
         bm[i] -= h
         out[i] = (
-            barrier_value(ManifoldState(state.v_tilde, bp), eig, phi_set, cfg)
-            - barrier_value(ManifoldState(state.v_tilde, bm), eig, phi_set, cfg)
+            barrier_value(ManifoldState(state.q, bp), eig, phi_set, cfg)
+            - barrier_value(ManifoldState(state.q, bm), eig, phi_set, cfg)
         ) / (2 * h)
     return out
 
@@ -247,29 +239,21 @@ def test_grad_v_zero_when_gains_zero(desk_problem):
     _, eig, _ = desk_problem
     phi = no_sensing_phi()
     state = ManifoldState(
-        v_tilde=np.concatenate([eig.u_b, eig.null_basis], axis=1),
+        q=np.eye(eig.n_streams, dtype=complex),
         b=np.zeros(eig.n_streams),
     )
     assert np.all(grad_v(state, eig, phi, ManifoldConfig()) == 0.0)
 
 
-def test_grad_v_zero_columns_beyond_streams(desk_problem, rng):
-    _, eig, phi_set = desk_problem
-    cfg = ManifoldConfig()
-    state = random_feasible_state(eig, phi_set, cfg, rng)
-    g = grad_v(state, eig, phi_set, cfg)
-    assert np.all(g[:, eig.n_streams :] == 0.0)
-
-
 def fd_grad_v_probes(state, eig, phi_set, cfg, rng, n_probe=12, h=1e-6):
-    """Sampled finite-difference entries of the V-gradient (re and im parts)."""
+    """Sampled finite-difference entries of the Q-gradient (re and im parts)."""
     g = grad_v(state, eig, phi_set, cfg)
     analytic, numeric = [], []
     for _ in range(n_probe):
-        i = int(rng.integers(state.v_tilde.shape[0]))
+        i = int(rng.integers(eig.n_streams))
         j = int(rng.integers(eig.n_streams))
         for unit, part in ((1.0, g[i, j].real), (1.0j, g[i, j].imag)):
-            vp, vm = state.v_tilde.copy(), state.v_tilde.copy()
+            vp, vm = state.q.copy(), state.q.copy()
             vp[i, j] += h * unit
             vm[i, j] -= h * unit
             fd = (
@@ -295,7 +279,7 @@ def test_grad_v_matches_finite_differences(desk_problem, rng):
 def test_grad_at_infeasible_point_raises(desk_problem):
     _, eig, phi_set = desk_problem
     bad = ManifoldState(
-        v_tilde=np.concatenate([eig.u_b, eig.null_basis], axis=1),
+        q=np.eye(eig.n_streams, dtype=complex),
         b=np.full(eig.n_streams, 1e6),
     )
     with pytest.raises(InfeasiblePointError):
@@ -357,6 +341,97 @@ def test_retract_minimizes_distance(rng):
         assert best <= np.linalg.norm(z - q) + 1e-9
 
 
+def _full_width_barrier(v, b, u_b, sigma_b, psi, budget, gamma0, t):
+    """Barrier and Euclidean V-gradient of the n_rf x n_rf factorization at V.
+
+    B~ = U_B Sigma_B^{-1} U_B^H and Phi~ = S Psi S with S = U_B Sigma_B^{-1/2}
+    U_B^H are applied factor by factor in whatever precision the arguments
+    carry. The gradient is linear in Sigma_B^{-1} U_B^H V, so a rounding
+    error in U_B^H U_B = I is amplified by cond(Sigma_B), ~1e8 at desk scale.
+    """
+    ns = b.size
+    cols = v[:, :ns]
+    coeff = u_b.conj().T @ cols
+    b_cols = u_b @ (coeff / sigma_b[:, None])
+    s_cols = u_b @ (coeff / np.sqrt(sigma_b)[:, None])
+    phi_cols = u_b @ ((u_b.conj().T @ (psi @ s_cols)) / np.sqrt(sigma_b)[:, None])
+    diag_b = np.real(np.sum(cols.conj() * b_cols, axis=0))
+    diag_phi = np.real(np.sum(s_cols.conj() * (psi @ s_cols), axis=0))
+    power_slack = budget - b**2 @ diag_b
+    sens_slack = b**2 @ diag_phi - gamma0
+    grad = np.zeros_like(v)
+    grad[:, :ns] = (2 / t) * (
+        b_cols * b[None, :] ** 2 / power_slack
+        - phi_cols * b[None, :] ** 2 / sens_slack
+    )
+    if power_slack <= 0 or sens_slack <= 0:
+        return np.inf, grad
+    val = -np.sum(np.log1p(b**2)) - (np.log(power_slack) + np.log(sens_slack)) / t
+    return float(val), grad
+
+
+def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
+    """One U(n_s) step embeds exactly into the n_rf x n_rf unitary step.
+
+    The reference works on V = [U_B Q, N] in extended precision (80-bit
+    long double): in double, the cond(Sigma_B) amplification described in
+    _full_width_barrier leaves the full-width gradient itself off by ~2e-11.
+    [U_B, N] is made orthonormal to extended precision by one Newton-Schulz
+    step; the polar factor is well conditioned (singular values >= 1 along a
+    tangent step) and is taken by SVD in double. The phase-1 start has a
+    diagonal Q, along which the power term of the gradient is Hermitian and
+    projects to zero, so a rotated start is checked as well. Steps of 1e-3
+    and above leave the feasible region at these points; the 1e-9 and 1e-6
+    steps are the ones that compare finite barrier values.
+    """
+    data, eig, phi_set = desk_problem
+    assert phi_set.gamma0 > 0.0
+    cfg = ManifoldConfig()
+    ns = eig.n_streams
+    xp = np.clongdouble
+    complete, _ = np.linalg.qr(eig.u_b, mode="complete")
+    basis = np.concatenate([eig.u_b, complete[:, ns:]], axis=1).astype(xp)
+    basis = basis @ (3 * np.eye(basis.shape[0]) - basis.conj().T @ basis) / 2
+    u_b, null = basis[:, :ns], basis[:, ns:]
+    starts = [
+        phase1_feasible(eig, phi_set, cfg, np.random.default_rng(0)),
+        random_feasible_state(eig, phi_set, cfg, rng),
+    ]
+    for state in starts:
+        v = np.concatenate([u_b @ state.q.astype(xp), null], axis=1)
+
+        def full(v_):
+            return _full_width_barrier(
+                v_.astype(xp), state.b.astype(np.longdouble), u_b,
+                eig.sigma_b.astype(np.longdouble), data.psi.astype(xp),
+                eig.power_budget, phi_set.gamma0, cfg.barrier_t,
+            )
+
+        f_ref, g_ref = full(v)
+        a = v.conj().T @ g_ref
+        xi_ref = -v @ (0.5 * (a - a.conj().T))
+        xi = tangent_project(state.q, grad_v(state, eig, phi_set, cfg))
+        norm_ref = float(np.sqrt(np.sum(np.abs(xi_ref) ** 2)))
+        assert np.linalg.norm(xi) == pytest.approx(norm_ref, rel=1e-12)
+        f = barrier_value(state, eig, phi_set, cfg)
+        assert f == pytest.approx(f_ref, rel=1e-12)
+        finite = 0
+        for s in (1e-9, 1e-6, 1e-3, 1.0, 1e2):
+            u, _, vh = np.linalg.svd((v + s * xi_ref).astype(complex))
+            v_ref = u @ vh
+            q_new = stiefel_retract(state.q + s * xi)
+            embedded = np.concatenate([eig.u_b @ q_new, null.astype(complex)], axis=1)
+            assert np.linalg.norm(embedded - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
+            f_new = barrier_value(ManifoldState(q_new, state.b), eig, phi_set, cfg)
+            f_ref_new, _ = full(v_ref)
+            if np.isinf(f_ref_new):
+                assert np.isinf(f_new)
+            else:
+                assert f_new == pytest.approx(f_ref_new, rel=1e-12)
+                finite += 1
+        assert finite >= 2
+
+
 def test_phase1_no_sensing_immediate(desk_problem):
     _, eig, _ = desk_problem
     phi = no_sensing_phi()
@@ -385,7 +460,7 @@ def test_phase1_desk_scale_feasible(desk_problem):
 def test_rmjgd_stationary_init_returns_immediately():
     eig = synthetic_eig([2.0, 1.0], budget=1.0)
     phi = no_sensing_phi()
-    state = ManifoldState(v_tilde=np.eye(2, dtype=complex), b=np.zeros(2))
+    state = ManifoldState(q=eig.u_b.conj().T, b=np.zeros(2))
     result = rm_jgd(eig, phi, ManifoldConfig(), state)
     assert result.iterations == 0
     assert result.status == "converged"
@@ -394,7 +469,7 @@ def test_rmjgd_stationary_init_returns_immediately():
 def test_rmjgd_infeasible_init_rejected(desk_problem):
     _, eig, phi_set = desk_problem
     bad = ManifoldState(
-        v_tilde=np.concatenate([eig.u_b, eig.null_basis], axis=1),
+        q=np.eye(eig.n_streams, dtype=complex),
         b=np.full(eig.n_streams, 1e6),
     )
     with pytest.raises(ValueError, match="infeasible"):
@@ -410,7 +485,7 @@ def test_rmjgd_no_sensing_matches_waterfilling(rng):
     q, _ = np.linalg.qr(
         np.eye(4) + 0.2 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     )
-    init = ManifoldState(v_tilde=q.astype(complex), b=np.full(4, 0.2))
+    init = ManifoldState(q=eig.u_b.conj().T @ q, b=np.full(4, 0.2))
     assert np.isfinite(barrier_value(init, eig, phi, cfg))
     result = rm_jgd(eig, phi, cfg, init)
     form = result.w_bb.conj().T @ eig.b_mat @ result.w_bb
@@ -440,20 +515,9 @@ def test_rmjgd_iterates_stay_unitary_and_feasible(desk_problem):
     cfg = ManifoldConfig(max_iterations=40)
     init = phase1_feasible(eig, phi_set, cfg, np.random.default_rng(3))
     result = rm_jgd(eig, phi_set, cfg, init)
-    v = result.state.v_tilde
-    assert np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])) < 1e-8
+    q = result.state.q
+    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-8
     assert np.isfinite(barrier_value(result.state, eig, phi_set, cfg))
-
-
-def test_rmjgd_trace_csv(tmp_path, desk_problem):
-    _, eig, phi_set = desk_problem
-    cfg = ManifoldConfig(max_iterations=20)
-    init = phase1_feasible(eig, phi_set, cfg, np.random.default_rng(4))
-    path = str(tmp_path / "trace.csv")
-    rm_jgd(eig, phi_set, cfg, init, trace_path=path)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "iter,f,grad_norm_v,grad_norm_b,step_v,step_b"
-    assert len(lines) > 1
 
 
 def test_rmjgd_continuation_rounds(desk_problem):
