@@ -4,6 +4,13 @@ The receive response at each grid point follows the piecewise-far-field
 model (planar within a subarray, spherical across subarrays), so the
 pseudo-spectrum resolves range as well as angle once several subarrays
 observe the scene from sufficiently different positions.
+
+Grid responses use that factorization directly: receive block k toward a
+cell is nu_k * [1, z_k, ..., z_k^(M-1)], one inter-subarray phase nu_k and
+one intra-subarray phase step z_k, so a cell costs 2K complex exponentials
+and K*(M-1) products rather than one exponential per antenna. Cells within
+1e-12*max(1, r) of a receive reference antenna have no observation angle
+(the rule of `geometry.subarray_angle`); they are zeroed and flagged.
 """
 
 from __future__ import annotations
@@ -103,24 +110,33 @@ def _receive_responses_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked receive responses for flat coordinate arrays.
 
-    Returns (G, degenerate) where G has shape (ncells, N) and `degenerate`
-    marks cells coinciding with a reference antenna.
+    Returns (G, degenerate). Row c of G, shape (ncells, K*M), is the receive
+    response g_r of `channel.sensing_response` toward (x[c], y[c]), not its
+    conjugate. Block k is nu_k * [1, z_k, ..., z_k^(M-1)] with
+    nu_k = exp(-j*2*pi*r_k/lambda) and z_k = exp(-j*2*pi*d*sin(theta_k)/lambda),
+    r_k and theta_k the range and angle from receive reference antenna k, so
+    a cell costs 2K complex exponentials and K*(M-1) products. `degenerate`
+    marks cells within 1e-12*max(1, r) of a reference antenna, the rule of
+    `geometry.subarray_angle`; their rows are meaningless.
     """
     refs = geometry.reference_positions("rx")
-    m = geometry.m_antennas
-    lam, d = geometry.wavelength, geometry.d
+    k, m = geometry.k_subarrays, geometry.m_antennas
     dx = x[:, None] - refs[None, :, 0]
     dy = y[:, None] - refs[None, :, 1]
     dist = np.hypot(dx, dy)
-    degenerate = np.any(dist <= 0.0, axis=1)
-    safe = np.where(dist > 0.0, dist, 1.0)
-    sin_angle = np.clip(dx / safe, -1.0, 1.0)
-    two_pi = 2.0 * np.pi / lam
-    phase = -two_pi * (
-        dist[:, :, None] + d * sin_angle[:, :, None] * np.arange(m)[None, None, :]
-    )
-    g = np.exp(1j * phase).reshape(x.size, -1)
-    return g, degenerate
+    tol = 1e-12 * np.maximum(1.0, np.hypot(x, y))
+    degenerate = np.any(dist <= tol[:, None], axis=1)
+    sin_angle = np.clip(dx / np.where(dist > 0.0, dist, 1.0), -1.0, 1.0)
+    wavenumber = -2.0 * np.pi / geometry.wavelength
+    base = np.exp(1j * (wavenumber * dist))
+    step = np.exp(1j * (wavenumber * geometry.d * sin_angle))
+    # fill element-major, where each running product is one contiguous
+    # multiply, then lay the rows out subarray-major in a single copy
+    g = np.empty((m, x.size, k), dtype=complex)
+    g[0] = base
+    for i in range(1, m):
+        np.multiply(g[i - 1], step, out=g[i])
+    return g.transpose(1, 2, 0).reshape(x.size, k * m), degenerate
 
 
 def _pseudo_spectrum(
@@ -131,14 +147,16 @@ def _pseudo_spectrum(
     chunk: int = 8192,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized 1/||E^H g||^2 values for flat coordinates."""
+    # |g^T conj(E)| = |E^H g| entrywise: conjugate the small basis, not G,
+    # and sum re^2 + im^2 over a real view of the product
+    basis_conj = noise_basis.conj()
     values = np.zeros(x.size)
     degenerate = np.zeros(x.size, dtype=bool)
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
         g, bad = _receive_responses_grid(geometry, x[sl], y[sl])
-        proj = g.conj() @ noise_basis
-        denom = np.sum(np.abs(proj) ** 2, axis=1) + 1e-18
-        vals = 1.0 / denom
+        proj = (g @ basis_conj).view(np.float64)
+        vals = 1.0 / (np.einsum("ij,ij->i", proj, proj) + 1e-18)
         vals[bad] = 0.0
         values[sl] = vals
         degenerate[sl] = bad
@@ -151,9 +169,10 @@ def music_spectrum(
     """Evaluate the MUSIC pseudo-spectrum over the grid and locate the peak.
 
     The surface is normalized to a maximum of one; ties at the peak break
-    toward the lowest linear index (row-major over y then x). Cells that
-    coincide with an antenna are zeroed and flagged. The mainlobe width is
-    the -3 dB extent of a fine range cut through the peak at its angle.
+    toward the lowest linear index (row-major over y then x). Cells within
+    1e-12*max(1, r) of a receive reference antenna are zeroed and flagged.
+    The mainlobe width is the -3 dB extent of a fine range cut through the
+    peak at its angle.
     """
     xs, ys = grid.x_axis, grid.y_axis
     gx, gy = np.meshgrid(xs, ys)

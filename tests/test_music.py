@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from modisac import harness
-from modisac.channel import build_responses
+from modisac.channel import build_responses, sensing_response
 from modisac.geometry import PolarPoint, SceneObject, build_geometry
 from modisac.music import (
     GridSpec,
+    _pseudo_spectrum,
+    _receive_responses_grid,
     load_spectrum_grid,
     music_spectrum,
     noise_subspace,
@@ -109,6 +111,80 @@ def test_music_flags_antenna_cells():
     result = music_spectrum(basis, g, grid)
     assert (0, 0) in result.flagged_cells
     assert result.spectrum[0, 0] == 0.0
+
+
+def _random_noise_basis(rng, n, p):
+    q, _ = np.linalg.qr(rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p)))
+    return q
+
+
+def test_music_flags_cells_within_tolerance_of_antenna():
+    # geometry.subarray_angle calls a point degenerate within 1e-12*max(1, r)
+    # of a reference antenna, so a cell 1e-14 m away must be flagged too
+    cfg = harness.desk_config(seed=0)
+    g = build_geometry(cfg)
+    rx_ref = g.reference_positions("rx")[1]
+    x0 = rx_ref[0] + 1e-14
+    assert 0.0 < abs(x0 - rx_ref[0]) < 1e-12 and rx_ref[1] == 0.0
+    basis = _random_noise_basis(np.random.default_rng(5), cfg.n_antennas, 8)
+    grid = GridSpec(x0, 0.5, x0 + 1.0, 0.0, 0.5, 1.0)
+    result = music_spectrum(basis, g, grid)
+    assert result.flagged_cells == [(0, 0)]
+    assert result.spectrum[0, 0] == 0.0
+    assert np.all(result.spectrum.ravel()[1:] > 0.0)
+
+
+@pytest.mark.parametrize("desk", [True, False], ids=["desk", "full"])
+def test_grid_responses_match_sensing_response(desk):
+    cfg = harness.config_from_dict({"seed": 0}, desk_scale=desk)
+    g = build_geometry(cfg)
+    rng = np.random.default_rng(11)
+    points = [
+        PolarPoint(float(r), float(t))
+        for r, t in zip(rng.uniform(1.0, 80.0, 400), rng.uniform(-1.5, 1.5, 400))
+    ]
+    xy = np.array([p.xy for p in points])
+    rows, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1])
+    expected = np.array([sensing_response(g, p).g_r for p in points])
+    assert rows.shape == (400, cfg.n_antennas)
+    assert not degenerate.any()
+    assert np.max(np.abs(rows - expected)) <= 5e-11
+
+
+def test_music_spectrum_matches_per_cell_oracle():
+    cfg = harness.desk_config(seed=0)
+    g = build_geometry(cfg)
+    basis = _random_noise_basis(np.random.default_rng(3), cfg.n_antennas, 12)
+    grid = GridSpec(-4.0, 1.5, 5.0, 2.0, 2.5, 20.0)
+    result = music_spectrum(basis, g, grid)
+    expected = np.empty(result.spectrum.shape)
+    for iy, y in enumerate(grid.y_axis):
+        for ix, x in enumerate(grid.x_axis):
+            g_r = sensing_response(g, PolarPoint(np.hypot(x, y), np.arctan2(x, y))).g_r
+            expected[iy, ix] = 1.0 / (np.linalg.norm(basis.conj().T @ g_r) ** 2 + 1e-18)
+    expected /= expected.max()
+    assert result.flagged_cells == []
+    assert np.allclose(result.spectrum, expected, rtol=1e-9, atol=0.0)
+
+
+def test_pseudo_spectrum_chunk_invariance():
+    cfg = harness.desk_config(seed=0)
+    g = build_geometry(cfg)
+    rng = np.random.default_rng(7)
+    basis = _random_noise_basis(rng, cfg.n_antennas, 8)
+    x = rng.uniform(-15.0, 15.0, 2003)
+    y = rng.uniform(0.5, 25.0, 2003)
+    refs = g.reference_positions("rx")
+    # flagged cells on both sides of the chunk-7 boundary at 7 and of the
+    # chunk-1000 boundary at 1000, exact and 1e-14 m off an antenna
+    for i, (k, off) in zip((6, 7, 999, 1000), ((0, 0.0), (1, 1e-14), (2, -1e-14), (3, 0.0))):
+        x[i], y[i] = refs[k, 0] + off, refs[k, 1]
+    runs = [_pseudo_spectrum(g, basis, x, y, chunk=c) for c in (8192, 1000, 7)]
+    ref_vals, ref_bad = runs[0]
+    assert np.array_equal(np.nonzero(ref_bad)[0], [6, 7, 999, 1000])
+    for vals, bad in runs[1:]:
+        assert np.array_equal(bad, ref_bad)
+        assert np.allclose(vals, ref_vals, rtol=1e-13, atol=0.0)
 
 
 def test_grid_parse_and_axes():
