@@ -532,6 +532,7 @@ def sweep(spec: ExperimentSpec) -> str:
                 cells.append((index, spec.sweep_axis, value, algorithm, rep, spec.base))
                 index += 1
     workers = int(os.environ.get("MODISAC_WORKERS", "1"))
+    se_column = ResultRow.HEADER.split(",").index("se_bits")
     grouped: dict[tuple[str, str], list[float]] = {}
     with open(spec.output_path, "w", newline="") as f:
         f.write("cell,axis,value," + ResultRow.HEADER + "\n")
@@ -543,8 +544,7 @@ def sweep(spec: ExperimentSpec) -> str:
         for cell_index, value_str, algorithm, text in results:
             f.write(f"{cell_index},{spec.sweep_axis},{value_str},{text}\n")
             f.flush()
-            parts = text.split(",")
-            se = float(parts[16]) if parts[16] != "nan" else np.nan
+            se = float(text.split(",")[se_column])
             grouped.setdefault((value_str, algorithm), []).append(se)
         if workers > 1:
             executor.shutdown()

@@ -115,9 +115,10 @@ def _receive_responses_grid(
     conjugate. Block k is nu_k * [1, z_k, ..., z_k^(M-1)] with
     nu_k = exp(-j*2*pi*r_k/lambda) and z_k = exp(-j*2*pi*d*sin(theta_k)/lambda),
     r_k and theta_k the range and angle from receive reference antenna k, so
-    a cell costs 2K complex exponentials and K*(M-1) products. `degenerate`
-    marks cells within 1e-12*max(1, r) of a reference antenna, the rule of
-    `geometry.subarray_angle`; their rows are meaningless.
+    a cell costs 2K unit phasors (a cos and a sin each) and K*(M-1)
+    products. `degenerate` marks cells within 1e-12*max(1, r) of a reference
+    antenna, the rule of `geometry.subarray_angle`; their rows are
+    meaningless.
     """
     refs = geometry.reference_positions("rx")
     k, m = geometry.k_subarrays, geometry.m_antennas
@@ -128,12 +129,18 @@ def _receive_responses_grid(
     degenerate = np.any(dist <= tol[:, None], axis=1)
     sin_angle = np.clip(dx / np.where(dist > 0.0, dist, 1.0), -1.0, 1.0)
     wavenumber = -2.0 * np.pi / geometry.wavelength
-    base = np.exp(1j * (wavenumber * dist))
-    step = np.exp(1j * (wavenumber * geometry.d * sin_angle))
     # fill element-major, where each running product is one contiguous
     # multiply, then lay the rows out subarray-major in a single copy
     g = np.empty((m, x.size, k), dtype=complex)
-    g[0] = base
+    step = np.empty((x.size, k), dtype=complex)
+    # exp(j*phase) of a real phase, written as cos and sin into the real and
+    # imaginary parts: no complex temporary and no complex exp
+    for out, phase in (
+        (g[0], wavenumber * dist),
+        (step, wavenumber * geometry.d * sin_angle),
+    ):
+        np.cos(phase, out=out.real)
+        np.sin(phase, out=out.imag)
     for i in range(1, m):
         np.multiply(g[i - 1], step, out=g[i])
     return g.transpose(1, 2, 0).reshape(x.size, k * m), degenerate

@@ -19,7 +19,7 @@ columns and keeps them inside col(U_B), and the polar factor of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -201,8 +201,18 @@ def _slacks(
     state: ManifoldState, eig: EigB, phi_set: PhiSet
 ) -> tuple[float, float, bool]:
     """(power slack, sensing slack, sensing_active)."""
-    b2 = state.b**2
-    diag_b, diag_phi = _quadratic_diagonals(state, eig)
+    return _slacks_at(state.b, _quadratic_diagonals(state, eig), eig, phi_set)
+
+
+def _slacks_at(
+    b: np.ndarray,
+    diagonals: tuple[np.ndarray, np.ndarray],
+    eig: EigB,
+    phi_set: PhiSet,
+) -> tuple[float, float, bool]:
+    """`_slacks` at gains b, given Q's `_quadratic_diagonals`."""
+    b2 = b**2
+    diag_b, diag_phi = diagonals
     power_slack = eig.power_budget - float(b2 @ diag_b)
     active = phi_set.gamma0 > 0.0
     sens_slack = float(b2 @ diag_phi) - phi_set.gamma0 if active else np.inf
@@ -218,11 +228,27 @@ def barrier_value(
     phi(u) = -ln(u)/t. Natural log throughout; conversion to bits happens
     only at the metric layer.
     """
-    power_slack, sens_slack, active = _slacks(state, eig, phi_set)
+    return _barrier_at(
+        state.b, _quadratic_diagonals(state, eig), eig, phi_set, config.barrier_t
+    )
+
+
+def _barrier_at(
+    b: np.ndarray,
+    diagonals: tuple[np.ndarray, np.ndarray],
+    eig: EigB,
+    phi_set: PhiSet,
+    t: float,
+) -> float:
+    """`barrier_value` at gains b, given Q's `_quadratic_diagonals`.
+
+    The diagonals depend on Q alone, so a line search over b computes them
+    once and evaluates every trial from them.
+    """
+    power_slack, sens_slack, active = _slacks_at(b, diagonals, eig, phi_set)
     if power_slack <= 0.0 or (active and sens_slack <= 0.0):
         return np.inf
-    t = config.barrier_t
-    val = -float(np.sum(np.log1p(state.b**2))) - np.log(power_slack) / t
+    val = -float(np.sum(np.log1p(b**2))) - np.log(power_slack) / t
     if active:
         val -= np.log(sens_slack) / t
     return val
@@ -459,10 +485,13 @@ def rm_jgd(
     """Joint gradient descent over (Q, b) with backtracking line search.
 
     Each iteration projects the Q-gradient to the tangent space, takes the
-    steepest-descent pair direction, backtracks a common step until the
-    barrier strictly decreases (Armijo), and retracts Q back onto the
-    manifold. Terminates when both squared gradient norms fall below the
-    tolerances, the iteration cap is reached, or no decreasing step exists.
+    steepest-descent pair direction, and backtracks first a Q-step, retracted
+    back onto the manifold, then a b-step until the barrier decreases
+    sufficiently (Armijo). Each search starts at 4x its own block's last
+    accepted step (at most 1e12), and at armijo_initial on the first
+    iteration and after a search that failed or was skipped. Terminates when
+    both squared gradient norms fall below the tolerances, the iteration cap
+    is reached, or no decreasing step exists.
     """
     if not np.isfinite(barrier_value(init, eig, phi_set, config)):
         raise ValueError("initial state is infeasible for the barrier")
@@ -478,16 +507,7 @@ def rm_jgd(
     for stage in range(rounds):
         if stage > 0:
             t *= config.continuation[0]
-        cfg = ManifoldConfig(
-            barrier_t=t,
-            eps_v=config.eps_v,
-            eps_b=config.eps_b,
-            max_iterations=config.max_iterations,
-            armijo_shrink=config.armijo_shrink,
-            armijo_slope=config.armijo_slope,
-            armijo_initial=config.armijo_initial,
-            min_step=config.min_step,
-        )
+        cfg = replace(config, barrier_t=t, continuation=None)
         state, trace, iters, status = _descend(state, eig, phi_set, cfg)
         stage_traces.append(trace)
         total_iters += iters
@@ -527,7 +547,11 @@ def _descend(
     iters = 0
     # Per-block trial steps grow between iterations: the landscape is nearly
     # flat in b far from the budget while the barrier makes Q steep, so a
-    # shared unit step would stall one block or the other.
+    # shared unit step would stall one block or the other. Each search starts
+    # at 4x its block's last accepted step (capped at 1e12), and at
+    # armijo_initial only after a failed or skipped search: restarting every
+    # search at armijo_initial would spend ~20 rejected trials climbing down
+    # to the 1e-8..1e-6 Q-steps the barrier allows.
     trial_v = cfg.armijo_initial
     trial_b = cfg.armijo_initial
     for n in range(cfg.max_iterations):
@@ -541,27 +565,31 @@ def _descend(
             status = "converged"
             break
 
-        step_v, f_mid = _backtrack(
-            f_cur,
-            trial_v,
-            -norm_v_sq,
-            lambda s: barrier_value(
-                ManifoldState(stiefel_retract(state.q + s * xi_v), state.b),
-                eig, phi_set, cfg,
-            ),
-            cfg,
-        ) if norm_v_sq >= cfg.eps_v else (None, f_cur)
-        q_new = stiefel_retract(state.q + step_v * xi_v) if step_v is not None else state.q
+        # the accepted trial is the last one evaluated, so keep its retraction
+        q_trial = state.q
 
-        step_b, f_new = _backtrack(
-            f_mid,
-            trial_b,
-            -norm_b_sq,
-            lambda s: barrier_value(
-                ManifoldState(q_new, state.b + s * xi_b), eig, phi_set, cfg
-            ),
-            cfg,
-        ) if norm_b_sq >= cfg.eps_b else (None, f_mid)
+        def q_value(s: float) -> float:
+            nonlocal q_trial
+            q_trial = stiefel_retract(state.q + s * xi_v)
+            return barrier_value(ManifoldState(q_trial, state.b), eig, phi_set, cfg)
+
+        step_v, f_mid = _backtrack(
+            f_cur, trial_v, -norm_v_sq, q_value, cfg
+        ) if norm_v_sq >= cfg.eps_v else (None, f_cur)
+        q_new = q_trial if step_v is not None else state.q
+
+        step_b, f_new = None, f_mid
+        if norm_b_sq >= cfg.eps_b:
+            diagonals = _quadratic_diagonals(ManifoldState(q_new, state.b), eig)
+            step_b, f_new = _backtrack(
+                f_mid,
+                trial_b,
+                -norm_b_sq,
+                lambda s: _barrier_at(
+                    state.b + s * xi_b, diagonals, eig, phi_set, cfg.barrier_t
+                ),
+                cfg,
+            )
         b_new = state.b + step_b * xi_b if step_b is not None else state.b
 
         if step_v is None and step_b is None:
@@ -571,10 +599,8 @@ def _descend(
         f_cur = f_new
         if _orthonormality_drift(state.q) > 1e-8:
             state.q = stiefel_retract(state.q)
-        trial_v = 4.0 * step_v if step_v is not None else cfg.armijo_initial
-        trial_b = 4.0 * step_b if step_b is not None else cfg.armijo_initial
-        trial_v = min(max(trial_v, cfg.armijo_initial), 1e12)
-        trial_b = min(max(trial_b, cfg.armijo_initial), 1e12)
+        trial_v = min(4.0 * step_v, 1e12) if step_v is not None else cfg.armijo_initial
+        trial_b = min(4.0 * step_b, 1e12) if step_b is not None else cfg.armijo_initial
         trace.append(f_cur)
         iters = n + 1
     return state, trace, iters, status

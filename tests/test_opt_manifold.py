@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from modisac import opt_manifold
 from modisac.beamform import PhiSet, SubspaceBasis, optimal_analog
 from modisac.opt_manifold import (
     EigB,
@@ -11,6 +12,8 @@ from modisac.opt_manifold import (
     ManifoldConfig,
     ManifoldState,
     RankDeficiencyError,
+    _barrier_at,
+    _quadratic_diagonals,
     assemble_wbb,
     barrier_value,
     grad_b,
@@ -171,6 +174,65 @@ def test_barrier_t_scaling(desk_problem, rng):
     part10 = barrier_value(state, eig, phi_set, cfg10) - core
     part100 = barrier_value(state, eig, phi_set, cfg100) - core
     assert part10 == pytest.approx(10.0 * part100, rel=1e-9)
+
+
+def _barrier_from_wbb(eig, state, psi, gamma0, t):
+    """Barrier written on W = U_B Sigma_B^{-1/2} Q diag(b) itself.
+
+    -ln det(I + W^H B W) - ln(P - ||W||_F^2)/t - ln(tr(W^H Psi W) - gamma0)/t,
+    the sensing term only when gamma0 > 0; +inf outside the strict interior.
+    """
+    w = assemble_wbb(eig, state)
+    _, rate = np.linalg.slogdet(np.eye(w.shape[1]) + w.conj().T @ eig.b_mat @ w)
+    power_slack = eig.power_budget - np.linalg.norm(w) ** 2
+    sens_slack = np.real(np.trace(w.conj().T @ psi @ w)) - gamma0
+    if power_slack <= 0 or (gamma0 > 0 and sens_slack <= 0):
+        return np.inf
+    val = -rate - np.log(power_slack) / t
+    if gamma0 > 0:
+        val -= np.log(sens_slack) / t
+    return float(val)
+
+
+@pytest.mark.parametrize("sensing", [True, False], ids=["sensing", "no_sensing"])
+def test_barrier_at_equals_barrier_value(desk_problem, rng, sensing):
+    """The b-search helper is barrier_value, bit for bit, from diagonals taken once.
+
+    The descent takes Q's quadratic diagonals once per iteration and
+    evaluates every b-trial from them, so the helper must equal
+    barrier_value at (Q, b) for every b, inf included. Both are also checked
+    against the barrier written on W_BB directly (measured worst 6e-15
+    relative), which no shared helper can mask.
+    """
+    data, eig, phi_set = desk_problem
+    if not sensing:
+        phi_set = no_sensing_phi()
+    cfg = ManifoldConfig()
+    ns = eig.n_streams
+    finite = infinite = 0
+    for k in range(12):
+        base = random_feasible_state(eig, phi_set, cfg, rng)
+        q = base.q
+        if k % 2:
+            q, _ = np.linalg.qr(
+                rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns))
+            )
+        diagonals = _quadratic_diagonals(ManifoldState(q, base.b), eig)
+        direction = base.b * rng.standard_normal(ns)
+        for step in (0.0, 0.1, 0.5, 2.0, 10.0):
+            state = ManifoldState(q, base.b + step * direction)
+            value = _barrier_at(state.b, diagonals, eig, phi_set, cfg.barrier_t)
+            assert value == barrier_value(state, eig, phi_set, cfg)
+            reference = _barrier_from_wbb(
+                eig, state, data.psi, phi_set.gamma0, cfg.barrier_t
+            )
+            if np.isinf(reference):
+                assert value == np.inf
+                infinite += 1
+            else:
+                assert value == pytest.approx(reference, rel=1e-12)
+                finite += 1
+    assert finite >= 10 and infinite >= 10
 
 
 def test_barrier_decreases_along_gain_growth():
@@ -508,6 +570,45 @@ def test_rmjgd_desk_scale_descent(desk_problem):
     total = result.trace[0] - result.trace[-1]
     tail = result.trace[-10] - result.trace[-1]
     assert tail < 0.05 * total
+
+
+def test_rmjgd_line_searches_start_from_last_accepted_step(desk_problem, monkeypatch):
+    """Barrier evaluations per iteration stay few over the first 50 iterations.
+
+    The barrier lets Q move by 1e-8..1e-6 per step at desk scale; searches
+    that restarted from armijo_initial = 1 every iteration made ~30
+    evaluations per iteration here, climbing down to that. Starting from 4x
+    the last accepted step, a search whose step holds steady costs 3 trials
+    (4s, 2s, s), so 6 per iteration, plus the first iteration's climb from
+    armijo_initial: 6.5 here. Every evaluation is counted once: public
+    barrier_value calls, and direct helper calls (the b-trials) outside them.
+    """
+    _, eig, phi_set = desk_problem
+    cfg = ManifoldConfig(max_iterations=50)
+    init = phase1_feasible(eig, phi_set, cfg, np.random.default_rng(2))
+    public, helper = opt_manifold.barrier_value, opt_manifold._barrier_at
+    evaluations = 0
+    inside_public = False
+
+    def counted_public(*args):
+        nonlocal evaluations, inside_public
+        evaluations += 1
+        inside_public = True
+        try:
+            return public(*args)
+        finally:
+            inside_public = False
+
+    def counted_helper(*args):
+        nonlocal evaluations
+        evaluations += not inside_public
+        return helper(*args)
+
+    monkeypatch.setattr(opt_manifold, "barrier_value", counted_public)
+    monkeypatch.setattr(opt_manifold, "_barrier_at", counted_helper)
+    result = rm_jgd(eig, phi_set, cfg, init)
+    assert result.iterations == 50
+    assert evaluations / result.iterations <= 8.0
 
 
 def test_rmjgd_iterates_stay_unitary_and_feasible(desk_problem):
