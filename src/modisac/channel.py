@@ -8,7 +8,6 @@ vectors with inter-subarray spherical phase terms.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -308,109 +307,3 @@ def simulate_echoes(
         noise = rng.standard_normal((n, length)) + 1j * rng.standard_normal((n, length))
         y += np.sqrt(sigma_s_sq / 2.0) * noise
     return y
-
-
-def _complex_to_pairs(a: np.ndarray) -> list:
-    """Row-major nested lists of [re, im] pairs."""
-    stacked = np.stack([a.real, a.imag], axis=-1)
-    return stacked.tolist()
-
-
-def _pairs_to_complex(pairs: list) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def dump_channel(comm: CommChannel, path: str) -> None:
-    """Write the channel matrix and path metadata as a JSON fixture."""
-    doc = {
-        "shape": list(comm.h.shape),
-        "h": _complex_to_pairs(comm.h),
-        "k_subarrays": comm.k_subarrays,
-        "m_antennas": comm.m_antennas,
-        "d": comm.d,
-        "wavelength": comm.wavelength,
-        "paths": [
-            {
-                "kind": p.kind,
-                "gains": np.asarray(p.gains).tolist(),
-                "distances": np.asarray(p.distances).tolist(),
-                "aod": np.asarray(p.aod).tolist(),
-                "aoa": np.asarray(p.aoa).tolist(),
-                "scatterer": None
-                if p.scatterer is None
-                else [p.scatterer.r, p.scatterer.theta],
-            }
-            for p in comm.paths
-        ],
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
-
-
-def load_channel(path: str) -> CommChannel:
-    """Read a channel fixture written by dump_channel."""
-    with open(path) as f:
-        doc = json.load(f)
-    paths = [
-        PathSpec(
-            kind=p["kind"],
-            gains=np.asarray(p["gains"]),
-            distances=np.asarray(p["distances"]),
-            aod=np.asarray(p["aod"]),
-            aoa=np.asarray(p["aoa"]),
-            scatterer=None
-            if p["scatterer"] is None
-            else PolarPoint(p["scatterer"][0], p["scatterer"][1]),
-        )
-        for p in doc["paths"]
-    ]
-    return CommChannel(
-        h=_pairs_to_complex(doc["h"]),
-        paths=paths,
-        k_subarrays=doc["k_subarrays"],
-        m_antennas=doc["m_antennas"],
-        d=doc["d"],
-        wavelength=doc["wavelength"],
-    )
-
-
-def dump_responses(responses: SensingResponses, path: str) -> None:
-    """Write sensing response vectors as a JSON fixture."""
-    doc = {
-        "objects": [
-            {
-                "g_t": _complex_to_pairs(o.g_t),
-                "g_r": _complex_to_pairs(o.g_r),
-                "nu_t": _complex_to_pairs(o.nu_t),
-                "nu_r": _complex_to_pairs(o.nu_r),
-                "tx_angles": o.tx_angles.tolist(),
-                "rx_angles": o.rx_angles.tolist(),
-                "a_t_blocks": _complex_to_pairs(o.a_t_blocks),
-                "a_r_blocks": _complex_to_pairs(o.a_r_blocks),
-            }
-            for o in responses.objects
-        ]
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
-
-
-def load_responses(path: str) -> SensingResponses:
-    """Read a responses fixture written by dump_responses."""
-    with open(path) as f:
-        doc = json.load(f)
-    objs = tuple(
-        ObjectResponse(
-            g_t=_pairs_to_complex(o["g_t"]),
-            g_r=_pairs_to_complex(o["g_r"]),
-            nu_t=_pairs_to_complex(o["nu_t"]),
-            nu_r=_pairs_to_complex(o["nu_r"]),
-            tx_angles=np.asarray(o["tx_angles"]),
-            rx_angles=np.asarray(o["rx_angles"]),
-            a_t_blocks=_pairs_to_complex(o["a_t_blocks"]),
-            a_r_blocks=_pairs_to_complex(o["a_r_blocks"]),
-        )
-        for o in doc["objects"]
-    )
-    return SensingResponses(objects=objs)

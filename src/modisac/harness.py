@@ -356,7 +356,7 @@ def run_scenario(
         elif algorithm == "sdr_rrs":
             problem = data.sdr_problem()
             result = opt_sdr.sdr_rrs(problem, sdr_config, opt_rng)
-            status = result.status if result.status != "ok" else "ok"
+            status = result.status
             if result.w_bb is not None:
                 iterations = result.solution.newton_steps
                 hybrid = beamform.HybridBeamformer(
@@ -374,7 +374,7 @@ def run_scenario(
             if solution.status != "infeasible":
                 iterations = solution.newton_steps
                 r_x = data.basis.u_tilde @ solution.r_bb @ data.basis.u_tilde.conj().T
-                se_bits = solution.objective_bits
+                se_bits = solution.dual_bits
                 power_exact = float(np.real(np.trace(r_x)))
                 power_proxy = float(
                     config.m_antennas * np.real(np.trace(solution.r_bb))

@@ -258,11 +258,11 @@ def grad_b(
     state: ManifoldState, eig: EigB, phi_set: PhiSet, config: ManifoldConfig
 ) -> np.ndarray:
     """Euclidean gradient of the barrier objective with respect to b."""
-    power_slack, sens_slack, active = _slacks(state, eig, phi_set)
-    if power_slack <= 0.0 or (active and sens_slack <= 0.0):
-        raise InfeasiblePointError("gradient requested at an infeasible point")
     b = state.b
     diag_b, diag_phi = _quadratic_diagonals(state, eig)
+    power_slack, sens_slack, active = _slacks_at(b, (diag_b, diag_phi), eig, phi_set)
+    if power_slack <= 0.0 or (active and sens_slack <= 0.0):
+        raise InfeasiblePointError("gradient requested at an infeasible point")
     t = config.barrier_t
     grad = -2.0 * b / (1.0 + b**2) + (2.0 / t) * (diag_b / power_slack) * b
     if active:

@@ -5,9 +5,11 @@ The rank-relaxed digital covariance problem
     max  log det(I + H_eff R H_eff^H / sigma_c^2)
     s.t. tr(R C) <= budget,  tr(R Psi) >= gamma0,  R >= 0
 
-is solved by a log-barrier interior-point method with damped Newton steps,
-each computed in closed form in O(n^3) from a Cholesky factor of R and one
-eigendecomposition (Vandenberghe, Boyd & Wu 1998). C defaults to the
+is solved through its dual in the two multipliers mu (power) and nu
+(sensing): for fixed multipliers the Lagrangian maximizer is a waterfilling
+in closed form, and damped Newton steps on the convex two-scalar dual (a
+2x2 Hessian) find the multipliers (Yu & Lan 2007; Palomar & Fonollosa 2005).
+The dual value certifies an upper bound on the relaxation. C defaults to the
 identity (the per-subarray power proxy); passing the analog Gram matrix
 instead gives the exact transmit-power constraint. A rank-n_streams
 beamformer is then recovered by scaling random Gaussian sketches of the
@@ -69,12 +71,17 @@ class MaxDetProblem:
 
 @dataclass
 class SdpSolution:
-    """Optimal covariance with feasibility and stationarity diagnostics."""
+    """Primal-feasible covariance, its rate and the dual bound on the optimum.
+
+    r_bb meets the power budget with equality and the sensing constraint;
+    objective_bits is its rate and dual_bits the dual value at the final
+    multipliers, an upper bound on every feasible rate. newton_steps counts
+    dual Newton steps.
+    """
 
     r_bb: np.ndarray
-    objective_nats: float
     objective_bits: float
-    kkt_residual: float
+    dual_bits: float
     status: str
     newton_steps: int = 0
     message: str = ""
@@ -82,9 +89,10 @@ class SdpSolution:
 
 @dataclass
 class SdrConfig:
-    """Knobs for the SDR pipeline: solver tolerance and randomization size."""
+    """Knobs for the SDR pipeline: the solver's duality-gap tolerance in nats,
+    its Newton-step cap and the randomization size."""
 
-    tol: float = 1e-7
+    tol: float = 1e-10
     max_iter: int = 500
     trials_per_stream: int = 10
     retry_per_stream: int = 100
@@ -186,221 +194,205 @@ def _slacks(
     return p_slack, s_slack
 
 
-def _barrier_objective(
-    r: np.ndarray, t: float, problem: MaxDetProblem, weight: np.ndarray
-) -> float:
-    """Barrier function to minimize; +inf outside the strict interior."""
-    p_slack, s_slack = _slacks(r, problem, weight)
-    if p_slack <= 0.0 or s_slack <= 0.0:
-        return np.inf
+def _candidate_se_bits(w: np.ndarray, problem: MaxDetProblem) -> float:
+    s = np.linalg.svd(problem.h_eff @ w, compute_uv=False)
+    return float(np.sum(np.log2(1.0 + s**2 / problem.sigma_c_sq)))
+
+
+def _factor(r: np.ndarray, rank: Optional[int] = None) -> np.ndarray:
+    """F with F F^H the best rank-`rank` PSD approximation of r (all if None)."""
+    vals, vecs = np.linalg.eigh(r)
+    vals, vecs = vals[::-1][:rank], vecs[:, ::-1][:, :rank]
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+
+
+@dataclass
+class _DualPoint:
+    """Dual value, gradient and Hessian at theta, and the Lagrangian maximizer."""
+
+    theta: np.ndarray
+    value: float
+    grad: np.ndarray
+    hess: np.ndarray
+    r: np.ndarray
+
+
+def _dual_point(
+    theta: np.ndarray, forms: np.ndarray, offsets: np.ndarray, channel: np.ndarray
+) -> Optional[_DualPoint]:
+    """Dual function at multipliers theta; None outside its domain A > 0.
+
+    The constraints read tr(R D_i) <= b_i with D = (C, -Psi), b = (P, -gamma0)
+    and A = sum_i theta_i D_i. With A = L L^H and the SVD
+    (H_eff / sigma_c) L^-H = U diag(sqrt(kappa)) V^H, W = L^-H V has
+    W^H A W = I and W^H H_eff^H H_eff W / sigma_c^2 = diag(kappa), so the
+    Lagrangian maximizer is the waterfilling R = W diag((1 - 1/kappa)^+) W^H,
+    g = sum_{kappa > 1} (ln kappa - 1 + 1/kappa) + theta . b, and the gradient
+    is the residuals b_i - tr(R D_i). R moves with A as
+    dR = -W (Gamma o W^H dA W) W^H, Gamma the divided differences of
+    (kappa - 1)^+ (Daleckii-Krein), which gives the Hessian.
+    """
+    a = np.tensordot(theta, forms, axes=1)
     try:
-        chol_r = np.linalg.cholesky(r)
+        chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return np.inf
-    logdet_r = 2.0 * float(np.sum(np.log(np.real(np.diag(chol_r)))))
-    a = _rate_matrix(r, problem)
-    sign, logdet_a = np.linalg.slogdet(a)
-    if sign.real <= 0:
-        return np.inf
-    val = -t * float(logdet_a) - logdet_r - np.log(p_slack)
-    if problem.sensing_active:
-        val -= np.log(s_slack)
-    return val
-
-
-def _rate_matrix(r: np.ndarray, problem: MaxDetProblem) -> np.ndarray:
-    h = problem.h_eff
-    a = np.eye(h.shape[0], dtype=complex) + (h @ r @ h.conj().T) / problem.sigma_c_sq
-    return 0.5 * (a + a.conj().T)
-
-
-def _objective_nats(r: np.ndarray, problem: MaxDetProblem) -> float:
-    sign, logdet = np.linalg.slogdet(_rate_matrix(r, problem))
-    return float(logdet)
-
-
-def _initial_point(problem: MaxDetProblem, weight: np.ndarray) -> np.ndarray:
-    """Strictly feasible start, or raise with the violated constraint named."""
-    n = problem.dim
-    p = problem.power_budget
-    tr_c = float(np.real(np.trace(weight)))
-    iso = np.eye(n, dtype=complex) / tr_c
-    if not problem.sensing_active:
-        return 0.5 * p * iso
-    vals, vecs = np.linalg.eigh(weight)
-    inv_half = (vecs / np.sqrt(vals)[None, :]) @ vecs.conj().T
-    pencil = inv_half @ problem.psi @ inv_half
-    pencil = 0.5 * (pencil + pencil.conj().T)
-    pvals, pvecs = np.linalg.eigh(pencil)
-    lam = float(pvals[-1])
-    bound = p * lam
-    if bound <= problem.gamma0:
-        raise SdpInfeasibleError(
-            f"sensing constraint infeasible: budget*lambda_max = {bound:.6g} "
-            f"<= gamma0 = {problem.gamma0:.6g}"
-        )
-    v = inv_half @ pvecs[:, -1]
-    rank1 = np.outer(v, v.conj())  # unit weighted power: tr(rank1 @ weight) == 1
-    a = float(np.real(np.trace(problem.psi))) / tr_c
-    for j in range(51):
-        rho = 1.0 - 0.01 * 0.5**j
-        if rho * bound <= problem.gamma0:
-            continue
-        target = 0.5 * (problem.gamma0 + rho * bound)
-        if abs(lam - a) < 1e-300:
-            s = 0.9
-        else:
-            s = (target / (rho * p) - a) / (lam - a)
-        s = float(np.clip(s, 0.0, 1.0 - 1e-9))
-        r = rho * p * ((1.0 - s) * iso + s * rank1)
-        p_slack, s_slack = _slacks(r, problem, weight)
-        if p_slack > 0.0 and s_slack > 0.0:
-            return r
-    raise SdpInfeasibleError(
-        "sensing constraint infeasible: no strictly interior point found"
+        return None
+    w = np.linalg.inv(chol).conj().T
+    _, sv, vh = np.linalg.svd(channel @ w)
+    kappa = np.zeros(len(w))
+    kappa[: sv.size] = sv**2
+    w = w @ vh.conj().T
+    active = kappa > 1.0
+    excess = np.maximum(kappa - 1.0, 0.0)
+    x = excess / np.maximum(kappa, 1.0)  # (1 - 1/kappa)^+
+    f = w.conj().T @ forms @ w
+    gamma = np.divide(
+        excess[:, None] - excess[None, :],
+        kappa[:, None] - kappa[None, :],
+        out=(active[:, None] & active[None, :]).astype(float),
+        where=active[:, None] != active[None, :],
+    )
+    return _DualPoint(
+        theta=theta,
+        value=float(np.sum(np.log(kappa[active]) - x[active]) + theta @ offsets),
+        grad=offsets - np.real(np.diagonal(f, axis1=1, axis2=2)) @ x,
+        hess=np.real(np.einsum("ab,iab,jab->ij", gamma, f.conj(), f)),
+        r=(w * x) @ w.conj().T,
     )
 
 
-def _newton_direction(
-    r: np.ndarray, t: float, problem: MaxDetProblem, weight: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Newton direction of the barrier at r and its slope <gradient, direction>.
+def _newton_step(
+    point: _DualPoint, forms: np.ndarray, offsets: np.ndarray, channel: np.ndarray
+) -> Optional[_DualPoint]:
+    """Damped Newton step on the dual, projected onto nu >= 0.
 
-    With R = L L^H, M = H_eff^H A^-1 H_eff / sigma_c^2 (A the rate matrix),
-    L^H M L = V diag(lam) V^H and P = L V, the coordinates Z = P^-1 dR P^-H
-    turn the log-det Hessian into the elementwise map
-    Z -> (t lam_i lam_j + 1) Z. The power and sensing barriers add one
-    rank-one term each, removed by Woodbury. The elementwise factor is >= 1
-    and the Woodbury capacitance is >= I, so both solves are positive
-    definite.
+    A trial is accepted when it decreases g by the Armijo rule or, once g is
+    flat to rounding, when it shrinks the Newton decrement measured in the
+    current Hessian (Deuflhard's natural monotonicity test). Returns None
+    when no trial does.
     """
-    p_slack, s_slack = _slacks(r, problem, weight)
-    chol = np.linalg.cholesky(r)
-    b = problem.h_eff @ chol
-    lml = b.conj().T @ np.linalg.solve(_rate_matrix(r, problem), b) / problem.sigma_c_sq
-    lam, v = np.linalg.eigh(0.5 * (lml + lml.conj().T))
-    lam = np.maximum(lam, 0.0)  # M is PSD; drop rounding below zero
-    p = chol @ v
-    # rank-one gradient terms u_k; each adds u_k <u_k, .> to the Hessian
-    terms = [p.conj().T @ weight @ p / p_slack]
-    if problem.sensing_active:
-        terms.append(-(p.conj().T @ problem.psi @ p) / s_slack)
-    u = np.stack([0.5 * (x + x.conj().T) for x in terms])
-    grad = np.diag(-t * lam - 1.0) + u.sum(axis=0)
-    d = t * np.outer(lam, lam) + 1.0
-    u_d = u / d
-    cap = np.eye(len(u)) + np.real(np.einsum("aij,bij->ab", u.conj(), u_d))
-    z0 = grad / d
-    y = np.linalg.solve(cap, np.real(np.einsum("aij,ij->a", u.conj(), z0)))
-    z = np.einsum("a,aij->ij", y, u_d) - z0
-    delta = p @ z @ p.conj().T
-    return 0.5 * (delta + delta.conj().T), float(np.real(np.vdot(grad, z)))
+    hess_inv = np.linalg.pinv(point.hess)
+    direction = -hess_inv @ point.grad
+    decrement = -float(point.grad @ direction)
+    if not decrement > 0.0:
+        return None
+    step = 1.0
+    while step > 1e-12:
+        trial = point.theta + step * direction
+        trial[1:] = np.maximum(trial[1:], 0.0)
+        cand = _dual_point(trial, forms, offsets, channel)
+        if cand is not None and (
+            cand.value < point.value + 0.25 * float(point.grad @ (trial - point.theta))
+            or float(cand.grad @ hess_inv @ cand.grad) < (1.0 - 0.5 * step) ** 2 * decrement
+        ):
+            return cand
+        step *= 0.5
+    return None
+
+
+def _make_feasible(
+    r: np.ndarray, problem: MaxDetProblem, weight: np.ndarray, top: Optional[np.ndarray]
+) -> np.ndarray:
+    """Rescale r to the power budget with equality, then mix in the
+    max-sensing covariance `top` until the sensing constraint holds."""
+    used = problem.power_budget - _slacks(r, problem, weight)[0]
+    if used <= 0.0:
+        return top if top is not None else r
+    r = 0.5 * (r + r.conj().T) * (problem.power_budget / used)
+    if top is None:
+        return r
+    # the slack is affine in mix: aim at zero, then step past what rounding leaves
+    s_slack, top_slack = _slacks(r, problem, weight)[1], _slacks(top, problem, weight)[1]
+    mix, out = 0.0, r
+    while s_slack < 0.0 and mix < 1.0:
+        mix = min(1.0, max(mix - s_slack / (top_slack - s_slack), np.nextafter(mix, 1.0)))
+        out = (1.0 - mix) * r + mix * top
+        s_slack = _slacks(out, problem, weight)[1]
+    return out
 
 
 def solve_maxdet(
     problem: MaxDetProblem,
-    tol: float = 1e-7,
+    tol: float = 1e-10,
     max_iter: int = 500,
 ) -> SdpSolution:
-    """Log-barrier interior-point solve of the relaxed covariance problem.
+    """Solve the relaxed covariance problem through its two-multiplier dual.
 
-    Each Newton direction is solved in closed form in O(n^3) by
-    `_newton_direction`; the outer loop multiplies the barrier weight by 10
-    until the gap surrogate m/t (m = number of barrier terms) drops below
-    tol. The returned covariance is rescaled to meet the power budget with
-    equality, which never hurts the objective or the sensing constraint.
+    At nu = 0 the dual g(mu, nu) (`_dual_point`) is plain waterfilling and
+    the water level minimizes it exactly. If that leaves the sensing
+    constraint violated, damped Newton steps on g follow (`_newton_step`).
+    Every iterate's Lagrangian maximizer is made primal feasible, so each
+    round has a feasible rate and the certified bound g; the solve stops
+    when their gap is at most tol nats (`optimal`), after max_iter Newton
+    steps (`max_iter`) or when no step decreases g (`stalled`).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = problem.dim
     weight = problem.weight()
+    budget = problem.power_budget
     zero = SdpSolution(
-        r_bb=np.zeros((n, n), dtype=complex),
-        objective_nats=0.0,
+        r_bb=np.zeros_like(weight, dtype=complex),
         objective_bits=0.0,
-        kkt_residual=0.0,
+        dual_bits=0.0,
         status="optimal",
     )
-    if problem.power_budget <= 0:
+    if budget <= 0:
         if problem.sensing_active:
             zero.status = "infeasible"
             zero.message = "zero power budget cannot meet the sensing constraint"
         return zero
-    try:
-        r = _initial_point(problem, weight)
-    except SdpInfeasibleError as err:
-        zero.status = "infeasible"
-        zero.message = str(err)
-        return zero
-
-    m_terms = 3 if problem.sensing_active else 2
-    t = 1.0
+    whiten = np.linalg.inv(np.linalg.cholesky(weight)).conj().T  # whiten^H C whiten = I
+    forms, offsets, top = weight[None], np.array([budget]), None
+    if problem.sensing_active:
+        lams, vecs = np.linalg.eigh(whiten.conj().T @ problem.psi @ whiten)
+        bound = budget * float(lams[-1])
+        if bound <= problem.gamma0:
+            zero.status = "infeasible"
+            zero.message = (
+                f"sensing constraint infeasible: budget*lambda_max = {bound:.6g} "
+                f"<= gamma0 = {problem.gamma0:.6g}"
+            )
+            return zero
+        v = whiten @ vecs[:, -1]  # unit weighted power: v^H C v == 1
+        top = budget * np.outer(v, v.conj())
+        forms = np.stack([weight, -problem.psi])
+        offsets = np.array([budget, -problem.gamma0])
+    channel = problem.h_eff / np.sqrt(problem.sigma_c_sq)
+    # at nu = 0 the kappa are the squared singular values of channel @ whiten
+    # over mu, so the water level sets mu exactly
+    sv = np.linalg.svd(channel @ whiten, compute_uv=False)
+    inv = np.sort(1.0 / sv[sv > 0.0] ** 2)
+    theta = np.eye(len(offsets))[0]  # (mu, nu) = (1, 0)
+    if inv.size:
+        levels = (budget + np.cumsum(inv)) / np.arange(1, inv.size + 1)
+        theta[0] = 1.0 / levels[np.flatnonzero(levels > inv)[-1]]
+    point = _dual_point(theta, forms, offsets, channel)
     steps = 0
-    status = "optimal"
-    newton_lambda = np.inf
+    message = ""
     while True:
-        for _ in range(60):
-            if steps >= max_iter:
-                status = "max_iter"
-                break
-            delta, slope = _newton_direction(r, t, problem, weight)
-            if slope < 0.0:
-                newton_lambda = np.sqrt(-slope)
-            # approximate centering suffices: the objective error the Newton
-            # decrement leaves behind is ~lambda^2/t, far below the gap m/t
-            if slope >= 0.0 or 0.5 * (-slope) < 1e-4:
-                break
-            f_cur = _barrier_objective(r, t, problem, weight)
-            step = 1.0
-            moved = False
-            while step >= 1e-14:
-                r_new = r + step * delta
-                r_new = 0.5 * (r_new + r_new.conj().T)
-                f_new = _barrier_objective(r_new, t, problem, weight)
-                if f_new <= f_cur + 0.25 * step * slope:
-                    moved = True
-                    break
-                step *= 0.5
-            if not moved:
-                break
-            r = r_new
-            steps += 1
-            if f_cur - f_new < 4e-16 * (1.0 + abs(f_new)):
-                break  # progress below the floating-point floor
-        gap = m_terms / t
-        if status == "max_iter" or gap < tol:
+        r = _make_feasible(point.r, problem, weight, top)
+        # the rate from singular values keeps its digits where the slogdet of
+        # I + H R H^H / sigma_c^2 loses them to the channel's conditioning
+        bits = _candidate_se_bits(_factor(r), problem)
+        gap = point.value - bits * np.log(2.0)
+        if gap <= tol or steps >= max_iter:
+            status = "optimal" if gap <= tol else "max_iter"
             break
-        t *= 10.0
-
-    # Full-power rescale: the objective is nondecreasing in a uniform scale-up
-    # and the sensing value scales with it, so equality at the budget is free.
-    used = problem.power_budget - _slacks(r, problem, weight)[0]
-    if used > 0:
-        r = r * (problem.power_budget / used)
-    p_slack, s_slack = _slacks(r, problem, weight)
-    min_eig = float(np.linalg.eigvalsh(r)[0])
-    # stationarity in the Newton metric: the raw gradient norm is O(t) with
-    # cancelling barrier terms and says nothing about centering quality
-    kkt = max(
-        max(0.0, -p_slack),
-        max(0.0, -s_slack) if problem.sensing_active else 0.0,
-        max(0.0, -min_eig),
-        float(newton_lambda) if np.isfinite(newton_lambda) else 0.0,
-    )
-    nats = _objective_nats(r, problem)
+        nxt = _newton_step(point, forms, offsets, channel)
+        if nxt is None:
+            status = "stalled"
+            message = f"no dual step decreases the gap {gap:.3g} nats"
+            break
+        point = nxt
+        steps += 1
     return SdpSolution(
         r_bb=r,
-        objective_nats=nats,
-        objective_bits=nats / np.log(2.0),
-        kkt_residual=kkt,
+        objective_bits=bits,
+        dual_bits=point.value / np.log(2.0),
         status=status,
         newton_steps=steps,
+        message=message,
     )
-
-
-def _candidate_se_bits(w: np.ndarray, problem: MaxDetProblem) -> float:
-    s = np.linalg.svd(problem.h_eff @ w, compute_uv=False)
-    return float(np.sum(np.log2(1.0 + s**2 / problem.sigma_c_sq)))
 
 
 def randomize_rank(
@@ -415,17 +407,15 @@ def randomize_rank(
     matrices, rescale every candidate to the power budget with equality and
     return the rate-best candidate meeting the sensing constraint. The
     identity sketch is always injected first so an already rank-n_streams
-    optimum is recovered exactly. A `max_iter` solution is a strictly
-    feasible interior iterate and is randomized like an optimal one.
+    optimum is recovered exactly. A `max_iter` or `stalled` solution is
+    primal feasible too and is randomized like an optimal one.
     """
     if solution.status == "infeasible":
         raise ValueError("cannot randomize an infeasible solution")
     ns = problem.n_streams
     if trials is None:
         trials = 10 * ns
-    vals, vecs = np.linalg.eigh(solution.r_bb)
-    vals, vecs = vals[::-1][:ns], vecs[:, ::-1][:, :ns]
-    factor = vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+    factor = _factor(solution.r_bb, ns)
     weight = problem.weight()
     feas_tol = 1e-9 * max(1.0, abs(problem.gamma0))
 
@@ -466,8 +456,8 @@ def sdr_rrs(
     """Full SDR pipeline: solve the relaxation, then randomize the rank.
 
     On randomization failure the sketch count is increased once before the
-    failure is reported. A relaxation stopped at its iteration cap still
-    yields a beamformer, reported with status `max_iter`.
+    failure is reported. A relaxation stopped short of its gap tolerance
+    still yields a beamformer, reported with the solver's status.
     """
     cfg = config or SdrConfig()
     rng = rng or np.random.default_rng(0)
@@ -498,15 +488,15 @@ def sdr_rrs(
     scnr_val = np.nan
     if problem.phi_set is not None and problem.alphas is not None:
         scnr_val = scnr_reduced(w, problem.phi_set, problem.alphas)
-    status = "max_iter" if solution.status == "max_iter" else "ok"
+    status = "ok" if solution.status == "optimal" else solution.status
     return SdrResult(w_bb=w, se_bits=se, scnr=scnr_val, status=status, solution=solution)
 
 
 def fdb_upper_bound(
-    problem: MaxDetProblem, tol: float = 1e-7, max_iter: int = 500
+    problem: MaxDetProblem, tol: float = 1e-10, max_iter: int = 500
 ) -> float:
-    """Rate of the rank-unconstrained optimum: the fully digital bound."""
+    """Certified bound on the rank-unconstrained rate: the fully digital bound."""
     solution = solve_maxdet(problem, tol=tol, max_iter=max_iter)
     if solution.status == "infeasible":
         raise SdpInfeasibleError(solution.message or "SDP infeasible")
-    return solution.objective_bits
+    return solution.dual_bits

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -9,10 +7,6 @@ from modisac.channel import (
     build_comm_channel,
     build_responses,
     draw_paths,
-    dump_channel,
-    dump_responses,
-    load_channel,
-    load_responses,
     numerical_rank,
     rank_bounds,
     sensing_response,
@@ -223,16 +217,3 @@ def test_echo_linearity_with_fixed_draws():
         return simulate_echoes(resp, objs, x, 1e-4, np.random.default_rng(21))
 
     assert np.allclose(run(x1 + x2), run(x1) + run(x2) - run(np.zeros((8, 4))))
-
-
-def test_fixture_roundtrip(tmp_path, desk_data):
-    chan_path = os.fspath(tmp_path / "chan.json")
-    resp_path = os.fspath(tmp_path / "resp.json")
-    dump_channel(desk_data.comm, chan_path)
-    dump_responses(desk_data.responses, resp_path)
-    comm2 = load_channel(chan_path)
-    resp2 = load_responses(resp_path)
-    assert np.allclose(comm2.h, desk_data.comm.h)
-    assert len(comm2.paths) == len(desk_data.comm.paths)
-    assert np.allclose(resp2[0].g_t, desk_data.responses[0].g_t)
-    assert np.allclose(resp2[1].nu_r, desk_data.responses[1].nu_r)

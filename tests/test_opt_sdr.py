@@ -15,10 +15,10 @@ from modisac.opt_sdr import (
     sdr_rrs,
     solve_maxdet,
     _candidate_se_bits,
-    _initial_point,
-    _newton_direction,
+    _dual_point,
+    _slacks,
 )
-from oracles import channel_gains, waterfilling_se_bits
+from oracles import central_differences, channel_gains, waterfilling_se_bits
 
 
 def no_sensing_problem(h_eff, sigma_c_sq, budget, n_streams):
@@ -80,7 +80,7 @@ def test_solution_invariants(small_problem):
     assert np.linalg.eigvalsh(r)[0] >= -1e-8 * np.real(np.trace(r))
     assert np.real(np.trace(r)) <= problem.power_budget + 1e-8
     assert np.real(np.sum(r * problem.psi.T)) >= problem.gamma0 - 1e-8
-    assert sol.kkt_residual < 0.1
+    assert abs(sol.dual_bits - sol.objective_bits) <= 1e-9
 
 
 def test_budget_monotonicity(rng):
@@ -199,10 +199,106 @@ def test_fullspace_matches_reduced(small_data):
     assert verify_covariance_subspace(sol_full.r_bb, data.basis) < 1e-6
 
 
+def test_max_iter_solution_is_primal_feasible():
+    data = harness.prepare_scenario(harness.desk_config(seed=0, scnr_threshold_db=60.0))
+    problem = data.sdr_problem()
+    sol = solve_maxdet(problem, max_iter=1)
+    assert sol.status == "max_iter" and sol.newton_steps == 1
+    assert sol.dual_bits - sol.objective_bits > 1e-6  # sensing binds: not converged
+    p_slack, s_slack = _slacks(sol.r_bb, problem, problem.weight())
+    assert abs(p_slack) <= 1e-9 * problem.power_budget
+    assert s_slack >= 0.0
+    result = sdr_rrs(problem, SdrConfig(max_iter=1), np.random.default_rng(0))
+    assert result.status == "max_iter" and result.w_bb is not None
+    assert result.se_bits <= sol.dual_bits
+
+
+def desk_cells():
+    """The desk sweep cells: 27 scenario seeds at 0 and 60 dB, seeded as
+    `harness.sweep` seeds them (repetition 0)."""
+    for seed in range(3):
+        for slot in range(9):
+            master = int(np.random.SeedSequence([seed, slot]).generate_state(1)[0])
+            base = harness.desk_config(seed=master)
+            for threshold_db in (0.0, 60.0):
+                cfg = harness.apply_axis(base, "scnr_threshold", threshold_db)
+                yield dataclasses.replace(cfg, seed=harness.derive_seed(master, 0))
+
+
+def test_certificate_on_desk_cells():
+    for cfg in desk_cells():
+        data = harness.prepare_scenario(cfg)
+        for exact_power in (False, True):
+            problem = data.sdr_problem(exact_power=exact_power)
+            sol = solve_maxdet(problem)
+            assert sol.status == "optimal"
+            assert abs(sol.dual_bits - sol.objective_bits) <= 1e-9
+            p_slack, s_slack = _slacks(sol.r_bb, problem, problem.weight())
+            assert abs(p_slack) <= 1e-9 * problem.power_budget
+            assert s_slack >= 0.0
+            vals = np.linalg.eigvalsh(sol.r_bb)
+            rank = int(np.sum(vals > 1e-9 * vals[-1]))
+            assert rank <= np.linalg.matrix_rank(problem.h_eff)
+
+
 @pytest.fixture(scope="module")
 def full_data():
     """Full-scale default scenario (K=6, N_RF=42), seed 0."""
     return harness.prepare_scenario(harness.config_from_dict({"seed": 0}))
+
+
+def dual_data(problem):
+    """Constraint forms D = (C, -Psi) and offsets b = (P, -gamma0) of the dual."""
+    weight = problem.weight()
+    if not problem.sensing_active:
+        return weight[None], np.array([problem.power_budget])
+    forms = np.stack([weight, -problem.psi])
+    return forms, np.array([problem.power_budget, -problem.gamma0])
+
+
+def off_optimum_multipliers(problem):
+    """Multipliers away from the optimum: two eigenchannels active and, with
+    sensing, nu halfway to the edge of the domain A = mu C - nu Psi > 0."""
+    channel = problem.h_eff / np.sqrt(problem.sigma_c_sq)
+    whiten = np.linalg.inv(np.linalg.cholesky(problem.weight())).conj().T
+    kappa = np.linalg.svd(channel @ whiten, compute_uv=False) ** 2
+    theta = np.array([np.sqrt(kappa[1] * kappa[2])])
+    if problem.sensing_active:
+        lam = np.linalg.eigvalsh(whiten.conj().T @ problem.psi @ whiten)[-1]
+        theta = np.append(theta, 0.5 * theta[0] / lam)
+    return theta
+
+
+@pytest.mark.parametrize("exact_power", [False, True], ids=["identity", "gram"])
+@pytest.mark.parametrize("sensing", [False, True], ids=["no_sensing", "sensing"])
+@pytest.mark.parametrize("scale", ["small_data", "full_data"])
+def test_dual_gradient_is_constraint_residuals(request, scale, sensing, exact_power):
+    problem = request.getfixturevalue(scale).sdr_problem(exact_power=exact_power)
+    if not sensing:
+        problem = dataclasses.replace(problem, gamma0=0.0)
+    forms, offsets = dual_data(problem)
+    channel = problem.h_eff / np.sqrt(problem.sigma_c_sq)
+    theta = off_optimum_multipliers(problem)
+    point = _dual_point(theta, forms, offsets, channel)
+    p_slack, s_slack = _slacks(point.r, problem, problem.weight())
+    assert point.grad == pytest.approx([p_slack, s_slack][: theta.size], rel=1e-9)
+
+    # central differences in relative coordinates theta * z, z near 1
+    def value(z):
+        return _dual_point(theta * z, forms, offsets, channel).value
+
+    def grad(z):
+        return _dual_point(theta * z, forms, offsets, channel).grad
+
+    ones = np.ones_like(theta)
+    grad_z = theta * point.grad
+    hess_z = theta[:, None] * point.hess * theta[None, :]
+    num_grad = central_differences(value, ones, h=1e-5)
+    assert np.linalg.norm(num_grad - grad_z) <= 1e-9 * np.linalg.norm(grad_z)
+    num_hess = np.stack(
+        [central_differences(lambda z, i=i: grad(z)[i], ones, h=1e-4) for i in range(theta.size)]
+    ) * theta[:, None]
+    assert np.linalg.norm(num_hess - hess_z) <= 1e-5 * np.linalg.norm(hess_z)
 
 
 def hermitian_basis(n):
@@ -231,54 +327,54 @@ def hermitian_coords(x):
     return np.concatenate([diag, upper.real, upper.imag], axis=-1)
 
 
-def dense_newton(r, t, problem, weight):
-    """Newton direction and slope from the dense n^2 x n^2 real Hessian.
+def dense_newton(theta, forms, offsets, channel):
+    """Dual Newton direction and slope from the dense n^2 x n^2 Jacobian.
 
-    The system is written in the eigenbasis W of the rate term's Hessian
-    factor M and solved after symmetric diagonal (Jacobi) scaling. There
-    t M (x) M is nearly diagonal, so the scaled system keeps its digits at
-    large t, where the unscaled one loses about log10(t |M|^2) of them.
+    The Lagrangian maximizer R(A) = W diag((1 - 1/kappa)^+) W^H moves with A
+    as dR = -W (Gamma o W^H dA W) W^H (Daleckii-Krein). Here that map is
+    assembled column by column on hermitian_basis into a dense real matrix
+    J, and the dual Hessian is -D J D^T with D the coordinates of the
+    constraint forms; the gradient is the residuals b - D r.
     """
-    n = problem.dim
-    h = problem.h_eff
-    a = np.eye(h.shape[0]) + h @ r @ h.conj().T / problem.sigma_c_sq
-    m = h.conj().T @ np.linalg.solve(a, h) / problem.sigma_c_sq
-    r_inv = np.linalg.inv(r)
-    p_slack = problem.power_budget - np.real(np.trace(r @ weight))
-    grad = -t * m - r_inv + weight / p_slack
-    rank_one = [weight / p_slack]
-    if problem.sensing_active:
-        s_slack = np.real(np.trace(r @ problem.psi)) - problem.gamma0
-        grad = grad - problem.psi / s_slack
-        rank_one.append(problem.psi / s_slack)
-    w = np.linalg.eigh(m)[1]
-    m, r_inv, grad, *rank_one = (w.conj().T @ x @ w for x in (m, r_inv, grad, *rank_one))
+    a = np.tensordot(theta, forms, axes=1)
+    w = np.linalg.inv(np.linalg.cholesky(a)).conj().T
+    _, sv, vh = np.linalg.svd(channel @ w)
+    w = w @ vh.conj().T
+    kappa = np.zeros(len(w))
+    kappa[: sv.size] = sv**2
+    excess = np.maximum(kappa - 1.0, 0.0)
+    r = (w * (excess / np.maximum(kappa, 1.0))) @ w.conj().T
+    # divided differences of (kappa - 1)^+, its derivative on the diagonal
+    den = kappa[:, None] - kappa[None, :]
+    deriv = np.broadcast_to((kappa > 1.0)[:, None], den.shape).astype(float)
+    gamma = np.divide(excess[:, None] - excess[None, :], den, out=deriv, where=den != 0.0)
 
-    basis = hermitian_basis(n)
-    assert np.array_equal(hermitian_coords(basis), np.eye(n * n))
-    hess = t * hermitian_coords(m @ basis @ m) + hermitian_coords(r_inv @ basis @ r_inv)
-    for x in rank_one:
-        u = hermitian_coords(x)
-        hess += np.outer(u, u)
-    g = hermitian_coords(grad)
-    scale = 1.0 / np.sqrt(np.diag(hess))
-    direction = -scale * np.linalg.solve(hess * np.outer(scale, scale), scale * g)
-    delta = w @ np.tensordot(direction, basis, axes=1) @ w.conj().T
-    return delta, float(g @ direction)
+    basis = hermitian_basis(len(w))
+    jac = hermitian_coords(-w @ (gamma * (w.conj().T @ basis @ w)) @ w.conj().T).T
+    d = hermitian_coords(forms)
+    hess = -d @ jac @ d.T
+    grad = offsets - d @ hermitian_coords(r)
+    direction = -np.linalg.solve(hess, grad)
+    return direction, float(grad @ direction)
 
 
-@pytest.mark.parametrize("t", [1.0, 1e6])
+@pytest.mark.parametrize("gain", [1.0, 1e6])
 @pytest.mark.parametrize("exact_power", [False, True], ids=["identity", "gram"])
 @pytest.mark.parametrize("sensing", [False, True], ids=["no_sensing", "sensing"])
 @pytest.mark.parametrize("scale", ["small_data", "full_data"])
-def test_newton_direction_matches_dense(request, scale, sensing, exact_power, t):
+def test_newton_direction_matches_dense(request, scale, sensing, exact_power, gain):
+    # gain raises the SNR at fixed multipliers: at 1 two eigenchannels are
+    # active, at 1e6 (60 dB) every eigenchannel of H_eff is
     problem = request.getfixturevalue(scale).sdr_problem(exact_power=exact_power)
     if not sensing:
         problem = dataclasses.replace(problem, gamma0=0.0)
-    weight = problem.weight()
-    # strictly feasible and anisotropic: midpoint of the start and a rough optimum
-    r = 0.5 * (_initial_point(problem, weight) + solve_maxdet(problem, tol=1e-3).r_bb)
-    delta, slope = _newton_direction(r, t, problem, weight)
-    ref_delta, ref_slope = dense_newton(r, t, problem, weight)
+    theta = off_optimum_multipliers(problem)
+    forms, offsets = dual_data(problem)
+    channel = np.sqrt(gain / problem.sigma_c_sq) * problem.h_eff
+    point = _dual_point(theta, forms, offsets, channel)
+    delta = -np.linalg.pinv(point.hess) @ point.grad  # as in _newton_step
+    slope = float(point.grad @ delta)
+    ref_delta, ref_slope = dense_newton(theta, forms, offsets, channel)
+    assert slope < 0.0
     assert np.linalg.norm(delta - ref_delta) <= 1e-9 * np.linalg.norm(ref_delta)
     assert slope == pytest.approx(ref_slope, rel=1e-9)
