@@ -1,11 +1,10 @@
 """Beamformer types, performance metrics and the subarray-response subspace.
 
-The joint basis U collects zero-padded intra-subarray steering vectors of all
-sensing objects and communication paths. A column permutation groups the
-columns of each subarray together, yielding the block-diagonal U_tilde whose
-k-th block stacks that subarray's steering vectors side by side. U_tilde is
-simultaneously the optimal analog beamformer: every entry of a block is unit
-modulus, so the group-connected phase-shifter constraint is met for free.
+The joint basis U_tilde is block diagonal: its k-th block stacks subarray k's
+intra-subarray steering vectors toward all sensing objects and communication
+paths side by side. U_tilde is simultaneously the optimal analog beamformer:
+every entry of a block is unit modulus, so the group-connected phase-shifter
+constraint is met for free.
 """
 
 from __future__ import annotations
@@ -21,14 +20,12 @@ from .channel import CommChannel, SensingResponses
 class SubspaceBasis:
     """Joint communication/sensing subspace of the transmit array.
 
-    u has shape (N, K*(Q+Np)) with sensing blocks first; u_tilde = u[:, perm]
-    is exactly block diagonal with blocks a_blocks[k] of shape (M, Q+Np).
+    u_tilde has shape (N, K*(Q+Np)) and is exactly block diagonal with blocks
+    a_blocks[k] of shape (M, Q+Np), object columns before path columns.
     """
 
-    u: np.ndarray
     u_tilde: np.ndarray
     a_blocks: np.ndarray
-    permutation: np.ndarray
     k_subarrays: int
     m_antennas: int
     n_objects: int
@@ -118,13 +115,10 @@ class HybridBeamformer:
 def build_subspace(
     comm: CommChannel, responses: SensingResponses, n_objects: int, n_paths: int
 ) -> SubspaceBasis:
-    """Assemble U, its column permutation and the block-diagonal U_tilde.
+    """Assemble the block-diagonal U_tilde from per-subarray steering vectors.
 
-    U's first n_objects*K columns are the zero-padded sensing steering
-    vectors (grouped by object, subarray-major within a group); the remaining
-    n_paths*K columns are the communication AoD steering vectors (grouped by
-    path). The permutation makes all columns of subarray k contiguous in the
-    order [objects..., paths...].
+    Block k holds subarray k's steering vectors toward the n_objects sensing
+    objects, then toward the n_paths communication AoDs.
     """
     if len(responses) != n_objects:
         raise ValueError(f"expected {n_objects} object responses, got {len(responses)}")
@@ -143,30 +137,14 @@ def build_subspace(
                 m, path.aod[i], comm.d, comm.wavelength
             )
 
-    n = k * m
-    u = np.zeros((n, k * cols), dtype=complex)
-    for q in range(n_objects):
-        for i in range(k):
-            u[i * m : (i + 1) * m, q * k + i] = a_blocks[i, :, q]
-    for p in range(n_paths):
-        for i in range(k):
-            u[i * m : (i + 1) * m, n_objects * k + p * k + i] = a_blocks[
-                i, :, n_objects + p
-            ]
-
-    perm = np.empty(k * cols, dtype=int)
+    # column-major: the rounding of BLAS products with U_tilde (phi_matrices,
+    # reduce_b) depends on the layout, and the sweep CSVs are pinned to this one
+    u_tilde = np.zeros((k * m, k * cols), dtype=complex, order="F")
     for i in range(k):
-        for c in range(cols):
-            if c < n_objects:
-                perm[i * cols + c] = c * k + i
-            else:
-                perm[i * cols + c] = n_objects * k + (c - n_objects) * k + i
-    u_tilde = u[:, perm]
+        u_tilde[i * m : (i + 1) * m, i * cols : (i + 1) * cols] = a_blocks[i]
     return SubspaceBasis(
-        u=u,
         u_tilde=u_tilde,
         a_blocks=a_blocks,
-        permutation=perm,
         k_subarrays=k,
         m_antennas=m,
         n_objects=n_objects,

@@ -239,10 +239,11 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
         n_streams = config.n_streams
     else:
         # channel rank, additionally capped by the usable rank of the reduced
-        # rate form (its eigenvalues square the channel singular values)
+        # rate form: `reduce_b` keeps eigenvalues of G^H G above 1e-10 times
+        # the largest, i.e. singular values of G = H U_tilde above 1e-5
         n_streams = min(
             channel.numerical_rank(comm.h),
-            opt_manifold.rate_form_rank(basis, comm.h),
+            channel.numerical_rank(comm.h @ basis.u_tilde, 1e-5),
             basis.n_rf,
         )
     return ScenarioData(
@@ -342,8 +343,7 @@ def run_scenario(
             init = opt_manifold.phase1_feasible(eig, data.phi_set, cfg, opt_rng)
             result = opt_manifold.rm_jgd(eig, data.phi_set, cfg, init)
             iterations = result.iterations
-            if result.status == "max_iter":
-                status = "max_iter"
+            status = "ok" if result.status == "converged" else result.status
             hybrid = beamform.HybridBeamformer(
                 w_rf, result.w_bb, config.k_subarrays, config.m_antennas
             )
@@ -380,7 +380,9 @@ def run_scenario(
                     config.m_antennas * np.real(np.trace(solution.r_bb))
                 )
     except opt_manifold.InfeasibleProblemError:
-        status = "infeasible"
+        # phase 1 certifies infeasibility only within col(U_B), the rate
+        # form's top eigenspace, not over the whole subarray-response subspace
+        status = "infeasible_subspace"
     if r_x is not None:
         w_star = beamform.mvdr_receive(
             data.responses, data.alphas, r_x, config.sigma_s_sq

@@ -77,33 +77,29 @@ class ManifoldState:
         return ManifoldState(self.q.copy(), self.b.copy())
 
 
+# Stopping tolerances on the squared tangent-gradient norms of Q and b.
+EPS_V = 1e-6
+EPS_B = 1e-6
+# Armijo backtracking: step shrink factor, sufficient-decrease slope, first
+# trial step, and the step below which a search gives up.
+ARMIJO_SHRINK = 0.5
+ARMIJO_SLOPE = 1e-4
+ARMIJO_INITIAL = 1.0
+MIN_STEP = 1e-12
+
+
 @dataclass
 class ManifoldConfig:
-    """Algorithm knobs: barrier weight, tolerances, line-search parameters."""
+    """Barrier weight t, iteration cap per barrier round, and optional barrier
+    continuation (multiplier of t, number of extra rounds)."""
 
     barrier_t: float = 100.0
-    eps_v: float = 1e-6
-    eps_b: float = 1e-6
     max_iterations: int = 500
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    armijo_initial: float = 1.0
-    min_step: float = 1e-12
-    continuation: Optional[tuple[float, int]] = None  # (multiplier, extra rounds)
+    continuation: Optional[tuple[float, int]] = None
 
     def __post_init__(self) -> None:
-        knobs = (
-            self.barrier_t,
-            self.eps_v,
-            self.eps_b,
-            self.max_iterations,
-            self.armijo_shrink,
-            self.armijo_slope,
-            self.armijo_initial,
-            self.min_step,
-        )
-        if any(v <= 0 for v in knobs):
-            raise ValueError("all manifold configuration knobs must be positive")
+        if self.barrier_t <= 0 or self.max_iterations <= 0:
+            raise ValueError("barrier_t and max_iterations must be positive")
 
 
 @dataclass
@@ -116,24 +112,6 @@ class RmJgdResult:
     iterations: int
     status: str
     stage_traces: list[list[float]] = field(default_factory=list)
-
-
-def rate_form_rank(
-    basis: SubspaceBasis, h: np.ndarray, rel_cutoff: float = 1e-10
-) -> int:
-    """Usable stream count: eigenvalue rank of the reduced rate form.
-
-    Stricter than the channel rank at its 1e-8 singular-value cutoff, because
-    the rate form squares the singular values; stream counts above this rank
-    would make the inverse square-root factors meaningless.
-    """
-    g = h @ basis.u_tilde
-    b_mat = g.conj().T @ g
-    vals = np.linalg.eigvalsh(0.5 * (b_mat + b_mat.conj().T))
-    top = float(vals[-1])
-    if top <= 0:
-        return 0
-    return int(np.count_nonzero(vals > rel_cutoff * top))
 
 
 def reduce_b(
@@ -488,7 +466,7 @@ def rm_jgd(
     steepest-descent pair direction, and backtracks first a Q-step, retracted
     back onto the manifold, then a b-step until the barrier decreases
     sufficiently (Armijo). Each search starts at 4x its own block's last
-    accepted step (at most 1e12), and at armijo_initial on the first
+    accepted step (at most 1e12), and at ARMIJO_INITIAL on the first
     iteration and after a search that failed or was skipped. Terminates when
     both squared gradient norms fall below the tolerances, the iteration cap
     is reached, or no decreasing step exists.
@@ -526,15 +504,14 @@ def _backtrack(
     trial: float,
     slope: float,
     evaluate,
-    cfg: ManifoldConfig,
 ) -> tuple[Optional[float], float]:
     """Armijo backtracking from a growing trial step; (step, f_new) or (None, f)."""
     step = trial
-    while step >= cfg.min_step:
+    while step >= MIN_STEP:
         f_new = evaluate(step)
-        if f_new < f_cur + cfg.armijo_slope * step * slope:
+        if f_new < f_cur + ARMIJO_SLOPE * step * slope:
             return step, f_new
-        step *= cfg.armijo_shrink
+        step *= ARMIJO_SHRINK
     return None, f_cur
 
 
@@ -549,11 +526,11 @@ def _descend(
     # flat in b far from the budget while the barrier makes Q steep, so a
     # shared unit step would stall one block or the other. Each search starts
     # at 4x its block's last accepted step (capped at 1e12), and at
-    # armijo_initial only after a failed or skipped search: restarting every
-    # search at armijo_initial would spend ~20 rejected trials climbing down
+    # ARMIJO_INITIAL only after a failed or skipped search: restarting every
+    # search at ARMIJO_INITIAL would spend ~20 rejected trials climbing down
     # to the 1e-8..1e-6 Q-steps the barrier allows.
-    trial_v = cfg.armijo_initial
-    trial_b = cfg.armijo_initial
+    trial_v = ARMIJO_INITIAL
+    trial_b = ARMIJO_INITIAL
     for n in range(cfg.max_iterations):
         gv = grad_v(state, eig, phi_set, cfg)
         gb = grad_b(state, eig, phi_set, cfg)
@@ -561,7 +538,7 @@ def _descend(
         xi_b = -gb
         norm_v_sq = float(np.linalg.norm(xi_v) ** 2)
         norm_b_sq = float(xi_b @ xi_b)
-        if norm_v_sq < cfg.eps_v and norm_b_sq < cfg.eps_b:
+        if norm_v_sq < EPS_V and norm_b_sq < EPS_B:
             status = "converged"
             break
 
@@ -574,12 +551,12 @@ def _descend(
             return barrier_value(ManifoldState(q_trial, state.b), eig, phi_set, cfg)
 
         step_v, f_mid = _backtrack(
-            f_cur, trial_v, -norm_v_sq, q_value, cfg
-        ) if norm_v_sq >= cfg.eps_v else (None, f_cur)
+            f_cur, trial_v, -norm_v_sq, q_value
+        ) if norm_v_sq >= EPS_V else (None, f_cur)
         q_new = q_trial if step_v is not None else state.q
 
         step_b, f_new = None, f_mid
-        if norm_b_sq >= cfg.eps_b:
+        if norm_b_sq >= EPS_B:
             diagonals = _quadratic_diagonals(ManifoldState(q_new, state.b), eig)
             step_b, f_new = _backtrack(
                 f_mid,
@@ -588,7 +565,6 @@ def _descend(
                 lambda s: _barrier_at(
                     state.b + s * xi_b, diagonals, eig, phi_set, cfg.barrier_t
                 ),
-                cfg,
             )
         b_new = state.b + step_b * xi_b if step_b is not None else state.b
 
@@ -599,8 +575,8 @@ def _descend(
         f_cur = f_new
         if _orthonormality_drift(state.q) > 1e-8:
             state.q = stiefel_retract(state.q)
-        trial_v = min(4.0 * step_v, 1e12) if step_v is not None else cfg.armijo_initial
-        trial_b = min(4.0 * step_b, 1e12) if step_b is not None else cfg.armijo_initial
+        trial_v = min(4.0 * step_v, 1e12) if step_v is not None else ARMIJO_INITIAL
+        trial_b = min(4.0 * step_b, 1e12) if step_b is not None else ARMIJO_INITIAL
         trace.append(f_cur)
         iters = n + 1
     return state, trace, iters, status

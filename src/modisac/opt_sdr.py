@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beamform import PhiSet, SubspaceBasis, scnr_reduced, sensing_form
+from .beamform import PhiSet, SubspaceBasis, sensing_form
 from .channel import SensingResponses
 
 
@@ -41,8 +41,7 @@ class MaxDetProblem:
     """Problem data for the relaxed digital covariance optimization.
 
     power_weight is the Hermitian PD matrix C in tr(R C) <= power_budget;
-    None means identity. alphas/phi_set are optional extras that let results
-    report the achieved reduced SCNR.
+    None means identity.
     """
 
     h_eff: np.ndarray
@@ -52,8 +51,6 @@ class MaxDetProblem:
     gamma0: float
     n_streams: int
     power_weight: Optional[np.ndarray] = None
-    alphas: Optional[np.ndarray] = None
-    phi_set: Optional[PhiSet] = None
 
     @property
     def dim(self) -> int:
@@ -87,24 +84,27 @@ class SdpSolution:
     message: str = ""
 
 
+# Gaussian sketches per stream in the first randomization round, and in the
+# one retry after no sketch met the sensing constraint.
+TRIALS_PER_STREAM = 10
+RETRY_PER_STREAM = 100
+
+
 @dataclass
 class SdrConfig:
-    """Knobs for the SDR pipeline: the solver's duality-gap tolerance in nats,
-    its Newton-step cap and the randomization size."""
+    """Knobs for the SDR pipeline: the solver's duality-gap tolerance in nats
+    and its Newton-step cap."""
 
     tol: float = 1e-10
     max_iter: int = 500
-    trials_per_stream: int = 10
-    retry_per_stream: int = 100
 
 
 @dataclass
 class SdrResult:
-    """Recovered digital beamformer plus achieved metrics."""
+    """Recovered digital beamformer plus its achieved rate."""
 
     w_bb: Optional[np.ndarray]
     se_bits: float
-    scnr: float
     status: str
     solution: Optional[SdpSolution] = None
 
@@ -142,8 +142,6 @@ def make_maxdet_problem(
         gamma0=phi_set.gamma0,
         n_streams=n_streams,
         power_weight=weight,
-        alphas=np.asarray(alphas, dtype=float),
-        phi_set=phi_set,
     )
 
 
@@ -178,7 +176,6 @@ def make_fullspace_problem(
         psi=psi,
         gamma0=scnr_min * sigma_s_sq * w_norm_sq,
         n_streams=n_streams,
-        alphas=alphas,
     )
 
 
@@ -414,7 +411,7 @@ def randomize_rank(
         raise ValueError("cannot randomize an infeasible solution")
     ns = problem.n_streams
     if trials is None:
-        trials = 10 * ns
+        trials = TRIALS_PER_STREAM * ns
     factor = _factor(solution.r_bb, ns)
     weight = problem.weight()
     feas_tol = 1e-9 * max(1.0, abs(problem.gamma0))
@@ -464,32 +461,27 @@ def sdr_rrs(
     solution = solve_maxdet(problem, tol=cfg.tol, max_iter=cfg.max_iter)
     if solution.status == "infeasible":
         return SdrResult(
-            w_bb=None, se_bits=np.nan, scnr=np.nan, status="infeasible",
-            solution=solution,
+            w_bb=None, se_bits=np.nan, status="infeasible", solution=solution
         )
     try:
         w = randomize_rank(
-            solution, problem, rng, trials=cfg.trials_per_stream * problem.n_streams
+            solution, problem, rng, trials=TRIALS_PER_STREAM * problem.n_streams
         )
     except RandomizationFailure:
         try:
             w = randomize_rank(
-                solution, problem, rng, trials=cfg.retry_per_stream * problem.n_streams
+                solution, problem, rng, trials=RETRY_PER_STREAM * problem.n_streams
             )
         except RandomizationFailure:
             return SdrResult(
                 w_bb=None,
                 se_bits=np.nan,
-                scnr=np.nan,
                 status="randomization_failed",
                 solution=solution,
             )
     se = _candidate_se_bits(w, problem)
-    scnr_val = np.nan
-    if problem.phi_set is not None and problem.alphas is not None:
-        scnr_val = scnr_reduced(w, problem.phi_set, problem.alphas)
     status = "ok" if solution.status == "optimal" else solution.status
-    return SdrResult(w_bb=w, se_bits=se, scnr=scnr_val, status=status, solution=solution)
+    return SdrResult(w_bb=w, se_bits=se, status=status, solution=solution)
 
 
 def fdb_upper_bound(

@@ -27,14 +27,3 @@ def channel_gains(h_eff: np.ndarray, sigma_c_sq: float) -> np.ndarray:
     s = np.linalg.svd(h_eff, compute_uv=False)
     return s**2 / sigma_c_sq
 
-
-def central_differences(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function of a real vector."""
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (fn(xp) - fn(xm)) / (2 * h)
-    return grad

@@ -19,7 +19,7 @@ from modisac.channel import PathSpec, build_comm_channel, draw_paths, numerical_
 from modisac.geometry import build_geometry
 from modisac.music import GridSpec
 from oracles import channel_gains, waterfilling_se_bits
-from test_opt_manifold import fd_grad_v_probes, random_feasible_state
+from test_opt_manifold import random_feasible_state
 
 
 def _accept(num: int, ok: bool, budget_s: float, elapsed: float, detail: str) -> None:
@@ -69,7 +69,7 @@ def test_criterion_1_waterfilling_oracle():
 
 
 def test_criterion_2_gradient_fidelity(desk_data):
-    from modisac.validation import probe_state
+    from modisac.validation import gradient_error, probe_state
 
     t0 = time.perf_counter()
     eig = desk_data.reduced_eig()
@@ -78,14 +78,7 @@ def test_criterion_2_gradient_fidelity(desk_data):
     worst = 0.0
     for _ in range(20):
         state = probe_state(eig, desk_data.phi_set, rng)
-        gb = opt_manifold.grad_b(state, eig, desk_data.phi_set, cfg)
-        fd = _fd_b_full(state, eig, desk_data.phi_set, cfg)
-        err_b = np.linalg.norm(gb - fd) / max(np.linalg.norm(fd), 1e-12)
-        analytic, numeric = fd_grad_v_probes(state, eig, desk_data.phi_set, cfg, rng)
-        err_v = np.linalg.norm(analytic - numeric) / max(
-            np.linalg.norm(numeric), 1e-12
-        )
-        worst = max(worst, float(err_b), float(err_v))
+        worst = max(worst, gradient_error(state, eig, desk_data.phi_set, cfg, rng))
     _accept(
         2,
         worst < 1e-5,
@@ -93,23 +86,6 @@ def test_criterion_2_gradient_fidelity(desk_data):
         time.perf_counter() - t0,
         f"worst relative gradient error {worst:.2e} over 20 feasible points",
     )
-
-
-def _fd_b_full(state, eig, phi_set, cfg, h=1e-6):
-    out = np.zeros_like(state.b)
-    for i in range(state.b.size):
-        bp, bm = state.b.copy(), state.b.copy()
-        bp[i] += h
-        bm[i] -= h
-        out[i] = (
-            opt_manifold.barrier_value(
-                opt_manifold.ManifoldState(state.q, bp), eig, phi_set, cfg
-            )
-            - opt_manifold.barrier_value(
-                opt_manifold.ManifoldState(state.q, bm), eig, phi_set, cfg
-            )
-        ) / (2 * h)
-    return out
 
 
 def test_criterion_3_subspace_optimality():

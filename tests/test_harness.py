@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from modisac import beamform, cli, harness
+from modisac import beamform, channel, cli, harness
 from modisac.geometry import ConfigurationError
 from modisac.validation import validate
 from modisac import opt_manifold
@@ -86,6 +86,65 @@ def test_sdr_rrs_reports_max_iter_iterate():
     assert row.status == "max_iter"
     assert row.power_proxy <= row.n_streams * (1 + 1e-9)
     assert row.scnr_db >= row.scnr_threshold_db - 1e-4
+
+
+@pytest.mark.parametrize(
+    "solver_status, row_status",
+    [("converged", "ok"), ("stalled", "stalled"), ("max_iter", "max_iter")],
+)
+def test_rm_jgd_status_passes_through(monkeypatch, solver_status, row_status):
+    real = opt_manifold.rm_jgd
+    monkeypatch.setattr(
+        opt_manifold,
+        "rm_jgd",
+        lambda *args: dataclasses.replace(real(*args), status=solver_status),
+    )
+    row = harness.run_scenario(harness.desk_config(seed=0, **TINY), "rm_jgd")
+    assert row.status == row_status
+
+
+def _op_seed(seed: int, slot: int) -> int:
+    """Scenario seed of the benchmark's desk_sweep input slot `slot` at `seed`."""
+    return int(np.random.SeedSequence([seed, slot]).generate_state(1)[0])
+
+
+def test_rm_jgd_phase1_infeasible_is_subspace_status():
+    # phase 1's bound covers col(U_B) only; SDR over all of U_tilde meets 60 dB
+    cfg = harness.desk_config(
+        seed=harness.derive_seed(_op_seed(0, 2), 0), scnr_threshold_db=60.0
+    )
+    assert harness.run_scenario(cfg, "rm_jgd").status == "infeasible_subspace"
+    sdr = harness.run_scenario(cfg, "sdr_rrs")
+    assert sdr.status == "ok"
+    assert sdr.scnr_db >= 60.0 - 1e-4
+
+
+def _rate_form_rank(g: np.ndarray) -> int:
+    """Eigenvalues of G^H G above 1e-10 times the largest (`reduce_b`'s rule)."""
+    vals = np.linalg.eigvalsh(g.conj().T @ g)
+    return int(np.count_nonzero(vals > 1e-10 * vals[-1]))
+
+
+def test_stream_count_is_rate_form_rank():
+    for seed in range(3):
+        for slot in range(9):
+            for db in (0.0, 60.0):
+                cfg = harness.desk_config(
+                    seed=harness.derive_seed(_op_seed(seed, slot), 0),
+                    scnr_threshold_db=db,
+                )
+                data = harness.prepare_scenario(cfg)
+                expected = min(
+                    channel.numerical_rank(data.comm.h),
+                    _rate_form_rank(data.comm.h @ data.basis.u_tilde),
+                    data.n_rf,
+                )
+                assert data.n_streams == expected, (seed, slot, db)
+    u, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))
+    for second, rank in ((2e-5, 2), (1e-6, 1)):
+        g = u @ np.diag([1.0, second])
+        assert _rate_form_rank(g) == rank
+        assert channel.numerical_rank(g, 1e-5) == rank
 
 
 def test_refreshed_filter_improves_scnr(desk_data):
@@ -236,9 +295,13 @@ def test_load_experiment(tmp_path):
     assert spec.base.k_subarrays == 4
 
 
-def test_validate_quick_passes():
-    report = validate(quick=True)
-    assert report.all_ok, report.to_text()
+def test_validate_quick_passes(tmp_path, capsys):
+    path = str(tmp_path / "report.csv")
+    assert cli.main(["validate", "--report", path]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 20
+    rows = open(path).read().splitlines()[1:]
+    assert len(rows) == 20
+    assert all(row.split(",")[1] == "1" for row in rows), rows
 
 
 def test_validate_mutation_canary():

@@ -24,6 +24,7 @@ from modisac.opt_manifold import (
     stiefel_retract,
     tangent_project,
 )
+from modisac.validation import central_differences, gradient_error, probe_state
 from oracles import waterfilling_se_bits
 
 
@@ -31,10 +32,8 @@ def fake_basis(n: int) -> SubspaceBasis:
     """Identity 'analog' basis so the rate form can be set directly."""
     eye = np.eye(n, dtype=complex)
     return SubspaceBasis(
-        u=eye,
         u_tilde=eye,
         a_blocks=eye[None, :, :],
-        permutation=np.arange(n),
         k_subarrays=1,
         m_antennas=n,
         n_objects=1,
@@ -258,34 +257,20 @@ def test_grad_b_zero_at_origin(desk_problem):
     assert np.allclose(grad_b(state, eig, phi, ManifoldConfig()), 0.0)
 
 
-def _fd_b(state, eig, phi_set, cfg, h=1e-6):
-    out = np.zeros_like(state.b)
-    for i in range(state.b.size):
-        bp, bm = state.b.copy(), state.b.copy()
-        bp[i] += h
-        bm[i] -= h
-        out[i] = (
-            barrier_value(ManifoldState(state.q, bp), eig, phi_set, cfg)
-            - barrier_value(ManifoldState(state.q, bm), eig, phi_set, cfg)
-        ) / (2 * h)
-    return out
-
-
 def test_grad_b_matches_finite_differences(desk_problem, rng):
-    from modisac.validation import probe_state
-
     _, eig, phi_set = desk_problem
     cfg = ManifoldConfig()
     for _ in range(5):
         state = probe_state(eig, phi_set, rng)
         g = grad_b(state, eig, phi_set, cfg)
-        fd = _fd_b(state, eig, phi_set, cfg)
+        fd = central_differences(
+            lambda b: barrier_value(ManifoldState(state.q, b), eig, phi_set, cfg),
+            state.b,
+        )
         assert np.linalg.norm(g - fd) < 1e-5 * max(np.linalg.norm(fd), 1e-8)
 
 
 def test_grad_b_barrier_part_vanishes_at_large_t(desk_problem, rng):
-    from modisac.validation import probe_state
-
     _, eig, phi_set = desk_problem
     cfg_small = ManifoldConfig(barrier_t=1e2)
     state = probe_state(eig, phi_set, rng)
@@ -307,35 +292,10 @@ def test_grad_v_zero_when_gains_zero(desk_problem):
     assert np.all(grad_v(state, eig, phi, ManifoldConfig()) == 0.0)
 
 
-def fd_grad_v_probes(state, eig, phi_set, cfg, rng, n_probe=12, h=1e-6):
-    """Sampled finite-difference entries of the Q-gradient (re and im parts)."""
-    g = grad_v(state, eig, phi_set, cfg)
-    analytic, numeric = [], []
-    for _ in range(n_probe):
-        i = int(rng.integers(eig.n_streams))
-        j = int(rng.integers(eig.n_streams))
-        for unit, part in ((1.0, g[i, j].real), (1.0j, g[i, j].imag)):
-            vp, vm = state.q.copy(), state.q.copy()
-            vp[i, j] += h * unit
-            vm[i, j] -= h * unit
-            fd = (
-                barrier_value(ManifoldState(vp, state.b), eig, phi_set, cfg)
-                - barrier_value(ManifoldState(vm, state.b), eig, phi_set, cfg)
-            ) / (2 * h)
-            analytic.append(part)
-            numeric.append(fd)
-    return np.asarray(analytic), np.asarray(numeric)
-
-
 def test_grad_v_matches_finite_differences(desk_problem, rng):
-    from modisac.validation import probe_state
-
     _, eig, phi_set = desk_problem
-    cfg = ManifoldConfig()
     state = probe_state(eig, phi_set, rng)
-    analytic, numeric = fd_grad_v_probes(state, eig, phi_set, cfg, rng)
-    err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
-    assert err < 1e-5
+    assert gradient_error(state, eig, phi_set, ManifoldConfig(), rng) < 1e-5
 
 
 def test_grad_at_infeasible_point_raises(desk_problem):
@@ -576,11 +536,11 @@ def test_rmjgd_line_searches_start_from_last_accepted_step(desk_problem, monkeyp
     """Barrier evaluations per iteration stay few over the first 50 iterations.
 
     The barrier lets Q move by 1e-8..1e-6 per step at desk scale; searches
-    that restarted from armijo_initial = 1 every iteration made ~30
+    that restarted from ARMIJO_INITIAL = 1 every iteration made ~30
     evaluations per iteration here, climbing down to that. Starting from 4x
     the last accepted step, a search whose step holds steady costs 3 trials
     (4s, 2s, s), so 6 per iteration, plus the first iteration's climb from
-    armijo_initial: 6.5 here. Every evaluation is counted once: public
+    ARMIJO_INITIAL: 6.5 here. Every evaluation is counted once: public
     barrier_value calls, and direct helper calls (the b-trials) outside them.
     """
     _, eig, phi_set = desk_problem
