@@ -64,12 +64,11 @@ from .opt_sdr import (
     MaxDetProblem,
     SdpSolution,
     SdrConfig,
-    fdb_upper_bound,
     randomize_rank,
     sdr_rrs,
     solve_maxdet,
 )
-from .music import GridSpec, MusicConfig, MusicResult, music_spectrum, noise_subspace, sample_covariance
+from .music import GridSpec, MusicResult, music_spectrum, noise_subspace, sample_covariance
 from .harness import ExperimentSpec, ResultRow, load_config, run_scenario, sweep
 from .validation import validate
 

@@ -56,7 +56,6 @@ def main(argv=None) -> int:
     music_p.add_argument("--out", default=None, help="output prefix (.csv and .grid)")
 
     val_p = sub.add_parser("validate", help="run the cross-module invariant suite")
-    val_p.add_argument("--quick", action="store_true")
     val_p.add_argument("--report", default=None, help="also write a CSV report")
 
     args = parser.parse_args(argv)
@@ -73,7 +72,7 @@ def main(argv=None) -> int:
                 f.write(row.to_csv() + "\n")
         print(harness.ResultRow.HEADER)
         print(row.to_csv())
-        return 0 if row.status in ("ok", "max_iter") else 1
+        return 0 if row.status in harness.SUCCESS_STATUSES else 1
 
     if args.command == "sweep":
         spec = harness.load_experiment(args.spec)
@@ -101,7 +100,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "validate":
-        report = validate(quick=args.quick)
+        report = validate()
         print(report.to_text())
         if args.report:
             report.to_csv(args.report)

@@ -113,6 +113,11 @@ class ScenarioConfig:
             raise ConfigurationError("noise powers must be positive")
         if self.scnr_min < 0:
             raise ConfigurationError("scnr_min must be nonnegative")
+        n_rf = self.k_subarrays * (self.n_objects + self.n_paths)
+        if self.n_streams is not None and not 1 <= self.n_streams <= n_rf:
+            raise ConfigurationError(
+                f"n_streams={self.n_streams} must lie in [1, N_RF={n_rf}]"
+            )
         if self.snapshots < 1:
             raise ConfigurationError("snapshots must be >= 1")
         if self.layout not in ("uniform", "random", "collocated"):

@@ -311,6 +311,13 @@ class ResultRow:
         )
 
 
+# Solver stop reasons that mean the problem was solved; every other status
+# (max_iter, stalled, infeasible, ...) passes through to the row unchanged.
+_SOLVED_STATUS = {"converged": "ok", "optimal": "ok"}
+# Row statuses whose metrics are usable: the CLI exits 0 on these only.
+SUCCESS_STATUSES = ("ok", "max_iter")
+
+
 def run_scenario(
     config: ScenarioConfig,
     algorithm: str,
@@ -319,9 +326,12 @@ def run_scenario(
 ) -> ResultRow:
     """Run the full pipeline for one algorithm and report final metrics.
 
-    The receive filter is refreshed from the optimized covariance before the
-    SCNR is measured, so the reported value reflects the MVDR filter the
-    receiver would actually deploy.
+    Each algorithm yields W_BB (fdb: the relaxed R_BB), its rate, iteration
+    count and status; one shared tail forms the transmit covariance and its
+    power and refreshes the receive filter from it before the SCNR is
+    measured, so the reported value reflects the MVDR filter the receiver
+    would actually deploy. An rm_jgd run whose phase 1 or stream count fails
+    is a row with status `infeasible_subspace` or `error:RankDeficiencyError`.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -329,60 +339,53 @@ def run_scenario(
     data = prepare_scenario(config)
     opt_rng = np.random.default_rng(derive_seed(config.seed, _ALGO_SALT[algorithm]))
     w_rf = beamform.optimal_analog(data.basis)
-    status = "ok"
-    iterations = 0
-    se_bits = np.nan
-    scnr_db = np.nan
-    power_exact = np.nan
-    power_proxy = np.nan
-    r_x = None
+    w_bb = r_bb = None
+    se_bits, iterations = np.nan, 0
     try:
         if algorithm == "rm_jgd":
             cfg = rm_config or opt_manifold.ManifoldConfig()
             eig = data.reduced_eig()
             init = opt_manifold.phase1_feasible(eig, data.phi_set, cfg, opt_rng)
             result = opt_manifold.rm_jgd(eig, data.phi_set, cfg, init)
-            iterations = result.iterations
-            status = "ok" if result.status == "converged" else result.status
-            hybrid = beamform.HybridBeamformer(
-                w_rf, result.w_bb, config.k_subarrays, config.m_antennas
-            )
-            hybrid.check()
-            r_x = hybrid.covariance()
+            status, w_bb, iterations = result.status, result.w_bb, result.iterations
             se_bits = beamform.spectral_efficiency(
-                data.comm.h, w_rf, result.w_bb, config.sigma_c_sq
+                data.comm.h, w_rf, w_bb, config.sigma_c_sq
             )
-            power_exact, power_proxy = beamform.transmit_power(w_rf, result.w_bb)
         elif algorithm == "sdr_rrs":
-            problem = data.sdr_problem()
-            result = opt_sdr.sdr_rrs(problem, sdr_config, opt_rng)
+            result = opt_sdr.sdr_rrs(data.sdr_problem(), sdr_config, opt_rng)
             status = result.status
             if result.w_bb is not None:
+                w_bb, se_bits = result.w_bb, result.se_bits
                 iterations = result.solution.newton_steps
-                hybrid = beamform.HybridBeamformer(
-                    w_rf, result.w_bb, config.k_subarrays, config.m_antennas
-                )
-                hybrid.check()
-                r_x = hybrid.covariance()
-                se_bits = result.se_bits
-                power_exact, power_proxy = beamform.transmit_power(w_rf, result.w_bb)
         else:  # fdb
-            problem = data.sdr_problem()
             cfg = sdr_config or opt_sdr.SdrConfig()
-            solution = opt_sdr.solve_maxdet(problem, tol=cfg.tol, max_iter=cfg.max_iter)
-            status = solution.status if solution.status != "optimal" else "ok"
-            if solution.status != "infeasible":
+            solution = opt_sdr.solve_maxdet(
+                data.sdr_problem(), tol=cfg.tol, max_iter=cfg.max_iter
+            )
+            status = solution.status
+            if status != "infeasible":
+                r_bb, se_bits = solution.r_bb, solution.dual_bits
                 iterations = solution.newton_steps
-                r_x = data.basis.u_tilde @ solution.r_bb @ data.basis.u_tilde.conj().T
-                se_bits = solution.dual_bits
-                power_exact = float(np.real(np.trace(r_x)))
-                power_proxy = float(
-                    config.m_antennas * np.real(np.trace(solution.r_bb))
-                )
     except opt_manifold.InfeasibleProblemError:
         # phase 1 certifies infeasibility only within col(U_B), the rate
         # form's top eigenspace, not over the whole subarray-response subspace
         status = "infeasible_subspace"
+    except opt_manifold.RankDeficiencyError as err:
+        # a configured stream count above the rank of the rate form
+        status = f"error:{type(err).__name__}"
+    scnr_db = power_exact = power_proxy = np.nan
+    r_x = None
+    if w_bb is not None:
+        hybrid = beamform.HybridBeamformer(
+            w_rf, w_bb, config.k_subarrays, config.m_antennas
+        )
+        hybrid.check()
+        r_x = hybrid.covariance()
+        power_exact, power_proxy = beamform.transmit_power(w_rf, w_bb)
+    elif r_bb is not None:
+        r_x = data.basis.u_tilde @ r_bb @ data.basis.u_tilde.conj().T
+        power_exact = float(np.real(np.trace(r_x)))
+        power_proxy = float(config.m_antennas * np.real(np.trace(r_bb)))
     if r_x is not None:
         w_star = beamform.mvdr_receive(
             data.responses, data.alphas, r_x, config.sigma_s_sq
@@ -391,7 +394,6 @@ def run_scenario(
             w_star.w, data.responses, data.alphas, r_x, config.sigma_s_sq
         )
         scnr_db = 10.0 * np.log10(scnr_lin) if scnr_lin > 0 else -np.inf
-    wall = (time.perf_counter() - t0) * 1e3
     return ResultRow(
         algorithm=algorithm,
         seed=config.seed,
@@ -416,9 +418,18 @@ def run_scenario(
         power_exact=power_exact,
         power_proxy=power_proxy,
         iterations=iterations,
-        status=status,
-        wall_time_ms=wall,
+        status=_SOLVED_STATUS.get(status, status),
+        wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
+
+
+def _error_row(algorithm: str, seed: int, err: Exception) -> ResultRow:
+    """Row of a sweep cell that raised: every configuration and metric
+    column is nan, since the error may precede the configuration."""
+    columns = {f.name: np.nan for f in dataclasses.fields(ResultRow)}
+    columns.update(algorithm=algorithm, seed=seed, iterations=0, wall_time_ms=0.0)
+    columns["status"] = f"error:{type(err).__name__}"
+    return ResultRow(**columns)
 
 
 @dataclass
@@ -502,18 +513,15 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _run_cell(args: tuple) -> tuple[int, str, str, str]:
+def _run_cell(args: tuple) -> tuple[int, str, ResultRow]:
     cell_index, axis, value, algorithm, rep, base = args
     try:
         config = apply_axis(base, axis, value)
         config = dataclasses.replace(config, seed=derive_seed(base.seed, rep))
         row = run_scenario(config, algorithm)
-        text = row.to_csv()
     except Exception as err:  # failures become rows, never abort the sweep
-        text = (
-            f"{algorithm},{derive_seed(base.seed, rep)}" + ",nan" * 14
-        ) + f",nan,nan,nan,nan,0,error:{type(err).__name__},0.000"
-    return cell_index, _format_value(value), algorithm, text
+        row = _error_row(algorithm, derive_seed(base.seed, rep), err)
+    return cell_index, _format_value(value), row
 
 
 def sweep(spec: ExperimentSpec) -> str:
@@ -534,7 +542,6 @@ def sweep(spec: ExperimentSpec) -> str:
                 cells.append((index, spec.sweep_axis, value, algorithm, rep, spec.base))
                 index += 1
     workers = int(os.environ.get("MODISAC_WORKERS", "1"))
-    se_column = ResultRow.HEADER.split(",").index("se_bits")
     grouped: dict[tuple[str, str], list[float]] = {}
     with open(spec.output_path, "w", newline="") as f:
         f.write("cell,axis,value," + ResultRow.HEADER + "\n")
@@ -543,11 +550,12 @@ def sweep(spec: ExperimentSpec) -> str:
             results = executor.map(_run_cell, cells)
         else:
             results = map(_run_cell, cells)
-        for cell_index, value_str, algorithm, text in results:
-            f.write(f"{cell_index},{spec.sweep_axis},{value_str},{text}\n")
+        for cell_index, value_str, row in results:
+            f.write(f"{cell_index},{spec.sweep_axis},{value_str},{row.to_csv()}\n")
             f.flush()
-            se = float(text.split(",")[se_column])
-            grouped.setdefault((value_str, algorithm), []).append(se)
+            # summarize SE as written (9 digits) so the rows reproduce it
+            se = float(f"{row.se_bits:.9g}")
+            grouped.setdefault((value_str, row.algorithm), []).append(se)
         if workers > 1:
             executor.shutdown()
         for (value_str, algorithm), ses in grouped.items():
@@ -581,32 +589,21 @@ def load_experiment(path: str) -> ExperimentSpec:
     )
 
 
-def run_music(
-    config: ScenarioConfig,
-    grid,
-    assumed_sources: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-):
+def run_music(config: ScenarioConfig, grid):
     """Localize the target from echoes of the optimized transmit waveform.
 
-    Snapshots use the SDR beamformer with fresh Gaussian symbols and noise;
-    reflection coefficients stay fixed over the block. Raw array snapshots
-    feed MUSIC (the noise subspace needs the full N-dimensional output).
-    `grid` may be a GridSpec or a MusicConfig (whose snapshot count and
-    model order then override the scenario defaults). Returns the spectrum
-    result, the scenario data and the transmit matrix W_RF W_BB.
+    `config.snapshots` snapshots use the SDR beamformer with fresh Gaussian
+    symbols and noise; reflection coefficients stay fixed over the block.
+    Raw array snapshots feed MUSIC (the noise subspace needs the full
+    N-dimensional output), whose model order is the number of scene objects.
+    `grid` is a `music.GridSpec`. Returns the spectrum result, the scenario
+    data and the transmit matrix W_RF W_BB.
     """
-    from .music import MusicConfig, music_spectrum, noise_subspace, sample_covariance
+    from .music import music_spectrum, noise_subspace, sample_covariance
 
     length = config.snapshots
-    if isinstance(grid, MusicConfig):
-        music_cfg = grid
-        grid = music_cfg.grid
-        length = music_cfg.snapshots
-        if assumed_sources is None:
-            assumed_sources = music_cfg.assumed_sources
     data = prepare_scenario(config)
-    rng = rng or np.random.default_rng(derive_seed(config.seed, 17))
+    rng = np.random.default_rng(derive_seed(config.seed, 17))
     problem = data.sdr_problem()
     result = opt_sdr.sdr_rrs(problem, None, rng)
     if result.w_bb is None:
@@ -622,6 +619,5 @@ def run_music(
         data.responses, config.scene_objects, x, config.sigma_s_sq, rng
     )
     cov = sample_covariance(y)
-    n_src = assumed_sources if assumed_sources is not None else config.n_objects
-    basis_n = noise_subspace(cov, n_src)
+    basis_n = noise_subspace(cov, config.n_objects)
     return music_spectrum(basis_n, data.geometry, grid), data, f_tx

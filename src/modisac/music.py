@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -64,15 +63,6 @@ class GridSpec:
         if len(xs) != 3 or len(ys) != 3:
             raise ValueError(f"bad grid spec {text!r}")
         return cls(x0=xs[0], dx=xs[1], x1=xs[2], y0=ys[0], dy=ys[1], y1=ys[2])
-
-
-@dataclass
-class MusicConfig:
-    """Search configuration: grid, snapshot count and model order."""
-
-    grid: GridSpec
-    snapshots: int = 256
-    assumed_sources: Optional[int] = None  # None: number of scene objects
 
 
 @dataclass

@@ -32,10 +32,6 @@ class RandomizationFailure(RuntimeError):
     """No randomized candidate satisfied the sensing constraint."""
 
 
-class SdpInfeasibleError(RuntimeError):
-    """The SDP has no strictly feasible point; message names the constraint."""
-
-
 @dataclass
 class MaxDetProblem:
     """Problem data for the relaxed digital covariance optimization.
@@ -452,9 +448,12 @@ def sdr_rrs(
 ) -> SdrResult:
     """Full SDR pipeline: solve the relaxation, then randomize the rank.
 
-    On randomization failure the sketch count is increased once before the
-    failure is reported. A relaxation stopped short of its gap tolerance
-    still yields a beamformer, reported with the solver's status.
+    The status is the solver's own (`optimal`, `max_iter`, `stalled`,
+    `infeasible`), or `randomization_failed` when no sketch meets the
+    sensing constraint even after the sketch count is increased once. A
+    relaxation stopped short of its gap tolerance still yields a
+    beamformer; only `infeasible` and `randomization_failed` leave w_bb
+    None.
     """
     cfg = config or SdrConfig()
     rng = rng or np.random.default_rng(0)
@@ -480,15 +479,4 @@ def sdr_rrs(
                 solution=solution,
             )
     se = _candidate_se_bits(w, problem)
-    status = "ok" if solution.status == "optimal" else solution.status
-    return SdrResult(w_bb=w, se_bits=se, status=status, solution=solution)
-
-
-def fdb_upper_bound(
-    problem: MaxDetProblem, tol: float = 1e-10, max_iter: int = 500
-) -> float:
-    """Certified bound on the rank-unconstrained rate: the fully digital bound."""
-    solution = solve_maxdet(problem, tol=tol, max_iter=max_iter)
-    if solution.status == "infeasible":
-        raise SdpInfeasibleError(solution.message or "SDP infeasible")
-    return solution.dual_bits
+    return SdrResult(w_bb=w, se_bits=se, status=solution.status, solution=solution)

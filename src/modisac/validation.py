@@ -490,19 +490,7 @@ def _check_power_accounting() -> tuple[bool, str]:
     )
 
 
-_QUICK = {
-    "mirror_symmetry",
-    "steering_modulus",
-    "interphase_oracle",
-    "subspace_structure",
-    "reduced_equals_full",
-    "wbb_diagonalizes",
-    "power_accounting",
-}
-
-
 def validate(
-    quick: bool = False,
     grad_v_override: Optional[Callable] = None,
     only: Optional[set[str]] = None,
 ) -> ValidationReport:
@@ -536,8 +524,6 @@ def validate(
     report = ValidationReport()
     for name, fn in checks:
         if only is not None and name not in only:
-            continue
-        if quick and name not in _QUICK:
             continue
         t0 = time.perf_counter()
         try:

@@ -54,7 +54,9 @@ def test_criterion_1_waterfilling_oracle():
         expected = waterfilling_se_bits(
             channel_gains(problem.h_eff, problem.sigma_c_sq), problem.power_budget
         )
-        fdb = opt_sdr.fdb_upper_bound(problem)
+        solution = opt_sdr.solve_maxdet(problem)
+        assert solution.status == "optimal", (seed, solution.status)
+        fdb = solution.dual_bits
         worst_fdb = max(worst_fdb, abs(fdb - expected))
         result = opt_sdr.sdr_rrs(problem, None, np.random.default_rng(seed))
         worst_sdr = max(worst_sdr, (expected - result.se_bits) / expected)

@@ -8,7 +8,7 @@ import yaml
 from modisac import beamform, channel, cli, harness
 from modisac.geometry import ConfigurationError
 from modisac.validation import validate
-from modisac import opt_manifold
+from modisac import opt_manifold, opt_sdr
 
 
 TINY = dict(
@@ -101,6 +101,62 @@ def test_rm_jgd_status_passes_through(monkeypatch, solver_status, row_status):
     )
     row = harness.run_scenario(harness.desk_config(seed=0, **TINY), "rm_jgd")
     assert row.status == row_status
+
+
+@pytest.mark.parametrize("algorithm", ["sdr_rrs", "fdb"])
+@pytest.mark.parametrize(
+    "solver_status, row_status",
+    [("optimal", "ok"), ("stalled", "stalled"), ("max_iter", "max_iter")],
+)
+def test_maxdet_status_passes_through(monkeypatch, algorithm, solver_status, row_status):
+    real = opt_sdr.solve_maxdet
+    monkeypatch.setattr(
+        opt_sdr,
+        "solve_maxdet",
+        lambda *args, **kw: dataclasses.replace(real(*args, **kw), status=solver_status),
+    )
+    row = harness.run_scenario(harness.desk_config(seed=0, **TINY), algorithm)
+    assert row.status == row_status
+    assert np.isfinite(row.se_bits)
+
+
+@pytest.mark.parametrize("streams", [0, -1, 17])
+def test_config_rejects_stream_count_outside_rf_chains(streams):
+    # desk scale: N_RF = K (n_objects + n_paths) = 4 (2 + 2) = 16
+    with pytest.raises(ConfigurationError, match="n_streams"):
+        harness.desk_config(seed=0, streams=streams)
+    assert harness.desk_config(seed=0, streams=16).n_streams == 16
+
+
+def test_rank_deficient_stream_count_is_error_row(tmp_path, capsys):
+    # 5 streams pass the N_RF bound but exceed the rate form's rank (at most
+    # the 4 user antennas), which rm_jgd's reduction rejects
+    row = harness.run_scenario(harness.desk_config(seed=0, streams=5), "rm_jgd")
+    assert row.status == "error:RankDeficiencyError"
+    assert (row.n_streams, row.n_rf) == (5, 16)
+    assert np.isnan(row.se_bits) and row.iterations == 0
+
+    cfg_path = tmp_path / "s5.yaml"
+    cfg_path.write_text(yaml.safe_dump({"desk_scale": True, "streams": 5}))
+    code = cli.main(["run-scenario", "--config", str(cfg_path), "--algo", "rm-jgd"])
+    assert code == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].rsplit(",", 1)[0] == row.to_csv().rsplit(",", 1)[0]
+
+    base = harness.desk_config(seed=0, streams=5)
+    spec = harness.ExperimentSpec(
+        base=base,
+        sweep_axis="snr",
+        values=[0.0],
+        algorithms=["rm_jgd"],
+        output_path=str(tmp_path / "s5.csv"),
+    )
+    harness.sweep(spec)
+    cell = open(spec.output_path).read().splitlines()[1]
+    expected = harness.run_scenario(
+        dataclasses.replace(base, seed=harness.derive_seed(0, 0)), "rm_jgd"
+    )
+    assert cell.rsplit(",", 1)[0] == "0,snr,0.0," + expected.to_csv().rsplit(",", 1)[0]
 
 
 def _op_seed(seed: int, slot: int) -> int:
@@ -295,7 +351,7 @@ def test_load_experiment(tmp_path):
     assert spec.base.k_subarrays == 4
 
 
-def test_validate_quick_passes(tmp_path, capsys):
+def test_validate_passes(tmp_path, capsys):
     path = str(tmp_path / "report.csv")
     assert cli.main(["validate", "--report", path]) == 0
     assert capsys.readouterr().out.count("[PASS]") == 20

@@ -238,18 +238,16 @@ def test_end_to_end_localization_single_seed():
     assert 0.0 < result.mainlobe_width < 5.0
 
 
-def test_run_music_accepts_music_config():
-    from modisac.music import MusicConfig
-
+def test_run_music_with_config_snapshots():
     cfg = harness.desk_config(
         seed=3,
         target={"range_m": 20.0, "angle_deg": 45.0, "rcs": 0.15},
         interferers=[{"range_m": 30.0, "angle_deg": 40.0, "rcs": 0.3}],
         noise_sens_dbm=-10.0,
+        snapshots=128,
     )
     truth = cfg.target.location.xy
     grid = GridSpec(truth[0] - 1, 0.5, truth[0] + 1, truth[1] - 1, 0.5, truth[1] + 1)
-    music_cfg = MusicConfig(grid=grid, snapshots=128, assumed_sources=2)
-    result, data, f_tx = harness.run_music(cfg, music_cfg)
+    result, data, f_tx = harness.run_music(cfg, grid)
     assert result.spectrum.shape == (len(grid.y_axis), len(grid.x_axis))
     assert f_tx.shape == (cfg.n_antennas, data.n_streams)

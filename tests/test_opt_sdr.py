@@ -9,7 +9,6 @@ from modisac.opt_sdr import (
     MaxDetProblem,
     RandomizationFailure,
     SdrConfig,
-    fdb_upper_bound,
     make_fullspace_problem,
     randomize_rank,
     sdr_rrs,
@@ -140,7 +139,7 @@ def test_randomization_failure_raised(small_problem):
 def test_sdr_rrs_close_to_relaxation_no_sensing(small_data):
     problem = dataclasses.replace(small_data.sdr_problem(), gamma0=0.0)
     result = sdr_rrs(problem, None, np.random.default_rng(0))
-    assert result.status == "ok"
+    assert result.status == "optimal"
     bound = solve_maxdet(problem).objective_bits
     assert result.se_bits >= 0.98 * bound
 
@@ -162,15 +161,19 @@ def test_sdr_rrs_meets_scnr_threshold(small_problem):
 
 def test_fdb_upper_bounds_sdr(small_problem):
     _, problem = small_problem
-    fdb = fdb_upper_bound(problem)
+    solution = solve_maxdet(problem)
+    assert solution.status == "optimal"
+    fdb = solution.dual_bits
     result = sdr_rrs(problem, None, np.random.default_rng(0))
-    # slack covers the solver gap: both sides are solved to tol=1e-7
+    # slack covers the solver gap: both sides are solved to tol=1e-10 nats
     assert fdb >= result.se_bits - 1e-6
 
 
 def test_fdb_no_sensing_equals_waterfilling(small_data):
     problem = dataclasses.replace(small_data.sdr_problem(), gamma0=0.0)
-    fdb = fdb_upper_bound(problem, tol=1e-9)
+    solution = solve_maxdet(problem, tol=1e-9)
+    assert solution.status == "optimal"
+    fdb = solution.dual_bits
     expected = waterfilling_se_bits(
         channel_gains(problem.h_eff, problem.sigma_c_sq), problem.power_budget
     )
