@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -520,7 +521,9 @@ def _run_cell(args: tuple) -> tuple[int, str, ResultRow]:
         config = dataclasses.replace(config, seed=derive_seed(base.seed, rep))
         row = run_scenario(config, algorithm)
     except Exception as err:  # failures become rows, never abort the sweep
-        row = _error_row(algorithm, derive_seed(base.seed, rep), err)
+        seed = derive_seed(base.seed, rep)
+        print(f"{algorithm} seed {seed}: {type(err).__name__}: {err}", file=sys.stderr)
+        row = _error_row(algorithm, seed, err)
     return cell_index, _format_value(value), row
 
 

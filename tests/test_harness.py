@@ -304,7 +304,7 @@ def test_sweep_rows_complete_and_deterministic(tmp_path):
     assert len(summaries) == 2  # one per (value, algorithm) cell
 
 
-def test_sweep_failure_rows_do_not_abort(tmp_path):
+def test_sweep_failure_rows_do_not_abort(tmp_path, capsys):
     base = harness.desk_config(seed=7, **TINY)
     spec = harness.ExperimentSpec(
         base=base,
@@ -320,6 +320,10 @@ def test_sweep_failure_rows_do_not_abort(tmp_path):
     assert len(rows) == 2
     assert any("error:ConfigurationError" in r for r in rows)
     assert any(",ok," in r for r in rows)
+    # the CSV keeps only the type; stderr names the cell and the message
+    seed = harness.derive_seed(base.seed, 0)
+    err = capsys.readouterr().err
+    assert f"fdb seed {seed}: ConfigurationError: rf_chains=7 not divisible by K=2" in err
 
 
 def test_paired_seeds_across_values(tmp_path):

@@ -187,6 +187,56 @@ def test_pseudo_spectrum_chunk_invariance():
         assert np.allclose(vals, ref_vals, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("width", [0, 1, 16, 17, 30, 31])
+def test_pseudo_spectrum_both_sides_match_per_cell_oracle(width):
+    # widths up to N/2 = 16 project onto the noise basis, wider ones onto
+    # its complement with the denominator N - ||S^H g||^2
+    cfg = harness.desk_config(seed=0)
+    g = build_geometry(cfg)
+    rng = np.random.default_rng(19)
+    if width:
+        basis = _random_noise_basis(rng, cfg.n_antennas, width)
+    else:
+        basis = np.zeros((cfg.n_antennas, 0), dtype=complex)
+    x = rng.uniform(-15.0, 15.0, 300)
+    y = rng.uniform(0.5, 25.0, 300)
+    vals, bad = _pseudo_spectrum(g, basis, x, y)
+    expected = np.array([
+        1.0 / (np.linalg.norm(
+            basis.conj().T @ sensing_response(g, PolarPoint(np.hypot(u, v), np.arctan2(u, v))).g_r
+        ) ** 2 + 1e-18)
+        for u, v in zip(x, y)
+    ])
+    assert not bad.any()
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+    assert np.allclose(vals, expected, rtol=1e-9, atol=0.0)
+
+
+def test_pseudo_spectrum_signal_side_at_noiseless_nulls():
+    # on-grid nulls of rank-1 covariances: ||E^H g||^2 is ~0, so N - ||S^H g||^2
+    # is rounding noise of either sign and the clamp must keep it >= 0
+    cfg = harness.desk_config(seed=0)
+    g = build_geometry(cfg)
+    for x0, y0 in [(14.0, 14.0), (-3.0, 9.5), (6.5, 21.0), (0.0, 4.0),
+                   (-11.0, 17.5), (9.0, 2.5), (2.0, 30.0), (-6.5, 6.0)]:
+        loc = PolarPoint(float(np.hypot(x0, y0)), float(np.arctan2(x0, y0)))
+        resp = build_responses(g, (SceneObject(loc, 1.0),))
+        cov = np.outer(resp[0].g_r, resp[0].g_r.conj()) + 1e-6 * np.eye(cfg.n_antennas)
+        basis = noise_subspace(cov, 1)
+        vals, _ = _pseudo_spectrum(g, basis, np.array([x0, x0 + 0.5]), np.array([y0, y0]))
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+        assert vals[0] >= 1e12 * vals[1]
+
+
+def test_music_spectrum_rejects_basis_of_wrong_height():
+    cfg = harness.desk_config(seed=0)
+    g = build_geometry(cfg)
+    basis = _random_noise_basis(np.random.default_rng(2), cfg.n_antennas - 1, 4)
+    grid = GridSpec(5.0, 1.0, 7.0, 5.0, 1.0, 7.0)
+    with pytest.raises(ValueError, match=r"\(31, 4\).*\(32, p\)"):
+        music_spectrum(basis, g, grid)
+
+
 def test_grid_parse_and_axes():
     grid = GridSpec.parse("0:0.5:2,1:1:3")
     assert np.allclose(grid.x_axis, [0.0, 0.5, 1.0, 1.5, 2.0])
