@@ -8,7 +8,8 @@ beamform      metrics, MVDR filter, joint subspace, analog beamformer
 opt_manifold  barrier + joint gradient descent digital beamformer
 opt_sdr       det-max SDP relaxation with Gaussian randomization
 music         near-field MUSIC localization on a Cartesian grid
-harness       configs, end-to-end runs, sweeps; validation suite
+harness       configs, end-to-end runs, sweeps
+validation    cross-module invariant checks behind `modisac validate`
 """
 
 from .geometry import (

@@ -77,14 +77,6 @@ class HybridBeamformer:
     m_antennas: int
 
     @property
-    def m_rf(self) -> int:
-        return self.w_rf.shape[1] // self.k_subarrays
-
-    @property
-    def n_rf(self) -> int:
-        return self.w_rf.shape[1]
-
-    @property
     def n_streams(self) -> int:
         return self.w_bb.shape[1]
 
@@ -324,9 +316,12 @@ def transmit_power(w_rf: np.ndarray, w_bb: np.ndarray) -> tuple[float, float]:
     return exact, proxy
 
 
-def verify_covariance_subspace(
-    r_x: np.ndarray, basis: SubspaceBasis, rel_cutoff: float = 1e-10
-) -> float:
+# Gram eigenvalues of U_tilde at or below this fraction of the largest are
+# left out of the projector onto col(U_tilde).
+GRAM_CUTOFF = 1e-10
+
+
+def verify_covariance_subspace(r_x: np.ndarray, basis: SubspaceBasis) -> float:
     """Relative residual of R_X outside the span of U_tilde.
 
     Returns ||P_perp R_X P_perp||_F / ||R_X||_F with P_perp the orthogonal
@@ -339,7 +334,7 @@ def verify_covariance_subspace(
     u = basis.u_tilde
     gram = u.conj().T @ u
     vals, vecs = np.linalg.eigh(gram)
-    keep = vals > rel_cutoff * vals.max()
+    keep = vals > GRAM_CUTOFF * vals.max()
     inv = (vecs[:, keep] / vals[keep][None, :]) @ vecs[:, keep].conj().T
     proj = u @ inv @ u.conj().T
     p_perp = np.eye(u.shape[0]) - proj

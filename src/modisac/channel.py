@@ -207,20 +207,17 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int:
 class ObjectResponse:
     """Transmit/receive array responses toward one scene object.
 
-    g_t/g_r have length N = K*M and unit-modulus entries. a_t_blocks and
-    a_r_blocks are (K, M) intra-subarray steering vectors; nu_t/nu_r the
-    length-K inter-subarray phase vectors; tx/rx_angles the per-subarray
-    observation angles.
+    g_t/g_r have length N = K*M and unit-modulus entries. a_t_blocks are the
+    (K, M) transmit intra-subarray steering vectors, nu_t the length-K
+    inter-subarray phase vector and tx_angles the per-subarray observation
+    angles.
     """
 
     g_t: np.ndarray
     g_r: np.ndarray
     nu_t: np.ndarray
-    nu_r: np.ndarray
     tx_angles: np.ndarray
-    rx_angles: np.ndarray
     a_t_blocks: np.ndarray
-    a_r_blocks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -255,16 +252,8 @@ def sensing_response(geometry: ArrayGeometry, location: PolarPoint) -> ObjectRes
         g = (nu[:, None] * blocks).reshape(k * m)
         out[side] = (g, nu, angles, blocks)
     g_t, nu_t, tx_angles, a_t = out["tx"]
-    g_r, nu_r, rx_angles, a_r = out["rx"]
     return ObjectResponse(
-        g_t=g_t,
-        g_r=g_r,
-        nu_t=nu_t,
-        nu_r=nu_r,
-        tx_angles=tx_angles,
-        rx_angles=rx_angles,
-        a_t_blocks=a_t,
-        a_r_blocks=a_r,
+        g_t=g_t, g_r=out["rx"][0], nu_t=nu_t, tx_angles=tx_angles, a_t_blocks=a_t
     )
 
 

@@ -86,6 +86,10 @@ ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
 ARMIJO_INITIAL = 1.0
 MIN_STEP = 1e-12
+# Rate-form eigenvalues at or below this fraction of the largest count as zero.
+RANK_CUTOFF = 1e-10
+# Largest ||Q^H Q - I|| that `tangent_project` accepts.
+DRIFT_TOL = 1e-6
 
 
 @dataclass
@@ -121,7 +125,6 @@ def reduce_b(
     m_antennas: int,
     sigma_c_sq: float = 1.0,
     psi: Optional[np.ndarray] = None,
-    rel_cutoff: float = 1e-10,
 ) -> EigB:
     """Build the reduced problem data from the channel and subspace basis.
 
@@ -137,7 +140,7 @@ def reduce_b(
     vals, vecs = np.linalg.eigh(b_mat)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     vals = np.clip(vals, 0.0, None)
-    rank = int(np.count_nonzero(vals > rel_cutoff * vals[0])) if vals[0] > 0 else 0
+    rank = int(np.count_nonzero(vals > RANK_CUTOFF * vals[0])) if vals[0] > 0 else 0
     if n_streams > rank:
         raise RankDeficiencyError(
             f"n_streams={n_streams} exceeds numerical rank {rank} of the rate form"
@@ -264,16 +267,14 @@ def grad_v(
     return grad
 
 
-def tangent_project(
-    q: np.ndarray, grad: np.ndarray, drift_tol: float = 1e-6
-) -> np.ndarray:
+def tangent_project(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Project the negated gradient onto the unitary-group tangent space.
 
     Returns -Q skew(Q^H G); the result Z satisfies Z^H Q + Q^H Z = 0 and has
     nonpositive inner product with G.
     """
     drift = _orthonormality_drift(q)
-    if drift > drift_tol:
+    if drift > DRIFT_TOL:
         raise ValueError(f"q drifted off the manifold (||Q^HQ-I||={drift:.2e})")
     a = q.conj().T @ grad
     skew = 0.5 * (a - a.conj().T)

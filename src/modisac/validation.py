@@ -1,9 +1,10 @@
 """Cross-module invariant suite behind the `validate` CLI command.
 
 Each check runs at desk scale on seeded data and reports pass/fail with a
-one-line detail; the suite never raises. A finite-difference hook lets tests
-inject a broken gradient and confirm the relevant check catches it. The
-finite-difference helpers are shared with the test suite.
+one-line detail; the suite never raises. The checks are the one copy of these
+invariants: the tests run them through `modisac validate`, and the acceptance
+criteria reuse `mvdr_argmax`, `descent_plateaued`, the rank-bounds check and
+the finite-difference helpers.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -53,12 +54,11 @@ class ValidationReport:
                 writer.writerow([r.name, int(r.ok), r.detail, f"{r.wall_ms:.3f}"])
 
 
-def _mini_data(seed: int = 0, **overrides) -> harness.ScenarioData:
-    cfg = harness.desk_config(seed=seed, **overrides)
-    return harness.prepare_scenario(cfg)
+def _mini_data() -> harness.ScenarioData:
+    return harness.prepare_scenario(harness.desk_config(seed=0))
 
 
-def _small_data(seed: int = 0, **overrides) -> harness.ScenarioData:
+def _small_data(**overrides) -> harness.ScenarioData:
     over = {
         "subarrays": 3,
         "antennas_per_subarray": 4,
@@ -66,7 +66,7 @@ def _small_data(seed: int = 0, **overrides) -> harness.ScenarioData:
         "user": {"range_m": 12.0, "angle_deg": 15.0},
     }
     over.update(overrides)
-    cfg = harness.desk_config(seed=seed, **over)
+    cfg = harness.desk_config(seed=0, **over)
     return harness.prepare_scenario(cfg)
 
 
@@ -79,46 +79,54 @@ def _check_mirror_symmetry() -> tuple[bool, str]:
 
 def _check_steering_modulus() -> tuple[bool, str]:
     rng = np.random.default_rng(3)
-    worst = 0.0
+    worst, first_exact = 0.0, True
     for _ in range(50):
         v = steering_vector(16, rng.uniform(-np.pi / 2, np.pi / 2), 0.004, 0.008)
-        worst = max(worst, float(np.max(np.abs(np.abs(v) - 1.0))), abs(v[0] - 1.0))
-    return worst < 1e-12, f"max modulus deviation {worst:.2e}"
+        worst = max(worst, float(np.max(np.abs(np.abs(v) - 1.0))))
+        first_exact = first_exact and v[0] == 1.0
+    return worst < 1e-12 and first_exact, (
+        f"max modulus deviation {worst:.2e}, v[0] == 1 exactly: {first_exact}"
+    )
 
 
 def _check_interphase_oracle() -> tuple[bool, str]:
-    cfg = harness.desk_config()
-    g = build_geometry(cfg)
-    loc = PolarPoint(17.0, 0.3)
-    nu = inter_subarray_phase(g, "tx", loc)
-    refs = g.reference_positions("tx")
-    dists = np.linalg.norm(loc.xy[None, :] - refs, axis=1)
-    oracle = np.exp(-2j * np.pi / g.wavelength * dists)
-    err = float(np.max(np.abs(nu - oracle)))
-    return err < 1e-12, f"max deviation from distance oracle {err:.2e}"
+    g = build_geometry(harness.desk_config())
+    err = mod_err = 0.0
+    for side in ("tx", "rx"):
+        for loc in (PolarPoint(17.0, 0.3), PolarPoint(11.0, -0.35)):
+            nu = inter_subarray_phase(g, side, loc)
+            dists = np.linalg.norm(loc.xy[None, :] - g.reference_positions(side), axis=1)
+            oracle = np.exp(-2j * np.pi / g.wavelength * dists)
+            err = max(err, float(np.max(np.abs(nu - oracle))))
+            mod_err = max(mod_err, float(np.max(np.abs(np.abs(nu) - 1.0))))
+    ok = err < 1e-12 and mod_err < 1e-12
+    return ok, f"tx and rx: oracle deviation {err:.2e}, modulus deviation {mod_err:.2e}"
 
 
 def _check_rank_bounds() -> tuple[bool, str]:
-    rng = np.random.default_rng(11)
-    for i in range(30):
+    rng = np.random.default_rng(404)
+    for i in range(100):
         cfg = harness.desk_config(
             seed=int(rng.integers(1 << 30)),
-            user={"range_m": float(rng.uniform(8, 60)), "angle_deg": float(rng.uniform(-50, 50))},
+            paths=int(rng.integers(1, 4)),
+            user={
+                "range_m": float(rng.uniform(6.0, 80.0)),
+                "angle_deg": float(rng.uniform(-55.0, 55.0)),
+            },
         )
         data = harness.prepare_scenario(cfg)
-        lo, hi = channel.rank_bounds(
-            cfg.n_paths, cfg.n_user_antennas, cfg.k_subarrays
-        )
-        r = channel.numerical_rank(data.comm.h)
+        lo, hi = channel.rank_bounds(cfg.n_paths, cfg.n_user_antennas, cfg.k_subarrays)
+        r = channel.numerical_rank(data.comm.h, 1e-8)
         if not lo <= r <= hi:
             return False, f"instance {i}: rank {r} outside [{lo}, {hi}]"
-    return True, "30 random instances inside the structural bounds"
+    return True, "100 random instances (1-3 paths) inside the structural bounds"
 
 
 def _check_response_modulus() -> tuple[bool, str]:
     data = _mini_data()
+    extra = channel.sensing_response(data.geometry, PolarPoint(20.0, np.pi / 4))
     worst = 0.0
-    for resp in data.responses.objects:
+    for resp in data.responses.objects + (extra,):
         worst = max(
             worst,
             float(np.max(np.abs(np.abs(resp.g_t) - 1.0))),
@@ -129,19 +137,23 @@ def _check_response_modulus() -> tuple[bool, str]:
 
 def _check_block_locality() -> tuple[bool, str]:
     cfg = harness.desk_config()
-    rng = np.random.default_rng(5)
-    g0 = build_geometry(cfg)
-    paths0 = channel.draw_paths(cfg, g0, np.random.default_rng(cfg.seed))
-    h0 = channel.build_comm_channel(g0, paths0, cfg.user, cfg.n_user_antennas).h
-    offsets = cfg.d0 + np.arange(cfg.k_subarrays) * cfg.d_s
-    offsets[-1] += 0.01  # perturb only the last subarray
-    g1 = build_geometry(cfg, offsets)
-    paths1 = channel.draw_paths(cfg, g1, np.random.default_rng(cfg.seed))
-    h1 = channel.build_comm_channel(g1, paths1, cfg.user, cfg.n_user_antennas).h
     m = cfg.m_antennas
-    kept = np.array_equal(h0[:, : -m], h1[:, : -m])
-    changed = not np.array_equal(h0[:, -m:], h1[:, -m:])
-    return kept and changed, "untouched blocks bit-identical, perturbed block moved"
+
+    def comm_h(offsets):
+        g = build_geometry(cfg, offsets)
+        paths = channel.draw_paths(cfg, g, np.random.default_rng(cfg.seed))
+        return channel.build_comm_channel(g, paths, cfg.user, cfg.n_user_antennas).h
+
+    h0 = comm_h(None)
+    ok = True
+    for k, shift in ((0, -0.02), (cfg.k_subarrays - 1, 0.01)):  # first, last subarray
+        offsets = cfg.d0 + np.arange(cfg.k_subarrays) * cfg.d_s
+        offsets[k] += shift
+        h1 = comm_h(offsets)
+        block = np.arange(h0.shape[1]) // m == k
+        ok = ok and np.array_equal(h0[:, ~block], h1[:, ~block])
+        ok = ok and not np.array_equal(h0[:, block], h1[:, block])
+    return ok, "first or last subarray moved: other blocks bit-identical, its block moved"
 
 
 def _check_echo_linearity() -> tuple[bool, str]:
@@ -166,25 +178,26 @@ def _check_echo_linearity() -> tuple[bool, str]:
 def _check_subspace_structure() -> tuple[bool, str]:
     b = _mini_data().basis
     ok, mod_err = beamform.analog_feasibility(b.u_tilde, b.k_subarrays)
-    return ok and mod_err < 1e-12, f"block support ok, modulus error {mod_err:.2e}"
+    m, c = b.m_antennas, b.cols_per_block
+    blocks = all(
+        np.array_equal(b.u_tilde[k * m : (k + 1) * m, k * c : (k + 1) * c], a)
+        for k, a in enumerate(b.a_blocks)
+    )
+    return ok and blocks and mod_err < 1e-12, (
+        f"block support {ok}, blocks equal a_blocks {blocks}, modulus error {mod_err:.2e}"
+    )
 
 
 def _check_subspace_contains() -> tuple[bool, str]:
     data = _mini_data()
     u = data.basis.u_tilde
-    worst_g = 0.0
-    for resp in data.responses.objects:
-        res = np.linalg.lstsq(u, resp.g_t, rcond=None)[1]
-        resid = float(np.sqrt(res[0])) if res.size else 0.0
-        worst_g = max(worst_g, resid / np.linalg.norm(resp.g_t))
-    _, s, vh = data.comm.svd()
-    r = channel.numerical_rank(data.comm.h)
-    worst_v = 0.0
-    for i in range(r):
-        v = vh[i].conj()
-        res = np.linalg.lstsq(u, v, rcond=None)[1]
-        resid = float(np.sqrt(res[0])) if res.size else 0.0
-        worst_v = max(worst_v, resid)
+
+    def residual(v: np.ndarray) -> float:
+        return float(np.linalg.norm(u @ np.linalg.lstsq(u, v, rcond=None)[0] - v))
+
+    worst_g = max(residual(r.g_t) / np.linalg.norm(r.g_t) for r in data.responses.objects)
+    row_space = data.comm.svd()[2][: channel.numerical_rank(data.comm.h)]
+    worst_v = max(residual(v.conj()) for v in row_space)
     ok = worst_g < 1e-10 and worst_v < 1e-8
     return ok, f"g_t residual {worst_g:.2e}, row-space residual {worst_v:.2e}"
 
@@ -216,20 +229,28 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
     return ok, f"SE gap {worst_se:.2e}, SCNR gap {worst_scnr:.2e}"
 
 
-def _check_mvdr_argmax() -> tuple[bool, str]:
-    data = _small_data()
-    cfg = data.config
+def mvdr_argmax(data: harness.ScenarioData, rng: np.random.Generator) -> tuple[bool, str]:
+    """The MVDR filter at R_X = I attains the SCNR maximum over 10^4 random filters.
+
+    The random filters are scored in one batch (SCNR is scale-invariant in
+    w); the batch formula must reproduce `beamform.scnr` at the MVDR filter.
+    """
+    cfg, objs = data.config, data.responses.objects
     n = cfg.n_antennas
     r_x = np.eye(n)
-    w_star = beamform.mvdr_receive(data.responses, data.alphas, r_x, cfg.sigma_s_sq)
-    best = beamform.scnr(w_star.w, data.responses, data.alphas, r_x, cfg.sigma_s_sq)
-    rng = np.random.default_rng(13)
-    for _ in range(2000):
-        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        val = beamform.scnr(w, data.responses, data.alphas, r_x, cfg.sigma_s_sq)
-        if val > best * (1 + 1e-9):
-            return False, f"random filter beat MVDR: {val:.6g} > {best:.6g}"
-    return True, f"MVDR SCNR {best:.4g} dominates 2000 random filters"
+    w_star = beamform.mvdr_receive(data.responses, data.alphas, r_x, cfg.sigma_s_sq).w
+    best = beamform.scnr(w_star, data.responses, data.alphas, r_x, cfg.sigma_s_sq)
+    w = rng.standard_normal((n, 10_000)) + 1j * rng.standard_normal((n, 10_000))
+    w = np.concatenate([w_star[:, None], w], axis=1)
+    forward = np.array(
+        [a**2 * np.real(r.g_t.conj() @ r_x @ r.g_t) for a, r in zip(data.alphas, objs)]
+    )
+    proj = np.abs(np.stack([r.g_r for r in objs]).conj() @ w) ** 2
+    noise = cfg.sigma_s_sq * np.sum(np.abs(w) ** 2, axis=0)
+    batch = forward[0] * proj[0] / (forward[1:] @ proj[1:] + noise)
+    pin, top = abs(batch[0] - best) / best, float(np.max(batch[1:]))
+    ok = pin < 1e-9 and top <= best * (1 + 1e-9)
+    return ok, f"MVDR SCNR {best:.4g}, best random {top:.4g}, batch pin {pin:.1e}"
 
 
 def _feasible_point(data: harness.ScenarioData, seed: int):
@@ -303,7 +324,6 @@ def gradient_error(
     phi_set: beamform.PhiSet,
     cfg: opt_manifold.ManifoldConfig,
     rng: np.random.Generator,
-    grad_v_fn: Optional[Callable] = None,
 ) -> float:
     """Worst relative error of the analytic gradients against central differences.
 
@@ -323,7 +343,7 @@ def gradient_error(
 
     gb = opt_manifold.grad_b(state, eig, phi_set, cfg)
     fd_b = central_differences(lambda b: barrier(state.q, b), state.b)
-    gv = (grad_v_fn or opt_manifold.grad_v)(state, eig, phi_set, cfg)
+    gv = opt_manifold.grad_v(state, eig, phi_set, cfg)
     analytic, numeric = [], []
     for _ in range(12):
         i, j = int(rng.integers(eig.n_streams)), int(rng.integers(eig.n_streams))
@@ -336,9 +356,7 @@ def gradient_error(
     return max(float(err_b), float(err_v))
 
 
-def _check_grad_fd(
-    grad_v_fn: Optional[Callable] = None,
-) -> tuple[bool, str]:
+def _check_grad_fd() -> tuple[bool, str]:
     data = _mini_data()
     eig = data.reduced_eig()
     cfg = opt_manifold.ManifoldConfig()
@@ -347,9 +365,7 @@ def _check_grad_fd(
         state = probe_state(eig, data.phi_set, np.random.default_rng(21 + trial))
         worst = max(
             worst,
-            gradient_error(
-                state, eig, data.phi_set, cfg, np.random.default_rng(trial), grad_v_fn
-            ),
+            gradient_error(state, eig, data.phi_set, cfg, np.random.default_rng(trial)),
         )
     return worst < 1e-5, f"worst relative gradient error {worst:.2e}"
 
@@ -370,33 +386,47 @@ def _check_tangent_retract() -> tuple[bool, str]:
 
 def _check_wbb_diagonalizes() -> tuple[bool, str]:
     data = _mini_data()
-    eig, cfg, state = _feasible_point(data, 29)
-    w = opt_manifold.assemble_wbb(eig, state)
-    q = w.conj().T @ eig.b_mat @ w
-    off = q - np.diag(np.diag(q))
-    rel = np.linalg.norm(off) / max(np.linalg.norm(q), 1e-300)
-    diag_err = float(np.max(np.abs(np.real(np.diag(q)) - state.b**2)))
-    ok = rel < 1e-8 and diag_err < 1e-8 * max(1.0, float(np.max(state.b**2)))
-    return ok, f"offdiag ratio {rel:.2e}, diagonal error {diag_err:.2e}"
+    eig, _, start = _feasible_point(data, 29)
+    # the phase-1 start can have a diagonal Q; the probe states are rotated
+    rng = np.random.default_rng(29)
+    states = [start] + [probe_state(eig, data.phi_set, rng) for _ in range(3)]
+    rel = diag_err = 0.0
+    ok = True
+    for state in states:
+        w = opt_manifold.assemble_wbb(eig, state)
+        q = w.conj().T @ eig.b_mat @ w
+        off = np.linalg.norm(q - np.diag(np.diag(q))) / max(np.linalg.norm(q), 1e-300)
+        err = np.abs(np.real(np.diag(q)) - state.b**2)
+        ok = ok and off < 1e-8 and bool(np.all(err <= 1e-10 + 1e-8 * state.b**2))
+        rel, diag_err = max(rel, off), max(diag_err, float(np.max(err)))
+    return ok, f"phase-1 start, 3 rotated: offdiag {rel:.2e}, diagonal error {diag_err:.2e}"
+
+
+def descent_plateaued(
+    result: opt_manifold.RmJgdResult, cfg: opt_manifold.ManifoldConfig
+) -> bool:
+    """A strictly decreasing trace of more than 10 values, within the iteration
+    cap and with a known status, whose last 10 values decrease by under 5% of
+    the whole decrease."""
+    trace = result.trace
+    return (
+        len(trace) > 10
+        and bool(np.all(np.diff(trace) < 0))
+        and result.iterations <= cfg.max_iterations
+        and result.status in ("converged", "max_iter", "stalled")
+        and trace[-10] - trace[-1] < 0.05 * (trace[0] - trace[-1])
+    )
 
 
 def _check_rmjgd_descent() -> tuple[bool, str]:
     data = _mini_data()
-    eig, cfg, state = _feasible_point(data, 31)
-    result = opt_manifold.rm_jgd(eig, data.phi_set, cfg, state)
-    diffs = np.diff(result.trace)
-    total = result.trace[0] - result.trace[-1]
-    tail = result.trace[-10] - result.trace[-1] if len(result.trace) > 10 else 0.0
-    ok = (
-        bool(np.all(diffs < 0))
-        and result.iterations <= cfg.max_iterations
-        and result.status in ("converged", "max_iter", "stalled")
-        and (total <= 0 or tail < 0.05 * total)  # objective has plateaued
-    )
-    return ok, (
-        f"{result.iterations} iterations, status {result.status}, "
-        f"tail/total improvement {tail / total if total > 0 else 0.0:.2e}"
-    )
+    ok, details = True, []
+    for seed in (2, 31):
+        eig, cfg, state = _feasible_point(data, seed)
+        result = opt_manifold.rm_jgd(eig, data.phi_set, cfg, state)
+        ok = ok and descent_plateaued(result, cfg)
+        details.append(f"start {seed}: {result.iterations} iterations, {result.status}")
+    return ok, "; ".join(details)
 
 
 def _check_sdp_invariants() -> tuple[bool, str]:
@@ -416,10 +446,14 @@ def _check_sdp_invariants() -> tuple[bool, str]:
     tight = abs(power - problem.power_budget) < 1e-9 * max(1.0, problem.power_budget)
     se_w = opt_sdr._candidate_se_bits(w, problem)
     bounded = se_w <= sol.objective_bits + 1e-9
-    ok = min_eig >= -1e-8 * np.real(np.trace(r)) and tr_ok and sens_ok and tight and bounded
+    gap = abs(sol.dual_bits - sol.objective_bits)
+    ok = (
+        min_eig >= -1e-8 * np.real(np.trace(r))
+        and tr_ok and sens_ok and tight and bounded and gap <= 1e-9
+    )
     return ok, (
         f"min_eig {min_eig:.1e}, power gap {power - problem.power_budget:.1e}, "
-        f"SE(w)-SE(R) {se_w - sol.objective_bits:.2e}"
+        f"SE(w)-SE(R) {se_w - sol.objective_bits:.2e}, dual gap {gap:.1e} bits"
     )
 
 
@@ -452,19 +486,19 @@ def _check_music_peak() -> tuple[bool, str]:
 
 
 def _check_covariance_subspace() -> tuple[bool, str]:
-    # needs N > N_RF so that the basis has a nontrivial complement
-    data = _small_data(paths=1)
     rng = np.random.default_rng(41)
-    n_rf = data.n_rf
-    a = rng.standard_normal((n_rf, n_rf)) + 1j * rng.standard_normal((n_rf, n_rf))
-    lam = a @ a.conj().T
-    r_in = data.basis.u_tilde @ lam @ data.basis.u_tilde.conj().T
-    res_in = beamform.verify_covariance_subspace(r_in, data.basis)
-    res_eye = beamform.verify_covariance_subspace(
-        np.eye(data.config.n_antennas), data.basis
-    )
-    ok = res_in < 1e-10 and res_eye > 1e-3
-    return ok, f"in-subspace residual {res_in:.1e}, identity residual {res_eye:.2f}"
+    res_in, res_eye, zero_ok = 0.0, np.inf, True
+    # both need N > N_RF so that the basis has a nontrivial complement
+    for data in (_small_data(paths=1), _mini_data()):
+        n_rf, n, u = data.n_rf, data.config.n_antennas, data.basis.u_tilde
+        a = rng.standard_normal((n_rf, n_rf)) + 1j * rng.standard_normal((n_rf, n_rf))
+        r_in = u @ (a @ a.conj().T) @ u.conj().T
+        res_in = max(res_in, beamform.verify_covariance_subspace(r_in, data.basis))
+        res_eye = min(res_eye, beamform.verify_covariance_subspace(np.eye(n), data.basis))
+        zero = beamform.verify_covariance_subspace(np.zeros((n, n)), data.basis)
+        zero_ok = zero_ok and zero == 0.0
+    ok = res_in < 1e-10 and res_eye > 1e-3 and zero_ok
+    return ok, f"in-subspace {res_in:.1e}, identity {res_eye:.2f}, zero gives 0: {zero_ok}"
 
 
 def _check_power_accounting() -> tuple[bool, str]:
@@ -490,41 +524,34 @@ def _check_power_accounting() -> tuple[bool, str]:
     )
 
 
-def validate(
-    grad_v_override: Optional[Callable] = None,
-    only: Optional[set[str]] = None,
-) -> ValidationReport:
-    """Run the invariant suite; failures land in the report, never raise.
+CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
+    ("mirror_symmetry", _check_mirror_symmetry),
+    ("steering_modulus", _check_steering_modulus),
+    ("interphase_oracle", _check_interphase_oracle),
+    ("rank_bounds", _check_rank_bounds),
+    ("response_modulus", _check_response_modulus),
+    ("block_locality", _check_block_locality),
+    ("echo_linearity", _check_echo_linearity),
+    ("subspace_structure", _check_subspace_structure),
+    ("subspace_contains", _check_subspace_contains),
+    ("reduced_equals_full", _check_reduced_equals_full),
+    ("mvdr_argmax", lambda: mvdr_argmax(_small_data(), np.random.default_rng(13))),
+    ("gradient_fd", _check_grad_fd),
+    ("tangent_retract", _check_tangent_retract),
+    ("wbb_diagonalizes", _check_wbb_diagonalizes),
+    ("rmjgd_descent", _check_rmjgd_descent),
+    ("sdp_invariants", _check_sdp_invariants),
+    ("fdb_bounds", _check_fdb_bounds),
+    ("music_peak", _check_music_peak),
+    ("covariance_subspace", _check_covariance_subspace),
+    ("power_accounting", _check_power_accounting),
+)
 
-    `only` restricts the run to the named checks; `grad_v_override` swaps the
-    analytic V-gradient used by the finite-difference check (test hook).
-    """
-    checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
-        ("mirror_symmetry", _check_mirror_symmetry),
-        ("steering_modulus", _check_steering_modulus),
-        ("interphase_oracle", _check_interphase_oracle),
-        ("rank_bounds", _check_rank_bounds),
-        ("response_modulus", _check_response_modulus),
-        ("block_locality", _check_block_locality),
-        ("echo_linearity", _check_echo_linearity),
-        ("subspace_structure", _check_subspace_structure),
-        ("subspace_contains", _check_subspace_contains),
-        ("reduced_equals_full", _check_reduced_equals_full),
-        ("mvdr_argmax", _check_mvdr_argmax),
-        ("gradient_fd", lambda: _check_grad_fd(grad_v_override)),
-        ("tangent_retract", _check_tangent_retract),
-        ("wbb_diagonalizes", _check_wbb_diagonalizes),
-        ("rmjgd_descent", _check_rmjgd_descent),
-        ("sdp_invariants", _check_sdp_invariants),
-        ("fdb_bounds", _check_fdb_bounds),
-        ("music_peak", _check_music_peak),
-        ("covariance_subspace", _check_covariance_subspace),
-        ("power_accounting", _check_power_accounting),
-    ]
+
+def validate() -> ValidationReport:
+    """Run every check in CHECKS; failures land in the report, never raise."""
     report = ValidationReport()
-    for name, fn in checks:
-        if only is not None and name not in only:
-            continue
+    for name, fn in CHECKS:
         t0 = time.perf_counter()
         try:
             ok, detail = fn()

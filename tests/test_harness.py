@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 
@@ -7,7 +8,7 @@ import yaml
 
 from modisac import beamform, channel, cli, harness
 from modisac.geometry import ConfigurationError
-from modisac.validation import validate
+from modisac.validation import CHECKS
 from modisac import opt_manifold, opt_sdr
 
 
@@ -355,30 +356,50 @@ def test_load_experiment(tmp_path):
     assert spec.base.k_subarrays == 4
 
 
-def test_validate_passes(tmp_path, capsys):
-    path = str(tmp_path / "report.csv")
-    assert cli.main(["validate", "--report", path]) == 0
-    assert capsys.readouterr().out.count("[PASS]") == 20
-    rows = open(path).read().splitlines()[1:]
-    assert len(rows) == 20
-    assert all(row.split(",")[1] == "1" for row in rows), rows
+CHECK_NAMES = (
+    "mirror_symmetry",
+    "steering_modulus",
+    "interphase_oracle",
+    "rank_bounds",
+    "response_modulus",
+    "block_locality",
+    "echo_linearity",
+    "subspace_structure",
+    "subspace_contains",
+    "reduced_equals_full",
+    "mvdr_argmax",
+    "gradient_fd",
+    "tangent_retract",
+    "wbb_diagonalizes",
+    "rmjgd_descent",
+    "sdp_invariants",
+    "fdb_bounds",
+    "music_peak",
+    "covariance_subspace",
+    "power_accounting",
+)
 
 
-def test_validate_mutation_canary():
-    flipped = lambda *args, **kw: -opt_manifold.grad_v(*args, **kw)
-    report = validate(only={"gradient_fd"}, grad_v_override=flipped)
-    assert len(report.results) == 1
-    assert report.results[0].name == "gradient_fd"
-    assert not report.results[0].ok
+def test_validate_passes(validate_run):
+    """Every check passes, in this order: the checks are the only copy of
+    these invariants, so a dropped or renamed check must fail here."""
+    code, out, lines = validate_run
+    assert code == 0, out
+    rows = list(csv.reader(lines[1:]))
+    assert tuple(row[0] for row in rows) == CHECK_NAMES
+    assert all(row[1] == "1" for row in rows), rows
+    assert out.count("[PASS]") == len(CHECK_NAMES)
 
 
-def test_validate_report_csv(tmp_path):
-    report = validate(only={"mirror_symmetry", "steering_modulus"})
-    path = str(tmp_path / "report.csv")
-    report.to_csv(path)
-    lines = open(path).read().splitlines()
-    assert lines[0] == "check,ok,detail,wall_ms"
-    assert len(lines) == 3
+def test_validate_mutation_canary(monkeypatch):
+    grad_v = opt_manifold.grad_v
+    monkeypatch.setattr(opt_manifold, "grad_v", lambda *args: -grad_v(*args))
+    ok, detail = dict(CHECKS)["gradient_fd"]()
+    assert not ok, detail
+
+
+def test_validate_report_csv(validate_run):
+    assert validate_run[2][0] == "check,ok,detail,wall_ms"
 
 
 def test_cli_run_scenario(tmp_path, capsys):

@@ -72,15 +72,8 @@ def test_unreachable_threshold_infeasible(small_problem):
     assert "lambda_max" in sol.message
 
 
-def test_solution_invariants(small_problem):
-    _, problem = small_problem
-    sol = solve_maxdet(problem)
-    assert sol.status == "optimal"
-    r = sol.r_bb
-    assert np.linalg.eigvalsh(r)[0] >= -1e-8 * np.real(np.trace(r))
-    assert np.real(np.trace(r)) <= problem.power_budget + 1e-8
-    assert np.real(np.sum(r * problem.psi.T)) >= problem.gamma0 - 1e-8
-    assert abs(sol.dual_bits - sol.objective_bits) <= 1e-9
+def test_solution_invariants(assert_check):
+    assert_check("sdp_invariants")
 
 
 def test_budget_monotonicity(rng):
