@@ -9,7 +9,6 @@ before reporting rate and SCNR.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import os
 import sys
@@ -25,7 +24,6 @@ from . import beamform, channel, geometry as geo, opt_manifold, opt_sdr
 from .geometry import ConfigurationError, PolarPoint, ScenarioConfig, SceneObject
 
 ALGORITHMS = ("rm_jgd", "sdr_rrs", "fdb")
-_ALGO_SALT = {"rm_jgd": 1, "sdr_rrs": 2, "fdb": 3}
 
 _FULL_DEFAULTS = {
     "frequency_ghz": 38.0,
@@ -322,7 +320,6 @@ SUCCESS_STATUSES = ("ok", "max_iter")
 def run_scenario(
     config: ScenarioConfig,
     algorithm: str,
-    rm_config: Optional[opt_manifold.ManifoldConfig] = None,
     sdr_config: Optional[opt_sdr.SdrConfig] = None,
 ) -> ResultRow:
     """Run the full pipeline for one algorithm and report final metrics.
@@ -338,22 +335,24 @@ def run_scenario(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     t0 = time.perf_counter()
     data = prepare_scenario(config)
-    opt_rng = np.random.default_rng(derive_seed(config.seed, _ALGO_SALT[algorithm]))
     w_rf = beamform.optimal_analog(data.basis)
     w_bb = r_bb = None
     se_bits, iterations = np.nan, 0
     try:
         if algorithm == "rm_jgd":
-            cfg = rm_config or opt_manifold.ManifoldConfig()
             eig = data.reduced_eig()
-            init = opt_manifold.phase1_feasible(eig, data.phi_set, cfg, opt_rng)
-            result = opt_manifold.rm_jgd(eig, data.phi_set, cfg, init)
+            init = opt_manifold.phase1_feasible(eig, data.phi_set)
+            result = opt_manifold.rm_jgd(
+                eig, data.phi_set, opt_manifold.ManifoldConfig(), init
+            )
             status, w_bb, iterations = result.status, result.w_bb, result.iterations
             se_bits = beamform.spectral_efficiency(
                 data.comm.h, w_rf, w_bb, config.sigma_c_sq
             )
         elif algorithm == "sdr_rrs":
-            result = opt_sdr.sdr_rrs(data.sdr_problem(), sdr_config, opt_rng)
+            # salt 2 keeps the randomization draws apart from the scenario's
+            rng = np.random.default_rng(derive_seed(config.seed, 2))
+            result = opt_sdr.sdr_rrs(data.sdr_problem(), sdr_config, rng)
             status = result.status
             if result.w_bb is not None:
                 w_bb, se_bits = result.w_bb, result.se_bits

@@ -19,7 +19,7 @@ columns and keeps them inside col(U_B), and the polar factor of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -94,12 +94,10 @@ DRIFT_TOL = 1e-6
 
 @dataclass
 class ManifoldConfig:
-    """Barrier weight t, iteration cap per barrier round, and optional barrier
-    continuation (multiplier of t, number of extra rounds)."""
+    """Barrier weight t and iteration cap of the descent."""
 
     barrier_t: float = 100.0
     max_iterations: int = 500
-    continuation: Optional[tuple[float, int]] = None
 
     def __post_init__(self) -> None:
         if self.barrier_t <= 0 or self.max_iterations <= 0:
@@ -115,7 +113,6 @@ class RmJgdResult:
     trace: list[float]
     iterations: int
     status: str
-    stage_traces: list[list[float]] = field(default_factory=list)
 
 
 def reduce_b(
@@ -292,18 +289,6 @@ def stiefel_retract(z: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _complete_to_unitary(first_col: np.ndarray) -> np.ndarray:
-    """Unitary matrix whose first column equals the given unit vector."""
-    n = first_col.size
-    drop = int(np.argmax(np.abs(first_col)))
-    eye = np.eye(n, dtype=complex)
-    cols = [first_col[:, None]] + [eye[:, j : j + 1] for j in range(n) if j != drop]
-    q, _ = np.linalg.qr(np.concatenate(cols, axis=1))
-    # qr pins the first column only up to a unit phase; fix it exactly
-    q[:, 0] = first_col
-    return q
-
-
 def _waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
     """Power allocation maximizing sum log(1 + p_i g_i) under sum p_i <= budget."""
     gains = np.asarray(gains, dtype=float)
@@ -321,138 +306,76 @@ def _waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
     return powers
 
 
-def phase1_feasible(
-    eig: EigB,
-    phi_set: PhiSet,
-    config: ManifoldConfig,
-    rng: np.random.Generator,
-) -> ManifoldState:
+def phase1_feasible(eig: EigB, phi_set: PhiSet) -> ManifoldState:
     """Construct a strictly feasible starting state or certify infeasibility.
 
-    With the sensing constraint inactive, the streams get a waterfilling
-    split of 90% of the budget over the channel directions. Otherwise the
-    first column carries the sensing load on the most power-efficient
-    positive-curvature direction of the sensing form, the magnitude bisected
-    toward full power until the sensing slack turns positive; a
-    pencil-optimal direction is tried before giving up, and leftover power
-    is rebalanced onto the remaining streams when feasibility allows. The
-    infeasibility certificate is the analytic bound: the largest sensing
-    value attainable at full power is budget * lambda_max of the sensing
-    form compressed onto col(U_B) through the power metric.
+    The streams first get a waterfilling split of 90% of the budget over the
+    channel directions (Q = I); that start is returned whenever it clears
+    the sensing threshold. Otherwise, in the coordinates Y = Q diag(b^2) Q^H
+    the power is tr(Sigma_B^{-1} Y) and the sensing value tr(Phi_q Y), and
+    along v = Sigma_B^{1/2} p, p the top eigenvector of the pencil
+    Sigma_B^{1/2} Phi_q Sigma_B^{1/2}, a unit of power buys lambda_max of
+    sensing. The infeasibility certificate is that bound: no point reaches
+    more than budget * lambda_max. Below it, Y = beta v v^H + eps Sigma_B
+    puts beta a tenth of the way from the threshold's power gamma0/lambda_max
+    to the budget and spends at most half of what remains of the power and
+    of the sensing surplus on eps Sigma_B, which is positive definite; Y's
+    eigenvectors are Q and b^2 = diag(Q^H Y Q), a sum of nonnegative terms,
+    so every gain is positive (a phase-I point; Boyd & Vandenberghe 2004,
+    sec. 11.4).
     """
     ns, budget = eig.n_streams, eig.power_budget
-    if phi_set.gamma0 <= 0.0:
-        b = np.sqrt(_waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b)
-        return ManifoldState(q=np.eye(ns, dtype=complex), b=b)
+    start = ManifoldState(
+        q=np.eye(ns, dtype=complex),
+        b=np.sqrt(_waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b),
+    )
+    power_slack, sens_slack, _ = _slacks(start, eig, phi_set)
+    if power_slack > 0.0 and sens_slack > 0.0:
+        return start
 
-    # Sensing form in power-normalized coordinates: directions
-    # c = Sigma_B^{1/2} u / |.| have unit power curvature.
     scale = np.sqrt(eig.sigma_b)
     pencil = (scale[:, None] * eig.phi_q) * scale[None, :]
-    pencil = 0.5 * (pencil + pencil.conj().T)
-    pvals, pvecs = np.linalg.eigh(pencil)
-    bound = budget * float(pvals[-1])
+    pvals, pvecs = np.linalg.eigh(0.5 * (pencil + pencil.conj().T))
+    lam = float(pvals[-1])
+    bound = budget * lam
     if bound <= phi_set.gamma0:
         raise InfeasibleProblemError(
             f"sensing threshold unattainable: max value at full power "
             f"{bound:.6g} <= required {phi_set.gamma0:.6g}",
             bound=bound,
         )
-
-    candidates = []
-    lam, vecs = np.linalg.eigh(eig.phi_q)
-    lam, vecs = lam[::-1], vecs[:, ::-1]
-    # power curvature of direction vecs[:, i] is sum_j |vecs[j, i]|^2 / sigma_j
-    beta = np.sum(np.abs(vecs) ** 2 / eig.sigma_b[:, None], axis=0)
-    positive = lam > 0
-    if np.any(positive):
-        ratios = np.where(positive, lam / beta, -np.inf)
-        best = int(np.argmax(ratios))
-        candidates.append(vecs[:, best])
-    top = scale * pvecs[:, -1]
-    candidates.append(top / np.linalg.norm(top))
-
-    states = []
-    # the unconstrained waterfilling split often clears the threshold for
-    # free; offering it keeps the start continuous across threshold sweeps
-    wf = ManifoldState(
-        q=np.eye(ns, dtype=complex),
-        b=np.sqrt(_waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b),
-    )
-    p_slack, s_slack, _ = _slacks(wf, eig, phi_set)
-    if p_slack > 0.0 and s_slack > 0.0:
-        states.append(wf)
-    for direction in candidates:
-        b_curv, phi_curv = _direction_curvatures(eig, direction)
-        if phi_curv <= 0.0 or b_curv <= 0.0:
-            continue
-        rho = 0.9
-        for _ in range(50):
-            b1_sq = rho * budget / b_curv
-            if b1_sq * phi_curv > phi_set.gamma0 and rho < 1.0:
-                b = np.zeros(ns)
-                b[0] = np.sqrt(b1_sq)
-                q = _complete_to_unitary(direction / np.linalg.norm(direction))
-                state = ManifoldState(q=q, b=b)
-                states.append(_rebalance(state, eig, phi_set, b_curv, phi_curv))
-                break
-            rho = 0.5 * (rho + 1.0)
-    if not states:
-        raise InfeasibleProblemError(
-            "no strictly feasible point found after bisection", bound=bound
-        )
-    values = [barrier_value(s, eig, phi_set, config) for s in states]
-    return states[int(np.argmin(values))]
-
-
-def _direction_curvatures(eig: EigB, direction: np.ndarray) -> tuple[float, float]:
-    """Power and sensing quadratic forms along a unit direction (U_B coordinates)."""
-    b_curv = float(np.sum(np.abs(direction) ** 2 / eig.sigma_b))
-    phi_curv = float(np.real(direction.conj() @ eig.phi_q @ direction))
-    return b_curv, phi_curv
-
-
-def _rebalance(
-    state: ManifoldState, eig: EigB, phi_set: PhiSet, b_curv: float, phi_curv: float
-) -> ManifoldState:
-    """Shrink the sensing column to a margin and waterfill the rest.
-
-    A single-coordinate b leaves the other stream gradients at exactly zero
-    and parks all power on the sensing direction, both of which the descent
-    escapes only slowly; starting near the constrained waterfilling split
-    costs nothing and keeps strict feasibility (verified, with fallback).
-    """
-    ns = eig.n_streams
-    if ns == 1:
-        return state
-    budget = eig.power_budget
-    b0_sq_min = phi_set.gamma0 / phi_curv
-    diag_b, _ = _quadratic_diagonals(state, eig)
-    variants = [state]
-    for margin in (2.0, 1.5, 1.1):
-        b0_sq = margin * b0_sq_min
-        used = b0_sq * b_curv
-        if used >= 0.9 * budget:
-            continue
-        gains = 1.0 / diag_b[1:]
-        powers = _waterfill(gains, 0.9 * budget - used)
-        rate_b = np.sqrt(powers * gains)
-        for _ in range(40):
-            trial = state.copy()
-            trial.b[0] = np.sqrt(b0_sq)
-            trial.b[1:] = rate_b
-            power_slack, sens_slack, active = _slacks(trial, eig, phi_set)
-            if power_slack > 0.0 and (not active or sens_slack > 0.0):
-                variants.append(trial)
-                break
-            rate_b *= 0.5
-    # prefer the variant with the most rate already in place
-    scores = [-float(np.sum(np.log1p(v.b**2))) for v in variants]
-    return variants[int(np.argmin(scores))]
+    # beta*lam clears gamma0 by surplus; eps*Sigma_B costs eps*ns of power
+    # and adds eps*tr(pencil) of sensing, which may be negative
+    beta = phi_set.gamma0 / lam + 0.1 * (budget - phi_set.gamma0 / lam)
+    surplus = beta * lam - phi_set.gamma0
+    eps = 0.5 * (budget - beta) / ns
+    if pvals.sum() < 0.0:
+        eps = min(eps, 0.5 * surplus / -pvals.sum())
+    v = scale * pvecs[:, -1]
+    y = beta * np.outer(v, v.conj()) + eps * np.diag(eig.sigma_b)
+    _, q = np.linalg.eigh(y)
+    b2 = beta * np.abs(q.conj().T @ v) ** 2 + eps * (eig.sigma_b @ np.abs(q) ** 2)
+    return ManifoldState(q=q, b=np.sqrt(b2))
 
 
 def _orthonormality_drift(v: np.ndarray) -> float:
     return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
+
+
+def _backtrack(
+    f_cur: float,
+    trial: float,
+    slope: float,
+    evaluate,
+) -> tuple[Optional[float], float]:
+    """Armijo backtracking from a growing trial step; (step, f_new) or (None, f)."""
+    step = trial
+    while step >= MIN_STEP:
+        f_new = evaluate(step)
+        if f_new < f_cur + ARMIJO_SLOPE * step * slope:
+            return step, f_new
+        step *= ARMIJO_SHRINK
+    return None, f_cur
 
 
 def rm_jgd(
@@ -472,54 +395,10 @@ def rm_jgd(
     both squared gradient norms fall below the tolerances, the iteration cap
     is reached, or no decreasing step exists.
     """
-    if not np.isfinite(barrier_value(init, eig, phi_set, config)):
+    f_cur = barrier_value(init, eig, phi_set, config)
+    if not np.isfinite(f_cur):
         raise ValueError("initial state is infeasible for the barrier")
-    stage_traces: list[list[float]] = []
     state = init.copy()
-    total_iters = 0
-    status = "converged"
-    cfg = config
-    rounds = 1
-    t = config.barrier_t
-    if config.continuation is not None:
-        rounds += config.continuation[1]
-    for stage in range(rounds):
-        if stage > 0:
-            t *= config.continuation[0]
-        cfg = replace(config, barrier_t=t, continuation=None)
-        state, trace, iters, status = _descend(state, eig, phi_set, cfg)
-        stage_traces.append(trace)
-        total_iters += iters
-    return RmJgdResult(
-        state=state,
-        w_bb=assemble_wbb(eig, state),
-        trace=stage_traces[-1],
-        iterations=total_iters,
-        status=status,
-        stage_traces=stage_traces,
-    )
-
-
-def _backtrack(
-    f_cur: float,
-    trial: float,
-    slope: float,
-    evaluate,
-) -> tuple[Optional[float], float]:
-    """Armijo backtracking from a growing trial step; (step, f_new) or (None, f)."""
-    step = trial
-    while step >= MIN_STEP:
-        f_new = evaluate(step)
-        if f_new < f_cur + ARMIJO_SLOPE * step * slope:
-            return step, f_new
-        step *= ARMIJO_SHRINK
-    return None, f_cur
-
-
-def _descend(
-    state: ManifoldState, eig: EigB, phi_set: PhiSet, cfg: ManifoldConfig
-) -> tuple[ManifoldState, list[float], int, str]:
-    f_cur = barrier_value(state, eig, phi_set, cfg)
     trace = [f_cur]
     status = "max_iter"
     iters = 0
@@ -532,9 +411,9 @@ def _descend(
     # to the 1e-8..1e-6 Q-steps the barrier allows.
     trial_v = ARMIJO_INITIAL
     trial_b = ARMIJO_INITIAL
-    for n in range(cfg.max_iterations):
-        gv = grad_v(state, eig, phi_set, cfg)
-        gb = grad_b(state, eig, phi_set, cfg)
+    for n in range(config.max_iterations):
+        gv = grad_v(state, eig, phi_set, config)
+        gb = grad_b(state, eig, phi_set, config)
         xi_v = tangent_project(state.q, gv)
         xi_b = -gb
         norm_v_sq = float(np.linalg.norm(xi_v) ** 2)
@@ -549,7 +428,7 @@ def _descend(
         def q_value(s: float) -> float:
             nonlocal q_trial
             q_trial = stiefel_retract(state.q + s * xi_v)
-            return barrier_value(ManifoldState(q_trial, state.b), eig, phi_set, cfg)
+            return barrier_value(ManifoldState(q_trial, state.b), eig, phi_set, config)
 
         step_v, f_mid = _backtrack(
             f_cur, trial_v, -norm_v_sq, q_value
@@ -564,7 +443,7 @@ def _descend(
                 trial_b,
                 -norm_b_sq,
                 lambda s: _barrier_at(
-                    state.b + s * xi_b, diagonals, eig, phi_set, cfg.barrier_t
+                    state.b + s * xi_b, diagonals, eig, phi_set, config.barrier_t
                 ),
             )
         b_new = state.b + step_b * xi_b if step_b is not None else state.b
@@ -580,4 +459,10 @@ def _descend(
         trial_b = min(4.0 * step_b, 1e12) if step_b is not None else ARMIJO_INITIAL
         trace.append(f_cur)
         iters = n + 1
-    return state, trace, iters, status
+    return RmJgdResult(
+        state=state,
+        w_bb=assemble_wbb(eig, state),
+        trace=trace,
+        iterations=iters,
+        status=status,
+    )

@@ -253,14 +253,6 @@ def mvdr_argmax(data: harness.ScenarioData, rng: np.random.Generator) -> tuple[b
     return ok, f"MVDR SCNR {best:.4g}, best random {top:.4g}, batch pin {pin:.1e}"
 
 
-def _feasible_point(data: harness.ScenarioData, seed: int):
-    eig = data.reduced_eig()
-    cfg = opt_manifold.ManifoldConfig()
-    rng = np.random.default_rng(seed)
-    state = opt_manifold.phase1_feasible(eig, data.phi_set, cfg, rng)
-    return eig, cfg, state
-
-
 def probe_state(
     eig: opt_manifold.EigB,
     phi_set: beamform.PhiSet,
@@ -386,7 +378,8 @@ def _check_tangent_retract() -> tuple[bool, str]:
 
 def _check_wbb_diagonalizes() -> tuple[bool, str]:
     data = _mini_data()
-    eig, _, start = _feasible_point(data, 29)
+    eig = data.reduced_eig()
+    start = opt_manifold.phase1_feasible(eig, data.phi_set)
     # the phase-1 start can have a diagonal Q; the probe states are rotated
     rng = np.random.default_rng(29)
     states = [start] + [probe_state(eig, data.phi_set, rng) for _ in range(3)]
@@ -420,12 +413,16 @@ def descent_plateaued(
 
 def _check_rmjgd_descent() -> tuple[bool, str]:
     data = _mini_data()
+    eig, cfg = data.reduced_eig(), opt_manifold.ManifoldConfig()
+    starts = {
+        "phase-1 start": opt_manifold.phase1_feasible(eig, data.phi_set),
+        "probe 31": probe_state(eig, data.phi_set, np.random.default_rng(31)),
+    }
     ok, details = True, []
-    for seed in (2, 31):
-        eig, cfg, state = _feasible_point(data, seed)
+    for name, state in starts.items():
         result = opt_manifold.rm_jgd(eig, data.phi_set, cfg, state)
         ok = ok and descent_plateaued(result, cfg)
-        details.append(f"start {seed}: {result.iterations} iterations, {result.status}")
+        details.append(f"{name}: {result.iterations} iterations, {result.status}")
     return ok, "; ".join(details)
 
 

@@ -27,3 +27,27 @@ def channel_gains(h_eff: np.ndarray, sigma_c_sq: float) -> np.ndarray:
     s = np.linalg.svd(h_eff, compute_uv=False)
     return s**2 / sigma_c_sq
 
+
+
+def restricted_optimum_bits(eig, psi: np.ndarray, gamma0: float) -> float:
+    """Certified optimum (dual bound, bits) of rm_jgd's own problem.
+
+    rm_jgd searches W_BB = U_B X over col(U_B); in X the rate form is
+    Sigma_B, the proxy power tr(X X^H) and the sensing form U_B^H Psi U_B, so
+    the problem is `solve_maxdet` at size n_streams with h_eff =
+    diag(sqrt(sigma_B)), unit noise and C = I. An oracle for tests only.
+    """
+    from modisac.opt_sdr import MaxDetProblem, solve_maxdet
+
+    psi_b = eig.u_b.conj().T @ psi @ eig.u_b
+    problem = MaxDetProblem(
+        h_eff=np.diag(np.sqrt(eig.sigma_b)).astype(complex),
+        sigma_c_sq=1.0,
+        power_budget=eig.power_budget,
+        psi=0.5 * (psi_b + psi_b.conj().T),
+        gamma0=gamma0,
+        n_streams=eig.n_streams,
+    )
+    solution = solve_maxdet(problem)
+    assert solution.status == "optimal", solution.status
+    return solution.dual_bits

@@ -191,9 +191,7 @@ def test_criterion_6_algorithm_ordering():
         sdr_se = opt_sdr._candidate_se_bits(w, problem)
         rm_cfg = opt_manifold.ManifoldConfig()
         eig = data.reduced_eig()
-        init = opt_manifold.phase1_feasible(
-            eig, data.phi_set, rm_cfg, np.random.default_rng(harness.derive_seed(seed, 1))
-        )
+        init = opt_manifold.phase1_feasible(eig, data.phi_set)
         rm = opt_manifold.rm_jgd(eig, data.phi_set, rm_cfg, init)
         w_rf = beamform.optimal_analog(data.basis)
         rm_se = beamform.spectral_efficiency(

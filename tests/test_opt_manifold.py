@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from modisac import opt_manifold
-from modisac.beamform import PhiSet, SubspaceBasis, optimal_analog
+from modisac import harness, opt_manifold
+from modisac.beamform import PhiSet, SubspaceBasis, optimal_analog, spectral_efficiency
 from modisac.opt_manifold import (
     EigB,
     InfeasiblePointError,
@@ -25,7 +25,7 @@ from modisac.opt_manifold import (
     tangent_project,
 )
 from modisac.validation import central_differences, gradient_error, probe_state
-from oracles import waterfilling_se_bits
+from oracles import restricted_optimum_bits, waterfilling_se_bits
 
 
 def fake_basis(n: int) -> SubspaceBasis:
@@ -62,7 +62,7 @@ def random_feasible_state(eig, phi_set, cfg, rng, scale=0.15) -> ManifoldState:
     """
     from modisac.opt_manifold import _slacks
 
-    base = phase1_feasible(eig, phi_set, cfg, rng)
+    base = phase1_feasible(eig, phi_set)
     ns = eig.n_streams
     for _ in range(60):
         q1, _ = np.linalg.qr(
@@ -403,7 +403,7 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
     basis = basis @ (3 * np.eye(basis.shape[0]) - basis.conj().T @ basis) / 2
     u_b, null = basis[:, :ns], basis[:, ns:]
     starts = [
-        phase1_feasible(eig, phi_set, cfg, np.random.default_rng(0)),
+        phase1_feasible(eig, phi_set),
         random_feasible_state(eig, phi_set, cfg, rng),
     ]
     for state in starts:
@@ -445,7 +445,7 @@ def test_phase1_no_sensing_immediate(desk_problem):
     _, eig, _ = desk_problem
     phi = no_sensing_phi()
     cfg = ManifoldConfig()
-    state = phase1_feasible(eig, phi, cfg, np.random.default_rng(0))
+    state = phase1_feasible(eig, phi)
     assert np.isfinite(barrier_value(state, eig, phi, cfg))
 
 
@@ -455,15 +455,43 @@ def test_phase1_huge_threshold_certificate(desk_problem):
 
     impossible = dataclasses.replace(phi_set, gamma0=1e12)
     with pytest.raises(InfeasibleProblemError) as err:
-        phase1_feasible(eig, impossible, ManifoldConfig(), np.random.default_rng(0))
+        phase1_feasible(eig, impossible)
     assert err.value.bound < 1e12
 
 
 def test_phase1_desk_scale_feasible(desk_problem):
     _, eig, phi_set = desk_problem
     cfg = ManifoldConfig()
-    state = phase1_feasible(eig, phi_set, cfg, np.random.default_rng(0))
+    state = phase1_feasible(eig, phi_set)
     assert np.isfinite(barrier_value(state, eig, phi_set, cfg))
+
+
+# desk_sweep's 60 dB cells whose waterfilling start misses the sensing
+# threshold: (seed, slot) of the benchmark's input slots
+_BINDING_DESK_CELLS = ((0, 0), (0, 7), (1, 3), (1, 6), (2, 4))
+
+
+@pytest.mark.parametrize("seed, slot", _BINDING_DESK_CELLS)
+def test_phase1_binding_desk_cells_start_every_stream(seed, slot):
+    # a zero gain stays zero under the descent (its gradients carry a factor
+    # b_i), so a start with dead streams ended up to 14.7 bits short here
+    # derive_seed(seed, slot) is the slot's base seed; repetition 0 derives again
+    base_seed = harness.derive_seed(seed, slot)
+    cfg = harness.desk_config(
+        seed=harness.derive_seed(base_seed, 0), scnr_threshold_db=60.0
+    )
+    data = harness.prepare_scenario(cfg)
+    eig, config = data.reduced_eig(), ManifoldConfig()
+    start = phase1_feasible(eig, data.phi_set)
+    assert np.all(start.b > 0.0)
+    assert np.isfinite(barrier_value(start, eig, data.phi_set, config))
+    result = rm_jgd(eig, data.phi_set, config, start)
+    se = spectral_efficiency(
+        data.comm.h, optimal_analog(data.basis), result.w_bb, cfg.sigma_c_sq
+    )
+    optimum = restricted_optimum_bits(eig, data.psi, data.phi_set.gamma0)
+    assert se <= optimum + 1e-6
+    assert optimum - se < 3.0
 
 
 def test_rmjgd_stationary_init_returns_immediately():
@@ -521,7 +549,7 @@ def test_rmjgd_line_searches_start_from_last_accepted_step(desk_problem, monkeyp
     """
     _, eig, phi_set = desk_problem
     cfg = ManifoldConfig(max_iterations=50)
-    init = phase1_feasible(eig, phi_set, cfg, np.random.default_rng(2))
+    init = phase1_feasible(eig, phi_set)
     public, helper = opt_manifold.barrier_value, opt_manifold._barrier_at
     evaluations = 0
     inside_public = False
@@ -550,21 +578,11 @@ def test_rmjgd_line_searches_start_from_last_accepted_step(desk_problem, monkeyp
 def test_rmjgd_iterates_stay_unitary_and_feasible(desk_problem):
     _, eig, phi_set = desk_problem
     cfg = ManifoldConfig(max_iterations=40)
-    init = phase1_feasible(eig, phi_set, cfg, np.random.default_rng(3))
+    init = phase1_feasible(eig, phi_set)
     result = rm_jgd(eig, phi_set, cfg, init)
     q = result.state.q
     assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-8
     assert np.isfinite(barrier_value(result.state, eig, phi_set, cfg))
-
-
-def test_rmjgd_continuation_rounds(desk_problem):
-    _, eig, phi_set = desk_problem
-    cfg = ManifoldConfig(max_iterations=30, continuation=(10.0, 2))
-    init = phase1_feasible(eig, phi_set, cfg, np.random.default_rng(5))
-    result = rm_jgd(eig, phi_set, cfg, init)
-    assert len(result.stage_traces) == 3
-    for trace in result.stage_traces:
-        assert np.all(np.diff(trace) < 0) or len(trace) == 1
 
 
 def test_rmjgd_final_power_and_scnr(desk_problem):
@@ -573,7 +591,7 @@ def test_rmjgd_final_power_and_scnr(desk_problem):
 
     data, eig, phi_set = desk_problem
     cfg = ManifoldConfig()
-    init = phase1_feasible(eig, phi_set, cfg, np.random.default_rng(8))
+    init = phase1_feasible(eig, phi_set)
     result = rm_jgd(eig, phi_set, cfg, init)
     w_rf = optimal_analog(data.basis)
     _, proxy = transmit_power(w_rf, result.w_bb)

@@ -1,0 +1,79 @@
+"""Property tests of the RM-JGD phase-1 start (needs `hypothesis`)."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from modisac import opt_manifold  # noqa: E402
+from modisac.beamform import PhiSet  # noqa: E402
+from modisac.opt_manifold import (  # noqa: E402
+    EigB,
+    InfeasibleProblemError,
+    ManifoldConfig,
+    ManifoldState,
+    barrier_value,
+    phase1_feasible,
+)
+
+
+def _eig(n, log_cond, top, spread, budget, seed) -> EigB:
+    """Diagonal rate form with cond(Sigma_B) = 10**log_cond and an indefinite
+    sensing form whose pencil Sigma_B^{1/2} Phi_q Sigma_B^{1/2} has top
+    eigenvalue `top` and the others drawn from [top - 1 - spread, top]."""
+    rng = np.random.default_rng(seed)
+    sigma = 10.0 ** rng.uniform(-log_cond, 0.0, n)
+    sigma[0], sigma[-1] = 1.0, 10.0**-log_cond
+    sigma = np.sort(sigma)[::-1] * 10.0 ** rng.uniform(-3.0, 3.0)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    u, _ = np.linalg.qr(z)
+    lam = top - np.concatenate([[0.0], rng.uniform(0.0, 1.0 + spread, n - 1)])
+    u = u / np.sqrt(sigma)[:, None]
+    phi = (u * lam) @ u.conj().T
+    return EigB(
+        b_mat=np.diag(sigma).astype(complex),
+        u_b=np.eye(n, dtype=complex),
+        sigma_b=sigma,
+        phi_q=0.5 * (phi + phi.conj().T),
+        power_budget=budget,
+        n_streams=n,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 11),
+    log_cond=st.floats(0.0, 7.0),
+    top=st.sampled_from([1.0, -1.0]),
+    spread=st.floats(0.0, 10.0),
+    budget=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.one_of(
+        st.floats(1e-6, 1.0 - 1e-12),
+        st.floats(9.0, 12.0).map(lambda k: 1.0 - 10.0**-k),
+        st.floats(1.0 + 1e-12, 3.0),
+    ),
+)
+def test_phase1_starts_or_certifies(n, log_cond, top, spread, budget, seed, frac):
+    # with the sensing constraint active, phase 1 raises exactly when the
+    # certificate bound <= gamma0 holds and otherwise returns a unitary Q and
+    # gains at which the barrier is finite; once the waterfilling start
+    # misses the threshold, every gain is positive
+    eig = _eig(n, log_cond, top, spread, budget, seed)
+    bound = budget * top  # budget * lambda_max of the pencil, by construction
+    gamma0 = frac * budget
+    phi_set = PhiSet(phi=(), gamma0=gamma0, noise_term=1.0)
+    if bound <= gamma0:
+        with pytest.raises(InfeasibleProblemError):
+            phase1_feasible(eig, phi_set)
+        return
+    state = phase1_feasible(eig, phi_set)
+    assert np.linalg.norm(state.q.conj().T @ state.q - np.eye(n)) < 1e-10
+    assert np.isfinite(barrier_value(state, eig, phi_set, ManifoldConfig()))
+    wf = ManifoldState(
+        np.eye(n, dtype=complex),
+        np.sqrt(opt_manifold._waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b),
+    )
+    if opt_manifold._slacks(wf, eig, phi_set)[1] <= 0.0:
+        assert np.all(state.b > 0.0)
