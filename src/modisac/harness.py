@@ -329,7 +329,9 @@ def run_scenario(
     power and refreshes the receive filter from it before the SCNR is
     measured, so the reported value reflects the MVDR filter the receiver
     would actually deploy. An rm_jgd run whose phase 1 or stream count fails
-    is a row with status `infeasible_subspace` or `error:RankDeficiencyError`.
+    is a row with status `infeasible_subspace` or `error:RankDeficiencyError`;
+    a start outside the barrier's interior or a failed retraction is an
+    `error:InfeasiblePointError` or `error:RetractionError` row.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -370,8 +372,13 @@ def run_scenario(
         # phase 1 certifies infeasibility only within col(U_B), the rate
         # form's top eigenspace, not over the whole subarray-response subspace
         status = "infeasible_subspace"
-    except opt_manifold.RankDeficiencyError as err:
-        # a configured stream count above the rank of the rate form
+    except (
+        opt_manifold.RankDeficiencyError,
+        opt_manifold.InfeasiblePointError,
+        opt_manifold.RetractionError,
+    ) as err:
+        # a configured stream count above the rank of the rate form, a start
+        # outside the barrier's interior or a rank-deficient retraction
         status = f"error:{type(err).__name__}"
     scnr_db = power_exact = power_proxy = np.nan
     r_x = None

@@ -19,7 +19,7 @@ columns and keeps them inside col(U_B), and the polar factor of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -68,13 +68,25 @@ class EigB:
 
 @dataclass
 class ManifoldState:
-    """Iterate of the joint descent: n_streams x n_streams unitary q, real gains b."""
+    """Iterate of the joint descent: n_streams x n_streams unitary q, real gains b.
+
+    `_terms` caches Q's quadratic terms as (q, eig, Phi_q Q, (diag_b,
+    diag_phi)), keyed by the q array and problem they were computed from
+    (see `_quadratic_terms`).
+    """
 
     q: np.ndarray
     b: np.ndarray
+    _terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ManifoldState":
         return ManifoldState(self.q.copy(), self.b.copy())
+
+    def with_gains(self, b: np.ndarray) -> "ManifoldState":
+        """The state at the same Q with gains b, sharing Q's cached terms."""
+        state = ManifoldState(self.q, b)
+        state._terms = self._terms
+        return state
 
 
 # Stopping tolerances on the squared tangent-gradient norms of Q and b.
@@ -86,6 +98,11 @@ ARMIJO_SHRINK = 0.5
 ARMIJO_SLOPE = 1e-4
 ARMIJO_INITIAL = 1.0
 MIN_STEP = 1e-12
+# Each search starts at STEP_GROWTH x its block's last accepted step, so a
+# steady step is accepted on rung LADDER_RUNGS of the halving (4s, 2s, s);
+# the Q-search retracts that many rungs in one stacked SVD.
+STEP_GROWTH = 4.0
+LADDER_RUNGS = 1 + round(np.log(STEP_GROWTH) / -np.log(ARMIJO_SHRINK))
 # Rate-form eigenvalues at or below this fraction of the largest count as zero.
 RANK_CUTOFF = 1e-10
 # Largest ||Q^H Q - I|| that `tangent_project` accepts.
@@ -165,14 +182,42 @@ def assemble_wbb(eig: EigB, state: ManifoldState) -> np.ndarray:
     return (eig.u_b / np.sqrt(eig.sigma_b)[None, :]) @ (state.q * state.b[None, :])
 
 
+def _quadratic_terms(
+    state: ManifoldState, eig: EigB
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Phi_q Q and Q's `_quadratic_diagonals`, computed once per state.
+
+    The terms depend on Q and the problem alone, so the gradients, the
+    barrier and a b-search at one state share one computation. They are
+    kept on the state with the very q array and eig they came from, and a
+    state whose q was reassigned, or that is asked about another problem,
+    computes them afresh.
+    """
+    terms = state._terms
+    if terms is None or terms[0] is not state.q or terms[1] is not eig:
+        terms = state._terms = (state.q, eig, *_terms_of(state.q, eig))
+    return terms[2], terms[3]
+
+
+def _terms_of(
+    q: np.ndarray, eig: EigB
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Phi_q Q and (diag(Q^H Sigma_B^{-1} Q), real diag(Q^H Phi_q Q)).
+
+    q may be a stack (..., n, n); each matrix's terms then equal, bit for
+    bit, its terms alone.
+    """
+    phi_q_q = eig.phi_q @ q
+    diag_b = (np.abs(q) ** 2 / eig.sigma_b[:, None]).sum(axis=-2)
+    diag_phi = (q.conj() * phi_q_q).sum(axis=-2).real
+    return phi_q_q, (diag_b, diag_phi)
+
+
 def _quadratic_diagonals(
     state: ManifoldState, eig: EigB
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real diagonals of Q^H Sigma_B^{-1} Q and Q^H Phi_q Q."""
-    q = state.q
-    diag_b = np.sum(np.abs(q) ** 2 / eig.sigma_b[:, None], axis=0)
-    diag_phi = np.real(np.sum(q.conj() * (eig.phi_q @ q), axis=0))
-    return diag_b, diag_phi
+    return _quadratic_terms(state, eig)[1]
 
 
 def _slacks(
@@ -226,7 +271,7 @@ def _barrier_at(
     power_slack, sens_slack, active = _slacks_at(b, diagonals, eig, phi_set)
     if power_slack <= 0.0 or (active and sens_slack <= 0.0):
         return np.inf
-    val = -float(np.sum(np.log1p(b**2))) - np.log(power_slack) / t
+    val = -float(np.log1p(b**2).sum()) - np.log(power_slack) / t
     if active:
         val -= np.log(sens_slack) / t
     return val
@@ -252,15 +297,15 @@ def grad_v(
     state: ManifoldState, eig: EigB, phi_set: PhiSet, config: ManifoldConfig
 ) -> np.ndarray:
     """Euclidean gradient of the barrier objective with respect to Q."""
-    power_slack, sens_slack, active = _slacks(state, eig, phi_set)
+    phi_q_q, diagonals = _quadratic_terms(state, eig)
+    power_slack, sens_slack, active = _slacks_at(state.b, diagonals, eig, phi_set)
     if power_slack <= 0.0 or (active and sens_slack <= 0.0):
         raise InfeasiblePointError("gradient requested at an infeasible point")
-    q = state.q
     b2 = state.b**2
     t = config.barrier_t
-    grad = (2.0 / t) * (q / eig.sigma_b[:, None]) * b2[None, :] / power_slack
+    grad = (2.0 / t) * (state.q / eig.sigma_b[:, None]) * b2[None, :] / power_slack
     if active:
-        grad -= (2.0 / t) * (eig.phi_q @ q) * b2[None, :] / sens_slack
+        grad -= (2.0 / t) * phi_q_q * b2[None, :] / sens_slack
     return grad
 
 
@@ -279,9 +324,15 @@ def tangent_project(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def stiefel_retract(z: np.ndarray) -> np.ndarray:
-    """SVD polar factor: the unitary matrix nearest to z in Frobenius norm."""
+    """SVD polar factor: the unitary matrix nearest to z in Frobenius norm.
+
+    z may also be a stack (..., n, n); each matrix is then retracted in one
+    batched SVD, bit for bit as it would be alone.
+    """
     u, s, vh = np.linalg.svd(z)
-    if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
+    if (s[..., -1] < 1e-12 * s[..., 0]).any() or not s[..., 0].all():
+        if z.ndim > 2:
+            return np.stack([stiefel_retract(m) for m in z])
         scale = max(s[0], 1.0)
         u, s, vh = np.linalg.svd(z + 1e-10 * scale * np.eye(z.shape[0]))
         if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
@@ -366,16 +417,24 @@ def _backtrack(
     f_cur: float,
     trial: float,
     slope: float,
-    evaluate,
-) -> tuple[Optional[float], float]:
-    """Armijo backtracking from a growing trial step; (step, f_new) or (None, f)."""
+    ladder,
+) -> tuple[Optional[float], float, object]:
+    """Armijo backtracking from a growing trial step.
+
+    The steps trial, trial/2, ... go to `ladder` LADDER_RUNGS at a time; it
+    yields (f, point) for each step in order, and the first that decreases
+    enough is returned as (step, f, point), else (None, f_cur, None).
+    """
     step = trial
     while step >= MIN_STEP:
-        f_new = evaluate(step)
-        if f_new < f_cur + ARMIJO_SLOPE * step * slope:
-            return step, f_new
-        step *= ARMIJO_SHRINK
-    return None, f_cur
+        steps = []
+        while step >= MIN_STEP and len(steps) < LADDER_RUNGS:
+            steps.append(step)
+            step *= ARMIJO_SHRINK
+        for s, (f_new, point) in zip(steps, ladder(steps)):
+            if f_new < f_cur + ARMIJO_SLOPE * s * slope:
+                return s, f_new, point
+    return None, f_cur, None
 
 
 def rm_jgd(
@@ -389,23 +448,24 @@ def rm_jgd(
     Each iteration projects the Q-gradient to the tangent space, takes the
     steepest-descent pair direction, and backtracks first a Q-step, retracted
     back onto the manifold, then a b-step until the barrier decreases
-    sufficiently (Armijo). Each search starts at 4x its own block's last
-    accepted step (at most 1e12), and at ARMIJO_INITIAL on the first
-    iteration and after a search that failed or was skipped. Terminates when
-    both squared gradient norms fall below the tolerances, the iteration cap
-    is reached, or no decreasing step exists.
+    sufficiently (Armijo). Each search starts at STEP_GROWTH x its own
+    block's last accepted step (at most 1e12), and at ARMIJO_INITIAL on the
+    first iteration and after a search that failed or was skipped. The
+    accepted Q-trial, with its cached quadratic terms, becomes the next
+    iterate. Terminates when both squared gradient norms fall below the
+    tolerances, the iteration cap is reached, or no decreasing step exists.
     """
-    f_cur = barrier_value(init, eig, phi_set, config)
-    if not np.isfinite(f_cur):
-        raise ValueError("initial state is infeasible for the barrier")
     state = init.copy()
+    f_cur = barrier_value(state, eig, phi_set, config)
+    if not np.isfinite(f_cur):
+        raise InfeasiblePointError("initial state is infeasible for the barrier")
     trace = [f_cur]
     status = "max_iter"
     iters = 0
     # Per-block trial steps grow between iterations: the landscape is nearly
     # flat in b far from the budget while the barrier makes Q steep, so a
     # shared unit step would stall one block or the other. Each search starts
-    # at 4x its block's last accepted step (capped at 1e12), and at
+    # at STEP_GROWTH x its block's last accepted step (capped at 1e12), and at
     # ARMIJO_INITIAL only after a failed or skipped search: restarting every
     # search at ARMIJO_INITIAL would spend ~20 rejected trials climbing down
     # to the 1e-8..1e-6 Q-steps the barrier allows.
@@ -422,41 +482,43 @@ def rm_jgd(
             status = "converged"
             break
 
-        # the accepted trial is the last one evaluated, so keep its retraction
-        q_trial = state.q
+        def q_ladder(steps):
+            # Q + s xi = Q(I - sK), K skew-Hermitian, has every singular value
+            # >= 1 - drift, so no rung trips the rank check and one batched
+            # SVD retracts them all; their terms come in one batch as well
+            rungs = stiefel_retract(state.q + np.array(steps)[:, None, None] * xi_v)
+            phi_q_q, (diag_b, diag_phi) = _terms_of(rungs, eig)
+            for k, q in enumerate(rungs):
+                trial = ManifoldState(q, state.b)
+                trial._terms = (q, eig, phi_q_q[k], (diag_b[k], diag_phi[k]))
+                yield barrier_value(trial, eig, phi_set, config), trial
 
-        def q_value(s: float) -> float:
-            nonlocal q_trial
-            q_trial = stiefel_retract(state.q + s * xi_v)
-            return barrier_value(ManifoldState(q_trial, state.b), eig, phi_set, config)
+        step_v, f_mid, q_state = None, f_cur, state
+        if norm_v_sq >= EPS_V:
+            step_v, f_mid, q_state = _backtrack(f_cur, trial_v, -norm_v_sq, q_ladder)
+            q_state = state if step_v is None else q_state
 
-        step_v, f_mid = _backtrack(
-            f_cur, trial_v, -norm_v_sq, q_value
-        ) if norm_v_sq >= EPS_V else (None, f_cur)
-        q_new = q_trial if step_v is not None else state.q
-
-        step_b, f_new = None, f_mid
+        step_b, f_new, b_new = None, f_mid, state.b
         if norm_b_sq >= EPS_B:
-            diagonals = _quadratic_diagonals(ManifoldState(q_new, state.b), eig)
-            step_b, f_new = _backtrack(
-                f_mid,
-                trial_b,
-                -norm_b_sq,
-                lambda s: _barrier_at(
-                    state.b + s * xi_b, diagonals, eig, phi_set, config.barrier_t
-                ),
-            )
-        b_new = state.b + step_b * xi_b if step_b is not None else state.b
+            diagonals = _quadratic_diagonals(q_state, eig)
+
+            def b_ladder(steps):
+                for s in steps:
+                    b = state.b + s * xi_b
+                    yield _barrier_at(b, diagonals, eig, phi_set, config.barrier_t), b
+
+            step_b, f_new, b_new = _backtrack(f_mid, trial_b, -norm_b_sq, b_ladder)
+            b_new = state.b if step_b is None else b_new
 
         if step_v is None and step_b is None:
             status = "stalled"
             break
-        state = ManifoldState(q=q_new, b=b_new)
+        state = q_state.with_gains(b_new)
         f_cur = f_new
         if _orthonormality_drift(state.q) > 1e-8:
-            state.q = stiefel_retract(state.q)
-        trial_v = min(4.0 * step_v, 1e12) if step_v is not None else ARMIJO_INITIAL
-        trial_b = min(4.0 * step_b, 1e12) if step_b is not None else ARMIJO_INITIAL
+            state = ManifoldState(stiefel_retract(state.q), state.b)
+        trial_v = min(STEP_GROWTH * step_v, 1e12) if step_v is not None else ARMIJO_INITIAL
+        trial_b = min(STEP_GROWTH * step_b, 1e12) if step_b is not None else ARMIJO_INITIAL
         trace.append(f_cur)
         iters = n + 1
     return RmJgdResult(

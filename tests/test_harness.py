@@ -129,6 +129,25 @@ def test_config_rejects_stream_count_outside_rf_chains(streams):
     assert harness.desk_config(seed=0, streams=16).n_streams == 16
 
 
+def test_infeasible_rm_jgd_start_is_error_row(monkeypatch, capsys):
+    # a start outside the barrier's interior (phase 1 can round into one
+    # when the threshold sits within ~1e-12 of its certificate bound) is a
+    # typed row, not a traceback
+    def outside(eig, phi_set):
+        ns = eig.n_streams
+        return opt_manifold.ManifoldState(np.eye(ns, dtype=complex), np.full(ns, 1e6))
+
+    monkeypatch.setattr(opt_manifold, "phase1_feasible", outside)
+    row = harness.run_scenario(harness.desk_config(seed=0), "rm_jgd")
+    assert row.status == "error:InfeasiblePointError"
+    assert np.isnan(row.se_bits) and row.iterations == 0
+
+    assert cli.main(["run-scenario", "--desk-scale", "--algo", "rm-jgd"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].split(",")[-2] == "error:InfeasiblePointError"
+    assert "Traceback" not in captured.err
+
+
 def test_rank_deficient_stream_count_is_error_row(tmp_path, capsys):
     # 5 streams pass the N_RF bound but exceed the rate form's rank (at most
     # the 4 user antennas), which rm_jgd's reduction rejects

@@ -25,7 +25,7 @@ from modisac.opt_manifold import (
     tangent_project,
 )
 from modisac.validation import central_differences, gradient_error, probe_state
-from oracles import restricted_optimum_bits, waterfilling_se_bits
+from oracles import restricted_optimum_bits, rm_jgd_reference, waterfilling_se_bits
 
 
 def fake_basis(n: int) -> SubspaceBasis:
@@ -350,6 +350,24 @@ def test_retract_minimizes_distance(rng):
         assert best <= np.linalg.norm(z - q) + 1e-9
 
 
+def test_retract_stack_matches_single(rng):
+    """A stack retracts each matrix bit for bit as a single call would.
+
+    The rank-deficient slice (a zero step matrix) sends the whole stack
+    through the regularized single-matrix path.
+    """
+    n = 5
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    xi = tangent_project(q, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    steps = np.array([4e-3, 2e-3, 1e-3, 1.0, 1e12])
+    z = q + steps[:, None, None] * xi
+    for stack in (z, np.concatenate([z, np.zeros((1, n, n))])):
+        retracted = stiefel_retract(stack)
+        assert retracted.shape == stack.shape
+        for matrix, alone in zip(stack, retracted):
+            assert np.array_equal(alone, stiefel_retract(matrix))
+
+
 def _full_width_barrier(v, b, u_b, sigma_b, psi, budget, gamma0, t):
     """Barrier and Euclidean V-gradient of the n_rf x n_rf factorization at V.
 
@@ -573,6 +591,34 @@ def test_rmjgd_line_searches_start_from_last_accepted_step(desk_problem, monkeyp
     result = rm_jgd(eig, phi_set, cfg, init)
     assert result.iterations == 50
     assert evaluations / result.iterations <= 8.0
+
+
+@pytest.mark.parametrize("threshold_db", [None, 60.0], ids=["desk_seed0", "binding_60db"])
+def test_rmjgd_matches_sequential_reference(desk_problem, threshold_db):
+    """rm_jgd's iterates equal, bit for bit, a search that tries one trial at a time.
+
+    The descent retracts each Q-search's rungs in one stacked SVD and reads
+    every state's quadratic terms from a cache; the oracle retracts each
+    trial alone and computes every term afresh. A skipped or reordered rung,
+    or a trial scored from stale terms, moves the accepted steps and so the
+    iterates. The 60 dB cell is desk_sweep's slot (0, 0), where sensing binds.
+    """
+    if threshold_db is None:
+        _, eig, phi_set = desk_problem
+    else:
+        seed = harness.derive_seed(harness.derive_seed(0, 0), 0)
+        data = harness.prepare_scenario(
+            harness.desk_config(seed=seed, scnr_threshold_db=threshold_db)
+        )
+        eig, phi_set = data.reduced_eig(), data.phi_set
+    cfg = ManifoldConfig(max_iterations=40)
+    init = phase1_feasible(eig, phi_set)
+    result = rm_jgd(eig, phi_set, cfg, init)
+    q, b, trace, iterations, status = rm_jgd_reference(eig, phi_set, cfg, init, 40)
+    assert np.array_equal(result.state.q, q)
+    assert np.array_equal(result.state.b, b)
+    assert np.array_equal(result.trace, trace)
+    assert (result.iterations, result.status) == (iterations, status) == (40, "max_iter")
 
 
 def test_rmjgd_iterates_stay_unitary_and_feasible(desk_problem):

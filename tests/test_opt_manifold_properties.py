@@ -1,4 +1,4 @@
-"""Property tests of the RM-JGD phase-1 start (needs `hypothesis`)."""
+"""Property tests of the RM-JGD phase-1 start and retraction (needs `hypothesis`)."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from modisac.opt_manifold import (  # noqa: E402
     ManifoldState,
     barrier_value,
     phase1_feasible,
+    tangent_project,
 )
 
 
@@ -77,3 +78,21 @@ def test_phase1_starts_or_certifies(n, log_cond, top, spread, budget, seed, frac
     )
     if opt_manifold._slacks(wf, eig, phi_set)[1] <= 0.0:
         assert np.all(state.b > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    log_step=st.floats(-12.0, 12.0),
+    log_scale=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tangent_step_keeps_full_rank(n, log_step, log_scale, seed):
+    # a Q-search rung Q + s xi with xi = -Q K, K = skew(Q^H G), is Q(I - sK);
+    # I - sK is normal with singular values sqrt(1 + s^2 lambda^2) >= 1, so
+    # no rung of a batched retraction can trip the rank check
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    g = 10.0**log_scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rung = q + 10.0**log_step * tangent_project(q, g)
+    assert np.linalg.svd(rung, compute_uv=False)[-1] >= 1.0 - 1e-12
