@@ -64,7 +64,6 @@ from .opt_manifold import (
 from .opt_sdr import (
     MaxDetProblem,
     SdpSolution,
-    SdrConfig,
     randomize_rank,
     sdr_rrs,
     solve_maxdet,

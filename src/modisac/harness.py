@@ -179,7 +179,6 @@ class ScenarioData:
     w_fixed: beamform.ReceiveBeamformer
     basis: beamform.SubspaceBasis
     phi_set: beamform.PhiSet
-    psi: np.ndarray
     n_streams: int
 
     @property
@@ -187,14 +186,7 @@ class ScenarioData:
         return self.basis.n_rf
 
     def reduced_eig(self) -> opt_manifold.EigB:
-        return opt_manifold.reduce_b(
-            self.basis,
-            self.comm.h,
-            self.n_streams,
-            self.config.m_antennas,
-            sigma_c_sq=self.config.sigma_c_sq,
-            psi=self.psi,
-        )
+        return opt_manifold.reduce_b(self.sdr_problem())
 
     def sdr_problem(self, exact_power: bool = False) -> opt_sdr.MaxDetProblem:
         return opt_sdr.make_maxdet_problem(
@@ -233,7 +225,6 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
     phi_set = beamform.phi_matrices(
         basis, responses, w_fixed.w, config.scnr_min, config.sigma_s_sq
     )
-    psi = beamform.sensing_form(phi_set, alphas, config.scnr_min)
     if config.n_streams is not None:
         n_streams = config.n_streams
     else:
@@ -255,7 +246,6 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
         w_fixed=w_fixed,
         basis=basis,
         phi_set=phi_set,
-        psi=psi,
         n_streams=n_streams,
     )
 
@@ -317,11 +307,7 @@ _SOLVED_STATUS = {"converged": "ok", "optimal": "ok"}
 SUCCESS_STATUSES = ("ok", "max_iter")
 
 
-def run_scenario(
-    config: ScenarioConfig,
-    algorithm: str,
-    sdr_config: Optional[opt_sdr.SdrConfig] = None,
-) -> ResultRow:
+def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
     """Run the full pipeline for one algorithm and report final metrics.
 
     Each algorithm yields W_BB (fdb: the relaxed R_BB), its rate, iteration
@@ -343,10 +329,8 @@ def run_scenario(
     try:
         if algorithm == "rm_jgd":
             eig = data.reduced_eig()
-            init = opt_manifold.phase1_feasible(eig, data.phi_set)
-            result = opt_manifold.rm_jgd(
-                eig, data.phi_set, opt_manifold.ManifoldConfig(), init
-            )
+            init = opt_manifold.phase1_feasible(eig)
+            result = opt_manifold.rm_jgd(eig, opt_manifold.ManifoldConfig(), init)
             status, w_bb, iterations = result.status, result.w_bb, result.iterations
             se_bits = beamform.spectral_efficiency(
                 data.comm.h, w_rf, w_bb, config.sigma_c_sq
@@ -354,16 +338,13 @@ def run_scenario(
         elif algorithm == "sdr_rrs":
             # salt 2 keeps the randomization draws apart from the scenario's
             rng = np.random.default_rng(derive_seed(config.seed, 2))
-            result = opt_sdr.sdr_rrs(data.sdr_problem(), sdr_config, rng)
+            result = opt_sdr.sdr_rrs(data.sdr_problem(), rng)
             status = result.status
             if result.w_bb is not None:
                 w_bb, se_bits = result.w_bb, result.se_bits
                 iterations = result.solution.newton_steps
         else:  # fdb
-            cfg = sdr_config or opt_sdr.SdrConfig()
-            solution = opt_sdr.solve_maxdet(
-                data.sdr_problem(), tol=cfg.tol, max_iter=cfg.max_iter
-            )
+            solution = opt_sdr.solve_maxdet(data.sdr_problem())
             status = solution.status
             if status != "infeasible":
                 r_bb, se_bits = solution.r_bb, solution.dual_bits
@@ -614,7 +595,7 @@ def run_music(config: ScenarioConfig, grid):
     data = prepare_scenario(config)
     rng = np.random.default_rng(derive_seed(config.seed, 17))
     problem = data.sdr_problem()
-    result = opt_sdr.sdr_rrs(problem, None, rng)
+    result = opt_sdr.sdr_rrs(problem, rng)
     if result.w_bb is None:
         raise RuntimeError(f"transmit optimization failed: {result.status}")
     w_rf = beamform.optimal_analog(data.basis)

@@ -6,7 +6,9 @@ Q is an n_streams x n_streams unitary matrix and b a real gain vector. The
 rate objective, power budget and sensing constraint become functions of
 (Q, b); inequality constraints enter through a logarithmic barrier and the
 pair is descended jointly over U(n_streams) x R^n_streams, with Q kept on
-the manifold via tangent-space projection and an SVD polar retraction.
+the manifold via tangent-space projection and an SVD polar retraction. The
+problem data come from the same `MaxDetProblem` that the SDR solvers take
+(proxy power budget, C = I).
 
 This is the descent over the n_rf x n_rf unitary V~ = [U_B Q, N] of the
 factorization W_BB = U_B Sigma_B^{-1/2} U_B^H V~ Sigma~ (N spanning the
@@ -24,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beamform import PhiSet, SubspaceBasis
+from .opt_sdr import MaxDetProblem
 
 
 class RankDeficiencyError(ValueError):
@@ -55,7 +57,8 @@ class EigB:
     truncated to its top n_streams eigenpairs (u_b, sigma_b). In the
     coordinates of W_BB = U_B Sigma_B^{-1/2} Q diag(b) the power form is
     diag(1 / sigma_b) and the sensing form is phi_q = Sigma_B^{-1/2} U_B^H
-    Psi U_B Sigma_B^{-1/2}, both n_streams x n_streams.
+    Psi U_B Sigma_B^{-1/2}, both n_streams x n_streams; the sensing
+    constraint tr(W_BB^H Psi W_BB) > gamma0 is active when gamma0 > 0.
     """
 
     b_mat: np.ndarray
@@ -63,6 +66,7 @@ class EigB:
     sigma_b: np.ndarray
     phi_q: np.ndarray
     power_budget: float
+    gamma0: float
     n_streams: int
 
 
@@ -132,47 +136,39 @@ class RmJgdResult:
     status: str
 
 
-def reduce_b(
-    basis: SubspaceBasis,
-    h: np.ndarray,
-    n_streams: int,
-    m_antennas: int,
-    sigma_c_sq: float = 1.0,
-    psi: Optional[np.ndarray] = None,
-) -> EigB:
-    """Build the reduced problem data from the channel and subspace basis.
+def reduce_b(problem: MaxDetProblem) -> EigB:
+    """Reduce the digital problem to the top eigensystem of its rate form.
 
-    The communication noise power is folded into the rate form so that the
-    manifold objective equals the spectral efficiency in nats; without this
-    the reduced objective and the reported SE would disagree whenever
-    sigma_c_sq != 1.
+    The rate form is the Gram matrix of problem.h_eff over the communication
+    noise power, so that the manifold objective equals the spectral
+    efficiency in nats. The barrier's power term is tr(W_BB W_BB^H), so a
+    problem with a power_weight (C != I) raises ValueError.
     """
-    u = basis.u_tilde
-    g = h @ u
-    b_mat = (g.conj().T @ g) / sigma_c_sq
+    if problem.power_weight is not None:
+        raise ValueError("reduce_b takes the proxy power budget only (C = I)")
+    g = problem.h_eff
+    b_mat = (g.conj().T @ g) / problem.sigma_c_sq
     b_mat = 0.5 * (b_mat + b_mat.conj().T)
     vals, vecs = np.linalg.eigh(b_mat)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     vals = np.clip(vals, 0.0, None)
     rank = int(np.count_nonzero(vals > RANK_CUTOFF * vals[0])) if vals[0] > 0 else 0
+    n_streams = problem.n_streams
     if n_streams > rank:
         raise RankDeficiencyError(
             f"n_streams={n_streams} exceeds numerical rank {rank} of the rate form"
         )
     u_b = vecs[:, :n_streams]
     sigma_b = vals[:n_streams]
-    if psi is None:
-        phi_q = np.zeros((n_streams, n_streams), dtype=complex)
-    else:
-        scaled = u_b / np.sqrt(sigma_b)[None, :]
-        phi_q = scaled.conj().T @ psi @ scaled
-        phi_q = 0.5 * (phi_q + phi_q.conj().T)
+    scaled = u_b / np.sqrt(sigma_b)[None, :]
+    phi_q = scaled.conj().T @ problem.psi @ scaled
     return EigB(
         b_mat=b_mat,
         u_b=u_b,
         sigma_b=sigma_b,
-        phi_q=phi_q,
-        power_budget=n_streams / m_antennas,
+        phi_q=0.5 * (phi_q + phi_q.conj().T),
+        power_budget=problem.power_budget,
+        gamma0=problem.gamma0,
         n_streams=n_streams,
     )
 
@@ -185,13 +181,13 @@ def assemble_wbb(eig: EigB, state: ManifoldState) -> np.ndarray:
 def _quadratic_terms(
     state: ManifoldState, eig: EigB
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Phi_q Q and Q's `_quadratic_diagonals`, computed once per state.
+    """Phi_q Q and Q's diagonals (`_terms_of`), computed once per state.
 
-    The terms depend on Q and the problem alone, so the gradients, the
-    barrier and a b-search at one state share one computation. They are
-    kept on the state with the very q array and eig they came from, and a
-    state whose q was reassigned, or that is asked about another problem,
-    computes them afresh.
+    The terms depend on Q and the problem alone, so the gradients and the
+    barrier at one state, and every b-trial made from it by `with_gains`,
+    share one computation. They are kept on the state with the very q array
+    and eig they came from, and a state whose q was reassigned, or that is
+    asked about another problem, computes them afresh.
     """
     terms = state._terms
     if terms is None or terms[0] is not state.q or terms[1] is not eig:
@@ -213,79 +209,47 @@ def _terms_of(
     return phi_q_q, (diag_b, diag_phi)
 
 
-def _quadratic_diagonals(
-    state: ManifoldState, eig: EigB
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real diagonals of Q^H Sigma_B^{-1} Q and Q^H Phi_q Q."""
-    return _quadratic_terms(state, eig)[1]
-
-
-def _slacks(
-    state: ManifoldState, eig: EigB, phi_set: PhiSet
-) -> tuple[float, float, bool]:
+def _slacks(state: ManifoldState, eig: EigB) -> tuple[float, float, bool]:
     """(power slack, sensing slack, sensing_active)."""
-    return _slacks_at(state.b, _quadratic_diagonals(state, eig), eig, phi_set)
-
-
-def _slacks_at(
-    b: np.ndarray,
-    diagonals: tuple[np.ndarray, np.ndarray],
-    eig: EigB,
-    phi_set: PhiSet,
-) -> tuple[float, float, bool]:
-    """`_slacks` at gains b, given Q's `_quadratic_diagonals`."""
-    b2 = b**2
-    diag_b, diag_phi = diagonals
+    b2 = state.b**2
+    diag_b, diag_phi = _quadratic_terms(state, eig)[1]
     power_slack = eig.power_budget - float(b2 @ diag_b)
-    active = phi_set.gamma0 > 0.0
-    sens_slack = float(b2 @ diag_phi) - phi_set.gamma0 if active else np.inf
+    active = eig.gamma0 > 0.0
+    sens_slack = float(b2 @ diag_phi) - eig.gamma0 if active else np.inf
     return power_slack, sens_slack, active
 
 
-def barrier_value(
-    state: ManifoldState, eig: EigB, phi_set: PhiSet, config: ManifoldConfig
-) -> float:
+def _interior_slacks(state: ManifoldState, eig: EigB) -> tuple[float, float, bool]:
+    """`_slacks` at a strictly feasible state; raises InfeasiblePointError
+    anywhere else, where the barrier has no gradient."""
+    power_slack, sens_slack, active = _slacks(state, eig)
+    if power_slack <= 0.0 or (active and sens_slack <= 0.0):
+        raise InfeasiblePointError("gradient requested at an infeasible point")
+    return power_slack, sens_slack, active
+
+
+def barrier_value(state: ManifoldState, eig: EigB, config: ManifoldConfig) -> float:
     """Barrier objective; +inf outside the strictly feasible region.
 
     f = -sum ln(1+b_i^2) + phi(power slack) + phi(sensing slack) with
     phi(u) = -ln(u)/t. Natural log throughout; conversion to bits happens
     only at the metric layer.
     """
-    return _barrier_at(
-        state.b, _quadratic_diagonals(state, eig), eig, phi_set, config.barrier_t
-    )
-
-
-def _barrier_at(
-    b: np.ndarray,
-    diagonals: tuple[np.ndarray, np.ndarray],
-    eig: EigB,
-    phi_set: PhiSet,
-    t: float,
-) -> float:
-    """`barrier_value` at gains b, given Q's `_quadratic_diagonals`.
-
-    The diagonals depend on Q alone, so a line search over b computes them
-    once and evaluates every trial from them.
-    """
-    power_slack, sens_slack, active = _slacks_at(b, diagonals, eig, phi_set)
+    power_slack, sens_slack, active = _slacks(state, eig)
     if power_slack <= 0.0 or (active and sens_slack <= 0.0):
         return np.inf
-    val = -float(np.log1p(b**2).sum()) - np.log(power_slack) / t
+    t = config.barrier_t
+    val = -float(np.log1p(state.b**2).sum()) - np.log(power_slack) / t
     if active:
         val -= np.log(sens_slack) / t
     return val
 
 
-def grad_b(
-    state: ManifoldState, eig: EigB, phi_set: PhiSet, config: ManifoldConfig
-) -> np.ndarray:
+def grad_b(state: ManifoldState, eig: EigB, config: ManifoldConfig) -> np.ndarray:
     """Euclidean gradient of the barrier objective with respect to b."""
     b = state.b
-    diag_b, diag_phi = _quadratic_diagonals(state, eig)
-    power_slack, sens_slack, active = _slacks_at(b, (diag_b, diag_phi), eig, phi_set)
-    if power_slack <= 0.0 or (active and sens_slack <= 0.0):
-        raise InfeasiblePointError("gradient requested at an infeasible point")
+    diag_b, diag_phi = _quadratic_terms(state, eig)[1]
+    power_slack, sens_slack, active = _interior_slacks(state, eig)
     t = config.barrier_t
     grad = -2.0 * b / (1.0 + b**2) + (2.0 / t) * (diag_b / power_slack) * b
     if active:
@@ -293,14 +257,10 @@ def grad_b(
     return grad
 
 
-def grad_v(
-    state: ManifoldState, eig: EigB, phi_set: PhiSet, config: ManifoldConfig
-) -> np.ndarray:
+def grad_v(state: ManifoldState, eig: EigB, config: ManifoldConfig) -> np.ndarray:
     """Euclidean gradient of the barrier objective with respect to Q."""
-    phi_q_q, diagonals = _quadratic_terms(state, eig)
-    power_slack, sens_slack, active = _slacks_at(state.b, diagonals, eig, phi_set)
-    if power_slack <= 0.0 or (active and sens_slack <= 0.0):
-        raise InfeasiblePointError("gradient requested at an infeasible point")
+    phi_q_q = _quadratic_terms(state, eig)[0]
+    power_slack, sens_slack, active = _interior_slacks(state, eig)
     b2 = state.b**2
     t = config.barrier_t
     grad = (2.0 / t) * (state.q / eig.sigma_b[:, None]) * b2[None, :] / power_slack
@@ -357,7 +317,7 @@ def _waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
     return powers
 
 
-def phase1_feasible(eig: EigB, phi_set: PhiSet) -> ManifoldState:
+def phase1_feasible(eig: EigB) -> ManifoldState:
     """Construct a strictly feasible starting state or certify infeasibility.
 
     The streams first get a waterfilling split of 90% of the budget over the
@@ -380,7 +340,7 @@ def phase1_feasible(eig: EigB, phi_set: PhiSet) -> ManifoldState:
         q=np.eye(ns, dtype=complex),
         b=np.sqrt(_waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b),
     )
-    power_slack, sens_slack, _ = _slacks(start, eig, phi_set)
+    power_slack, sens_slack, _ = _slacks(start, eig)
     if power_slack > 0.0 and sens_slack > 0.0:
         return start
 
@@ -389,16 +349,16 @@ def phase1_feasible(eig: EigB, phi_set: PhiSet) -> ManifoldState:
     pvals, pvecs = np.linalg.eigh(0.5 * (pencil + pencil.conj().T))
     lam = float(pvals[-1])
     bound = budget * lam
-    if bound <= phi_set.gamma0:
+    if bound <= eig.gamma0:
         raise InfeasibleProblemError(
             f"sensing threshold unattainable: max value at full power "
-            f"{bound:.6g} <= required {phi_set.gamma0:.6g}",
+            f"{bound:.6g} <= required {eig.gamma0:.6g}",
             bound=bound,
         )
     # beta*lam clears gamma0 by surplus; eps*Sigma_B costs eps*ns of power
     # and adds eps*tr(pencil) of sensing, which may be negative
-    beta = phi_set.gamma0 / lam + 0.1 * (budget - phi_set.gamma0 / lam)
-    surplus = beta * lam - phi_set.gamma0
+    beta = eig.gamma0 / lam + 0.1 * (budget - eig.gamma0 / lam)
+    surplus = beta * lam - eig.gamma0
     eps = 0.5 * (budget - beta) / ns
     if pvals.sum() < 0.0:
         eps = min(eps, 0.5 * surplus / -pvals.sum())
@@ -437,12 +397,7 @@ def _backtrack(
     return None, f_cur, None
 
 
-def rm_jgd(
-    eig: EigB,
-    phi_set: PhiSet,
-    config: ManifoldConfig,
-    init: ManifoldState,
-) -> RmJgdResult:
+def rm_jgd(eig: EigB, config: ManifoldConfig, init: ManifoldState) -> RmJgdResult:
     """Joint gradient descent over (Q, b) with backtracking line search.
 
     Each iteration projects the Q-gradient to the tangent space, takes the
@@ -450,13 +405,15 @@ def rm_jgd(
     back onto the manifold, then a b-step until the barrier decreases
     sufficiently (Armijo). Each search starts at STEP_GROWTH x its own
     block's last accepted step (at most 1e12), and at ARMIJO_INITIAL on the
-    first iteration and after a search that failed or was skipped. The
-    accepted Q-trial, with its cached quadratic terms, becomes the next
-    iterate. Terminates when both squared gradient norms fall below the
-    tolerances, the iteration cap is reached, or no decreasing step exists.
+    first iteration and after a search that failed or was skipped. Every
+    trial is a state scored by `barrier_value`; the b-trials share the
+    accepted Q-trial's cached quadratic terms (`with_gains`), and the
+    accepted trial becomes the next iterate. Terminates when both squared
+    gradient norms fall below the tolerances, the iteration cap is reached,
+    or no decreasing step exists.
     """
     state = init.copy()
-    f_cur = barrier_value(state, eig, phi_set, config)
+    f_cur = barrier_value(state, eig, config)
     if not np.isfinite(f_cur):
         raise InfeasiblePointError("initial state is infeasible for the barrier")
     trace = [f_cur]
@@ -472,8 +429,8 @@ def rm_jgd(
     trial_v = ARMIJO_INITIAL
     trial_b = ARMIJO_INITIAL
     for n in range(config.max_iterations):
-        gv = grad_v(state, eig, phi_set, config)
-        gb = grad_b(state, eig, phi_set, config)
+        gv = grad_v(state, eig, config)
+        gb = grad_b(state, eig, config)
         xi_v = tangent_project(state.q, gv)
         xi_b = -gb
         norm_v_sq = float(np.linalg.norm(xi_v) ** 2)
@@ -491,30 +448,27 @@ def rm_jgd(
             for k, q in enumerate(rungs):
                 trial = ManifoldState(q, state.b)
                 trial._terms = (q, eig, phi_q_q[k], (diag_b[k], diag_phi[k]))
-                yield barrier_value(trial, eig, phi_set, config), trial
+                yield barrier_value(trial, eig, config), trial
 
         step_v, f_mid, q_state = None, f_cur, state
         if norm_v_sq >= EPS_V:
             step_v, f_mid, q_state = _backtrack(f_cur, trial_v, -norm_v_sq, q_ladder)
             q_state = state if step_v is None else q_state
 
-        step_b, f_new, b_new = None, f_mid, state.b
+        def b_ladder(steps):
+            for s in steps:
+                trial = q_state.with_gains(state.b + s * xi_b)
+                yield barrier_value(trial, eig, config), trial
+
+        step_b, f_new, b_state = None, f_mid, q_state
         if norm_b_sq >= EPS_B:
-            diagonals = _quadratic_diagonals(q_state, eig)
-
-            def b_ladder(steps):
-                for s in steps:
-                    b = state.b + s * xi_b
-                    yield _barrier_at(b, diagonals, eig, phi_set, config.barrier_t), b
-
-            step_b, f_new, b_new = _backtrack(f_mid, trial_b, -norm_b_sq, b_ladder)
-            b_new = state.b if step_b is None else b_new
+            step_b, f_new, b_state = _backtrack(f_mid, trial_b, -norm_b_sq, b_ladder)
+            b_state = q_state if step_b is None else b_state
 
         if step_v is None and step_b is None:
             status = "stalled"
             break
-        state = q_state.with_gains(b_new)
-        f_cur = f_new
+        state, f_cur = b_state, f_new
         if _orthonormality_drift(state.q) > 1e-8:
             state = ManifoldState(stiefel_retract(state.q), state.b)
         trial_v = min(STEP_GROWTH * step_v, 1e12) if step_v is not None else ARMIJO_INITIAL

@@ -14,7 +14,8 @@ identity (the per-subarray power proxy); passing the analog Gram matrix
 instead gives the exact transmit-power constraint. A rank-n_streams
 beamformer is then recovered by scaling random Gaussian sketches of the
 optimal covariance and keeping the best rate among those meeting the
-sensing constraint.
+sensing constraint. The same `MaxDetProblem` is RM-JGD's problem too
+(`opt_manifold.reduce_b`).
 """
 
 from __future__ import annotations
@@ -84,15 +85,6 @@ class SdpSolution:
 # one retry after no sketch met the sensing constraint.
 TRIALS_PER_STREAM = 10
 RETRY_PER_STREAM = 100
-
-
-@dataclass
-class SdrConfig:
-    """Knobs for the SDR pipeline: the solver's duality-gap tolerance in nats
-    and its Newton-step cap."""
-
-    tol: float = 1e-10
-    max_iter: int = 500
 
 
 @dataclass
@@ -441,11 +433,7 @@ def randomize_rank(
     return best_w
 
 
-def sdr_rrs(
-    problem: MaxDetProblem,
-    config: Optional[SdrConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> SdrResult:
+def sdr_rrs(problem: MaxDetProblem, rng: np.random.Generator) -> SdrResult:
     """Full SDR pipeline: solve the relaxation, then randomize the rank.
 
     The status is the solver's own (`optimal`, `max_iter`, `stalled`,
@@ -455,9 +443,7 @@ def sdr_rrs(
     beamformer; only `infeasible` and `randomization_failed` leave w_bb
     None.
     """
-    cfg = config or SdrConfig()
-    rng = rng or np.random.default_rng(0)
-    solution = solve_maxdet(problem, tol=cfg.tol, max_iter=cfg.max_iter)
+    solution = solve_maxdet(problem)
     if solution.status == "infeasible":
         return SdrResult(
             w_bb=None, se_bits=np.nan, status="infeasible", solution=solution

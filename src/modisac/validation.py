@@ -207,6 +207,7 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
     cfg = data.config
     rng = np.random.default_rng(9)
     w_rf = beamform.optimal_analog(data.basis)
+    budget = data.sdr_problem().power_budget
     worst_se = 0.0
     worst_scnr = 0.0
     for _ in range(5):
@@ -214,7 +215,7 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
             rng.standard_normal((data.n_rf, data.n_streams))
             + 1j * rng.standard_normal((data.n_rf, data.n_streams))
         )
-        w_bb *= np.sqrt(data.n_streams / cfg.m_antennas) / np.linalg.norm(w_bb)
+        w_bb *= np.sqrt(budget) / np.linalg.norm(w_bb)
         wrfbb = w_rf @ w_bb
         r_x = wrfbb @ wrfbb.conj().T
         se_full = beamform.se_from_covariance(data.comm.h, r_x, cfg.sigma_c_sq)
@@ -254,9 +255,7 @@ def mvdr_argmax(data: harness.ScenarioData, rng: np.random.Generator) -> tuple[b
 
 
 def probe_state(
-    eig: opt_manifold.EigB,
-    phi_set: beamform.PhiSet,
-    rng: np.random.Generator,
+    eig: opt_manifold.EigB, rng: np.random.Generator
 ) -> opt_manifold.ManifoldState:
     """Strictly feasible state suited to finite-difference gradient probes.
 
@@ -273,27 +272,26 @@ def probe_state(
             + 0.3 * (rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns)))
         )
         state = opt_manifold.ManifoldState(q1, np.zeros(ns))
-        diag_b, diag_phi = opt_manifold._quadratic_diagonals(state, eig)
+        diag_b, diag_phi = opt_manifold._quadratic_terms(state, eig)[1]
         b = np.minimum(
             0.5, np.sqrt(0.1 * budget / (ns * np.maximum(diag_b, 1e-300)))
         ) * rng.uniform(0.6, 1.0, ns)
-        active = phi_set.gamma0 > 0.0
-        if active:
+        if eig.gamma0 > 0.0:
             j0 = int(np.argmax(diag_phi))
             if diag_phi[j0] <= 0.0:
                 continue
-            b_sens = np.sqrt(5.0 * phi_set.gamma0 / diag_phi[j0])
+            b_sens = np.sqrt(5.0 * eig.gamma0 / diag_phi[j0])
             for _ in range(30):
                 trial = b.copy()
                 trial[j0] = max(trial[j0], b_sens)
                 state = opt_manifold.ManifoldState(q1, trial)
-                p_slack, s_slack, _ = opt_manifold._slacks(state, eig, phi_set)
-                if p_slack > 0.3 * budget and s_slack > 2.0 * phi_set.gamma0:
+                p_slack, s_slack, _ = opt_manifold._slacks(state, eig)
+                if p_slack > 0.3 * budget and s_slack > 2.0 * eig.gamma0:
                     return state
                 b *= 0.5
         else:
             state = opt_manifold.ManifoldState(q1, b)
-            if opt_manifold._slacks(state, eig, phi_set)[0] > 0.3 * budget:
+            if opt_manifold._slacks(state, eig)[0] > 0.3 * budget:
                 return state
     raise RuntimeError("could not construct a well-conditioned probe state")
 
@@ -313,7 +311,6 @@ def central_differences(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def gradient_error(
     state: opt_manifold.ManifoldState,
     eig: opt_manifold.EigB,
-    phi_set: beamform.PhiSet,
     cfg: opt_manifold.ManifoldConfig,
     rng: np.random.Generator,
 ) -> float:
@@ -324,18 +321,16 @@ def gradient_error(
     """
 
     def barrier(q: np.ndarray, b: np.ndarray) -> float:
-        return opt_manifold.barrier_value(
-            opt_manifold.ManifoldState(q, b), eig, phi_set, cfg
-        )
+        return opt_manifold.barrier_value(opt_manifold.ManifoldState(q, b), eig, cfg)
 
     def entry_barrier(i: int, j: int, x: np.ndarray) -> float:
         q = state.q.copy()
         q[i, j] += x[0] + 1j * x[1]
         return barrier(q, state.b)
 
-    gb = opt_manifold.grad_b(state, eig, phi_set, cfg)
+    gb = opt_manifold.grad_b(state, eig, cfg)
     fd_b = central_differences(lambda b: barrier(state.q, b), state.b)
-    gv = opt_manifold.grad_v(state, eig, phi_set, cfg)
+    gv = opt_manifold.grad_v(state, eig, cfg)
     analytic, numeric = [], []
     for _ in range(12):
         i, j = int(rng.integers(eig.n_streams)), int(rng.integers(eig.n_streams))
@@ -354,11 +349,8 @@ def _check_grad_fd() -> tuple[bool, str]:
     cfg = opt_manifold.ManifoldConfig()
     worst = 0.0
     for trial in range(3):
-        state = probe_state(eig, data.phi_set, np.random.default_rng(21 + trial))
-        worst = max(
-            worst,
-            gradient_error(state, eig, data.phi_set, cfg, np.random.default_rng(trial)),
-        )
+        state = probe_state(eig, np.random.default_rng(21 + trial))
+        worst = max(worst, gradient_error(state, eig, cfg, np.random.default_rng(trial)))
     return worst < 1e-5, f"worst relative gradient error {worst:.2e}"
 
 
@@ -379,10 +371,10 @@ def _check_tangent_retract() -> tuple[bool, str]:
 def _check_wbb_diagonalizes() -> tuple[bool, str]:
     data = _mini_data()
     eig = data.reduced_eig()
-    start = opt_manifold.phase1_feasible(eig, data.phi_set)
+    start = opt_manifold.phase1_feasible(eig)
     # the phase-1 start can have a diagonal Q; the probe states are rotated
     rng = np.random.default_rng(29)
-    states = [start] + [probe_state(eig, data.phi_set, rng) for _ in range(3)]
+    states = [start] + [probe_state(eig, rng) for _ in range(3)]
     rel = diag_err = 0.0
     ok = True
     for state in states:
@@ -415,12 +407,12 @@ def _check_rmjgd_descent() -> tuple[bool, str]:
     data = _mini_data()
     eig, cfg = data.reduced_eig(), opt_manifold.ManifoldConfig()
     starts = {
-        "phase-1 start": opt_manifold.phase1_feasible(eig, data.phi_set),
-        "probe 31": probe_state(eig, data.phi_set, np.random.default_rng(31)),
+        "phase-1 start": opt_manifold.phase1_feasible(eig),
+        "probe 31": probe_state(eig, np.random.default_rng(31)),
     }
     ok, details = True, []
     for name, state in starts.items():
-        result = opt_manifold.rm_jgd(eig, data.phi_set, cfg, state)
+        result = opt_manifold.rm_jgd(eig, cfg, state)
         ok = ok and descent_plateaued(result, cfg)
         details.append(f"{name}: {result.iterations} iterations, {result.status}")
     return ok, "; ".join(details)

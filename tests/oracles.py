@@ -29,7 +29,7 @@ def channel_gains(h_eff: np.ndarray, sigma_c_sq: float) -> np.ndarray:
 
 
 
-def restricted_optimum_bits(eig, psi: np.ndarray, gamma0: float) -> float:
+def restricted_optimum_bits(eig, psi: np.ndarray) -> float:
     """Certified optimum (dual bound, bits) of rm_jgd's own problem.
 
     rm_jgd searches W_BB = U_B X over col(U_B); in X the rate form is
@@ -45,7 +45,7 @@ def restricted_optimum_bits(eig, psi: np.ndarray, gamma0: float) -> float:
         sigma_c_sq=1.0,
         power_budget=eig.power_budget,
         psi=0.5 * (psi_b + psi_b.conj().T),
-        gamma0=gamma0,
+        gamma0=eig.gamma0,
         n_streams=eig.n_streams,
     )
     solution = solve_maxdet(problem)
@@ -53,13 +53,13 @@ def restricted_optimum_bits(eig, psi: np.ndarray, gamma0: float) -> float:
     return solution.dual_bits
 
 
-def rm_jgd_reference(eig, phi_set, config, init, max_iterations: int):
+def rm_jgd_reference(eig, config, init, max_iterations: int):
     """RM-JGD one trial at a time, every term from scratch: a test oracle.
 
     The same Armijo searches as `opt_manifold.rm_jgd` (trial steps 4x the
     last accepted one, halved until the sufficient decrease holds), but each
-    Q-trial is retracted alone and each barrier value, gradient and
-    diagonal is taken at a fresh state, so no cached term or batched
+    Q-trial is retracted alone and each barrier value and gradient, of the
+    b-trials too, is taken at a fresh state, so no cached term or batched
     retraction takes part. Returns (q, b, trace, iterations, status).
     """
     from modisac import opt_manifold as om
@@ -74,7 +74,7 @@ def rm_jgd_reference(eig, phi_set, config, init, max_iterations: int):
         return None, f_cur
 
     def fresh(q_at, b_at):
-        return om.ManifoldState(q_at, b_at), eig, phi_set, config
+        return om.ManifoldState(q_at, b_at), eig, config
 
     q, b = init.q.copy(), init.b.copy()
     f_cur = om.barrier_value(*fresh(q, b))
@@ -95,9 +95,8 @@ def rm_jgd_reference(eig, phi_set, config, init, max_iterations: int):
         step_v, f_mid = search(f_cur, trial_v, -norm_v, q_value) if (
             norm_v >= om.EPS_V) else (None, f_cur)
         q_new = q if step_v is None else retracted[step_v]
-        diagonals = om._quadratic_diagonals(om.ManifoldState(q_new, b), eig)
-        step_b, f_new = search(f_mid, trial_b, -norm_b, lambda s: om._barrier_at(
-            b + s * xi_b, diagonals, eig, phi_set, config.barrier_t
+        step_b, f_new = search(f_mid, trial_b, -norm_b, lambda s: om.barrier_value(
+            *fresh(q_new, b + s * xi_b)
         )) if norm_b >= om.EPS_B else (None, f_mid)
         if step_v is None and step_b is None:
             status = "stalled"

@@ -58,7 +58,7 @@ def test_criterion_1_waterfilling_oracle():
         assert solution.status == "optimal", (seed, solution.status)
         fdb = solution.dual_bits
         worst_fdb = max(worst_fdb, abs(fdb - expected))
-        result = opt_sdr.sdr_rrs(problem, None, np.random.default_rng(seed))
+        result = opt_sdr.sdr_rrs(problem, np.random.default_rng(seed))
         worst_sdr = max(worst_sdr, (expected - result.se_bits) / expected)
     ok = worst_fdb < 1e-3 and worst_sdr < 0.02
     _accept(
@@ -79,8 +79,8 @@ def test_criterion_2_gradient_fidelity(desk_data):
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(20):
-        state = probe_state(eig, desk_data.phi_set, rng)
-        worst = max(worst, gradient_error(state, eig, desk_data.phi_set, cfg, rng))
+        state = probe_state(eig, rng)
+        worst = max(worst, gradient_error(state, eig, cfg, rng))
     _accept(
         2,
         worst < 1e-5,
@@ -161,8 +161,8 @@ def test_criterion_5_descent_convergence(desk_data):
     for t_barrier in (10.0, 100.0, 1000.0):
         cfg = opt_manifold.ManifoldConfig(barrier_t=t_barrier)
         for trial in range(3):
-            init = random_feasible_state(eig, desk_data.phi_set, cfg, rng)
-            result = opt_manifold.rm_jgd(eig, desk_data.phi_set, cfg, init)
+            init = random_feasible_state(eig, cfg, rng)
+            result = opt_manifold.rm_jgd(eig, cfg, init)
             ok = ok and validation.descent_plateaued(result, cfg)
             details.append(f"t={t_barrier:.0f}#{trial}:{result.iterations}it")
     _accept(
@@ -191,8 +191,8 @@ def test_criterion_6_algorithm_ordering():
         sdr_se = opt_sdr._candidate_se_bits(w, problem)
         rm_cfg = opt_manifold.ManifoldConfig()
         eig = data.reduced_eig()
-        init = opt_manifold.phase1_feasible(eig, data.phi_set)
-        rm = opt_manifold.rm_jgd(eig, data.phi_set, rm_cfg, init)
+        init = opt_manifold.phase1_feasible(eig)
+        rm = opt_manifold.rm_jgd(eig, rm_cfg, init)
         w_rf = beamform.optimal_analog(data.basis)
         rm_se = beamform.spectral_efficiency(
             data.comm.h, w_rf, rm.w_bb, cfg.sigma_c_sq

@@ -78,12 +78,12 @@ def test_run_scenario_unknown_algorithm():
         harness.run_scenario(harness.desk_config(), "gradient_descent")
 
 
-def test_sdr_rrs_reports_max_iter_iterate():
-    from modisac.opt_sdr import SdrConfig
-
+def test_sdr_rrs_reports_max_iter_iterate(monkeypatch):
     # sensing binds at 60 dB, so one dual Newton step stops short of the optimum
+    solve = opt_sdr.solve_maxdet
+    monkeypatch.setattr(opt_sdr, "solve_maxdet", lambda problem: solve(problem, max_iter=1))
     cfg = harness.desk_config(seed=0, scnr_threshold_db=60.0)
-    row = harness.run_scenario(cfg, "sdr_rrs", sdr_config=SdrConfig(max_iter=1))
+    row = harness.run_scenario(cfg, "sdr_rrs")
     assert row.status == "max_iter"
     assert row.power_proxy <= row.n_streams * (1 + 1e-9)
     assert row.scnr_db >= row.scnr_threshold_db - 1e-4
@@ -133,7 +133,7 @@ def test_infeasible_rm_jgd_start_is_error_row(monkeypatch, capsys):
     # a start outside the barrier's interior (phase 1 can round into one
     # when the threshold sits within ~1e-12 of its certificate bound) is a
     # typed row, not a traceback
-    def outside(eig, phi_set):
+    def outside(eig):
         ns = eig.n_streams
         return opt_manifold.ManifoldState(np.eye(ns, dtype=complex), np.full(ns, 1e6))
 

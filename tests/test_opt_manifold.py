@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modisac import harness, opt_manifold
-from modisac.beamform import PhiSet, SubspaceBasis, optimal_analog, spectral_efficiency
+from modisac.beamform import optimal_analog, spectral_efficiency
 from modisac.opt_manifold import (
     EigB,
     InfeasiblePointError,
@@ -12,8 +12,6 @@ from modisac.opt_manifold import (
     ManifoldConfig,
     ManifoldState,
     RankDeficiencyError,
-    _barrier_at,
-    _quadratic_diagonals,
     assemble_wbb,
     barrier_value,
     grad_b,
@@ -24,37 +22,36 @@ from modisac.opt_manifold import (
     stiefel_retract,
     tangent_project,
 )
+from modisac.opt_sdr import MaxDetProblem
 from modisac.validation import central_differences, gradient_error, probe_state
 from oracles import restricted_optimum_bits, rm_jgd_reference, waterfilling_se_bits
 
 
-def fake_basis(n: int) -> SubspaceBasis:
-    """Identity 'analog' basis so the rate form can be set directly."""
-    eye = np.eye(n, dtype=complex)
-    return SubspaceBasis(
-        u_tilde=eye,
-        a_blocks=eye[None, :, :],
-        k_subarrays=1,
-        m_antennas=n,
-        n_objects=1,
-        n_paths=n - 1,
+def fake_problem(h: np.ndarray, budget: float) -> MaxDetProblem:
+    """Problem whose effective channel is h, so the rate form is set directly;
+    unit noise, no sensing form."""
+    n = h.shape[1]
+    return MaxDetProblem(
+        h_eff=h,
+        sigma_c_sq=1.0,
+        power_budget=budget,
+        psi=np.zeros((n, n), dtype=complex),
+        gamma0=0.0,
+        n_streams=n,
     )
 
 
-def synthetic_eig(eigenvalues, budget: float, psi=None) -> EigB:
+def synthetic_eig(eigenvalues, budget: float) -> EigB:
     """EigB for a diagonal rate form with the given positive eigenvalues."""
-    vals = np.asarray(eigenvalues, dtype=float)
-    n = vals.size
-    h = np.diag(np.sqrt(vals)).astype(complex)
-    eig = reduce_b(fake_basis(n), h, n, m_antennas=1, sigma_c_sq=1.0, psi=psi)
-    return dataclasses.replace(eig, power_budget=budget)
+    h = np.diag(np.sqrt(np.asarray(eigenvalues, dtype=float))).astype(complex)
+    return reduce_b(fake_problem(h, budget))
 
 
-def no_sensing_phi() -> PhiSet:
-    return PhiSet(phi=(), gamma0=0.0, noise_term=1.0)
+def no_sensing(eig: EigB) -> EigB:
+    return dataclasses.replace(eig, gamma0=0.0)
 
 
-def random_feasible_state(eig, phi_set, cfg, rng, scale=0.15) -> ManifoldState:
+def random_feasible_state(eig, cfg, rng, scale=0.15) -> ManifoldState:
     """Random rotation + gain jitter around the constructed feasible point.
 
     Accepts only points with comfortable constraint slacks so that the
@@ -62,7 +59,7 @@ def random_feasible_state(eig, phi_set, cfg, rng, scale=0.15) -> ManifoldState:
     """
     from modisac.opt_manifold import _slacks
 
-    base = phase1_feasible(eig, phi_set)
+    base = phase1_feasible(eig)
     ns = eig.n_streams
     for _ in range(60):
         q1, _ = np.linalg.qr(
@@ -70,11 +67,11 @@ def random_feasible_state(eig, phi_set, cfg, rng, scale=0.15) -> ManifoldState:
         )
         b = base.b * rng.uniform(0.5, 0.85, size=ns)
         state = ManifoldState(q=q1, b=b)
-        power_slack, sens_slack, active = _slacks(state, eig, phi_set)
+        power_slack, sens_slack, active = _slacks(state, eig)
         healthy = power_slack > 0.05 * eig.power_budget and (
-            not active or sens_slack > 0.5 * phi_set.gamma0
+            not active or sens_slack > 0.5 * eig.gamma0
         )
-        if healthy and np.isfinite(barrier_value(state, eig, phi_set, cfg)):
+        if healthy and np.isfinite(barrier_value(state, eig, cfg)):
             return state
         scale *= 0.8
     return base
@@ -82,12 +79,11 @@ def random_feasible_state(eig, phi_set, cfg, rng, scale=0.15) -> ManifoldState:
 
 @pytest.fixture(scope="module")
 def desk_problem(desk_data):
-    eig = desk_data.reduced_eig()
-    return desk_data, eig, desk_data.phi_set
+    return desk_data, desk_data.reduced_eig()
 
 
 def test_reduce_b_identity_case():
-    eig = reduce_b(fake_basis(4), np.eye(4, dtype=complex), 4, m_antennas=1)
+    eig = reduce_b(fake_problem(np.eye(4, dtype=complex), budget=4.0))
     assert np.allclose(eig.sigma_b, 1.0)
     assert np.allclose(eig.u_b.conj().T @ eig.u_b, np.eye(4), atol=1e-12)
     # power form U_B Sigma_B^{-1} U_B^H
@@ -96,28 +92,37 @@ def test_reduce_b_identity_case():
 
 
 def test_reduce_b_reconstruction(desk_problem):
-    _, eig, _ = desk_problem
+    _, eig = desk_problem
     recon = (eig.u_b * eig.sigma_b[None, :]) @ eig.u_b.conj().T
     assert np.linalg.norm(eig.b_mat - recon) <= 1e-8 * np.linalg.norm(eig.b_mat)
 
 
 def test_reduce_b_rank_error(desk_data):
+    # n_rf streams: far above the channel rank
+    problem = dataclasses.replace(desk_data.sdr_problem(), n_streams=desk_data.n_rf)
     with pytest.raises(RankDeficiencyError, match="rank"):
-        reduce_b(
-            desk_data.basis,
-            desk_data.comm.h,
-            desk_data.n_rf,  # far above the channel rank
-            desk_data.config.m_antennas,
-            sigma_c_sq=desk_data.config.sigma_c_sq,
-        )
+        reduce_b(problem)
+
+
+def test_reduce_b_rejects_weighted_power(desk_data):
+    # the barrier's power term is tr(W_BB W_BB^H): C = I only
+    with pytest.raises(ValueError, match="C = I"):
+        reduce_b(desk_data.sdr_problem(exact_power=True))
+
+
+def test_reduced_eig_shares_budget_and_threshold(desk_problem):
+    data, eig = desk_problem
+    problem = data.sdr_problem()
+    assert problem.gamma0 > 0.0
+    assert (eig.power_budget, eig.gamma0) == (problem.power_budget, problem.gamma0)
 
 
 def test_phi_tilde_hermitian_and_quadratic_identity(desk_problem, rng):
-    data, eig, phi_set = desk_problem
+    data, eig = desk_problem
     assert np.max(np.abs(eig.phi_q - eig.phi_q.conj().T)) < 1e-12
-    psi = data.psi
+    psi = data.sdr_problem().psi
     cfg = ManifoldConfig()
-    state = random_feasible_state(eig, phi_set, cfg, rng)
+    state = random_feasible_state(eig, cfg, rng)
     w = assemble_wbb(eig, state)
     cols = state.q * state.b[None, :]
     lhs = float(np.real(np.sum(cols.conj() * (eig.phi_q @ cols))))
@@ -126,7 +131,7 @@ def test_phi_tilde_hermitian_and_quadratic_identity(desk_problem, rng):
 
 
 def test_assemble_zero_gains(desk_problem):
-    _, eig, _ = desk_problem
+    _, eig = desk_problem
     state = ManifoldState(
         q=np.eye(eig.n_streams, dtype=complex),
         b=np.zeros(eig.n_streams),
@@ -148,22 +153,22 @@ def test_wbb_diagonalizes_rate_form(assert_check):
 
 
 def test_barrier_infeasible_is_infinite(desk_problem):
-    _, eig, phi_set = desk_problem
+    _, eig = desk_problem
     huge = ManifoldState(
         q=np.eye(eig.n_streams, dtype=complex),
         b=np.full(eig.n_streams, 1e6),
     )
-    assert barrier_value(huge, eig, phi_set, ManifoldConfig()) == np.inf
+    assert barrier_value(huge, eig, ManifoldConfig()) == np.inf
 
 
 def test_barrier_t_scaling(desk_problem, rng):
-    _, eig, phi_set = desk_problem
+    _, eig = desk_problem
     cfg10 = ManifoldConfig(barrier_t=10.0)
     cfg100 = ManifoldConfig(barrier_t=100.0)
-    state = random_feasible_state(eig, phi_set, cfg10, rng)
+    state = random_feasible_state(eig, cfg10, rng)
     core = -float(np.sum(np.log1p(state.b**2)))
-    part10 = barrier_value(state, eig, phi_set, cfg10) - core
-    part100 = barrier_value(state, eig, phi_set, cfg100) - core
+    part10 = barrier_value(state, eig, cfg10) - core
+    part100 = barrier_value(state, eig, cfg100) - core
     assert part10 == pytest.approx(10.0 * part100, rel=1e-9)
 
 
@@ -186,37 +191,38 @@ def _barrier_from_wbb(eig, state, psi, gamma0, t):
 
 
 @pytest.mark.parametrize("sensing", [True, False], ids=["sensing", "no_sensing"])
-def test_barrier_at_equals_barrier_value(desk_problem, rng, sensing):
-    """The b-search helper is barrier_value, bit for bit, from diagonals taken once.
+def test_with_gains_trial_scores_like_fresh_state(desk_problem, rng, sensing):
+    """A `with_gains` trial scores bit for bit like a fresh (Q, b) state.
 
-    The descent takes Q's quadratic diagonals once per iteration and
-    evaluates every b-trial from them, so the helper must equal
-    barrier_value at (Q, b) for every b, inf included. Both are also checked
-    against the barrier written on W_BB directly (measured worst 6e-15
-    relative), which no shared helper can mask.
+    The b-search scores every trial at the accepted Q through Q's quadratic
+    terms, taken once and shared by `with_gains`, so each trial must equal
+    barrier_value at a fresh state that computes them anew, inf included.
+    Both are also checked against the barrier written on W_BB directly
+    (measured worst 6e-15 relative), which no shared term can mask.
     """
-    data, eig, phi_set = desk_problem
+    data, eig = desk_problem
+    psi = data.sdr_problem().psi
     if not sensing:
-        phi_set = no_sensing_phi()
+        eig = no_sensing(eig)
     cfg = ManifoldConfig()
     ns = eig.n_streams
     finite = infinite = 0
     for k in range(12):
-        base = random_feasible_state(eig, phi_set, cfg, rng)
+        base = random_feasible_state(eig, cfg, rng)
         q = base.q
         if k % 2:
             q, _ = np.linalg.qr(
                 rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns))
             )
-        diagonals = _quadratic_diagonals(ManifoldState(q, base.b), eig)
+        anchor = ManifoldState(q, base.b)
+        barrier_value(anchor, eig, cfg)  # takes Q's terms once
         direction = base.b * rng.standard_normal(ns)
         for step in (0.0, 0.1, 0.5, 2.0, 10.0):
-            state = ManifoldState(q, base.b + step * direction)
-            value = _barrier_at(state.b, diagonals, eig, phi_set, cfg.barrier_t)
-            assert value == barrier_value(state, eig, phi_set, cfg)
-            reference = _barrier_from_wbb(
-                eig, state, data.psi, phi_set.gamma0, cfg.barrier_t
-            )
+            state = anchor.with_gains(base.b + step * direction)
+            value = barrier_value(state, eig, cfg)
+            assert state._terms is anchor._terms
+            assert value == barrier_value(ManifoldState(q, state.b), eig, cfg)
+            reference = _barrier_from_wbb(eig, state, psi, eig.gamma0, cfg.barrier_t)
             if np.isinf(reference):
                 assert value == np.inf
                 infinite += 1
@@ -228,78 +234,77 @@ def test_barrier_at_equals_barrier_value(desk_problem, rng, sensing):
 
 def test_barrier_decreases_along_gain_growth():
     eig = synthetic_eig([2.0, 1.0], budget=1.0)
-    phi = no_sensing_phi()
     cfg = ManifoldConfig()
     vals = []
     for scale in (0.1, 0.2, 0.3):
         state = ManifoldState(
             q=eig.u_b.conj().T, b=np.array([scale, 0.05])
         )
-        vals.append(barrier_value(state, eig, phi, cfg))
+        vals.append(barrier_value(state, eig, cfg))
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_grad_b_zero_at_origin(desk_problem):
-    _, eig, _ = desk_problem
-    phi = no_sensing_phi()
+    _, eig = desk_problem
     state = ManifoldState(
         q=np.eye(eig.n_streams, dtype=complex),
         b=np.zeros(eig.n_streams),
     )
-    assert np.allclose(grad_b(state, eig, phi, ManifoldConfig()), 0.0)
+    assert np.allclose(grad_b(state, no_sensing(eig), ManifoldConfig()), 0.0)
 
 
 def test_grad_b_matches_finite_differences(desk_problem, rng):
-    _, eig, phi_set = desk_problem
+    _, eig = desk_problem
     cfg = ManifoldConfig()
     for _ in range(5):
-        state = probe_state(eig, phi_set, rng)
-        g = grad_b(state, eig, phi_set, cfg)
+        state = probe_state(eig, rng)
+        g = grad_b(state, eig, cfg)
         fd = central_differences(
-            lambda b: barrier_value(ManifoldState(state.q, b), eig, phi_set, cfg),
-            state.b,
+            lambda b: barrier_value(ManifoldState(state.q, b), eig, cfg), state.b
         )
         assert np.linalg.norm(g - fd) < 1e-5 * max(np.linalg.norm(fd), 1e-8)
 
 
 def test_grad_b_barrier_part_vanishes_at_large_t(desk_problem, rng):
-    _, eig, phi_set = desk_problem
+    _, eig = desk_problem
     cfg_small = ManifoldConfig(barrier_t=1e2)
-    state = probe_state(eig, phi_set, rng)
+    state = probe_state(eig, rng)
     data_term = -2.0 * state.b / (1.0 + state.b**2)
-    g_small = grad_b(state, eig, phi_set, cfg_small)
-    g_big = grad_b(state, eig, phi_set, ManifoldConfig(barrier_t=1e6))
+    g_small = grad_b(state, eig, cfg_small)
+    g_big = grad_b(state, eig, ManifoldConfig(barrier_t=1e6))
     assert np.linalg.norm(g_big - data_term) < 1e-4 * np.linalg.norm(
         g_small - data_term
     ) + 1e-12
 
 
 def test_grad_v_zero_when_gains_zero(desk_problem):
-    _, eig, _ = desk_problem
-    phi = no_sensing_phi()
+    _, eig = desk_problem
     state = ManifoldState(
         q=np.eye(eig.n_streams, dtype=complex),
         b=np.zeros(eig.n_streams),
     )
-    assert np.all(grad_v(state, eig, phi, ManifoldConfig()) == 0.0)
+    assert np.all(grad_v(state, no_sensing(eig), ManifoldConfig()) == 0.0)
 
 
 def test_grad_v_matches_finite_differences(desk_problem, rng):
-    _, eig, phi_set = desk_problem
-    state = probe_state(eig, phi_set, rng)
-    assert gradient_error(state, eig, phi_set, ManifoldConfig(), rng) < 1e-5
+    _, eig = desk_problem
+    state = probe_state(eig, rng)
+    assert gradient_error(state, eig, ManifoldConfig(), rng) < 1e-5
 
 
 def test_grad_at_infeasible_point_raises(desk_problem):
-    _, eig, phi_set = desk_problem
-    bad = ManifoldState(
-        q=np.eye(eig.n_streams, dtype=complex),
-        b=np.full(eig.n_streams, 1e6),
-    )
-    with pytest.raises(InfeasiblePointError):
-        grad_b(bad, eig, phi_set, ManifoldConfig())
-    with pytest.raises(InfeasiblePointError):
-        grad_v(bad, eig, phi_set, ManifoldConfig())
+    _, eig = desk_problem
+    assert eig.gamma0 > 0.0
+    # gains of 1e6 overrun the power budget; zero gains miss the sensing threshold
+    for gain in (1e6, 0.0):
+        bad = ManifoldState(
+            q=np.eye(eig.n_streams, dtype=complex),
+            b=np.full(eig.n_streams, gain),
+        )
+        with pytest.raises(InfeasiblePointError):
+            grad_b(bad, eig, ManifoldConfig())
+        with pytest.raises(InfeasiblePointError):
+            grad_v(bad, eig, ManifoldConfig())
 
 
 def test_tangent_project_hermitian_gives_zero(rng):
@@ -411,8 +416,9 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
     and above leave the feasible region at these points; the 1e-9 and 1e-6
     steps are the ones that compare finite barrier values.
     """
-    data, eig, phi_set = desk_problem
-    assert phi_set.gamma0 > 0.0
+    data, eig = desk_problem
+    assert eig.gamma0 > 0.0
+    psi = data.sdr_problem().psi
     cfg = ManifoldConfig()
     ns = eig.n_streams
     xp = np.clongdouble
@@ -421,8 +427,8 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
     basis = basis @ (3 * np.eye(basis.shape[0]) - basis.conj().T @ basis) / 2
     u_b, null = basis[:, :ns], basis[:, ns:]
     starts = [
-        phase1_feasible(eig, phi_set),
-        random_feasible_state(eig, phi_set, cfg, rng),
+        phase1_feasible(eig),
+        random_feasible_state(eig, cfg, rng),
     ]
     for state in starts:
         v = np.concatenate([u_b @ state.q.astype(xp), null], axis=1)
@@ -430,17 +436,17 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
         def full(v_):
             return _full_width_barrier(
                 v_.astype(xp), state.b.astype(np.longdouble), u_b,
-                eig.sigma_b.astype(np.longdouble), data.psi.astype(xp),
-                eig.power_budget, phi_set.gamma0, cfg.barrier_t,
+                eig.sigma_b.astype(np.longdouble), psi.astype(xp),
+                eig.power_budget, eig.gamma0, cfg.barrier_t,
             )
 
         f_ref, g_ref = full(v)
         a = v.conj().T @ g_ref
         xi_ref = -v @ (0.5 * (a - a.conj().T))
-        xi = tangent_project(state.q, grad_v(state, eig, phi_set, cfg))
+        xi = tangent_project(state.q, grad_v(state, eig, cfg))
         norm_ref = float(np.sqrt(np.sum(np.abs(xi_ref) ** 2)))
         assert np.linalg.norm(xi) == pytest.approx(norm_ref, rel=1e-12)
-        f = barrier_value(state, eig, phi_set, cfg)
+        f = barrier_value(state, eig, cfg)
         assert f == pytest.approx(f_ref, rel=1e-12)
         finite = 0
         for s in (1e-9, 1e-6, 1e-3, 1.0, 1e2):
@@ -449,7 +455,7 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
             q_new = stiefel_retract(state.q + s * xi)
             embedded = np.concatenate([eig.u_b @ q_new, null.astype(complex)], axis=1)
             assert np.linalg.norm(embedded - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
-            f_new = barrier_value(ManifoldState(q_new, state.b), eig, phi_set, cfg)
+            f_new = barrier_value(ManifoldState(q_new, state.b), eig, cfg)
             f_ref_new, _ = full(v_ref)
             if np.isinf(f_ref_new):
                 assert np.isinf(f_new)
@@ -460,28 +466,26 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
 
 
 def test_phase1_no_sensing_immediate(desk_problem):
-    _, eig, _ = desk_problem
-    phi = no_sensing_phi()
+    _, eig = desk_problem
+    eig = no_sensing(eig)
     cfg = ManifoldConfig()
-    state = phase1_feasible(eig, phi)
-    assert np.isfinite(barrier_value(state, eig, phi, cfg))
+    state = phase1_feasible(eig)
+    assert np.isfinite(barrier_value(state, eig, cfg))
 
 
 def test_phase1_huge_threshold_certificate(desk_problem):
-    data, eig, phi_set = desk_problem
-    import dataclasses
-
-    impossible = dataclasses.replace(phi_set, gamma0=1e12)
+    _, eig = desk_problem
+    impossible = dataclasses.replace(eig, gamma0=1e12)
     with pytest.raises(InfeasibleProblemError) as err:
-        phase1_feasible(eig, impossible)
+        phase1_feasible(impossible)
     assert err.value.bound < 1e12
 
 
 def test_phase1_desk_scale_feasible(desk_problem):
-    _, eig, phi_set = desk_problem
+    _, eig = desk_problem
     cfg = ManifoldConfig()
-    state = phase1_feasible(eig, phi_set)
-    assert np.isfinite(barrier_value(state, eig, phi_set, cfg))
+    state = phase1_feasible(eig)
+    assert np.isfinite(barrier_value(state, eig, cfg))
 
 
 # desk_sweep's 60 dB cells whose waterfilling start misses the sensing
@@ -500,49 +504,47 @@ def test_phase1_binding_desk_cells_start_every_stream(seed, slot):
     )
     data = harness.prepare_scenario(cfg)
     eig, config = data.reduced_eig(), ManifoldConfig()
-    start = phase1_feasible(eig, data.phi_set)
+    start = phase1_feasible(eig)
     assert np.all(start.b > 0.0)
-    assert np.isfinite(barrier_value(start, eig, data.phi_set, config))
-    result = rm_jgd(eig, data.phi_set, config, start)
+    assert np.isfinite(barrier_value(start, eig, config))
+    result = rm_jgd(eig, config, start)
     se = spectral_efficiency(
         data.comm.h, optimal_analog(data.basis), result.w_bb, cfg.sigma_c_sq
     )
-    optimum = restricted_optimum_bits(eig, data.psi, data.phi_set.gamma0)
+    optimum = restricted_optimum_bits(eig, data.sdr_problem().psi)
     assert se <= optimum + 1e-6
     assert optimum - se < 3.0
 
 
 def test_rmjgd_stationary_init_returns_immediately():
     eig = synthetic_eig([2.0, 1.0], budget=1.0)
-    phi = no_sensing_phi()
     state = ManifoldState(q=eig.u_b.conj().T, b=np.zeros(2))
-    result = rm_jgd(eig, phi, ManifoldConfig(), state)
+    result = rm_jgd(eig, ManifoldConfig(), state)
     assert result.iterations == 0
     assert result.status == "converged"
 
 
 def test_rmjgd_infeasible_init_rejected(desk_problem):
-    _, eig, phi_set = desk_problem
+    _, eig = desk_problem
     bad = ManifoldState(
         q=np.eye(eig.n_streams, dtype=complex),
         b=np.full(eig.n_streams, 1e6),
     )
     with pytest.raises(ValueError, match="infeasible"):
-        rm_jgd(eig, phi_set, ManifoldConfig(), bad)
+        rm_jgd(eig, ManifoldConfig(), bad)
 
 
 def test_rmjgd_no_sensing_matches_waterfilling(rng):
     gains = np.array([4.0, 3.0, 2.0, 1.0])
     eig = synthetic_eig(gains, budget=1.0)
-    phi = no_sensing_phi()
     cfg = ManifoldConfig(barrier_t=100.0)
     # start away from the solution: uniform small gains, rotated basis
     q, _ = np.linalg.qr(
         np.eye(4) + 0.2 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     )
     init = ManifoldState(q=eig.u_b.conj().T @ q, b=np.full(4, 0.2))
-    assert np.isfinite(barrier_value(init, eig, phi, cfg))
-    result = rm_jgd(eig, phi, cfg, init)
+    assert np.isfinite(barrier_value(init, eig, cfg))
+    result = rm_jgd(eig, cfg, init)
     form = result.w_bb.conj().T @ eig.b_mat @ result.w_bb
     se = float(np.linalg.slogdet(np.eye(4) + form)[1] / np.log(2.0))
     expected = waterfilling_se_bits(gains, 1.0)
@@ -562,33 +564,22 @@ def test_rmjgd_line_searches_start_from_last_accepted_step(desk_problem, monkeyp
     evaluations per iteration here, climbing down to that. Starting from 4x
     the last accepted step, a search whose step holds steady costs 3 trials
     (4s, 2s, s), so 6 per iteration, plus the first iteration's climb from
-    ARMIJO_INITIAL: 6.5 here. Every evaluation is counted once: public
-    barrier_value calls, and direct helper calls (the b-trials) outside them.
+    ARMIJO_INITIAL: 6.5 here. Every trial, of Q and of b alike, is one
+    barrier_value call.
     """
-    _, eig, phi_set = desk_problem
+    _, eig = desk_problem
     cfg = ManifoldConfig(max_iterations=50)
-    init = phase1_feasible(eig, phi_set)
-    public, helper = opt_manifold.barrier_value, opt_manifold._barrier_at
+    init = phase1_feasible(eig)
+    barrier = opt_manifold.barrier_value
     evaluations = 0
-    inside_public = False
 
-    def counted_public(*args):
-        nonlocal evaluations, inside_public
-        evaluations += 1
-        inside_public = True
-        try:
-            return public(*args)
-        finally:
-            inside_public = False
-
-    def counted_helper(*args):
+    def counted(*args):
         nonlocal evaluations
-        evaluations += not inside_public
-        return helper(*args)
+        evaluations += 1
+        return barrier(*args)
 
-    monkeypatch.setattr(opt_manifold, "barrier_value", counted_public)
-    monkeypatch.setattr(opt_manifold, "_barrier_at", counted_helper)
-    result = rm_jgd(eig, phi_set, cfg, init)
+    monkeypatch.setattr(opt_manifold, "barrier_value", counted)
+    result = rm_jgd(eig, cfg, init)
     assert result.iterations == 50
     assert evaluations / result.iterations <= 8.0
 
@@ -598,23 +589,23 @@ def test_rmjgd_matches_sequential_reference(desk_problem, threshold_db):
     """rm_jgd's iterates equal, bit for bit, a search that tries one trial at a time.
 
     The descent retracts each Q-search's rungs in one stacked SVD and reads
-    every state's quadratic terms from a cache; the oracle retracts each
-    trial alone and computes every term afresh. A skipped or reordered rung,
+    every state's quadratic terms from a cache, the b-trials' included; the
+    oracle retracts each trial alone and computes every term afresh. A skipped or reordered rung,
     or a trial scored from stale terms, moves the accepted steps and so the
     iterates. The 60 dB cell is desk_sweep's slot (0, 0), where sensing binds.
     """
     if threshold_db is None:
-        _, eig, phi_set = desk_problem
+        _, eig = desk_problem
     else:
         seed = harness.derive_seed(harness.derive_seed(0, 0), 0)
         data = harness.prepare_scenario(
             harness.desk_config(seed=seed, scnr_threshold_db=threshold_db)
         )
-        eig, phi_set = data.reduced_eig(), data.phi_set
+        eig = data.reduced_eig()
     cfg = ManifoldConfig(max_iterations=40)
-    init = phase1_feasible(eig, phi_set)
-    result = rm_jgd(eig, phi_set, cfg, init)
-    q, b, trace, iterations, status = rm_jgd_reference(eig, phi_set, cfg, init, 40)
+    init = phase1_feasible(eig)
+    result = rm_jgd(eig, cfg, init)
+    q, b, trace, iterations, status = rm_jgd_reference(eig, cfg, init, 40)
     assert np.array_equal(result.state.q, q)
     assert np.array_equal(result.state.b, b)
     assert np.array_equal(result.trace, trace)
@@ -622,25 +613,25 @@ def test_rmjgd_matches_sequential_reference(desk_problem, threshold_db):
 
 
 def test_rmjgd_iterates_stay_unitary_and_feasible(desk_problem):
-    _, eig, phi_set = desk_problem
+    _, eig = desk_problem
     cfg = ManifoldConfig(max_iterations=40)
-    init = phase1_feasible(eig, phi_set)
-    result = rm_jgd(eig, phi_set, cfg, init)
+    init = phase1_feasible(eig)
+    result = rm_jgd(eig, cfg, init)
     q = result.state.q
     assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-8
-    assert np.isfinite(barrier_value(result.state, eig, phi_set, cfg))
+    assert np.isfinite(barrier_value(result.state, eig, cfg))
 
 
 def test_rmjgd_final_power_and_scnr(desk_problem):
     from modisac.beamform import scnr_reduced, transmit_power
     from modisac.beamform import optimal_analog
 
-    data, eig, phi_set = desk_problem
+    data, eig = desk_problem
     cfg = ManifoldConfig()
-    init = phase1_feasible(eig, phi_set)
-    result = rm_jgd(eig, phi_set, cfg, init)
+    init = phase1_feasible(eig)
+    result = rm_jgd(eig, cfg, init)
     w_rf = optimal_analog(data.basis)
     _, proxy = transmit_power(w_rf, result.w_bb)
     assert proxy <= data.n_streams + 1e-9
-    achieved = scnr_reduced(result.w_bb, phi_set, data.alphas)
+    achieved = scnr_reduced(result.w_bb, data.phi_set, data.alphas)
     assert achieved >= data.config.scnr_min  # strict by barrier construction

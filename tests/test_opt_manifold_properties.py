@@ -7,7 +7,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from modisac import opt_manifold  # noqa: E402
-from modisac.beamform import PhiSet  # noqa: E402
 from modisac.opt_manifold import (  # noqa: E402
     EigB,
     InfeasibleProblemError,
@@ -19,7 +18,7 @@ from modisac.opt_manifold import (  # noqa: E402
 )
 
 
-def _eig(n, log_cond, top, spread, budget, seed) -> EigB:
+def _eig(n, log_cond, top, spread, budget, gamma0, seed) -> EigB:
     """Diagonal rate form with cond(Sigma_B) = 10**log_cond and an indefinite
     sensing form whose pencil Sigma_B^{1/2} Phi_q Sigma_B^{1/2} has top
     eigenvalue `top` and the others drawn from [top - 1 - spread, top]."""
@@ -38,6 +37,7 @@ def _eig(n, log_cond, top, spread, budget, seed) -> EigB:
         sigma_b=sigma,
         phi_q=0.5 * (phi + phi.conj().T),
         power_budget=budget,
+        gamma0=gamma0,
         n_streams=n,
     )
 
@@ -61,22 +61,21 @@ def test_phase1_starts_or_certifies(n, log_cond, top, spread, budget, seed, frac
     # certificate bound <= gamma0 holds and otherwise returns a unitary Q and
     # gains at which the barrier is finite; once the waterfilling start
     # misses the threshold, every gain is positive
-    eig = _eig(n, log_cond, top, spread, budget, seed)
-    bound = budget * top  # budget * lambda_max of the pencil, by construction
     gamma0 = frac * budget
-    phi_set = PhiSet(phi=(), gamma0=gamma0, noise_term=1.0)
+    eig = _eig(n, log_cond, top, spread, budget, gamma0, seed)
+    bound = budget * top  # budget * lambda_max of the pencil, by construction
     if bound <= gamma0:
         with pytest.raises(InfeasibleProblemError):
-            phase1_feasible(eig, phi_set)
+            phase1_feasible(eig)
         return
-    state = phase1_feasible(eig, phi_set)
+    state = phase1_feasible(eig)
     assert np.linalg.norm(state.q.conj().T @ state.q - np.eye(n)) < 1e-10
-    assert np.isfinite(barrier_value(state, eig, phi_set, ManifoldConfig()))
+    assert np.isfinite(barrier_value(state, eig, ManifoldConfig()))
     wf = ManifoldState(
         np.eye(n, dtype=complex),
         np.sqrt(opt_manifold._waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b),
     )
-    if opt_manifold._slacks(wf, eig, phi_set)[1] <= 0.0:
+    if opt_manifold._slacks(wf, eig)[1] <= 0.0:
         assert np.all(state.b > 0.0)
 
 

@@ -3,12 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from modisac import harness
+from modisac import harness, opt_sdr
 from modisac.beamform import scnr_reduced, verify_covariance_subspace
 from modisac.opt_sdr import (
     MaxDetProblem,
     RandomizationFailure,
-    SdrConfig,
     make_fullspace_problem,
     randomize_rank,
     sdr_rrs,
@@ -131,7 +130,7 @@ def test_randomization_failure_raised(small_problem):
 
 def test_sdr_rrs_close_to_relaxation_no_sensing(small_data):
     problem = dataclasses.replace(small_data.sdr_problem(), gamma0=0.0)
-    result = sdr_rrs(problem, None, np.random.default_rng(0))
+    result = sdr_rrs(problem, np.random.default_rng(0))
     assert result.status == "optimal"
     bound = solve_maxdet(problem).objective_bits
     assert result.se_bits >= 0.98 * bound
@@ -139,15 +138,15 @@ def test_sdr_rrs_close_to_relaxation_no_sensing(small_data):
 
 def test_sdr_rrs_deterministic(small_problem):
     _, problem = small_problem
-    r1 = sdr_rrs(problem, None, np.random.default_rng(11))
-    r2 = sdr_rrs(problem, None, np.random.default_rng(11))
+    r1 = sdr_rrs(problem, np.random.default_rng(11))
+    r2 = sdr_rrs(problem, np.random.default_rng(11))
     assert np.array_equal(r1.w_bb, r2.w_bb)
     assert r1.se_bits == r2.se_bits
 
 
 def test_sdr_rrs_meets_scnr_threshold(small_problem):
     data, problem = small_problem
-    result = sdr_rrs(problem, None, np.random.default_rng(0))
+    result = sdr_rrs(problem, np.random.default_rng(0))
     achieved = scnr_reduced(result.w_bb, data.phi_set, data.alphas)
     assert achieved >= data.config.scnr_min - 1e-6
 
@@ -157,7 +156,7 @@ def test_fdb_upper_bounds_sdr(small_problem):
     solution = solve_maxdet(problem)
     assert solution.status == "optimal"
     fdb = solution.dual_bits
-    result = sdr_rrs(problem, None, np.random.default_rng(0))
+    result = sdr_rrs(problem, np.random.default_rng(0))
     # slack covers the solver gap: both sides are solved to tol=1e-10 nats
     assert fdb >= result.se_bits - 1e-6
 
@@ -197,7 +196,7 @@ def test_fullspace_matches_reduced(small_data):
     assert verify_covariance_subspace(sol_full.r_bb, data.basis) < 1e-6
 
 
-def test_max_iter_solution_is_primal_feasible():
+def test_max_iter_solution_is_primal_feasible(monkeypatch):
     data = harness.prepare_scenario(harness.desk_config(seed=0, scnr_threshold_db=60.0))
     problem = data.sdr_problem()
     sol = solve_maxdet(problem, max_iter=1)
@@ -206,7 +205,8 @@ def test_max_iter_solution_is_primal_feasible():
     p_slack, s_slack = _slacks(sol.r_bb, problem, problem.weight())
     assert abs(p_slack) <= 1e-9 * problem.power_budget
     assert s_slack >= 0.0
-    result = sdr_rrs(problem, SdrConfig(max_iter=1), np.random.default_rng(0))
+    monkeypatch.setattr(opt_sdr, "solve_maxdet", lambda p: solve_maxdet(p, max_iter=1))
+    result = sdr_rrs(problem, np.random.default_rng(0))
     assert result.status == "max_iter" and result.w_bb is not None
     assert result.se_bits <= sol.dual_bits
 
