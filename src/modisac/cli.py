@@ -49,6 +49,7 @@ def main(argv=None) -> int:
     _add_config_arg(music_p)
     music_p.add_argument(
         "--grid",
+        type=GridSpec.parse,
         default="0:0.25:30,0:0.25:30",
         help='search grid "x0:dx:x1,y0:dy:y1" in meters',
     )
@@ -84,8 +85,7 @@ def main(argv=None) -> int:
         config = _load(args)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        grid = GridSpec.parse(args.grid)
-        result, _, _ = harness.run_music(config, grid)
+        result, _, _ = harness.run_music(config, args.grid)
         print(
             f"peak at x={result.peak_location[0]:.3f} m, "
             f"y={result.peak_location[1]:.3f} m; "

@@ -188,7 +188,7 @@ class ScenarioData:
     def reduced_eig(self) -> opt_manifold.EigB:
         return opt_manifold.reduce_b(self.sdr_problem())
 
-    def sdr_problem(self, exact_power: bool = False) -> opt_sdr.MaxDetProblem:
+    def sdr_problem(self) -> opt_sdr.MaxDetProblem:
         return opt_sdr.make_maxdet_problem(
             self.comm.h,
             self.basis,
@@ -197,7 +197,6 @@ class ScenarioData:
             self.config.scnr_min,
             self.config.sigma_c_sq,
             self.n_streams,
-            exact_power=exact_power,
         )
 
 
@@ -316,8 +315,8 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
     measured, so the reported value reflects the MVDR filter the receiver
     would actually deploy. An rm_jgd run whose phase 1 or stream count fails
     is a row with status `infeasible_subspace` or `error:RankDeficiencyError`;
-    a start outside the barrier's interior or a failed retraction is an
-    `error:InfeasiblePointError` or `error:RetractionError` row.
+    a start outside the barrier's interior is an `error:InfeasiblePointError`
+    row.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -353,13 +352,9 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         # phase 1 certifies infeasibility only within col(U_B), the rate
         # form's top eigenspace, not over the whole subarray-response subspace
         status = "infeasible_subspace"
-    except (
-        opt_manifold.RankDeficiencyError,
-        opt_manifold.InfeasiblePointError,
-        opt_manifold.RetractionError,
-    ) as err:
-        # a configured stream count above the rank of the rate form, a start
-        # outside the barrier's interior or a rank-deficient retraction
+    except (opt_manifold.RankDeficiencyError, opt_manifold.InfeasiblePointError) as err:
+        # a configured stream count above the rank of the rate form or a
+        # start outside the barrier's interior
         status = f"error:{type(err).__name__}"
     scnr_db = power_exact = power_proxy = np.nan
     r_x = None

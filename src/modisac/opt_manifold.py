@@ -7,8 +7,8 @@ rate objective, power budget and sensing constraint become functions of
 (Q, b); inequality constraints enter through a logarithmic barrier and the
 pair is descended jointly over U(n_streams) x R^n_streams, with Q kept on
 the manifold via tangent-space projection and an SVD polar retraction. The
-problem data come from the same `MaxDetProblem` that the SDR solvers take
-(proxy power budget, C = I).
+problem data come from the same `MaxDetProblem` that the SDR solvers take,
+whose power constraint tr(W_BB W_BB^H) <= n_streams/M is the barrier's.
 
 This is the descent over the n_rf x n_rf unitary V~ = [U_B Q, N] of the
 factorization W_BB = U_B Sigma_B^{-1/2} U_B^H V~ Sigma~ (N spanning the
@@ -43,10 +43,6 @@ class InfeasibleProblemError(RuntimeError):
     def __init__(self, message: str, bound: float = np.nan):
         super().__init__(message)
         self.bound = bound
-
-
-class RetractionError(RuntimeError):
-    """Polar retraction failed on a numerically rank-deficient step."""
 
 
 @dataclass(frozen=True)
@@ -141,11 +137,8 @@ def reduce_b(problem: MaxDetProblem) -> EigB:
 
     The rate form is the Gram matrix of problem.h_eff over the communication
     noise power, so that the manifold objective equals the spectral
-    efficiency in nats. The barrier's power term is tr(W_BB W_BB^H), so a
-    problem with a power_weight (C != I) raises ValueError.
+    efficiency in nats.
     """
-    if problem.power_weight is not None:
-        raise ValueError("reduce_b takes the proxy power budget only (C = I)")
     g = problem.h_eff
     b_mat = (g.conj().T @ g) / problem.sigma_c_sq
     b_mat = 0.5 * (b_mat + b_mat.conj().T)
@@ -275,7 +268,7 @@ def tangent_project(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
     Returns -Q skew(Q^H G); the result Z satisfies Z^H Q + Q^H Z = 0 and has
     nonpositive inner product with G.
     """
-    drift = _orthonormality_drift(q)
+    drift = float(np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])))
     if drift > DRIFT_TOL:
         raise ValueError(f"q drifted off the manifold (||Q^HQ-I||={drift:.2e})")
     a = q.conj().T @ grad
@@ -284,19 +277,13 @@ def tangent_project(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def stiefel_retract(z: np.ndarray) -> np.ndarray:
-    """SVD polar factor: the unitary matrix nearest to z in Frobenius norm.
+    """SVD polar factor: a unitary matrix nearest to z in Frobenius norm.
 
-    z may also be a stack (..., n, n); each matrix is then retracted in one
-    batched SVD, bit for bit as it would be alone.
+    U V^H is unitary for every z, rank deficient or not; it is unique when z
+    has full rank. z may also be a stack (..., n, n); each matrix is then
+    retracted in one batched SVD, bit for bit as it would be alone.
     """
-    u, s, vh = np.linalg.svd(z)
-    if (s[..., -1] < 1e-12 * s[..., 0]).any() or not s[..., 0].all():
-        if z.ndim > 2:
-            return np.stack([stiefel_retract(m) for m in z])
-        scale = max(s[0], 1.0)
-        u, s, vh = np.linalg.svd(z + 1e-10 * scale * np.eye(z.shape[0]))
-        if s[0] == 0.0 or s[-1] < 1e-12 * s[0]:
-            raise RetractionError("step matrix is numerically rank deficient")
+    u, _, vh = np.linalg.svd(z)
     return u @ vh
 
 
@@ -369,10 +356,6 @@ def phase1_feasible(eig: EigB) -> ManifoldState:
     return ManifoldState(q=q, b=np.sqrt(b2))
 
 
-def _orthonormality_drift(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
-
-
 def _backtrack(
     f_cur: float,
     trial: float,
@@ -440,9 +423,6 @@ def rm_jgd(eig: EigB, config: ManifoldConfig, init: ManifoldState) -> RmJgdResul
             break
 
         def q_ladder(steps):
-            # Q + s xi = Q(I - sK), K skew-Hermitian, has every singular value
-            # >= 1 - drift, so no rung trips the rank check and one batched
-            # SVD retracts them all; their terms come in one batch as well
             rungs = stiefel_retract(state.q + np.array(steps)[:, None, None] * xi_v)
             phi_q_q, (diag_b, diag_phi) = _terms_of(rungs, eig)
             for k, q in enumerate(rungs):
@@ -469,8 +449,6 @@ def rm_jgd(eig: EigB, config: ManifoldConfig, init: ManifoldState) -> RmJgdResul
             status = "stalled"
             break
         state, f_cur = b_state, f_new
-        if _orthonormality_drift(state.q) > 1e-8:
-            state = ManifoldState(stiefel_retract(state.q), state.b)
         trial_v = min(STEP_GROWTH * step_v, 1e12) if step_v is not None else ARMIJO_INITIAL
         trial_b = min(STEP_GROWTH * step_b, 1e12) if step_b is not None else ARMIJO_INITIAL
         trace.append(f_cur)

@@ -3,19 +3,19 @@
 The rank-relaxed digital covariance problem
 
     max  log det(I + H_eff R H_eff^H / sigma_c^2)
-    s.t. tr(R C) <= budget,  tr(R Psi) >= gamma0,  R >= 0
+    s.t. tr(R) <= budget,  tr(R Psi) >= gamma0,  R >= 0
 
 is solved through its dual in the two multipliers mu (power) and nu
 (sensing): for fixed multipliers the Lagrangian maximizer is a waterfilling
 in closed form, and damped Newton steps on the convex two-scalar dual (a
 2x2 Hessian) find the multipliers (Yu & Lan 2007; Palomar & Fonollosa 2005).
-The dual value certifies an upper bound on the relaxation. C defaults to the
-identity (the per-subarray power proxy); passing the analog Gram matrix
-instead gives the exact transmit-power constraint. A rank-n_streams
-beamformer is then recovered by scaling random Gaussian sketches of the
-optimal covariance and keeping the best rate among those meeting the
-sensing constraint. The same `MaxDetProblem` is RM-JGD's problem too
-(`opt_manifold.reduce_b`).
+The dual value certifies an upper bound on the relaxation. Over R_BB the
+budget is the per-subarray power proxy n_streams/M; the exact transmit
+power is the same trace in the coordinates of an orthonormal basis of the
+analog subspace. A rank-n_streams beamformer is then recovered by scaling
+random Gaussian sketches of the optimal covariance and keeping the best
+rate among those meeting the sensing constraint. The same `MaxDetProblem`
+is RM-JGD's problem too (`opt_manifold.reduce_b`).
 """
 
 from __future__ import annotations
@@ -35,11 +35,7 @@ class RandomizationFailure(RuntimeError):
 
 @dataclass
 class MaxDetProblem:
-    """Problem data for the relaxed digital covariance optimization.
-
-    power_weight is the Hermitian PD matrix C in tr(R C) <= power_budget;
-    None means identity.
-    """
+    """Problem data for the relaxed digital covariance optimization."""
 
     h_eff: np.ndarray
     sigma_c_sq: float
@@ -47,7 +43,6 @@ class MaxDetProblem:
     psi: np.ndarray
     gamma0: float
     n_streams: int
-    power_weight: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -56,11 +51,6 @@ class MaxDetProblem:
     @property
     def sensing_active(self) -> bool:
         return self.gamma0 > 0.0
-
-    def weight(self) -> np.ndarray:
-        if self.power_weight is None:
-            return np.eye(self.dim)
-        return self.power_weight
 
 
 @dataclass
@@ -105,31 +95,18 @@ def make_maxdet_problem(
     scnr_min: float,
     sigma_c_sq: float,
     n_streams: int,
-    exact_power: bool = False,
 ) -> MaxDetProblem:
-    """Reduced problem over R_BB; proxy power budget unless exact_power.
+    """Reduced problem over R_BB with the proxy power budget.
 
-    The proxy constrains M*||W_BB||_F^2 (tr(R_BB) <= n_streams/M); the exact
-    variant weights the trace by the analog Gram matrix so that the budget
-    matches the true radiated power n_streams.
+    The proxy constrains M*||W_BB||_F^2, i.e. tr(R_BB) <= n_streams/M.
     """
-    h_eff = h @ basis.u_tilde
-    psi = sensing_form(phi_set, alphas, scnr_min)
-    if exact_power:
-        gram = basis.u_tilde.conj().T @ basis.u_tilde
-        weight = 0.5 * (gram + gram.conj().T)
-        budget = float(n_streams)
-    else:
-        weight = None
-        budget = n_streams / basis.m_antennas
     return MaxDetProblem(
-        h_eff=h_eff,
+        h_eff=h @ basis.u_tilde,
         sigma_c_sq=sigma_c_sq,
-        power_budget=budget,
-        psi=psi,
+        power_budget=n_streams / basis.m_antennas,
+        psi=sensing_form(phi_set, alphas, scnr_min),
         gamma0=phi_set.gamma0,
         n_streams=n_streams,
-        power_weight=weight,
     )
 
 
@@ -167,10 +144,10 @@ def make_fullspace_problem(
     )
 
 
-def _slacks(
-    r: np.ndarray, problem: MaxDetProblem, weight: np.ndarray
-) -> tuple[float, float]:
-    p_slack = problem.power_budget - float(np.real(np.sum(r * weight.T)))
+def _slacks(r: np.ndarray, problem: MaxDetProblem) -> tuple[float, float]:
+    # tr(R) as the sum of all of R o I, not of the diagonal alone: another
+    # summation order moves every covariance `_make_feasible` rescales by rounding
+    p_slack = problem.power_budget - float(np.real(np.sum(r * np.eye(len(r)))))
     s_slack = (
         float(np.real(np.sum(r * problem.psi.T))) - problem.gamma0
         if problem.sensing_active
@@ -207,7 +184,7 @@ def _dual_point(
 ) -> Optional[_DualPoint]:
     """Dual function at multipliers theta; None outside its domain A > 0.
 
-    The constraints read tr(R D_i) <= b_i with D = (C, -Psi), b = (P, -gamma0)
+    The constraints read tr(R D_i) <= b_i with D = (I, -Psi), b = (P, -gamma0)
     and A = sum_i theta_i D_i. With A = L L^H and the SVD
     (H_eff / sigma_c) L^-H = U diag(sqrt(kappa)) V^H, W = L^-H V has
     W^H A W = I and W^H H_eff^H H_eff W / sigma_c^2 = diag(kappa), so the
@@ -276,23 +253,23 @@ def _newton_step(
 
 
 def _make_feasible(
-    r: np.ndarray, problem: MaxDetProblem, weight: np.ndarray, top: Optional[np.ndarray]
+    r: np.ndarray, problem: MaxDetProblem, top: Optional[np.ndarray]
 ) -> np.ndarray:
     """Rescale r to the power budget with equality, then mix in the
     max-sensing covariance `top` until the sensing constraint holds."""
-    used = problem.power_budget - _slacks(r, problem, weight)[0]
+    used = problem.power_budget - _slacks(r, problem)[0]
     if used <= 0.0:
         return top if top is not None else r
     r = 0.5 * (r + r.conj().T) * (problem.power_budget / used)
     if top is None:
         return r
     # the slack is affine in mix: aim at zero, then step past what rounding leaves
-    s_slack, top_slack = _slacks(r, problem, weight)[1], _slacks(top, problem, weight)[1]
+    s_slack, top_slack = _slacks(r, problem)[1], _slacks(top, problem)[1]
     mix, out = 0.0, r
     while s_slack < 0.0 and mix < 1.0:
         mix = min(1.0, max(mix - s_slack / (top_slack - s_slack), np.nextafter(mix, 1.0)))
         out = (1.0 - mix) * r + mix * top
-        s_slack = _slacks(out, problem, weight)[1]
+        s_slack = _slacks(out, problem)[1]
     return out
 
 
@@ -313,10 +290,10 @@ def solve_maxdet(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    weight = problem.weight()
     budget = problem.power_budget
+    eye = np.eye(problem.dim)
     zero = SdpSolution(
-        r_bb=np.zeros_like(weight, dtype=complex),
+        r_bb=np.zeros_like(eye, dtype=complex),
         objective_bits=0.0,
         dual_bits=0.0,
         status="optimal",
@@ -326,10 +303,9 @@ def solve_maxdet(
             zero.status = "infeasible"
             zero.message = "zero power budget cannot meet the sensing constraint"
         return zero
-    whiten = np.linalg.inv(np.linalg.cholesky(weight)).conj().T  # whiten^H C whiten = I
-    forms, offsets, top = weight[None], np.array([budget]), None
+    forms, offsets, top = eye[None], np.array([budget]), None
     if problem.sensing_active:
-        lams, vecs = np.linalg.eigh(whiten.conj().T @ problem.psi @ whiten)
+        lams, vecs = np.linalg.eigh(problem.psi)
         bound = budget * float(lams[-1])
         if bound <= problem.gamma0:
             zero.status = "infeasible"
@@ -338,14 +314,14 @@ def solve_maxdet(
                 f"<= gamma0 = {problem.gamma0:.6g}"
             )
             return zero
-        v = whiten @ vecs[:, -1]  # unit weighted power: v^H C v == 1
+        v = vecs[:, -1]
         top = budget * np.outer(v, v.conj())
-        forms = np.stack([weight, -problem.psi])
+        forms = np.stack([eye, -problem.psi])
         offsets = np.array([budget, -problem.gamma0])
     channel = problem.h_eff / np.sqrt(problem.sigma_c_sq)
-    # at nu = 0 the kappa are the squared singular values of channel @ whiten
+    # at nu = 0 the kappa are the squared singular values of the channel
     # over mu, so the water level sets mu exactly
-    sv = np.linalg.svd(channel @ whiten, compute_uv=False)
+    sv = np.linalg.svd(channel, compute_uv=False)
     inv = np.sort(1.0 / sv[sv > 0.0] ** 2)
     theta = np.eye(len(offsets))[0]  # (mu, nu) = (1, 0)
     if inv.size:
@@ -355,7 +331,7 @@ def solve_maxdet(
     steps = 0
     message = ""
     while True:
-        r = _make_feasible(point.r, problem, weight, top)
+        r = _make_feasible(point.r, problem, top)
         # the rate from singular values keeps its digits where the slogdet of
         # I + H R H^H / sigma_c^2 loses them to the channel's conditioning
         bits = _candidate_se_bits(_factor(r), problem)
@@ -401,7 +377,6 @@ def randomize_rank(
     if trials is None:
         trials = TRIALS_PER_STREAM * ns
     factor = _factor(solution.r_bb, ns)
-    weight = problem.weight()
     feas_tol = 1e-9 * max(1.0, abs(problem.gamma0))
 
     best_w = None
@@ -414,7 +389,9 @@ def randomize_rank(
                 rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns))
             ) / np.sqrt(2.0)
         w = factor @ z
-        power = float(np.real(np.sum((w.conj().T @ weight) * w.T)))
+        # ||w||_F^2 summed in the (stream, antenna) order of w^H o w^T: another
+        # order moves the rescaled candidate, and all built on it, by rounding
+        power = float(np.real(np.sum(np.multiply(w.conj().T, w.T, order="C"))))
         if power <= 0.0:
             continue
         w = w * np.sqrt(problem.power_budget / power)

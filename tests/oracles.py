@@ -1,5 +1,7 @@
 """Independent closed-form oracles used to pin expected values in tests."""
 
+import dataclasses
+
 import numpy as np
 
 
@@ -28,6 +30,37 @@ def channel_gains(h_eff: np.ndarray, sigma_c_sq: float) -> np.ndarray:
     return s**2 / sigma_c_sq
 
 
+def exact_power_problems(data):
+    """The full-space problem of a `ScenarioData` and the same restricted to col(U~).
+
+    The restriction is R = B X B^H with B an orthonormal basis of col(U~)
+    (singular values kept as in `beamform.verify_covariance_subspace`), so
+    tr(R) = tr(X) and the budget n_streams stays the exact transmit power:
+    the reduced problem under the exact power constraint, in whitened
+    coordinates.
+    """
+    from modisac.beamform import GRAM_CUTOFF
+    from modisac.opt_sdr import make_fullspace_problem
+
+    cfg = data.config
+    full = make_fullspace_problem(
+        data.comm.h,
+        data.responses,
+        data.alphas,
+        cfg.scnr_min,
+        data.w_fixed.w,
+        cfg.sigma_c_sq,
+        cfg.sigma_s_sq,
+        data.n_streams,
+    )
+    u, s, _ = np.linalg.svd(data.basis.u_tilde, full_matrices=False)
+    b = u[:, s**2 > GRAM_CUTOFF * s[0] ** 2]
+    psi = b.conj().T @ full.psi @ b
+    restricted = dataclasses.replace(
+        full, h_eff=full.h_eff @ b, psi=0.5 * (psi + psi.conj().T)
+    )
+    return full, restricted
+
 
 def restricted_optimum_bits(eig, psi: np.ndarray) -> float:
     """Certified optimum (dual bound, bits) of rm_jgd's own problem.
@@ -35,7 +68,7 @@ def restricted_optimum_bits(eig, psi: np.ndarray) -> float:
     rm_jgd searches W_BB = U_B X over col(U_B); in X the rate form is
     Sigma_B, the proxy power tr(X X^H) and the sensing form U_B^H Psi U_B, so
     the problem is `solve_maxdet` at size n_streams with h_eff =
-    diag(sqrt(sigma_B)), unit noise and C = I. An oracle for tests only.
+    diag(sqrt(sigma_B)) and unit noise. An oracle for tests only.
     """
     from modisac.opt_sdr import MaxDetProblem, solve_maxdet
 
@@ -102,8 +135,6 @@ def rm_jgd_reference(eig, config, init, max_iterations: int):
             status = "stalled"
             break
         q, b = q_new, b if step_b is None else b + step_b * xi_b
-        if np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) > 1e-8:
-            q = om.stiefel_retract(q)
         trial_v = 1.0 if step_v is None else min(4.0 * step_v, 1e12)
         trial_b = 1.0 if step_b is None else min(4.0 * step_b, 1e12)
         f_cur = f_new

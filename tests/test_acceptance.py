@@ -18,7 +18,7 @@ from modisac import beamform, harness, opt_manifold, opt_sdr, validation
 from modisac.channel import PathSpec, build_comm_channel, draw_paths, numerical_rank
 from modisac.geometry import build_geometry
 from modisac.music import GridSpec
-from oracles import channel_gains, waterfilling_se_bits
+from oracles import channel_gains, exact_power_problems, waterfilling_se_bits
 from test_opt_manifold import random_feasible_state
 
 
@@ -97,17 +97,7 @@ def test_criterion_3_subspace_optimality():
     )
     assert cfg.n_antennas <= 24
     data = harness.prepare_scenario(cfg)
-    full = opt_sdr.make_fullspace_problem(
-        data.comm.h,
-        data.responses,
-        data.alphas,
-        cfg.scnr_min,
-        data.w_fixed.w,
-        cfg.sigma_c_sq,
-        cfg.sigma_s_sq,
-        data.n_streams,
-    )
-    reduced = data.sdr_problem(exact_power=True)
+    full, reduced = exact_power_problems(data)
     sol_full = opt_sdr.solve_maxdet(full, tol=1e-9)
     sol_red = opt_sdr.solve_maxdet(reduced, tol=1e-9)
     gap = abs(sol_full.objective_bits - sol_red.objective_bits)

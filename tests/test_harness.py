@@ -476,6 +476,14 @@ def test_cli_music(tmp_path, capsys):
     assert "peak at" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("grid", ["foo", "0:0:1", "0:1:2:3"])
+def test_cli_music_rejects_bad_grid(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["music", "--desk-scale", "--grid", grid])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
 def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     doc = {

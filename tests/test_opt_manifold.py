@@ -104,12 +104,6 @@ def test_reduce_b_rank_error(desk_data):
         reduce_b(problem)
 
 
-def test_reduce_b_rejects_weighted_power(desk_data):
-    # the barrier's power term is tr(W_BB W_BB^H): C = I only
-    with pytest.raises(ValueError, match="C = I"):
-        reduce_b(desk_data.sdr_problem(exact_power=True))
-
-
 def test_reduced_eig_shares_budget_and_threshold(desk_problem):
     data, eig = desk_problem
     problem = data.sdr_problem()
@@ -346,21 +340,25 @@ def test_retract_unitary_fixed_point(rng):
 def test_retract_minimizes_distance(rng):
     z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     p = stiefel_retract(z)
-    assert np.linalg.norm(p.conj().T @ p - np.eye(4)) < 1e-10
     best = np.linalg.norm(z - p)
     for _ in range(1000):
         q, _ = np.linalg.qr(
             rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         )
         assert best <= np.linalg.norm(z - q) + 1e-9
+    # ||z - P||^2 = ||z||^2 + n - 2 Re tr(P^H z), and over unitary P the
+    # largest Re tr(P^H z) is the nuclear norm of z, rank deficient or not
+    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    for m in (z, np.zeros((4, 4), dtype=complex), np.outer(u, z[0])):
+        p = stiefel_retract(m)
+        assert np.linalg.norm(p.conj().T @ p - np.eye(4)) < 1e-10
+        nuclear = np.linalg.svd(m, compute_uv=False).sum()
+        assert abs(np.real(np.trace(p.conj().T @ m)) - nuclear) <= 1e-12 * nuclear
 
 
 def test_retract_stack_matches_single(rng):
-    """A stack retracts each matrix bit for bit as a single call would.
-
-    The rank-deficient slice (a zero step matrix) sends the whole stack
-    through the regularized single-matrix path.
-    """
+    """A stack retracts each matrix bit for bit as a single call would,
+    a rank-deficient slice (a zero step matrix) included."""
     n = 5
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     xi = tangent_project(q, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -614,11 +612,12 @@ def test_rmjgd_matches_sequential_reference(desk_problem, threshold_db):
 
 def test_rmjgd_iterates_stay_unitary_and_feasible(desk_problem):
     _, eig = desk_problem
-    cfg = ManifoldConfig(max_iterations=40)
+    # every accepted Q is a fresh polar factor; nothing re-retracts it
+    cfg = ManifoldConfig()
     init = phase1_feasible(eig)
     result = rm_jgd(eig, cfg, init)
     q = result.state.q
-    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-8
+    assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-12
     assert np.isfinite(barrier_value(result.state, eig, cfg))
 
 

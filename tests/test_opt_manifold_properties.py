@@ -89,7 +89,7 @@ def test_phase1_starts_or_certifies(n, log_cond, top, spread, budget, seed, frac
 def test_tangent_step_keeps_full_rank(n, log_step, log_scale, seed):
     # a Q-search rung Q + s xi with xi = -Q K, K = skew(Q^H G), is Q(I - sK);
     # I - sK is normal with singular values sqrt(1 + s^2 lambda^2) >= 1, so
-    # no rung of a batched retraction can trip the rank check
+    # every rung has full rank and its polar factor is unique
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     g = 10.0**log_scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

@@ -8,7 +8,6 @@ from modisac.beamform import scnr_reduced, verify_covariance_subspace
 from modisac.opt_sdr import (
     MaxDetProblem,
     RandomizationFailure,
-    make_fullspace_problem,
     randomize_rank,
     sdr_rrs,
     solve_maxdet,
@@ -17,7 +16,7 @@ from modisac.opt_sdr import (
     _slacks,
 )
 from modisac.validation import central_differences
-from oracles import channel_gains, waterfilling_se_bits
+from oracles import channel_gains, exact_power_problems, waterfilling_se_bits
 
 
 def no_sensing_problem(h_eff, sigma_c_sq, budget, n_streams):
@@ -174,26 +173,14 @@ def test_fdb_no_sensing_equals_waterfilling(small_data):
 
 def test_fullspace_matches_reduced(small_data):
     # the covariance optimum over the full antenna space lands in the
-    # subarray-response subspace; the reduced solve with the exact power
-    # weighting reproduces it
-    data = small_data
-    cfg = data.config
-    full = make_fullspace_problem(
-        data.comm.h,
-        data.responses,
-        data.alphas,
-        cfg.scnr_min,
-        data.w_fixed.w,
-        cfg.sigma_c_sq,
-        cfg.sigma_s_sq,
-        data.n_streams,
-    )
-    reduced = data.sdr_problem(exact_power=True)
+    # subarray-response subspace; the same problem restricted to that
+    # subspace reproduces it
+    full, reduced = exact_power_problems(small_data)
     sol_full = solve_maxdet(full, tol=1e-9)
     sol_red = solve_maxdet(reduced, tol=1e-9)
     assert sol_full.status == "optimal" and sol_red.status == "optimal"
     assert abs(sol_full.objective_bits - sol_red.objective_bits) < 1e-4
-    assert verify_covariance_subspace(sol_full.r_bb, data.basis) < 1e-6
+    assert verify_covariance_subspace(sol_full.r_bb, small_data.basis) < 1e-6
 
 
 def test_max_iter_solution_is_primal_feasible(monkeypatch):
@@ -202,7 +189,7 @@ def test_max_iter_solution_is_primal_feasible(monkeypatch):
     sol = solve_maxdet(problem, max_iter=1)
     assert sol.status == "max_iter" and sol.newton_steps == 1
     assert sol.dual_bits - sol.objective_bits > 1e-6  # sensing binds: not converged
-    p_slack, s_slack = _slacks(sol.r_bb, problem, problem.weight())
+    p_slack, s_slack = _slacks(sol.r_bb, problem)
     assert abs(p_slack) <= 1e-9 * problem.power_budget
     assert s_slack >= 0.0
     monkeypatch.setattr(opt_sdr, "solve_maxdet", lambda p: solve_maxdet(p, max_iter=1))
@@ -225,18 +212,16 @@ def desk_cells():
 
 def test_certificate_on_desk_cells():
     for cfg in desk_cells():
-        data = harness.prepare_scenario(cfg)
-        for exact_power in (False, True):
-            problem = data.sdr_problem(exact_power=exact_power)
-            sol = solve_maxdet(problem)
-            assert sol.status == "optimal"
-            assert abs(sol.dual_bits - sol.objective_bits) <= 1e-9
-            p_slack, s_slack = _slacks(sol.r_bb, problem, problem.weight())
-            assert abs(p_slack) <= 1e-9 * problem.power_budget
-            assert s_slack >= 0.0
-            vals = np.linalg.eigvalsh(sol.r_bb)
-            rank = int(np.sum(vals > 1e-9 * vals[-1]))
-            assert rank <= np.linalg.matrix_rank(problem.h_eff)
+        problem = harness.prepare_scenario(cfg).sdr_problem()
+        sol = solve_maxdet(problem)
+        assert sol.status == "optimal"
+        assert abs(sol.dual_bits - sol.objective_bits) <= 1e-9
+        p_slack, s_slack = _slacks(sol.r_bb, problem)
+        assert abs(p_slack) <= 1e-9 * problem.power_budget
+        assert s_slack >= 0.0
+        vals = np.linalg.eigvalsh(sol.r_bb)
+        rank = int(np.sum(vals > 1e-9 * vals[-1]))
+        assert rank <= np.linalg.matrix_rank(problem.h_eff)
 
 
 @pytest.fixture(scope="module")
@@ -245,40 +230,45 @@ def full_data():
     return harness.prepare_scenario(harness.config_from_dict({"seed": 0}))
 
 
+def power_problem(data, power):
+    """The proxy problem ("identity", tr(R_BB) <= n_streams/M) or the exact
+    transmit-power problem over col(U~) in whitened coordinates ("exact")."""
+    return data.sdr_problem() if power == "identity" else exact_power_problems(data)[1]
+
+
 def dual_data(problem):
-    """Constraint forms D = (C, -Psi) and offsets b = (P, -gamma0) of the dual."""
-    weight = problem.weight()
+    """Constraint forms D = (I, -Psi) and offsets b = (P, -gamma0) of the dual."""
+    eye = np.eye(problem.dim)
     if not problem.sensing_active:
-        return weight[None], np.array([problem.power_budget])
-    forms = np.stack([weight, -problem.psi])
+        return eye[None], np.array([problem.power_budget])
+    forms = np.stack([eye, -problem.psi])
     return forms, np.array([problem.power_budget, -problem.gamma0])
 
 
 def off_optimum_multipliers(problem):
     """Multipliers away from the optimum: two eigenchannels active and, with
-    sensing, nu halfway to the edge of the domain A = mu C - nu Psi > 0."""
+    sensing, nu halfway to the edge of the domain A = mu I - nu Psi > 0."""
     channel = problem.h_eff / np.sqrt(problem.sigma_c_sq)
-    whiten = np.linalg.inv(np.linalg.cholesky(problem.weight())).conj().T
-    kappa = np.linalg.svd(channel @ whiten, compute_uv=False) ** 2
+    kappa = np.linalg.svd(channel, compute_uv=False) ** 2
     theta = np.array([np.sqrt(kappa[1] * kappa[2])])
     if problem.sensing_active:
-        lam = np.linalg.eigvalsh(whiten.conj().T @ problem.psi @ whiten)[-1]
+        lam = np.linalg.eigvalsh(problem.psi)[-1]
         theta = np.append(theta, 0.5 * theta[0] / lam)
     return theta
 
 
-@pytest.mark.parametrize("exact_power", [False, True], ids=["identity", "gram"])
+@pytest.mark.parametrize("power", ["identity", "exact"])
 @pytest.mark.parametrize("sensing", [False, True], ids=["no_sensing", "sensing"])
 @pytest.mark.parametrize("scale", ["small_data", "full_data"])
-def test_dual_gradient_is_constraint_residuals(request, scale, sensing, exact_power):
-    problem = request.getfixturevalue(scale).sdr_problem(exact_power=exact_power)
+def test_dual_gradient_is_constraint_residuals(request, scale, sensing, power):
+    problem = power_problem(request.getfixturevalue(scale), power)
     if not sensing:
         problem = dataclasses.replace(problem, gamma0=0.0)
     forms, offsets = dual_data(problem)
     channel = problem.h_eff / np.sqrt(problem.sigma_c_sq)
     theta = off_optimum_multipliers(problem)
     point = _dual_point(theta, forms, offsets, channel)
-    p_slack, s_slack = _slacks(point.r, problem, problem.weight())
+    p_slack, s_slack = _slacks(point.r, problem)
     assert point.grad == pytest.approx([p_slack, s_slack][: theta.size], rel=1e-9)
 
     # central differences in relative coordinates theta * z, z near 1
@@ -357,13 +347,13 @@ def dense_newton(theta, forms, offsets, channel):
 
 
 @pytest.mark.parametrize("gain", [1.0, 1e6])
-@pytest.mark.parametrize("exact_power", [False, True], ids=["identity", "gram"])
+@pytest.mark.parametrize("power", ["identity", "exact"])
 @pytest.mark.parametrize("sensing", [False, True], ids=["no_sensing", "sensing"])
 @pytest.mark.parametrize("scale", ["small_data", "full_data"])
-def test_newton_direction_matches_dense(request, scale, sensing, exact_power, gain):
+def test_newton_direction_matches_dense(request, scale, sensing, power, gain):
     # gain raises the SNR at fixed multipliers: at 1 two eigenchannels are
     # active, at 1e6 (60 dB) every eigenchannel of H_eff is
-    problem = request.getfixturevalue(scale).sdr_problem(exact_power=exact_power)
+    problem = power_problem(request.getfixturevalue(scale), power)
     if not sensing:
         problem = dataclasses.replace(problem, gamma0=0.0)
     theta = off_optimum_multipliers(problem)
