@@ -3,8 +3,10 @@
 Submodules
 ----------
 geometry      array placement, steering vectors, per-subarray angles
-channel       piecewise-far-field channel and sensing responses
-beamform      metrics, MVDR filter, joint subspace, analog beamformer
+channel       piecewise-far-field channel H (an array) and the per-object
+              sensing responses (a tuple)
+beamform      metrics, MVDR filter, hybrid checks, joint subspace, analog
+              beamformer
 opt_manifold  barrier + joint gradient descent digital beamformer
 opt_sdr       det-max SDP relaxation with Gaussian randomization
 music         near-field MUSIC localization on a Cartesian grid
@@ -26,9 +28,8 @@ from .geometry import (
     subarray_angle,
 )
 from .channel import (
-    CommChannel,
+    ObjectResponse,
     PathSpec,
-    SensingResponses,
     build_comm_channel,
     build_responses,
     draw_paths,
@@ -38,11 +39,11 @@ from .channel import (
     simulate_echoes,
 )
 from .beamform import (
-    HybridBeamformer,
     PhiSet,
     ReceiveBeamformer,
     SubspaceBasis,
     build_subspace,
+    check_hybrid,
     mvdr_receive,
     optimal_analog,
     phi_matrices,

@@ -1,10 +1,11 @@
-"""Beamformer types, performance metrics and the subarray-response subspace.
+"""Beamformer checks, performance metrics and the subarray-response subspace.
 
-The joint basis U_tilde is block diagonal: its k-th block stacks subarray k's
-intra-subarray steering vectors toward all sensing objects and communication
-paths side by side. U_tilde is simultaneously the optimal analog beamformer:
-every entry of a block is unit modulus, so the group-connected phase-shifter
-constraint is met for free.
+Inputs come from the channel layer as plain values: the channel array H and
+the tuple of per-object responses. The joint basis U_tilde is block diagonal:
+its k-th block stacks subarray k's intra-subarray steering vectors toward all
+sensing objects and communication paths side by side. U_tilde is
+simultaneously the optimal analog beamformer: every entry of a block is unit
+modulus, so the group-connected phase-shifter constraint is met for free.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CommChannel, SensingResponses
+from .channel import ObjectResponse, PathSpec
+from .geometry import ArrayGeometry, steering_vector
 
 
 @dataclass(frozen=True)
@@ -28,8 +30,6 @@ class SubspaceBasis:
     a_blocks: np.ndarray
     k_subarrays: int
     m_antennas: int
-    n_objects: int
-    n_paths: int
 
     @property
     def n_rf(self) -> int:
@@ -37,7 +37,7 @@ class SubspaceBasis:
 
     @property
     def cols_per_block(self) -> int:
-        return self.n_objects + self.n_paths
+        return self.a_blocks.shape[2]
 
 
 @dataclass(frozen=True)
@@ -67,66 +67,47 @@ class PhiSet:
     noise_term: float
 
 
-@dataclass(frozen=True)
-class HybridBeamformer:
-    """Block-diagonal analog stage W_RF cascaded with digital W_BB."""
+def check_hybrid(
+    w_rf: np.ndarray, w_bb: np.ndarray, k_subarrays: int, m_antennas: int
+) -> None:
+    """Enforce the structural invariants of W_RF W_BB; raises on violation.
 
-    w_rf: np.ndarray
-    w_bb: np.ndarray
-    k_subarrays: int
-    m_antennas: int
-
-    @property
-    def n_streams(self) -> int:
-        return self.w_bb.shape[1]
-
-    def covariance(self) -> np.ndarray:
-        """Transmit covariance W_RF W_BB W_BB^H W_RF^H."""
-        ww = self.w_rf @ self.w_bb
-        return ww @ ww.conj().T
-
-    def check(self) -> None:
-        """Enforce the structural invariants; raises on violation.
-
-        Off-block analog entries must be exactly zero, in-block entries unit
-        modulus, and the per-subarray power proxy within the stream budget.
-        """
-        ok, mod_err = analog_feasibility(self.w_rf, self.k_subarrays)
-        if not ok:
-            raise ValueError("analog beamformer has support outside its blocks")
-        if mod_err > 1e-9:
-            raise ValueError(f"analog entries deviate from unit modulus by {mod_err:.2e}")
-        proxy = self.m_antennas * float(np.linalg.norm(self.w_bb) ** 2)
-        if proxy > self.n_streams + 1e-9:
-            raise ValueError(
-                f"proxy transmit power {proxy:.12g} exceeds the stream budget "
-                f"{self.n_streams}"
-            )
+    Off-block analog entries must be exactly zero, in-block entries unit
+    modulus, and the per-subarray power proxy within the stream budget.
+    """
+    ok, mod_err = analog_feasibility(w_rf, k_subarrays)
+    if not ok:
+        raise ValueError("analog beamformer has support outside its blocks")
+    if mod_err > 1e-9:
+        raise ValueError(f"analog entries deviate from unit modulus by {mod_err:.2e}")
+    n_streams = w_bb.shape[1]
+    proxy = m_antennas * float(np.linalg.norm(w_bb) ** 2)
+    if proxy > n_streams + 1e-9:
+        raise ValueError(
+            f"proxy transmit power {proxy:.12g} exceeds the stream budget {n_streams}"
+        )
 
 
 def build_subspace(
-    comm: CommChannel, responses: SensingResponses, n_objects: int, n_paths: int
+    geometry: ArrayGeometry,
+    paths: list[PathSpec],
+    responses: tuple[ObjectResponse, ...],
 ) -> SubspaceBasis:
     """Assemble the block-diagonal U_tilde from per-subarray steering vectors.
 
-    Block k holds subarray k's steering vectors toward the n_objects sensing
-    objects, then toward the n_paths communication AoDs.
+    Block k holds subarray k's steering vectors toward each sensing object,
+    then toward each communication path's AoD.
     """
-    if len(responses) != n_objects:
-        raise ValueError(f"expected {n_objects} object responses, got {len(responses)}")
-    if len(comm.paths) != n_paths:
-        raise ValueError(f"expected {n_paths} paths, got {len(comm.paths)}")
-    k, m = comm.k_subarrays, comm.m_antennas
-    from .geometry import steering_vector  # local import avoids cycle at module load
-
-    cols = n_objects + n_paths
+    k, m = geometry.k_subarrays, geometry.m_antennas
+    n_objects = len(responses)
+    cols = n_objects + len(paths)
     a_blocks = np.zeros((k, m, cols), dtype=complex)
-    for q, resp in enumerate(responses.objects):
+    for q, resp in enumerate(responses):
         a_blocks[:, :, q] = resp.a_t_blocks
-    for p, path in enumerate(comm.paths):
+    for p, path in enumerate(paths):
         for i in range(k):
             a_blocks[i, :, n_objects + p] = steering_vector(
-                m, path.aod[i], comm.d, comm.wavelength
+                m, path.aod[i], geometry.d, geometry.wavelength
             )
 
     # column-major: the rounding of BLAS products with U_tilde (phi_matrices,
@@ -134,14 +115,7 @@ def build_subspace(
     u_tilde = np.zeros((k * m, k * cols), dtype=complex, order="F")
     for i in range(k):
         u_tilde[i * m : (i + 1) * m, i * cols : (i + 1) * cols] = a_blocks[i]
-    return SubspaceBasis(
-        u_tilde=u_tilde,
-        a_blocks=a_blocks,
-        k_subarrays=k,
-        m_antennas=m,
-        n_objects=n_objects,
-        n_paths=n_paths,
-    )
+    return SubspaceBasis(u_tilde=u_tilde, a_blocks=a_blocks, k_subarrays=k, m_antennas=m)
 
 
 def optimal_analog(basis: SubspaceBasis) -> np.ndarray:
@@ -200,20 +174,9 @@ def se_from_covariance(h_eff: np.ndarray, r: np.ndarray, sigma_c_sq: float) -> f
     return float(np.sum(np.log2(1.0 + s**2 / sigma_c_sq)))
 
 
-def _object_gains(
-    responses: SensingResponses, alphas: np.ndarray, r_x: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """Per-object received echo powers alpha_q^2 |w^H g_rq|^2 g_tq^H R g_tq."""
-    out = np.empty(len(responses))
-    for q, resp in enumerate(responses.objects):
-        forward = np.real(resp.g_t.conj() @ r_x @ resp.g_t)
-        out[q] = alphas[q] ** 2 * np.abs(w.conj() @ resp.g_r) ** 2 * forward
-    return out
-
-
 def scnr(
     w: np.ndarray,
-    responses: SensingResponses,
+    responses: tuple[ObjectResponse, ...],
     alphas: np.ndarray,
     r_x: np.ndarray,
     sigma_s_sq: float,
@@ -221,11 +184,16 @@ def scnr(
     """Output SCNR of receive filter w for transmit covariance R_X.
 
     Object 0 is the target; the rest are clutter. alphas holds the
-    reflection amplitudes alpha_q.
+    reflection amplitudes alpha_q; object q's received echo power is
+    alpha_q^2 |w^H g_rq|^2 g_tq^H R_X g_tq.
     """
     if np.linalg.norm(w) == 0.0:
         raise ValueError("receive filter must be nonzero")
-    gains = _object_gains(responses, np.asarray(alphas, dtype=float), r_x, w)
+    alphas = np.asarray(alphas, dtype=float)
+    gains = np.empty(len(responses))
+    for q, resp in enumerate(responses):
+        forward = np.real(resp.g_t.conj() @ r_x @ resp.g_t)
+        gains[q] = alphas[q] ** 2 * np.abs(w.conj() @ resp.g_r) ** 2 * forward
     noise = sigma_s_sq * float(np.real(w.conj() @ w))
     denom = float(np.sum(gains[1:])) + noise
     if denom <= 0.0:
@@ -234,7 +202,7 @@ def scnr(
 
 
 def mvdr_receive(
-    responses: SensingResponses,
+    responses: tuple[ObjectResponse, ...],
     alphas: np.ndarray,
     r_x: np.ndarray,
     sigma_s_sq: float,
@@ -260,14 +228,14 @@ def mvdr_receive(
 
 def phi_matrices(
     basis: SubspaceBasis,
-    responses: SensingResponses,
+    responses: tuple[ObjectResponse, ...],
     w: np.ndarray,
     scnr_min: float,
     sigma_s_sq: float,
 ) -> PhiSet:
     """Rank-1 reduced sensing forms Phi_q = |w^H g_rq|^2 (U~^H g_tq)(U~^H g_tq)^H."""
     phis = []
-    for resp in responses.objects:
+    for resp in responses:
         v = basis.u_tilde.conj().T @ resp.g_t
         c = float(np.abs(w.conj() @ resp.g_r) ** 2)
         phis.append(c * np.outer(v, v.conj()))

@@ -1,14 +1,16 @@
 """Piecewise-far-field channel synthesis and sensing responses.
 
-The communication channel stacks K far-field subarray blocks horizontally;
-near-field behaviour across subarrays enters through per-subarray angles,
-distances and path phases. Sensing responses combine intra-subarray steering
-vectors with inter-subarray spherical phase terms.
+The layer hands over plain values: `build_comm_channel` returns the
+n_user x K*M array H = [H_1 ... H_K], which stacks K far-field subarray blocks
+horizontally; near-field behaviour across subarrays enters through
+per-subarray angles, distances and path phases. `build_responses` returns a
+tuple with one `ObjectResponse` per scene object, target first; each combines
+intra-subarray steering vectors with inter-subarray spherical phase terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,31 +52,6 @@ class PathSpec:
             raise ConfigurationError("NLoS paths carry a scatterer, LoS paths do not")
         if np.any(np.asarray(self.gains) <= 0):
             raise ConfigurationError("path gains must be positive")
-
-
-@dataclass
-class CommChannel:
-    """User-side channel matrix H (n_user x K*M) plus per-path metadata."""
-
-    h: np.ndarray
-    paths: list[PathSpec]
-    k_subarrays: int
-    m_antennas: int
-    d: float
-    wavelength: float
-    _svd: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
-        default=None, repr=False
-    )
-
-    @property
-    def n_user(self) -> int:
-        return self.h.shape[0]
-
-    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached thin SVD (U, s, Vh) of the channel matrix."""
-        if self._svd is None:
-            self._svd = np.linalg.svd(self.h, full_matrices=False)
-        return self._svd
 
 
 def _angle_from(src_xy: np.ndarray, dst_xy: np.ndarray) -> float:
@@ -160,8 +137,8 @@ def build_comm_channel(
     paths: list[PathSpec],
     user: PolarPoint,
     n_user: int,
-) -> CommChannel:
-    """Assemble the stacked channel H = [H_1 ... H_K].
+) -> np.ndarray:
+    """Assemble the n_user x K*M stacked channel H = [H_1 ... H_K].
 
     Block k sums over paths p the rank-1 term
     mu_p^k * a_user(aoa_p^k) a_tx(aod_p^k)^H with complex gain
@@ -181,9 +158,7 @@ def build_comm_channel(
             a_rx = steering_vector(n_user, p.aoa[i], d, lam)
             a_tx = steering_vector(m, p.aod[i], d, lam)
             h[:, i * m : (i + 1) * m] += mu[i] * np.outer(a_rx, a_tx.conj())
-    return CommChannel(
-        h=h, paths=list(paths), k_subarrays=k, m_antennas=m, d=d, wavelength=lam
-    )
+    return h
 
 
 def rank_bounds(n_paths: int, n_user: int, k_subarrays: int) -> tuple[int, int]:
@@ -220,19 +195,6 @@ class ObjectResponse:
     a_t_blocks: np.ndarray
 
 
-@dataclass(frozen=True)
-class SensingResponses:
-    """Array responses for every scene object; index 0 is the target."""
-
-    objects: tuple[ObjectResponse, ...]
-
-    def __len__(self) -> int:
-        return len(self.objects)
-
-    def __getitem__(self, q: int) -> ObjectResponse:
-        return self.objects[q]
-
-
 def sensing_response(geometry: ArrayGeometry, location: PolarPoint) -> ObjectResponse:
     """Piecewise-far-field response vectors toward one location.
 
@@ -259,17 +221,15 @@ def sensing_response(geometry: ArrayGeometry, location: PolarPoint) -> ObjectRes
 
 def build_responses(
     geometry: ArrayGeometry, objects: tuple[SceneObject, ...]
-) -> SensingResponses:
+) -> tuple[ObjectResponse, ...]:
     """Responses for a whole scene (target first, then interferers)."""
     if not objects:
         raise ConfigurationError("scene needs at least the target")
-    return SensingResponses(
-        objects=tuple(sensing_response(geometry, o.location) for o in objects)
-    )
+    return tuple(sensing_response(geometry, o.location) for o in objects)
 
 
 def simulate_echoes(
-    responses: SensingResponses,
+    responses: tuple[ObjectResponse, ...],
     objects: tuple[SceneObject, ...],
     x: np.ndarray,
     sigma_s_sq: float,
@@ -287,7 +247,7 @@ def simulate_echoes(
         raise ValueError("scene and responses disagree on object count")
     length = x.shape[1]
     y = np.zeros((n, length), dtype=complex)
-    for obj, resp in zip(objects, responses.objects):
+    for obj, resp in zip(objects, responses):
         beta = obj.alpha * (
             rng.standard_normal() + 1j * rng.standard_normal()
         ) / np.sqrt(2.0)

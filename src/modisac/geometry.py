@@ -9,7 +9,7 @@ the origin and angle theta from the positive y-axis, positive toward +x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,40 +61,34 @@ class SceneObject:
 class ScenarioConfig:
     """Full scene description for one simulation instance.
 
-    Angles are radians, distances meters, powers linear watts. The SCNR
-    threshold scnr_min is linear. `gamma` is the inter-subarray spacing
-    factor (d_s = gamma * d) and must satisfy gamma >= m_antennas so that
-    subarrays never overlap.
+    Every field is required; `harness.config_from_dict` fills the defaults
+    from the config-file field names. Angles are radians, distances meters,
+    powers linear watts. The SCNR threshold scnr_min is linear. `gamma` is
+    the inter-subarray spacing factor (d_s = gamma * d) and must satisfy
+    gamma >= m_antennas so that subarrays never overlap.
     """
 
-    carrier_frequency: float = 38e9
-    k_subarrays: int = 6
-    m_antennas: int = 32
-    gamma: float = 64.0
-    d0: float = 2.0
-    n_user_antennas: int = 16
-    n_paths: int = 4
-    user: PolarPoint = field(default_factory=lambda: PolarPoint(40.0, np.deg2rad(15.0)))
-    target: SceneObject = field(
-        default_factory=lambda: SceneObject(PolarPoint(30.0, np.deg2rad(30.0)), 1.0)
-    )
-    interferers: tuple[SceneObject, ...] = field(
-        default_factory=lambda: (
-            SceneObject(PolarPoint(30.0, np.deg2rad(40.0)), 1.0),
-            SceneObject(PolarPoint(30.0, np.deg2rad(-30.0)), 1.0),
-        )
-    )
-    sigma_c_sq: float = 1e-6
-    sigma_s_sq: float = 1e-5
-    scnr_min: float = 10.0 ** 0.5
-    n_streams: Optional[int] = None
-    snapshots: int = 256
-    seed: int = 0
-    layout: str = "uniform"
-    gain_reference: float = 1.0
-    nlos_extra_loss_db: float = 10.0
-    scatter_range: tuple[float, float] = (5.0, 30.0)
-    scatter_angle: tuple[float, float] = (np.deg2rad(-60.0), np.deg2rad(60.0))
+    carrier_frequency: float
+    k_subarrays: int
+    m_antennas: int
+    gamma: float
+    d0: float
+    n_user_antennas: int
+    n_paths: int
+    user: PolarPoint
+    target: SceneObject
+    interferers: tuple[SceneObject, ...]
+    sigma_c_sq: float
+    sigma_s_sq: float
+    scnr_min: float
+    n_streams: Optional[int]
+    snapshots: int
+    seed: int
+    layout: str
+    gain_reference: float
+    nlos_extra_loss_db: float
+    scatter_range: tuple[float, float]
+    scatter_angle: tuple[float, float]
 
     def __post_init__(self) -> None:
         if self.carrier_frequency <= 0:
@@ -185,11 +179,6 @@ class ArrayGeometry:
         if side == "rx":
             return self.rx_positions
         raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
-
-    @property
-    def aperture(self) -> float:
-        """Total transmit-array span from first to last element."""
-        return float(self.tx_positions[-1, -1, 0] - self.tx_positions[0, 0, 0])
 
 
 def build_geometry(

@@ -84,6 +84,8 @@ def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioC
     Unknown keys are rejected so that typos surface immediately; units are
     converted here (GHz, dBm, degrees) so the config itself is SI-linear.
     """
+    if doc is not None and not isinstance(doc, dict):
+        raise ConfigurationError(f"config root must be a mapping, got {type(doc)}")
     doc = dict(doc or {})
     desk = bool(doc.pop("desk_scale", desk_scale))
     defaults = dict(_FULL_DEFAULTS)
@@ -134,8 +136,6 @@ def load_config(path: str, desk_scale: bool = False) -> ScenarioConfig:
     """Load a YAML scenario file; empty files yield the defaults."""
     with open(path) as f:
         doc = yaml.safe_load(f)
-    if doc is not None and not isinstance(doc, dict):
-        raise ConfigurationError(f"config root must be a mapping, got {type(doc)}")
     return config_from_dict(doc, desk_scale=desk_scale)
 
 
@@ -172,9 +172,8 @@ class ScenarioData:
 
     config: ScenarioConfig
     geometry: geo.ArrayGeometry
-    paths: list[channel.PathSpec]
-    comm: channel.CommChannel
-    responses: channel.SensingResponses
+    h: np.ndarray
+    responses: tuple[channel.ObjectResponse, ...]
     alphas: np.ndarray
     w_fixed: beamform.ReceiveBeamformer
     basis: beamform.SubspaceBasis
@@ -190,7 +189,7 @@ class ScenarioData:
 
     def sdr_problem(self) -> opt_sdr.MaxDetProblem:
         return opt_sdr.make_maxdet_problem(
-            self.comm.h,
+            self.h,
             self.basis,
             self.phi_set,
             self.alphas,
@@ -210,9 +209,7 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
     rng = np.random.default_rng(config.seed)
     geometry = geo.build_geometry(config, _layout_offsets(config, rng))
     paths = channel.draw_paths(config, geometry, rng)
-    comm = channel.build_comm_channel(
-        geometry, paths, config.user, config.n_user_antennas
-    )
+    h = channel.build_comm_channel(geometry, paths, config.user, config.n_user_antennas)
     objects = config.scene_objects
     responses = channel.build_responses(geometry, objects)
     alphas = np.array([o.alpha for o in objects])
@@ -220,7 +217,7 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
     w_fixed = beamform.mvdr_receive(
         responses, alphas, np.eye(n), config.sigma_s_sq
     )
-    basis = beamform.build_subspace(comm, responses, len(objects), config.n_paths)
+    basis = beamform.build_subspace(geometry, paths, responses)
     phi_set = beamform.phi_matrices(
         basis, responses, w_fixed.w, config.scnr_min, config.sigma_s_sq
     )
@@ -231,15 +228,14 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
         # rate form: `reduce_b` keeps eigenvalues of G^H G above 1e-10 times
         # the largest, i.e. singular values of G = H U_tilde above 1e-5
         n_streams = min(
-            channel.numerical_rank(comm.h),
-            channel.numerical_rank(comm.h @ basis.u_tilde, 1e-5),
+            channel.numerical_rank(h),
+            channel.numerical_rank(h @ basis.u_tilde, 1e-5),
             basis.n_rf,
         )
     return ScenarioData(
         config=config,
         geometry=geometry,
-        paths=paths,
-        comm=comm,
+        h=h,
         responses=responses,
         alphas=alphas,
         w_fixed=w_fixed,
@@ -331,9 +327,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
             init = opt_manifold.phase1_feasible(eig)
             result = opt_manifold.rm_jgd(eig, opt_manifold.ManifoldConfig(), init)
             status, w_bb, iterations = result.status, result.w_bb, result.iterations
-            se_bits = beamform.spectral_efficiency(
-                data.comm.h, w_rf, w_bb, config.sigma_c_sq
-            )
+            se_bits = beamform.spectral_efficiency(data.h, w_rf, w_bb, config.sigma_c_sq)
         elif algorithm == "sdr_rrs":
             # salt 2 keeps the randomization draws apart from the scenario's
             rng = np.random.default_rng(derive_seed(config.seed, 2))
@@ -359,11 +353,9 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
     scnr_db = power_exact = power_proxy = np.nan
     r_x = None
     if w_bb is not None:
-        hybrid = beamform.HybridBeamformer(
-            w_rf, w_bb, config.k_subarrays, config.m_antennas
-        )
-        hybrid.check()
-        r_x = hybrid.covariance()
+        beamform.check_hybrid(w_rf, w_bb, config.k_subarrays, config.m_antennas)
+        ww = w_rf @ w_bb
+        r_x = ww @ ww.conj().T
         power_exact, power_proxy = beamform.transmit_power(w_rf, w_bb)
     elif r_bb is not None:
         r_x = data.basis.u_tilde @ r_bb @ data.basis.u_tilde.conj().T
@@ -563,13 +555,20 @@ def load_experiment(path: str) -> ExperimentSpec:
     """
     with open(path) as f:
         doc = yaml.safe_load(f) or {}
-    base = config_from_dict(doc.get("base"))
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"sweep spec root must be a mapping, got {type(doc)}")
+    for key in ("values", "algorithms"):
+        if not isinstance(doc.get(key, []), list):
+            raise ConfigurationError(f"sweep field {key!r} must be a list, got {doc[key]!r}")
+    repetitions = doc.get("repetitions", 1)
+    if type(repetitions) is not int:
+        raise ConfigurationError(f"repetitions must be an integer, got {repetitions!r}")
     return ExperimentSpec(
-        base=base,
+        base=config_from_dict(doc.get("base")),
         sweep_axis=doc.get("axis", "snr"),
-        values=list(doc.get("values", [])),
-        algorithms=list(doc.get("algorithms", list(ALGORITHMS))),
-        repetitions=int(doc.get("repetitions", 1)),
+        values=doc.get("values", []),
+        algorithms=doc.get("algorithms", list(ALGORITHMS)),
+        repetitions=repetitions,
         output_path=str(doc.get("output", "sweep.csv")),
     )
 

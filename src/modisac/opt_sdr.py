@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .beamform import PhiSet, SubspaceBasis, sensing_form
-from .channel import SensingResponses
+from .channel import ObjectResponse
 
 
 class RandomizationFailure(RuntimeError):
@@ -112,7 +112,7 @@ def make_maxdet_problem(
 
 def make_fullspace_problem(
     h: np.ndarray,
-    responses: SensingResponses,
+    responses: tuple[ObjectResponse, ...],
     alphas: np.ndarray,
     scnr_min: float,
     w: np.ndarray,
@@ -128,7 +128,7 @@ def make_fullspace_problem(
     alphas = np.asarray(alphas, dtype=float)
     n = h.shape[1]
     psi = np.zeros((n, n), dtype=complex)
-    for q, resp in enumerate(responses.objects):
+    for q, resp in enumerate(responses):
         c = float(np.abs(w.conj() @ resp.g_r) ** 2)
         term = alphas[q] ** 2 * c * np.outer(resp.g_t, resp.g_t.conj())
         psi += term if q == 0 else -scnr_min * term

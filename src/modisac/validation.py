@@ -116,7 +116,7 @@ def _check_rank_bounds() -> tuple[bool, str]:
         )
         data = harness.prepare_scenario(cfg)
         lo, hi = channel.rank_bounds(cfg.n_paths, cfg.n_user_antennas, cfg.k_subarrays)
-        r = channel.numerical_rank(data.comm.h, 1e-8)
+        r = channel.numerical_rank(data.h, 1e-8)
         if not lo <= r <= hi:
             return False, f"instance {i}: rank {r} outside [{lo}, {hi}]"
     return True, "100 random instances (1-3 paths) inside the structural bounds"
@@ -126,7 +126,7 @@ def _check_response_modulus() -> tuple[bool, str]:
     data = _mini_data()
     extra = channel.sensing_response(data.geometry, PolarPoint(20.0, np.pi / 4))
     worst = 0.0
-    for resp in data.responses.objects + (extra,):
+    for resp in data.responses + (extra,):
         worst = max(
             worst,
             float(np.max(np.abs(np.abs(resp.g_t) - 1.0))),
@@ -142,7 +142,7 @@ def _check_block_locality() -> tuple[bool, str]:
     def comm_h(offsets):
         g = build_geometry(cfg, offsets)
         paths = channel.draw_paths(cfg, g, np.random.default_rng(cfg.seed))
-        return channel.build_comm_channel(g, paths, cfg.user, cfg.n_user_antennas).h
+        return channel.build_comm_channel(g, paths, cfg.user, cfg.n_user_antennas)
 
     h0 = comm_h(None)
     ok = True
@@ -195,9 +195,9 @@ def _check_subspace_contains() -> tuple[bool, str]:
     def residual(v: np.ndarray) -> float:
         return float(np.linalg.norm(u @ np.linalg.lstsq(u, v, rcond=None)[0] - v))
 
-    worst_g = max(residual(r.g_t) / np.linalg.norm(r.g_t) for r in data.responses.objects)
-    row_space = data.comm.svd()[2][: channel.numerical_rank(data.comm.h)]
-    worst_v = max(residual(v.conj()) for v in row_space)
+    worst_g = max(residual(r.g_t) / np.linalg.norm(r.g_t) for r in data.responses)
+    vh = np.linalg.svd(data.h, full_matrices=False)[2]
+    worst_v = max(residual(v.conj()) for v in vh[: channel.numerical_rank(data.h)])
     ok = worst_g < 1e-10 and worst_v < 1e-8
     return ok, f"g_t residual {worst_g:.2e}, row-space residual {worst_v:.2e}"
 
@@ -218,8 +218,8 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
         w_bb *= np.sqrt(budget) / np.linalg.norm(w_bb)
         wrfbb = w_rf @ w_bb
         r_x = wrfbb @ wrfbb.conj().T
-        se_full = beamform.se_from_covariance(data.comm.h, r_x, cfg.sigma_c_sq)
-        se_red = beamform.spectral_efficiency(data.comm.h, w_rf, w_bb, cfg.sigma_c_sq)
+        se_full = beamform.se_from_covariance(data.h, r_x, cfg.sigma_c_sq)
+        se_red = beamform.spectral_efficiency(data.h, w_rf, w_bb, cfg.sigma_c_sq)
         worst_se = max(worst_se, abs(se_full - se_red) / max(se_full, 1e-12))
         full = beamform.scnr(
             data.w_fixed.w, data.responses, data.alphas, r_x, cfg.sigma_s_sq
@@ -236,7 +236,7 @@ def mvdr_argmax(data: harness.ScenarioData, rng: np.random.Generator) -> tuple[b
     The random filters are scored in one batch (SCNR is scale-invariant in
     w); the batch formula must reproduce `beamform.scnr` at the MVDR filter.
     """
-    cfg, objs = data.config, data.responses.objects
+    cfg, objs = data.config, data.responses
     n = cfg.n_antennas
     r_x = np.eye(n)
     w_star = beamform.mvdr_receive(data.responses, data.alphas, r_x, cfg.sigma_s_sq).w

@@ -44,7 +44,7 @@ def exact_power_problems(data):
 
     cfg = data.config
     full = make_fullspace_problem(
-        data.comm.h,
+        data.h,
         data.responses,
         data.alphas,
         cfg.scnr_min,

@@ -11,6 +11,7 @@ optimality and bitwise determinism.
 
 import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -131,7 +132,7 @@ def test_criterion_4_rank_bounds():
         aod=los.aod,
         aoa=np.full_like(los.aoa, 0.21),
     )
-    h_equal = build_comm_channel(g, [forced], cfg.user, 4).h
+    h_equal = build_comm_channel(g, [forced], cfg.user, 4)
     equal_rank = numerical_rank(h_equal, 1e-8)
     _accept(
         4,
@@ -185,7 +186,7 @@ def test_criterion_6_algorithm_ordering():
         rm = opt_manifold.rm_jgd(eig, rm_cfg, init)
         w_rf = beamform.optimal_analog(data.basis)
         rm_se = beamform.spectral_efficiency(
-            data.comm.h, w_rf, rm.w_bb, cfg.sigma_c_sq
+            data.h, w_rf, rm.w_bb, cfg.sigma_c_sq
         )
         if sdr_se >= rm_se:
             sdr_wins += 1
@@ -355,7 +356,7 @@ def test_criterion_11_sweep_determinism(tmp_path):
         )
         harness.sweep(spec)
         lines = []
-        for line in open(spec.output_path).read().splitlines():
+        for line in Path(spec.output_path).read_text().splitlines():
             if line.startswith("summary,"):
                 lines.append(line)
             else:

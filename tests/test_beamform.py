@@ -6,6 +6,8 @@ import pytest
 from modisac import harness
 from modisac.beamform import (
     analog_feasibility,
+    build_subspace,
+    check_hybrid,
     mvdr_receive,
     optimal_analog,
     phi_matrices,
@@ -15,8 +17,8 @@ from modisac.beamform import (
     transmit_power,
     verify_covariance_subspace,
 )
-from modisac.channel import build_responses
-from modisac.geometry import build_geometry
+from modisac.channel import build_responses, draw_paths
+from modisac.geometry import build_geometry, steering_vector
 
 
 def test_subspace_single_subarray_layout():
@@ -46,7 +48,7 @@ def test_optimal_analog_is_basis(desk_data):
 def test_se_zero_beamformer(desk_data):
     w_rf = optimal_analog(desk_data.basis)
     w_bb = np.zeros((desk_data.n_rf, desk_data.n_streams))
-    assert spectral_efficiency(desk_data.comm.h, w_rf, w_bb, 1e-6) == 0.0
+    assert spectral_efficiency(desk_data.h, w_rf, w_bb, 1e-6) == 0.0
 
 
 def test_se_rank1_scalar_oracle(rng):
@@ -151,7 +153,7 @@ def test_phi_trace_identity(desk_data):
     cfg = desk_data.config
     w = desk_data.w_fixed.w
     phi = desk_data.phi_set
-    for q, resp in enumerate(desk_data.responses.objects):
+    for q, resp in enumerate(desk_data.responses):
         expected = (
             np.abs(w.conj() @ resp.g_r) ** 2
             * np.linalg.norm(desk_data.basis.u_tilde.conj().T @ resp.g_t) ** 2
@@ -213,25 +215,50 @@ def test_sensing_form_hermitian(desk_data):
 
 
 def test_hybrid_beamformer_invariants(desk_data, rng):
-    from modisac.beamform import HybridBeamformer
-
     cfg = desk_data.config
+    k, m = cfg.k_subarrays, cfg.m_antennas
     w_rf = optimal_analog(desk_data.basis)
     w_bb = rng.standard_normal((desk_data.n_rf, desk_data.n_streams)) + (
         1j * rng.standard_normal((desk_data.n_rf, desk_data.n_streams))
     )
-    w_bb *= np.sqrt(desk_data.n_streams / cfg.m_antennas) / np.linalg.norm(w_bb)
-    hybrid = HybridBeamformer(w_rf, w_bb, cfg.k_subarrays, cfg.m_antennas)
-    hybrid.check()
-    r_x = hybrid.covariance()
-    assert np.allclose(r_x, r_x.conj().T)
+    w_bb *= np.sqrt(desk_data.n_streams / m) / np.linalg.norm(w_bb)
+    check_hybrid(w_rf, w_bb, k, m)
 
     # power-proxy violation is caught
     with pytest.raises(ValueError, match="proxy"):
-        HybridBeamformer(w_rf, 2.0 * w_bb, cfg.k_subarrays, cfg.m_antennas).check()
+        check_hybrid(w_rf, 2.0 * w_bb, k, m)
 
     # off-block support is caught
     bad = w_rf.copy()
     bad[0, -1] = 1.0
     with pytest.raises(ValueError, match="support"):
-        HybridBeamformer(bad, w_bb, cfg.k_subarrays, cfg.m_antennas).check()
+        check_hybrid(bad, w_bb, k, m)
+
+    # an in-block entry off the unit circle is caught
+    bad = w_rf.copy()
+    bad[0, 0] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="unit modulus"):
+        check_hybrid(bad, w_bb, k, m)
+
+
+def test_build_subspace_columns():
+    """Block k holds the objects' intra-subarray steering vectors, then the
+    paths' AoD steering vectors, bit for bit; everything off the blocks is 0."""
+    cfg = harness.desk_config()
+    g = build_geometry(cfg)
+    paths = draw_paths(cfg, g, np.random.default_rng(3))
+    responses = build_responses(g, cfg.scene_objects)
+    u = build_subspace(g, paths, responses).u_tilde
+    k, m = cfg.k_subarrays, cfg.m_antennas
+    n_obj = len(responses)
+    cols = n_obj + len(paths)
+    assert u.shape == (k * m, k * cols)
+    for i in range(k):
+        block = u[i * m : (i + 1) * m, i * cols : (i + 1) * cols]
+        for q, resp in enumerate(responses):
+            assert np.array_equal(block[:, q], resp.a_t_blocks[i])
+        for p, path in enumerate(paths):
+            expected = steering_vector(m, path.aod[i], g.d, g.wavelength)
+            assert np.array_equal(block[:, n_obj + p], expected)
+    in_block = np.kron(np.eye(k, dtype=bool), np.ones((m, cols), dtype=bool))
+    assert np.all(u[~in_block] == 0.0)

@@ -66,9 +66,9 @@ def _manual_path(geometry, user, n_user, gains=None, aoa=None):
 def test_channel_rank1_unit_gain_norm():
     cfg, g = _geometry(subarrays=1, antennas_per_subarray=8, user_antennas=4)
     path = _manual_path(g, cfg.user, 4)
-    comm = build_comm_channel(g, [path], cfg.user, 4)
-    assert numerical_rank(comm.h) == 1
-    assert np.linalg.norm(comm.h) == pytest.approx(np.sqrt(4 * 8), rel=1e-12)
+    h = build_comm_channel(g, [path], cfg.user, 4)
+    assert numerical_rank(h) == 1
+    assert np.linalg.norm(h) == pytest.approx(np.sqrt(4 * 8), rel=1e-12)
 
 
 def test_channel_rank2_two_subarrays():
@@ -81,15 +81,15 @@ def test_channel_rank2_two_subarrays():
         user={"range_m": 8.0, "angle_deg": 10.0},
     )
     paths = draw_paths(cfg, g, np.random.default_rng(0))
-    comm = build_comm_channel(g, paths, cfg.user, 4)
-    assert numerical_rank(comm.h, 1e-8) == 2
+    h = build_comm_channel(g, paths, cfg.user, 4)
+    assert numerical_rank(h, 1e-8) == 2
 
 
 def test_channel_equal_aoa_rank1():
     cfg, g = _geometry(subarrays=2, antennas_per_subarray=8, user_antennas=4)
     path = _manual_path(g, cfg.user, 4, aoa=np.full(2, 0.17))
-    comm = build_comm_channel(g, [path], cfg.user, 4)
-    assert numerical_rank(comm.h, 1e-8) == 1
+    h = build_comm_channel(g, [path], cfg.user, 4)
+    assert numerical_rank(h, 1e-8) == 1
 
 
 @pytest.mark.parametrize(

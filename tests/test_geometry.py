@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,13 @@ from modisac.geometry import (
     ConfigurationError,
     DegenerateGeometryError,
     PolarPoint,
-    ScenarioConfig,
     build_geometry,
     inter_subarray_phase,
     rayleigh_distance,
     steering_vector,
     subarray_angle,
 )
+from modisac.harness import config_from_dict
 
 
 def _config(**kw):
@@ -25,7 +27,7 @@ def _config(**kw):
         n_paths=1,
     )
     base.update(kw)
-    return ScenarioConfig(**base)
+    return dataclasses.replace(config_from_dict({}), **base)
 
 
 def test_single_element_positions():

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def test_rank_deficient_stream_count_is_error_row(tmp_path, capsys):
         output_path=str(tmp_path / "s5.csv"),
     )
     harness.sweep(spec)
-    cell = open(spec.output_path).read().splitlines()[1]
+    cell = Path(spec.output_path).read_text().splitlines()[1]
     expected = harness.run_scenario(
         dataclasses.replace(base, seed=harness.derive_seed(0, 0)), "rm_jgd"
     )
@@ -211,8 +212,8 @@ def test_stream_count_is_rate_form_rank():
                 )
                 data = harness.prepare_scenario(cfg)
                 expected = min(
-                    channel.numerical_rank(data.comm.h),
-                    _rate_form_rank(data.comm.h @ data.basis.u_tilde),
+                    channel.numerical_rank(data.h),
+                    _rate_form_rank(data.h @ data.basis.u_tilde),
                     data.n_rf,
                 )
                 assert data.n_streams == expected, (seed, slot, db)
@@ -315,8 +316,8 @@ def test_sweep_rows_complete_and_deterministic(tmp_path):
     spec2 = _tiny_spec(tmp_path, "b.csv")
     harness.sweep(spec1)
     harness.sweep(spec2)
-    text1 = open(spec1.output_path).read()
-    text2 = open(spec2.output_path).read()
+    text1 = Path(spec1.output_path).read_text()
+    text2 = Path(spec2.output_path).read_text()
     assert _strip_timing(text1) == _strip_timing(text2)
     rows = [l for l in text1.splitlines()[1:] if not l.startswith("summary,")]
     assert len(rows) == 2 * 1 * 2  # values x algorithms x repetitions
@@ -335,7 +336,7 @@ def test_sweep_failure_rows_do_not_abort(tmp_path, capsys):
         output_path=str(tmp_path / "fail.csv"),
     )
     harness.sweep(spec)
-    lines = open(spec.output_path).read().splitlines()
+    lines = Path(spec.output_path).read_text().splitlines()
     rows = [l for l in lines[1:] if not l.startswith("summary,")]
     assert len(rows) == 2
     assert any("error:ConfigurationError" in r for r in rows)
@@ -355,7 +356,7 @@ def test_paired_seeds_across_values(tmp_path):
     s2 = dataclasses.replace(c2, seed=harness.derive_seed(base.seed, 0))
     d1 = harness.prepare_scenario(s1)
     d2 = harness.prepare_scenario(s2)
-    assert np.array_equal(d1.comm.h, d2.comm.h)
+    assert np.array_equal(d1.h, d2.h)
 
 
 def test_load_experiment(tmp_path):
@@ -373,6 +374,27 @@ def test_load_experiment(tmp_path):
     assert spec.sweep_axis == "layout"
     assert spec.values == ["uniform", "collocated"]
     assert spec.base.k_subarrays == 4
+
+
+@pytest.mark.parametrize(
+    "load, doc",
+    [
+        (harness.load_experiment, [1, 2]),
+        (harness.load_experiment, {"values": 5}),
+        (harness.load_experiment, {"values": [0.0], "base": [1]}),
+        (harness.load_experiment, {"values": [0.0], "algorithms": 5}),
+        (harness.load_experiment, {"values": [0.0], "repetitions": "2"}),
+        (harness.load_experiment, {"values": [0.0], "repetitions": 1.5}),
+        (harness.load_config, [1]),
+    ],
+    ids=["list_root", "scalar_values", "list_base", "scalar_algorithms",
+         "string_repetitions", "float_repetitions", "config_list_root"],
+)
+def test_malformed_spec_raises_configuration_error(tmp_path, load, doc):
+    path = tmp_path / "spec.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigurationError):
+        load(str(path))
 
 
 CHECK_NAMES = (
@@ -441,7 +463,7 @@ def test_cli_run_scenario(tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr().out
     assert harness.ResultRow.HEADER in captured
-    lines = open(out_path).read().splitlines()
+    lines = Path(out_path).read_text().splitlines()
     assert lines[0] == harness.ResultRow.HEADER
     assert len(lines) == 2
 
@@ -507,8 +529,8 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     parallel = _tiny_spec(tmp_path, "parallel.csv")
     harness.sweep(parallel)
     monkeypatch.delenv("MODISAC_WORKERS")
-    assert _strip_timing(open(serial.output_path).read()) == _strip_timing(
-        open(parallel.output_path).read()
+    assert _strip_timing(Path(serial.output_path).read_text()) == _strip_timing(
+        Path(parallel.output_path).read_text()
     )
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -261,7 +263,7 @@ def test_spectrum_exports(tmp_path):
 
     csv_path = str(tmp_path / "spec.csv")
     save_spectrum_csv(result, csv_path)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "x,y,value"
     assert len(lines) == 1 + result.spectrum.size
 

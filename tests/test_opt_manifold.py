@@ -507,7 +507,7 @@ def test_phase1_binding_desk_cells_start_every_stream(seed, slot):
     assert np.isfinite(barrier_value(start, eig, config))
     result = rm_jgd(eig, config, start)
     se = spectral_efficiency(
-        data.comm.h, optimal_analog(data.basis), result.w_bb, cfg.sigma_c_sq
+        data.h, optimal_analog(data.basis), result.w_bb, cfg.sigma_c_sq
     )
     optimum = restricted_optimum_bits(eig, data.sdr_problem().psi)
     assert se <= optimum + 1e-6
