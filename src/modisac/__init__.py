@@ -5,12 +5,12 @@ Submodules
 geometry      array placement, steering vectors, per-subarray angles
 channel       piecewise-far-field channel H (an array) and the per-object
               sensing responses (a tuple)
-beamform      metrics, MVDR filter, hybrid checks, joint subspace, analog
-              beamformer
+beamform      metrics, MVDR filter, hybrid checks, the joint subspace U_tilde
+              (an array, also the analog beamformer)
 opt_manifold  barrier + joint gradient descent digital beamformer
-opt_sdr       det-max SDP relaxation with Gaussian randomization
+opt_sdr       digital problem, det-max SDP relaxation, Gaussian randomization
 music         near-field MUSIC localization on a Cartesian grid
-harness       configs, end-to-end runs, sweeps
+harness       configs, scenarios with their one problem, runs, sweeps
 validation    cross-module invariant checks behind `modisac validate`
 """
 
@@ -40,8 +40,6 @@ from .channel import (
 )
 from .beamform import (
     PhiSet,
-    ReceiveBeamformer,
-    SubspaceBasis,
     build_subspace,
     check_hybrid,
     mvdr_receive,

@@ -1,11 +1,11 @@
 """Beamformer checks, performance metrics and the subarray-response subspace.
 
-Inputs come from the channel layer as plain values: the channel array H and
-the tuple of per-object responses. The joint basis U_tilde is block diagonal:
-its k-th block stacks subarray k's intra-subarray steering vectors toward all
-sensing objects and communication paths side by side. U_tilde is
-simultaneously the optimal analog beamformer: every entry of a block is unit
-modulus, so the group-connected phase-shifter constraint is met for free.
+Values go in and out plain: H, the response tuple, the N-vector MVDR filter
+and the (N, N_RF) basis U_tilde, which is block diagonal: its k-th block
+stacks subarray k's steering vectors toward all sensing objects and
+communication paths side by side. U_tilde is simultaneously the optimal
+analog beamformer: every entry of a block is unit modulus, so the
+group-connected phase-shifter constraint is met for free.
 """
 
 from __future__ import annotations
@@ -16,41 +16,6 @@ import numpy as np
 
 from .channel import ObjectResponse, PathSpec
 from .geometry import ArrayGeometry, steering_vector
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Joint communication/sensing subspace of the transmit array.
-
-    u_tilde has shape (N, K*(Q+Np)) and is exactly block diagonal with blocks
-    a_blocks[k] of shape (M, Q+Np), object columns before path columns.
-    """
-
-    u_tilde: np.ndarray
-    a_blocks: np.ndarray
-    k_subarrays: int
-    m_antennas: int
-
-    @property
-    def n_rf(self) -> int:
-        return self.u_tilde.shape[1]
-
-    @property
-    def cols_per_block(self) -> int:
-        return self.a_blocks.shape[2]
-
-
-@dataclass(frozen=True)
-class ReceiveBeamformer:
-    """Sensing receive filter over the N-element receive array."""
-
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.w.view(float))):
-            raise ValueError("receive beamformer has non-finite entries")
-        if np.linalg.norm(self.w) == 0.0:
-            raise ValueError("receive beamformer is zero")
 
 
 @dataclass(frozen=True)
@@ -92,8 +57,8 @@ def build_subspace(
     geometry: ArrayGeometry,
     paths: list[PathSpec],
     responses: tuple[ObjectResponse, ...],
-) -> SubspaceBasis:
-    """Assemble the block-diagonal U_tilde from per-subarray steering vectors.
+) -> np.ndarray:
+    """The (N, K*(Q+Np)) block-diagonal U_tilde of per-subarray steering vectors.
 
     Block k holds subarray k's steering vectors toward each sensing object,
     then toward each communication path's AoD.
@@ -101,26 +66,23 @@ def build_subspace(
     k, m = geometry.k_subarrays, geometry.m_antennas
     n_objects = len(responses)
     cols = n_objects + len(paths)
-    a_blocks = np.zeros((k, m, cols), dtype=complex)
-    for q, resp in enumerate(responses):
-        a_blocks[:, :, q] = resp.a_t_blocks
-    for p, path in enumerate(paths):
-        for i in range(k):
-            a_blocks[i, :, n_objects + p] = steering_vector(
-                m, path.aod[i], geometry.d, geometry.wavelength
-            )
-
     # column-major: the rounding of BLAS products with U_tilde (phi_matrices,
     # reduce_b) depends on the layout, and the sweep CSVs are pinned to this one
     u_tilde = np.zeros((k * m, k * cols), dtype=complex, order="F")
     for i in range(k):
-        u_tilde[i * m : (i + 1) * m, i * cols : (i + 1) * cols] = a_blocks[i]
-    return SubspaceBasis(u_tilde=u_tilde, a_blocks=a_blocks, k_subarrays=k, m_antennas=m)
+        block = u_tilde[i * m : (i + 1) * m, i * cols : (i + 1) * cols]
+        for q, resp in enumerate(responses):
+            block[:, q] = resp.a_t_blocks[i]
+        for p, path in enumerate(paths):
+            block[:, n_objects + p] = steering_vector(
+                m, path.aod[i], geometry.d, geometry.wavelength
+            )
+    return u_tilde
 
 
-def optimal_analog(basis: SubspaceBasis) -> np.ndarray:
-    """Closed-form analog beamformer: the block-diagonal basis itself."""
-    return basis.u_tilde.copy()
+def optimal_analog(u_tilde: np.ndarray) -> np.ndarray:
+    """Closed-form analog beamformer: a C-ordered copy of the basis itself."""
+    return u_tilde.copy()
 
 
 def analog_support(n: int, k_subarrays: int, m_rf: int) -> np.ndarray:
@@ -161,6 +123,11 @@ def spectral_efficiency(
     g = h @ w_rf @ w_bb
     if not np.all(np.isfinite(g.view(float))):
         raise ValueError("non-finite effective channel")
+    return _rate_bits(g, sigma_c_sq)
+
+
+def _rate_bits(g: np.ndarray, sigma_c_sq: float) -> float:
+    """log2 det(I + G G^H / sigma_c^2) from the singular values of G."""
     s = np.linalg.svd(g, compute_uv=False)
     return float(np.sum(np.log2(1.0 + s**2 / sigma_c_sq)))
 
@@ -169,9 +136,7 @@ def se_from_covariance(h_eff: np.ndarray, r: np.ndarray, sigma_c_sq: float) -> f
     """log2 det(I + H_eff R H_eff^H / sigma_c^2) for a PSD covariance R."""
     vals, vecs = np.linalg.eigh(0.5 * (r + r.conj().T))
     vals = np.clip(vals, 0.0, None)
-    factor = vecs * np.sqrt(vals)[None, :]
-    s = np.linalg.svd(h_eff @ factor, compute_uv=False)
-    return float(np.sum(np.log2(1.0 + s**2 / sigma_c_sq)))
+    return _rate_bits(h_eff @ (vecs * np.sqrt(vals)[None, :]), sigma_c_sq)
 
 
 def scnr(
@@ -206,8 +171,8 @@ def mvdr_receive(
     alphas: np.ndarray,
     r_x: np.ndarray,
     sigma_s_sq: float,
-) -> ReceiveBeamformer:
-    """Closed-form SCNR-optimal receive filter.
+) -> np.ndarray:
+    """Closed-form SCNR-optimal receive filter over the N-element receive array.
 
     w* = (Sigma + sigma_s^2 I)^{-1} g_r0 / (g_r0^H (Sigma + sigma_s^2 I)^{-1} g_r0)
     with Sigma the clutter covariance sum_q alpha_q^2 (g_tq^H R g_tq) g_rq g_rq^H.
@@ -223,11 +188,16 @@ def mvdr_receive(
         cov += alphas[q] ** 2 * forward * np.outer(resp.g_r, resp.g_r.conj())
     g0 = responses[0].g_r
     sol = np.linalg.solve(cov, g0)
-    return ReceiveBeamformer(w=sol / np.real(g0.conj() @ sol))
+    w = sol / np.real(g0.conj() @ sol)
+    if not np.all(np.isfinite(w.view(float))):
+        raise ValueError("receive beamformer has non-finite entries")
+    if np.linalg.norm(w) == 0.0:
+        raise ValueError("receive beamformer is zero")
+    return w
 
 
 def phi_matrices(
-    basis: SubspaceBasis,
+    u_tilde: np.ndarray,
     responses: tuple[ObjectResponse, ...],
     w: np.ndarray,
     scnr_min: float,
@@ -236,7 +206,7 @@ def phi_matrices(
     """Rank-1 reduced sensing forms Phi_q = |w^H g_rq|^2 (U~^H g_tq)(U~^H g_tq)^H."""
     phis = []
     for resp in responses:
-        v = basis.u_tilde.conj().T @ resp.g_t
+        v = u_tilde.conj().T @ resp.g_t
         c = float(np.abs(w.conj() @ resp.g_r) ** 2)
         phis.append(c * np.outer(v, v.conj()))
     w_norm_sq = float(np.real(w.conj() @ w))
@@ -289,7 +259,7 @@ def transmit_power(w_rf: np.ndarray, w_bb: np.ndarray) -> tuple[float, float]:
 GRAM_CUTOFF = 1e-10
 
 
-def verify_covariance_subspace(r_x: np.ndarray, basis: SubspaceBasis) -> float:
+def verify_covariance_subspace(r_x: np.ndarray, u: np.ndarray) -> float:
     """Relative residual of R_X outside the span of U_tilde.
 
     Returns ||P_perp R_X P_perp||_F / ||R_X||_F with P_perp the orthogonal
@@ -299,7 +269,6 @@ def verify_covariance_subspace(r_x: np.ndarray, basis: SubspaceBasis) -> float:
     norm = float(np.linalg.norm(r_x))
     if norm == 0.0:
         return 0.0
-    u = basis.u_tilde
     gram = u.conj().T @ u
     vals, vecs = np.linalg.eigh(gram)
     keep = vals > GRAM_CUTOFF * vals.max()

@@ -7,6 +7,7 @@ import dataclasses
 import sys
 
 from . import harness
+from .geometry import ConfigurationError
 from .music import GridSpec, save_spectrum_csv, save_spectrum_grid
 from .validation import validate
 
@@ -61,10 +62,19 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    # a bad --config or --spec file is a usage error, not a crash
+    try:
+        if args.command == "sweep":
+            spec = harness.load_experiment(args.spec)
+        elif args.command != "validate":
+            config = _load(args)
+            if args.seed is not None:
+                config = dataclasses.replace(config, seed=args.seed)
+    except ConfigurationError as err:
+        print(f"modisac {args.command}: error: {err}", file=sys.stderr)
+        return 2
+
     if args.command == "run-scenario":
-        config = _load(args)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
         row = harness.run_scenario(config, args.algo.replace("-", "_"))
         if args.out:
             with open(args.out, "a") as f:
@@ -76,15 +86,11 @@ def main(argv=None) -> int:
         return 0 if row.status in harness.SUCCESS_STATUSES else 1
 
     if args.command == "sweep":
-        spec = harness.load_experiment(args.spec)
         path = harness.sweep(spec)
         print(f"sweep written to {path}")
         return 0
 
     if args.command == "music":
-        config = _load(args)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
         result, _, _ = harness.run_music(config, args.grid)
         print(
             f"peak at x={result.peak_location[0]:.3f} m, "

@@ -15,7 +15,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 import yaml
@@ -166,41 +166,23 @@ def _layout_offsets(
     return config.d0 + u + np.arange(k) * m * d
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioData:
-    """Everything a digital-beamformer optimizer needs for one instance."""
+    """One instance: channels, fixed filter, U_tilde and the shared problem."""
 
     config: ScenarioConfig
     geometry: geo.ArrayGeometry
     h: np.ndarray
     responses: tuple[channel.ObjectResponse, ...]
     alphas: np.ndarray
-    w_fixed: beamform.ReceiveBeamformer
-    basis: beamform.SubspaceBasis
+    w_fixed: np.ndarray
+    u_tilde: np.ndarray
     phi_set: beamform.PhiSet
-    n_streams: int
-
-    @property
-    def n_rf(self) -> int:
-        return self.basis.n_rf
-
-    def reduced_eig(self) -> opt_manifold.EigB:
-        return opt_manifold.reduce_b(self.sdr_problem())
-
-    def sdr_problem(self) -> opt_sdr.MaxDetProblem:
-        return opt_sdr.make_maxdet_problem(
-            self.h,
-            self.basis,
-            self.phi_set,
-            self.alphas,
-            self.config.scnr_min,
-            self.config.sigma_c_sq,
-            self.n_streams,
-        )
+    problem: opt_sdr.MaxDetProblem
 
 
 def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
-    """Deterministically build geometry, channels, fixed filter and subspace.
+    """Deterministically build geometry, channels, fixed filter, subspace and problem.
 
     The RNG order is fixed (layout draw, then path scatterers) so a seed
     pins the whole instance. The fixed receive filter comes from
@@ -217,9 +199,9 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
     w_fixed = beamform.mvdr_receive(
         responses, alphas, np.eye(n), config.sigma_s_sq
     )
-    basis = beamform.build_subspace(geometry, paths, responses)
+    u_tilde = beamform.build_subspace(geometry, paths, responses)
     phi_set = beamform.phi_matrices(
-        basis, responses, w_fixed.w, config.scnr_min, config.sigma_s_sq
+        u_tilde, responses, w_fixed, config.scnr_min, config.sigma_s_sq
     )
     if config.n_streams is not None:
         n_streams = config.n_streams
@@ -229,9 +211,19 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
         # the largest, i.e. singular values of G = H U_tilde above 1e-5
         n_streams = min(
             channel.numerical_rank(h),
-            channel.numerical_rank(h @ basis.u_tilde, 1e-5),
-            basis.n_rf,
+            channel.numerical_rank(h @ u_tilde, 1e-5),
+            u_tilde.shape[1],
         )
+    problem = opt_sdr.make_maxdet_problem(
+        h,
+        u_tilde,
+        phi_set,
+        alphas,
+        config.scnr_min,
+        config.sigma_c_sq,
+        n_streams,
+        config.m_antennas,
+    )
     return ScenarioData(
         config=config,
         geometry=geometry,
@@ -239,60 +231,53 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
         responses=responses,
         alphas=alphas,
         w_fixed=w_fixed,
-        basis=basis,
+        u_tilde=u_tilde,
         phi_set=phi_set,
-        n_streams=n_streams,
+        problem=problem,
     )
 
 
 @dataclass
 class ResultRow:
-    """One algorithm run: configuration knobs plus achieved metrics."""
+    """One algorithm run: configuration knobs plus achieved metrics.
+
+    HEADER names the fields in order; `to_csv` formats each with its "fmt".
+    """
 
     algorithm: str
     seed: int
     k_subarrays: int
     m_antennas: int
-    gamma: float
+    gamma: float = field(metadata={"fmt": ".6g"})
     n_user: int
     n_paths: int
     n_objects: int
     n_streams: int
     n_rf: int
     layout: str
-    user_range_m: float
-    user_angle_deg: float
-    scnr_threshold_db: float
-    sigma_c_sq: float
-    sigma_s_sq: float
-    se_bits: float
-    scnr_db: float
-    power_exact: float
-    power_proxy: float
+    user_range_m: float = field(metadata={"fmt": ".6g"})
+    user_angle_deg: float = field(metadata={"fmt": ".6g"})
+    scnr_threshold_db: float = field(metadata={"fmt": ".6g"})
+    sigma_c_sq: float = field(metadata={"fmt": ".9g"})
+    sigma_s_sq: float = field(metadata={"fmt": ".9g"})
+    se_bits: float = field(metadata={"fmt": ".9g"})
+    scnr_db: float = field(metadata={"fmt": ".9g"})
+    power_exact: float = field(metadata={"fmt": ".9g"})
+    power_proxy: float = field(metadata={"fmt": ".9g"})
     iterations: int
     status: str
-    wall_time_ms: float
+    wall_time_ms: float = field(metadata={"fmt": ".3f"})
 
-    HEADER = (
-        "algorithm,seed,k_subarrays,m_antennas,gamma,n_user,n_paths,n_objects,"
-        "n_streams,n_rf,layout,user_range_m,user_angle_deg,scnr_threshold_db,"
-        "sigma_c_sq,sigma_s_sq,se_bits,scnr_db,power_exact,power_proxy,"
-        "iterations,status,wall_time_ms"
-    )
+    HEADER: ClassVar[str]
 
     def to_csv(self) -> str:
-        cfgpart = (
-            f"{self.algorithm},{self.seed},{self.k_subarrays},{self.m_antennas},"
-            f"{self.gamma:.6g},{self.n_user},{self.n_paths},{self.n_objects},"
-            f"{self.n_streams},{self.n_rf},{self.layout},{self.user_range_m:.6g},"
-            f"{self.user_angle_deg:.6g},{self.scnr_threshold_db:.6g},"
-            f"{self.sigma_c_sq:.9g},{self.sigma_s_sq:.9g}"
+        return ",".join(
+            format(getattr(self, f.name), f.metadata.get("fmt", ""))
+            for f in dataclasses.fields(self)
         )
-        return (
-            f"{cfgpart},{self.se_bits:.9g},{self.scnr_db:.9g},"
-            f"{self.power_exact:.9g},{self.power_proxy:.9g},{self.iterations},"
-            f"{self.status},{self.wall_time_ms:.3f}"
-        )
+
+
+ResultRow.HEADER = ",".join(f.name for f in dataclasses.fields(ResultRow))
 
 
 # Solver stop reasons that mean the problem was solved; every other status
@@ -318,12 +303,12 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     t0 = time.perf_counter()
     data = prepare_scenario(config)
-    w_rf = beamform.optimal_analog(data.basis)
+    w_rf = beamform.optimal_analog(data.u_tilde)
     w_bb = r_bb = None
     se_bits, iterations = np.nan, 0
     try:
         if algorithm == "rm_jgd":
-            eig = data.reduced_eig()
+            eig = opt_manifold.reduce_b(data.problem)
             init = opt_manifold.phase1_feasible(eig)
             result = opt_manifold.rm_jgd(eig, opt_manifold.ManifoldConfig(), init)
             status, w_bb, iterations = result.status, result.w_bb, result.iterations
@@ -331,13 +316,13 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         elif algorithm == "sdr_rrs":
             # salt 2 keeps the randomization draws apart from the scenario's
             rng = np.random.default_rng(derive_seed(config.seed, 2))
-            result = opt_sdr.sdr_rrs(data.sdr_problem(), rng)
+            result = opt_sdr.sdr_rrs(data.problem, rng)
             status = result.status
             if result.w_bb is not None:
                 w_bb, se_bits = result.w_bb, result.se_bits
                 iterations = result.solution.newton_steps
         else:  # fdb
-            solution = opt_sdr.solve_maxdet(data.sdr_problem())
+            solution = opt_sdr.solve_maxdet(data.problem)
             status = solution.status
             if status != "infeasible":
                 r_bb, se_bits = solution.r_bb, solution.dual_bits
@@ -358,7 +343,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         r_x = ww @ ww.conj().T
         power_exact, power_proxy = beamform.transmit_power(w_rf, w_bb)
     elif r_bb is not None:
-        r_x = data.basis.u_tilde @ r_bb @ data.basis.u_tilde.conj().T
+        r_x = data.u_tilde @ r_bb @ data.u_tilde.conj().T
         power_exact = float(np.real(np.trace(r_x)))
         power_proxy = float(config.m_antennas * np.real(np.trace(r_bb)))
     if r_x is not None:
@@ -366,7 +351,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
             data.responses, data.alphas, r_x, config.sigma_s_sq
         )
         scnr_lin = beamform.scnr(
-            w_star.w, data.responses, data.alphas, r_x, config.sigma_s_sq
+            w_star, data.responses, data.alphas, r_x, config.sigma_s_sq
         )
         scnr_db = 10.0 * np.log10(scnr_lin) if scnr_lin > 0 else -np.inf
     return ResultRow(
@@ -378,8 +363,8 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         n_user=config.n_user_antennas,
         n_paths=config.n_paths,
         n_objects=config.n_objects,
-        n_streams=data.n_streams,
-        n_rf=data.n_rf,
+        n_streams=data.problem.n_streams,
+        n_rf=data.problem.dim,
         layout=config.layout,
         user_range_m=config.user.r,
         user_angle_deg=float(np.rad2deg(config.user.theta)),
@@ -588,15 +573,13 @@ def run_music(config: ScenarioConfig, grid):
     length = config.snapshots
     data = prepare_scenario(config)
     rng = np.random.default_rng(derive_seed(config.seed, 17))
-    problem = data.sdr_problem()
-    result = opt_sdr.sdr_rrs(problem, rng)
+    result = opt_sdr.sdr_rrs(data.problem, rng)
     if result.w_bb is None:
         raise RuntimeError(f"transmit optimization failed: {result.status}")
-    w_rf = beamform.optimal_analog(data.basis)
-    f_tx = w_rf @ result.w_bb
+    f_tx = beamform.optimal_analog(data.u_tilde) @ result.w_bb
     symbols = (
-        rng.standard_normal((data.n_streams, length))
-        + 1j * rng.standard_normal((data.n_streams, length))
+        rng.standard_normal((data.problem.n_streams, length))
+        + 1j * rng.standard_normal((data.problem.n_streams, length))
     ) / np.sqrt(2.0)
     x = f_tx @ symbols
     y = channel.simulate_echoes(

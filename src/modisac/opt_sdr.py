@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beamform import PhiSet, SubspaceBasis, sensing_form
+from .beamform import PhiSet, _rate_bits, sensing_form
 from .channel import ObjectResponse
 
 
@@ -33,7 +33,7 @@ class RandomizationFailure(RuntimeError):
     """No randomized candidate satisfied the sensing constraint."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaxDetProblem:
     """Problem data for the relaxed digital covariance optimization."""
 
@@ -89,21 +89,22 @@ class SdrResult:
 
 def make_maxdet_problem(
     h: np.ndarray,
-    basis: SubspaceBasis,
+    u_tilde: np.ndarray,
     phi_set: PhiSet,
     alphas: np.ndarray,
     scnr_min: float,
     sigma_c_sq: float,
     n_streams: int,
+    m_antennas: int,
 ) -> MaxDetProblem:
     """Reduced problem over R_BB with the proxy power budget.
 
     The proxy constrains M*||W_BB||_F^2, i.e. tr(R_BB) <= n_streams/M.
     """
     return MaxDetProblem(
-        h_eff=h @ basis.u_tilde,
+        h_eff=h @ u_tilde,
         sigma_c_sq=sigma_c_sq,
-        power_budget=n_streams / basis.m_antennas,
+        power_budget=n_streams / m_antennas,
         psi=sensing_form(phi_set, alphas, scnr_min),
         gamma0=phi_set.gamma0,
         n_streams=n_streams,
@@ -154,11 +155,6 @@ def _slacks(r: np.ndarray, problem: MaxDetProblem) -> tuple[float, float]:
         else np.inf
     )
     return p_slack, s_slack
-
-
-def _candidate_se_bits(w: np.ndarray, problem: MaxDetProblem) -> float:
-    s = np.linalg.svd(problem.h_eff @ w, compute_uv=False)
-    return float(np.sum(np.log2(1.0 + s**2 / problem.sigma_c_sq)))
 
 
 def _factor(r: np.ndarray, rank: Optional[int] = None) -> np.ndarray:
@@ -334,7 +330,7 @@ def solve_maxdet(
         r = _make_feasible(point.r, problem, top)
         # the rate from singular values keeps its digits where the slogdet of
         # I + H R H^H / sigma_c^2 loses them to the channel's conditioning
-        bits = _candidate_se_bits(_factor(r), problem)
+        bits = _rate_bits(problem.h_eff @ _factor(r), problem.sigma_c_sq)
         gap = point.value - bits * np.log(2.0)
         if gap <= tol or steps >= max_iter:
             status = "optimal" if gap <= tol else "max_iter"
@@ -399,7 +395,7 @@ def randomize_rank(
             sens = float(np.real(np.sum(w.conj() * (problem.psi @ w))))
             if sens < problem.gamma0 - feas_tol:
                 continue
-        se = _candidate_se_bits(w, problem)
+        se = _rate_bits(problem.h_eff @ w, problem.sigma_c_sq)
         if se > best_se:
             best_se = se
             best_w = w
@@ -441,5 +437,5 @@ def sdr_rrs(problem: MaxDetProblem, rng: np.random.Generator) -> SdrResult:
                 status="randomization_failed",
                 solution=solution,
             )
-    se = _candidate_se_bits(w, problem)
+    se = _rate_bits(problem.h_eff @ w, problem.sigma_c_sq)
     return SdrResult(w_bb=w, se_bits=se, status=solution.status, solution=solution)

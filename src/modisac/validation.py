@@ -176,21 +176,14 @@ def _check_echo_linearity() -> tuple[bool, str]:
 
 
 def _check_subspace_structure() -> tuple[bool, str]:
-    b = _mini_data().basis
-    ok, mod_err = beamform.analog_feasibility(b.u_tilde, b.k_subarrays)
-    m, c = b.m_antennas, b.cols_per_block
-    blocks = all(
-        np.array_equal(b.u_tilde[k * m : (k + 1) * m, k * c : (k + 1) * c], a)
-        for k, a in enumerate(b.a_blocks)
-    )
-    return ok and blocks and mod_err < 1e-12, (
-        f"block support {ok}, blocks equal a_blocks {blocks}, modulus error {mod_err:.2e}"
-    )
+    data = _mini_data()
+    ok, mod_err = beamform.analog_feasibility(data.u_tilde, data.config.k_subarrays)
+    return ok and mod_err < 1e-12, f"block support {ok}, modulus error {mod_err:.2e}"
 
 
 def _check_subspace_contains() -> tuple[bool, str]:
     data = _mini_data()
-    u = data.basis.u_tilde
+    u = data.u_tilde
 
     def residual(v: np.ndarray) -> float:
         return float(np.linalg.norm(u @ np.linalg.lstsq(u, v, rcond=None)[0] - v))
@@ -206,23 +199,20 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
     data = _mini_data()
     cfg = data.config
     rng = np.random.default_rng(9)
-    w_rf = beamform.optimal_analog(data.basis)
-    budget = data.sdr_problem().power_budget
+    w_rf = beamform.optimal_analog(data.u_tilde)
+    shape = (data.problem.dim, data.problem.n_streams)
     worst_se = 0.0
     worst_scnr = 0.0
     for _ in range(5):
-        w_bb = (
-            rng.standard_normal((data.n_rf, data.n_streams))
-            + 1j * rng.standard_normal((data.n_rf, data.n_streams))
-        )
-        w_bb *= np.sqrt(budget) / np.linalg.norm(w_bb)
+        w_bb = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w_bb *= np.sqrt(data.problem.power_budget) / np.linalg.norm(w_bb)
         wrfbb = w_rf @ w_bb
         r_x = wrfbb @ wrfbb.conj().T
         se_full = beamform.se_from_covariance(data.h, r_x, cfg.sigma_c_sq)
         se_red = beamform.spectral_efficiency(data.h, w_rf, w_bb, cfg.sigma_c_sq)
         worst_se = max(worst_se, abs(se_full - se_red) / max(se_full, 1e-12))
         full = beamform.scnr(
-            data.w_fixed.w, data.responses, data.alphas, r_x, cfg.sigma_s_sq
+            data.w_fixed, data.responses, data.alphas, r_x, cfg.sigma_s_sq
         )
         red = beamform.scnr_reduced(w_bb, data.phi_set, data.alphas)
         worst_scnr = max(worst_scnr, abs(full - red) / max(full, 1e-12))
@@ -239,7 +229,7 @@ def mvdr_argmax(data: harness.ScenarioData, rng: np.random.Generator) -> tuple[b
     cfg, objs = data.config, data.responses
     n = cfg.n_antennas
     r_x = np.eye(n)
-    w_star = beamform.mvdr_receive(data.responses, data.alphas, r_x, cfg.sigma_s_sq).w
+    w_star = beamform.mvdr_receive(data.responses, data.alphas, r_x, cfg.sigma_s_sq)
     best = beamform.scnr(w_star, data.responses, data.alphas, r_x, cfg.sigma_s_sq)
     w = rng.standard_normal((n, 10_000)) + 1j * rng.standard_normal((n, 10_000))
     w = np.concatenate([w_star[:, None], w], axis=1)
@@ -345,7 +335,7 @@ def gradient_error(
 
 def _check_grad_fd() -> tuple[bool, str]:
     data = _mini_data()
-    eig = data.reduced_eig()
+    eig = opt_manifold.reduce_b(data.problem)
     cfg = opt_manifold.ManifoldConfig()
     worst = 0.0
     for trial in range(3):
@@ -370,7 +360,7 @@ def _check_tangent_retract() -> tuple[bool, str]:
 
 def _check_wbb_diagonalizes() -> tuple[bool, str]:
     data = _mini_data()
-    eig = data.reduced_eig()
+    eig = opt_manifold.reduce_b(data.problem)
     start = opt_manifold.phase1_feasible(eig)
     # the phase-1 start can have a diagonal Q; the probe states are rotated
     rng = np.random.default_rng(29)
@@ -405,7 +395,7 @@ def descent_plateaued(
 
 def _check_rmjgd_descent() -> tuple[bool, str]:
     data = _mini_data()
-    eig, cfg = data.reduced_eig(), opt_manifold.ManifoldConfig()
+    eig, cfg = opt_manifold.reduce_b(data.problem), opt_manifold.ManifoldConfig()
     starts = {
         "phase-1 start": opt_manifold.phase1_feasible(eig),
         "probe 31": probe_state(eig, np.random.default_rng(31)),
@@ -420,7 +410,7 @@ def _check_rmjgd_descent() -> tuple[bool, str]:
 
 def _check_sdp_invariants() -> tuple[bool, str]:
     data = _small_data()
-    problem = data.sdr_problem()
+    problem = data.problem
     sol = opt_sdr.solve_maxdet(problem, tol=1e-10)
     if sol.status != "optimal":
         return False, f"solver status {sol.status}"
@@ -433,7 +423,7 @@ def _check_sdp_invariants() -> tuple[bool, str]:
     w = opt_sdr.randomize_rank(sol, problem, rng)
     power = float(np.linalg.norm(w) ** 2)
     tight = abs(power - problem.power_budget) < 1e-9 * max(1.0, problem.power_budget)
-    se_w = opt_sdr._candidate_se_bits(w, problem)
+    se_w = beamform._rate_bits(problem.h_eff @ w, problem.sigma_c_sq)
     bounded = se_w <= sol.objective_bits + 1e-9
     gap = abs(sol.dual_bits - sol.objective_bits)
     ok = (
@@ -479,12 +469,12 @@ def _check_covariance_subspace() -> tuple[bool, str]:
     res_in, res_eye, zero_ok = 0.0, np.inf, True
     # both need N > N_RF so that the basis has a nontrivial complement
     for data in (_small_data(paths=1), _mini_data()):
-        n_rf, n, u = data.n_rf, data.config.n_antennas, data.basis.u_tilde
+        n_rf, n, u = data.problem.dim, data.config.n_antennas, data.u_tilde
         a = rng.standard_normal((n_rf, n_rf)) + 1j * rng.standard_normal((n_rf, n_rf))
         r_in = u @ (a @ a.conj().T) @ u.conj().T
-        res_in = max(res_in, beamform.verify_covariance_subspace(r_in, data.basis))
-        res_eye = min(res_eye, beamform.verify_covariance_subspace(np.eye(n), data.basis))
-        zero = beamform.verify_covariance_subspace(np.zeros((n, n)), data.basis)
+        res_in = max(res_in, beamform.verify_covariance_subspace(r_in, u))
+        res_eye = min(res_eye, beamform.verify_covariance_subspace(np.eye(n), u))
+        zero = beamform.verify_covariance_subspace(np.zeros((n, n)), u)
         zero_ok = zero_ok and zero == 0.0
     ok = res_in < 1e-10 and res_eye > 1e-3 and zero_ok
     return ok, f"in-subspace {res_in:.1e}, identity {res_eye:.2f}, zero gives 0: {zero_ok}"
@@ -495,7 +485,7 @@ def _check_power_accounting() -> tuple[bool, str]:
     rng = np.random.default_rng(43)
     m = data.config.m_antennas
     k = data.config.k_subarrays
-    cols = data.basis.cols_per_block
+    cols = data.problem.dim // k
     # orthogonal-column analog blocks (DFT columns) make the proxy exact
     dft = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(cols)) / m)
     w_rf = np.zeros((k * m, k * cols), dtype=complex)
@@ -505,7 +495,7 @@ def _check_power_accounting() -> tuple[bool, str]:
     exact, proxy = beamform.transmit_power(w_rf, w_bb)
     gap_orth = abs(exact - proxy)
     exact2, proxy2 = beamform.transmit_power(
-        beamform.optimal_analog(data.basis), w_bb
+        beamform.optimal_analog(data.u_tilde), w_bb
     )
     return gap_orth < 1e-9, (
         f"orthogonal-case gap {gap_orth:.1e}; steering-case exact {exact2:.3f} "

@@ -48,12 +48,12 @@ def exact_power_problems(data):
         data.responses,
         data.alphas,
         cfg.scnr_min,
-        data.w_fixed.w,
+        data.w_fixed,
         cfg.sigma_c_sq,
         cfg.sigma_s_sq,
-        data.n_streams,
+        data.problem.n_streams,
     )
-    u, s, _ = np.linalg.svd(data.basis.u_tilde, full_matrices=False)
+    u, s, _ = np.linalg.svd(data.u_tilde, full_matrices=False)
     b = u[:, s**2 > GRAM_CUTOFF * s[0] ** 2]
     psi = b.conj().T @ full.psi @ b
     restricted = dataclasses.replace(

@@ -50,7 +50,7 @@ def test_criterion_1_waterfilling_oracle():
     worst_sdr = 0.0
     for seed in range(20):
         data = harness.prepare_scenario(_small_config(seed))
-        problem = data.sdr_problem()
+        problem = data.problem
         assert problem.gamma0 == 0.0
         expected = waterfilling_se_bits(
             channel_gains(problem.h_eff, problem.sigma_c_sq), problem.power_budget
@@ -75,7 +75,7 @@ def test_criterion_2_gradient_fidelity(desk_data):
     from modisac.validation import gradient_error, probe_state
 
     t0 = time.perf_counter()
-    eig = desk_data.reduced_eig()
+    eig = opt_manifold.reduce_b(desk_data.problem)
     cfg = opt_manifold.ManifoldConfig()
     rng = np.random.default_rng(202)
     worst = 0.0
@@ -102,7 +102,7 @@ def test_criterion_3_subspace_optimality():
     sol_full = opt_sdr.solve_maxdet(full, tol=1e-9)
     sol_red = opt_sdr.solve_maxdet(reduced, tol=1e-9)
     gap = abs(sol_full.objective_bits - sol_red.objective_bits)
-    residual = beamform.verify_covariance_subspace(sol_full.r_bb, data.basis)
+    residual = beamform.verify_covariance_subspace(sol_full.r_bb, data.u_tilde)
     ok = (
         sol_full.status == "optimal"
         and sol_red.status == "optimal"
@@ -145,7 +145,7 @@ def test_criterion_4_rank_bounds():
 
 def test_criterion_5_descent_convergence(desk_data):
     t0 = time.perf_counter()
-    eig = desk_data.reduced_eig()
+    eig = opt_manifold.reduce_b(desk_data.problem)
     rng = np.random.default_rng(505)
     details = []
     ok = True
@@ -173,18 +173,18 @@ def test_criterion_6_algorithm_ordering():
     for seed in range(n_seeds):
         cfg = harness.desk_config(seed=seed)
         data = harness.prepare_scenario(cfg)
-        problem = data.sdr_problem()
+        problem = data.problem
         solution = opt_sdr.solve_maxdet(problem)
         fdb = solution.objective_bits
         w = opt_sdr.randomize_rank(
             solution, problem, np.random.default_rng(harness.derive_seed(seed, 2))
         )
-        sdr_se = opt_sdr._candidate_se_bits(w, problem)
+        sdr_se = beamform._rate_bits(problem.h_eff @ w, problem.sigma_c_sq)
         rm_cfg = opt_manifold.ManifoldConfig()
-        eig = data.reduced_eig()
+        eig = opt_manifold.reduce_b(data.problem)
         init = opt_manifold.phase1_feasible(eig)
         rm = opt_manifold.rm_jgd(eig, rm_cfg, init)
-        w_rf = beamform.optimal_analog(data.basis)
+        w_rf = beamform.optimal_analog(data.u_tilde)
         rm_se = beamform.spectral_efficiency(
             data.h, w_rf, rm.w_bb, cfg.sigma_c_sq
         )

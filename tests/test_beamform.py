@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,7 @@ def test_subspace_single_subarray_layout():
     cfg = harness.desk_config(subarrays=1, antennas_per_subarray=8, paths=1,
                               interferers=[])
     data = harness.prepare_scenario(cfg)
-    u_tilde = data.basis.u_tilde
+    u_tilde = data.u_tilde
     assert u_tilde.shape == (8, 2)  # Q=1 target + Np=1 path
     assert np.max(np.abs(np.abs(u_tilde) - 1.0)) < 1e-12
 
@@ -39,15 +37,26 @@ def test_subspace_contains_sensing_and_row_space(assert_check):
 
 
 def test_optimal_analog_is_basis(desk_data):
-    w_rf = optimal_analog(desk_data.basis)
-    assert np.array_equal(w_rf, desk_data.basis.u_tilde)
-    ok, mod_err = analog_feasibility(w_rf, desk_data.basis.k_subarrays)
+    w_rf = optimal_analog(desk_data.u_tilde)
+    assert np.array_equal(w_rf, desk_data.u_tilde)
+    ok, mod_err = analog_feasibility(w_rf, desk_data.config.k_subarrays)
     assert ok and mod_err < 1e-12
 
 
+def test_basis_and_analog_memory_layout(desk_data):
+    """U_tilde is column-major and the analog beamformer a row-major copy:
+    BLAS rounds products by layout, and the sweep CSVs are pinned to this one."""
+    u = desk_data.u_tilde
+    assert u.flags.f_contiguous and not u.flags.c_contiguous
+    w_rf = optimal_analog(u)
+    assert w_rf.flags.c_contiguous and not w_rf.flags.f_contiguous
+    assert not np.shares_memory(w_rf, u)
+    assert np.array_equal(w_rf, u)
+
+
 def test_se_zero_beamformer(desk_data):
-    w_rf = optimal_analog(desk_data.basis)
-    w_bb = np.zeros((desk_data.n_rf, desk_data.n_streams))
+    w_rf = optimal_analog(desk_data.u_tilde)
+    w_bb = np.zeros((desk_data.problem.dim, desk_data.problem.n_streams))
     assert spectral_efficiency(desk_data.h, w_rf, w_bb, 1e-6) == 0.0
 
 
@@ -76,7 +85,7 @@ def test_se_monotone_in_noise(rng):
 def test_scnr_zero_covariance(desk_data):
     cfg = desk_data.config
     val = scnr(
-        desk_data.w_fixed.w,
+        desk_data.w_fixed,
         desk_data.responses,
         desk_data.alphas,
         np.zeros((cfg.n_antennas, cfg.n_antennas)),
@@ -103,7 +112,7 @@ def test_scnr_scaling_in_covariance():
     data = harness.prepare_scenario(cfg)
     n = cfg.n_antennas
     vals = [
-        scnr(data.w_fixed.w, data.responses, data.alphas, c * np.eye(n), cfg.sigma_s_sq)
+        scnr(data.w_fixed, data.responses, data.alphas, c * np.eye(n), cfg.sigma_s_sq)
         for c in (1.0, 2.0, 4.0)
     ]
     assert vals[0] < vals[1] < vals[2]
@@ -123,7 +132,7 @@ def test_mvdr_no_interference_matched():
     g = build_geometry(cfg)
     resp = build_responses(g, cfg.scene_objects)
     n = cfg.n_antennas
-    w = mvdr_receive(resp, [1.0], np.eye(n), cfg.sigma_s_sq).w
+    w = mvdr_receive(resp, [1.0], np.eye(n), cfg.sigma_s_sq)
     assert np.allclose(w, resp[0].g_r / n, atol=1e-12)
 
 
@@ -131,7 +140,7 @@ def test_mvdr_omnidirectional_finite(desk_data):
     cfg = desk_data.config
     w = mvdr_receive(
         desk_data.responses, desk_data.alphas, np.eye(cfg.n_antennas), cfg.sigma_s_sq
-    ).w
+    )
     assert np.all(np.isfinite(w.view(float)))
     assert np.linalg.norm(w) > 0
 
@@ -145,18 +154,18 @@ def test_phi_orthogonal_receive_filter(desk_data):
     g_r0 = desk_data.responses[0].g_r
     w = np.ones(cfg.n_antennas, dtype=complex)
     w -= (g_r0.conj() @ w) / np.linalg.norm(g_r0) ** 2 * g_r0
-    phi = phi_matrices(desk_data.basis, desk_data.responses, w, cfg.scnr_min, cfg.sigma_s_sq)
+    phi = phi_matrices(desk_data.u_tilde, desk_data.responses, w, cfg.scnr_min, cfg.sigma_s_sq)
     assert np.linalg.norm(phi.phi[0]) < 1e-20 * max(1.0, np.linalg.norm(w) ** 2)
 
 
 def test_phi_trace_identity(desk_data):
     cfg = desk_data.config
-    w = desk_data.w_fixed.w
+    w = desk_data.w_fixed
     phi = desk_data.phi_set
     for q, resp in enumerate(desk_data.responses):
         expected = (
             np.abs(w.conj() @ resp.g_r) ** 2
-            * np.linalg.norm(desk_data.basis.u_tilde.conj().T @ resp.g_t) ** 2
+            * np.linalg.norm(desk_data.u_tilde.conj().T @ resp.g_t) ** 2
         )
         assert np.trace(phi.phi[q]).real == pytest.approx(expected, rel=1e-10)
 
@@ -173,8 +182,8 @@ def test_reduced_matches_full_metrics(assert_check):
 
 
 def test_transmit_power_zero(desk_data):
-    w_rf = optimal_analog(desk_data.basis)
-    exact, proxy = transmit_power(w_rf, np.zeros((desk_data.n_rf, 2)))
+    w_rf = optimal_analog(desk_data.u_tilde)
+    exact, proxy = transmit_power(w_rf, np.zeros((desk_data.problem.dim, 2)))
     assert exact == 0.0 and proxy == 0.0
 
 
@@ -183,9 +192,9 @@ def test_transmit_power_orthogonal_columns(assert_check):
 
 
 def test_transmit_power_generic_gap(desk_data, rng):
-    w_rf = optimal_analog(desk_data.basis)
-    w_bb = rng.standard_normal((desk_data.n_rf, 3)) + 1j * rng.standard_normal(
-        (desk_data.n_rf, 3)
+    w_rf = optimal_analog(desk_data.u_tilde)
+    w_bb = rng.standard_normal((desk_data.problem.dim, 3)) + 1j * rng.standard_normal(
+        (desk_data.problem.dim, 3)
     )
     exact, proxy = transmit_power(w_rf, w_bb)
     assert exact != pytest.approx(proxy, rel=1e-6)  # steering columns overlap
@@ -196,15 +205,15 @@ def test_covariance_subspace_residuals(assert_check):
 
 
 def test_covariance_subspace_basis_invariance(desk_data, rng):
-    n_rf = desk_data.n_rf
+    n_rf = desk_data.problem.dim
     q, _ = np.linalg.qr(
         rng.standard_normal((n_rf, n_rf)) + 1j * rng.standard_normal((n_rf, n_rf))
     )
-    rotated = dataclasses.replace(desk_data.basis, u_tilde=desk_data.basis.u_tilde @ q)
+    rotated = desk_data.u_tilde @ q
     n = desk_data.config.n_antennas
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     r_x = a @ a.conj().T
-    r1 = verify_covariance_subspace(r_x, desk_data.basis)
+    r1 = verify_covariance_subspace(r_x, desk_data.u_tilde)
     r2 = verify_covariance_subspace(r_x, rotated)
     assert r1 == pytest.approx(r2, abs=1e-10)
 
@@ -217,11 +226,10 @@ def test_sensing_form_hermitian(desk_data):
 def test_hybrid_beamformer_invariants(desk_data, rng):
     cfg = desk_data.config
     k, m = cfg.k_subarrays, cfg.m_antennas
-    w_rf = optimal_analog(desk_data.basis)
-    w_bb = rng.standard_normal((desk_data.n_rf, desk_data.n_streams)) + (
-        1j * rng.standard_normal((desk_data.n_rf, desk_data.n_streams))
-    )
-    w_bb *= np.sqrt(desk_data.n_streams / m) / np.linalg.norm(w_bb)
+    w_rf = optimal_analog(desk_data.u_tilde)
+    shape = (desk_data.problem.dim, desk_data.problem.n_streams)
+    w_bb = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w_bb *= np.sqrt(shape[1] / m) / np.linalg.norm(w_bb)
     check_hybrid(w_rf, w_bb, k, m)
 
     # power-proxy violation is caught
@@ -248,7 +256,7 @@ def test_build_subspace_columns():
     g = build_geometry(cfg)
     paths = draw_paths(cfg, g, np.random.default_rng(3))
     responses = build_responses(g, cfg.scene_objects)
-    u = build_subspace(g, paths, responses).u_tilde
+    u = build_subspace(g, paths, responses)
     k, m = cfg.k_subarrays, cfg.m_antennas
     n_obj = len(responses)
     cols = n_obj + len(paths)

@@ -213,10 +213,10 @@ def test_stream_count_is_rate_form_rank():
                 data = harness.prepare_scenario(cfg)
                 expected = min(
                     channel.numerical_rank(data.h),
-                    _rate_form_rank(data.h @ data.basis.u_tilde),
-                    data.n_rf,
+                    _rate_form_rank(data.h @ data.u_tilde),
+                    data.problem.dim,
                 )
-                assert data.n_streams == expected, (seed, slot, db)
+                assert data.problem.n_streams == expected, (seed, slot, db)
     u, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))
     for second, rank in ((2e-5, 2), (1e-6, 1)):
         g = u @ np.diag([1.0, second])
@@ -231,11 +231,11 @@ def test_refreshed_filter_improves_scnr(desk_data):
     a = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     r_x = a @ a.conj().T
     fixed = beamform.scnr(
-        desk_data.w_fixed.w, desk_data.responses, desk_data.alphas, r_x, cfg.sigma_s_sq
+        desk_data.w_fixed, desk_data.responses, desk_data.alphas, r_x, cfg.sigma_s_sq
     )
     w_star = beamform.mvdr_receive(desk_data.responses, desk_data.alphas, r_x, cfg.sigma_s_sq)
     refreshed = beamform.scnr(
-        w_star.w, desk_data.responses, desk_data.alphas, r_x, cfg.sigma_s_sq
+        w_star, desk_data.responses, desk_data.alphas, r_x, cfg.sigma_s_sq
     )
     assert refreshed >= fixed
 
@@ -520,6 +520,48 @@ def test_cli_sweep(tmp_path, capsys):
     spec_path.write_text(yaml.safe_dump(doc))
     assert cli.main(["sweep", "--spec", str(spec_path)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, doc",
+    [
+        ("sweep", "--spec", {"values": 5}),
+        ("run-scenario", "--config", [{"seed": 0}]),
+    ],
+)
+def test_cli_bad_file_is_a_usage_error(tmp_path, capsys, command, flag, doc):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main([command, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"modisac {command}: error: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_result_row_csv_bytes():
+    """The CSV header and formats are pinned: sweep outputs are compared byte for byte."""
+    assert harness.ResultRow.HEADER == (
+        "algorithm,seed,k_subarrays,m_antennas,gamma,n_user,n_paths,n_objects,"
+        "n_streams,n_rf,layout,user_range_m,user_angle_deg,scnr_threshold_db,"
+        "sigma_c_sq,sigma_s_sq,se_bits,scnr_db,power_exact,power_proxy,"
+        "iterations,status,wall_time_ms"
+    )
+    row = harness.ResultRow(
+        algorithm="sdr_rrs", seed=7, k_subarrays=4, m_antennas=8, gamma=64.0,
+        n_user=4, n_paths=2, n_objects=2, n_streams=4, n_rf=16, layout="uniform",
+        user_range_m=40.0, user_angle_deg=15.000000000000002,
+        scnr_threshold_db=-np.inf, sigma_c_sq=1e-6, sigma_s_sq=np.float64(1e-5),
+        se_bits=35.891234567891, scnr_db=49.123456789123,
+        power_exact=1.2345678901234, power_proxy=0.5, iterations=3, status="ok",
+        wall_time_ms=12.34567,
+    )
+    assert row.to_csv() == (
+        "sdr_rrs,7,4,8,64,4,2,2,4,16,uniform,40,15,-inf,1e-06,1e-05,"
+        "35.8912346,49.1234568,1.23456789,0.5,3,ok,12.346"
+    )
+    error = harness._error_row("fdb", 123, ValueError("x"))
+    assert error.to_csv() == "fdb,123," + "nan," * 18 + "0,error:ValueError,0.000"
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):

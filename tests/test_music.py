@@ -302,4 +302,4 @@ def test_run_music_with_config_snapshots():
     grid = GridSpec(truth[0] - 1, 0.5, truth[0] + 1, truth[1] - 1, 0.5, truth[1] + 1)
     result, data, f_tx = harness.run_music(cfg, grid)
     assert result.spectrum.shape == (len(grid.y_axis), len(grid.x_axis))
-    assert f_tx.shape == (cfg.n_antennas, data.n_streams)
+    assert f_tx.shape == (cfg.n_antennas, data.problem.n_streams)

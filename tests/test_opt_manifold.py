@@ -79,7 +79,7 @@ def random_feasible_state(eig, cfg, rng, scale=0.15) -> ManifoldState:
 
 @pytest.fixture(scope="module")
 def desk_problem(desk_data):
-    return desk_data, desk_data.reduced_eig()
+    return desk_data, reduce_b(desk_data.problem)
 
 
 def test_reduce_b_identity_case():
@@ -99,14 +99,14 @@ def test_reduce_b_reconstruction(desk_problem):
 
 def test_reduce_b_rank_error(desk_data):
     # n_rf streams: far above the channel rank
-    problem = dataclasses.replace(desk_data.sdr_problem(), n_streams=desk_data.n_rf)
+    problem = dataclasses.replace(desk_data.problem, n_streams=desk_data.problem.dim)
     with pytest.raises(RankDeficiencyError, match="rank"):
         reduce_b(problem)
 
 
 def test_reduced_eig_shares_budget_and_threshold(desk_problem):
     data, eig = desk_problem
-    problem = data.sdr_problem()
+    problem = data.problem
     assert problem.gamma0 > 0.0
     assert (eig.power_budget, eig.gamma0) == (problem.power_budget, problem.gamma0)
 
@@ -114,7 +114,7 @@ def test_reduced_eig_shares_budget_and_threshold(desk_problem):
 def test_phi_tilde_hermitian_and_quadratic_identity(desk_problem, rng):
     data, eig = desk_problem
     assert np.max(np.abs(eig.phi_q - eig.phi_q.conj().T)) < 1e-12
-    psi = data.sdr_problem().psi
+    psi = data.problem.psi
     cfg = ManifoldConfig()
     state = random_feasible_state(eig, cfg, rng)
     w = assemble_wbb(eig, state)
@@ -195,7 +195,7 @@ def test_with_gains_trial_scores_like_fresh_state(desk_problem, rng, sensing):
     (measured worst 6e-15 relative), which no shared term can mask.
     """
     data, eig = desk_problem
-    psi = data.sdr_problem().psi
+    psi = data.problem.psi
     if not sensing:
         eig = no_sensing(eig)
     cfg = ManifoldConfig()
@@ -416,7 +416,7 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
     """
     data, eig = desk_problem
     assert eig.gamma0 > 0.0
-    psi = data.sdr_problem().psi
+    psi = data.problem.psi
     cfg = ManifoldConfig()
     ns = eig.n_streams
     xp = np.clongdouble
@@ -501,15 +501,15 @@ def test_phase1_binding_desk_cells_start_every_stream(seed, slot):
         seed=harness.derive_seed(base_seed, 0), scnr_threshold_db=60.0
     )
     data = harness.prepare_scenario(cfg)
-    eig, config = data.reduced_eig(), ManifoldConfig()
+    eig, config = reduce_b(data.problem), ManifoldConfig()
     start = phase1_feasible(eig)
     assert np.all(start.b > 0.0)
     assert np.isfinite(barrier_value(start, eig, config))
     result = rm_jgd(eig, config, start)
     se = spectral_efficiency(
-        data.h, optimal_analog(data.basis), result.w_bb, cfg.sigma_c_sq
+        data.h, optimal_analog(data.u_tilde), result.w_bb, cfg.sigma_c_sq
     )
-    optimum = restricted_optimum_bits(eig, data.sdr_problem().psi)
+    optimum = restricted_optimum_bits(eig, data.problem.psi)
     assert se <= optimum + 1e-6
     assert optimum - se < 3.0
 
@@ -599,7 +599,7 @@ def test_rmjgd_matches_sequential_reference(desk_problem, threshold_db):
         data = harness.prepare_scenario(
             harness.desk_config(seed=seed, scnr_threshold_db=threshold_db)
         )
-        eig = data.reduced_eig()
+        eig = reduce_b(data.problem)
     cfg = ManifoldConfig(max_iterations=40)
     init = phase1_feasible(eig)
     result = rm_jgd(eig, cfg, init)
@@ -629,8 +629,8 @@ def test_rmjgd_final_power_and_scnr(desk_problem):
     cfg = ManifoldConfig()
     init = phase1_feasible(eig)
     result = rm_jgd(eig, cfg, init)
-    w_rf = optimal_analog(data.basis)
+    w_rf = optimal_analog(data.u_tilde)
     _, proxy = transmit_power(w_rf, result.w_bb)
-    assert proxy <= data.n_streams + 1e-9
+    assert proxy <= data.problem.n_streams + 1e-9
     achieved = scnr_reduced(result.w_bb, data.phi_set, data.alphas)
     assert achieved >= data.config.scnr_min  # strict by barrier construction

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from modisac import harness, opt_sdr
-from modisac.beamform import scnr_reduced, verify_covariance_subspace
+from modisac.beamform import _rate_bits, scnr_reduced, verify_covariance_subspace
 from modisac.opt_sdr import (
     MaxDetProblem,
     RandomizationFailure,
     randomize_rank,
     sdr_rrs,
     solve_maxdet,
-    _candidate_se_bits,
     _dual_point,
     _slacks,
 )
@@ -33,7 +32,7 @@ def no_sensing_problem(h_eff, sigma_c_sq, budget, n_streams):
 
 @pytest.fixture(scope="module")
 def small_problem(small_data):
-    return small_data, small_data.sdr_problem()
+    return small_data, small_data.problem
 
 
 def test_waterfilling_two_channel_oracle():
@@ -89,7 +88,7 @@ def test_randomization_rank_recovery(small_problem):
     w = randomize_rank(sol, problem, np.random.default_rng(0))
     assert w.shape == (problem.dim, problem.n_streams)
     # identity sketch reproduces an (effectively) rank-n_streams optimum
-    assert abs(_candidate_se_bits(w, problem) - sol.objective_bits) < 1e-6
+    assert abs(_rate_bits(problem.h_eff @ w, problem.sigma_c_sq) - sol.objective_bits) < 1e-6
 
 
 def test_randomization_power_equality(small_problem, rng):
@@ -107,7 +106,7 @@ def test_randomization_never_beats_relaxation(small_problem):
     rng = np.random.default_rng(42)
     for _ in range(5):
         w = randomize_rank(sol, problem, rng, trials=20)
-        assert _candidate_se_bits(w, problem) <= sol.objective_bits + 1e-9
+        assert _rate_bits(problem.h_eff @ w, problem.sigma_c_sq) <= sol.objective_bits + 1e-9
 
 
 def test_randomization_deterministic(small_problem):
@@ -128,7 +127,7 @@ def test_randomization_failure_raised(small_problem):
 
 
 def test_sdr_rrs_close_to_relaxation_no_sensing(small_data):
-    problem = dataclasses.replace(small_data.sdr_problem(), gamma0=0.0)
+    problem = dataclasses.replace(small_data.problem, gamma0=0.0)
     result = sdr_rrs(problem, np.random.default_rng(0))
     assert result.status == "optimal"
     bound = solve_maxdet(problem).objective_bits
@@ -161,7 +160,7 @@ def test_fdb_upper_bounds_sdr(small_problem):
 
 
 def test_fdb_no_sensing_equals_waterfilling(small_data):
-    problem = dataclasses.replace(small_data.sdr_problem(), gamma0=0.0)
+    problem = dataclasses.replace(small_data.problem, gamma0=0.0)
     solution = solve_maxdet(problem, tol=1e-9)
     assert solution.status == "optimal"
     fdb = solution.dual_bits
@@ -180,12 +179,12 @@ def test_fullspace_matches_reduced(small_data):
     sol_red = solve_maxdet(reduced, tol=1e-9)
     assert sol_full.status == "optimal" and sol_red.status == "optimal"
     assert abs(sol_full.objective_bits - sol_red.objective_bits) < 1e-4
-    assert verify_covariance_subspace(sol_full.r_bb, small_data.basis) < 1e-6
+    assert verify_covariance_subspace(sol_full.r_bb, small_data.u_tilde) < 1e-6
 
 
 def test_max_iter_solution_is_primal_feasible(monkeypatch):
     data = harness.prepare_scenario(harness.desk_config(seed=0, scnr_threshold_db=60.0))
-    problem = data.sdr_problem()
+    problem = data.problem
     sol = solve_maxdet(problem, max_iter=1)
     assert sol.status == "max_iter" and sol.newton_steps == 1
     assert sol.dual_bits - sol.objective_bits > 1e-6  # sensing binds: not converged
@@ -212,7 +211,7 @@ def desk_cells():
 
 def test_certificate_on_desk_cells():
     for cfg in desk_cells():
-        problem = harness.prepare_scenario(cfg).sdr_problem()
+        problem = harness.prepare_scenario(cfg).problem
         sol = solve_maxdet(problem)
         assert sol.status == "optimal"
         assert abs(sol.dual_bits - sol.objective_bits) <= 1e-9
@@ -233,7 +232,7 @@ def full_data():
 def power_problem(data, power):
     """The proxy problem ("identity", tr(R_BB) <= n_streams/M) or the exact
     transmit-power problem over col(U~) in whitened coordinates ("exact")."""
-    return data.sdr_problem() if power == "identity" else exact_power_problems(data)[1]
+    return data.problem if power == "identity" else exact_power_problems(data)[1]
 
 
 def dual_data(problem):
