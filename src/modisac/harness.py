@@ -132,11 +132,18 @@ def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioC
         raise ConfigurationError(f"invalid config value: {err}") from err
 
 
+def _read_yaml(path: str):
+    """Parse a YAML file; an unreadable or malformed one is a ConfigurationError."""
+    try:
+        with open(path) as f:
+            return yaml.safe_load(f)
+    except (OSError, yaml.YAMLError) as err:
+        raise ConfigurationError(f"cannot read {path}: {' '.join(str(err).split())}") from err
+
+
 def load_config(path: str, desk_scale: bool = False) -> ScenarioConfig:
     """Load a YAML scenario file; empty files yield the defaults."""
-    with open(path) as f:
-        doc = yaml.safe_load(f)
-    return config_from_dict(doc, desk_scale=desk_scale)
+    return config_from_dict(_read_yaml(path), desk_scale=desk_scale)
 
 
 def desk_config(**overrides) -> ScenarioConfig:
@@ -195,9 +202,8 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
     objects = config.scene_objects
     responses = channel.build_responses(geometry, objects)
     alphas = np.array([o.alpha for o in objects])
-    n = config.n_antennas
     w_fixed = beamform.mvdr_receive(
-        responses, alphas, np.eye(n), config.sigma_s_sq
+        responses, alphas, np.eye(config.n_antennas), config.sigma_s_sq
     )
     u_tilde = beamform.build_subspace(geometry, paths, responses)
     phi_set = beamform.phi_matrices(
@@ -475,12 +481,11 @@ def _format_value(value) -> str:
 
 def _run_cell(args: tuple) -> tuple[int, str, ResultRow]:
     cell_index, axis, value, algorithm, rep, base = args
+    seed = derive_seed(base.seed, rep)
     try:
-        config = apply_axis(base, axis, value)
-        config = dataclasses.replace(config, seed=derive_seed(base.seed, rep))
+        config = dataclasses.replace(apply_axis(base, axis, value), seed=seed)
         row = run_scenario(config, algorithm)
     except Exception as err:  # failures become rows, never abort the sweep
-        seed = derive_seed(base.seed, rep)
         print(f"{algorithm} seed {seed}: {type(err).__name__}: {err}", file=sys.stderr)
         row = _error_row(algorithm, seed, err)
     return cell_index, _format_value(value), row
@@ -538,8 +543,7 @@ def load_experiment(path: str) -> ExperimentSpec:
     Layout: {base: {scenario fields}, axis: str, values: [...],
     algorithms: [...], repetitions: int, output: str}.
     """
-    with open(path) as f:
-        doc = yaml.safe_load(f) or {}
+    doc = _read_yaml(path) or {}
     if not isinstance(doc, dict):
         raise ConfigurationError(f"sweep spec root must be a mapping, got {type(doc)}")
     for key in ("values", "algorithms"):

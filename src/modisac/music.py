@@ -16,8 +16,10 @@ Each response g has unit-modulus entries, so ||g||^2 = N and the MUSIC
 denominator ||E^H g||^2 equals N - ||S^H g||^2, with S the orthonormal
 complement of the noise basis E (Schmidt 1986). Cells are projected onto
 whichever of E and S has fewer columns: with few sources that is an
-N x n_src product per cell (32x2 on the desk localization scene) in place
-of N x (N - n_src).
+N x n_src product per cell (32x2 on the desk localization scene).
+
+Cells go 8192 at a time through work arrays allocated once per spectrum, so
+a spectrum holds 9 bytes a cell beyond them (~10 MB of them at N=32).
 """
 
 from __future__ import annotations
@@ -60,16 +62,10 @@ class GridSpec:
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
         """Parse "x0:dx:x1,y0:dy:y1" (the y part defaults to the x part)."""
-        parts = text.split(",")
-        if len(parts) == 1:
-            parts = [parts[0], parts[0]]
-        if len(parts) != 2:
+        parts = [part.split(":") for part in text.split(",")]
+        if len(parts) > 2 or any(len(part) != 3 for part in parts):
             raise ValueError(f"bad grid spec {text!r}")
-        xs = [float(v) for v in parts[0].split(":")]
-        ys = [float(v) for v in parts[1].split(":")]
-        if len(xs) != 3 or len(ys) != 3:
-            raise ValueError(f"bad grid spec {text!r}")
-        return cls(x0=xs[0], dx=xs[1], x1=xs[2], y0=ys[0], dy=ys[1], y1=ys[2])
+        return cls(*(float(v) for part in (parts * 2)[:2] for v in part))
 
 
 @dataclass
@@ -102,8 +98,15 @@ def noise_subspace(cov: np.ndarray, assumed_sources: int) -> np.ndarray:
     return vecs[:, : n - assumed_sources]
 
 
+def _grid_work(cells: int, k: int, m: int) -> tuple:
+    """Work arrays of `_receive_responses_grid` for up to `cells` cells."""
+    return (np.empty((4, cells, k)), np.empty(cells), np.empty((cells, k), dtype=bool),
+            np.empty(cells, dtype=bool), np.empty((m + 1, cells, k), dtype=complex),
+            np.empty((cells, k * m), dtype=complex))
+
+
 def _receive_responses_grid(
-    geometry: ArrayGeometry, x: np.ndarray, y: np.ndarray
+    geometry: ArrayGeometry, x: np.ndarray, y: np.ndarray, work: tuple = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked receive responses for flat coordinate arrays.
 
@@ -115,32 +118,35 @@ def _receive_responses_grid(
     a cell costs 2K unit phasors (a cos and a sin each) and K*(M-1)
     products. `degenerate` marks cells within 1e-12*max(1, r) of a reference
     antenna, the rule of `geometry.subarray_angle`; their rows are
-    meaningless.
+    meaningless. Both are views into `work` (`_grid_work` for at least
+    x.size cells), allocated for this call when omitted.
     """
     refs = geometry.reference_positions("rx")
-    k, m = geometry.k_subarrays, geometry.m_antennas
-    dx = x[:, None] - refs[None, :, 0]
-    dy = y[:, None] - refs[None, :, 1]
-    dist = np.hypot(dx, dy)
-    tol = 1e-12 * np.maximum(1.0, np.hypot(x, y))
-    degenerate = np.any(dist <= tol[:, None], axis=1)
-    sin_angle = np.clip(dx / np.where(dist > 0.0, dist, 1.0), -1.0, 1.0)
+    k, m, n = geometry.k_subarrays, geometry.m_antennas, x.size
+    real, tol, mask, bad, phasors, rows = work or _grid_work(n, k, m)
+    (dx, dy, dist, phase), tol, mask, bad = real[:, :n], tol[:n], mask[:n], bad[:n]
+    g, step, rows = phasors[:m, :n], phasors[m, :n], rows[:n]
+    np.subtract(x[:, None], refs[:, 0], out=dx)
+    np.subtract(y[:, None], refs[:, 1], out=dy)
+    np.hypot(dx, dy, out=dist)
+    np.multiply(1e-12, np.maximum(1.0, np.hypot(x, y, out=tol), out=tol), out=tol)
+    np.any(np.less_equal(dist, tol[:, None], out=mask), axis=1, out=bad)
+    # dx becomes sin(theta) = dx/dist, clipped; where dist is 0 it keeps dx/1
+    np.divide(dx, dist, out=dx, where=np.greater(dist, 0.0, out=mask))
+    np.clip(dx, -1.0, 1.0, out=dx)
     wavenumber = -2.0 * np.pi / geometry.wavelength
     # fill element-major, where each running product is one contiguous
-    # multiply, then lay the rows out subarray-major in a single copy
-    g = np.empty((m, x.size, k), dtype=complex)
-    step = np.empty((x.size, k), dtype=complex)
-    # exp(j*phase) of a real phase, written as cos and sin into the real and
-    # imaginary parts: no complex temporary and no complex exp
-    for out, phase in (
-        (g[0], wavenumber * dist),
-        (step, wavenumber * geometry.d * sin_angle),
-    ):
+    # multiply, then lay the rows out subarray-major in a single copy;
+    # exp(j*phase) of a real phase is written as cos and sin into the real
+    # and imaginary parts: no complex temporary and no complex exp
+    for out, scale, source in ((g[0], wavenumber, dist), (step, wavenumber * geometry.d, dx)):
+        np.multiply(scale, source, out=phase)
         np.cos(phase, out=out.real)
         np.sin(phase, out=out.imag)
     for i in range(1, m):
         np.multiply(g[i - 1], step, out=g[i])
-    return g.transpose(1, 2, 0).reshape(x.size, k * m), degenerate
+    np.copyto(rows.reshape(n, k, m), g.transpose(1, 2, 0))
+    return rows, bad
 
 
 def _pseudo_spectrum(
@@ -150,7 +156,10 @@ def _pseudo_spectrum(
     y: np.ndarray,
     chunk: int = 8192,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized 1/(||E^H g||^2 + 1e-18) values for flat coordinates.
+    """Unnormalized 1/(||E^H g||^2 + 1e-18) values, flat, for x, y of one shape.
+
+    x and y are read `chunk` cells at a time in row-major order (broadcast
+    views of the axes serve) into work arrays allocated once per call.
 
     Each cell is projected onto whichever subspace has fewer columns. With
     S the orthonormal complement of E, ||E^H g||^2 = ||g||^2 - ||S^H g||^2,
@@ -172,17 +181,21 @@ def _pseudo_spectrum(
     # |g^T conj(B)| = |B^H g| entrywise: conjugate the small basis, not G,
     # and sum re^2 + im^2 over a real view of the product
     basis_conj = basis.conj()
-    values = np.zeros(x.size)
-    degenerate = np.zeros(x.size, dtype=bool)
+    cells = min(chunk, x.size)
+    work = _grid_work(cells, geometry.k_subarrays, geometry.m_antennas)
+    proj_work, denom_work = np.empty((cells, basis.shape[1]), dtype=complex), np.empty(cells)
+    values, degenerate = np.empty(x.size), np.empty(x.size, dtype=bool)
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
-        g, bad = _receive_responses_grid(geometry, x[sl], y[sl])
-        proj = (g @ basis_conj).view(np.float64)
-        denom = np.maximum(offset + sign * np.einsum("ij,ij->i", proj, proj), 0.0)
-        vals = 1.0 / (denom + 1e-18)
-        vals[bad] = 0.0
-        values[sl] = vals
+        g, bad = _receive_responses_grid(geometry, x.flat[sl], y.flat[sl], work)
         degenerate[sl] = bad
+        proj = np.matmul(g, basis_conj, out=proj_work[: len(g)]).view(np.float64)
+        denom = np.einsum("ij,ij->i", proj, proj, out=denom_work[: len(g)])
+        # 1 / (max(offset + sign * denom, 0) + 1e-18), in place
+        np.add(offset, np.multiply(sign, denom, out=denom), out=denom)
+        np.add(np.maximum(denom, 0.0, out=denom), 1e-18, out=denom)
+        np.divide(1.0, denom, out=values[sl])
+        values[sl][bad] = 0.0
     return values, degenerate
 
 
@@ -204,21 +217,20 @@ def music_spectrum(
             f"for K={k} subarrays of M={m} antennas"
         )
     xs, ys = grid.x_axis, grid.y_axis
-    gx, gy = np.meshgrid(xs, ys)
-    values, degenerate = _pseudo_spectrum(geometry, noise_basis, gx.ravel(), gy.ravel())
+    values, degenerate = _pseudo_spectrum(
+        geometry, noise_basis, *np.broadcast_arrays(xs, ys[:, None])
+    )
     peak_flat = int(np.argmax(values))
     peak_val = values[peak_flat]
     if peak_val <= 0.0:
         raise ValueError("spectrum is identically zero on the grid")
-    spectrum = (values / peak_val).reshape(len(ys), len(xs))
+    values /= peak_val
     iy, ix = divmod(peak_flat, len(xs))
     x_pk, y_pk = float(xs[ix]), float(ys[iy])
     width = _range_lobe_width(noise_basis, geometry, x_pk, y_pk)
-    flagged = [
-        (int(i // len(xs)), int(i % len(xs))) for i in np.nonzero(degenerate)[0]
-    ]
+    flagged = [divmod(int(i), len(xs)) for i in np.nonzero(degenerate)[0]]
     return MusicResult(
-        spectrum=spectrum,
+        spectrum=values.reshape(len(ys), len(xs)),
         x_axis=xs,
         y_axis=ys,
         peak_location=(x_pk, y_pk),
@@ -247,21 +259,17 @@ def _range_lobe_width(
     vals, _ = _pseudo_spectrum(geometry, noise_basis, x, y)
     i_max = int(np.argmax(vals))
     threshold = 10.0 ** (-0.3) * vals[i_max]
-    lo = i_max
-    while lo > 0 and vals[lo - 1] >= threshold:
-        lo -= 1
-    hi = i_max
-    while hi < vals.size - 1 and vals[hi + 1] >= threshold:
-        hi += 1
-    r_lo = radii[lo]
-    if lo > 0:
-        frac = (vals[lo] - threshold) / max(vals[lo] - vals[lo - 1], 1e-300)
-        r_lo = radii[lo] - frac * step
-    r_hi = radii[hi]
-    if hi < vals.size - 1:
-        frac = (vals[hi] - threshold) / max(vals[hi] - vals[hi + 1], 1e-300)
-        r_hi = radii[hi] + frac * step
-    return float(r_hi - r_lo)
+    edges = []
+    for d in (-1, 1):  # walk down, then up, to the last radius above threshold
+        i = i_max
+        while 0 <= i + d < vals.size and vals[i + d] >= threshold:
+            i += d
+        edge = radii[i]
+        if 0 <= i + d < vals.size:  # interpolate the crossing toward i + d
+            frac = (vals[i] - threshold) / max(vals[i] - vals[i + d], 1e-300)
+            edge = edge + d * (frac * step)
+        edges.append(edge)
+    return float(edges[1] - edges[0])
 
 
 def save_spectrum_csv(result: MusicResult, path: str) -> None:
@@ -279,17 +287,5 @@ def save_spectrum_grid(result: MusicResult, path: str) -> None:
     dx = result.x_axis[1] - result.x_axis[0] if nx > 1 else 0.0
     dy = result.y_axis[1] - result.y_axis[0] if ny > 1 else 0.0
     with open(path, "wb") as f:
-        f.write(struct.pack("<qq", nx, ny))
-        f.write(
-            struct.pack("<dddd", result.x_axis[0], result.y_axis[0], float(dx), float(dy))
-        )
+        f.write(struct.pack("<qqdddd", nx, ny, result.x_axis[0], result.y_axis[0], dx, dy))
         result.spectrum.astype("<f8").tofile(f)
-
-
-def load_spectrum_grid(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a binary grid dump; returns (x_axis, y_axis, spectrum)."""
-    with open(path, "rb") as f:
-        nx, ny = struct.unpack("<qq", f.read(16))
-        x0, y0, dx, dy = struct.unpack("<dddd", f.read(32))
-        data = np.fromfile(f, dtype="<f8", count=nx * ny).reshape(ny, nx)
-    return x0 + dx * np.arange(nx), y0 + dy * np.arange(ny), data

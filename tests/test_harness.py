@@ -527,11 +527,19 @@ def test_cli_sweep(tmp_path, capsys):
     [
         ("sweep", "--spec", {"values": 5}),
         ("run-scenario", "--config", [{"seed": 0}]),
+        # doc None: no file at all; a str: written as is, and not YAML
+        pytest.param("sweep", "--spec", None, id="sweep---spec-missing"),
+        pytest.param("run-scenario", "--config", None, id="run-scenario---config-missing"),
+        pytest.param("sweep", "--spec", "seed: [1\n", id="sweep---spec-malformed"),
+        pytest.param(
+            "run-scenario", "--config", "seed: [1\n", id="run-scenario---config-malformed"
+        ),
     ],
 )
 def test_cli_bad_file_is_a_usage_error(tmp_path, capsys, command, flag, doc):
     path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump(doc))
+    if doc is not None:
+        path.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
     assert cli.main([command, flag, str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,6 @@ from modisac.music import (
     GridSpec,
     _pseudo_spectrum,
     _receive_responses_grid,
-    load_spectrum_grid,
     music_spectrum,
     noise_subspace,
     sample_covariance,
@@ -189,6 +190,53 @@ def test_pseudo_spectrum_chunk_invariance():
         assert np.allclose(vals, ref_vals, rtol=1e-13, atol=0.0)
 
 
+def test_music_spectrum_matches_flat_grid_path():
+    # music_spectrum reads the grid axes through broadcast views; it must give
+    # bit for bit what the row-major raveled meshgrid gives, over 3 chunks of
+    # 8192 cells (the last one partial) with an antenna cell first in chunk 2
+    cfg = harness.desk_config(seed=0)
+    g = build_geometry(cfg)
+    basis = _random_noise_basis(np.random.default_rng(23), cfg.n_antennas, 30)
+    nx, ny, step = 100, 200, 0.05
+    ref_x = g.reference_positions("rx")[0, 0]
+    iy, ix = divmod(8192, nx)
+    grid = GridSpec(ref_x - ix * step, step, ref_x + (nx - 1 - ix) * step,
+                    -iy * step, step, (ny - 1 - iy) * step)
+    result = music_spectrum(basis, g, grid)
+    gx, gy = np.meshgrid(grid.x_axis, grid.y_axis)
+    assert gx.shape == (ny, nx) and gx.size % 8192 != 0
+    values, degenerate = _pseudo_spectrum(g, basis, gx.ravel(), gy.ravel())
+    peak = int(np.argmax(values))
+    assert np.array_equal(result.spectrum, (values / values[peak]).reshape(ny, nx))
+    assert result.peak_index == divmod(peak, nx)
+    assert result.flagged_cells == [divmod(int(i), nx) for i in np.nonzero(degenerate)[0]]
+    assert (iy, ix) in result.flagged_cells
+
+
+def test_music_spectrum_memory_per_cell():
+    # beyond fixed chunk buffers, a spectrum keeps its values (8 bytes a cell)
+    # and degenerate flags (1 byte a cell): no full-grid coordinates or copies
+    cfg = harness.desk_config(seed=0)
+    g = build_geometry(cfg)
+    resp = build_responses(g, (SceneObject(PolarPoint(18.0, 0.5), 1.0),))
+    cov = np.outer(resp[0].g_r, resp[0].g_r.conj()) + 1e-6 * np.eye(cfg.n_antennas)
+    basis = noise_subspace(cov, 1)
+    peaks = {}
+    for side in (300, 600):
+        span = 0.02 * (side - 1)
+        grid = GridSpec(2.0, 0.02, 2.0 + span, 10.0, 0.02, 10.0 + span)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = music_spectrum(basis, g, grid)
+            peaks[side] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result.spectrum.shape == (side, side)
+        del result
+    assert (peaks[600] - peaks[300]) / (600**2 - 300**2) <= 10.0
+
+
 @pytest.mark.parametrize("width", [0, 1, 16, 17, 30, 31])
 def test_pseudo_spectrum_both_sides_match_per_cell_oracle(width):
     # widths up to N/2 = 16 project onto the noise basis, wider ones onto
@@ -245,10 +293,20 @@ def test_grid_parse_and_axes():
     assert np.allclose(grid.y_axis, [1.0, 2.0, 3.0])
     same = GridSpec.parse("0:0.25:1")
     assert np.allclose(same.x_axis, same.y_axis)
-    with pytest.raises(ValueError):
-        GridSpec.parse("1:2")
+    for bad in ("1:2", "0:1:2:3,0:1", "0:1:2,0:1:2,0:1:2"):
+        with pytest.raises(ValueError):
+            GridSpec.parse(bad)
     with pytest.raises(ValueError):
         GridSpec(0, -1.0, 1, 0, 1.0, 1)
+
+
+def _load_spectrum_grid(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a `save_spectrum_grid` dump; returns (x_axis, y_axis, spectrum)."""
+    with open(path, "rb") as f:
+        nx, ny = struct.unpack("<qq", f.read(16))
+        x0, y0, dx, dy = struct.unpack("<dddd", f.read(32))
+        data = np.fromfile(f, dtype="<f8", count=nx * ny).reshape(ny, nx)
+    return x0 + dx * np.arange(nx), y0 + dy * np.arange(ny), data
 
 
 def test_spectrum_exports(tmp_path):
@@ -269,7 +327,7 @@ def test_spectrum_exports(tmp_path):
 
     bin_path = str(tmp_path / "spec.grid")
     save_spectrum_grid(result, bin_path)
-    xs, ys, data = load_spectrum_grid(bin_path)
+    xs, ys, data = _load_spectrum_grid(bin_path)
     assert np.allclose(xs, result.x_axis)
     assert np.allclose(ys, result.y_axis)
     assert np.allclose(data, result.spectrum)
