@@ -39,7 +39,6 @@ from .channel import (
     simulate_echoes,
 )
 from .beamform import (
-    PhiSet,
     build_subspace,
     check_hybrid,
     mvdr_receive,

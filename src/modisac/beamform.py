@@ -5,31 +5,18 @@ and the (N, N_RF) basis U_tilde, which is block diagonal: its k-th block
 stacks subarray k's steering vectors toward all sensing objects and
 communication paths side by side. U_tilde is simultaneously the optimal
 analog beamformer: every entry of a block is unit modulus, so the
-group-connected phase-shifter constraint is met for free.
+group-connected phase-shifter constraint is met for free. The sensing forms
+(`phi_matrices`, `sensing_form`) take any transmit basis B: U_tilde for the
+reduced problem, the identity for the full N-dimensional one;
+`opt_sdr.make_maxdet_problem` builds both problems from them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ObjectResponse, PathSpec
 from .geometry import ArrayGeometry, steering_vector
-
-
-@dataclass(frozen=True)
-class PhiSet:
-    """Reduced-space sensing quadratic forms and the SCNR constraint level.
-
-    phi[q] = c_q * v_q v_q^H with v_q = U_tilde^H g_tq and c_q = |w^H g_rq|^2;
-    gamma0 = scnr_min * sigma_s_sq * ||w||^2. noise_term = sigma_s_sq*||w||^2
-    is kept separately so the reduced SCNR value can be reported.
-    """
-
-    phi: tuple[np.ndarray, ...]
-    gamma0: float
-    noise_term: float
 
 
 def check_hybrid(
@@ -197,46 +184,24 @@ def mvdr_receive(
 
 
 def phi_matrices(
-    u_tilde: np.ndarray,
-    responses: tuple[ObjectResponse, ...],
-    w: np.ndarray,
-    scnr_min: float,
-    sigma_s_sq: float,
-) -> PhiSet:
-    """Rank-1 reduced sensing forms Phi_q = |w^H g_rq|^2 (U~^H g_tq)(U~^H g_tq)^H."""
+    basis: np.ndarray, responses: tuple[ObjectResponse, ...], w: np.ndarray
+) -> np.ndarray:
+    """Rank-1 sensing forms Phi_q = |w^H g_rq|^2 (B^H g_tq)(B^H g_tq)^H, stacked (Q, n, n)."""
     phis = []
     for resp in responses:
-        v = u_tilde.conj().T @ resp.g_t
+        v = basis.conj().T @ resp.g_t
         c = float(np.abs(w.conj() @ resp.g_r) ** 2)
         phis.append(c * np.outer(v, v.conj()))
-    w_norm_sq = float(np.real(w.conj() @ w))
-    return PhiSet(
-        phi=tuple(phis),
-        gamma0=scnr_min * sigma_s_sq * w_norm_sq,
-        noise_term=sigma_s_sq * w_norm_sq,
-    )
+    return np.stack(phis)
 
 
-def sensing_form(phi_set: PhiSet, alphas: np.ndarray, scnr_min: float) -> np.ndarray:
+def sensing_form(phis: np.ndarray, alphas: np.ndarray, scnr_min: float) -> np.ndarray:
     """Constraint matrix Psi = alpha_0^2 Phi_0 - scnr_min * sum_q alpha_q^2 Phi_q."""
     alphas = np.asarray(alphas, dtype=float)
-    psi = alphas[0] ** 2 * phi_set.phi[0].copy()
-    for q in range(1, len(phi_set.phi)):
-        psi -= scnr_min * alphas[q] ** 2 * phi_set.phi[q]
+    psi = alphas[0] ** 2 * phis[0]
+    for q in range(1, len(phis)):
+        psi -= scnr_min * alphas[q] ** 2 * phis[q]
     return 0.5 * (psi + psi.conj().T)
-
-
-def scnr_reduced(w_bb: np.ndarray, phi_set: PhiSet, alphas: np.ndarray) -> float:
-    """Reduced-space SCNR of a digital beamformer under the fixed filter.
-
-    alpha_0^2 tr(W^H Phi_0 W) / (sum_{q>=1} alpha_q^2 tr(W^H Phi_q W) + noise).
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    traces = np.array(
-        [float(np.real(np.sum(w_bb.conj() * (p @ w_bb)))) for p in phi_set.phi]
-    )
-    denom = float(np.sum(alphas[1:] ** 2 * traces[1:])) + phi_set.noise_term
-    return float(alphas[0] ** 2 * traces[0] / denom)
 
 
 def transmit_power(w_rf: np.ndarray, w_bb: np.ndarray) -> tuple[float, float]:

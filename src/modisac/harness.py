@@ -2,9 +2,9 @@
 
 A run builds the geometry and channels, fixes the receive filter from
 omnidirectional transmission, constructs the subarray-response subspace and
-the reduced sensing forms, hands the digital problem to the chosen optimizer
-and finally refreshes the receive filter from the optimized covariance
-before reporting rate and SCNR.
+the reduced problem with its sensing constraint, hands that problem to the
+chosen optimizer and finally refreshes the receive filter from the
+optimized covariance before reporting rate and SCNR.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _layout_offsets(
 
 @dataclass(frozen=True)
 class ScenarioData:
-    """One instance: channels, fixed filter, U_tilde and the shared problem."""
+    """One instance: channels, fixed filter, U_tilde and the problem built at them."""
 
     config: ScenarioConfig
     geometry: geo.ArrayGeometry
@@ -184,7 +184,6 @@ class ScenarioData:
     alphas: np.ndarray
     w_fixed: np.ndarray
     u_tilde: np.ndarray
-    phi_set: beamform.PhiSet
     problem: opt_sdr.MaxDetProblem
 
 
@@ -206,9 +205,6 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
         responses, alphas, np.eye(config.n_antennas), config.sigma_s_sq
     )
     u_tilde = beamform.build_subspace(geometry, paths, responses)
-    phi_set = beamform.phi_matrices(
-        u_tilde, responses, w_fixed, config.scnr_min, config.sigma_s_sq
-    )
     if config.n_streams is not None:
         n_streams = config.n_streams
     else:
@@ -221,14 +217,8 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
             u_tilde.shape[1],
         )
     problem = opt_sdr.make_maxdet_problem(
-        h,
-        u_tilde,
-        phi_set,
-        alphas,
-        config.scnr_min,
-        config.sigma_c_sq,
-        n_streams,
-        config.m_antennas,
+        h, u_tilde, responses, alphas, w_fixed, config.scnr_min, config.sigma_c_sq,
+        config.sigma_s_sq, n_streams, config.m_antennas,
     )
     return ScenarioData(
         config=config,
@@ -238,7 +228,6 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
         alphas=alphas,
         w_fixed=w_fixed,
         u_tilde=u_tilde,
-        phi_set=phi_set,
         problem=problem,
     )
 
@@ -303,7 +292,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
     would actually deploy. An rm_jgd run whose phase 1 or stream count fails
     is a row with status `infeasible_subspace` or `error:RankDeficiencyError`;
     a start outside the barrier's interior is an `error:InfeasiblePointError`
-    row.
+    row, and a `LinAlgError` from any solve an `error:LinAlgError` row.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -337,9 +326,10 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         # phase 1 certifies infeasibility only within col(U_B), the rate
         # form's top eigenspace, not over the whole subarray-response subspace
         status = "infeasible_subspace"
-    except (opt_manifold.RankDeficiencyError, opt_manifold.InfeasiblePointError) as err:
-        # a configured stream count above the rank of the rate form or a
-        # start outside the barrier's interior
+    except (opt_manifold.RankDeficiencyError, opt_manifold.InfeasiblePointError,
+            np.linalg.LinAlgError) as err:
+        # a configured stream count above the rank of the rate form, a start
+        # outside the barrier's interior or a linear solve that failed
         status = f"error:{type(err).__name__}"
     scnr_db = power_exact = power_proxy = np.nan
     r_x = None

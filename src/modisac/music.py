@@ -18,8 +18,9 @@ complement of the noise basis E (Schmidt 1986). Cells are projected onto
 whichever of E and S has fewer columns: with few sources that is an
 N x n_src product per cell (32x2 on the desk localization scene).
 
-Cells go 8192 at a time through work arrays allocated once per spectrum, so
-a spectrum holds 9 bytes a cell beyond them (~10 MB of them at N=32).
+Cells go 262144/N at a time (8192 at N=32) through work arrays allocated
+once per spectrum, ~10 MB whatever N is; a spectrum holds 9 bytes a cell
+beyond them.
 """
 
 from __future__ import annotations
@@ -154,12 +155,13 @@ def _pseudo_spectrum(
     noise_basis: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    chunk: int = 8192,
+    chunk: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized 1/(||E^H g||^2 + 1e-18) values, flat, for x, y of one shape.
 
-    x and y are read `chunk` cells at a time in row-major order (broadcast
-    views of the axes serve) into work arrays allocated once per call.
+    x and y are read `chunk` cells at a time (default 262144/N) in row-major
+    order (broadcast views of the axes serve) into work arrays allocated
+    once per call.
 
     Each cell is projected onto whichever subspace has fewer columns. With
     S the orthonormal complement of E, ||E^H g||^2 = ||g||^2 - ||S^H g||^2,
@@ -181,6 +183,7 @@ def _pseudo_spectrum(
     # |g^T conj(B)| = |B^H g| entrywise: conjugate the small basis, not G,
     # and sum re^2 + im^2 over a real view of the product
     basis_conj = basis.conj()
+    chunk = chunk or 262_144 // n
     cells = min(chunk, x.size)
     work = _grid_work(cells, geometry.k_subarrays, geometry.m_antennas)
     proj_work, denom_work = np.empty((cells, basis.shape[1]), dtype=complex), np.empty(cells)

@@ -9,13 +9,15 @@ is solved through its dual in the two multipliers mu (power) and nu
 (sensing): for fixed multipliers the Lagrangian maximizer is a waterfilling
 in closed form, and damped Newton steps on the convex two-scalar dual (a
 2x2 Hessian) find the multipliers (Yu & Lan 2007; Palomar & Fonollosa 2005).
-The dual value certifies an upper bound on the relaxation. Over R_BB the
-budget is the per-subarray power proxy n_streams/M; the exact transmit
-power is the same trace in the coordinates of an orthonormal basis of the
-analog subspace. A rank-n_streams beamformer is then recovered by scaling
-random Gaussian sketches of the optimal covariance and keeping the best
-rate among those meeting the sensing constraint. The same `MaxDetProblem`
-is RM-JGD's problem too (`opt_manifold.reduce_b`).
+The dual value certifies an upper bound on the relaxation.
+`make_maxdet_problem` forms the problem, sensing constraint included, in
+any transmit basis: over R_BB (basis U_tilde) the budget is the
+per-subarray power proxy n_streams/M; with the identity basis and M = 1 it
+is the full N-dimensional problem under the exact transmit power. A
+rank-n_streams beamformer is then recovered by scaling random Gaussian
+sketches of the optimal covariance and keeping the best rate among those
+meeting the sensing constraint. The same `MaxDetProblem` is RM-JGD's
+problem too (`opt_manifold.reduce_b`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beamform import PhiSet, _rate_bits, sensing_form
+from .beamform import _rate_bits, phi_matrices, sensing_form
 from .channel import ObjectResponse
 
 
@@ -89,58 +91,29 @@ class SdrResult:
 
 def make_maxdet_problem(
     h: np.ndarray,
-    u_tilde: np.ndarray,
-    phi_set: PhiSet,
-    alphas: np.ndarray,
-    scnr_min: float,
-    sigma_c_sq: float,
-    n_streams: int,
-    m_antennas: int,
-) -> MaxDetProblem:
-    """Reduced problem over R_BB with the proxy power budget.
-
-    The proxy constrains M*||W_BB||_F^2, i.e. tr(R_BB) <= n_streams/M.
-    """
-    return MaxDetProblem(
-        h_eff=h @ u_tilde,
-        sigma_c_sq=sigma_c_sq,
-        power_budget=n_streams / m_antennas,
-        psi=sensing_form(phi_set, alphas, scnr_min),
-        gamma0=phi_set.gamma0,
-        n_streams=n_streams,
-    )
-
-
-def make_fullspace_problem(
-    h: np.ndarray,
+    basis: np.ndarray,
     responses: tuple[ObjectResponse, ...],
     alphas: np.ndarray,
-    scnr_min: float,
     w: np.ndarray,
+    scnr_min: float,
     sigma_c_sq: float,
     sigma_s_sq: float,
     n_streams: int,
+    m_antennas: int,
 ) -> MaxDetProblem:
-    """Covariance problem over the full N-dimensional transmit space.
+    """Problem over R with R_X = B R B^H: the SCNR floor under filter w and tr(R) <= n_s/M.
 
-    Used to verify that the optimum of the unreduced problem lands in the
-    subarray-response subspace; the budget is the full transmit power.
+    tr(R Psi) >= gamma0 = scnr_min * sigma_s^2 * ||w||^2. B = U_tilde with M
+    the subarray size gives the proxy budget M*||W_BB||_F^2 <= n_streams;
+    B = I_N with M = 1 gives the full problem under the exact transmit power.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    n = h.shape[1]
-    psi = np.zeros((n, n), dtype=complex)
-    for q, resp in enumerate(responses):
-        c = float(np.abs(w.conj() @ resp.g_r) ** 2)
-        term = alphas[q] ** 2 * c * np.outer(resp.g_t, resp.g_t.conj())
-        psi += term if q == 0 else -scnr_min * term
-    psi = 0.5 * (psi + psi.conj().T)
-    w_norm_sq = float(np.real(w.conj() @ w))
+    phis = phi_matrices(basis, responses, w)
     return MaxDetProblem(
-        h_eff=h,
+        h_eff=h @ basis,
         sigma_c_sq=sigma_c_sq,
-        power_budget=float(n_streams),
-        psi=psi,
-        gamma0=scnr_min * sigma_s_sq * w_norm_sq,
+        power_budget=n_streams / m_antennas,
+        psi=sensing_form(phis, alphas, scnr_min),
+        gamma0=scnr_min * sigma_s_sq * float(np.real(w.conj() @ w)),
         n_streams=n_streams,
     )
 

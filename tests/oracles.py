@@ -40,18 +40,12 @@ def exact_power_problems(data):
     coordinates.
     """
     from modisac.beamform import GRAM_CUTOFF
-    from modisac.opt_sdr import make_fullspace_problem
+    from modisac.opt_sdr import make_maxdet_problem
 
     cfg = data.config
-    full = make_fullspace_problem(
-        data.h,
-        data.responses,
-        data.alphas,
-        cfg.scnr_min,
-        data.w_fixed,
-        cfg.sigma_c_sq,
-        cfg.sigma_s_sq,
-        data.problem.n_streams,
+    full = make_maxdet_problem(
+        data.h, np.eye(cfg.n_antennas), data.responses, data.alphas, data.w_fixed,
+        cfg.scnr_min, cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, 1,
     )
     u, s, _ = np.linalg.svd(data.u_tilde, full_matrices=False)
     b = u[:, s**2 > GRAM_CUTOFF * s[0] ** 2]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modisac import harness
+from modisac import harness, opt_sdr
 from modisac.beamform import (
     analog_feasibility,
     build_subspace,
@@ -17,6 +17,7 @@ from modisac.beamform import (
 )
 from modisac.channel import build_responses, draw_paths
 from modisac.geometry import build_geometry, steering_vector
+from modisac.validation import CHECKS
 
 
 def test_subspace_single_subarray_layout():
@@ -154,24 +155,24 @@ def test_phi_orthogonal_receive_filter(desk_data):
     g_r0 = desk_data.responses[0].g_r
     w = np.ones(cfg.n_antennas, dtype=complex)
     w -= (g_r0.conj() @ w) / np.linalg.norm(g_r0) ** 2 * g_r0
-    phi = phi_matrices(desk_data.u_tilde, desk_data.responses, w, cfg.scnr_min, cfg.sigma_s_sq)
-    assert np.linalg.norm(phi.phi[0]) < 1e-20 * max(1.0, np.linalg.norm(w) ** 2)
+    phi = phi_matrices(desk_data.u_tilde, desk_data.responses, w)
+    assert phi.shape == (cfg.n_objects, desk_data.problem.dim, desk_data.problem.dim)
+    assert np.linalg.norm(phi[0]) < 1e-20 * max(1.0, np.linalg.norm(w) ** 2)
 
 
 def test_phi_trace_identity(desk_data):
-    cfg = desk_data.config
     w = desk_data.w_fixed
-    phi = desk_data.phi_set
+    phi = phi_matrices(desk_data.u_tilde, desk_data.responses, w)
     for q, resp in enumerate(desk_data.responses):
         expected = (
             np.abs(w.conj() @ resp.g_r) ** 2
             * np.linalg.norm(desk_data.u_tilde.conj().T @ resp.g_t) ** 2
         )
-        assert np.trace(phi.phi[q]).real == pytest.approx(expected, rel=1e-10)
+        assert np.trace(phi[q]).real == pytest.approx(expected, rel=1e-10)
 
 
 def test_phi_rank_one(desk_data):
-    for mat in desk_data.phi_set.phi:
+    for mat in phi_matrices(desk_data.u_tilde, desk_data.responses, desk_data.w_fixed):
         vals = np.linalg.eigvalsh(mat)
         assert vals[-1] >= 0
         assert np.all(np.abs(vals[:-1]) <= 1e-10 * max(np.trace(mat).real, 1e-300))
@@ -179,6 +180,16 @@ def test_phi_rank_one(desk_data):
 
 def test_reduced_matches_full_metrics(assert_check):
     assert_check("reduced_equals_full")
+
+
+def test_reduced_equals_full_sees_the_clutter_term(monkeypatch):
+    # the MVDR filter nulls the clutter (|w^H g_r1|^2 ~ 1e-17 on desk seed
+    # 0), so only the matched filter's problem shows a Psi whose clutter term
+    # lacks scnr_min: the check must fail on that mutant
+    real = opt_sdr.sensing_form
+    monkeypatch.setattr(opt_sdr, "sensing_form", lambda phis, alphas, _: real(phis, alphas, 1.0))
+    ok, detail = dict(CHECKS)["reduced_equals_full"]()
+    assert not ok, detail
 
 
 def test_transmit_power_zero(desk_data):
@@ -219,8 +230,10 @@ def test_covariance_subspace_basis_invariance(desk_data, rng):
 
 
 def test_sensing_form_hermitian(desk_data):
-    psi = sensing_form(desk_data.phi_set, desk_data.alphas, desk_data.config.scnr_min)
-    assert np.allclose(psi, psi.conj().T)
+    phis = phi_matrices(desk_data.u_tilde, desk_data.responses, desk_data.w_fixed)
+    psi = sensing_form(phis, desk_data.alphas, desk_data.config.scnr_min)
+    assert np.array_equal(psi, psi.conj().T)
+    assert np.array_equal(psi, desk_data.problem.psi)
 
 
 def test_hybrid_beamformer_invariants(desk_data, rng):

@@ -149,6 +149,32 @@ def test_infeasible_rm_jgd_start_is_error_row(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "module, name, algorithm",
+    [(opt_sdr, "solve_maxdet", "sdr_rrs"), (opt_sdr, "solve_maxdet", "fdb"),
+     (opt_manifold, "rm_jgd", "rm_jgd")],
+)
+def test_linalg_error_in_a_solve_is_error_row(monkeypatch, capsys, module, name, algorithm):
+    # a factorization that fails inside a solve is a typed row with its
+    # configuration columns filled in, and the CLI exits 1 without a traceback
+    cfg = harness.desk_config(seed=0)
+    config_columns = harness.run_scenario(cfg, algorithm).to_csv().split(",")[:16]
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(module, name, fail)
+    row = harness.run_scenario(cfg, algorithm)
+    assert row.status == "error:LinAlgError"
+    assert row.to_csv().split(",")[:16] == config_columns
+    assert np.isnan(row.se_bits) and row.iterations == 0
+
+    assert cli.main(["run-scenario", "--desk-scale", "--algo", algorithm]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].rsplit(",", 1)[0] == row.to_csv().rsplit(",", 1)[0]
+    assert "Traceback" not in captured.err
+
+
 def test_rank_deficient_stream_count_is_error_row(tmp_path, capsys):
     # 5 streams pass the N_RF bound but exceed the rate form's rank (at most
     # the 4 user antennas), which rm_jgd's reduction rejects

@@ -237,6 +237,24 @@ def test_music_spectrum_memory_per_cell():
     assert (peaks[600] - peaks[300]) / (600**2 - 300**2) <= 10.0
 
 
+def test_music_spectrum_memory_full_scale():
+    # chunks of 262144/N cells keep the work arrays near 10 MB at N = 192 as
+    # at N = 32; chunks of 8192 cells whatever N is peaked at 54 MB here
+    cfg = harness.config_from_dict({"seed": 0})
+    g = build_geometry(cfg)
+    basis = _random_noise_basis(np.random.default_rng(5), cfg.n_antennas, cfg.n_antennas - 2)
+    grid = GridSpec(2.0, 0.02, 3.98, 10.0, 0.02, 11.98)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = music_spectrum(basis, g, grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert result.spectrum.shape == (100, 100)
+    assert peak <= 15e6
+
+
 @pytest.mark.parametrize("width", [0, 1, 16, 17, 30, 31])
 def test_pseudo_spectrum_both_sides_match_per_cell_oracle(width):
     # widths up to N/2 = 16 project onto the noise basis, wider ones onto

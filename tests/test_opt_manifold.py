@@ -622,8 +622,7 @@ def test_rmjgd_iterates_stay_unitary_and_feasible(desk_problem):
 
 
 def test_rmjgd_final_power_and_scnr(desk_problem):
-    from modisac.beamform import scnr_reduced, transmit_power
-    from modisac.beamform import optimal_analog
+    from modisac.beamform import optimal_analog, scnr, transmit_power
 
     data, eig = desk_problem
     cfg = ManifoldConfig()
@@ -632,5 +631,7 @@ def test_rmjgd_final_power_and_scnr(desk_problem):
     w_rf = optimal_analog(data.u_tilde)
     _, proxy = transmit_power(w_rf, result.w_bb)
     assert proxy <= data.problem.n_streams + 1e-9
-    achieved = scnr_reduced(result.w_bb, data.phi_set, data.alphas)
+    w_tx = w_rf @ result.w_bb
+    r_x = w_tx @ w_tx.conj().T
+    achieved = scnr(data.w_fixed, data.responses, data.alphas, r_x, data.config.sigma_s_sq)
     assert achieved >= data.config.scnr_min  # strict by barrier construction

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from modisac import harness, opt_sdr
-from modisac.beamform import _rate_bits, scnr_reduced, verify_covariance_subspace
+from modisac.beamform import _rate_bits, scnr, verify_covariance_subspace
 from modisac.opt_sdr import (
     MaxDetProblem,
     RandomizationFailure,
+    make_maxdet_problem,
     randomize_rank,
     sdr_rrs,
     solve_maxdet,
@@ -145,7 +146,9 @@ def test_sdr_rrs_deterministic(small_problem):
 def test_sdr_rrs_meets_scnr_threshold(small_problem):
     data, problem = small_problem
     result = sdr_rrs(problem, np.random.default_rng(0))
-    achieved = scnr_reduced(result.w_bb, data.phi_set, data.alphas)
+    w_tx = data.u_tilde @ result.w_bb
+    r_x = w_tx @ w_tx.conj().T
+    achieved = scnr(data.w_fixed, data.responses, data.alphas, r_x, data.config.sigma_s_sq)
     assert achieved >= data.config.scnr_min - 1e-6
 
 
@@ -168,6 +171,36 @@ def test_fdb_no_sensing_equals_waterfilling(small_data):
         channel_gains(problem.h_eff, problem.sigma_c_sq), problem.power_budget
     )
     assert fdb == pytest.approx(expected, abs=1e-3)
+
+
+@pytest.mark.parametrize("receive", ["fixed", "matched"])
+def test_identity_basis_problem_matches_explicit_sensing_form(desk_data, receive):
+    # the full-space problem is the builder at B = I_N, M = 1: its Psi is
+    # sum_q +-alpha_q^2 |w^H g_rq|^2 g_tq g_tq^H (+ for the target, -scnr_min
+    # for clutter), and U~^H Psi U~ is the reduced Psi at the same filter; the
+    # matched filter g_r0 couples the clutter, which the fixed filter nulls
+    data, cfg = desk_data, desk_data.config
+    w = data.w_fixed if receive == "fixed" else data.responses[0].g_r
+    full = make_maxdet_problem(
+        data.h, np.eye(cfg.n_antennas), data.responses, data.alphas, w, cfg.scnr_min,
+        cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, 1,
+    )
+    reduced = make_maxdet_problem(
+        data.h, data.u_tilde, data.responses, data.alphas, w, cfg.scnr_min,
+        cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, cfg.m_antennas,
+    )
+    explicit = sum(
+        (1.0 if q == 0 else -cfg.scnr_min) * a**2 * abs(np.vdot(w, r.g_r)) ** 2
+        * np.outer(r.g_t, r.g_t.conj())
+        for q, (a, r) in enumerate(zip(data.alphas, data.responses))
+    )
+    assert np.linalg.norm(full.psi - explicit) <= 1e-12 * np.linalg.norm(explicit)
+    projected = data.u_tilde.conj().T @ full.psi @ data.u_tilde
+    assert np.linalg.norm(projected - reduced.psi) <= 1e-12 * np.linalg.norm(reduced.psi)
+    assert full.power_budget == data.problem.n_streams
+    assert full.gamma0 == reduced.gamma0
+    assert full.gamma0 == pytest.approx(cfg.scnr_min * cfg.sigma_s_sq * np.vdot(w, w).real, rel=1e-12)
+    assert np.array_equal(full.h_eff, data.h)
 
 
 def test_fullspace_matches_reduced(small_data):
