@@ -129,23 +129,20 @@ def se_from_covariance(h_eff: np.ndarray, r: np.ndarray, sigma_c_sq: float) -> f
 def scnr(
     w: np.ndarray,
     responses: tuple[ObjectResponse, ...],
-    alphas: np.ndarray,
     r_x: np.ndarray,
     sigma_s_sq: float,
 ) -> float:
     """Output SCNR of receive filter w for transmit covariance R_X.
 
-    Object 0 is the target; the rest are clutter. alphas holds the
-    reflection amplitudes alpha_q; object q's received echo power is
-    alpha_q^2 |w^H g_rq|^2 g_tq^H R_X g_tq.
+    Object 0 is the target; the rest are clutter. Object q's received echo
+    power is alpha_q^2 |w^H g_rq|^2 g_tq^H R_X g_tq.
     """
     if np.linalg.norm(w) == 0.0:
         raise ValueError("receive filter must be nonzero")
-    alphas = np.asarray(alphas, dtype=float)
     gains = np.empty(len(responses))
     for q, resp in enumerate(responses):
         forward = np.real(resp.g_t.conj() @ r_x @ resp.g_t)
-        gains[q] = alphas[q] ** 2 * np.abs(w.conj() @ resp.g_r) ** 2 * forward
+        gains[q] = resp.alpha ** 2 * np.abs(w.conj() @ resp.g_r) ** 2 * forward
     noise = sigma_s_sq * float(np.real(w.conj() @ w))
     denom = float(np.sum(gains[1:])) + noise
     if denom <= 0.0:
@@ -155,7 +152,6 @@ def scnr(
 
 def mvdr_receive(
     responses: tuple[ObjectResponse, ...],
-    alphas: np.ndarray,
     r_x: np.ndarray,
     sigma_s_sq: float,
 ) -> np.ndarray:
@@ -166,13 +162,11 @@ def mvdr_receive(
     """
     if sigma_s_sq <= 0:
         raise ValueError("sigma_s_sq must be positive")
-    alphas = np.asarray(alphas, dtype=float)
     n = responses[0].g_r.size
     cov = sigma_s_sq * np.eye(n, dtype=complex)
-    for q in range(1, len(responses)):
-        resp = responses[q]
+    for resp in responses[1:]:
         forward = np.real(resp.g_t.conj() @ r_x @ resp.g_t)
-        cov += alphas[q] ** 2 * forward * np.outer(resp.g_r, resp.g_r.conj())
+        cov += resp.alpha ** 2 * forward * np.outer(resp.g_r, resp.g_r.conj())
     g0 = responses[0].g_r
     sol = np.linalg.solve(cov, g0)
     w = sol / np.real(g0.conj() @ sol)
@@ -195,12 +189,13 @@ def phi_matrices(
     return np.stack(phis)
 
 
-def sensing_form(phis: np.ndarray, alphas: np.ndarray, scnr_min: float) -> np.ndarray:
+def sensing_form(
+    phis: np.ndarray, responses: tuple[ObjectResponse, ...], scnr_min: float
+) -> np.ndarray:
     """Constraint matrix Psi = alpha_0^2 Phi_0 - scnr_min * sum_q alpha_q^2 Phi_q."""
-    alphas = np.asarray(alphas, dtype=float)
-    psi = alphas[0] ** 2 * phis[0]
+    psi = responses[0].alpha ** 2 * phis[0]
     for q in range(1, len(phis)):
-        psi -= scnr_min * alphas[q] ** 2 * phis[q]
+        psi -= scnr_min * responses[q].alpha ** 2 * phis[q]
     return 0.5 * (psi + psi.conj().T)
 
 

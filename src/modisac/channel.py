@@ -180,43 +180,38 @@ def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int:
 
 @dataclass(frozen=True)
 class ObjectResponse:
-    """Transmit/receive array responses toward one scene object.
+    """One scene object's transmit/receive array responses and its amplitude.
 
-    g_t/g_r have length N = K*M and unit-modulus entries. a_t_blocks are the
-    (K, M) transmit intra-subarray steering vectors, nu_t the length-K
-    inter-subarray phase vector and tx_angles the per-subarray observation
-    angles.
+    g_t/g_r have length N = K*M and unit-modulus entries, a_t_blocks are the
+    (K, M) transmit intra-subarray steering vectors and alpha is the
+    object's reflection amplitude alpha_q.
     """
 
     g_t: np.ndarray
     g_r: np.ndarray
-    nu_t: np.ndarray
-    tx_angles: np.ndarray
     a_t_blocks: np.ndarray
+    alpha: float
 
 
-def sensing_response(geometry: ArrayGeometry, location: PolarPoint) -> ObjectResponse:
-    """Piecewise-far-field response vectors toward one location.
+def sensing_response(geometry: ArrayGeometry, obj: SceneObject) -> ObjectResponse:
+    """Piecewise-far-field response vectors toward one object.
 
-    Block k of g_t equals nu_t[k] * a_t^k with a_t^k the intra-subarray
-    steering vector at the per-subarray observation angle; likewise g_r on
-    the receive side.
+    Block k of g_t equals nu_t[k] * a_t^k with nu_t the inter-subarray
+    phase vector and a_t^k the intra-subarray steering vector at the
+    per-subarray observation angle; likewise g_r on the receive side.
     """
     k, m = geometry.k_subarrays, geometry.m_antennas
     lam, d = geometry.wavelength, geometry.d
-    out: dict[str, np.ndarray] = {}
-    for side in ("tx", "rx"):
-        angles = np.array(
-            [subarray_angle(geometry, side, i, location) for i in range(k)]
-        )
-        nu = inter_subarray_phase(geometry, side, location)
+
+    def side_response(side: str) -> tuple[np.ndarray, np.ndarray]:
+        angles = [subarray_angle(geometry, side, i, obj.location) for i in range(k)]
+        nu = inter_subarray_phase(geometry, side, obj.location)
         blocks = np.stack([steering_vector(m, a, d, lam) for a in angles])
-        g = (nu[:, None] * blocks).reshape(k * m)
-        out[side] = (g, nu, angles, blocks)
-    g_t, nu_t, tx_angles, a_t = out["tx"]
-    return ObjectResponse(
-        g_t=g_t, g_r=out["rx"][0], nu_t=nu_t, tx_angles=tx_angles, a_t_blocks=a_t
-    )
+        return (nu[:, None] * blocks).reshape(k * m), blocks
+
+    g_t, a_t = side_response("tx")
+    g_r, _ = side_response("rx")
+    return ObjectResponse(g_t=g_t, g_r=g_r, a_t_blocks=a_t, alpha=obj.alpha)
 
 
 def build_responses(
@@ -225,12 +220,11 @@ def build_responses(
     """Responses for a whole scene (target first, then interferers)."""
     if not objects:
         raise ConfigurationError("scene needs at least the target")
-    return tuple(sensing_response(geometry, o.location) for o in objects)
+    return tuple(sensing_response(geometry, o) for o in objects)
 
 
 def simulate_echoes(
     responses: tuple[ObjectResponse, ...],
-    objects: tuple[SceneObject, ...],
     x: np.ndarray,
     sigma_s_sq: float,
     rng: np.random.Generator,
@@ -243,12 +237,10 @@ def simulate_echoes(
     n = responses[0].g_t.size
     if x.shape[0] != n:
         raise ValueError(f"X must have {n} rows, got {x.shape[0]}")
-    if len(objects) != len(responses):
-        raise ValueError("scene and responses disagree on object count")
     length = x.shape[1]
     y = np.zeros((n, length), dtype=complex)
-    for obj, resp in zip(objects, responses):
-        beta = obj.alpha * (
+    for resp in responses:
+        beta = resp.alpha * (
             rng.standard_normal() + 1j * rng.standard_normal()
         ) / np.sqrt(2.0)
         y += beta * np.outer(resp.g_r, resp.g_t.conj() @ x)

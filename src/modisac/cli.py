@@ -61,18 +61,20 @@ def main(argv=None) -> int:
     val_p.add_argument("--report", default=None, help="also write a CSV report")
 
     args = parser.parse_args(argv)
-
-    # a bad --config or --spec file is a usage error, not a crash
+    # a bad --config or --spec file or an unwritable output is a usage error
     try:
-        if args.command == "sweep":
-            spec = harness.load_experiment(args.spec)
-        elif args.command != "validate":
-            config = _load(args)
-            if args.seed is not None:
-                config = dataclasses.replace(config, seed=args.seed)
-    except ConfigurationError as err:
+        return _execute(args)
+    except (ConfigurationError, OSError) as err:
         print(f"modisac {args.command}: error: {err}", file=sys.stderr)
         return 2
+
+
+def _execute(args) -> int:
+    """Run the parsed command and return its exit code."""
+    if args.command in ("run-scenario", "music"):
+        config = _load(args)
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
 
     if args.command == "run-scenario":
         row = harness.run_scenario(config, args.algo.replace("-", "_"))
@@ -86,7 +88,7 @@ def main(argv=None) -> int:
         return 0 if row.status in harness.SUCCESS_STATUSES else 1
 
     if args.command == "sweep":
-        path = harness.sweep(spec)
+        path = harness.sweep(harness.load_experiment(args.spec))
         print(f"sweep written to {path}")
         return 0
 

@@ -78,6 +78,13 @@ def _object(doc: dict, key: str) -> SceneObject:
     return SceneObject(_point(doc, key), float(doc.get("rcs", 1.0)))
 
 
+def _integer(key: str, value) -> int:
+    # int() would pass a float, a bool or a numeric string as a different value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioConfig:
     """Build a ScenarioConfig from a plain mapping, filling defaults.
 
@@ -87,7 +94,9 @@ def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioC
     if doc is not None and not isinstance(doc, dict):
         raise ConfigurationError(f"config root must be a mapping, got {type(doc)}")
     doc = dict(doc or {})
-    desk = bool(doc.pop("desk_scale", desk_scale))
+    desk = doc.pop("desk_scale", desk_scale)
+    if not isinstance(desk, bool):
+        raise ConfigurationError(f"desk_scale must be true or false, got {desk!r}")
     defaults = dict(_FULL_DEFAULTS)
     if desk:
         defaults.update(_DESK_OVERRIDES)
@@ -98,12 +107,12 @@ def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioC
     try:
         return ScenarioConfig(
             carrier_frequency=float(merged["frequency_ghz"]) * 1e9,
-            k_subarrays=int(merged["subarrays"]),
-            m_antennas=int(merged["antennas_per_subarray"]),
+            k_subarrays=_integer("subarrays", merged["subarrays"]),
+            m_antennas=_integer("antennas_per_subarray", merged["antennas_per_subarray"]),
             gamma=float(merged["spacing_factor"]),
             d0=float(merged["array_half_separation_m"]),
-            n_user_antennas=int(merged["user_antennas"]),
-            n_paths=int(merged["paths"]),
+            n_user_antennas=_integer("user_antennas", merged["user_antennas"]),
+            n_paths=_integer("paths", merged["paths"]),
             user=_point(merged["user"], "user"),
             target=_object(merged["target"], "target"),
             interferers=tuple(
@@ -115,9 +124,11 @@ def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioC
             scnr_min=0.0
             if merged["scnr_threshold_db"] is None
             else 10.0 ** (float(merged["scnr_threshold_db"]) / 10.0),
-            n_streams=None if merged["streams"] is None else int(merged["streams"]),
-            snapshots=int(merged["snapshots"]),
-            seed=int(merged["seed"]),
+            n_streams=None
+            if merged["streams"] is None
+            else _integer("streams", merged["streams"]),
+            snapshots=_integer("snapshots", merged["snapshots"]),
+            seed=_integer("seed", merged["seed"]),
             layout=str(merged["layout"]),
             gain_reference=float(merged["gain_reference"]),
             nlos_extra_loss_db=float(merged["nlos_extra_loss_db"]),
@@ -181,7 +192,6 @@ class ScenarioData:
     geometry: geo.ArrayGeometry
     h: np.ndarray
     responses: tuple[channel.ObjectResponse, ...]
-    alphas: np.ndarray
     w_fixed: np.ndarray
     u_tilde: np.ndarray
     problem: opt_sdr.MaxDetProblem
@@ -198,12 +208,8 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
     geometry = geo.build_geometry(config, _layout_offsets(config, rng))
     paths = channel.draw_paths(config, geometry, rng)
     h = channel.build_comm_channel(geometry, paths, config.user, config.n_user_antennas)
-    objects = config.scene_objects
-    responses = channel.build_responses(geometry, objects)
-    alphas = np.array([o.alpha for o in objects])
-    w_fixed = beamform.mvdr_receive(
-        responses, alphas, np.eye(config.n_antennas), config.sigma_s_sq
-    )
+    responses = channel.build_responses(geometry, config.scene_objects)
+    w_fixed = beamform.mvdr_receive(responses, np.eye(config.n_antennas), config.sigma_s_sq)
     u_tilde = beamform.build_subspace(geometry, paths, responses)
     if config.n_streams is not None:
         n_streams = config.n_streams
@@ -217,7 +223,7 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
             u_tilde.shape[1],
         )
     problem = opt_sdr.make_maxdet_problem(
-        h, u_tilde, responses, alphas, w_fixed, config.scnr_min, config.sigma_c_sq,
+        h, u_tilde, responses, w_fixed, config.scnr_min, config.sigma_c_sq,
         config.sigma_s_sq, n_streams, config.m_antennas,
     )
     return ScenarioData(
@@ -225,7 +231,6 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
         geometry=geometry,
         h=h,
         responses=responses,
-        alphas=alphas,
         w_fixed=w_fixed,
         u_tilde=u_tilde,
         problem=problem,
@@ -343,12 +348,8 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         power_exact = float(np.real(np.trace(r_x)))
         power_proxy = float(config.m_antennas * np.real(np.trace(r_bb)))
     if r_x is not None:
-        w_star = beamform.mvdr_receive(
-            data.responses, data.alphas, r_x, config.sigma_s_sq
-        )
-        scnr_lin = beamform.scnr(
-            w_star, data.responses, data.alphas, r_x, config.sigma_s_sq
-        )
+        w_star = beamform.mvdr_receive(data.responses, r_x, config.sigma_s_sq)
+        scnr_lin = beamform.scnr(w_star, data.responses, r_x, config.sigma_s_sq)
         scnr_db = 10.0 * np.log10(scnr_lin) if scnr_lin > 0 else -np.inf
     return ResultRow(
         algorithm=algorithm,
@@ -498,23 +499,18 @@ def sweep(spec: ExperimentSpec) -> str:
             for rep in range(spec.repetitions):
                 cells.append((index, spec.sweep_axis, value, algorithm, rep, spec.base))
                 index += 1
-    workers = int(os.environ.get("MODISAC_WORKERS", "1"))
+    workers = max(1, int(os.environ.get("MODISAC_WORKERS", "1")))
     grouped: dict[tuple[str, str], list[float]] = {}
-    with open(spec.output_path, "w", newline="") as f:
+    # the pool starts no process until a cell is submitted to it
+    with open(spec.output_path, "w", newline="") as f, ProcessPoolExecutor(workers) as pool:
         f.write("cell,axis,value," + ResultRow.HEADER + "\n")
-        if workers > 1:
-            executor = ProcessPoolExecutor(max_workers=workers)
-            results = executor.map(_run_cell, cells)
-        else:
-            results = map(_run_cell, cells)
+        results = pool.map(_run_cell, cells) if workers > 1 else map(_run_cell, cells)
         for cell_index, value_str, row in results:
             f.write(f"{cell_index},{spec.sweep_axis},{value_str},{row.to_csv()}\n")
             f.flush()
             # summarize SE as written (9 digits) so the rows reproduce it
             se = float(f"{row.se_bits:.9g}")
             grouped.setdefault((value_str, row.algorithm), []).append(se)
-        if workers > 1:
-            executor.shutdown()
         for (value_str, algorithm), ses in grouped.items():
             arr = np.asarray(ses)
             ok = arr[np.isfinite(arr)]
@@ -539,15 +535,12 @@ def load_experiment(path: str) -> ExperimentSpec:
     for key in ("values", "algorithms"):
         if not isinstance(doc.get(key, []), list):
             raise ConfigurationError(f"sweep field {key!r} must be a list, got {doc[key]!r}")
-    repetitions = doc.get("repetitions", 1)
-    if type(repetitions) is not int:
-        raise ConfigurationError(f"repetitions must be an integer, got {repetitions!r}")
     return ExperimentSpec(
         base=config_from_dict(doc.get("base")),
         sweep_axis=doc.get("axis", "snr"),
         values=doc.get("values", []),
         algorithms=doc.get("algorithms", list(ALGORITHMS)),
-        repetitions=repetitions,
+        repetitions=_integer("repetitions", doc.get("repetitions", 1)),
         output_path=str(doc.get("output", "sweep.csv")),
     )
 
@@ -576,9 +569,7 @@ def run_music(config: ScenarioConfig, grid):
         + 1j * rng.standard_normal((data.problem.n_streams, length))
     ) / np.sqrt(2.0)
     x = f_tx @ symbols
-    y = channel.simulate_echoes(
-        data.responses, config.scene_objects, x, config.sigma_s_sq, rng
-    )
+    y = channel.simulate_echoes(data.responses, x, config.sigma_s_sq, rng)
     cov = sample_covariance(y)
     basis_n = noise_subspace(cov, config.n_objects)
     return music_spectrum(basis_n, data.geometry, grid), data, f_tx

@@ -93,7 +93,6 @@ def make_maxdet_problem(
     h: np.ndarray,
     basis: np.ndarray,
     responses: tuple[ObjectResponse, ...],
-    alphas: np.ndarray,
     w: np.ndarray,
     scnr_min: float,
     sigma_c_sq: float,
@@ -112,7 +111,7 @@ def make_maxdet_problem(
         h_eff=h @ basis,
         sigma_c_sq=sigma_c_sq,
         power_budget=n_streams / m_antennas,
-        psi=sensing_form(phis, alphas, scnr_min),
+        psi=sensing_form(phis, responses, scnr_min),
         gamma0=scnr_min * sigma_s_sq * float(np.real(w.conj() @ w)),
         n_streams=n_streams,
     )

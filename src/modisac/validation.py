@@ -17,7 +17,9 @@ from typing import Callable
 import numpy as np
 
 from . import beamform, channel, harness, opt_manifold, opt_sdr
-from .geometry import PolarPoint, build_geometry, inter_subarray_phase, steering_vector
+from .geometry import (
+    PolarPoint, SceneObject, build_geometry, inter_subarray_phase, steering_vector
+)
 from .music import GridSpec
 
 
@@ -124,7 +126,7 @@ def _check_rank_bounds() -> tuple[bool, str]:
 
 def _check_response_modulus() -> tuple[bool, str]:
     data = _mini_data()
-    extra = channel.sensing_response(data.geometry, PolarPoint(20.0, np.pi / 4))
+    extra = channel.sensing_response(data.geometry, SceneObject(PolarPoint(20.0, np.pi / 4)))
     worst = 0.0
     for resp in data.responses + (extra,):
         worst = max(
@@ -162,11 +164,10 @@ def _check_echo_linearity() -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     x1 = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
     x2 = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
-    objs = data.config.scene_objects
 
     def run(x):
         return channel.simulate_echoes(
-            data.responses, objs, x, data.config.sigma_s_sq, np.random.default_rng(42)
+            data.responses, x, data.config.sigma_s_sq, np.random.default_rng(42)
         )
 
     lhs = run(x1 + x2)
@@ -205,7 +206,7 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
     data = _mini_data()
     cfg, target = data.config, data.responses[0]
     matched = opt_sdr.make_maxdet_problem(
-        data.h, data.u_tilde, data.responses, data.alphas, target.g_r, cfg.scnr_min,
+        data.h, data.u_tilde, data.responses, target.g_r, cfg.scnr_min,
         cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, cfg.m_antennas,
     )
     filters = {"MVDR margin": (data.w_fixed, data.problem),
@@ -224,8 +225,8 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
         worst["SE"] = max(worst["SE"], abs(se_full - se_red) / max(se_full, 1e-12))
         for name, (w, problem) in filters.items():
             red = float(np.real(np.sum(w_bb.conj() * (problem.psi @ w_bb)))) - problem.gamma0
-            s = beamform.scnr(w, data.responses, data.alphas, r_x, cfg.sigma_s_sq)
-            echo = float(data.alphas[0] ** 2 * np.abs(w.conj() @ target.g_r) ** 2
+            s = beamform.scnr(w, data.responses, r_x, cfg.sigma_s_sq)
+            echo = float(target.alpha ** 2 * np.abs(w.conj() @ target.g_r) ** 2
                          * np.real(target.g_t.conj() @ r_x @ target.g_t))
             # relative to the sum of the two sides' magnitudes, echo * (1 + scnr_min / s)
             gap = abs(red - echo * (1.0 - cfg.scnr_min / s)) / (echo * (1.0 + cfg.scnr_min / s))
@@ -243,13 +244,11 @@ def mvdr_argmax(data: harness.ScenarioData, rng: np.random.Generator) -> tuple[b
     cfg, objs = data.config, data.responses
     n = cfg.n_antennas
     r_x = np.eye(n)
-    w_star = beamform.mvdr_receive(data.responses, data.alphas, r_x, cfg.sigma_s_sq)
-    best = beamform.scnr(w_star, data.responses, data.alphas, r_x, cfg.sigma_s_sq)
+    w_star = beamform.mvdr_receive(data.responses, r_x, cfg.sigma_s_sq)
+    best = beamform.scnr(w_star, data.responses, r_x, cfg.sigma_s_sq)
     w = rng.standard_normal((n, 10_000)) + 1j * rng.standard_normal((n, 10_000))
     w = np.concatenate([w_star[:, None], w], axis=1)
-    forward = np.array(
-        [a**2 * np.real(r.g_t.conj() @ r_x @ r.g_t) for a, r in zip(data.alphas, objs)]
-    )
+    forward = np.array([r.alpha**2 * np.real(r.g_t.conj() @ r_x @ r.g_t) for r in objs])
     proj = np.abs(np.stack([r.g_r for r in objs]).conj() @ w) ** 2
     noise = cfg.sigma_s_sq * np.sum(np.abs(w) ** 2, axis=0)
     batch = forward[0] * proj[0] / (forward[1:] @ proj[1:] + noise)

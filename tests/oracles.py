@@ -44,7 +44,7 @@ def exact_power_problems(data):
 
     cfg = data.config
     full = make_maxdet_problem(
-        data.h, np.eye(cfg.n_antennas), data.responses, data.alphas, data.w_fixed,
+        data.h, np.eye(cfg.n_antennas), data.responses, data.w_fixed,
         cfg.scnr_min, cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, 1,
     )
     u, s, _ = np.linalg.svd(data.u_tilde, full_matrices=False)

@@ -88,7 +88,6 @@ def test_scnr_zero_covariance(desk_data):
     val = scnr(
         desk_data.w_fixed,
         desk_data.responses,
-        desk_data.alphas,
         np.zeros((cfg.n_antennas, cfg.n_antennas)),
         cfg.sigma_s_sq,
     )
@@ -99,11 +98,10 @@ def test_scnr_matched_filter_oracle():
     # no interferers, R_X = I, w = g_r0/||g_r0||^2: SCNR = alpha^2 N^2 / sigma^2
     cfg = harness.desk_config(interferers=[])
     g = build_geometry(cfg)
-    objs = cfg.scene_objects
-    resp = build_responses(g, objs)
+    resp = build_responses(g, cfg.scene_objects)
     n = cfg.n_antennas
     w = resp[0].g_r / n
-    val = scnr(w, resp, [o.alpha for o in objs], np.eye(n), cfg.sigma_s_sq)
+    val = scnr(w, resp, np.eye(n), cfg.sigma_s_sq)
     expected = cfg.target.alpha**2 * n**2 / cfg.sigma_s_sq
     assert val == pytest.approx(expected, rel=1e-10)
 
@@ -113,7 +111,7 @@ def test_scnr_scaling_in_covariance():
     data = harness.prepare_scenario(cfg)
     n = cfg.n_antennas
     vals = [
-        scnr(data.w_fixed, data.responses, data.alphas, c * np.eye(n), cfg.sigma_s_sq)
+        scnr(data.w_fixed, data.responses, c * np.eye(n), cfg.sigma_s_sq)
         for c in (1.0, 2.0, 4.0)
     ]
     assert vals[0] < vals[1] < vals[2]
@@ -125,7 +123,7 @@ def test_scnr_zero_denominator_raises():
     resp = build_responses(g, cfg.scene_objects)
     n = cfg.n_antennas
     with pytest.raises(ZeroDivisionError):
-        scnr(resp[0].g_r, resp, [1.0], np.eye(n), 0.0)
+        scnr(resp[0].g_r, resp, np.eye(n), 0.0)
 
 
 def test_mvdr_no_interference_matched():
@@ -133,15 +131,13 @@ def test_mvdr_no_interference_matched():
     g = build_geometry(cfg)
     resp = build_responses(g, cfg.scene_objects)
     n = cfg.n_antennas
-    w = mvdr_receive(resp, [1.0], np.eye(n), cfg.sigma_s_sq)
+    w = mvdr_receive(resp, np.eye(n), cfg.sigma_s_sq)
     assert np.allclose(w, resp[0].g_r / n, atol=1e-12)
 
 
 def test_mvdr_omnidirectional_finite(desk_data):
     cfg = desk_data.config
-    w = mvdr_receive(
-        desk_data.responses, desk_data.alphas, np.eye(cfg.n_antennas), cfg.sigma_s_sq
-    )
+    w = mvdr_receive(desk_data.responses, np.eye(cfg.n_antennas), cfg.sigma_s_sq)
     assert np.all(np.isfinite(w.view(float)))
     assert np.linalg.norm(w) > 0
 
@@ -187,7 +183,7 @@ def test_reduced_equals_full_sees_the_clutter_term(monkeypatch):
     # 0), so only the matched filter's problem shows a Psi whose clutter term
     # lacks scnr_min: the check must fail on that mutant
     real = opt_sdr.sensing_form
-    monkeypatch.setattr(opt_sdr, "sensing_form", lambda phis, alphas, _: real(phis, alphas, 1.0))
+    monkeypatch.setattr(opt_sdr, "sensing_form", lambda phis, resp, _: real(phis, resp, 1.0))
     ok, detail = dict(CHECKS)["reduced_equals_full"]()
     assert not ok, detail
 
@@ -231,7 +227,7 @@ def test_covariance_subspace_basis_invariance(desk_data, rng):
 
 def test_sensing_form_hermitian(desk_data):
     phis = phi_matrices(desk_data.u_tilde, desk_data.responses, desk_data.w_fixed)
-    psi = sensing_form(phis, desk_data.alphas, desk_data.config.scnr_min)
+    psi = sensing_form(phis, desk_data.responses, desk_data.config.scnr_min)
     assert np.array_equal(psi, psi.conj().T)
     assert np.array_equal(psi, desk_data.problem.psi)
 

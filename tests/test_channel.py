@@ -12,7 +12,13 @@ from modisac.channel import (
     sensing_response,
     simulate_echoes,
 )
-from modisac.geometry import PolarPoint, SceneObject, build_geometry
+from modisac.geometry import (
+    PolarPoint,
+    SceneObject,
+    build_geometry,
+    inter_subarray_phase,
+    subarray_angle,
+)
 
 
 def _geometry(**kw):
@@ -115,10 +121,11 @@ def test_lemma1_bounds_random_instances(assert_check):
 def test_sensing_response_single_subarray():
     cfg, g = _geometry(subarrays=1, antennas_per_subarray=8)
     loc = PolarPoint(15.0, 0.4)
-    resp = sensing_response(g, loc)
+    resp = sensing_response(g, SceneObject(loc))
     # with one subarray g_t is the intra steering vector times a unit phase
-    assert np.allclose(resp.g_t, resp.nu_t[0] * resp.a_t_blocks[0])
-    assert abs(abs(resp.nu_t[0]) - 1.0) < 1e-12
+    nu = inter_subarray_phase(g, "tx", loc)
+    assert abs(abs(nu[0]) - 1.0) < 1e-12
+    assert np.allclose(resp.g_t, nu[0] * resp.a_t_blocks[0])
 
 
 def test_sensing_response_unit_modulus(assert_check):
@@ -128,13 +135,14 @@ def test_sensing_response_unit_modulus(assert_check):
 def test_sensing_response_element_oracle():
     cfg, g = _geometry(subarrays=3)
     loc = PolarPoint(20.0, np.pi / 4)
-    resp = sensing_response(g, loc)
+    resp = sensing_response(g, SceneObject(loc))
     lam, d = g.wavelength, g.d
     refs = g.reference_positions("tx")
     for k in range(3):
         dist = np.linalg.norm(loc.xy - refs[k])
+        angle = subarray_angle(g, "tx", k, loc)
         for m in range(g.m_antennas):
-            phase = -2 * np.pi / lam * (dist + m * d * np.sin(resp.tx_angles[k]))
+            phase = -2 * np.pi / lam * (dist + m * d * np.sin(angle))
             assert resp.g_t[k * g.m_antennas + m] == pytest.approx(
                 np.exp(1j * phase), abs=1e-10
             )
@@ -149,7 +157,7 @@ def test_echoes_zero_scene():
     objs = (SceneObject(PolarPoint(20.0, 0.3), alpha=0.0),)
     resp = build_responses(g, objs)
     x = np.ones((8, 5), dtype=complex)
-    y = simulate_echoes(resp, objs, x, 0.0, np.random.default_rng(0))
+    y = simulate_echoes(resp, x, 0.0, np.random.default_rng(0))
     assert np.all(y == 0.0)
 
 
@@ -159,11 +167,26 @@ def test_echoes_rank1_column_space():
     resp = build_responses(g, objs)
     n = 8
     x = np.outer(resp[0].g_t, np.ones(6))
-    y = simulate_echoes(resp, objs, x, 0.0, np.random.default_rng(5))
+    y = simulate_echoes(resp, x, 0.0, np.random.default_rng(5))
     rng = np.random.default_rng(5)
     beta = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
     assert np.allclose(y, beta * n * np.outer(resp[0].g_r, np.ones(6)), atol=1e-10)
     assert numerical_rank(y) == 1
+
+
+def test_responses_carry_alpha_and_silent_objects_echo_nothing():
+    cfg, g = _geometry(subarrays=2, antennas_per_subarray=4)
+    target = SceneObject(PolarPoint(20.0, 0.3), alpha=0.7)
+    objs = (target, SceneObject(PolarPoint(25.0, -0.4), alpha=0.0))
+    resp = build_responses(g, objs)
+    assert [r.alpha for r in resp] == [0.7, 0.0]
+    assert np.array_equal(resp[0].g_t, sensing_response(g, target).g_t)
+    # noiseless: the silent interferer still draws its reflection coefficient
+    x = np.random.default_rng(3).standard_normal((8, 5)) + 0j
+    both = simulate_echoes(resp, x, 0.0, np.random.default_rng(9))
+    alone = simulate_echoes(resp[:1], x, 0.0, np.random.default_rng(9))
+    assert np.any(alone != 0.0)
+    assert np.array_equal(both, alone)
 
 
 def test_echo_noise_covariance_concentration():
@@ -171,9 +194,7 @@ def test_echo_noise_covariance_concentration():
     objs = (SceneObject(PolarPoint(20.0, 0.3), alpha=0.0),)
     resp = build_responses(g, objs)
     n, length, sigma = 8, 10_000, 1e-3
-    y = simulate_echoes(
-        resp, objs, np.zeros((n, length)), sigma, np.random.default_rng(11)
-    )
+    y = simulate_echoes(resp, np.zeros((n, length)), sigma, np.random.default_rng(11))
     cov = y @ y.conj().T / length
     err = np.linalg.norm(cov - sigma * np.eye(n))
     assert err < 3.0 * sigma * n / np.sqrt(length)

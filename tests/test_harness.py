@@ -58,6 +58,19 @@ def test_config_rejects_unknown_keys():
         harness.config_from_dict({"subbarrays": 4})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"desk_scale": "false"}, {"desk_scale": 1}, {"subarrays": 4.7}, {"seed": 1.9},
+     {"streams": 2.5}, {"snapshots": True}, {"paths": "2"}, {"user_antennas": None},
+     {"antennas_per_subarray": 8.0}],
+    ids=lambda doc: "-".join(f"{k}={v!r}" for k, v in doc.items()),
+)
+def test_config_rejects_coercible_values(doc):
+    # int() and bool() would turn each of these into a different scenario
+    with pytest.raises(ConfigurationError, match=next(iter(doc))):
+        harness.config_from_dict(doc)
+
+
 def test_null_threshold_disables_sensing():
     cfg = harness.config_from_dict({"scnr_threshold_db": None})
     assert cfg.scnr_min == 0.0
@@ -256,13 +269,9 @@ def test_refreshed_filter_improves_scnr(desk_data):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     r_x = a @ a.conj().T
-    fixed = beamform.scnr(
-        desk_data.w_fixed, desk_data.responses, desk_data.alphas, r_x, cfg.sigma_s_sq
-    )
-    w_star = beamform.mvdr_receive(desk_data.responses, desk_data.alphas, r_x, cfg.sigma_s_sq)
-    refreshed = beamform.scnr(
-        w_star, desk_data.responses, desk_data.alphas, r_x, cfg.sigma_s_sq
-    )
+    fixed = beamform.scnr(desk_data.w_fixed, desk_data.responses, r_x, cfg.sigma_s_sq)
+    w_star = beamform.mvdr_receive(desk_data.responses, r_x, cfg.sigma_s_sq)
+    refreshed = beamform.scnr(w_star, desk_data.responses, r_x, cfg.sigma_s_sq)
     assert refreshed >= fixed
 
 
@@ -571,6 +580,27 @@ def test_cli_bad_file_is_a_usage_error(tmp_path, capsys, command, flag, doc):
     assert captured.out == ""
     assert captured.err.startswith(f"modisac {command}: error: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["sweep", "--spec"], ["run-scenario", "--desk-scale", "--out"],
+     ["music", "--desk-scale", "--grid", "19:1:21,19:1:21", "--out"]],
+    ids=lambda args: args[0],
+)
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, args):
+    missing = tmp_path / "missing_dir" / "out"
+    if args[0] == "sweep":
+        spec = tmp_path / "spec.yaml"
+        spec.write_text(yaml.safe_dump({"base": {"desk_scale": True, **TINY}, "values": [0.0],
+                                        "algorithms": ["fdb"], "output": str(missing)}))
+        args = args + [str(spec)]
+    else:
+        args = args + [str(missing)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"modisac {args[0]}: error: ") and "missing_dir" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_result_row_csv_bytes():

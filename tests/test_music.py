@@ -20,6 +20,11 @@ from modisac.music import (
 )
 
 
+def _g_r(g, x, y):
+    """Receive response of `sensing_response` toward the grid point (x, y)."""
+    return sensing_response(g, SceneObject(PolarPoint(np.hypot(x, y), np.arctan2(x, y)))).g_r
+
+
 def test_sample_covariance_single_snapshot(rng):
     y = (rng.standard_normal(6) + 1j * rng.standard_normal(6))[:, None]
     cov = sample_covariance(y)
@@ -148,7 +153,7 @@ def test_grid_responses_match_sensing_response(desk):
     ]
     xy = np.array([p.xy for p in points])
     rows, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1])
-    expected = np.array([sensing_response(g, p).g_r for p in points])
+    expected = np.array([sensing_response(g, SceneObject(p)).g_r for p in points])
     assert rows.shape == (400, cfg.n_antennas)
     assert not degenerate.any()
     assert np.max(np.abs(rows - expected)) <= 5e-11
@@ -163,7 +168,7 @@ def test_music_spectrum_matches_per_cell_oracle():
     expected = np.empty(result.spectrum.shape)
     for iy, y in enumerate(grid.y_axis):
         for ix, x in enumerate(grid.x_axis):
-            g_r = sensing_response(g, PolarPoint(np.hypot(x, y), np.arctan2(x, y))).g_r
+            g_r = _g_r(g, x, y)
             expected[iy, ix] = 1.0 / (np.linalg.norm(basis.conj().T @ g_r) ** 2 + 1e-18)
     expected /= expected.max()
     assert result.flagged_cells == []
@@ -270,9 +275,7 @@ def test_pseudo_spectrum_both_sides_match_per_cell_oracle(width):
     y = rng.uniform(0.5, 25.0, 300)
     vals, bad = _pseudo_spectrum(g, basis, x, y)
     expected = np.array([
-        1.0 / (np.linalg.norm(
-            basis.conj().T @ sensing_response(g, PolarPoint(np.hypot(u, v), np.arctan2(u, v))).g_r
-        ) ** 2 + 1e-18)
+        1.0 / (np.linalg.norm(basis.conj().T @ _g_r(g, u, v)) ** 2 + 1e-18)
         for u, v in zip(x, y)
     ])
     assert not bad.any()

@@ -633,5 +633,5 @@ def test_rmjgd_final_power_and_scnr(desk_problem):
     assert proxy <= data.problem.n_streams + 1e-9
     w_tx = w_rf @ result.w_bb
     r_x = w_tx @ w_tx.conj().T
-    achieved = scnr(data.w_fixed, data.responses, data.alphas, r_x, data.config.sigma_s_sq)
+    achieved = scnr(data.w_fixed, data.responses, r_x, data.config.sigma_s_sq)
     assert achieved >= data.config.scnr_min  # strict by barrier construction

@@ -148,7 +148,7 @@ def test_sdr_rrs_meets_scnr_threshold(small_problem):
     result = sdr_rrs(problem, np.random.default_rng(0))
     w_tx = data.u_tilde @ result.w_bb
     r_x = w_tx @ w_tx.conj().T
-    achieved = scnr(data.w_fixed, data.responses, data.alphas, r_x, data.config.sigma_s_sq)
+    achieved = scnr(data.w_fixed, data.responses, r_x, data.config.sigma_s_sq)
     assert achieved >= data.config.scnr_min - 1e-6
 
 
@@ -182,17 +182,17 @@ def test_identity_basis_problem_matches_explicit_sensing_form(desk_data, receive
     data, cfg = desk_data, desk_data.config
     w = data.w_fixed if receive == "fixed" else data.responses[0].g_r
     full = make_maxdet_problem(
-        data.h, np.eye(cfg.n_antennas), data.responses, data.alphas, w, cfg.scnr_min,
+        data.h, np.eye(cfg.n_antennas), data.responses, w, cfg.scnr_min,
         cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, 1,
     )
     reduced = make_maxdet_problem(
-        data.h, data.u_tilde, data.responses, data.alphas, w, cfg.scnr_min,
+        data.h, data.u_tilde, data.responses, w, cfg.scnr_min,
         cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, cfg.m_antennas,
     )
     explicit = sum(
-        (1.0 if q == 0 else -cfg.scnr_min) * a**2 * abs(np.vdot(w, r.g_r)) ** 2
+        (1.0 if q == 0 else -cfg.scnr_min) * o.alpha**2 * abs(np.vdot(w, r.g_r)) ** 2
         * np.outer(r.g_t, r.g_t.conj())
-        for q, (a, r) in enumerate(zip(data.alphas, data.responses))
+        for q, (o, r) in enumerate(zip(cfg.scene_objects, data.responses))
     )
     assert np.linalg.norm(full.psi - explicit) <= 1e-12 * np.linalg.norm(explicit)
     projected = data.u_tilde.conj().T @ full.psi @ data.u_tilde
