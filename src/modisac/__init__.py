@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-geometry      array placement, steering vectors, per-subarray angles
+geometry      array placement, steering vectors, per-subarray ranges and angles
 channel       piecewise-far-field channel H (an array) and the per-object
               sensing responses (a tuple)
 beamform      metrics, MVDR filter, hybrid checks, the joint subspace U_tilde
@@ -22,10 +22,9 @@ from .geometry import (
     ScenarioConfig,
     SceneObject,
     build_geometry,
-    inter_subarray_phase,
     rayleigh_distance,
     steering_vector,
-    subarray_angle,
+    subarray_view,
 )
 from .channel import (
     ObjectResponse,

@@ -51,19 +51,16 @@ def build_subspace(
     then toward each communication path's AoD.
     """
     k, m = geometry.k_subarrays, geometry.m_antennas
-    n_objects = len(responses)
-    cols = n_objects + len(paths)
+    # (K, M, Q+Np): subarray k's steering vectors, the columns of block k
+    steer = np.stack([resp.a_t_blocks for resp in responses] + [
+        steering_vector(m, p.aod, geometry.d, geometry.wavelength) for p in paths], axis=2)
+    cols = steer.shape[2]
     # column-major: the rounding of BLAS products with U_tilde (phi_matrices,
     # reduce_b) depends on the layout, and the sweep CSVs are pinned to this one
     u_tilde = np.zeros((k * m, k * cols), dtype=complex, order="F")
-    for i in range(k):
-        block = u_tilde[i * m : (i + 1) * m, i * cols : (i + 1) * cols]
-        for q, resp in enumerate(responses):
-            block[:, q] = resp.a_t_blocks[i]
-        for p, path in enumerate(paths):
-            block[:, n_objects + p] = steering_vector(
-                m, path.aod[i], geometry.d, geometry.wavelength
-            )
+    # entry (k*M + i, k*cols + j) is [i, k, j, k] of this F-ordered view
+    block_view = u_tilde.reshape((m, k, cols, k), order="F")
+    block_view[:, np.arange(k), :, np.arange(k)] = steer
     return u_tilde
 
 

@@ -22,9 +22,9 @@ from .geometry import (
     PolarPoint,
     ScenarioConfig,
     SceneObject,
-    inter_subarray_phase,
+    bearing,
     steering_vector,
-    subarray_angle,
+    subarray_view,
 )
 
 
@@ -54,38 +54,19 @@ class PathSpec:
             raise ConfigurationError("path gains must be positive")
 
 
-def _angle_from(src_xy: np.ndarray, dst_xy: np.ndarray) -> float:
-    """Angle of `src` seen from `dst`, from the positive y-axis."""
-    delta = src_xy - dst_xy
-    dist = float(np.hypot(*delta))
-    if dist <= 0.0:
-        raise DegenerateGeometryError("coincident scene points")
-    return float(np.arcsin(np.clip(delta[0] / dist, -1.0, 1.0)))
-
-
 def _path_geometry(
     geometry: ArrayGeometry, user: PolarPoint, scatterer: Optional[PolarPoint]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-subarray (distances, aod, aoa) for a LoS or single-bounce path."""
-    refs = geometry.reference_positions("tx")
-    k = refs.shape[0]
-    user_xy = user.xy
     if scatterer is None:
-        dists = np.linalg.norm(user_xy[None, :] - refs, axis=1)
-        if np.any(dists <= 0.0):
-            raise DegenerateGeometryError("user coincides with a reference antenna")
-        aod = np.array([subarray_angle(geometry, "tx", i, user) for i in range(k)])
-        aoa = np.array([_angle_from(refs[i], user_xy) for i in range(k)])
-    else:
-        sc_xy = scatterer.xy
-        leg1 = np.linalg.norm(sc_xy[None, :] - refs, axis=1)
-        leg2 = float(np.linalg.norm(user_xy - sc_xy))
-        if np.any(leg1 <= 0.0) or leg2 <= 0.0:
-            raise DegenerateGeometryError("scatterer coincides with an endpoint")
-        dists = leg1 + leg2
-        aod = np.array([subarray_angle(geometry, "tx", i, scatterer) for i in range(k)])
-        aoa = np.full(k, _angle_from(sc_xy, user_xy))
-    return dists, aod, aoa
+        dists, aod = subarray_view(geometry, "tx", user)
+        # each reference antenna, seen from the user, lies on the opposite bearing
+        return dists, aod, -aod
+    leg1, aod = subarray_view(geometry, "tx", scatterer)
+    leg2 = float(np.linalg.norm(user.xy - scatterer.xy))
+    if leg2 <= 0.0:
+        raise DegenerateGeometryError("scatterer coincides with the user")
+    return leg1 + leg2, aod, np.full(aod.size, bearing(scatterer.xy - user.xy))
 
 
 def draw_paths(
@@ -133,10 +114,7 @@ def draw_paths(
 
 
 def build_comm_channel(
-    geometry: ArrayGeometry,
-    paths: list[PathSpec],
-    user: PolarPoint,
-    n_user: int,
+    geometry: ArrayGeometry, paths: list[PathSpec], n_user: int
 ) -> np.ndarray:
     """Assemble the n_user x K*M stacked channel H = [H_1 ... H_K].
 
@@ -148,17 +126,13 @@ def build_comm_channel(
         raise ConfigurationError("need at least one path")
     k, m = geometry.k_subarrays, geometry.m_antennas
     lam, d = geometry.wavelength, geometry.d
-    refs = geometry.reference_positions("tx")
-    if np.any(np.linalg.norm(user.xy[None, :] - refs, axis=1) <= 0.0):
-        raise DegenerateGeometryError("user coincides with a reference antenna")
-    h = np.zeros((n_user, k * m), dtype=complex)
+    h = np.zeros((k, n_user, m), dtype=complex)  # H_k stacked, moved side by side at the end
     for p in paths:
         mu = p.gains * np.exp(-2j * np.pi * p.distances / lam)
-        for i in range(k):
-            a_rx = steering_vector(n_user, p.aoa[i], d, lam)
-            a_tx = steering_vector(m, p.aod[i], d, lam)
-            h[:, i * m : (i + 1) * m] += mu[i] * np.outer(a_rx, a_tx.conj())
-    return h
+        a_rx = steering_vector(n_user, p.aoa, d, lam)
+        a_tx = steering_vector(m, p.aod, d, lam)
+        h += mu[:, None, None] * (a_rx[:, :, None] * a_tx.conj()[:, None, :])
+    return h.transpose(1, 0, 2).reshape(n_user, k * m)
 
 
 def rank_bounds(n_paths: int, n_user: int, k_subarrays: int) -> tuple[int, int]:
@@ -196,17 +170,17 @@ class ObjectResponse:
 def sensing_response(geometry: ArrayGeometry, obj: SceneObject) -> ObjectResponse:
     """Piecewise-far-field response vectors toward one object.
 
-    Block k of g_t equals nu_t[k] * a_t^k with nu_t the inter-subarray
-    phase vector and a_t^k the intra-subarray steering vector at the
-    per-subarray observation angle; likewise g_r on the receive side.
+    Block k of g_t equals nu_k * a_t^k with nu_k = exp(-j*2*pi*r_k/lambda)
+    and a_t^k the intra-subarray steering vector at angle theta_k, where
+    (r_k, theta_k) come from `geometry.subarray_view`; likewise g_r.
     """
     k, m = geometry.k_subarrays, geometry.m_antennas
     lam, d = geometry.wavelength, geometry.d
 
     def side_response(side: str) -> tuple[np.ndarray, np.ndarray]:
-        angles = [subarray_angle(geometry, side, i, obj.location) for i in range(k)]
-        nu = inter_subarray_phase(geometry, side, obj.location)
-        blocks = np.stack([steering_vector(m, a, d, lam) for a in angles])
+        ranges, angles = subarray_view(geometry, side, obj.location)
+        nu = np.exp(-2j * np.pi / lam * ranges)
+        blocks = steering_vector(m, angles, d, lam)
         return (nu[:, None] * blocks).reshape(k * m), blocks
 
     g_t, a_t = side_response("tx")

@@ -75,6 +75,9 @@ def _execute(args) -> int:
         config = _load(args)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
+        if args.out:  # open each output path now, so an unwritable one fails before the run
+            for suffix in ("",) if args.command == "run-scenario" else (".csv", ".grid"):
+                open(args.out + suffix, "a").close()
 
     if args.command == "run-scenario":
         row = harness.run_scenario(config, args.algo.replace("-", "_"))

@@ -213,52 +213,47 @@ def build_geometry(
     )
 
 
-def steering_vector(m: int, angle: float, d: float, wavelength: float) -> np.ndarray:
+def steering_vector(m: int, angle, d: float, wavelength: float) -> np.ndarray:
     """Far-field intra-subarray steering vector of length m.
 
     Entry i (0-based) is exp(-j*2*pi/wavelength * i * d * sin(angle)); the
-    reference element carries phase 0.
+    reference element carries phase 0. An array of angles gives one row per
+    angle, shape (len(angle), m).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    phase = -2.0 * np.pi / wavelength * d * np.sin(angle) * np.arange(m)
+    phase = np.multiply.outer(-2.0 * np.pi / wavelength * d * np.sin(angle), np.arange(m))
     return np.exp(1j * phase)
 
 
-def subarray_angle(
-    geometry: ArrayGeometry, side: str, k: int, location: PolarPoint
-) -> float:
-    """Observation angle of `location` from subarray k's reference antenna.
-
-    Returns arcsin((x_loc - x_ref) / ||l_loc - l_ref||), the direction of the
-    point with respect to the positive y-axis as seen from the reference
-    antenna; lies in [-pi/2, pi/2].
-    """
-    ref = geometry.reference_positions(side)[k]
-    delta = location.xy - ref
-    dist = float(np.hypot(*delta))
-    if dist <= 1e-12 * max(1.0, location.r):
-        raise DegenerateGeometryError(
-            f"location coincides with reference antenna of subarray {k} ({side})"
-        )
-    return float(np.arcsin(np.clip(delta[0] / dist, -1.0, 1.0)))
+# A scene point within COINCIDENT_TOL * max(1, r) of a reference antenna has
+# no observation angle: `subarray_view` raises, `music` flags the grid cell.
+COINCIDENT_TOL = 1e-12
 
 
-def inter_subarray_phase(
+def bearing(delta: np.ndarray) -> np.ndarray:
+    """Angle from the positive y-axis of displacements delta (..., 2), in [-pi/2, pi/2]."""
+    sine = delta[..., 0] / np.hypot(delta[..., 0], delta[..., 1])
+    return np.arcsin(np.clip(sine, -1.0, 1.0))
+
+
+def subarray_view(
     geometry: ArrayGeometry, side: str, location: PolarPoint
-) -> np.ndarray:
-    """Length-K spherical-wavefront phase vector across subarray references.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ranges, angles), both length K: `location` seen from each reference antenna.
 
-    Entry k is exp(-j*2*pi/wavelength * ||l_loc - l_k||) with l_k the
-    reference antenna of subarray k on the given side.
+    Entry k holds ||l_loc - l_k|| and the observation angle
+    arcsin((x_loc - x_k) / ||l_loc - l_k||), with l_k the reference antenna
+    of subarray k on the given side: the pair the piecewise-far-field model
+    builds subarray k's response from.
     """
-    refs = geometry.reference_positions(side)
-    dists = np.linalg.norm(location.xy[None, :] - refs, axis=1)
-    if np.any(dists <= 1e-12 * max(1.0, location.r)):
-        raise DegenerateGeometryError(
-            f"location coincides with a reference antenna ({side})"
-        )
-    return np.exp(-2j * np.pi / geometry.wavelength * dists)
+    delta = location.xy - geometry.reference_positions(side)
+    # norm for the ranges, hypot for the angles: the two round differently,
+    # and ranges through hypot move rm_jgd sweep rows in the 4th-7th digit
+    ranges = np.linalg.norm(delta, axis=1)
+    if np.any(ranges <= COINCIDENT_TOL * max(1.0, location.r)):
+        raise DegenerateGeometryError(f"location coincides with a reference antenna ({side})")
+    return ranges, bearing(delta)
 
 
 def rayleigh_distance(aperture: float, wavelength: float) -> float:

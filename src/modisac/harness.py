@@ -207,7 +207,7 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
     rng = np.random.default_rng(config.seed)
     geometry = geo.build_geometry(config, _layout_offsets(config, rng))
     paths = channel.draw_paths(config, geometry, rng)
-    h = channel.build_comm_channel(geometry, paths, config.user, config.n_user_antennas)
+    h = channel.build_comm_channel(geometry, paths, config.n_user_antennas)
     responses = channel.build_responses(geometry, config.scene_objects)
     w_fixed = beamform.mvdr_receive(responses, np.eye(config.n_antennas), config.sigma_s_sq)
     u_tilde = beamform.build_subspace(geometry, paths, responses)
@@ -432,7 +432,7 @@ def apply_axis(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     if axis == "scnr_threshold":
         return dataclasses.replace(base, scnr_min=10.0 ** (float(value) / 10.0))
     if axis == "rf_chains":
-        total = int(value)
+        total = _integer("rf_chains", value)
         q = base.n_objects
         if total % base.k_subarrays:
             raise ConfigurationError(
@@ -443,7 +443,7 @@ def apply_axis(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
             raise ConfigurationError(f"rf_chains={total} leaves no path budget")
         return dataclasses.replace(base, n_paths=n_paths)
     if axis == "subarray_scale":
-        k_new, m_new = int(value[0]), int(value[1])
+        k_new, m_new = (_integer("subarray_scale", v) for v in value[:2])
         if k_new * m_new != base.n_antennas:
             raise ConfigurationError(
                 f"subarray_scale {value} changes the total antenna count"
@@ -458,7 +458,7 @@ def apply_axis(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
             base, user=PolarPoint(float(value), base.user.theta)
         )
     if axis == "subarray_count":
-        return dataclasses.replace(base, k_subarrays=int(value))
+        return dataclasses.replace(base, k_subarrays=_integer("subarray_count", value))
     if axis == "layout":
         return dataclasses.replace(base, layout=str(value))
     raise ConfigurationError(f"unknown sweep axis {axis!r}")

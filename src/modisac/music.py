@@ -8,9 +8,9 @@ observe the scene from sufficiently different positions.
 Grid responses use that factorization directly: receive block k toward a
 cell is nu_k * [1, z_k, ..., z_k^(M-1)], one inter-subarray phase nu_k and
 one intra-subarray phase step z_k, so a cell costs 2K unit phasors and
-K*(M-1) products rather than one exponential per antenna. Cells within
-1e-12*max(1, r) of a receive reference antenna have no observation angle
-(the rule of `geometry.subarray_angle`); they are zeroed and flagged.
+K*(M-1) products rather than one exponential per antenna. A cell within
+`geometry.COINCIDENT_TOL`*max(1, r) of a receive reference antenna has no
+observation angle (`geometry.subarray_view` raises); it is zeroed and flagged.
 
 Each response g has unit-modulus entries, so ||g||^2 = N and the MUSIC
 denominator ||E^H g||^2 equals N - ||S^H g||^2, with S the orthonormal
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ArrayGeometry
+from .geometry import COINCIDENT_TOL, ArrayGeometry
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,8 @@ def _receive_responses_grid(
     nu_k = exp(-j*2*pi*r_k/lambda) and z_k = exp(-j*2*pi*d*sin(theta_k)/lambda),
     r_k and theta_k the range and angle from receive reference antenna k, so
     a cell costs 2K unit phasors (a cos and a sin each) and K*(M-1)
-    products. `degenerate` marks cells within 1e-12*max(1, r) of a reference
-    antenna, the rule of `geometry.subarray_angle`; their rows are
+    products. `degenerate` marks cells within COINCIDENT_TOL*max(1, r) of a
+    reference antenna, where `geometry.subarray_view` raises; their rows are
     meaningless. Both are views into `work` (`_grid_work` for at least
     x.size cells), allocated for this call when omitted.
     """
@@ -130,7 +130,7 @@ def _receive_responses_grid(
     np.subtract(x[:, None], refs[:, 0], out=dx)
     np.subtract(y[:, None], refs[:, 1], out=dy)
     np.hypot(dx, dy, out=dist)
-    np.multiply(1e-12, np.maximum(1.0, np.hypot(x, y, out=tol), out=tol), out=tol)
+    np.multiply(COINCIDENT_TOL, np.maximum(1.0, np.hypot(x, y, out=tol), out=tol), out=tol)
     np.any(np.less_equal(dist, tol[:, None], out=mask), axis=1, out=bad)
     # dx becomes sin(theta) = dx/dist, clipped; where dist is 0 it keeps dx/1
     np.divide(dx, dist, out=dx, where=np.greater(dist, 0.0, out=mask))
@@ -209,7 +209,7 @@ def music_spectrum(
 
     The surface is normalized to a maximum of one; ties at the peak break
     toward the lowest linear index (row-major over y then x). Cells within
-    1e-12*max(1, r) of a receive reference antenna are zeroed and flagged.
+    COINCIDENT_TOL*max(1, r) of a reference antenna are zeroed and flagged.
     The mainlobe width is the -3 dB extent of a fine range cut through the
     peak at its angle.
     """

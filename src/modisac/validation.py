@@ -17,9 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import beamform, channel, harness, opt_manifold, opt_sdr
-from .geometry import (
-    PolarPoint, SceneObject, build_geometry, inter_subarray_phase, steering_vector
-)
+from .geometry import PolarPoint, SceneObject, build_geometry, steering_vector
 from .music import GridSpec
 
 
@@ -92,11 +90,13 @@ def _check_steering_modulus() -> tuple[bool, str]:
 
 
 def _check_interphase_oracle() -> tuple[bool, str]:
+    # the reference element of each block carries nu_k = exp(-j*2*pi*r_k/lambda)
     g = build_geometry(harness.desk_config())
     err = mod_err = 0.0
-    for side in ("tx", "rx"):
-        for loc in (PolarPoint(17.0, 0.3), PolarPoint(11.0, -0.35)):
-            nu = inter_subarray_phase(g, side, loc)
+    for loc in (PolarPoint(17.0, 0.3), PolarPoint(11.0, -0.35)):
+        resp = channel.sensing_response(g, SceneObject(loc))
+        for side, vec in (("tx", resp.g_t), ("rx", resp.g_r)):
+            nu = vec[:: g.m_antennas]
             dists = np.linalg.norm(loc.xy[None, :] - g.reference_positions(side), axis=1)
             oracle = np.exp(-2j * np.pi / g.wavelength * dists)
             err = max(err, float(np.max(np.abs(nu - oracle))))
@@ -144,7 +144,7 @@ def _check_block_locality() -> tuple[bool, str]:
     def comm_h(offsets):
         g = build_geometry(cfg, offsets)
         paths = channel.draw_paths(cfg, g, np.random.default_rng(cfg.seed))
-        return channel.build_comm_channel(g, paths, cfg.user, cfg.n_user_antennas)
+        return channel.build_comm_channel(g, paths, cfg.n_user_antennas)
 
     h0 = comm_h(None)
     ok = True

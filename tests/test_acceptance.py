@@ -132,7 +132,7 @@ def test_criterion_4_rank_bounds():
         aod=los.aod,
         aoa=np.full_like(los.aoa, 0.21),
     )
-    h_equal = build_comm_channel(g, [forced], cfg.user, 4)
+    h_equal = build_comm_channel(g, [forced], 4)
     equal_rank = numerical_rank(h_equal, 1e-8)
     _accept(
         4,

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,8 @@ from modisac.geometry import (
     PolarPoint,
     SceneObject,
     build_geometry,
-    inter_subarray_phase,
-    subarray_angle,
+    steering_vector,
+    subarray_view,
 )
 
 
@@ -56,23 +59,20 @@ def test_draw_paths_scatterer_region():
 
 def _manual_path(geometry, user, n_user, gains=None, aoa=None):
     """LoS-style PathSpec with overridable gains/arrival angles."""
-    from modisac.channel import _path_geometry
-
-    dists, aod, aoa_true = _path_geometry(geometry, user, None)
-    k = dists.size
+    dists, aod = subarray_view(geometry, "tx", user)
     return PathSpec(
         kind="los",
-        gains=np.ones(k) if gains is None else gains,
+        gains=np.ones(dists.size) if gains is None else gains,
         distances=dists,
         aod=aod,
-        aoa=aoa_true if aoa is None else aoa,
+        aoa=-aod if aoa is None else aoa,
     )
 
 
 def test_channel_rank1_unit_gain_norm():
     cfg, g = _geometry(subarrays=1, antennas_per_subarray=8, user_antennas=4)
     path = _manual_path(g, cfg.user, 4)
-    h = build_comm_channel(g, [path], cfg.user, 4)
+    h = build_comm_channel(g, [path], 4)
     assert numerical_rank(h) == 1
     assert np.linalg.norm(h) == pytest.approx(np.sqrt(4 * 8), rel=1e-12)
 
@@ -87,14 +87,50 @@ def test_channel_rank2_two_subarrays():
         user={"range_m": 8.0, "angle_deg": 10.0},
     )
     paths = draw_paths(cfg, g, np.random.default_rng(0))
-    h = build_comm_channel(g, paths, cfg.user, 4)
+    h = build_comm_channel(g, paths, 4)
     assert numerical_rank(h, 1e-8) == 2
+
+
+def test_channel_element_oracle():
+    # H[u, kM+m] = sum_p g_p^k e^{-j2pi D_p^k/lam} e^{-j2pi u d sin(aoa)/lam} e^{+j2pi m d sin(aod)/lam}
+    cfg, g = _geometry(subarrays=3, antennas_per_subarray=4, user_antennas=3, paths=2)
+    los, nlos = draw_paths(cfg, g, np.random.default_rng(4))
+    assert (los.kind, nlos.kind) == ("los", "nlos")
+    h = build_comm_channel(g, [los, nlos], 3)
+    lam, d = g.wavelength, g.d
+    (ux, uy), (sx, sy) = cfg.user.xy, nlos.scatterer.xy
+    oracle = np.zeros((3, 12), dtype=complex)
+    for k in range(3):
+        rx, ry = g.tx_positions[k, 0]
+        to_user, to_sc, sc_user = (
+            math.hypot(ux - rx, uy - ry), math.hypot(sx - rx, sy - ry), math.hypot(ux - sx, uy - sy)
+        )
+        for path, dist, aod, aoa in (
+            (los, to_user, math.asin((ux - rx) / to_user), math.asin((rx - ux) / to_user)),
+            (nlos, to_sc + sc_user, math.asin((sx - rx) / to_sc), math.asin((sx - ux) / sc_user)),
+        ):
+            for u in range(3):
+                for m in range(4):
+                    oracle[u, 4 * k + m] += path.gains[k] * cmath.exp(
+                        -2j * math.pi / lam
+                        * (dist + u * d * math.sin(aoa) - m * d * math.sin(aod))
+                    )
+    assert np.max(np.abs(h - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+    # the per-subarray loop, bit for bit: the same products in the same order
+    loop = np.zeros((3, 12), dtype=complex)
+    for path in (los, nlos):
+        mu = path.gains * np.exp(-2j * np.pi * path.distances / lam)
+        for k in range(3):
+            a_rx = steering_vector(3, path.aoa[k], d, lam)
+            a_tx = steering_vector(4, path.aod[k], d, lam)
+            loop[:, 4 * k : 4 * k + 4] += mu[k] * np.outer(a_rx, a_tx.conj())
+    assert np.array_equal(h, loop)
 
 
 def test_channel_equal_aoa_rank1():
     cfg, g = _geometry(subarrays=2, antennas_per_subarray=8, user_antennas=4)
     path = _manual_path(g, cfg.user, 4, aoa=np.full(2, 0.17))
-    h = build_comm_channel(g, [path], cfg.user, 4)
+    h = build_comm_channel(g, [path], 4)
     assert numerical_rank(h, 1e-8) == 1
 
 
@@ -123,8 +159,9 @@ def test_sensing_response_single_subarray():
     loc = PolarPoint(15.0, 0.4)
     resp = sensing_response(g, SceneObject(loc))
     # with one subarray g_t is the intra steering vector times a unit phase
-    nu = inter_subarray_phase(g, "tx", loc)
-    assert abs(abs(nu[0]) - 1.0) < 1e-12
+    ranges, _ = subarray_view(g, "tx", loc)
+    nu = np.exp(-2j * np.pi / g.wavelength * ranges)
+    assert nu.shape == (1,)
     assert np.allclose(resp.g_t, nu[0] * resp.a_t_blocks[0])
 
 
@@ -137,10 +174,8 @@ def test_sensing_response_element_oracle():
     loc = PolarPoint(20.0, np.pi / 4)
     resp = sensing_response(g, SceneObject(loc))
     lam, d = g.wavelength, g.d
-    refs = g.reference_positions("tx")
-    for k in range(3):
-        dist = np.linalg.norm(loc.xy - refs[k])
-        angle = subarray_angle(g, "tx", k, loc)
+    ranges, angles = subarray_view(g, "tx", loc)
+    for k, (dist, angle) in enumerate(zip(ranges, angles)):
         for m in range(g.m_antennas):
             phase = -2 * np.pi / lam * (dist + m * d * np.sin(angle))
             assert resp.g_t[k * g.m_antennas + m] == pytest.approx(

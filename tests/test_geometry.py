@@ -8,10 +8,9 @@ from modisac.geometry import (
     DegenerateGeometryError,
     PolarPoint,
     build_geometry,
-    inter_subarray_phase,
     rayleigh_distance,
     steering_vector,
-    subarray_angle,
+    subarray_view,
 )
 from modisac.harness import config_from_dict
 
@@ -89,6 +88,14 @@ def test_steering_hand_phases():
     assert np.allclose(diffs, diffs[0], atol=1e-12)
 
 
+def test_steering_rows_match_scalar_form():
+    angles = np.array([-1.2, 0.0, 0.3, np.pi / 2])
+    rows = steering_vector(5, angles, 0.004, 0.008)
+    assert rows.shape == (4, 5)
+    for row, angle in zip(rows, angles):
+        assert np.array_equal(row, steering_vector(5, angle, 0.004, 0.008))
+
+
 def test_steering_unit_modulus(assert_check):
     assert_check("steering_modulus")
 
@@ -98,28 +105,31 @@ def test_subarray_angle_directly_above():
     g = build_geometry(cfg)
     ref_x = g.tx_positions[1, 0, 0]
     loc = PolarPoint(np.hypot(ref_x, 5.0), np.arctan2(ref_x, 5.0))
-    assert subarray_angle(g, "tx", 1, loc) == pytest.approx(0.0, abs=1e-12)
+    ranges, angles = subarray_view(g, "tx", loc)
+    assert angles[1] == pytest.approx(0.0, abs=1e-12)
+    assert ranges[1] == pytest.approx(5.0, rel=1e-12)
 
 
 def test_subarray_angle_reference_at_origin():
     g = build_geometry(_config(d0=0.0))
     loc = PolarPoint(10.0, np.pi / 6)
-    assert subarray_angle(g, "tx", 0, loc) == pytest.approx(np.pi / 6, abs=1e-12)
+    ranges, angles = subarray_view(g, "tx", loc)
+    assert angles[0] == pytest.approx(np.pi / 6, abs=1e-12)
+    assert ranges[0] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_subarray_angle_differs_across_subarrays():
     cfg = _config(k_subarrays=2, m_antennas=2, gamma=200.0, d0=1.0)
     g = build_geometry(cfg)
     loc = PolarPoint(20.0, 0.2)
-    a0 = subarray_angle(g, "tx", 0, loc)
-    a1 = subarray_angle(g, "tx", 1, loc)
+    a0, a1 = subarray_view(g, "tx", loc)[1]
     assert abs(a0 - a1) > 1e-6
 
 
 def test_subarray_angle_monotone_in_x():
     g = build_geometry(_config(d0=1.0))
     angles = [
-        subarray_angle(g, "tx", 0, PolarPoint(np.hypot(x, 15.0), np.arctan2(x, 15.0)))
+        subarray_view(g, "tx", PolarPoint(np.hypot(x, 15.0), np.arctan2(x, 15.0)))[1][0]
         for x in np.linspace(-5.0, 5.0, 21)
     ]
     assert np.all(np.diff(angles) > 0)
@@ -129,14 +139,17 @@ def test_subarray_angle_degenerate_raises():
     g = build_geometry(_config(d0=1.0))
     ref_x = g.tx_positions[0, 0, 0]
     with pytest.raises(DegenerateGeometryError):
-        subarray_angle(g, "tx", 0, PolarPoint(ref_x, np.pi / 2))
+        subarray_view(g, "tx", PolarPoint(ref_x, np.pi / 2))
 
 
 def test_inter_phase_single_subarray():
     g = build_geometry(_config(k_subarrays=1, m_antennas=2, gamma=2.0, d0=1.0))
-    nu = inter_subarray_phase(g, "tx", PolarPoint(5.0, 0.1))
-    assert nu.shape == (1,)
-    assert abs(abs(nu[0]) - 1.0) < 1e-12
+    loc = PolarPoint(5.0, 0.1)
+    ranges, angles = subarray_view(g, "tx", loc)
+    assert ranges.shape == angles.shape == (1,)
+    ref = g.reference_positions("tx")[0]
+    assert ranges[0] == pytest.approx(np.hypot(*(loc.xy - ref)), rel=1e-12)
+    assert angles[0] == pytest.approx(np.arcsin((loc.xy[0] - ref[0]) / ranges[0]), abs=1e-12)
 
 
 def test_inter_phase_equidistant_subarrays():
@@ -144,8 +157,10 @@ def test_inter_phase_equidistant_subarrays():
     g = build_geometry(cfg)
     mid_x = 0.5 * (g.tx_positions[0, 0, 0] + g.tx_positions[1, 0, 0])
     loc = PolarPoint(np.hypot(mid_x, 7.0), np.arctan2(mid_x, 7.0))
-    nu = inter_subarray_phase(g, "tx", loc)
-    assert abs(nu[0] - nu[1]) < 1e-9
+    ranges, angles = subarray_view(g, "tx", loc)
+    # equal ranges put nu_0 and nu_1 within 1e-9 of each other
+    assert 2 * np.pi / g.wavelength * abs(ranges[0] - ranges[1]) < 1e-9
+    assert angles[0] == pytest.approx(-angles[1], abs=1e-12)
 
 
 def test_inter_phase_distance_oracle(assert_check):

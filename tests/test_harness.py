@@ -382,6 +382,19 @@ def test_sweep_failure_rows_do_not_abort(tmp_path, capsys):
     assert f"fdb seed {seed}: ConfigurationError: rf_chains=7 not divisible by K=2" in err
 
 
+@pytest.mark.parametrize(
+    "axis, value",
+    [("subarray_count", 4.7), ("subarray_count", True), ("rf_chains", "16"),
+     ("rf_chains", 16.0), ("subarray_scale", (2.0, 16)), ("subarray_scale", (2, "16"))],
+)
+def test_sweep_axis_values_are_not_coerced(axis, value, capsys):
+    # int() would run K=4 for 4.7, K=1 for True and 16 chains for "16"
+    _, value_str, row = harness._run_cell((0, axis, value, "fdb", 0, harness.desk_config()))
+    assert row.status == "error:ConfigurationError"
+    assert value_str == harness._format_value(value)
+    assert f"ConfigurationError: {axis} must be an integer" in capsys.readouterr().err
+
+
 def test_paired_seeds_across_values(tmp_path):
     # the channel seed depends on the repetition, not the axis value
     base = harness.desk_config(seed=7, **TINY)
@@ -588,7 +601,10 @@ def test_cli_bad_file_is_a_usage_error(tmp_path, capsys, command, flag, doc):
      ["music", "--desk-scale", "--grid", "19:1:21,19:1:21", "--out"]],
     ids=lambda args: args[0],
 )
-def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, args):
+def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, args):
+    # the path is tried before the run: nothing runs and nothing is printed
+    for name in ("run_scenario", "run_music"):
+        monkeypatch.setattr(harness, name, lambda *_: pytest.fail(f"{name} was called"))
     missing = tmp_path / "missing_dir" / "out"
     if args[0] == "sweep":
         spec = tmp_path / "spec.yaml"
@@ -598,7 +614,8 @@ def test_cli_unwritable_output_is_a_usage_error(tmp_path, capsys, args):
     else:
         args = args + [str(missing)]
     assert cli.main(args) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"modisac {args[0]}: error: ") and "missing_dir" in err
     assert err.count("\n") == 1 and "Traceback" not in err
 

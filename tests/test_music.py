@@ -7,7 +7,14 @@ import pytest
 
 from modisac import harness
 from modisac.channel import build_responses, sensing_response
-from modisac.geometry import PolarPoint, SceneObject, build_geometry
+from modisac.geometry import (
+    COINCIDENT_TOL,
+    DegenerateGeometryError,
+    PolarPoint,
+    SceneObject,
+    build_geometry,
+    subarray_view,
+)
 from modisac.music import (
     GridSpec,
     _pseudo_spectrum,
@@ -127,8 +134,9 @@ def _random_noise_basis(rng, n, p):
 
 
 def test_music_flags_cells_within_tolerance_of_antenna():
-    # geometry.subarray_angle calls a point degenerate within 1e-12*max(1, r)
-    # of a reference antenna, so a cell 1e-14 m away must be flagged too
+    # geometry.subarray_view calls a point degenerate within
+    # COINCIDENT_TOL*max(1, r) of a reference antenna, so a cell 1e-14 m away
+    # must be flagged too
     cfg = harness.desk_config(seed=0)
     g = build_geometry(cfg)
     rx_ref = g.reference_positions("rx")[1]
@@ -140,6 +148,25 @@ def test_music_flags_cells_within_tolerance_of_antenna():
     assert result.flagged_cells == [(0, 0)]
     assert result.spectrum[0, 0] == 0.0
     assert np.all(result.spectrum.ravel()[1:] > 0.0)
+
+
+@pytest.mark.parametrize("fraction, degenerate", [(0.5, True), (2.0, False)])
+def test_view_and_grid_share_the_coincidence_rule(fraction, degenerate):
+    # a point `fraction` tolerances from a receive reference antenna: inside,
+    # subarray_view raises and the grid cell is flagged; outside, neither
+    g = build_geometry(harness.desk_config(seed=0))
+    ref_x = g.reference_positions("rx")[2, 0]
+    x = ref_x + fraction * COINCIDENT_TOL * max(1.0, abs(ref_x))
+    point = PolarPoint(abs(x), np.arctan2(x, 0.0))
+    assert np.hypot(*(point.xy - (ref_x, 0.0))) == pytest.approx(x - ref_x, rel=1e-3)
+    if degenerate:
+        with pytest.raises(DegenerateGeometryError):
+            subarray_view(g, "rx", point)
+    else:
+        subarray_view(g, "rx", point)
+    basis = _random_noise_basis(np.random.default_rng(5), g.n_antennas, 8)
+    result = music_spectrum(basis, g, GridSpec(x, 0.5, x + 1.0, 0.0, 0.5, 1.0))
+    assert result.flagged_cells == ([(0, 0)] if degenerate else [])
 
 
 @pytest.mark.parametrize("desk", [True, False], ids=["desk", "full"])
