@@ -443,7 +443,11 @@ def apply_axis(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
             raise ConfigurationError(f"rf_chains={total} leaves no path budget")
         return dataclasses.replace(base, n_paths=n_paths)
     if axis == "subarray_scale":
-        k_new, m_new = (_integer("subarray_scale", v) for v in value[:2])
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigurationError(
+                f"subarray_scale must be a pair [K, M], got {value!r}"
+            )
+        k_new, m_new = (_integer("subarray_scale", v) for v in value)
         if k_new * m_new != base.n_antennas:
             raise ConfigurationError(
                 f"subarray_scale {value} changes the total antenna count"

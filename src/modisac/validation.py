@@ -3,7 +3,7 @@
 Each check runs at desk scale on seeded data and reports pass/fail with a
 one-line detail; the suite never raises. The checks are the one copy of these
 invariants: the tests run them through `modisac validate`, and the acceptance
-criteria reuse `mvdr_argmax`, `descent_plateaued`, the rank-bounds check and
+criteria reuse `mvdr_argmax`, `descent_converged`, the rank-bounds check and
 the finite-difference helpers.
 """
 
@@ -274,8 +274,7 @@ def probe_state(
             np.eye(ns)
             + 0.3 * (rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns)))
         )
-        state = opt_manifold.ManifoldState(q1, np.zeros(ns))
-        diag_b, diag_phi = opt_manifold._quadratic_terms(state, eig)[1]
+        diag_b, diag_phi = opt_manifold._terms_of(q1, eig)[1]
         b = np.minimum(
             0.5, np.sqrt(0.1 * budget / (ns * np.maximum(diag_b, 1e-300)))
         ) * rng.uniform(0.6, 1.0, ns)
@@ -390,19 +389,23 @@ def _check_wbb_diagonalizes() -> tuple[bool, str]:
     return ok, f"phase-1 start, 3 rotated: offdiag {rel:.2e}, diagonal error {diag_err:.2e}"
 
 
-def descent_plateaued(
-    result: opt_manifold.RmJgdResult, cfg: opt_manifold.ManifoldConfig
+def descent_converged(
+    result: opt_manifold.RmJgdResult,
+    eig: opt_manifold.EigB,
+    cfg: opt_manifold.ManifoldConfig,
 ) -> bool:
-    """A strictly decreasing trace of more than 10 values, within the iteration
-    cap and with a known status, whose last 10 values decrease by under 5% of
-    the whole decrease."""
-    trace = result.trace
+    """Whether an RM-JGD run converged by its own stop rule.
+
+    The status must be `converged`, the trace strictly decreasing, and the
+    squared Newton decrement at the final state, computed afresh, at most
+    `opt_manifold.NEWTON_TOL`. A run stopped by the iteration cap or a
+    failed line search fails, however flat its trace.
+    """
+    decrement = opt_manifold.newton_step(result.state, eig, cfg)[2]
     return (
-        len(trace) > 10
-        and bool(np.all(np.diff(trace) < 0))
-        and result.iterations <= cfg.max_iterations
-        and result.status in ("converged", "max_iter", "stalled")
-        and trace[-10] - trace[-1] < 0.05 * (trace[0] - trace[-1])
+        result.status == "converged"
+        and bool(np.all(np.diff(result.trace) < 0))
+        and decrement <= opt_manifold.NEWTON_TOL
     )
 
 
@@ -416,7 +419,7 @@ def _check_rmjgd_descent() -> tuple[bool, str]:
     ok, details = True, []
     for name, state in starts.items():
         result = opt_manifold.rm_jgd(eig, cfg, state)
-        ok = ok and descent_plateaued(result, cfg)
+        ok = ok and descent_converged(result, eig, cfg)
         details.append(f"{name}: {result.iterations} iterations, {result.status}")
     return ok, "; ".join(details)
 

@@ -78,60 +78,3 @@ def restricted_optimum_bits(eig, psi: np.ndarray) -> float:
     solution = solve_maxdet(problem)
     assert solution.status == "optimal", solution.status
     return solution.dual_bits
-
-
-def rm_jgd_reference(eig, config, init, max_iterations: int):
-    """RM-JGD one trial at a time, every term from scratch: a test oracle.
-
-    The same Armijo searches as `opt_manifold.rm_jgd` (trial steps 4x the
-    last accepted one, halved until the sufficient decrease holds), but each
-    Q-trial is retracted alone and each barrier value and gradient, of the
-    b-trials too, is taken at a fresh state, so no cached term or batched
-    retraction takes part. Returns (q, b, trace, iterations, status).
-    """
-    from modisac import opt_manifold as om
-
-    def search(f_cur, trial, slope, evaluate):
-        step = trial
-        while step >= om.MIN_STEP:
-            f_new = evaluate(step)
-            if f_new < f_cur + om.ARMIJO_SLOPE * step * slope:
-                return step, f_new
-            step *= om.ARMIJO_SHRINK
-        return None, f_cur
-
-    def fresh(q_at, b_at):
-        return om.ManifoldState(q_at, b_at), eig, config
-
-    q, b = init.q.copy(), init.b.copy()
-    f_cur = om.barrier_value(*fresh(q, b))
-    trace, status, iters, trial_v, trial_b = [f_cur], "max_iter", 0, 1.0, 1.0
-    for n in range(max_iterations):
-        xi_v = om.tangent_project(q, om.grad_v(*fresh(q, b)))
-        xi_b = -om.grad_b(*fresh(q, b))
-        norm_v, norm_b = float(np.linalg.norm(xi_v) ** 2), float(xi_b @ xi_b)
-        if norm_v < om.EPS_V and norm_b < om.EPS_B:
-            status = "converged"
-            break
-        retracted = {}
-
-        def q_value(s):
-            retracted[s] = om.stiefel_retract(q + s * xi_v)
-            return om.barrier_value(*fresh(retracted[s], b))
-
-        step_v, f_mid = search(f_cur, trial_v, -norm_v, q_value) if (
-            norm_v >= om.EPS_V) else (None, f_cur)
-        q_new = q if step_v is None else retracted[step_v]
-        step_b, f_new = search(f_mid, trial_b, -norm_b, lambda s: om.barrier_value(
-            *fresh(q_new, b + s * xi_b)
-        )) if norm_b >= om.EPS_B else (None, f_mid)
-        if step_v is None and step_b is None:
-            status = "stalled"
-            break
-        q, b = q_new, b if step_b is None else b + step_b * xi_b
-        trial_v = 1.0 if step_v is None else min(4.0 * step_v, 1e12)
-        trial_b = 1.0 if step_b is None else min(4.0 * step_b, 1e12)
-        f_cur = f_new
-        trace.append(f_cur)
-        iters = n + 1
-    return q, b, trace, iters, status

@@ -305,6 +305,18 @@ def test_apply_axis_subarray_scale():
         harness.apply_axis(base, "subarray_scale", (3, 8))
 
 
+@pytest.mark.parametrize("value", [(2, 16, 99), (2,), [], 32])
+def test_apply_axis_subarray_scale_needs_exactly_two_integers(value, capsys):
+    # (2, 16, 99) used to run K=2, M=16 under the CSV value 2x16x99, and a
+    # one-entry value was an untyped error:ValueError row
+    with pytest.raises(ConfigurationError, match="pair"):
+        harness.apply_axis(harness.desk_config(), "subarray_scale", value)
+    _, _, row = harness._run_cell(
+        (0, "subarray_scale", value, "fdb", 0, harness.desk_config())
+    )
+    assert row.status == "error:ConfigurationError"
+
+
 def test_apply_axis_user_distance_and_count_and_layout():
     base = harness.desk_config()
     assert harness.apply_axis(base, "user_distance", 25.0).user.r == 25.0

@@ -87,11 +87,12 @@ def test_phase1_starts_or_certifies(n, log_cond, top, spread, budget, seed, frac
     seed=st.integers(0, 2**32 - 1),
 )
 def test_tangent_step_keeps_full_rank(n, log_step, log_scale, seed):
-    # a Q-search rung Q + s xi with xi = -Q K, K = skew(Q^H G), is Q(I - sK);
-    # I - sK is normal with singular values sqrt(1 + s^2 lambda^2) >= 1, so
-    # every rung has full rank and its polar factor is unique
+    # a trial Q(I + s Omega) along a skew-Hermitian Omega, here Q + s xi with
+    # xi = -Q K, K = skew(Q^H G), is Q(I - sK); I - sK is normal with
+    # singular values sqrt(1 + s^2 lambda^2) >= 1, so every trial has full
+    # rank and its polar factor is unique
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     g = 10.0**log_scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    rung = q + 10.0**log_step * tangent_project(q, g)
-    assert np.linalg.svd(rung, compute_uv=False)[-1] >= 1.0 - 1e-12
+    trial = q + 10.0**log_step * tangent_project(q, g)
+    assert np.linalg.svd(trial, compute_uv=False)[-1] >= 1.0 - 1e-12
