@@ -7,7 +7,7 @@ import dataclasses
 import sys
 
 from . import harness
-from .geometry import ConfigurationError
+from .geometry import ConfigurationError, DegenerateGeometryError
 from .music import GridSpec, save_spectrum_csv, save_spectrum_grid
 from .validation import validate
 
@@ -96,7 +96,13 @@ def _execute(args) -> int:
         return 0
 
     if args.command == "music":
-        result, _, _ = harness.run_music(config, args.grid)
+        try:
+            result, _, _ = harness.run_music(config, args.grid)
+        except (harness.TransmitDesignError, DegenerateGeometryError) as err:
+            # a scene the run cannot localize in is a failed run, like a
+            # failed run-scenario status, not a usage error
+            print(f"modisac music: error: {err}", file=sys.stderr)
+            return 1
         print(
             f"peak at x={result.peak_location[0]:.3f} m, "
             f"y={result.peak_location[1]:.3f} m; "

@@ -549,6 +549,10 @@ def load_experiment(path: str) -> ExperimentSpec:
     )
 
 
+class TransmitDesignError(RuntimeError):
+    """`run_music` has no transmit beamformer: sdr_rrs returned none."""
+
+
 def run_music(config: ScenarioConfig, grid):
     """Localize the target from echoes of the optimized transmit waveform.
 
@@ -557,7 +561,8 @@ def run_music(config: ScenarioConfig, grid):
     Raw array snapshots feed MUSIC (the noise subspace needs the full
     N-dimensional output), whose model order is the number of scene objects.
     `grid` is a `music.GridSpec`. Returns the spectrum result, the scenario
-    data and the transmit matrix W_RF W_BB.
+    data and the transmit matrix W_RF W_BB. Raises TransmitDesignError when
+    sdr_rrs is infeasible or its randomization fails.
     """
     from .music import music_spectrum, noise_subspace, sample_covariance
 
@@ -566,7 +571,7 @@ def run_music(config: ScenarioConfig, grid):
     rng = np.random.default_rng(derive_seed(config.seed, 17))
     result = opt_sdr.sdr_rrs(data.problem, rng)
     if result.w_bb is None:
-        raise RuntimeError(f"transmit optimization failed: {result.status}")
+        raise TransmitDesignError(f"transmit optimization failed: {result.status}")
     f_tx = beamform.optimal_analog(data.u_tilde) @ result.w_bb
     symbols = (
         rng.standard_normal((data.problem.n_streams, length))

@@ -8,7 +8,9 @@ observe the scene from sufficiently different positions.
 Grid responses use that factorization directly: receive block k toward a
 cell is nu_k * [1, z_k, ..., z_k^(M-1)], one inter-subarray phase nu_k and
 one intra-subarray phase step z_k, so a cell costs 2K unit phasors and
-K*(M-1) products rather than one exponential per antenna. A cell within
+K*(M-1) products rather than one exponential per antenna. Each unit phasor
+comes from a 4096-entry table of e^(2*pi*j*n/4096) times a degree-5 series
+in the remainder (Tang 1989), with no libm cos or sin. A cell within
 `geometry.COINCIDENT_TOL`*max(1, r) of a receive reference antenna has no
 observation angle (`geometry.subarray_view` raises); it is zeroed and flagged.
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import COINCIDENT_TOL, ArrayGeometry
+from .geometry import COINCIDENT_TOL, ArrayGeometry, DegenerateGeometryError
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,51 @@ def noise_subspace(cov: np.ndarray, assumed_sources: int) -> np.ndarray:
     return vecs[:, : n - assumed_sources]
 
 
+_TABLE_SIZE = 4096
+# e^(2*pi*j*n/T) for n = 0..T-1: a quarter turn rounded once from long
+# double, then the other three by exact multiples of j
+_QUARTER = np.exp(
+    2j * np.arccos(np.longdouble(-1)) / _TABLE_SIZE * np.arange(_TABLE_SIZE // 4)
+).astype(complex)
+_TABLE = np.concatenate([_QUARTER, 1j * _QUARTER, -_QUARTER, -1j * _QUARTER])
+
+
+def _unit_phasors(source, scale, out, rho, rho_sq, index, lookup) -> None:
+    """Write exp(j*scale*source) into `out` with no libm cos or sin.
+
+    With t = scale*source*T/(2*pi) and n = rint(t), the phasor is
+    TABLE[n mod T] * e^(j*rho), rho = (t - n)*2*pi/T, |rho| <= pi/T; e^(j*rho)
+    is 1 - rho^2/2 + rho^4/24 + j*rho*(1 - rho^2/6 + rho^4/120), whose next
+    terms are below 3e-22 (Tang 1989, ACM TOMS 15(2)). The error is about
+    eps*(1 + |phase|), set by rounding t. `rho`, `rho_sq` (float), `index`
+    (int64) and `lookup` (complex, C-contiguous) are work arrays of out's
+    shape.
+    """
+    np.multiply(source, scale * _TABLE_SIZE / (2 * np.pi), out=rho)
+    np.rint(rho, out=rho_sq)
+    np.subtract(rho, rho_sq, out=rho)
+    np.copyto(index, rho_sq, casting="unsafe")
+    np.bitwise_and(index, _TABLE_SIZE - 1, out=index)
+    np.multiply(rho, 2 * np.pi / _TABLE_SIZE, out=rho)
+    np.multiply(rho, rho, out=rho_sq)
+    # each series by Horner in rho^2 in the first half of `lookup`, a
+    # contiguous buffer until the lookup, so `out`'s strided parts are
+    # written once each
+    poly = lookup.view(float).reshape(-1)[: rho.size].reshape(rho.shape)
+    np.add(np.multiply(rho_sq, 1 / 120, out=poly), -1 / 6, out=poly)
+    np.add(np.multiply(poly, rho_sq, out=poly), 1.0, out=poly)
+    np.multiply(poly, rho, out=out.imag)
+    np.add(np.multiply(rho_sq, 1 / 24, out=poly), -1 / 2, out=poly)
+    np.add(np.multiply(poly, rho_sq, out=poly), 1.0, out=out.real)
+    # every index lies in [0, T) already; "clip" only skips the bounds check
+    np.multiply(out, np.take(_TABLE, index, out=lookup, mode="clip"), out=out)
+
+
 def _grid_work(cells: int, k: int, m: int) -> tuple:
     """Work arrays of `_receive_responses_grid` for up to `cells` cells."""
     return (np.empty((4, cells, k)), np.empty(cells), np.empty((cells, k), dtype=bool),
             np.empty(cells, dtype=bool), np.empty((m + 1, cells, k), dtype=complex),
-            np.empty((cells, k * m), dtype=complex))
+            np.empty((cells, k * m), dtype=complex), np.empty((cells, k), dtype=np.int64))
 
 
 def _receive_responses_grid(
@@ -116,34 +158,39 @@ def _receive_responses_grid(
     conjugate. Block k is nu_k * [1, z_k, ..., z_k^(M-1)] with
     nu_k = exp(-j*2*pi*r_k/lambda) and z_k = exp(-j*2*pi*d*sin(theta_k)/lambda),
     r_k and theta_k the range and angle from receive reference antenna k, so
-    a cell costs 2K unit phasors (a cos and a sin each) and K*(M-1)
-    products. `degenerate` marks cells within COINCIDENT_TOL*max(1, r) of a
-    reference antenna, where `geometry.subarray_view` raises; their rows are
-    meaningless. Both are views into `work` (`_grid_work` for at least
-    x.size cells), allocated for this call when omitted.
+    a cell costs 2K unit phasors (`_unit_phasors`: a table entry times a
+    short series each) and K*(M-1) products. `degenerate` marks cells within
+    COINCIDENT_TOL*max(1, r) of a reference antenna, where
+    `geometry.subarray_view` raises; their rows are meaningless. Both are
+    views into `work` (`_grid_work` for at least x.size cells), allocated for
+    this call when omitted; the ranges r_k stay in work[0][2].
     """
     refs = geometry.reference_positions("rx")
     k, m, n = geometry.k_subarrays, geometry.m_antennas, x.size
-    real, tol, mask, bad, phasors, rows = work or _grid_work(n, k, m)
+    real, tol, mask, bad, phasors, rows, index = work or _grid_work(n, k, m)
     (dx, dy, dist, phase), tol, mask, bad = real[:, :n], tol[:n], mask[:n], bad[:n]
-    g, step, rows = phasors[:m, :n], phasors[m, :n], rows[:n]
+    g, step, rows, index = phasors[:m, :n], phasors[m, :n], rows[:n], index[:n]
     np.subtract(x[:, None], refs[:, 0], out=dx)
     np.subtract(y[:, None], refs[:, 1], out=dy)
-    np.hypot(dx, dy, out=dist)
+    # sqrt(dx^2 + dy^2) rounds as subarray_view's norm does; hypot does not
+    np.add(np.multiply(dx, dx, out=dist), np.multiply(dy, dy, out=dy), out=dist)
+    np.sqrt(dist, out=dist)
     np.multiply(COINCIDENT_TOL, np.maximum(1.0, np.hypot(x, y, out=tol), out=tol), out=tol)
-    np.any(np.less_equal(dist, tol[:, None], out=mask), axis=1, out=bad)
+    if np.less_equal(dist, tol[:, None], out=mask).any():
+        np.any(mask, axis=1, out=bad)
+    else:
+        bad.fill(False)
     # dx becomes sin(theta) = dx/dist, clipped; where dist is 0 it keeps dx/1
     np.divide(dx, dist, out=dx, where=np.greater(dist, 0.0, out=mask))
     np.clip(dx, -1.0, 1.0, out=dx)
     wavenumber = -2.0 * np.pi / geometry.wavelength
-    # fill element-major, where each running product is one contiguous
-    # multiply, then lay the rows out subarray-major in a single copy;
-    # exp(j*phase) of a real phase is written as cos and sin into the real
-    # and imaginary parts: no complex temporary and no complex exp
+    # dy and phase are free now, and rows, written last, lends the table
+    # lookup its first n*k entries; then fill element-major, where each
+    # running product is one contiguous multiply, and lay the rows out
+    # subarray-major in a single copy
+    lookup = rows.reshape(-1)[: n * k].reshape(n, k)
     for out, scale, source in ((g[0], wavenumber, dist), (step, wavenumber * geometry.d, dx)):
-        np.multiply(scale, source, out=phase)
-        np.cos(phase, out=out.real)
-        np.sin(phase, out=out.imag)
+        _unit_phasors(source, scale, out, phase, dy, index, lookup)
     for i in range(1, m):
         np.multiply(g[i - 1], step, out=g[i])
     np.copyto(rows.reshape(n, k, m), g.transpose(1, 2, 0))
@@ -209,7 +256,8 @@ def music_spectrum(
 
     The surface is normalized to a maximum of one; ties at the peak break
     toward the lowest linear index (row-major over y then x). Cells within
-    COINCIDENT_TOL*max(1, r) of a reference antenna are zeroed and flagged.
+    COINCIDENT_TOL*max(1, r) of a reference antenna are zeroed and flagged;
+    when every cell is, DegenerateGeometryError is raised.
     The mainlobe width is the -3 dB extent of a fine range cut through the
     peak at its angle.
     """
@@ -226,7 +274,10 @@ def music_spectrum(
     peak_flat = int(np.argmax(values))
     peak_val = values[peak_flat]
     if peak_val <= 0.0:
-        raise ValueError("spectrum is identically zero on the grid")
+        raise DegenerateGeometryError(
+            "spectrum is identically zero: every grid cell coincides with a receive "
+            "reference antenna"
+        )
     values /= peak_val
     iy, ix = divmod(peak_flat, len(xs))
     x_pk, y_pk = float(xs[ix]), float(ys[iy])

@@ -8,7 +8,8 @@ import pytest
 import yaml
 
 from modisac import beamform, channel, cli, harness
-from modisac.geometry import ConfigurationError
+from modisac.geometry import ConfigurationError, build_geometry
+from modisac.music import GridSpec
 from modisac.validation import CHECKS
 from modisac import opt_manifold, opt_sdr
 
@@ -564,6 +565,30 @@ def test_cli_music_rejects_bad_grid(grid, capsys):
         cli.main(["music", "--desk-scale", "--grid", grid])
     assert exc.value.code == 2
     assert "--grid" in capsys.readouterr().err
+
+
+def test_cli_music_infeasible_threshold_is_a_failed_run(tmp_path, capsys):
+    # no transmit design meets a 200 dB SCNR threshold: a typed error, and
+    # the CLI prints one line on stderr and exits 1
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump({"desk_scale": True, "scnr_threshold_db": 200}))
+    with pytest.raises(harness.TransmitDesignError, match="infeasible"):
+        harness.run_music(harness.load_config(str(cfg_path)), GridSpec.parse("10:1:11"))
+    assert cli.main(["music", "--config", str(cfg_path), "--grid", "10:1:11"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "modisac music: error: transmit optimization failed: infeasible\n"
+
+
+def test_cli_music_grid_on_a_reference_antenna_is_a_failed_run(capsys):
+    # a one-cell grid on a receive reference antenna has no unflagged cell
+    config = harness.config_from_dict({}, desk_scale=True)
+    x, y = build_geometry(config).reference_positions("rx")[0]
+    assert cli.main(["music", "--desk-scale", f"--grid={x}:1:{x},{y}:1:{y}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("modisac music: error: spectrum is identically zero")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -17,8 +17,10 @@ from modisac.geometry import (
 )
 from modisac.music import (
     GridSpec,
+    _grid_work,
     _pseudo_spectrum,
     _receive_responses_grid,
+    _unit_phasors,
     music_spectrum,
     noise_subspace,
     sample_covariance,
@@ -184,6 +186,65 @@ def test_grid_responses_match_sensing_response(desk):
     assert rows.shape == (400, cfg.n_antennas)
     assert not degenerate.any()
     assert np.max(np.abs(rows - expected)) <= 5e-11
+
+
+def test_music_all_flagged_grid_raises():
+    g = build_geometry(harness.desk_config(seed=0))
+    x, y = g.reference_positions("rx")[1]
+    basis = _random_noise_basis(np.random.default_rng(2), g.n_antennas, 8)
+    with pytest.raises(DegenerateGeometryError, match="identically zero"):
+        music_spectrum(basis, g, GridSpec(x, 1.0, x, y, 1.0, y))
+
+
+@pytest.mark.parametrize("desk", [True, False], ids=["desk", "full"])
+def test_grid_ranges_match_subarray_view_bitwise(desk):
+    # the ranges behind nu_k round as subarray_view's norm does, bit for bit
+    cfg = harness.config_from_dict({"seed": 0}, desk_scale=desk)
+    g = build_geometry(cfg)
+    rng = np.random.default_rng(29)
+    points = [
+        PolarPoint(float(r), float(t))
+        for r, t in zip(rng.uniform(1.0, 40.0, 2000), rng.uniform(-1.5, 1.5, 2000))
+    ]
+    xy = np.array([p.xy for p in points])
+    work = _grid_work(len(points), g.k_subarrays, g.m_antennas)
+    _, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1], work)
+    expected = np.array([subarray_view(g, "rx", p)[0] for p in points])
+    assert not degenerate.any()
+    assert np.array_equal(work[0][2], expected)
+
+
+def _phasors(phase):
+    """`_unit_phasors` of a flat phase array, with fresh work arrays."""
+    out, lookup = np.empty(phase.size, dtype=complex), np.empty(phase.size, dtype=complex)
+    rho, rho_sq, index = np.empty(phase.size), np.empty(phase.size), np.empty(phase.size, np.int64)
+    _unit_phasors(phase, 1.0, out, rho, rho_sq, index, lookup)
+    return out
+
+
+def test_unit_phasors_match_long_double_reference():
+    # table nodes 2*pi*n/4096 and half-nodes, where rint rounds half to even,
+    # and random phases, all from 0 to +-1e5 rad
+    rng = np.random.default_rng(31)
+    nodes = np.concatenate([np.arange(-9000, 9001), rng.integers(-65_000_000, 65_000_000, 4000)])
+    phase = np.concatenate([
+        [0.0, 1e-300, -1e-300, 1e5, -1e5],
+        2 * np.pi / 4096 * nodes,
+        2 * np.pi / 4096 * (nodes + 0.5),
+        rng.uniform(-1e5, 1e5, 20000),
+        rng.uniform(-10.0, 10.0, 20000),
+    ])
+    out = _phasors(phase)
+    exact = phase.astype(np.longdouble)
+    err = np.hypot((out.real - np.cos(exact)).astype(float), (out.imag - np.sin(exact)).astype(float))
+    eps = np.finfo(float).eps
+    assert np.all(err <= 4 * eps * (1 + np.abs(phase)))
+    # within two turns the table's own rounding shows: a table rounded from
+    # double angles reaches 2.9 * eps * (1 + |phase|) there
+    small = np.abs(phase) <= 4 * np.pi
+    assert np.all(err[small] <= 2 * eps * (1 + np.abs(phase[small])))
+    assert np.max(np.abs(np.abs(out) - 1.0)) <= 4 * eps
+    assert out[0] == 1.0
 
 
 def test_music_spectrum_matches_per_cell_oracle():
