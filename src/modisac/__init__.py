@@ -50,7 +50,6 @@ from .beamform import (
 )
 from .opt_manifold import (
     EigB,
-    ManifoldConfig,
     ManifoldState,
     phase1_feasible,
     reduce_b,

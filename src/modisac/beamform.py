@@ -69,15 +69,6 @@ def optimal_analog(u_tilde: np.ndarray) -> np.ndarray:
     return u_tilde.copy()
 
 
-def analog_support(n: int, k_subarrays: int, m_rf: int) -> np.ndarray:
-    """Boolean mask of the allowed nonzero pattern of a block-diagonal W_RF."""
-    m = n // k_subarrays
-    mask = np.zeros((n, k_subarrays * m_rf), dtype=bool)
-    for i in range(k_subarrays):
-        mask[i * m : (i + 1) * m, i * m_rf : (i + 1) * m_rf] = True
-    return mask
-
-
 def analog_feasibility(
     w_rf: np.ndarray, k_subarrays: int
 ) -> tuple[bool, float]:
@@ -88,7 +79,9 @@ def analog_feasibility(
     n, n_rf = w_rf.shape
     if n % k_subarrays or n_rf % k_subarrays:
         return False, np.inf
-    mask = analog_support(n, k_subarrays, n_rf // k_subarrays)
+    # allowed nonzero pattern: row block k (M rows) meets column block k
+    mask = (np.arange(n)[:, None] // (n // k_subarrays)
+            == np.arange(n_rf)[None, :] // (n_rf // k_subarrays))
     support_ok = bool(np.all(w_rf[~mask] == 0.0))
     mod_err = float(np.max(np.abs(np.abs(w_rf[mask]) - 1.0))) if mask.any() else 0.0
     return support_ok, mod_err
@@ -114,13 +107,6 @@ def _rate_bits(g: np.ndarray, sigma_c_sq: float) -> float:
     """log2 det(I + G G^H / sigma_c^2) from the singular values of G."""
     s = np.linalg.svd(g, compute_uv=False)
     return float(np.sum(np.log2(1.0 + s**2 / sigma_c_sq)))
-
-
-def se_from_covariance(h_eff: np.ndarray, r: np.ndarray, sigma_c_sq: float) -> float:
-    """log2 det(I + H_eff R H_eff^H / sigma_c^2) for a PSD covariance R."""
-    vals, vecs = np.linalg.eigh(0.5 * (r + r.conj().T))
-    vals = np.clip(vals, 0.0, None)
-    return _rate_bits(h_eff @ (vecs * np.sqrt(vals)[None, :]), sigma_c_sq)
 
 
 def scnr(

@@ -27,6 +27,14 @@ from .geometry import (
     subarray_view,
 )
 
+# Path amplitudes follow free-space 1/D decay referenced to GAIN_REFERENCE,
+# NLoS paths NLOS_EXTRA_LOSS_DB below that law; NLoS scatterers are uniform
+# over SCATTER_RANGE (m) x SCATTER_ANGLE (rad).
+GAIN_REFERENCE = 1.0
+NLOS_EXTRA_LOSS_DB = 10.0
+SCATTER_RANGE = (5.0, 30.0)
+SCATTER_ANGLE = tuple(float(np.deg2rad(v)) for v in (-60.0, 60.0))
+
 
 @dataclass(frozen=True)
 class PathSpec:
@@ -74,26 +82,26 @@ def draw_paths(
 ) -> list[PathSpec]:
     """Draw the LoS path plus n_paths-1 NLoS paths with random scatterers.
 
-    Scatterers are uniform over the configured range/angle sector. Amplitudes
-    follow free-space 1/D decay referenced to `gain_reference`, with NLoS
-    paths attenuated by `nlos_extra_loss_db` below the LoS law.
+    Scatterers are uniform over SCATTER_RANGE x SCATTER_ANGLE. Amplitudes
+    follow free-space 1/D decay referenced to GAIN_REFERENCE, with NLoS
+    paths attenuated by NLOS_EXTRA_LOSS_DB below the LoS law.
     """
     if config.n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
-    nlos_scale = 10.0 ** (-config.nlos_extra_loss_db / 20.0)
+    nlos_scale = 10.0 ** (-NLOS_EXTRA_LOSS_DB / 20.0)
     paths = []
     dists, aod, aoa = _path_geometry(geometry, config.user, None)
     paths.append(
         PathSpec(
             kind="los",
-            gains=config.gain_reference / dists,
+            gains=GAIN_REFERENCE / dists,
             distances=dists,
             aod=aod,
             aoa=aoa,
         )
     )
-    r_lo, r_hi = config.scatter_range
-    a_lo, a_hi = config.scatter_angle
+    r_lo, r_hi = SCATTER_RANGE
+    a_lo, a_hi = SCATTER_ANGLE
     for _ in range(config.n_paths - 1):
         sc = PolarPoint(
             r=float(rng.uniform(r_lo, r_hi)),
@@ -103,7 +111,7 @@ def draw_paths(
         paths.append(
             PathSpec(
                 kind="nlos",
-                gains=nlos_scale * config.gain_reference / dists,
+                gains=nlos_scale * GAIN_REFERENCE / dists,
                 distances=dists,
                 aod=aod,
                 aoa=aoa,

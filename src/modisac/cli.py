@@ -78,9 +78,18 @@ def _execute(args) -> int:
         if args.out:  # open each output path now, so an unwritable one fails before the run
             for suffix in ("",) if args.command == "run-scenario" else (".csv", ".grid"):
                 open(args.out + suffix, "a").close()
+        try:
+            if args.command == "run-scenario":
+                row = harness.run_scenario(config, args.algo.replace("-", "_"))
+            else:
+                result, _, _ = harness.run_music(config, args.grid)
+        except (harness.TransmitDesignError, DegenerateGeometryError) as err:
+            # a scene the run cannot handle is a failed run, like a failed
+            # run-scenario status, not a usage error
+            print(f"modisac {args.command}: error: {err}", file=sys.stderr)
+            return 1
 
     if args.command == "run-scenario":
-        row = harness.run_scenario(config, args.algo.replace("-", "_"))
         if args.out:
             with open(args.out, "a") as f:
                 if f.tell() == 0:
@@ -96,13 +105,6 @@ def _execute(args) -> int:
         return 0
 
     if args.command == "music":
-        try:
-            result, _, _ = harness.run_music(config, args.grid)
-        except (harness.TransmitDesignError, DegenerateGeometryError) as err:
-            # a scene the run cannot localize in is a failed run, like a
-            # failed run-scenario status, not a usage error
-            print(f"modisac music: error: {err}", file=sys.stderr)
-            return 1
         print(
             f"peak at x={result.peak_location[0]:.3f} m, "
             f"y={result.peak_location[1]:.3f} m; "

@@ -85,10 +85,6 @@ class ScenarioConfig:
     snapshots: int
     seed: int
     layout: str
-    gain_reference: float
-    nlos_extra_loss_db: float
-    scatter_range: tuple[float, float]
-    scatter_angle: tuple[float, float]
 
     def __post_init__(self) -> None:
         if self.carrier_frequency <= 0:
@@ -155,7 +151,6 @@ class ArrayGeometry:
     rx_positions: np.ndarray
     wavelength: float
     d: float
-    d_s: float
 
     @property
     def k_subarrays(self) -> int:
@@ -209,7 +204,6 @@ def build_geometry(
         rx_positions=-tx,
         wavelength=config.wavelength,
         d=d,
-        d_s=d_s,
     )
 
 

@@ -46,10 +46,6 @@ _FULL_DEFAULTS = {
     "snapshots": 256,
     "seed": 0,
     "layout": "uniform",
-    "gain_reference": 1.0,
-    "nlos_extra_loss_db": 10.0,
-    "scatter_range_m": [5.0, 30.0],
-    "scatter_angle_deg": [-60.0, 60.0],
 }
 
 # Reduced preset sized so that a full validation or acceptance run finishes
@@ -130,12 +126,6 @@ def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioC
             snapshots=_integer("snapshots", merged["snapshots"]),
             seed=_integer("seed", merged["seed"]),
             layout=str(merged["layout"]),
-            gain_reference=float(merged["gain_reference"]),
-            nlos_extra_loss_db=float(merged["nlos_extra_loss_db"]),
-            scatter_range=tuple(float(v) for v in merged["scatter_range_m"]),
-            scatter_angle=tuple(
-                float(np.deg2rad(v)) for v in merged["scatter_angle_deg"]
-            ),
         )
     except ConfigurationError:
         raise
@@ -310,7 +300,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         if algorithm == "rm_jgd":
             eig = opt_manifold.reduce_b(data.problem)
             init = opt_manifold.phase1_feasible(eig)
-            result = opt_manifold.rm_jgd(eig, opt_manifold.ManifoldConfig(), init)
+            result = opt_manifold.rm_jgd(eig, opt_manifold.BARRIER_T, init)
             status, w_bb, iterations = result.status, result.w_bb, result.iterations
             se_bits = beamform.spectral_efficiency(data.h, w_rf, w_bb, config.sigma_c_sq)
         elif algorithm == "sdr_rrs":

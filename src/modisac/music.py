@@ -20,9 +20,9 @@ complement of the noise basis E (Schmidt 1986). Cells are projected onto
 whichever of E and S has fewer columns: with few sources that is an
 N x n_src product per cell (32x2 on the desk localization scene).
 
-Cells go 262144/N at a time (8192 at N=32) through work arrays allocated
-once per spectrum, ~10 MB whatever N is; a spectrum holds 9 bytes a cell
-beyond them.
+Cells go CHUNK_ENTRIES/N at a time (8192 at N=32) through work arrays
+allocated once per spectrum, ~10 MB whatever N is; a spectrum holds 9 bytes
+a cell beyond them.
 """
 
 from __future__ import annotations
@@ -33,6 +33,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import COINCIDENT_TOL, ArrayGeometry, DegenerateGeometryError
+
+# Response entries per grid chunk: CHUNK_ENTRIES/N cells at a time.
+CHUNK_ENTRIES = 262_144
+# The -3 dB range-lobe width is read off a range cut from LOBE_EXTENT m
+# below to LOBE_EXTENT m above the peak, in steps of LOBE_STEP m.
+LOBE_EXTENT = 5.0
+LOBE_STEP = 0.002
 
 
 @dataclass(frozen=True)
@@ -149,7 +156,7 @@ def _grid_work(cells: int, k: int, m: int) -> tuple:
 
 
 def _receive_responses_grid(
-    geometry: ArrayGeometry, x: np.ndarray, y: np.ndarray, work: tuple = ()
+    geometry: ArrayGeometry, x: np.ndarray, y: np.ndarray, work: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked receive responses for flat coordinate arrays.
 
@@ -162,12 +169,12 @@ def _receive_responses_grid(
     short series each) and K*(M-1) products. `degenerate` marks cells within
     COINCIDENT_TOL*max(1, r) of a reference antenna, where
     `geometry.subarray_view` raises; their rows are meaningless. Both are
-    views into `work` (`_grid_work` for at least x.size cells), allocated for
-    this call when omitted; the ranges r_k stay in work[0][2].
+    views into `work` (`_grid_work` for at least x.size cells); the ranges
+    r_k stay in work[0][2].
     """
     refs = geometry.reference_positions("rx")
     k, m, n = geometry.k_subarrays, geometry.m_antennas, x.size
-    real, tol, mask, bad, phasors, rows, index = work or _grid_work(n, k, m)
+    real, tol, mask, bad, phasors, rows, index = work
     (dx, dy, dist, phase), tol, mask, bad = real[:, :n], tol[:n], mask[:n], bad[:n]
     g, step, rows, index = phasors[:m, :n], phasors[m, :n], rows[:n], index[:n]
     np.subtract(x[:, None], refs[:, 0], out=dx)
@@ -202,13 +209,12 @@ def _pseudo_spectrum(
     noise_basis: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    chunk: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized 1/(||E^H g||^2 + 1e-18) values, flat, for x, y of one shape.
 
-    x and y are read `chunk` cells at a time (default 262144/N) in row-major
-    order (broadcast views of the axes serve) into work arrays allocated
-    once per call.
+    x and y are read CHUNK_ENTRIES/N cells at a time in row-major order
+    (broadcast views of the axes serve) into work arrays allocated once per
+    call.
 
     Each cell is projected onto whichever subspace has fewer columns. With
     S the orthonormal complement of E, ||E^H g||^2 = ||g||^2 - ||S^H g||^2,
@@ -230,7 +236,7 @@ def _pseudo_spectrum(
     # |g^T conj(B)| = |B^H g| entrywise: conjugate the small basis, not G,
     # and sum re^2 + im^2 over a real view of the product
     basis_conj = basis.conj()
-    chunk = chunk or 262_144 // n
+    chunk = CHUNK_ENTRIES // n
     cells = min(chunk, x.size)
     work = _grid_work(cells, geometry.k_subarrays, geometry.m_antennas)
     proj_work, denom_work = np.empty((cells, basis.shape[1]), dtype=complex), np.empty(cells)
@@ -299,15 +305,15 @@ def _range_lobe_width(
     geometry: ArrayGeometry,
     x_pk: float,
     y_pk: float,
-    extent: float = 5.0,
-    step: float = 0.002,
 ) -> float:
     """-3 dB width of the spectrum along the range axis at the peak angle."""
     r_pk = float(np.hypot(x_pk, y_pk))
     if r_pk == 0.0:
         return 0.0
     theta = np.arctan2(x_pk, y_pk)
-    radii = np.arange(max(step, r_pk - extent), r_pk + extent + step, step)
+    radii = np.arange(
+        max(LOBE_STEP, r_pk - LOBE_EXTENT), r_pk + LOBE_EXTENT + LOBE_STEP, LOBE_STEP
+    )
     x = radii * np.sin(theta)
     y = radii * np.cos(theta)
     vals, _ = _pseudo_spectrum(geometry, noise_basis, x, y)
@@ -321,7 +327,7 @@ def _range_lobe_width(
         edge = radii[i]
         if 0 <= i + d < vals.size:  # interpolate the crossing toward i + d
             frac = (vals[i] - threshold) / max(vals[i] - vals[i + d], 1e-300)
-            edge = edge + d * (frac * step)
+            edge = edge + d * (frac * LOBE_STEP)
         edges.append(edge)
     return float(edges[1] - edges[0])
 

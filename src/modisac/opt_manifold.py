@@ -81,9 +81,6 @@ class ManifoldState:
     q: np.ndarray
     b: np.ndarray
 
-    def copy(self) -> "ManifoldState":
-        return ManifoldState(self.q.copy(), self.b.copy())
-
 
 # Armijo backtracking from the full Newton step: step shrink factor,
 # sufficient-decrease slope, first trial step, and the step below which the
@@ -104,18 +101,11 @@ EIG_FLOOR = 1e-16
 RANK_CUTOFF = 1e-10
 # Largest ||Q^H Q - I|| that `tangent_project` accepts.
 DRIFT_TOL = 1e-6
-
-
-@dataclass
-class ManifoldConfig:
-    """Barrier weight t and iteration cap of the descent."""
-
-    barrier_t: float = 100.0
-    max_iterations: int = 500
-
-    def __post_init__(self) -> None:
-        if self.barrier_t <= 0 or self.max_iterations <= 0:
-            raise ValueError("barrier_t and max_iterations must be positive")
+# Iteration cap of `rm_jgd`.
+MAX_ITERATIONS = 500
+# Barrier weight t of the runs in `harness` and `validation`: each barrier
+# term is -ln(slack)/t.
+BARRIER_T = 100.0
 
 
 @dataclass
@@ -197,7 +187,7 @@ def _interior_slacks(state: ManifoldState, eig: EigB) -> tuple[float, float, boo
     return power_slack, sens_slack, active
 
 
-def barrier_value(state: ManifoldState, eig: EigB, config: ManifoldConfig) -> float:
+def barrier_value(state: ManifoldState, eig: EigB, t: float) -> float:
     """Barrier objective; +inf outside the strictly feasible region.
 
     f = -sum ln(1+b_i^2) + phi(power slack) + phi(sensing slack) with
@@ -207,31 +197,28 @@ def barrier_value(state: ManifoldState, eig: EigB, config: ManifoldConfig) -> fl
     power_slack, sens_slack, active = _slacks(state, eig)
     if power_slack <= 0.0 or (active and sens_slack <= 0.0):
         return np.inf
-    t = config.barrier_t
     val = -float(np.log1p(state.b**2).sum()) - np.log(power_slack) / t
     if active:
         val -= np.log(sens_slack) / t
     return val
 
 
-def grad_b(state: ManifoldState, eig: EigB, config: ManifoldConfig) -> np.ndarray:
+def grad_b(state: ManifoldState, eig: EigB, t: float) -> np.ndarray:
     """Euclidean gradient of the barrier objective with respect to b."""
     b = state.b
     diag_b, diag_phi = _terms_of(state.q, eig)[1]
     power_slack, sens_slack, active = _interior_slacks(state, eig)
-    t = config.barrier_t
     grad = -2.0 * b / (1.0 + b**2) + (2.0 / t) * (diag_b / power_slack) * b
     if active:
         grad -= (2.0 / t) * (diag_phi / sens_slack) * b
     return grad
 
 
-def grad_v(state: ManifoldState, eig: EigB, config: ManifoldConfig) -> np.ndarray:
+def grad_v(state: ManifoldState, eig: EigB, t: float) -> np.ndarray:
     """Euclidean gradient of the barrier objective with respect to Q."""
     phi_q_q = _terms_of(state.q, eig)[0]
     power_slack, sens_slack, active = _interior_slacks(state, eig)
     b2 = state.b**2
-    t = config.barrier_t
     grad = (2.0 / t) * (state.q / eig.sigma_b[:, None]) * b2[None, :] / power_slack
     if active:
         grad -= (2.0 / t) * phi_q_q * b2[None, :] / sens_slack
@@ -375,7 +362,7 @@ def _form_derivatives(
 
 
 def barrier_derivatives(
-    state: ManifoldState, eig: EigB, config: ManifoldConfig
+    state: ManifoldState, eig: EigB, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the barrier's pullback at x = 0.
 
@@ -391,13 +378,13 @@ def barrier_derivatives(
     gamma0), and the rate -ln(1 + b_i^2) adds -2(1 - b_i^2)/(1 + b_i^2)^2
     on the gains' diagonal.
     """
-    q, b, t = state.q, state.b, config.barrier_t
+    q, b = state.q, state.b
     n = b.size
     basis = _skew_basis(n)
     rows, cols = np.triu_indices(n, 1)
-    skew = -q.conj().T @ tangent_project(q, grad_v(state, eig, config))
+    skew = -q.conj().T @ tangent_project(q, grad_v(state, eig, t))
     pairs = skew[rows, cols]
-    grad = np.concatenate([2.0 * pairs.real, 2.0 * pairs.imag, grad_b(state, eig, config)])
+    grad = np.concatenate([2.0 * pairs.real, 2.0 * pairs.imag, grad_b(state, eig, t)])
     power_slack, sens_slack, active = _interior_slacks(state, eig)
     hess = np.zeros((n * n, n * n))
     gains = np.arange(basis.shape[0], n * n)
@@ -412,7 +399,7 @@ def barrier_derivatives(
 
 
 def newton_step(
-    state: ManifoldState, eig: EigB, config: ManifoldConfig
+    state: ManifoldState, eig: EigB, t: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Newton direction (Omega, delta b) and squared decrement g^T H^{-1} g.
 
@@ -421,7 +408,7 @@ def newton_step(
     the direction descends wherever the gradient is nonzero, and equal to
     the exact Hessian near a minimizer.
     """
-    grad, hess = barrier_derivatives(state, eig, config)
+    grad, hess = barrier_derivatives(state, eig, t)
     lam, vecs = np.linalg.eigh(hess)
     lam = np.abs(lam)
     lam = np.maximum(lam, EIG_FLOOR * lam.max())
@@ -432,8 +419,8 @@ def newton_step(
     return omega, step[p:], float(coef @ (coef / lam))
 
 
-def rm_jgd(eig: EigB, config: ManifoldConfig, init: ManifoldState) -> RmJgdResult:
-    """Damped Riemannian Newton descent over (Q, b).
+def rm_jgd(eig: EigB, t: float, init: ManifoldState) -> RmJgdResult:
+    """Damped Riemannian Newton descent over (Q, b) at barrier weight t > 0.
 
     Each iteration takes the Newton direction of `newton_step` and
     backtracks along it from the full step (Armijo): the trial at step s is
@@ -442,18 +429,20 @@ def rm_jgd(eig: EigB, config: ManifoldConfig, init: ManifoldState) -> RmJgdResul
     ARMIJO_SLOPE s times the squared decrement becomes the next iterate.
     Status `converged` once the squared decrement falls below NEWTON_TOL,
     `stalled` when no step down to MIN_STEP decreases the barrier, and
-    `max_iter` at the iteration cap.
+    `max_iter` after MAX_ITERATIONS iterations.
     """
-    state = init.copy()
-    f_cur = barrier_value(state, eig, config)
+    if not t > 0:
+        raise ValueError(f"barrier weight t must be positive, got {t}")
+    state = init
+    f_cur = barrier_value(state, eig, t)
     if not np.isfinite(f_cur):
         raise InfeasiblePointError("initial state is infeasible for the barrier")
     trace = [f_cur]
     status = "max_iter"
     iters = 0
     eye = np.eye(eig.n_streams)
-    for n in range(config.max_iterations):
-        omega, delta_b, decrement = newton_step(state, eig, config)
+    for n in range(MAX_ITERATIONS):
+        omega, delta_b, decrement = newton_step(state, eig, t)
         if decrement < NEWTON_TOL:
             status = "converged"
             break
@@ -462,7 +451,7 @@ def rm_jgd(eig: EigB, config: ManifoldConfig, init: ManifoldState) -> RmJgdResul
             trial = ManifoldState(
                 stiefel_retract(state.q @ (eye + step * omega)), state.b + step * delta_b
             )
-            f_new = barrier_value(trial, eig, config)
+            f_new = barrier_value(trial, eig, t)
             if f_new < f_cur - ARMIJO_SLOPE * step * decrement:
                 accepted = trial
             step *= ARMIJO_SHRINK

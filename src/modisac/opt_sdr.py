@@ -77,6 +77,10 @@ class SdpSolution:
 # one retry after no sketch met the sensing constraint.
 TRIALS_PER_STREAM = 10
 RETRY_PER_STREAM = 100
+# `solve_maxdet` stops once the duality gap is at most GAP_TOL nats, or
+# after MAX_NEWTON_STEPS dual Newton steps.
+GAP_TOL = 1e-10
+MAX_NEWTON_STEPS = 500
 
 
 @dataclass
@@ -241,11 +245,7 @@ def _make_feasible(
     return out
 
 
-def solve_maxdet(
-    problem: MaxDetProblem,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> SdpSolution:
+def solve_maxdet(problem: MaxDetProblem) -> SdpSolution:
     """Solve the relaxed covariance problem through its two-multiplier dual.
 
     At nu = 0 the dual g(mu, nu) (`_dual_point`) is plain waterfilling and
@@ -253,11 +253,10 @@ def solve_maxdet(
     constraint violated, damped Newton steps on g follow (`_newton_step`).
     Every iterate's Lagrangian maximizer is made primal feasible, so each
     round has a feasible rate and the certified bound g; the solve stops
-    when their gap is at most tol nats (`optimal`), after max_iter Newton
-    steps (`max_iter`) or when no step decreases g (`stalled`).
+    when their gap is at most GAP_TOL nats (`optimal`), after
+    MAX_NEWTON_STEPS Newton steps (`max_iter`) or when no step decreases g
+    (`stalled`).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     budget = problem.power_budget
     eye = np.eye(problem.dim)
     zero = SdpSolution(
@@ -304,8 +303,8 @@ def solve_maxdet(
         # I + H R H^H / sigma_c^2 loses them to the channel's conditioning
         bits = _rate_bits(problem.h_eff @ _factor(r), problem.sigma_c_sq)
         gap = point.value - bits * np.log(2.0)
-        if gap <= tol or steps >= max_iter:
-            status = "optimal" if gap <= tol else "max_iter"
+        if gap <= GAP_TOL or steps >= MAX_NEWTON_STEPS:
+            status = "optimal" if gap <= GAP_TOL else "max_iter"
             break
         nxt = _newton_step(point, forms, offsets, channel)
         if nxt is None:

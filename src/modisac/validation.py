@@ -220,7 +220,7 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
         w_bb *= np.sqrt(data.problem.power_budget) / np.linalg.norm(w_bb)
         wrfbb = w_rf @ w_bb
         r_x = wrfbb @ wrfbb.conj().T
-        se_full = beamform.se_from_covariance(data.h, r_x, cfg.sigma_c_sq)
+        se_full = beamform._rate_bits(data.h @ opt_sdr._factor(r_x), cfg.sigma_c_sq)
         se_red = beamform.spectral_efficiency(data.h, w_rf, w_bb, cfg.sigma_c_sq)
         worst["SE"] = max(worst["SE"], abs(se_full - se_red) / max(se_full, 1e-12))
         for name, (w, problem) in filters.items():
@@ -313,7 +313,7 @@ def central_differences(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def gradient_error(
     state: opt_manifold.ManifoldState,
     eig: opt_manifold.EigB,
-    cfg: opt_manifold.ManifoldConfig,
+    t: float,
     rng: np.random.Generator,
 ) -> float:
     """Worst relative error of the analytic gradients against central differences.
@@ -323,16 +323,16 @@ def gradient_error(
     """
 
     def barrier(q: np.ndarray, b: np.ndarray) -> float:
-        return opt_manifold.barrier_value(opt_manifold.ManifoldState(q, b), eig, cfg)
+        return opt_manifold.barrier_value(opt_manifold.ManifoldState(q, b), eig, t)
 
     def entry_barrier(i: int, j: int, x: np.ndarray) -> float:
         q = state.q.copy()
         q[i, j] += x[0] + 1j * x[1]
         return barrier(q, state.b)
 
-    gb = opt_manifold.grad_b(state, eig, cfg)
+    gb = opt_manifold.grad_b(state, eig, t)
     fd_b = central_differences(lambda b: barrier(state.q, b), state.b)
-    gv = opt_manifold.grad_v(state, eig, cfg)
+    gv = opt_manifold.grad_v(state, eig, t)
     analytic, numeric = [], []
     for _ in range(12):
         i, j = int(rng.integers(eig.n_streams)), int(rng.integers(eig.n_streams))
@@ -347,12 +347,11 @@ def gradient_error(
 
 def _check_grad_fd() -> tuple[bool, str]:
     data = _mini_data()
-    eig = opt_manifold.reduce_b(data.problem)
-    cfg = opt_manifold.ManifoldConfig()
+    eig, t = opt_manifold.reduce_b(data.problem), opt_manifold.BARRIER_T
     worst = 0.0
     for trial in range(3):
         state = probe_state(eig, np.random.default_rng(21 + trial))
-        worst = max(worst, gradient_error(state, eig, cfg, np.random.default_rng(trial)))
+        worst = max(worst, gradient_error(state, eig, t, np.random.default_rng(trial)))
     return worst < 1e-5, f"worst relative gradient error {worst:.2e}"
 
 
@@ -392,16 +391,16 @@ def _check_wbb_diagonalizes() -> tuple[bool, str]:
 def descent_converged(
     result: opt_manifold.RmJgdResult,
     eig: opt_manifold.EigB,
-    cfg: opt_manifold.ManifoldConfig,
+    t: float,
 ) -> bool:
     """Whether an RM-JGD run converged by its own stop rule.
 
     The status must be `converged`, the trace strictly decreasing, and the
-    squared Newton decrement at the final state, computed afresh, at most
-    `opt_manifold.NEWTON_TOL`. A run stopped by the iteration cap or a
+    squared Newton decrement at the final state, computed afresh at barrier
+    weight t, at most `opt_manifold.NEWTON_TOL`. A run stopped by the iteration cap or a
     failed line search fails, however flat its trace.
     """
-    decrement = opt_manifold.newton_step(result.state, eig, cfg)[2]
+    decrement = opt_manifold.newton_step(result.state, eig, t)[2]
     return (
         result.status == "converged"
         and bool(np.all(np.diff(result.trace) < 0))
@@ -411,15 +410,15 @@ def descent_converged(
 
 def _check_rmjgd_descent() -> tuple[bool, str]:
     data = _mini_data()
-    eig, cfg = opt_manifold.reduce_b(data.problem), opt_manifold.ManifoldConfig()
+    eig, t = opt_manifold.reduce_b(data.problem), opt_manifold.BARRIER_T
     starts = {
         "phase-1 start": opt_manifold.phase1_feasible(eig),
         "probe 31": probe_state(eig, np.random.default_rng(31)),
     }
     ok, details = True, []
     for name, state in starts.items():
-        result = opt_manifold.rm_jgd(eig, cfg, state)
-        ok = ok and descent_converged(result, eig, cfg)
+        result = opt_manifold.rm_jgd(eig, t, state)
+        ok = ok and descent_converged(result, eig, t)
         details.append(f"{name}: {result.iterations} iterations, {result.status}")
     return ok, "; ".join(details)
 
@@ -427,7 +426,7 @@ def _check_rmjgd_descent() -> tuple[bool, str]:
 def _check_sdp_invariants() -> tuple[bool, str]:
     data = _small_data()
     problem = data.problem
-    sol = opt_sdr.solve_maxdet(problem, tol=1e-10)
+    sol = opt_sdr.solve_maxdet(problem)
     if sol.status != "optimal":
         return False, f"solver status {sol.status}"
     r = sol.r_bb

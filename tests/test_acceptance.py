@@ -81,12 +81,11 @@ def test_criterion_2_gradient_fidelity(desk_data):
 
     t0 = time.perf_counter()
     eig = opt_manifold.reduce_b(desk_data.problem)
-    cfg = opt_manifold.ManifoldConfig()
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(20):
         state = probe_state(eig, rng)
-        worst = max(worst, gradient_error(state, eig, cfg, rng))
+        worst = max(worst, gradient_error(state, eig, opt_manifold.BARRIER_T, rng))
     _accept(
         2,
         worst < 1e-5,
@@ -104,8 +103,8 @@ def test_criterion_3_subspace_optimality():
     assert cfg.n_antennas <= 24
     data = harness.prepare_scenario(cfg)
     full, reduced = exact_power_problems(data)
-    sol_full = opt_sdr.solve_maxdet(full, tol=1e-9)
-    sol_red = opt_sdr.solve_maxdet(reduced, tol=1e-9)
+    sol_full = opt_sdr.solve_maxdet(full)
+    sol_red = opt_sdr.solve_maxdet(reduced)
     gap = abs(sol_full.objective_bits - sol_red.objective_bits)
     residual = beamform.verify_covariance_subspace(sol_full.r_bb, data.u_tilde)
     ok = (
@@ -166,18 +165,17 @@ def test_criterion_5_descent_convergence(desk_data):
     details = []
     ok = True
     for t_barrier in (10.0, 100.0, 1000.0):
-        cfg = opt_manifold.ManifoldConfig(barrier_t=t_barrier)
         bias = 2.0 / (t_barrier * np.log(2.0))
         for trial in range(3):
-            init = random_feasible_state(eig, cfg, rng)
-            result = opt_manifold.rm_jgd(eig, cfg, init)
+            init = random_feasible_state(eig, t_barrier, rng)
+            result = opt_manifold.rm_jgd(eig, t_barrier, init)
             se = beamform.spectral_efficiency(
                 desk_data.h, w_rf, result.w_bb, desk_data.config.sigma_c_sq
             )
             gap = optimum - se
             ok = (
                 ok
-                and validation.descent_converged(result, eig, cfg)
+                and validation.descent_converged(result, eig, t_barrier)
                 and -1e-6 <= gap <= bias + 1e-6
             )
             details.append(f"t={t_barrier:.0f}#{trial}:{result.iterations}it,{gap:.4f}b")
@@ -205,10 +203,9 @@ def test_criterion_6_algorithm_ordering():
             solution, problem, np.random.default_rng(harness.derive_seed(seed, 2))
         )
         sdr_se = beamform._rate_bits(problem.h_eff @ w, problem.sigma_c_sq)
-        rm_cfg = opt_manifold.ManifoldConfig()
         eig = opt_manifold.reduce_b(data.problem)
         init = opt_manifold.phase1_feasible(eig)
-        rm = opt_manifold.rm_jgd(eig, rm_cfg, init)
+        rm = opt_manifold.rm_jgd(eig, opt_manifold.BARRIER_T, init)
         w_rf = beamform.optimal_analog(data.u_tilde)
         rm_se = beamform.spectral_efficiency(
             data.h, w_rf, rm.w_bb, cfg.sigma_c_sq

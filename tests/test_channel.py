@@ -6,6 +6,8 @@ import pytest
 
 from modisac import harness
 from modisac.channel import (
+    SCATTER_ANGLE,
+    SCATTER_RANGE,
     PathSpec,
     build_comm_channel,
     build_responses,
@@ -53,8 +55,8 @@ def test_draw_paths_scatterer_region():
     assert len(paths) == 4
     for p in paths[1:]:
         assert p.kind == "nlos"
-        assert cfg.scatter_range[0] <= p.scatterer.r <= cfg.scatter_range[1]
-        assert cfg.scatter_angle[0] <= p.scatterer.theta <= cfg.scatter_angle[1]
+        assert SCATTER_RANGE[0] <= p.scatterer.r <= SCATTER_RANGE[1]
+        assert SCATTER_ANGLE[0] <= p.scatterer.theta <= SCATTER_ANGLE[1]
 
 
 def _manual_path(geometry, user, n_user, gains=None, aoa=None):

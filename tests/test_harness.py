@@ -54,9 +54,16 @@ def test_config_rejects_small_spacing_factor(tmp_path):
         harness.load_config(str(path))
 
 
-def test_config_rejects_unknown_keys():
+@pytest.mark.parametrize(
+    "doc",
+    # a typo, and the channel constants that once were config fields
+    [{"subbarrays": 4}, {"gain_reference": 1.0}, {"nlos_extra_loss_db": 10.0},
+     {"scatter_range_m": [5.0, 30.0]}, {"scatter_angle_deg": [-60.0, 60.0]}],
+    ids=lambda doc: next(iter(doc)),
+)
+def test_config_rejects_unknown_keys(doc):
     with pytest.raises(ConfigurationError, match="unknown config fields"):
-        harness.config_from_dict({"subbarrays": 4})
+        harness.config_from_dict(doc)
 
 
 @pytest.mark.parametrize(
@@ -95,8 +102,7 @@ def test_run_scenario_unknown_algorithm():
 
 def test_sdr_rrs_reports_max_iter_iterate(monkeypatch):
     # sensing binds at 60 dB, so one dual Newton step stops short of the optimum
-    solve = opt_sdr.solve_maxdet
-    monkeypatch.setattr(opt_sdr, "solve_maxdet", lambda problem: solve(problem, max_iter=1))
+    monkeypatch.setattr(opt_sdr, "MAX_NEWTON_STEPS", 1)
     cfg = harness.desk_config(seed=0, scnr_threshold_db=60.0)
     row = harness.run_scenario(cfg, "sdr_rrs")
     assert row.status == "max_iter"
@@ -580,6 +586,19 @@ def test_cli_music_infeasible_threshold_is_a_failed_run(tmp_path, capsys):
     assert err == "modisac music: error: transmit optimization failed: infeasible\n"
 
 
+def test_cli_run_scenario_target_on_a_reference_antenna_is_a_failed_run(tmp_path, capsys):
+    # at 2 m and 90 degrees the desk target sits on the first transmit
+    # reference antenna: the run fails as `music` does, with one line
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(
+        {"desk_scale": True, "target": {"range_m": 2.0, "angle_deg": 90.0}}))
+    assert cli.main(["run-scenario", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("modisac run-scenario: error: location coincides with a reference "
+                   "antenna (tx)\n")
+
+
 def test_cli_music_grid_on_a_reference_antenna_is_a_failed_run(capsys):
     # a one-cell grid on a receive reference antenna has no unflagged cell
     config = harness.config_from_dict({}, desk_scale=True)
@@ -702,10 +721,3 @@ def test_cli_accepts_dashed_algorithm(tmp_path, capsys):
     )
     assert code == 0
     assert "rm_jgd," in capsys.readouterr().out  # result row carries the algorithm
-
-
-def test_manifold_config_validation():
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        opt_manifold.ManifoldConfig(barrier_t=0.0)

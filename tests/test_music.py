@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modisac import harness
+from modisac import harness, music
 from modisac.channel import build_responses, sensing_response
 from modisac.geometry import (
     COINCIDENT_TOL,
@@ -181,7 +181,8 @@ def test_grid_responses_match_sensing_response(desk):
         for r, t in zip(rng.uniform(1.0, 80.0, 400), rng.uniform(-1.5, 1.5, 400))
     ]
     xy = np.array([p.xy for p in points])
-    rows, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1])
+    work = _grid_work(len(points), g.k_subarrays, g.m_antennas)
+    rows, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1], work)
     expected = np.array([sensing_response(g, SceneObject(p)).g_r for p in points])
     assert rows.shape == (400, cfg.n_antennas)
     assert not degenerate.any()
@@ -263,7 +264,7 @@ def test_music_spectrum_matches_per_cell_oracle():
     assert np.allclose(result.spectrum, expected, rtol=1e-9, atol=0.0)
 
 
-def test_pseudo_spectrum_chunk_invariance():
+def test_pseudo_spectrum_chunk_invariance(monkeypatch):
     cfg = harness.desk_config(seed=0)
     g = build_geometry(cfg)
     rng = np.random.default_rng(7)
@@ -275,7 +276,10 @@ def test_pseudo_spectrum_chunk_invariance():
     # chunk-1000 boundary at 1000, exact and 1e-14 m off an antenna
     for i, (k, off) in zip((6, 7, 999, 1000), ((0, 0.0), (1, 1e-14), (2, -1e-14), (3, 0.0))):
         x[i], y[i] = refs[k, 0] + off, refs[k, 1]
-    runs = [_pseudo_spectrum(g, basis, x, y, chunk=c) for c in (8192, 1000, 7)]
+    runs = []
+    for cells in (8192, 1000, 7):
+        monkeypatch.setattr(music, "CHUNK_ENTRIES", cells * cfg.n_antennas)
+        runs.append(_pseudo_spectrum(g, basis, x, y))
     ref_vals, ref_bad = runs[0]
     assert np.array_equal(np.nonzero(ref_bad)[0], [6, 7, 999, 1000])
     for vals, bad in runs[1:]:

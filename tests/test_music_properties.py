@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from modisac import harness  # noqa: E402
 from modisac.geometry import build_geometry  # noqa: E402
-from modisac.music import _pseudo_spectrum, _receive_responses_grid  # noqa: E402
+from modisac.music import _grid_work, _pseudo_spectrum, _receive_responses_grid  # noqa: E402
 
 
 @functools.lru_cache(maxsize=None)
@@ -37,7 +37,8 @@ def test_noise_and_signal_side_denominators_agree(seed, width, count):
     r = rng.uniform(1.0, 80.0, count)
     theta = rng.uniform(-1.5, 1.5, count)
     x, y = r * np.sin(theta), r * np.cos(theta)
-    rows, degenerate = _receive_responses_grid(geometry, x, y)
+    work = _grid_work(count, geometry.k_subarrays, geometry.m_antennas)
+    rows, degenerate = _receive_responses_grid(geometry, x, y, work)
     assert not degenerate.any()
     noise_side = np.linalg.norm(rows @ noise.conj(), axis=1) ** 2
     signal_side = n - np.linalg.norm(rows @ signal.conj(), axis=1) ** 2

@@ -6,11 +6,11 @@ import pytest
 from modisac import harness, opt_manifold
 from modisac.beamform import optimal_analog, spectral_efficiency
 from modisac.opt_manifold import (
+    BARRIER_T,
     NEWTON_TOL,
     EigB,
     InfeasiblePointError,
     InfeasibleProblemError,
-    ManifoldConfig,
     ManifoldState,
     RankDeficiencyError,
     assemble_wbb,
@@ -59,7 +59,7 @@ def no_sensing(eig: EigB) -> EigB:
     return dataclasses.replace(eig, gamma0=0.0)
 
 
-def random_feasible_state(eig, cfg, rng, scale=0.15) -> ManifoldState:
+def random_feasible_state(eig, t, rng, scale=0.15) -> ManifoldState:
     """Random rotation + gain jitter around the constructed feasible point.
 
     Accepts only points with comfortable constraint slacks so that the
@@ -79,7 +79,7 @@ def random_feasible_state(eig, cfg, rng, scale=0.15) -> ManifoldState:
         healthy = power_slack > 0.05 * eig.power_budget and (
             not active or sens_slack > 0.5 * eig.gamma0
         )
-        if healthy and np.isfinite(barrier_value(state, eig, cfg)):
+        if healthy and np.isfinite(barrier_value(state, eig, t)):
             return state
         scale *= 0.8
     return base
@@ -123,8 +123,7 @@ def test_phi_tilde_hermitian_and_quadratic_identity(desk_problem, rng):
     data, eig = desk_problem
     assert np.max(np.abs(eig.phi_q - eig.phi_q.conj().T)) < 1e-12
     psi = data.problem.psi
-    cfg = ManifoldConfig()
-    state = random_feasible_state(eig, cfg, rng)
+    state = random_feasible_state(eig, BARRIER_T, rng)
     w = assemble_wbb(eig, state)
     cols = state.q * state.b[None, :]
     lhs = float(np.real(np.sum(cols.conj() * (eig.phi_q @ cols))))
@@ -160,17 +159,15 @@ def test_barrier_infeasible_is_infinite(desk_problem):
         q=np.eye(eig.n_streams, dtype=complex),
         b=np.full(eig.n_streams, 1e6),
     )
-    assert barrier_value(huge, eig, ManifoldConfig()) == np.inf
+    assert barrier_value(huge, eig, BARRIER_T) == np.inf
 
 
 def test_barrier_t_scaling(desk_problem, rng):
     _, eig = desk_problem
-    cfg10 = ManifoldConfig(barrier_t=10.0)
-    cfg100 = ManifoldConfig(barrier_t=100.0)
-    state = random_feasible_state(eig, cfg10, rng)
+    state = random_feasible_state(eig, 10.0, rng)
     core = -float(np.sum(np.log1p(state.b**2)))
-    part10 = barrier_value(state, eig, cfg10) - core
-    part100 = barrier_value(state, eig, cfg100) - core
+    part10 = barrier_value(state, eig, 10.0) - core
+    part100 = barrier_value(state, eig, 100.0) - core
     assert part10 == pytest.approx(10.0 * part100, rel=1e-9)
 
 
@@ -205,11 +202,11 @@ def test_barrier_value_matches_wbb_form(desk_problem, rng, sensing):
     psi = data.problem.psi
     if not sensing:
         eig = no_sensing(eig)
-    cfg = ManifoldConfig()
+    t = BARRIER_T
     ns = eig.n_streams
     finite = infinite = 0
     for k in range(12):
-        base = random_feasible_state(eig, cfg, rng)
+        base = random_feasible_state(eig, t, rng)
         q = base.q
         if k % 2:
             q, _ = np.linalg.qr(
@@ -218,8 +215,8 @@ def test_barrier_value_matches_wbb_form(desk_problem, rng, sensing):
         direction = base.b * rng.standard_normal(ns)
         for step in (0.0, 0.1, 0.5, 2.0, 10.0):
             state = ManifoldState(q, base.b + step * direction)
-            value = barrier_value(state, eig, cfg)
-            reference = _barrier_from_wbb(eig, state, psi, eig.gamma0, cfg.barrier_t)
+            value = barrier_value(state, eig, t)
+            reference = _barrier_from_wbb(eig, state, psi, eig.gamma0, t)
             if np.isinf(reference):
                 assert value == np.inf
                 infinite += 1
@@ -231,13 +228,12 @@ def test_barrier_value_matches_wbb_form(desk_problem, rng, sensing):
 
 def test_barrier_decreases_along_gain_growth():
     eig = synthetic_eig([2.0, 1.0], budget=1.0)
-    cfg = ManifoldConfig()
     vals = []
     for scale in (0.1, 0.2, 0.3):
         state = ManifoldState(
             q=eig.u_b.conj().T, b=np.array([scale, 0.05])
         )
-        vals.append(barrier_value(state, eig, cfg))
+        vals.append(barrier_value(state, eig, BARRIER_T))
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -247,28 +243,27 @@ def test_grad_b_zero_at_origin(desk_problem):
         q=np.eye(eig.n_streams, dtype=complex),
         b=np.zeros(eig.n_streams),
     )
-    assert np.allclose(grad_b(state, no_sensing(eig), ManifoldConfig()), 0.0)
+    assert np.allclose(grad_b(state, no_sensing(eig), BARRIER_T), 0.0)
 
 
 def test_grad_b_matches_finite_differences(desk_problem, rng):
     _, eig = desk_problem
-    cfg = ManifoldConfig()
+    t = BARRIER_T
     for _ in range(5):
         state = probe_state(eig, rng)
-        g = grad_b(state, eig, cfg)
+        g = grad_b(state, eig, t)
         fd = central_differences(
-            lambda b: barrier_value(ManifoldState(state.q, b), eig, cfg), state.b
+            lambda b: barrier_value(ManifoldState(state.q, b), eig, t), state.b
         )
         assert np.linalg.norm(g - fd) < 1e-5 * max(np.linalg.norm(fd), 1e-8)
 
 
 def test_grad_b_barrier_part_vanishes_at_large_t(desk_problem, rng):
     _, eig = desk_problem
-    cfg_small = ManifoldConfig(barrier_t=1e2)
     state = probe_state(eig, rng)
     data_term = -2.0 * state.b / (1.0 + state.b**2)
-    g_small = grad_b(state, eig, cfg_small)
-    g_big = grad_b(state, eig, ManifoldConfig(barrier_t=1e6))
+    g_small = grad_b(state, eig, 1e2)
+    g_big = grad_b(state, eig, 1e6)
     assert np.linalg.norm(g_big - data_term) < 1e-4 * np.linalg.norm(
         g_small - data_term
     ) + 1e-12
@@ -280,13 +275,13 @@ def test_grad_v_zero_when_gains_zero(desk_problem):
         q=np.eye(eig.n_streams, dtype=complex),
         b=np.zeros(eig.n_streams),
     )
-    assert np.all(grad_v(state, no_sensing(eig), ManifoldConfig()) == 0.0)
+    assert np.all(grad_v(state, no_sensing(eig), BARRIER_T) == 0.0)
 
 
 def test_grad_v_matches_finite_differences(desk_problem, rng):
     _, eig = desk_problem
     state = probe_state(eig, rng)
-    assert gradient_error(state, eig, ManifoldConfig(), rng) < 1e-5
+    assert gradient_error(state, eig, BARRIER_T, rng) < 1e-5
 
 
 def test_grad_at_infeasible_point_raises(desk_problem):
@@ -299,9 +294,9 @@ def test_grad_at_infeasible_point_raises(desk_problem):
             b=np.full(eig.n_streams, gain),
         )
         with pytest.raises(InfeasiblePointError):
-            grad_b(bad, eig, ManifoldConfig())
+            grad_b(bad, eig, BARRIER_T)
         with pytest.raises(InfeasiblePointError):
-            grad_v(bad, eig, ManifoldConfig())
+            grad_v(bad, eig, BARRIER_T)
 
 
 def test_tangent_project_hermitian_gives_zero(rng):
@@ -420,7 +415,7 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
     data, eig = desk_problem
     assert eig.gamma0 > 0.0
     psi = data.problem.psi
-    cfg = ManifoldConfig()
+    t = BARRIER_T
     ns = eig.n_streams
     xp = np.clongdouble
     complete, _ = np.linalg.qr(eig.u_b, mode="complete")
@@ -429,7 +424,7 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
     u_b, null = basis[:, :ns], basis[:, ns:]
     starts = [
         phase1_feasible(eig),
-        random_feasible_state(eig, cfg, rng),
+        random_feasible_state(eig, t, rng),
     ]
     for state in starts:
         v = np.concatenate([u_b @ state.q.astype(xp), null], axis=1)
@@ -438,16 +433,16 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
             return _full_width_barrier(
                 v_.astype(xp), state.b.astype(np.longdouble), u_b,
                 eig.sigma_b.astype(np.longdouble), psi.astype(xp),
-                eig.power_budget, eig.gamma0, cfg.barrier_t,
+                eig.power_budget, eig.gamma0, t,
             )
 
         f_ref, g_ref = full(v)
         a = v.conj().T @ g_ref
         xi_ref = -v @ (0.5 * (a - a.conj().T))
-        xi = tangent_project(state.q, grad_v(state, eig, cfg))
+        xi = tangent_project(state.q, grad_v(state, eig, t))
         norm_ref = float(np.sqrt(np.sum(np.abs(xi_ref) ** 2)))
         assert np.linalg.norm(xi) == pytest.approx(norm_ref, rel=1e-12)
-        f = barrier_value(state, eig, cfg)
+        f = barrier_value(state, eig, t)
         assert f == pytest.approx(f_ref, rel=1e-12)
         finite = 0
         for s in (1e-9, 1e-6, 1e-3, 1.0, 1e2):
@@ -456,7 +451,7 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
             q_new = stiefel_retract(state.q + s * xi)
             embedded = np.concatenate([eig.u_b @ q_new, null.astype(complex)], axis=1)
             assert np.linalg.norm(embedded - v_ref) <= 1e-12 * np.linalg.norm(v_ref)
-            f_new = barrier_value(ManifoldState(q_new, state.b), eig, cfg)
+            f_new = barrier_value(ManifoldState(q_new, state.b), eig, t)
             f_ref_new, _ = full(v_ref)
             if np.isinf(f_ref_new):
                 assert np.isinf(f_new)
@@ -469,9 +464,8 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
 def test_phase1_no_sensing_immediate(desk_problem):
     _, eig = desk_problem
     eig = no_sensing(eig)
-    cfg = ManifoldConfig()
     state = phase1_feasible(eig)
-    assert np.isfinite(barrier_value(state, eig, cfg))
+    assert np.isfinite(barrier_value(state, eig, BARRIER_T))
 
 
 def test_phase1_huge_threshold_certificate(desk_problem):
@@ -484,9 +478,8 @@ def test_phase1_huge_threshold_certificate(desk_problem):
 
 def test_phase1_desk_scale_feasible(desk_problem):
     _, eig = desk_problem
-    cfg = ManifoldConfig()
     state = phase1_feasible(eig)
-    assert np.isfinite(barrier_value(state, eig, cfg))
+    assert np.isfinite(barrier_value(state, eig, BARRIER_T))
 
 
 # desk_sweep's 60 dB cells whose waterfilling start misses the sensing
@@ -504,11 +497,11 @@ def test_phase1_binding_desk_cells_start_every_stream(seed, slot):
         seed=harness.derive_seed(base_seed, 0), scnr_threshold_db=60.0
     )
     data = harness.prepare_scenario(cfg)
-    eig, config = reduce_b(data.problem), ManifoldConfig()
+    eig = reduce_b(data.problem)
     start = phase1_feasible(eig)
     assert np.all(start.b > 0.0)
-    assert np.isfinite(barrier_value(start, eig, config))
-    result = rm_jgd(eig, config, start)
+    assert np.isfinite(barrier_value(start, eig, BARRIER_T))
+    result = rm_jgd(eig, BARRIER_T, start)
     se = spectral_efficiency(
         data.h, optimal_analog(data.u_tilde), result.w_bb, cfg.sigma_c_sq
     )
@@ -520,7 +513,7 @@ def test_phase1_binding_desk_cells_start_every_stream(seed, slot):
 def test_rmjgd_stationary_init_returns_immediately():
     eig = synthetic_eig([2.0, 1.0], budget=1.0)
     state = ManifoldState(q=eig.u_b.conj().T, b=np.zeros(2))
-    result = rm_jgd(eig, ManifoldConfig(), state)
+    result = rm_jgd(eig, BARRIER_T, state)
     assert result.iterations == 0
     assert result.status == "converged"
 
@@ -532,20 +525,27 @@ def test_rmjgd_infeasible_init_rejected(desk_problem):
         b=np.full(eig.n_streams, 1e6),
     )
     with pytest.raises(ValueError, match="infeasible"):
-        rm_jgd(eig, ManifoldConfig(), bad)
+        rm_jgd(eig, BARRIER_T, bad)
+
+
+def test_rmjgd_rejects_nonpositive_barrier_weight(desk_problem):
+    _, eig = desk_problem
+    for t in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="barrier weight"):
+            rm_jgd(eig, t, phase1_feasible(eig))
 
 
 def test_rmjgd_no_sensing_matches_waterfilling(rng):
     gains = np.array([4.0, 3.0, 2.0, 1.0])
     eig = synthetic_eig(gains, budget=1.0)
-    cfg = ManifoldConfig(barrier_t=100.0)
+    t = 100.0
     # start away from the solution: uniform small gains, rotated basis
     q, _ = np.linalg.qr(
         np.eye(4) + 0.2 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     )
     init = ManifoldState(q=eig.u_b.conj().T @ q, b=np.full(4, 0.2))
-    assert np.isfinite(barrier_value(init, eig, cfg))
-    result = rm_jgd(eig, cfg, init)
+    assert np.isfinite(barrier_value(init, eig, t))
+    result = rm_jgd(eig, t, init)
     form = result.w_bb.conj().T @ eig.b_mat @ result.w_bb
     se = float(np.linalg.slogdet(np.eye(4) + form)[1] / np.log(2.0))
     expected = waterfilling_se_bits(gains, 1.0)
@@ -557,7 +557,7 @@ def test_rmjgd_desk_scale_descent(assert_check):
     assert_check("rmjgd_descent")
 
 
-def _pullback_errors(state, eig, cfg, h):
+def _pullback_errors(state, eig, t, h):
     """Relative errors of `barrier_derivatives` against central differences.
 
     The pullback is x = (omega, delta b) -> f(polar(Q (I + Omega)), b +
@@ -573,9 +573,9 @@ def _pullback_errors(state, eig, cfg, h):
 
     def pullback(x):
         q = stiefel_retract(state.q @ (np.eye(ns) + np.tensordot(x[:p], basis, axes=1)))
-        return barrier_value(ManifoldState(q, state.b + x[p:]), eig, cfg)
+        return barrier_value(ManifoldState(q, state.b + x[p:]), eig, t)
 
-    grad, hess = barrier_derivatives(state, eig, cfg)
+    grad, hess = barrier_derivatives(state, eig, t)
     steps = h * np.eye(ns * ns)
     fd_grad = np.array([(pullback(d) - pullback(-d)) / (2 * h) for d in steps])
     fd_hess = np.array([
@@ -612,7 +612,6 @@ def test_barrier_hessian_matches_central_differences(desk_problem, rng, case):
     h = 1e-7 to bring the Hessian's to 1e-5 (1e-1 at h = 1e-5, 1e-3 at
     1e-6).
     """
-    cfg = ManifoldConfig()
     if case == "desk_ns4":
         _, eig = desk_problem
         cases = [(probe_state(eig, rng), 1e-5, 1e-5), (phase1_feasible(eig), 1e-7, 1e-4)]
@@ -624,7 +623,7 @@ def test_barrier_hessian_matches_central_differences(desk_problem, rng, case):
         cases = [(probe_state(eig, rng), 1e-4, 1e-5)]
     assert eig.n_streams == int(case[-1]) and eig.gamma0 > 0.0
     for state, h, tol in cases:
-        err_g, err_h = _pullback_errors(state, eig, cfg, h)
+        err_g, err_h = _pullback_errors(state, eig, BARRIER_T, h)
         assert err_g < tol and err_h < tol, (err_g, err_h)
 
 
@@ -632,10 +631,10 @@ def test_newton_step_descends_along_the_gradient(desk_problem):
     """Omega is skew-Hermitian with a zero diagonal, and the direction's
     slope along the gradient is minus the squared decrement."""
     _, eig = desk_problem
-    cfg = ManifoldConfig()
+    t = BARRIER_T
     state = phase1_feasible(eig)
-    grad, _ = barrier_derivatives(state, eig, cfg)
-    omega, delta_b, decrement = newton_step(state, eig, cfg)
+    grad, _ = barrier_derivatives(state, eig, t)
+    omega, delta_b, decrement = newton_step(state, eig, t)
     ns = eig.n_streams
     assert np.allclose(omega, -omega.conj().T) and not np.any(np.diag(omega))
     rows, cols = np.triu_indices(ns, 1)
@@ -678,48 +677,48 @@ def test_rmjgd_desk_seeds_converge_in_few_steps():
     steps = []
     for seed in range(50):
         eig = reduce_b(harness.prepare_scenario(harness.desk_config(seed=seed)).problem)
-        result = rm_jgd(eig, ManifoldConfig(), phase1_feasible(eig))
+        result = rm_jgd(eig, BARRIER_T, phase1_feasible(eig))
         assert result.status == "converged", seed
         steps.append(result.iterations)
     assert max(steps) <= 20 and np.median(steps) <= 8, steps
 
 
-def test_descent_converged_rejects_capped_and_stalled_runs(desk_problem):
+def test_descent_converged_rejects_capped_and_stalled_runs(desk_problem, monkeypatch):
     """The criterion-5 check accepts a converged run and rejects a run cut
     after one step, the same run labelled stalled, and a converged label on
     a state whose decrement is still large."""
     _, eig = desk_problem
-    cfg = ManifoldConfig()
+    t = BARRIER_T
     start = phase1_feasible(eig)
-    done = rm_jgd(eig, cfg, start)
-    assert descent_converged(done, eig, cfg)
-    one_step = rm_jgd(eig, ManifoldConfig(max_iterations=1), start)
+    done = rm_jgd(eig, t, start)
+    assert descent_converged(done, eig, t)
+    monkeypatch.setattr(opt_manifold, "MAX_ITERATIONS", 1)
+    one_step = rm_jgd(eig, t, start)
     assert (one_step.iterations, one_step.status) == (1, "max_iter")
-    assert not descent_converged(one_step, eig, cfg)
-    assert not descent_converged(dataclasses.replace(done, status="stalled"), eig, cfg)
-    assert not descent_converged(dataclasses.replace(one_step, status="converged"), eig, cfg)
+    assert not descent_converged(one_step, eig, t)
+    assert not descent_converged(dataclasses.replace(done, status="stalled"), eig, t)
+    assert not descent_converged(dataclasses.replace(one_step, status="converged"), eig, t)
     rising = dataclasses.replace(done, trace=done.trace + [done.trace[-1]])
-    assert not descent_converged(rising, eig, cfg)
+    assert not descent_converged(rising, eig, t)
 
 
 def test_rmjgd_iterates_stay_unitary_and_feasible(desk_problem):
     _, eig = desk_problem
     # every accepted Q is a fresh polar factor; nothing re-retracts it
-    cfg = ManifoldConfig()
+    t = BARRIER_T
     init = phase1_feasible(eig)
-    result = rm_jgd(eig, cfg, init)
+    result = rm_jgd(eig, t, init)
     q = result.state.q
     assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) < 1e-12
-    assert np.isfinite(barrier_value(result.state, eig, cfg))
+    assert np.isfinite(barrier_value(result.state, eig, t))
 
 
 def test_rmjgd_final_power_and_scnr(desk_problem):
     from modisac.beamform import optimal_analog, scnr, transmit_power
 
     data, eig = desk_problem
-    cfg = ManifoldConfig()
     init = phase1_feasible(eig)
-    result = rm_jgd(eig, cfg, init)
+    result = rm_jgd(eig, BARRIER_T, init)
     w_rf = optimal_analog(data.u_tilde)
     _, proxy = transmit_power(w_rf, result.w_bb)
     assert proxy <= data.problem.n_streams + 1e-9

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from modisac import opt_manifold  # noqa: E402
 from modisac.opt_manifold import (  # noqa: E402
+    BARRIER_T,
     EigB,
     InfeasibleProblemError,
-    ManifoldConfig,
     ManifoldState,
     barrier_value,
     phase1_feasible,
@@ -70,7 +70,7 @@ def test_phase1_starts_or_certifies(n, log_cond, top, spread, budget, seed, frac
         return
     state = phase1_feasible(eig)
     assert np.linalg.norm(state.q.conj().T @ state.q - np.eye(n)) < 1e-10
-    assert np.isfinite(barrier_value(state, eig, ManifoldConfig()))
+    assert np.isfinite(barrier_value(state, eig, BARRIER_T))
     wf = ManifoldState(
         np.eye(n, dtype=complex),
         np.sqrt(opt_manifold._waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b),

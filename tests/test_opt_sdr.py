@@ -6,6 +6,7 @@ import pytest
 from modisac import harness, opt_sdr
 from modisac.beamform import _rate_bits, scnr, verify_covariance_subspace
 from modisac.opt_sdr import (
+    TRIALS_PER_STREAM,
     MaxDetProblem,
     RandomizationFailure,
     make_maxdet_problem,
@@ -40,7 +41,7 @@ def test_waterfilling_two_channel_oracle():
     # singular values {2, 1}: waterfilling over gains {4, 1} at unit budget
     h = np.diag([2.0, 1.0]).astype(complex)
     problem = no_sensing_problem(h, 1.0, 1.0, 2)
-    sol = solve_maxdet(problem, tol=1e-9)
+    sol = solve_maxdet(problem)
     assert sol.status == "optimal"
     expected = waterfilling_se_bits([4.0, 1.0], 1.0)
     assert expected == pytest.approx(2.3399, abs=1e-3)  # frozen from the oracle
@@ -85,7 +86,7 @@ def test_budget_monotonicity(rng):
 
 def test_randomization_rank_recovery(small_problem):
     _, problem = small_problem
-    sol = solve_maxdet(problem, tol=1e-10)
+    sol = solve_maxdet(problem)
     w = randomize_rank(sol, problem, np.random.default_rng(0))
     assert w.shape == (problem.dim, problem.n_streams)
     # identity sketch reproduces an (effectively) rank-n_streams optimum
@@ -103,7 +104,7 @@ def test_randomization_power_equality(small_problem, rng):
 
 def test_randomization_never_beats_relaxation(small_problem):
     _, problem = small_problem
-    sol = solve_maxdet(problem, tol=1e-10)
+    sol = solve_maxdet(problem)
     rng = np.random.default_rng(42)
     for _ in range(5):
         w = randomize_rank(sol, problem, rng, trials=20)
@@ -135,6 +136,29 @@ def test_sdr_rrs_close_to_relaxation_no_sensing(small_data):
     assert result.se_bits >= 0.98 * bound
 
 
+@pytest.mark.parametrize(
+    "seed, streams, row",
+    [
+        # the retry's 100 n_s sketches find a beamformer
+        (2, 2, "sdr_rrs,2,4,8,64,4,2,2,2,16,uniform,40,15,60,1e-06,1e-05,"
+               "26.2118921,60.0604427,2.11314101,2,7,ok"),
+        # they miss too: no beamformer
+        (0, 1, "sdr_rrs,0,4,8,64,4,2,2,1,16,uniform,40,15,60,1e-06,1e-05,"
+               "nan,nan,nan,nan,0,randomization_failed"),
+    ],
+    ids=["retry_succeeds", "retry_fails"],
+)
+def test_sdr_rrs_retries_a_failed_randomization(seed, streams, row):
+    cfg = harness.desk_config(seed=seed, scnr_threshold_db=60.0, streams=streams)
+    problem = harness.prepare_scenario(cfg).problem
+    # no sketch of the first round, drawn as run_scenario draws it, meets
+    # the sensing constraint
+    rng = np.random.default_rng(harness.derive_seed(seed, 2))
+    with pytest.raises(RandomizationFailure):
+        randomize_rank(solve_maxdet(problem), problem, rng, trials=TRIALS_PER_STREAM * streams)
+    assert harness.run_scenario(cfg, "sdr_rrs").to_csv().rsplit(",", 1)[0] == row
+
+
 def test_sdr_rrs_deterministic(small_problem):
     _, problem = small_problem
     r1 = sdr_rrs(problem, np.random.default_rng(11))
@@ -164,7 +188,7 @@ def test_fdb_upper_bounds_sdr(small_problem):
 
 def test_fdb_no_sensing_equals_waterfilling(small_data):
     problem = dataclasses.replace(small_data.problem, gamma0=0.0)
-    solution = solve_maxdet(problem, tol=1e-9)
+    solution = solve_maxdet(problem)
     assert solution.status == "optimal"
     fdb = solution.dual_bits
     expected = waterfilling_se_bits(
@@ -208,8 +232,8 @@ def test_fullspace_matches_reduced(small_data):
     # subarray-response subspace; the same problem restricted to that
     # subspace reproduces it
     full, reduced = exact_power_problems(small_data)
-    sol_full = solve_maxdet(full, tol=1e-9)
-    sol_red = solve_maxdet(reduced, tol=1e-9)
+    sol_full = solve_maxdet(full)
+    sol_red = solve_maxdet(reduced)
     assert sol_full.status == "optimal" and sol_red.status == "optimal"
     assert abs(sol_full.objective_bits - sol_red.objective_bits) < 1e-4
     assert verify_covariance_subspace(sol_full.r_bb, small_data.u_tilde) < 1e-6
@@ -218,13 +242,13 @@ def test_fullspace_matches_reduced(small_data):
 def test_max_iter_solution_is_primal_feasible(monkeypatch):
     data = harness.prepare_scenario(harness.desk_config(seed=0, scnr_threshold_db=60.0))
     problem = data.problem
-    sol = solve_maxdet(problem, max_iter=1)
+    monkeypatch.setattr(opt_sdr, "MAX_NEWTON_STEPS", 1)
+    sol = solve_maxdet(problem)
     assert sol.status == "max_iter" and sol.newton_steps == 1
     assert sol.dual_bits - sol.objective_bits > 1e-6  # sensing binds: not converged
     p_slack, s_slack = _slacks(sol.r_bb, problem)
     assert abs(p_slack) <= 1e-9 * problem.power_budget
     assert s_slack >= 0.0
-    monkeypatch.setattr(opt_sdr, "solve_maxdet", lambda p: solve_maxdet(p, max_iter=1))
     result = sdr_rrs(problem, np.random.default_rng(0))
     assert result.status == "max_iter" and result.w_bb is not None
     assert result.se_bits <= sol.dual_bits
