@@ -110,6 +110,8 @@ class ScenarioConfig:
             )
         if self.snapshots < 1:
             raise ConfigurationError("snapshots must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.layout not in ("uniform", "random", "collocated"):
             raise ConfigurationError(f"unknown layout {self.layout!r}")
 
@@ -249,11 +251,3 @@ def subarray_view(
         raise DegenerateGeometryError(f"location coincides with a reference antenna ({side})")
     return ranges, bearing(delta)
 
-
-def rayleigh_distance(aperture: float, wavelength: float) -> float:
-    """Conventional near/far-field boundary 2*S^2/lambda for aperture S."""
-    if aperture < 0:
-        raise ValueError("aperture must be nonnegative")
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    return 2.0 * aperture**2 / wavelength

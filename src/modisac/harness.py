@@ -20,7 +20,7 @@ from typing import ClassVar, Optional
 import numpy as np
 import yaml
 
-from . import beamform, channel, geometry as geo, opt_manifold, opt_sdr
+from . import beamform, channel, geometry as geo, music, opt_manifold, opt_sdr
 from .geometry import ConfigurationError, PolarPoint, ScenarioConfig, SceneObject
 
 ALGORITHMS = ("rm_jgd", "sdr_rrs", "fdb")
@@ -65,13 +65,16 @@ def dbm_to_watts(dbm: float) -> float:
 
 def _point(doc: dict, key: str) -> PolarPoint:
     try:
-        return PolarPoint(float(doc["range_m"]), float(np.deg2rad(doc["angle_deg"])))
+        r, angle = doc["range_m"], doc["angle_deg"]
     except (KeyError, TypeError) as err:
         raise ConfigurationError(f"field {key!r}: expected range_m/angle_deg map") from err
+    return PolarPoint(
+        _real(f"{key}.range_m", r), float(np.deg2rad(_real(f"{key}.angle_deg", angle)))
+    )
 
 
 def _object(doc: dict, key: str) -> SceneObject:
-    return SceneObject(_point(doc, key), float(doc.get("rcs", 1.0)))
+    return SceneObject(_point(doc, key), _real(f"{key}.rcs", doc.get("rcs", 1.0)))
 
 
 def _integer(key: str, value) -> int:
@@ -79,6 +82,13 @@ def _integer(key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(key: str, value) -> float:
+    # float() would pass a bool as 0 or 1 and a numeric string as its number
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioConfig:
@@ -102,11 +112,11 @@ def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioC
     merged = {**defaults, **doc}
     try:
         return ScenarioConfig(
-            carrier_frequency=float(merged["frequency_ghz"]) * 1e9,
+            carrier_frequency=_real("frequency_ghz", merged["frequency_ghz"]) * 1e9,
             k_subarrays=_integer("subarrays", merged["subarrays"]),
             m_antennas=_integer("antennas_per_subarray", merged["antennas_per_subarray"]),
-            gamma=float(merged["spacing_factor"]),
-            d0=float(merged["array_half_separation_m"]),
+            gamma=_real("spacing_factor", merged["spacing_factor"]),
+            d0=_real("array_half_separation_m", merged["array_half_separation_m"]),
             n_user_antennas=_integer("user_antennas", merged["user_antennas"]),
             n_paths=_integer("paths", merged["paths"]),
             user=_point(merged["user"], "user"),
@@ -114,12 +124,12 @@ def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioC
             interferers=tuple(
                 _object(i, "interferers") for i in merged["interferers"]
             ),
-            sigma_c_sq=dbm_to_watts(float(merged["noise_comm_dbm"])),
-            sigma_s_sq=dbm_to_watts(float(merged["noise_sens_dbm"])),
+            sigma_c_sq=dbm_to_watts(_real("noise_comm_dbm", merged["noise_comm_dbm"])),
+            sigma_s_sq=dbm_to_watts(_real("noise_sens_dbm", merged["noise_sens_dbm"])),
             # null threshold disables the sensing constraint entirely
             scnr_min=0.0
             if merged["scnr_threshold_db"] is None
-            else 10.0 ** (float(merged["scnr_threshold_db"]) / 10.0),
+            else 10.0 ** (_real("scnr_threshold_db", merged["scnr_threshold_db"]) / 10.0),
             n_streams=None
             if merged["streams"] is None
             else _integer("streams", merged["streams"]),
@@ -417,10 +427,10 @@ def apply_axis(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
     if axis == "snr":
         # received-SNR proxy: the value (dB) scales the comm noise down
         return dataclasses.replace(
-            base, sigma_c_sq=base.sigma_c_sq * 10.0 ** (-float(value) / 10.0)
+            base, sigma_c_sq=base.sigma_c_sq * 10.0 ** (-_real("snr", value) / 10.0)
         )
     if axis == "scnr_threshold":
-        return dataclasses.replace(base, scnr_min=10.0 ** (float(value) / 10.0))
+        return dataclasses.replace(base, scnr_min=10.0 ** (_real("scnr_threshold", value) / 10.0))
     if axis == "rf_chains":
         total = _integer("rf_chains", value)
         q = base.n_objects
@@ -449,7 +459,7 @@ def apply_axis(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
         )
     if axis == "user_distance":
         return dataclasses.replace(
-            base, user=PolarPoint(float(value), base.user.theta)
+            base, user=PolarPoint(_real("user_distance", value), base.user.theta)
         )
     if axis == "subarray_count":
         return dataclasses.replace(base, k_subarrays=_integer("subarray_count", value))
@@ -554,8 +564,6 @@ def run_music(config: ScenarioConfig, grid):
     data and the transmit matrix W_RF W_BB. Raises TransmitDesignError when
     sdr_rrs is infeasible or its randomization fails.
     """
-    from .music import music_spectrum, noise_subspace, sample_covariance
-
     length = config.snapshots
     data = prepare_scenario(config)
     rng = np.random.default_rng(derive_seed(config.seed, 17))
@@ -569,6 +577,6 @@ def run_music(config: ScenarioConfig, grid):
     ) / np.sqrt(2.0)
     x = f_tx @ symbols
     y = channel.simulate_echoes(data.responses, x, config.sigma_s_sq, rng)
-    cov = sample_covariance(y)
-    basis_n = noise_subspace(cov, config.n_objects)
-    return music_spectrum(basis_n, data.geometry, grid), data, f_tx
+    cov = music.sample_covariance(y)
+    basis_n = music.noise_subspace(cov, config.n_objects)
+    return music.music_spectrum(basis_n, data.geometry, grid), data, f_tx

@@ -8,7 +8,6 @@ from modisac.geometry import (
     DegenerateGeometryError,
     PolarPoint,
     build_geometry,
-    rayleigh_distance,
     steering_vector,
     subarray_view,
 )
@@ -165,19 +164,6 @@ def test_inter_phase_equidistant_subarrays():
 
 def test_inter_phase_distance_oracle(assert_check):
     assert_check("interphase_oracle")
-
-
-def test_rayleigh_distance_values():
-    assert rayleigh_distance(0.0, 0.5) == 0.0
-    assert rayleigh_distance(1.0, 0.5) == pytest.approx(4.0)
-
-
-def test_rayleigh_distance_subarray_scale():
-    # K=6, M=32 at 38 GHz: the formula gives ~3.8 m for the (M-1)d subarray
-    # aperture (not forced to any other figure)
-    cfg = _config(k_subarrays=6, m_antennas=32, gamma=64.0)
-    aperture = (cfg.m_antennas - 1) * cfg.d
-    assert 3.5 < rayleigh_distance(aperture, cfg.wavelength) < 4.2
 
 
 def test_geometry_offsets_override():

@@ -70,13 +70,26 @@ def test_config_rejects_unknown_keys(doc):
     "doc",
     [{"desk_scale": "false"}, {"desk_scale": 1}, {"subarrays": 4.7}, {"seed": 1.9},
      {"streams": 2.5}, {"snapshots": True}, {"paths": "2"}, {"user_antennas": None},
-     {"antennas_per_subarray": 8.0}],
+     {"antennas_per_subarray": 8.0}, {"frequency_ghz": "38"}, {"noise_comm_dbm": True},
+     {"scnr_threshold_db": "5"}, {"spacing_factor": [64.0]},
+     {"user": {"range_m": "40", "angle_deg": 15.0}},
+     {"target": {"range_m": 30.0, "angle_deg": True}},
+     {"interferers": [{"range_m": 30.0, "angle_deg": 40.0, "rcs": "1"}]}],
     ids=lambda doc: "-".join(f"{k}={v!r}" for k, v in doc.items()),
 )
 def test_config_rejects_coercible_values(doc):
-    # int() and bool() would turn each of these into a different scenario
+    # int(), float() and bool() would turn each of these into a different scenario
     with pytest.raises(ConfigurationError, match=next(iter(doc))):
         harness.config_from_dict(doc)
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(ConfigurationError, match="seed"):
+        harness.desk_config(seed=-1)
+    for command in ("run-scenario", "music"):
+        assert cli.main([command, "--desk-scale", "--seed", "-1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"modisac {command}: error: seed must be >= 0, got -1\n"
 
 
 def test_null_threshold_disables_sensing():
@@ -404,14 +417,17 @@ def test_sweep_failure_rows_do_not_abort(tmp_path, capsys):
 @pytest.mark.parametrize(
     "axis, value",
     [("subarray_count", 4.7), ("subarray_count", True), ("rf_chains", "16"),
-     ("rf_chains", 16.0), ("subarray_scale", (2.0, 16)), ("subarray_scale", (2, "16"))],
+     ("rf_chains", 16.0), ("subarray_scale", (2.0, 16)), ("subarray_scale", (2, "16")),
+     ("snr", "20"), ("snr", True), ("scnr_threshold", None), ("user_distance", "25")],
 )
 def test_sweep_axis_values_are_not_coerced(axis, value, capsys):
-    # int() would run K=4 for 4.7, K=1 for True and 16 chains for "16"
+    # int() would run K=4 for 4.7, K=1 for True and 16 chains for "16";
+    # float() would run 1 dB for True and 25 m for "25"
+    kind = "a number" if axis in ("snr", "scnr_threshold", "user_distance") else "an integer"
     _, value_str, row = harness._run_cell((0, axis, value, "fdb", 0, harness.desk_config()))
     assert row.status == "error:ConfigurationError"
     assert value_str == harness._format_value(value)
-    assert f"ConfigurationError: {axis} must be an integer" in capsys.readouterr().err
+    assert f"ConfigurationError: {axis} must be {kind}" in capsys.readouterr().err
 
 
 def test_paired_seeds_across_values(tmp_path):

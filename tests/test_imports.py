@@ -1,9 +1,10 @@
-"""Every import in the package and in the tests is used.
-
-The package's `__init__.py` is exempt: its imports are re-exports.
-"""
+"""Every import in the package and in the tests is used, and importing
+`modisac.harness` loads every layer module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,7 +35,19 @@ def test_no_unused_imports():
         f"{path.relative_to(ROOT)}: {name}"
         for folder in (ROOT / "src" / "modisac", ROOT / "tests")
         for path in sorted(folder.glob("*.py"))
-        if path.name != "__init__.py"
         for name in _unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def test_harness_import_loads_every_layer():
+    # perfbench's tracer looks each layer up in sys.modules after importing
+    # modisac.harness alone; the package __init__ imports nothing
+    code = "import sys, modisac.harness; print(' '.join(sorted(sys.modules)))"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    layers = ("geometry", "channel", "beamform", "opt_manifold", "opt_sdr", "music", "harness")
+    assert [layer for layer in layers if f"modisac.{layer}" not in out] == []
