@@ -20,9 +20,12 @@ complement of the noise basis E (Schmidt 1986). Cells are projected onto
 whichever of E and S has fewer columns: with few sources that is an
 N x n_src product per cell (32x2 on the desk localization scene).
 
-Cells go CHUNK_ENTRIES/N at a time (8192 at N=32) through work arrays
-allocated once per spectrum, ~10 MB whatever N is; a spectrum holds 9 bytes
-a cell beyond them.
+Cells go CHUNK_ENTRIES/N at a time (2048 at N=32) through work arrays
+allocated once per spectrum, ~1.7 MB whatever N is; a spectrum holds 9 bytes
+a cell beyond them. A chunk's arrays keep the cells innermost: coordinates
+and ranges are (K, n), the phasors (M+1, K, n), so each step is one
+contiguous pass over K*n entries, and the M*K x n block of responses is the
+right operand of one GEMM against the basis rows put in its (i, k) order.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from .geometry import COINCIDENT_TOL, ArrayGeometry, DegenerateGeometryError
 
 # Response entries per grid chunk: CHUNK_ENTRIES/N cells at a time.
-CHUNK_ENTRIES = 262_144
+CHUNK_ENTRIES = 65_536
 # The -3 dB range-lobe width is read off a range cut from LOBE_EXTENT m
 # below to LOBE_EXTENT m above the peak, in steps of LOBE_STEP m.
 LOBE_EXTENT = 5.0
@@ -149,59 +152,65 @@ def _unit_phasors(source, scale, out, rho, rho_sq, index, lookup) -> None:
 
 
 def _grid_work(cells: int, k: int, m: int) -> tuple:
-    """Work arrays of `_receive_responses_grid` for up to `cells` cells."""
-    return (np.empty((4, cells, k)), np.empty(cells), np.empty((cells, k), dtype=bool),
-            np.empty(cells, dtype=bool), np.empty((m + 1, cells, k), dtype=complex),
-            np.empty((cells, k * m), dtype=complex), np.empty((cells, k), dtype=np.int64))
+    """Work arrays of `_receive_responses_grid` for up to `cells` cells.
+
+    A chunk of n cells takes the first entries of each, reshaped with the
+    cells innermost, so a partial last chunk is as contiguous as a full one.
+    """
+    return (np.empty((4, k * cells)), np.empty(cells), np.empty(k * cells, dtype=bool),
+            np.empty(cells, dtype=bool), np.empty((m + 1) * k * cells, dtype=complex),
+            np.empty(k * cells, dtype=np.int64))
 
 
 def _receive_responses_grid(
     geometry: ArrayGeometry, x: np.ndarray, y: np.ndarray, work: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked receive responses for flat coordinate arrays.
+    """Receive responses for flat coordinate arrays, element-major.
 
-    Returns (G, degenerate). Row c of G, shape (ncells, K*M), is the receive
-    response g_r of `channel.sensing_response` toward (x[c], y[c]), not its
-    conjugate. Block k is nu_k * [1, z_k, ..., z_k^(M-1)] with
-    nu_k = exp(-j*2*pi*r_k/lambda) and z_k = exp(-j*2*pi*d*sin(theta_k)/lambda),
-    r_k and theta_k the range and angle from receive reference antenna k, so
-    a cell costs 2K unit phasors (`_unit_phasors`: a table entry times a
-    short series each) and K*(M-1) products. `degenerate` marks cells within
-    COINCIDENT_TOL*max(1, r) of a reference antenna, where
-    `geometry.subarray_view` raises; their rows are meaningless. Both are
-    views into `work` (`_grid_work` for at least x.size cells); the ranges
-    r_k stay in work[0][2].
+    Returns (G, degenerate). G has shape (M, K, n) for n = x.size: G[i, k, c]
+    is entry k*M + i of the receive response g_r of `channel.sensing_response`
+    toward (x[c], y[c]), not its conjugate, so G.reshape(M*K, n) holds one
+    response per column with its rows in (i, k) order. Block k is
+    nu_k * [1, z_k, ..., z_k^(M-1)] with nu_k = exp(-j*2*pi*r_k/lambda) and
+    z_k = exp(-j*2*pi*d*sin(theta_k)/lambda), r_k and theta_k the range and
+    angle from receive reference antenna k, so a cell costs 2K unit phasors
+    (`_unit_phasors`: a table entry times a short series each) and K*(M-1)
+    products, each running product one contiguous (K, n) multiply.
+    `degenerate` marks cells within COINCIDENT_TOL*max(1, r) of a reference
+    antenna, where `geometry.subarray_view` raises; their columns are
+    meaningless. Both are views into `work` (`_grid_work` for at least
+    n cells); the ranges r_k stay in work[0][2][:K*n], read as (K, n).
     """
     refs = geometry.reference_positions("rx")
     k, m, n = geometry.k_subarrays, geometry.m_antennas, x.size
-    real, tol, mask, bad, phasors, rows, index = work
-    (dx, dy, dist, phase), tol, mask, bad = real[:, :n], tol[:n], mask[:n], bad[:n]
-    g, step, rows, index = phasors[:m, :n], phasors[m, :n], rows[:n], index[:n]
-    np.subtract(x[:, None], refs[:, 0], out=dx)
-    np.subtract(y[:, None], refs[:, 1], out=dy)
+    real, tol, mask, bad, phasors, index = work
+    dx, dy, dist, phase = real[:, : k * n].reshape(4, k, n)
+    tol, bad = tol[:n], bad[:n]
+    mask, index = mask[: k * n].reshape(k, n), index[: k * n].reshape(k, n)
+    phasors = phasors[: (m + 1) * k * n].reshape(m + 1, k, n)
+    g, step = phasors[:m], phasors[m]
+    np.subtract(x, refs[:, 0, None], out=dx)
+    np.subtract(y, refs[:, 1, None], out=dy)
     # sqrt(dx^2 + dy^2) rounds as subarray_view's norm does; hypot does not
     np.add(np.multiply(dx, dx, out=dist), np.multiply(dy, dy, out=dy), out=dist)
     np.sqrt(dist, out=dist)
     np.multiply(COINCIDENT_TOL, np.maximum(1.0, np.hypot(x, y, out=tol), out=tol), out=tol)
-    if np.less_equal(dist, tol[:, None], out=mask).any():
-        np.any(mask, axis=1, out=bad)
+    if np.less_equal(dist, tol, out=mask).any():
+        np.any(mask, axis=0, out=bad)
     else:
         bad.fill(False)
     # dx becomes sin(theta) = dx/dist, clipped; where dist is 0 it keeps dx/1
     np.divide(dx, dist, out=dx, where=np.greater(dist, 0.0, out=mask))
     np.clip(dx, -1.0, 1.0, out=dx)
     wavenumber = -2.0 * np.pi / geometry.wavelength
-    # dy and phase are free now, and rows, written last, lends the table
-    # lookup its first n*k entries; then fill element-major, where each
-    # running product is one contiguous multiply, and lay the rows out
-    # subarray-major in a single copy
-    lookup = rows.reshape(-1)[: n * k].reshape(n, k)
-    for out, scale, source in ((g[0], wavenumber, dist), (step, wavenumber * geometry.d, dx)):
-        _unit_phasors(source, scale, out, phase, dy, index, lookup)
+    # dy and phase are free now, and phasors[1], written after nu_k and z_k
+    # (and z_k is not needed when M = 1), lends them the table lookup
+    _unit_phasors(dist, wavenumber, g[0], phase, dy, index, phasors[1])
+    if m > 1:
+        _unit_phasors(dx, wavenumber * geometry.d, step, phase, dy, index, phasors[1])
     for i in range(1, m):
         np.multiply(g[i - 1], step, out=g[i])
-    np.copyto(rows.reshape(n, k, m), g.transpose(1, 2, 0))
-    return rows, bad
+    return g, bad
 
 
 def _pseudo_spectrum(
@@ -233,20 +242,32 @@ def _pseudo_spectrum(
     else:
         basis = np.linalg.qr(noise_basis, mode="complete")[0][:, width:]
         offset, sign = float(n), -1.0
-    # |g^T conj(B)| = |B^H g| entrywise: conjugate the small basis, not G,
-    # and sum re^2 + im^2 over a real view of the product
-    basis_conj = basis.conj()
+    k, m = geometry.k_subarrays, geometry.m_antennas
+    width = basis.shape[1]
+    # B^H with its columns in the (i, k) order of the grid responses' rows,
+    # so each chunk is one product B^H G, read straight off the phasors
+    basis_h = basis.reshape(k, m, width).transpose(2, 1, 0).reshape(width, n).conj()
     chunk = CHUNK_ENTRIES // n
     cells = min(chunk, x.size)
-    work = _grid_work(cells, geometry.k_subarrays, geometry.m_antennas)
-    proj_work, denom_work = np.empty((cells, basis.shape[1]), dtype=complex), np.empty(cells)
+    # the outputs before the work arrays, so that glibc's heap frees the
+    # work as one block above them
     values, degenerate = np.empty(x.size), np.empty(x.size, dtype=bool)
+    work = _grid_work(cells, k, m)
+    proj_work, sum_work = np.empty(width * cells, dtype=complex), np.empty(2 * cells)
+    denom_work = np.empty(cells)
     for start in range(0, x.size, chunk):
         sl = slice(start, min(start + chunk, x.size))
         g, bad = _receive_responses_grid(geometry, x.flat[sl], y.flat[sl], work)
+        cols = bad.size
         degenerate[sl] = bad
-        proj = np.matmul(g, basis_conj, out=proj_work[: len(g)]).view(np.float64)
-        denom = np.einsum("ij,ij->i", proj, proj, out=denom_work[: len(g)])
+        proj = proj_work[: width * cols].reshape(width, cols)
+        np.matmul(basis_h, g.reshape(n, cols), out=proj)
+        # |B^H g|^2: square a real view in place, sum it down the basis
+        # columns, then add each cell's re^2 and im^2 sums
+        proj = proj.view(np.float64)
+        np.multiply(proj, proj, out=proj)
+        sums = np.add.reduce(proj, axis=0, out=sum_work[: 2 * cols])
+        denom = np.add(sums[0::2], sums[1::2], out=denom_work[:cols])
         # 1 / (max(offset + sign * denom, 0) + 1e-18), in place
         np.add(offset, np.multiply(sign, denom, out=denom), out=denom)
         np.add(np.maximum(denom, 0.0, out=denom), 1e-18, out=denom)

@@ -182,11 +182,29 @@ def test_grid_responses_match_sensing_response(desk):
     ]
     xy = np.array([p.xy for p in points])
     work = _grid_work(len(points), g.k_subarrays, g.m_antennas)
-    rows, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1], work)
+    responses, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1], work)
     expected = np.array([sensing_response(g, SceneObject(p)).g_r for p in points])
-    assert rows.shape == (400, cfg.n_antennas)
+    # G[i, k, c] is entry k*M + i of the response toward cell c
+    assert responses.shape == (g.m_antennas, g.k_subarrays, 400)
+    rows = responses.transpose(2, 1, 0).reshape(400, cfg.n_antennas)
     assert not degenerate.any()
     assert np.max(np.abs(rows - expected)) <= 5e-11
+
+
+def test_grid_responses_with_one_antenna_per_subarray():
+    # with M = 1 there is no intra-subarray step, and the phasor slot that
+    # lends the table lookup its buffer is nu_k's only neighbour
+    g = build_geometry(harness.apply_axis(harness.desk_config(seed=0), "subarray_scale", (32, 1)))
+    rng = np.random.default_rng(13)
+    points = [PolarPoint(float(r), float(t))
+              for r, t in zip(rng.uniform(1.0, 80.0, 50), rng.uniform(-1.5, 1.5, 50))]
+    xy = np.array([p.xy for p in points])
+    work = _grid_work(len(points), g.k_subarrays, g.m_antennas)
+    responses, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1], work)
+    expected = np.array([sensing_response(g, SceneObject(p)).g_r for p in points])
+    assert responses.shape == (1, 32, 50)
+    assert not degenerate.any()
+    assert np.max(np.abs(responses[0].T - expected)) <= 5e-11
 
 
 def test_music_all_flagged_grid_raises():
@@ -211,8 +229,9 @@ def test_grid_ranges_match_subarray_view_bitwise(desk):
     work = _grid_work(len(points), g.k_subarrays, g.m_antennas)
     _, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1], work)
     expected = np.array([subarray_view(g, "rx", p)[0] for p in points])
+    ranges = work[0][2][: g.k_subarrays * len(points)].reshape(g.k_subarrays, len(points))
     assert not degenerate.any()
-    assert np.array_equal(work[0][2], expected)
+    assert np.array_equal(ranges.T, expected)
 
 
 def _phasors(phase):
@@ -289,19 +308,21 @@ def test_pseudo_spectrum_chunk_invariance(monkeypatch):
 
 def test_music_spectrum_matches_flat_grid_path():
     # music_spectrum reads the grid axes through broadcast views; it must give
-    # bit for bit what the row-major raveled meshgrid gives, over 3 chunks of
-    # 8192 cells (the last one partial) with an antenna cell first in chunk 2
+    # bit for bit what the row-major raveled meshgrid gives, over 10 chunks
+    # of 2048 cells (the last one partial) with an antenna cell first in
+    # chunk 5
     cfg = harness.desk_config(seed=0)
     g = build_geometry(cfg)
     basis = _random_noise_basis(np.random.default_rng(23), cfg.n_antennas, 30)
     nx, ny, step = 100, 200, 0.05
     ref_x = g.reference_positions("rx")[0, 0]
+    chunk = music.CHUNK_ENTRIES // cfg.n_antennas
     iy, ix = divmod(8192, nx)
     grid = GridSpec(ref_x - ix * step, step, ref_x + (nx - 1 - ix) * step,
                     -iy * step, step, (ny - 1 - iy) * step)
     result = music_spectrum(basis, g, grid)
     gx, gy = np.meshgrid(grid.x_axis, grid.y_axis)
-    assert gx.shape == (ny, nx) and gx.size % 8192 != 0
+    assert gx.shape == (ny, nx) and gx.size % chunk != 0
     values, degenerate = _pseudo_spectrum(g, basis, gx.ravel(), gy.ravel())
     peak = int(np.argmax(values))
     assert np.array_equal(result.spectrum, (values / values[peak]).reshape(ny, nx))
@@ -335,8 +356,10 @@ def test_music_spectrum_memory_per_cell():
 
 
 def test_music_spectrum_memory_full_scale():
-    # chunks of 262144/N cells keep the work arrays near 10 MB at N = 192 as
-    # at N = 32; chunks of 8192 cells whatever N is peaked at 54 MB here
+    # chunks of 65536/N cells keep the work arrays near 1.7 MB at N = 192
+    # as at N = 32, and this grid at 2.1 MB; chunks of 8192 cells whatever N
+    # is peaked at 54 MB here, and a (cells, N) copy of the responses beside
+    # the phasors at 3.1 MB
     cfg = harness.config_from_dict({"seed": 0})
     g = build_geometry(cfg)
     basis = _random_noise_basis(np.random.default_rng(5), cfg.n_antennas, cfg.n_antennas - 2)
@@ -349,7 +372,7 @@ def test_music_spectrum_memory_full_scale():
     finally:
         tracemalloc.stop()
     assert result.spectrum.shape == (100, 100)
-    assert peak <= 15e6
+    assert peak <= 2.6e6
 
 
 @pytest.mark.parametrize("width", [0, 1, 16, 17, 30, 31])

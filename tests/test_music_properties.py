@@ -38,8 +38,10 @@ def test_noise_and_signal_side_denominators_agree(seed, width, count):
     theta = rng.uniform(-1.5, 1.5, count)
     x, y = r * np.sin(theta), r * np.cos(theta)
     work = _grid_work(count, geometry.k_subarrays, geometry.m_antennas)
-    rows, degenerate = _receive_responses_grid(geometry, x, y, work)
+    responses, degenerate = _receive_responses_grid(geometry, x, y, work)
     assert not degenerate.any()
+    # one response per row, entry k*M + i from G[i, k, c]
+    rows = responses.transpose(2, 1, 0).reshape(count, n)
     noise_side = np.linalg.norm(rows @ noise.conj(), axis=1) ** 2
     signal_side = n - np.linalg.norm(rows @ signal.conj(), axis=1) ** 2
     bound = 64 * n * np.finfo(float).eps
