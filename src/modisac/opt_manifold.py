@@ -7,8 +7,9 @@ rate objective, power budget and sensing constraint become functions of
 (Q, b); inequality constraints enter through a logarithmic barrier and the
 pair is optimized jointly over U(n_streams) x R^n_streams, with Q kept on
 the manifold by an SVD polar retraction. The problem data come from the
-same `MaxDetProblem` that the SDR solvers take, whose power constraint
-tr(W_BB W_BB^H) <= n_streams/M is the barrier's.
+same `MaxDetProblem` that the SDR solvers take: the barrier has one term
+per row of its constraint list (`MaxDetProblem.constraints`), the power
+budget and, when it is set, the sensing floor.
 
 The paper descends this barrier by first-order Riemannian-Euclidean
 gradient steps. Here each step is a damped Newton step with the exact
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opt_sdr import MaxDetProblem
+from .opt_sdr import MaxDetProblem, water_level
 
 
 class RankDeficiencyError(ValueError):
@@ -55,22 +56,22 @@ class InfeasibleProblemError(RuntimeError):
 
 @dataclass(frozen=True)
 class EigB:
-    """Truncated eigensystem of the reduced rate form plus problem data.
+    """Truncated eigensystem of the reduced rate form plus the constraint list.
 
     b_mat is the noise-normalized Gram matrix of the effective channel,
-    truncated to its top n_streams eigenpairs (u_b, sigma_b). In the
-    coordinates of W_BB = U_B Sigma_B^{-1/2} Q diag(b) the power form is
-    diag(1 / sigma_b) and the sensing form is phi_q = Sigma_B^{-1/2} U_B^H
-    Psi U_B Sigma_B^{-1/2}, both n_streams x n_streams; the sensing
-    constraint tr(W_BB^H Psi W_BB) > gamma0 is active when gamma0 > 0.
+    truncated to its top n_streams eigenpairs (u_b, sigma_b). With
+    T = U_B Sigma_B^{-1/2} and W_BB = T Q diag(b), each constraint
+    tr(W_BB^H D_i W_BB) <= offsets_i of `MaxDetProblem.constraints` reads
+    sum_j b_j^2 (Q^H F_i Q)_jj <= offsets_i with forms[i] = F_i = T^H D_i T,
+    n_streams x n_streams: the power form (Sigma_B^{-1} up to rounding),
+    then the sensing form -T^H Psi T when the problem has a sensing row.
     """
 
     b_mat: np.ndarray
     u_b: np.ndarray
     sigma_b: np.ndarray
-    phi_q: np.ndarray
-    power_budget: float
-    gamma0: float
+    forms: np.ndarray
+    offsets: np.ndarray
     n_streams: int
 
 
@@ -124,7 +125,8 @@ def reduce_b(problem: MaxDetProblem) -> EigB:
 
     The rate form is the Gram matrix of problem.h_eff over the communication
     noise power, so that the manifold objective equals the spectral
-    efficiency in nats.
+    efficiency in nats. The problem's constraint forms D_i are mapped
+    through T = U_B Sigma_B^{-1/2} to T^H D_i T; the offsets are kept.
     """
     g = problem.h_eff
     b_mat = (g.conj().T @ g) / problem.sigma_c_sq
@@ -141,14 +143,14 @@ def reduce_b(problem: MaxDetProblem) -> EigB:
     u_b = vecs[:, :n_streams]
     sigma_b = vals[:n_streams]
     scaled = u_b / np.sqrt(sigma_b)[None, :]
-    phi_q = scaled.conj().T @ problem.psi @ scaled
+    forms, offsets = problem.constraints()
+    forms = scaled.conj().T @ forms @ scaled
     return EigB(
         b_mat=b_mat,
         u_b=u_b,
         sigma_b=sigma_b,
-        phi_q=0.5 * (phi_q + phi_q.conj().T),
-        power_budget=problem.power_budget,
-        gamma0=problem.gamma0,
+        forms=0.5 * (forms + forms.conj().transpose(0, 2, 1)),
+        offsets=offsets,
         n_streams=n_streams,
     )
 
@@ -158,71 +160,52 @@ def assemble_wbb(eig: EigB, state: ManifoldState) -> np.ndarray:
     return (eig.u_b / np.sqrt(eig.sigma_b)[None, :]) @ (state.q * state.b[None, :])
 
 
-def _terms_of(
-    q: np.ndarray, eig: EigB
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Phi_q Q and (diag(Q^H Sigma_B^{-1} Q), real diag(Q^H Phi_q Q))."""
-    phi_q_q = eig.phi_q @ q
-    diag_b = (np.abs(q) ** 2 / eig.sigma_b[:, None]).sum(axis=-2)
-    diag_phi = (q.conj() * phi_q_q).sum(axis=-2).real
-    return phi_q_q, (diag_b, diag_phi)
+def _terms_of(q: np.ndarray, eig: EigB) -> tuple[np.ndarray, np.ndarray]:
+    """F_i Q and real diag(Q^H F_i Q) for every constraint form F_i, by row."""
+    forms_q = eig.forms @ q
+    return forms_q, (q.conj() * forms_q).sum(axis=-2).real
 
 
-def _slacks(state: ManifoldState, eig: EigB) -> tuple[float, float, bool]:
-    """(power slack, sensing slack, sensing_active)."""
-    b2 = state.b**2
-    diag_b, diag_phi = _terms_of(state.q, eig)[1]
-    power_slack = eig.power_budget - float(b2 @ diag_b)
-    active = eig.gamma0 > 0.0
-    sens_slack = float(b2 @ diag_phi) - eig.gamma0 if active else np.inf
-    return power_slack, sens_slack, active
+def _slacks(state: ManifoldState, eig: EigB) -> np.ndarray:
+    """Constraint slacks offsets_i - sum_j b_j^2 (Q^H F_i Q)_jj, one per row."""
+    return eig.offsets - _terms_of(state.q, eig)[1] @ state.b**2
 
 
-def _interior_slacks(state: ManifoldState, eig: EigB) -> tuple[float, float, bool]:
+def _interior_slacks(state: ManifoldState, eig: EigB) -> np.ndarray:
     """`_slacks` at a strictly feasible state; raises InfeasiblePointError
     anywhere else, where the barrier has no gradient."""
-    power_slack, sens_slack, active = _slacks(state, eig)
-    if power_slack <= 0.0 or (active and sens_slack <= 0.0):
+    slacks = _slacks(state, eig)
+    if np.any(slacks <= 0.0):
         raise InfeasiblePointError("gradient requested at an infeasible point")
-    return power_slack, sens_slack, active
+    return slacks
 
 
 def barrier_value(state: ManifoldState, eig: EigB, t: float) -> float:
     """Barrier objective; +inf outside the strictly feasible region.
 
-    f = -sum ln(1+b_i^2) + phi(power slack) + phi(sensing slack) with
-    phi(u) = -ln(u)/t. Natural log throughout; conversion to bits happens
-    only at the metric layer.
+    f = -sum_j ln(1+b_j^2) - sum_i ln(s_i)/t over the constraint slacks s_i.
+    Natural log throughout; conversion to bits happens only at the metric
+    layer.
     """
-    power_slack, sens_slack, active = _slacks(state, eig)
-    if power_slack <= 0.0 or (active and sens_slack <= 0.0):
+    slacks = _slacks(state, eig)
+    if np.any(slacks <= 0.0):
         return np.inf
-    val = -float(np.log1p(state.b**2).sum()) - np.log(power_slack) / t
-    if active:
-        val -= np.log(sens_slack) / t
-    return val
+    return -float(np.log1p(state.b**2).sum()) - float(np.log(slacks).sum()) / t
 
 
 def grad_b(state: ManifoldState, eig: EigB, t: float) -> np.ndarray:
     """Euclidean gradient of the barrier objective with respect to b."""
     b = state.b
-    diag_b, diag_phi = _terms_of(state.q, eig)[1]
-    power_slack, sens_slack, active = _interior_slacks(state, eig)
-    grad = -2.0 * b / (1.0 + b**2) + (2.0 / t) * (diag_b / power_slack) * b
-    if active:
-        grad -= (2.0 / t) * (diag_phi / sens_slack) * b
-    return grad
+    diags = _terms_of(state.q, eig)[1]
+    slacks = _interior_slacks(state, eig)
+    return -2.0 * b / (1.0 + b**2) + (2.0 / t) * ((1.0 / slacks) @ diags) * b
 
 
 def grad_v(state: ManifoldState, eig: EigB, t: float) -> np.ndarray:
     """Euclidean gradient of the barrier objective with respect to Q."""
-    phi_q_q = _terms_of(state.q, eig)[0]
-    power_slack, sens_slack, active = _interior_slacks(state, eig)
-    b2 = state.b**2
-    grad = (2.0 / t) * (state.q / eig.sigma_b[:, None]) * b2[None, :] / power_slack
-    if active:
-        grad -= (2.0 / t) * phi_q_q * b2[None, :] / sens_slack
-    return grad
+    forms_q = _terms_of(state.q, eig)[0]
+    slacks = _interior_slacks(state, eig)
+    return (2.0 / t) * np.tensordot(1.0 / slacks, forms_q, axes=1) * state.b[None, :] ** 2
 
 
 def tangent_project(q: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -250,65 +233,50 @@ def stiefel_retract(z: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
-    """Power allocation maximizing sum log(1 + p_i g_i) under sum p_i <= budget."""
-    gains = np.asarray(gains, dtype=float)
-    powers = np.zeros_like(gains)
-    active = gains > 0
-    order = np.argsort(gains[active])[::-1]
-    idx = np.nonzero(active)[0][order]
-    for keep in range(idx.size, 0, -1):
-        sel = idx[:keep]
-        level = (budget + np.sum(1.0 / gains[sel])) / keep
-        p = level - 1.0 / gains[sel]
-        if p[-1] >= 0:
-            powers[sel] = p
-            break
-    return powers
-
-
 def phase1_feasible(eig: EigB) -> ManifoldState:
     """Construct a strictly feasible starting state or certify infeasibility.
 
-    The streams first get a waterfilling split of 90% of the budget over the
-    channel directions (Q = I); that start is returned whenever it clears
-    the sensing threshold. Otherwise, in the coordinates Y = Q diag(b^2) Q^H
-    the power is tr(Sigma_B^{-1} Y) and the sensing value tr(Phi_q Y), and
-    along v = Sigma_B^{1/2} p, p the top eigenvector of the pencil
-    Sigma_B^{1/2} Phi_q Sigma_B^{1/2}, a unit of power buys lambda_max of
+    The budget is the first offset. The streams first get a waterfilling
+    split of 90% of it over the channel directions (Q = I); that start is
+    returned whenever every slack is positive. Otherwise, in the coordinates
+    Y = Q diag(b^2) Q^H the power is tr(Sigma_B^{-1} Y) and the sensing
+    value tr(Phi Y), Phi = -forms[1] and floor = -offsets[1] being the
+    sensing row, and along v = Sigma_B^{1/2} p, p the top eigenvector of the
+    pencil Sigma_B^{1/2} Phi Sigma_B^{1/2}, a unit of power buys lambda_max of
     sensing. The infeasibility certificate is that bound: no point reaches
     more than budget * lambda_max. Below it, Y = beta v v^H + eps Sigma_B
-    puts beta a tenth of the way from the threshold's power gamma0/lambda_max
+    puts beta a tenth of the way from the threshold's power floor/lambda_max
     to the budget and spends at most half of what remains of the power and
     of the sensing surplus on eps Sigma_B, which is positive definite; Y's
     eigenvectors are Q and b^2 = diag(Q^H Y Q), a sum of nonnegative terms,
     so every gain is positive (a phase-I point; Boyd & Vandenberghe 2004,
     sec. 11.4).
     """
-    ns, budget = eig.n_streams, eig.power_budget
+    ns, budget = eig.n_streams, eig.offsets[0]
+    inv = 1.0 / eig.sigma_b
+    level = water_level(inv, 0.9 * budget)
     start = ManifoldState(
-        q=np.eye(ns, dtype=complex),
-        b=np.sqrt(_waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b),
+        q=np.eye(ns, dtype=complex), b=np.sqrt(np.maximum(level - inv, 0.0) * eig.sigma_b)
     )
-    power_slack, sens_slack, _ = _slacks(start, eig)
-    if power_slack > 0.0 and sens_slack > 0.0:
+    if np.all(_slacks(start, eig) > 0.0):
         return start
 
+    phi, floor = -eig.forms[1], -eig.offsets[1]
     scale = np.sqrt(eig.sigma_b)
-    pencil = (scale[:, None] * eig.phi_q) * scale[None, :]
+    pencil = (scale[:, None] * phi) * scale[None, :]
     pvals, pvecs = np.linalg.eigh(0.5 * (pencil + pencil.conj().T))
     lam = float(pvals[-1])
     bound = budget * lam
-    if bound <= eig.gamma0:
+    if bound <= floor:
         raise InfeasibleProblemError(
             f"sensing threshold unattainable: max value at full power "
-            f"{bound:.6g} <= required {eig.gamma0:.6g}",
+            f"{bound:.6g} <= required {floor:.6g}",
             bound=bound,
         )
-    # beta*lam clears gamma0 by surplus; eps*Sigma_B costs eps*ns of power
+    # beta*lam clears floor by surplus; eps*Sigma_B costs eps*ns of power
     # and adds eps*tr(pencil) of sensing, which may be negative
-    beta = eig.gamma0 / lam + 0.1 * (budget - eig.gamma0 / lam)
-    surplus = beta * lam - eig.gamma0
+    beta = floor / lam + 0.1 * (budget - floor / lam)
+    surplus = beta * lam - floor
     eps = 0.5 * (budget - beta) / ns
     if pvals.sum() < 0.0:
         eps = min(eps, 0.5 * surplus / -pvals.sum())
@@ -373,10 +341,9 @@ def barrier_derivatives(
     `grad_v`, `tangent_project` and `grad_b`: with K = skew(Q^H grad_v),
     d/d omega_k is 2 Re K_ij along the real direction of the pair (i, j)
     and 2 Im K_ij along the imaginary one. Each barrier term -ln(u)/t of a
-    slack u linear in a form's value s adds (grad s grad s^T / u^2 +- hess
-    s / u)/t (+ for the power slack P - s, - for the sensing slack s -
-    gamma0), and the rate -ln(1 + b_i^2) adds -2(1 - b_i^2)/(1 + b_i^2)^2
-    on the gains' diagonal.
+    slack u = offset_i - s, s the value of the constraint form F_i, adds
+    (grad s grad s^T / u^2 + hess s / u)/t, and the rate -ln(1 + b_i^2)
+    adds -2(1 - b_i^2)/(1 + b_i^2)^2 on the gains' diagonal.
     """
     q, b = state.q, state.b
     n = b.size
@@ -385,16 +352,12 @@ def barrier_derivatives(
     skew = -q.conj().T @ tangent_project(q, grad_v(state, eig, t))
     pairs = skew[rows, cols]
     grad = np.concatenate([2.0 * pairs.real, 2.0 * pairs.imag, grad_b(state, eig, t)])
-    power_slack, sens_slack, active = _interior_slacks(state, eig)
     hess = np.zeros((n * n, n * n))
     gains = np.arange(basis.shape[0], n * n)
     hess[gains, gains] = -2.0 * (1.0 - b**2) / (1.0 + b**2) ** 2
-    forms = [(q.conj().T @ (q / eig.sigma_b[:, None]), power_slack, 1.0)]
-    if active:
-        forms.append((q.conj().T @ eig.phi_q @ q, sens_slack, -1.0))
-    for m0, slack, sign in forms:
-        g_s, h_s = _form_derivatives(m0, b, basis)
-        hess += (np.outer(g_s, g_s) / slack**2 + sign * h_s / slack) / t
+    for form, slack in zip(eig.forms, _interior_slacks(state, eig)):
+        g_s, h_s = _form_derivatives(q.conj().T @ form @ q, b, basis)
+        hess += (np.outer(g_s, g_s) / slack**2 + h_s / slack) / t
     return grad, hess
 
 

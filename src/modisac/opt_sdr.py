@@ -16,8 +16,10 @@ per-subarray power proxy n_streams/M; with the identity basis and M = 1 it
 is the full N-dimensional problem under the exact transmit power. A
 rank-n_streams beamformer is then recovered by scaling random Gaussian
 sketches of the optimal covariance and keeping the best rate among those
-meeting the sensing constraint. The same `MaxDetProblem` is RM-JGD's
-problem too (`opt_manifold.reduce_b`).
+meeting the sensing constraint. Both constraints are one list,
+tr(R D_i) <= b_i with D = (I, -Psi) and b = (budget, -gamma0)
+(`MaxDetProblem.constraints`): the dual's multipliers weight it, and
+RM-JGD's barrier sums over the same list (`opt_manifold.reduce_b`).
 """
 
 from __future__ import annotations
@@ -53,6 +55,17 @@ class MaxDetProblem:
     @property
     def sensing_active(self) -> bool:
         return self.gamma0 > 0.0
+
+    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Forms D and offsets b of the constraints tr(R D_i) <= b_i.
+
+        D = (I, -Psi) and b = (P, -gamma0): the power budget, then the
+        sensing floor, whose row is left out when gamma0 <= 0.
+        """
+        eye = np.eye(self.dim)
+        if not self.sensing_active:
+            return eye[None], np.array([self.power_budget])
+        return np.stack([eye, -self.psi]), np.array([self.power_budget, -self.gamma0])
 
 
 @dataclass
@@ -156,7 +169,7 @@ def _dual_point(
 ) -> Optional[_DualPoint]:
     """Dual function at multipliers theta; None outside its domain A > 0.
 
-    The constraints read tr(R D_i) <= b_i with D = (I, -Psi), b = (P, -gamma0)
+    The constraints read tr(R D_i) <= b_i (`MaxDetProblem.constraints`)
     and A = sum_i theta_i D_i. With A = L L^H and the SVD
     (H_eff / sigma_c) L^-H = U diag(sqrt(kappa)) V^H, W = L^-H V has
     W^H A W = I and W^H H_eff^H H_eff W / sigma_c^2 = diag(kappa), so the
@@ -245,6 +258,16 @@ def _make_feasible(
     return out
 
 
+def water_level(inv: np.ndarray, budget: float) -> float:
+    """Water level of max sum ln(1 + p_i / inv_i) s.t. sum p_i <= budget.
+
+    inv holds the channels' positive inverse gains in ascending order; the
+    optimal powers are (level - inv_i)^+.
+    """
+    levels = (budget + np.cumsum(inv)) / np.arange(1, inv.size + 1)
+    return float(levels[np.flatnonzero(levels > inv)[-1]])
+
+
 def solve_maxdet(problem: MaxDetProblem) -> SdpSolution:
     """Solve the relaxed covariance problem through its two-multiplier dual.
 
@@ -270,7 +293,8 @@ def solve_maxdet(problem: MaxDetProblem) -> SdpSolution:
             zero.status = "infeasible"
             zero.message = "zero power budget cannot meet the sensing constraint"
         return zero
-    forms, offsets, top = eye[None], np.array([budget]), None
+    forms, offsets = problem.constraints()
+    top = None
     if problem.sensing_active:
         lams, vecs = np.linalg.eigh(problem.psi)
         bound = budget * float(lams[-1])
@@ -283,8 +307,6 @@ def solve_maxdet(problem: MaxDetProblem) -> SdpSolution:
             return zero
         v = vecs[:, -1]
         top = budget * np.outer(v, v.conj())
-        forms = np.stack([eye, -problem.psi])
-        offsets = np.array([budget, -problem.gamma0])
     channel = problem.h_eff / np.sqrt(problem.sigma_c_sq)
     # at nu = 0 the kappa are the squared singular values of the channel
     # over mu, so the water level sets mu exactly
@@ -292,8 +314,7 @@ def solve_maxdet(problem: MaxDetProblem) -> SdpSolution:
     inv = np.sort(1.0 / sv[sv > 0.0] ** 2)
     theta = np.eye(len(offsets))[0]  # (mu, nu) = (1, 0)
     if inv.size:
-        levels = (budget + np.cumsum(inv)) / np.arange(1, inv.size + 1)
-        theta[0] = 1.0 / levels[np.flatnonzero(levels > inv)[-1]]
+        theta[0] = 1.0 / water_level(inv, budget)
     point = _dual_point(theta, forms, offsets, channel)
     steps = 0
     message = ""
@@ -392,21 +413,15 @@ def sdr_rrs(problem: MaxDetProblem, rng: np.random.Generator) -> SdrResult:
         return SdrResult(
             w_bb=None, se_bits=np.nan, status="infeasible", solution=solution
         )
-    try:
-        w = randomize_rank(
-            solution, problem, rng, trials=TRIALS_PER_STREAM * problem.n_streams
-        )
-    except RandomizationFailure:
+    for per_stream in (TRIALS_PER_STREAM, RETRY_PER_STREAM):
         try:
-            w = randomize_rank(
-                solution, problem, rng, trials=RETRY_PER_STREAM * problem.n_streams
-            )
+            w = randomize_rank(solution, problem, rng, trials=per_stream * problem.n_streams)
+            break
         except RandomizationFailure:
-            return SdrResult(
-                w_bb=None,
-                se_bits=np.nan,
-                status="randomization_failed",
-                solution=solution,
-            )
+            pass
+    else:
+        return SdrResult(
+            w_bb=None, se_bits=np.nan, status="randomization_failed", solution=solution
+        )
     se = _rate_bits(problem.h_eff @ w, problem.sigma_c_sq)
     return SdrResult(w_bb=w, se_bits=se, status=solution.status, solution=solution)

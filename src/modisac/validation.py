@@ -268,32 +268,34 @@ def probe_state(
     threshold with margin; the unitary factor carries a random rotation.
     """
     ns = eig.n_streams
-    budget = eig.power_budget
+    budget = eig.offsets[0]
+    # the power slack keeps 30% of the budget, a sensing slack twice its floor
+    margins = np.array([0.3, 2.0])[: eig.offsets.size] * np.abs(eig.offsets)
     for _ in range(60):
         q1, _ = np.linalg.qr(
             np.eye(ns)
             + 0.3 * (rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns)))
         )
-        diag_b, diag_phi = opt_manifold._terms_of(q1, eig)[1]
+        diags = opt_manifold._terms_of(q1, eig)[1]
         b = np.minimum(
-            0.5, np.sqrt(0.1 * budget / (ns * np.maximum(diag_b, 1e-300)))
+            0.5, np.sqrt(0.1 * budget / (ns * np.maximum(diags[0], 1e-300)))
         ) * rng.uniform(0.6, 1.0, ns)
-        if eig.gamma0 > 0.0:
-            j0 = int(np.argmax(diag_phi))
-            if diag_phi[j0] <= 0.0:
+        if eig.offsets.size > 1:
+            # sensing per unit gain^2 is the negated diagonal of its form
+            j0 = int(np.argmin(diags[1]))
+            if diags[1, j0] >= 0.0:
                 continue
-            b_sens = np.sqrt(5.0 * eig.gamma0 / diag_phi[j0])
+            b_sens = np.sqrt(5.0 * eig.offsets[1] / diags[1, j0])
             for _ in range(30):
                 trial = b.copy()
                 trial[j0] = max(trial[j0], b_sens)
                 state = opt_manifold.ManifoldState(q1, trial)
-                p_slack, s_slack, _ = opt_manifold._slacks(state, eig)
-                if p_slack > 0.3 * budget and s_slack > 2.0 * eig.gamma0:
+                if np.all(opt_manifold._slacks(state, eig) > margins):
                     return state
                 b *= 0.5
         else:
             state = opt_manifold.ManifoldState(q1, b)
-            if opt_manifold._slacks(state, eig)[0] > 0.3 * budget:
+            if np.all(opt_manifold._slacks(state, eig) > margins):
                 return state
     raise RuntimeError("could not construct a well-conditioned probe state")
 

@@ -70,9 +70,9 @@ def restricted_optimum_bits(eig, psi: np.ndarray) -> float:
     problem = MaxDetProblem(
         h_eff=np.diag(np.sqrt(eig.sigma_b)).astype(complex),
         sigma_c_sq=1.0,
-        power_budget=eig.power_budget,
+        power_budget=eig.offsets[0],
         psi=0.5 * (psi_b + psi_b.conj().T),
-        gamma0=eig.gamma0,
+        gamma0=-eig.offsets[1] if eig.offsets.size > 1 else 0.0,
         n_streams=eig.n_streams,
     )
     solution = solve_maxdet(problem)

@@ -25,7 +25,7 @@ from modisac.opt_manifold import (
     stiefel_retract,
     tangent_project,
 )
-from modisac.opt_sdr import MaxDetProblem
+from modisac.opt_sdr import MaxDetProblem, _dual_point
 from modisac.validation import (
     central_differences,
     descent_converged,
@@ -56,7 +56,7 @@ def synthetic_eig(eigenvalues, budget: float) -> EigB:
 
 
 def no_sensing(eig: EigB) -> EigB:
-    return dataclasses.replace(eig, gamma0=0.0)
+    return dataclasses.replace(eig, forms=eig.forms[:1], offsets=eig.offsets[:1])
 
 
 def random_feasible_state(eig, t, rng, scale=0.15) -> ManifoldState:
@@ -69,17 +69,15 @@ def random_feasible_state(eig, t, rng, scale=0.15) -> ManifoldState:
 
     base = phase1_feasible(eig)
     ns = eig.n_streams
+    # 5% of the budget and half the sensing floor left over
+    margins = np.array([0.05, 0.5])[: eig.offsets.size] * np.abs(eig.offsets)
     for _ in range(60):
         q1, _ = np.linalg.qr(
             np.eye(ns) + scale * (rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns)))
         )
         b = base.b * rng.uniform(0.5, 0.85, size=ns)
         state = ManifoldState(q=q1, b=b)
-        power_slack, sens_slack, active = _slacks(state, eig)
-        healthy = power_slack > 0.05 * eig.power_budget and (
-            not active or sens_slack > 0.5 * eig.gamma0
-        )
-        if healthy and np.isfinite(barrier_value(state, eig, t)):
+        if np.all(_slacks(state, eig) > margins) and np.isfinite(barrier_value(state, eig, t)):
             return state
         scale *= 0.8
     return base
@@ -113,20 +111,34 @@ def test_reduce_b_rank_error(desk_data):
 
 
 def test_reduced_eig_shares_budget_and_threshold(desk_problem):
-    data, eig = desk_problem
-    problem = data.problem
-    assert problem.gamma0 > 0.0
-    assert (eig.power_budget, eig.gamma0) == (problem.power_budget, problem.gamma0)
+    """EigB carries the problem's constraint list, D = (I, -Psi) and
+    b = (P, -gamma0), mapped through T = U_B Sigma_B^{-1/2}: the offsets as
+    they are and forms[i] = T^H D_i T. At gamma0 = 0 the list is the budget's
+    row alone."""
+    data, _ = desk_problem
+    assert data.problem.gamma0 > 0.0
+    for problem in (data.problem, dataclasses.replace(data.problem, gamma0=0.0)):
+        eig = reduce_b(problem)
+        forms, offsets = problem.constraints()
+        rows = 2 if problem.gamma0 > 0.0 else 1
+        assert np.array_equal(forms, np.stack([np.eye(problem.dim), -problem.psi])[:rows])
+        assert np.array_equal(offsets, [problem.power_budget, -problem.gamma0][:rows])
+        assert np.array_equal(eig.offsets, offsets) and len(eig.forms) == rows
+        t_map = eig.u_b / np.sqrt(eig.sigma_b)[None, :]
+        for form, d in zip(eig.forms, forms):
+            ref = t_map.conj().T @ d @ t_map
+            assert np.linalg.norm(form - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_phi_tilde_hermitian_and_quadratic_identity(desk_problem, rng):
     data, eig = desk_problem
-    assert np.max(np.abs(eig.phi_q - eig.phi_q.conj().T)) < 1e-12
+    phi_q = -eig.forms[1]
+    assert np.max(np.abs(phi_q - phi_q.conj().T)) < 1e-12
     psi = data.problem.psi
     state = random_feasible_state(eig, BARRIER_T, rng)
     w = assemble_wbb(eig, state)
     cols = state.q * state.b[None, :]
-    lhs = float(np.real(np.sum(cols.conj() * (eig.phi_q @ cols))))
+    lhs = float(np.real(np.sum(cols.conj() * (phi_q @ cols))))
     rhs = float(np.real(np.sum(w.conj() * (psi @ w))))
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
 
@@ -179,7 +191,7 @@ def _barrier_from_wbb(eig, state, psi, gamma0, t):
     """
     w = assemble_wbb(eig, state)
     _, rate = np.linalg.slogdet(np.eye(w.shape[1]) + w.conj().T @ eig.b_mat @ w)
-    power_slack = eig.power_budget - np.linalg.norm(w) ** 2
+    power_slack = eig.offsets[0] - np.linalg.norm(w) ** 2
     sens_slack = np.real(np.trace(w.conj().T @ psi @ w)) - gamma0
     if power_slack <= 0 or (gamma0 > 0 and sens_slack <= 0):
         return np.inf
@@ -200,8 +212,9 @@ def test_barrier_value_matches_wbb_form(desk_problem, rng, sensing):
     """
     data, eig = desk_problem
     psi = data.problem.psi
+    gamma0 = -eig.offsets[1]
     if not sensing:
-        eig = no_sensing(eig)
+        eig, gamma0 = no_sensing(eig), 0.0
     t = BARRIER_T
     ns = eig.n_streams
     finite = infinite = 0
@@ -216,7 +229,7 @@ def test_barrier_value_matches_wbb_form(desk_problem, rng, sensing):
         for step in (0.0, 0.1, 0.5, 2.0, 10.0):
             state = ManifoldState(q, base.b + step * direction)
             value = barrier_value(state, eig, t)
-            reference = _barrier_from_wbb(eig, state, psi, eig.gamma0, t)
+            reference = _barrier_from_wbb(eig, state, psi, gamma0, t)
             if np.isinf(reference):
                 assert value == np.inf
                 infinite += 1
@@ -286,7 +299,7 @@ def test_grad_v_matches_finite_differences(desk_problem, rng):
 
 def test_grad_at_infeasible_point_raises(desk_problem):
     _, eig = desk_problem
-    assert eig.gamma0 > 0.0
+    assert eig.offsets.size == 2
     # gains of 1e6 overrun the power budget; zero gains miss the sensing threshold
     for gain in (1e6, 0.0):
         bad = ManifoldState(
@@ -413,7 +426,7 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
     steps are the ones that compare finite barrier values.
     """
     data, eig = desk_problem
-    assert eig.gamma0 > 0.0
+    assert eig.offsets.size == 2
     psi = data.problem.psi
     t = BARRIER_T
     ns = eig.n_streams
@@ -433,7 +446,7 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
             return _full_width_barrier(
                 v_.astype(xp), state.b.astype(np.longdouble), u_b,
                 eig.sigma_b.astype(np.longdouble), psi.astype(xp),
-                eig.power_budget, eig.gamma0, t,
+                eig.offsets[0], -eig.offsets[1], t,
             )
 
         f_ref, g_ref = full(v)
@@ -470,7 +483,7 @@ def test_phase1_no_sensing_immediate(desk_problem):
 
 def test_phase1_huge_threshold_certificate(desk_problem):
     _, eig = desk_problem
-    impossible = dataclasses.replace(eig, gamma0=1e12)
+    impossible = dataclasses.replace(eig, offsets=np.array([eig.offsets[0], -1e12]))
     with pytest.raises(InfeasibleProblemError) as err:
         phase1_feasible(impossible)
     assert err.value.bound < 1e12
@@ -621,7 +634,7 @@ def test_barrier_hessian_matches_central_differences(desk_problem, rng, case):
     else:
         eig = reduce_b(harness.prepare_scenario(harness.config_from_dict({"seed": 0})).problem)
         cases = [(probe_state(eig, rng), 1e-4, 1e-5)]
-    assert eig.n_streams == int(case[-1]) and eig.gamma0 > 0.0
+    assert eig.n_streams == int(case[-1]) and eig.offsets.size == 2
     for state, h, tol in cases:
         err_g, err_h = _pullback_errors(state, eig, BARRIER_T, h)
         assert err_g < tol and err_h < tol, (err_g, err_h)
@@ -659,7 +672,13 @@ def test_rmjgd_desk_cells_end_ok_near_restricted_optimum():
     """Every feasible rm_jgd row of the 54 desk_sweep cells is `ok` within
     0.05 bits of its restricted optimum (measured 0.0144-0.0287, the
     barrier's bias at t = 100 being at most 2/(100 ln 2) = 0.0289), and at
-    most the optimum. The 9 others are phase 1's `infeasible_subspace`."""
+    most the optimum. The 9 others are phase 1's `infeasible_subspace`.
+
+    Each converged state also certifies its gap. In Y = Q diag(b^2) Q^H the
+    rate form is I, so the restricted problem's dual is `_dual_point` over
+    the EigB constraint list with the identity channel; at the barrier's
+    multipliers 1/(t s_i) it is defined and exceeds the row's rate by the
+    bias m/t nats, m = 2 rows (measured 0.0288539008-0.0288539010 bits)."""
     gaps, statuses = [], []
     for cfg in _desk_sweep_cells():
         row = harness.run_scenario(cfg, "rm_jgd")
@@ -667,7 +686,14 @@ def test_rmjgd_desk_cells_end_ok_near_restricted_optimum():
         if row.status == "infeasible_subspace":
             continue
         problem = harness.prepare_scenario(cfg).problem
-        gaps.append(restricted_optimum_bits(reduce_b(problem), problem.psi) - row.se_bits)
+        eig = reduce_b(problem)
+        gaps.append(restricted_optimum_bits(eig, problem.psi) - row.se_bits)
+        state = rm_jgd(eig, BARRIER_T, phase1_feasible(eig)).state
+        multipliers = 1.0 / (BARRIER_T * opt_manifold._slacks(state, eig))
+        dual = _dual_point(multipliers, eig.forms, eig.offsets, np.eye(eig.n_streams))
+        assert dual is not None and eig.offsets.size == 2
+        bias = eig.offsets.size / (BARRIER_T * np.log(2.0))
+        assert dual.value / np.log(2.0) == pytest.approx(row.se_bits + bias, rel=0, abs=1e-8)
     assert statuses.count("ok") == 45 and statuses.count("infeasible_subspace") == 9
     assert -1e-6 <= min(gaps) and max(gaps) <= 0.05
 

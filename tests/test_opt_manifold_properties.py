@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from modisac import opt_manifold  # noqa: E402
+from modisac.opt_sdr import water_level  # noqa: E402
 from modisac.opt_manifold import (  # noqa: E402
     BARRIER_T,
     EigB,
@@ -35,9 +36,8 @@ def _eig(n, log_cond, top, spread, budget, gamma0, seed) -> EigB:
         b_mat=np.diag(sigma).astype(complex),
         u_b=np.eye(n, dtype=complex),
         sigma_b=sigma,
-        phi_q=0.5 * (phi + phi.conj().T),
-        power_budget=budget,
-        gamma0=gamma0,
+        forms=np.stack([np.diag(1.0 / sigma), -0.5 * (phi + phi.conj().T)]),
+        offsets=np.array([budget, -gamma0]),
         n_streams=n,
     )
 
@@ -71,9 +71,10 @@ def test_phase1_starts_or_certifies(n, log_cond, top, spread, budget, seed, frac
     state = phase1_feasible(eig)
     assert np.linalg.norm(state.q.conj().T @ state.q - np.eye(n)) < 1e-10
     assert np.isfinite(barrier_value(state, eig, BARRIER_T))
+    inv = 1.0 / eig.sigma_b
+    level = water_level(inv, 0.9 * budget)
     wf = ManifoldState(
-        np.eye(n, dtype=complex),
-        np.sqrt(opt_manifold._waterfill(eig.sigma_b, 0.9 * budget) * eig.sigma_b),
+        np.eye(n, dtype=complex), np.sqrt(np.maximum(level - inv, 0.0) * eig.sigma_b)
     )
     if opt_manifold._slacks(wf, eig)[1] <= 0.0:
         assert np.all(state.b > 0.0)

@@ -292,15 +292,6 @@ def power_problem(data, power):
     return data.problem if power == "identity" else exact_power_problems(data)[1]
 
 
-def dual_data(problem):
-    """Constraint forms D = (I, -Psi) and offsets b = (P, -gamma0) of the dual."""
-    eye = np.eye(problem.dim)
-    if not problem.sensing_active:
-        return eye[None], np.array([problem.power_budget])
-    forms = np.stack([eye, -problem.psi])
-    return forms, np.array([problem.power_budget, -problem.gamma0])
-
-
 def off_optimum_multipliers(problem):
     """Multipliers away from the optimum: two eigenchannels active and, with
     sensing, nu halfway to the edge of the domain A = mu I - nu Psi > 0."""
@@ -320,7 +311,7 @@ def test_dual_gradient_is_constraint_residuals(request, scale, sensing, power):
     problem = power_problem(request.getfixturevalue(scale), power)
     if not sensing:
         problem = dataclasses.replace(problem, gamma0=0.0)
-    forms, offsets = dual_data(problem)
+    forms, offsets = problem.constraints()
     channel = problem.h_eff / np.sqrt(problem.sigma_c_sq)
     theta = off_optimum_multipliers(problem)
     point = _dual_point(theta, forms, offsets, channel)
@@ -413,7 +404,7 @@ def test_newton_direction_matches_dense(request, scale, sensing, power, gain):
     if not sensing:
         problem = dataclasses.replace(problem, gamma0=0.0)
     theta = off_optimum_multipliers(problem)
-    forms, offsets = dual_data(problem)
+    forms, offsets = problem.constraints()
     channel = np.sqrt(gain / problem.sigma_c_sq) * problem.h_eff
     point = _dual_point(theta, forms, offsets, channel)
     delta = -np.linalg.pinv(point.hess) @ point.grad  # as in _newton_step
