@@ -20,23 +20,25 @@ from .geometry import ArrayGeometry, steering_vector
 
 
 def check_hybrid(
-    w_rf: np.ndarray, w_bb: np.ndarray, k_subarrays: int, m_antennas: int
+    w_rf: np.ndarray, w_bb: np.ndarray, k_subarrays: int, budget: float
 ) -> None:
     """Enforce the structural invariants of W_RF W_BB; raises on violation.
 
     Off-block analog entries must be exactly zero, in-block entries unit
-    modulus, and the per-subarray power proxy within the stream budget.
+    modulus, and ||W_BB||_F^2 within `budget`, the problem's power_budget:
+    the proxy M ||W_BB||_F^2, M the rows per subarray, may exceed M * budget
+    by at most 1e-9.
     """
     ok, mod_err = analog_feasibility(w_rf, k_subarrays)
     if not ok:
         raise ValueError("analog beamformer has support outside its blocks")
     if mod_err > 1e-9:
         raise ValueError(f"analog entries deviate from unit modulus by {mod_err:.2e}")
-    n_streams = w_bb.shape[1]
-    proxy = m_antennas * float(np.linalg.norm(w_bb) ** 2)
-    if proxy > n_streams + 1e-9:
+    m = w_rf.shape[0] // k_subarrays
+    proxy = m * float(np.linalg.norm(w_bb) ** 2)
+    if proxy > m * budget + 1e-9:
         raise ValueError(
-            f"proxy transmit power {proxy:.12g} exceeds the stream budget {n_streams}"
+            f"proxy transmit power {proxy:.12g} exceeds M * budget = {m * budget:.12g}"
         )
 
 

@@ -202,7 +202,9 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
 
     The RNG order is fixed (layout draw, then path scatterers) so a seed
     pins the whole instance. The fixed receive filter comes from
-    omnidirectional transmission R_X = I.
+    omnidirectional transmission R_X = I. The configured stream count, or
+    None, goes to `opt_sdr.make_maxdet_problem`, which sets the count and
+    the power budget.
     """
     rng = np.random.default_rng(config.seed)
     geometry = geo.build_geometry(config, _layout_offsets(config, rng))
@@ -211,20 +213,9 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
     responses = channel.build_responses(geometry, config.scene_objects)
     w_fixed = beamform.mvdr_receive(responses, np.eye(config.n_antennas), config.sigma_s_sq)
     u_tilde = beamform.build_subspace(geometry, paths, responses)
-    if config.n_streams is not None:
-        n_streams = config.n_streams
-    else:
-        # channel rank, additionally capped by the usable rank of the reduced
-        # rate form: `reduce_b` keeps eigenvalues of G^H G above 1e-10 times
-        # the largest, i.e. singular values of G = H U_tilde above 1e-5
-        n_streams = min(
-            channel.numerical_rank(h),
-            channel.numerical_rank(h @ u_tilde, 1e-5),
-            u_tilde.shape[1],
-        )
     problem = opt_sdr.make_maxdet_problem(
         h, u_tilde, responses, w_fixed, config.scnr_min, config.sigma_c_sq,
-        config.sigma_s_sq, n_streams, config.m_antennas,
+        config.sigma_s_sq, config.n_streams, config.m_antennas,
     )
     return ScenarioData(
         config=config,
@@ -312,7 +303,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
             init = opt_manifold.phase1_feasible(eig)
             result = opt_manifold.rm_jgd(eig, opt_manifold.BARRIER_T, init)
             status, w_bb, iterations = result.status, result.w_bb, result.iterations
-            se_bits = beamform.spectral_efficiency(data.h, w_rf, w_bb, config.sigma_c_sq)
+            se_bits = beamform._rate_bits(data.problem.h_eff @ w_bb, data.problem.sigma_c_sq)
         elif algorithm == "sdr_rrs":
             # salt 2 keeps the randomization draws apart from the scenario's
             rng = np.random.default_rng(derive_seed(config.seed, 2))
@@ -339,7 +330,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
     scnr_db = power_exact = power_proxy = np.nan
     r_x = None
     if w_bb is not None:
-        beamform.check_hybrid(w_rf, w_bb, config.k_subarrays, config.m_antennas)
+        beamform.check_hybrid(w_rf, w_bb, config.k_subarrays, data.problem.power_budget)
         ww = w_rf @ w_bb
         r_x = ww @ ww.conj().T
         power_exact, power_proxy = beamform.transmit_power(w_rf, w_bb)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opt_sdr import MaxDetProblem, water_level
+from .channel import numerical_rank
+from .opt_sdr import RANK_TOL, MaxDetProblem, water_level
 
 
 class RankDeficiencyError(ValueError):
@@ -98,8 +99,6 @@ NEWTON_TOL = 1e-12
 # at desk scale, and a floor of 1e-10 left 42 of the 45 feasible desk runs
 # at the iteration cap.
 EIG_FLOOR = 1e-16
-# Rate-form eigenvalues at or below this fraction of the largest count as zero.
-RANK_CUTOFF = 1e-10
 # Largest ||Q^H Q - I|| that `tangent_project` accepts.
 DRIFT_TOL = 1e-6
 # Iteration cap of `rm_jgd`.
@@ -126,20 +125,21 @@ def reduce_b(problem: MaxDetProblem) -> EigB:
     The rate form is the Gram matrix of problem.h_eff over the communication
     noise power, so that the manifold objective equals the spectral
     efficiency in nats. The problem's constraint forms D_i are mapped
-    through T = U_B Sigma_B^{-1/2} to T^H D_i T; the offsets are kept.
+    through T = U_B Sigma_B^{-1/2} to T^H D_i T; the offsets are kept. A
+    stream count above the numerical rank of h_eff at `opt_sdr.RANK_TOL`,
+    the rule that sets the default count, raises RankDeficiencyError.
     """
     g = problem.h_eff
+    n_streams, rank = problem.n_streams, numerical_rank(g, RANK_TOL)
+    if n_streams > rank:
+        raise RankDeficiencyError(
+            f"n_streams={n_streams} exceeds numerical rank {rank} of the rate form"
+        )
     b_mat = (g.conj().T @ g) / problem.sigma_c_sq
     b_mat = 0.5 * (b_mat + b_mat.conj().T)
     vals, vecs = np.linalg.eigh(b_mat)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     vals = np.clip(vals, 0.0, None)
-    rank = int(np.count_nonzero(vals > RANK_CUTOFF * vals[0])) if vals[0] > 0 else 0
-    n_streams = problem.n_streams
-    if n_streams > rank:
-        raise RankDeficiencyError(
-            f"n_streams={n_streams} exceeds numerical rank {rank} of the rate form"
-        )
     u_b = vecs[:, :n_streams]
     sigma_b = vals[:n_streams]
     scaled = u_b / np.sqrt(sigma_b)[None, :]

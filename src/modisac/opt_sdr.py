@@ -11,12 +11,13 @@ in closed form, and damped Newton steps on the convex two-scalar dual (a
 2x2 Hessian) find the multipliers (Yu & Lan 2007; Palomar & Fonollosa 2005).
 The dual value certifies an upper bound on the relaxation.
 `make_maxdet_problem` forms the problem, sensing constraint included, in
-any transmit basis: over R_BB (basis U_tilde) the budget is the
-per-subarray power proxy n_streams/M; with the identity basis and M = 1 it
-is the full N-dimensional problem under the exact transmit power. A
-rank-n_streams beamformer is then recovered by scaling random Gaussian
-sketches of the optimal covariance and keeping the best rate among those
-meeting the sensing constraint. Both constraints are one list,
+any transmit basis and is the one place that sets the stream count and the
+power budget: over R_BB (basis U_tilde) the budget is the per-subarray
+power proxy n_streams/M; with the identity basis and M = 1 it is the full
+N-dimensional problem under the exact transmit power. A rank-n_streams
+beamformer is then recovered by scaling random Gaussian sketches of the
+optimal covariance and keeping the best rate among those meeting the
+sensing constraint. Both constraints are one list,
 tr(R D_i) <= b_i with D = (I, -Psi) and b = (budget, -gamma0)
 (`MaxDetProblem.constraints`): the dual's multipliers weight it, and
 RM-JGD's barrier sums over the same list (`opt_manifold.reduce_b`).
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .beamform import _rate_bits, phi_matrices, sensing_form
-from .channel import ObjectResponse
+from .channel import ObjectResponse, numerical_rank
 
 
 class RandomizationFailure(RuntimeError):
@@ -94,6 +95,9 @@ RETRY_PER_STREAM = 100
 # after MAX_NEWTON_STEPS dual Newton steps.
 GAP_TOL = 1e-10
 MAX_NEWTON_STEPS = 500
+# Singular values of H_eff at or below this fraction of the largest count as
+# zero: the default stream count, and the most streams `reduce_b` accepts.
+RANK_TOL = 1e-5
 
 
 @dataclass
@@ -114,18 +118,22 @@ def make_maxdet_problem(
     scnr_min: float,
     sigma_c_sq: float,
     sigma_s_sq: float,
-    n_streams: int,
+    n_streams: Optional[int],
     m_antennas: int,
 ) -> MaxDetProblem:
     """Problem over R with R_X = B R B^H: the SCNR floor under filter w and tr(R) <= n_s/M.
 
-    tr(R Psi) >= gamma0 = scnr_min * sigma_s^2 * ||w||^2. B = U_tilde with M
-    the subarray size gives the proxy budget M*||W_BB||_F^2 <= n_streams;
+    tr(R Psi) >= gamma0 = scnr_min * sigma_s^2 * ||w||^2. n_streams None
+    takes n_s as the numerical rank of H_eff = H B at RANK_TOL. B = U_tilde
+    with M the subarray size gives the proxy budget M*||W_BB||_F^2 <= n_s;
     B = I_N with M = 1 gives the full problem under the exact transmit power.
     """
+    h_eff = h @ basis
+    if n_streams is None:
+        n_streams = numerical_rank(h_eff, RANK_TOL)
     phis = phi_matrices(basis, responses, w)
     return MaxDetProblem(
-        h_eff=h @ basis,
+        h_eff=h_eff,
         sigma_c_sq=sigma_c_sq,
         power_budget=n_streams / m_antennas,
         psi=sensing_form(phis, responses, scnr_min),
@@ -134,16 +142,12 @@ def make_maxdet_problem(
     )
 
 
-def _slacks(r: np.ndarray, problem: MaxDetProblem) -> tuple[float, float]:
-    # tr(R) as the sum of all of R o I, not of the diagonal alone: another
+def _slacks(r: np.ndarray, problem: MaxDetProblem) -> np.ndarray:
+    """Residuals b_i - tr(R D_i), one per row of `problem.constraints()`."""
+    forms, offsets = problem.constraints()
+    # tr(R D) as the sum of all of R o D^T, not of the diagonal alone: another
     # summation order moves every covariance `_make_feasible` rescales by rounding
-    p_slack = problem.power_budget - float(np.real(np.sum(r * np.eye(len(r)))))
-    s_slack = (
-        float(np.real(np.sum(r * problem.psi.T))) - problem.gamma0
-        if problem.sensing_active
-        else np.inf
-    )
-    return p_slack, s_slack
+    return offsets - np.array([np.real(np.sum(r * d.T)) for d in forms])
 
 
 def _factor(r: np.ndarray, rank: Optional[int] = None) -> np.ndarray:

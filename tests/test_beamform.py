@@ -235,27 +235,35 @@ def test_sensing_form_hermitian(desk_data):
 def test_hybrid_beamformer_invariants(desk_data, rng):
     cfg = desk_data.config
     k, m = cfg.k_subarrays, cfg.m_antennas
+    budget = desk_data.problem.power_budget
     w_rf = optimal_analog(desk_data.u_tilde)
     shape = (desk_data.problem.dim, desk_data.problem.n_streams)
     w_bb = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    w_bb *= np.sqrt(shape[1] / m) / np.linalg.norm(w_bb)
-    check_hybrid(w_rf, w_bb, k, m)
+    w_bb *= np.sqrt(budget) / np.linalg.norm(w_bb)
+    check_hybrid(w_rf, w_bb, k, budget)
 
     # power-proxy violation is caught
     with pytest.raises(ValueError, match="proxy"):
-        check_hybrid(w_rf, 2.0 * w_bb, k, m)
+        check_hybrid(w_rf, 2.0 * w_bb, k, budget)
+
+    # the budget is the caller's, not n_streams/M: M ||W_BB||^2 may exceed
+    # M * budget by 1e-9 and no more
+    other = 0.3
+    check_hybrid(w_rf, w_bb * np.sqrt((other + 0.5e-9 / m) / budget), k, other)
+    with pytest.raises(ValueError, match="proxy"):
+        check_hybrid(w_rf, w_bb * np.sqrt((other + 2e-9 / m) / budget), k, other)
 
     # off-block support is caught
     bad = w_rf.copy()
     bad[0, -1] = 1.0
     with pytest.raises(ValueError, match="support"):
-        check_hybrid(bad, w_bb, k, m)
+        check_hybrid(bad, w_bb, k, budget)
 
     # an in-block entry off the unit circle is caught
     bad = w_rf.copy()
     bad[0, 0] *= 1.0 + 1e-6
     with pytest.raises(ValueError, match="unit modulus"):
-        check_hybrid(bad, w_bb, k, m)
+        check_hybrid(bad, w_bb, k, budget)
 
 
 def test_build_subspace_columns():

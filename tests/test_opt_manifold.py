@@ -25,7 +25,8 @@ from modisac.opt_manifold import (
     stiefel_retract,
     tangent_project,
 )
-from modisac.opt_sdr import MaxDetProblem, _dual_point
+from modisac.channel import numerical_rank
+from modisac.opt_sdr import RANK_TOL, MaxDetProblem, _dual_point
 from modisac.validation import (
     central_differences,
     descent_converged,
@@ -108,6 +109,18 @@ def test_reduce_b_rank_error(desk_data):
     problem = dataclasses.replace(desk_data.problem, n_streams=desk_data.problem.dim)
     with pytest.raises(RankDeficiencyError, match="rank"):
         reduce_b(problem)
+
+
+def test_reduce_b_accepts_the_default_stream_count_and_no_more():
+    # the most streams reduce_b accepts is the rank rule that sets the default
+    for seed in range(3):
+        h_eff = harness.prepare_scenario(harness.desk_config(seed=seed)).problem.h_eff
+        rank = numerical_rank(h_eff, RANK_TOL)
+        cfg = harness.desk_config(seed=seed, streams=rank)
+        assert reduce_b(harness.prepare_scenario(cfg).problem).n_streams == rank
+        cfg = harness.desk_config(seed=seed, streams=rank + 1)
+        with pytest.raises(RankDeficiencyError, match="rank"):
+            reduce_b(harness.prepare_scenario(cfg).problem)
 
 
 def test_reduced_eig_shares_budget_and_threshold(desk_problem):

@@ -5,7 +5,9 @@ import pytest
 
 from modisac import harness, opt_sdr
 from modisac.beamform import _rate_bits, scnr, verify_covariance_subspace
+from modisac.channel import numerical_rank
 from modisac.opt_sdr import (
+    RANK_TOL,
     TRIALS_PER_STREAM,
     MaxDetProblem,
     RandomizationFailure,
@@ -227,6 +229,18 @@ def test_identity_basis_problem_matches_explicit_sensing_form(desk_data, receive
     assert np.array_equal(full.h_eff, data.h)
 
 
+def test_default_stream_count_is_channel_rank_on_identity_basis(desk_data):
+    # with no configured count, the full-space problem (B = I_N, M = 1) takes
+    # the numerical rank of H itself at RANK_TOL, under the budget n_s
+    data, cfg = desk_data, desk_data.config
+    full = make_maxdet_problem(
+        data.h, np.eye(cfg.n_antennas), data.responses, data.w_fixed, cfg.scnr_min,
+        cfg.sigma_c_sq, cfg.sigma_s_sq, None, 1,
+    )
+    assert full.n_streams == numerical_rank(data.h, RANK_TOL)
+    assert full.power_budget == full.n_streams
+
+
 def test_fullspace_matches_reduced(small_data):
     # the covariance optimum over the full antenna space lands in the
     # subarray-response subspace; the same problem restricted to that
@@ -315,8 +329,7 @@ def test_dual_gradient_is_constraint_residuals(request, scale, sensing, power):
     channel = problem.h_eff / np.sqrt(problem.sigma_c_sq)
     theta = off_optimum_multipliers(problem)
     point = _dual_point(theta, forms, offsets, channel)
-    p_slack, s_slack = _slacks(point.r, problem)
-    assert point.grad == pytest.approx([p_slack, s_slack][: theta.size], rel=1e-9)
+    assert point.grad == pytest.approx(_slacks(point.r, problem), rel=1e-9)
 
     # central differences in relative coordinates theta * z, z near 1
     def value(z):
