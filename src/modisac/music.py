@@ -20,12 +20,15 @@ complement of the noise basis E (Schmidt 1986). Cells are projected onto
 whichever of E and S has fewer columns: with few sources that is an
 N x n_src product per cell (32x2 on the desk localization scene).
 
-Cells go CHUNK_ENTRIES/N at a time (2048 at N=32) through work arrays
-allocated once per spectrum, ~1.7 MB whatever N is; a spectrum holds 9 bytes
-a cell beyond them. A chunk's arrays keep the cells innermost: coordinates
-and ranges are (K, n), the phasors (M+1, K, n), so each step is one
-contiguous pass over K*n entries, and the M*K x n block of responses is the
-right operand of one GEMM against the basis rows put in its (i, k) order.
+The grid goes in blocks of whole rows, CHUNK_ENTRIES/N cells or fewer
+(2048 at N=32) and a longer row in pieces, through work arrays allocated
+once per spectrum, ~1.5 MB whatever N is; a spectrum holds 8 bytes a cell
+beyond them. x - x_k and its square come once per spectrum from the x axis
+and y - y_k once per block from the y axis, so a block's ranges are one
+broadcast add and one sqrt; the cells near an antenna are found once, from
+the axes. A block keeps the cells innermost: ranges and sines are (K, n),
+the phasors (M+1, K, n), and the M*K x n block of responses is the right
+operand of one GEMM against the basis rows put in its (i, k) order.
 """
 
 from __future__ import annotations
@@ -152,89 +155,109 @@ def _unit_phasors(source, scale, out, rho, rho_sq, index, lookup) -> None:
 
 
 def _grid_work(cells: int, k: int, m: int) -> tuple:
-    """Work arrays of `_receive_responses_grid` for up to `cells` cells.
-
-    A chunk of n cells takes the first entries of each, reshaped with the
-    cells innermost, so a partial last chunk is as contiguous as a full one.
-    """
-    return (np.empty((4, k * cells)), np.empty(cells), np.empty(k * cells, dtype=bool),
-            np.empty(cells, dtype=bool), np.empty((m + 1) * k * cells, dtype=complex),
-            np.empty(k * cells, dtype=np.int64))
+    """Work arrays of `_receive_responses_grid` for blocks of up to `cells`
+    cells: ranges and sines (zeros, so an unwritten sine is finite), and the
+    phasor slots, at least 7 so that slots 1-5 can lend the block scratch."""
+    return np.zeros((2, k * cells)), np.empty((max(m + 1, 7), k * cells), dtype=complex)
 
 
-def _receive_responses_grid(
-    geometry: ArrayGeometry, x: np.ndarray, y: np.ndarray, work: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Receive responses for flat coordinate arrays, element-major.
+def _x_offsets(geometry: ArrayGeometry, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x - x_k and its square, shape (K,) + x.shape, for receive reference antenna k."""
+    dx = np.subtract(x, geometry.reference_positions("rx")[:, 0, None, None])
+    return dx, dx * dx
 
-    Returns (G, degenerate). G has shape (M, K, n) for n = x.size: G[i, k, c]
-    is entry k*M + i of the receive response g_r of `channel.sensing_response`
-    toward (x[c], y[c]), not its conjugate, so G.reshape(M*K, n) holds one
-    response per column with its rows in (i, k) order. Block k is
-    nu_k * [1, z_k, ..., z_k^(M-1)] with nu_k = exp(-j*2*pi*r_k/lambda) and
-    z_k = exp(-j*2*pi*d*sin(theta_k)/lambda), r_k and theta_k the range and
-    angle from receive reference antenna k, so a cell costs 2K unit phasors
-    (`_unit_phasors`: a table entry times a short series each) and K*(M-1)
-    products, each running product one contiguous (K, n) multiply.
-    `degenerate` marks cells within COINCIDENT_TOL*max(1, r) of a reference
-    antenna, where `geometry.subarray_view` raises; their columns are
-    meaningless. Both are views into `work` (`_grid_work` for at least
-    n cells); the ranges r_k stay in work[0][2][:K*n], read as (K, n).
+
+def _receive_responses_grid(geometry: ArrayGeometry, x_offsets: tuple, y, work) -> np.ndarray:
+    """Receive responses for one (rows, cols) block of cells, element-major.
+
+    The block is the broadcast of `x_offsets` (`_x_offsets` of its x,
+    (K, rows or 1, cols or 1)) and of its y, (rows or 1, cols or 1). Returns
+    G of shape (M, K, n), n = rows*cols: G[i, k, c] is entry k*M + i of the
+    receive response g_r of `channel.sensing_response` toward cell c
+    (row-major), not its conjugate. Block k is nu_k * [1, z_k, ...,
+    z_k^(M-1)], nu_k = exp(-j*2*pi*r_k/lambda) and
+    z_k = exp(-j*2*pi*d*sin(theta_k)/lambda) for r_k and theta_k seen from
+    receive reference antenna k: one `_unit_phasors` call over the stacked
+    ranges and sines, then M-1 contiguous (K, n) products. Cells within
+    COINCIDENT_TOL*max(1, r) of an antenna get finite, meaningless columns.
+    G is a view into `work` (`_grid_work` for at least n cells); the ranges
+    stay in work[0][0][:K*n], read as (K, n).
     """
     refs = geometry.reference_positions("rx")
-    k, m, n = geometry.k_subarrays, geometry.m_antennas, x.size
-    real, tol, mask, bad, phasors, index = work
-    dx, dy, dist, phase = real[:, : k * n].reshape(4, k, n)
-    tol, bad = tol[:n], bad[:n]
-    mask, index = mask[: k * n].reshape(k, n), index[: k * n].reshape(k, n)
-    phasors = phasors[: (m + 1) * k * n].reshape(m + 1, k, n)
-    g, step = phasors[:m], phasors[m]
-    np.subtract(x, refs[:, 0, None], out=dx)
-    np.subtract(y, refs[:, 1, None], out=dy)
+    k, m = geometry.k_subarrays, geometry.m_antennas
+    dx, dx_sq = x_offsets
+    rows, cols = np.broadcast_shapes(dx.shape[1:], y.shape)
+    n, slots = rows * cols, len(work[1])
+    source = work[0].reshape(-1)[: 2 * k * n].reshape(2, k, rows, cols)
+    phasors = work[1].reshape(-1)[: slots * k * n].reshape(slots, k, n)
+    # scratch until the products: the table lookup in slots 1-2, then rho,
+    # rho^2 and the table index, (2, K, n) each, in slots 3, 4 and 5; y - y_k
+    # and its square in the rho slots and the sines' mask in the index slot
+    rho, rho_sq, index = (phasors[i].reshape(-1).view(t).reshape(2, k, n)
+                          for i, t in ((3, float), (4, float), (5, np.int64)))
+    dy, dy_sq = (a.reshape(-1)[: k * y.size].reshape(k, *y.shape) for a in (rho, rho_sq))
+    mask = index.reshape(-1).view(bool)[: k * n].reshape(k, rows, cols)
+    dist, sine = source
+    np.subtract(y, refs[:, 1, None, None], out=dy)
     # sqrt(dx^2 + dy^2) rounds as subarray_view's norm does; hypot does not
-    np.add(np.multiply(dx, dx, out=dist), np.multiply(dy, dy, out=dy), out=dist)
-    np.sqrt(dist, out=dist)
-    np.multiply(COINCIDENT_TOL, np.maximum(1.0, np.hypot(x, y, out=tol), out=tol), out=tol)
-    if np.less_equal(dist, tol, out=mask).any():
-        np.any(mask, axis=0, out=bad)
-    else:
-        bad.fill(False)
-    # dx becomes sin(theta) = dx/dist, clipped; where dist is 0 it keeps dx/1
-    np.divide(dx, dist, out=dx, where=np.greater(dist, 0.0, out=mask))
-    np.clip(dx, -1.0, 1.0, out=dx)
-    wavenumber = -2.0 * np.pi / geometry.wavelength
-    # dy and phase are free now, and phasors[1], written after nu_k and z_k
-    # (and z_k is not needed when M = 1), lends them the table lookup
-    _unit_phasors(dist, wavenumber, g[0], phase, dy, index, phasors[1])
-    if m > 1:
-        _unit_phasors(dx, wavenumber * geometry.d, step, phase, dy, index, phasors[1])
+    np.sqrt(np.add(dx_sq, np.multiply(dy, dy, out=dy_sq), out=dist), out=dist)
+    # sin(theta) = dx/dist, clipped; where dist is 0 it keeps an earlier value
+    np.divide(dx, dist, out=sine, where=np.greater(dist, 0.0, out=mask))
+    np.clip(sine, -1.0, 1.0, out=sine)
+    scale = -2.0 * np.pi / geometry.wavelength * np.array([1.0, geometry.d])[:, None, None]
+    _unit_phasors(source.reshape(2, k, n), scale, phasors[:: slots - 1],
+                  rho, rho_sq, index, phasors[1:3])
     for i in range(1, m):
-        np.multiply(g[i - 1], step, out=g[i])
-    return g, bad
+        np.multiply(phasors[i - 1], phasors[-1], out=phasors[i])
+    return phasors[:m]
+
+
+def _coincident_cells(geometry: ArrayGeometry, dx, x, y) -> np.ndarray:
+    """Sorted flat indices of the cells of the grid of x and y within
+    COINCIDENT_TOL*max(1, r) of a receive reference antenna; dx is
+    `_x_offsets(geometry, x)[0]`. Such a cell has |x - x_k| and |y - y_k|
+    below `reach`, so only rows and columns that pass both get the exact
+    test of `geometry.subarray_view`, in the float operations of the ranges.
+    """
+    refs = geometry.reference_positions("rx")
+    rows, cols = np.broadcast_shapes(x.shape, y.shape)
+    reach = 2.0 * COINCIDENT_TOL * max(1.0, float(np.hypot(np.abs(x).max(), np.abs(y).max())))
+    near_x, near_y = np.abs(dx) <= reach, np.abs(y - refs[:, 1, None, None]) <= reach
+    x, y = np.broadcast_to(x, (rows, cols)), np.broadcast_to(y, (rows, cols))
+    hits = set()
+    for k in np.flatnonzero(near_x.any(axis=(1, 2)) & near_y.any(axis=(1, 2))):
+        cand_rows = np.nonzero(near_x[k].any(axis=1) & near_y[k].any(axis=1))[0]
+        cand_cols = np.nonzero(near_x[k].any(axis=0) & near_y[k].any(axis=0))[0]
+        cell = np.ix_(cand_rows, cand_cols)
+        u, v = x[cell] - refs[k, 0], y[cell] - refs[k, 1]
+        tol = COINCIDENT_TOL * np.maximum(1.0, np.hypot(x[cell], y[cell]))
+        r, c = np.nonzero(np.sqrt(u * u + v * v) <= tol)
+        hits.update((cand_rows[r] * cols + cand_cols[c]).tolist())
+    # sorted() rather than np.unique, whose first call imports numpy.ma
+    return np.array(sorted(hits), dtype=np.int64)
+
+
+def _block(a: np.ndarray, rs: slice, cs: slice) -> np.ndarray:
+    """Rows `rs` and columns `cs` of the grid that `a` broadcasts to."""
+    return a[..., rs if a.shape[-2] > 1 else slice(None), cs if a.shape[-1] > 1 else slice(None)]
 
 
 def _pseudo_spectrum(
-    geometry: ArrayGeometry,
-    noise_basis: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
+    geometry: ArrayGeometry, noise_basis: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized 1/(||E^H g||^2 + 1e-18) values, flat, for x, y of one shape.
+    """Unnormalized 1/(||E^H g||^2 + 1e-18) values over the grid of x and y.
 
-    x and y are read CHUNK_ENTRIES/N cells at a time in row-major order
-    (broadcast views of the axes serve) into work arrays allocated once per
-    call.
+    x and y are 2-D (1-D is one row) and broadcast to the grid, as the axes
+    do as (1, nx) and (ny, 1). Returns the values, flat in row-major order,
+    and the `_coincident_cells`, whose values are 0.
 
-    Each cell is projected onto whichever subspace has fewer columns. With
-    S the orthonormal complement of E, ||E^H g||^2 = ||g||^2 - ||S^H g||^2,
-    and ||g||^2 = N because every entry of g has unit modulus. So E itself
-    is used when it has at most N/2 columns (an empty basis gives the exact
-    flat spectrum 1e18); otherwise S, taken once from a complete QR of E,
-    and the denominator is N - ||S^H g||^2, clamped at 0 before the 1e-18
-    floor. The signal side carries an absolute rounding error of about N*eps
-    in the denominator; at a noiseless null that error is all there is, and
-    it may have either sign, hence the clamp. Off such nulls it is negligible
-    (the smallest is 2.4e-5 over the localize workload's first 15 grids).
+    Cells are projected onto the noise basis E when it has at most N/2
+    columns (an empty basis gives the exact flat spectrum 1e18); otherwise
+    onto its orthonormal complement S, taken once from a complete QR of E,
+    with the denominator N - ||S^H g||^2 clamped at 0 before the 1e-18
+    floor: its absolute rounding error is about N*eps, all there is at a
+    noiseless null, and of either sign. Off such nulls it is negligible (the
+    smallest is 2.4e-5 over the localize workload's first 15 grids).
     """
     n, width = noise_basis.shape
     if 2 * width <= n:
@@ -245,35 +268,43 @@ def _pseudo_spectrum(
     k, m = geometry.k_subarrays, geometry.m_antennas
     width = basis.shape[1]
     # B^H with its columns in the (i, k) order of the grid responses' rows,
-    # so each chunk is one product B^H G, read straight off the phasors
+    # so each block is one product B^H G, read straight off the phasors
     basis_h = basis.reshape(k, m, width).transpose(2, 1, 0).reshape(width, n).conj()
-    chunk = CHUNK_ENTRIES // n
-    cells = min(chunk, x.size)
-    # the outputs before the work arrays, so that glibc's heap frees the
-    # work as one block above them
-    values, degenerate = np.empty(x.size), np.empty(x.size, dtype=bool)
+    x, y = np.atleast_2d(x, y)
+    rows, cols = np.broadcast_shapes(x.shape, y.shape)
+    x_offsets = _x_offsets(geometry, x)
+    flagged = _coincident_cells(geometry, x_offsets[0], x, y)
+    piece = min(cols, CHUNK_ENTRIES // n)
+    height = max(1, CHUNK_ENTRIES // n // cols)
+    cells = min(height, rows) * piece
+    # the output before the work arrays, so that glibc's heap frees the
+    # work as one block above it
+    values = np.empty(rows * cols)
     work = _grid_work(cells, k, m)
     proj_work, sum_work = np.empty(width * cells, dtype=complex), np.empty(2 * cells)
-    denom_work = np.empty(cells)
-    for start in range(0, x.size, chunk):
-        sl = slice(start, min(start + chunk, x.size))
-        g, bad = _receive_responses_grid(geometry, x.flat[sl], y.flat[sl], work)
-        cols = bad.size
-        degenerate[sl] = bad
-        proj = proj_work[: width * cols].reshape(width, cols)
-        np.matmul(basis_h, g.reshape(n, cols), out=proj)
-        # |B^H g|^2: square a real view in place, sum it down the basis
-        # columns, then add each cell's re^2 and im^2 sums
-        proj = proj.view(np.float64)
-        np.multiply(proj, proj, out=proj)
-        sums = np.add.reduce(proj, axis=0, out=sum_work[: 2 * cols])
-        denom = np.add(sums[0::2], sums[1::2], out=denom_work[:cols])
-        # 1 / (max(offset + sign * denom, 0) + 1e-18), in place
-        np.add(offset, np.multiply(sign, denom, out=denom), out=denom)
-        np.add(np.maximum(denom, 0.0, out=denom), 1e-18, out=denom)
-        np.divide(1.0, denom, out=values[sl])
-        values[sl][bad] = 0.0
-    return values, degenerate
+    for r0 in range(0, rows, height):
+        rs = slice(r0, min(r0 + height, rows))
+        for c0 in range(0, cols, piece):
+            cs = slice(c0, min(c0 + piece, cols))
+            g = _receive_responses_grid(
+                geometry, tuple(_block(a, rs, cs) for a in x_offsets), _block(y, rs, cs), work
+            )
+            count = g.shape[2]
+            proj = proj_work[: width * count].reshape(width, count)
+            np.matmul(basis_h, g.reshape(n, count), out=proj)
+            # |B^H g|^2: square a real view in place, sum it down the basis
+            # columns, then add each cell's re^2 and im^2 sums
+            proj = proj.view(np.float64)
+            np.multiply(proj, proj, out=proj)
+            sums = np.add.reduce(proj, axis=0, out=sum_work[: 2 * count])
+            denom = values[r0 * cols + c0 :][:count]
+            np.add(sums[0::2], sums[1::2], out=denom)
+            # 1 / (max(offset + sign * denom, 0) + 1e-18), in place
+            np.add(offset, np.multiply(sign, denom, out=denom), out=denom)
+            np.add(np.maximum(denom, 0.0, out=denom), 1e-18, out=denom)
+            np.divide(1.0, denom, out=denom)
+    values[flagged] = 0.0
+    return values, flagged
 
 
 def music_spectrum(
@@ -295,9 +326,7 @@ def music_spectrum(
             f"for K={k} subarrays of M={m} antennas"
         )
     xs, ys = grid.x_axis, grid.y_axis
-    values, degenerate = _pseudo_spectrum(
-        geometry, noise_basis, *np.broadcast_arrays(xs, ys[:, None])
-    )
+    values, flagged = _pseudo_spectrum(geometry, noise_basis, xs[None], ys[:, None])
     peak_flat = int(np.argmax(values))
     peak_val = values[peak_flat]
     if peak_val <= 0.0:
@@ -309,23 +338,18 @@ def music_spectrum(
     iy, ix = divmod(peak_flat, len(xs))
     x_pk, y_pk = float(xs[ix]), float(ys[iy])
     width = _range_lobe_width(noise_basis, geometry, x_pk, y_pk)
-    flagged = [divmod(int(i), len(xs)) for i in np.nonzero(degenerate)[0]]
     return MusicResult(
         spectrum=values.reshape(len(ys), len(xs)),
-        x_axis=xs,
-        y_axis=ys,
+        x_axis=xs, y_axis=ys,
         peak_location=(x_pk, y_pk),
         peak_index=(iy, ix),
         mainlobe_width=width,
-        flagged_cells=flagged,
+        flagged_cells=[divmod(int(i), len(xs)) for i in flagged],
     )
 
 
 def _range_lobe_width(
-    noise_basis: np.ndarray,
-    geometry: ArrayGeometry,
-    x_pk: float,
-    y_pk: float,
+    noise_basis: np.ndarray, geometry: ArrayGeometry, x_pk: float, y_pk: float
 ) -> float:
     """-3 dB width of the spectrum along the range axis at the peak angle."""
     r_pk = float(np.hypot(x_pk, y_pk))
@@ -335,9 +359,9 @@ def _range_lobe_width(
     radii = np.arange(
         max(LOBE_STEP, r_pk - LOBE_EXTENT), r_pk + LOBE_EXTENT + LOBE_STEP, LOBE_STEP
     )
-    x = radii * np.sin(theta)
-    y = radii * np.cos(theta)
-    vals, _ = _pseudo_spectrum(geometry, noise_basis, x, y)
+    vals, _ = _pseudo_spectrum(
+        geometry, noise_basis, (radii * np.sin(theta))[None], (radii * np.cos(theta))[None]
+    )
     i_max = int(np.argmax(vals))
     threshold = 10.0 ** (-0.3) * vals[i_max]
     edges = []

@@ -143,7 +143,7 @@ def reduce_b(problem: MaxDetProblem) -> EigB:
     u_b = vecs[:, :n_streams]
     sigma_b = vals[:n_streams]
     scaled = u_b / np.sqrt(sigma_b)[None, :]
-    forms, offsets = problem.constraints()
+    forms, offsets = problem.constraints
     forms = scaled.conj().T @ forms @ scaled
     return EigB(
         b_mat=b_mat,

@@ -26,6 +26,7 @@ RM-JGD's barrier sums over the same list (`opt_manifold.reduce_b`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,16 +58,19 @@ class MaxDetProblem:
     def sensing_active(self) -> bool:
         return self.gamma0 > 0.0
 
+    @cached_property
     def constraints(self) -> tuple[np.ndarray, np.ndarray]:
         """Forms D and offsets b of the constraints tr(R D_i) <= b_i.
 
         D = (I, -Psi) and b = (P, -gamma0): the power budget, then the
-        sensing floor, whose row is left out when gamma0 <= 0.
+        sensing floor, whose row is left out when gamma0 <= 0; built once, read-only.
         """
-        eye = np.eye(self.dim)
-        if not self.sensing_active:
-            return eye[None], np.array([self.power_budget])
-        return np.stack([eye, -self.psi]), np.array([self.power_budget, -self.gamma0])
+        forms, offsets = np.eye(self.dim)[None], np.array([self.power_budget])
+        if self.sensing_active:
+            forms = np.stack([forms[0], -self.psi])
+            offsets = np.array([self.power_budget, -self.gamma0])
+        forms.flags.writeable = offsets.flags.writeable = False
+        return forms, offsets
 
 
 @dataclass
@@ -143,8 +147,8 @@ def make_maxdet_problem(
 
 
 def _slacks(r: np.ndarray, problem: MaxDetProblem) -> np.ndarray:
-    """Residuals b_i - tr(R D_i), one per row of `problem.constraints()`."""
-    forms, offsets = problem.constraints()
+    """Residuals b_i - tr(R D_i), one per row of `problem.constraints`."""
+    forms, offsets = problem.constraints
     # tr(R D) as the sum of all of R o D^T, not of the diagonal alone: another
     # summation order moves every covariance `_make_feasible` rescales by rounding
     return offsets - np.array([np.real(np.sum(r * d.T)) for d in forms])
@@ -297,7 +301,7 @@ def solve_maxdet(problem: MaxDetProblem) -> SdpSolution:
             zero.status = "infeasible"
             zero.message = "zero power budget cannot meet the sensing constraint"
         return zero
-    forms, offsets = problem.constraints()
+    forms, offsets = problem.constraints
     top = None
     if problem.sensing_active:
         lams, vecs = np.linalg.eigh(problem.psi)

@@ -256,7 +256,9 @@ def test_rm_jgd_phase1_infeasible_is_subspace_status():
 
 
 def _rate_form_rank(g: np.ndarray) -> int:
-    """Eigenvalues of G^H G above 1e-10 times the largest (`reduce_b`'s rule)."""
+    """Eigenvalues of G^H G above 1e-10 times the largest: an oracle kept apart
+    from `channel.numerical_rank`, whose cut at `opt_sdr.RANK_TOL` = 1e-5 on
+    the singular values of G is the same cut, since those are the square roots."""
     vals = np.linalg.eigvalsh(g.conj().T @ g)
     return int(np.count_nonzero(vals > 1e-10 * vals[-1]))
 

@@ -17,10 +17,12 @@ from modisac.geometry import (
 )
 from modisac.music import (
     GridSpec,
+    _coincident_cells,
     _grid_work,
     _pseudo_spectrum,
     _receive_responses_grid,
     _unit_phasors,
+    _x_offsets,
     music_spectrum,
     noise_subspace,
     sample_covariance,
@@ -32,6 +34,16 @@ from modisac.music import (
 def _g_r(g, x, y):
     """Receive response of `sensing_response` toward the grid point (x, y)."""
     return sensing_response(g, SceneObject(PolarPoint(np.hypot(x, y), np.arctan2(x, y)))).g_r
+
+
+def _row_responses(g, x, y):
+    """`_receive_responses_grid` over one row of cells at (x[c], y[c]), with
+    fresh work arrays; returns (G, work, flagged cells)."""
+    x, y = x[None], y[None]
+    offsets = _x_offsets(g, x)
+    work = _grid_work(x.size, g.k_subarrays, g.m_antennas)
+    responses = _receive_responses_grid(g, offsets, y, work)
+    return responses, work, _coincident_cells(g, offsets[0], x, y)
 
 
 def test_sample_covariance_single_snapshot(rng):
@@ -181,29 +193,27 @@ def test_grid_responses_match_sensing_response(desk):
         for r, t in zip(rng.uniform(1.0, 80.0, 400), rng.uniform(-1.5, 1.5, 400))
     ]
     xy = np.array([p.xy for p in points])
-    work = _grid_work(len(points), g.k_subarrays, g.m_antennas)
-    responses, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1], work)
+    responses, _, flagged = _row_responses(g, xy[:, 0], xy[:, 1])
     expected = np.array([sensing_response(g, SceneObject(p)).g_r for p in points])
     # G[i, k, c] is entry k*M + i of the response toward cell c
     assert responses.shape == (g.m_antennas, g.k_subarrays, 400)
     rows = responses.transpose(2, 1, 0).reshape(400, cfg.n_antennas)
-    assert not degenerate.any()
+    assert flagged.size == 0
     assert np.max(np.abs(rows - expected)) <= 5e-11
 
 
 def test_grid_responses_with_one_antenna_per_subarray():
-    # with M = 1 there is no intra-subarray step, and the phasor slot that
-    # lends the table lookup its buffer is nu_k's only neighbour
+    # with M = 1 there is no running product, and the phasor buffer has
+    # more slots than responses so that it can lend the block its scratch
     g = build_geometry(harness.apply_axis(harness.desk_config(seed=0), "subarray_scale", (32, 1)))
     rng = np.random.default_rng(13)
     points = [PolarPoint(float(r), float(t))
               for r, t in zip(rng.uniform(1.0, 80.0, 50), rng.uniform(-1.5, 1.5, 50))]
     xy = np.array([p.xy for p in points])
-    work = _grid_work(len(points), g.k_subarrays, g.m_antennas)
-    responses, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1], work)
+    responses, _, flagged = _row_responses(g, xy[:, 0], xy[:, 1])
     expected = np.array([sensing_response(g, SceneObject(p)).g_r for p in points])
     assert responses.shape == (1, 32, 50)
-    assert not degenerate.any()
+    assert flagged.size == 0
     assert np.max(np.abs(responses[0].T - expected)) <= 5e-11
 
 
@@ -226,11 +236,10 @@ def test_grid_ranges_match_subarray_view_bitwise(desk):
         for r, t in zip(rng.uniform(1.0, 40.0, 2000), rng.uniform(-1.5, 1.5, 2000))
     ]
     xy = np.array([p.xy for p in points])
-    work = _grid_work(len(points), g.k_subarrays, g.m_antennas)
-    _, degenerate = _receive_responses_grid(g, xy[:, 0], xy[:, 1], work)
+    _, work, flagged = _row_responses(g, xy[:, 0], xy[:, 1])
     expected = np.array([subarray_view(g, "rx", p)[0] for p in points])
-    ranges = work[0][2][: g.k_subarrays * len(points)].reshape(g.k_subarrays, len(points))
-    assert not degenerate.any()
+    ranges = work[0][0][: g.k_subarrays * len(points)].reshape(g.k_subarrays, len(points))
+    assert flagged.size == 0
     assert np.array_equal(ranges.T, expected)
 
 
@@ -283,6 +292,56 @@ def test_music_spectrum_matches_per_cell_oracle():
     assert np.allclose(result.spectrum, expected, rtol=1e-9, atol=0.0)
 
 
+def test_music_spectrum_rows_longer_than_a_block_match_per_cell_oracle():
+    # 2101 cells a row against blocks of 2048: each row is cut into a piece
+    # of 2048 cells and one of 53
+    cfg = harness.desk_config(seed=0)
+    g = build_geometry(cfg)
+    basis = _random_noise_basis(np.random.default_rng(37), cfg.n_antennas, 12)
+    grid = GridSpec(-10.5, 0.01, 10.5, 4.0, 7.5, 11.5)
+    assert grid.x_axis.size == 2101 > music.CHUNK_ENTRIES // cfg.n_antennas
+    result = music_spectrum(basis, g, grid)
+    expected = np.array([
+        [1.0 / (np.linalg.norm(basis.conj().T @ _g_r(g, x, y)) ** 2 + 1e-18)
+         for x in grid.x_axis]
+        for y in grid.y_axis
+    ])
+    expected /= expected.max()
+    assert result.spectrum.shape == (2, 2101)
+    assert result.flagged_cells == []
+    assert np.allclose(result.spectrum, expected, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("cells", [3, 5, 4096])
+def test_flags_on_block_edges_match_the_per_cell_rule(monkeypatch, cells):
+    # columns on the first two receive reference antennas, 1e-14 m off them
+    # and one tolerance off (where rounding decides), rows on the array's
+    # line, 1e-14 m and half a tolerance off it; blocks of 3 or 5 cells cut
+    # each 11-cell row into pieces, blocks of 4096 hold whole rows. A cell is
+    # flagged exactly where geometry.subarray_view's rule holds
+    g = build_geometry(harness.desk_config(seed=0))
+    refs = g.reference_positions("rx")
+    monkeypatch.setattr(music, "CHUNK_ENTRIES", cells * g.n_antennas)
+    xs = np.append([x + np.array([0.0, 1e-14, -1e-14, -1e-12 * x, 1e-12 * x])
+                    for x in refs[:2, 0]], 0.7)
+    ys = np.array([0.0, 1e-14, -1e-14, 0.5e-12, 0.4])
+    basis = _random_noise_basis(np.random.default_rng(3), g.n_antennas, 8)
+    values, flagged = _pseudo_spectrum(g, basis, xs[None], ys[:, None])
+    expected = [
+        iy * xs.size + ix
+        for iy, y in enumerate(ys)
+        for ix, x in enumerate(xs)
+        if np.any(np.linalg.norm(np.array([x, y]) - refs, axis=1)
+                  <= COINCIDENT_TOL * max(1.0, np.hypot(x, y)))
+    ]
+    # the tolerance columns go both ways: 3 is flagged, 4 is not
+    assert {0, 1, 2, 3, 5, 6, 7, 11, 22, 33} <= set(expected)
+    assert not {4, 10, 44} & set(expected)
+    assert flagged.tolist() == expected
+    assert np.all(values[flagged] == 0.0)
+    assert np.all(np.delete(values, flagged) > 0.0)
+
+
 def test_pseudo_spectrum_chunk_invariance(monkeypatch):
     cfg = harness.desk_config(seed=0)
     g = build_geometry(cfg)
@@ -291,8 +350,9 @@ def test_pseudo_spectrum_chunk_invariance(monkeypatch):
     x = rng.uniform(-15.0, 15.0, 2003)
     y = rng.uniform(0.5, 25.0, 2003)
     refs = g.reference_positions("rx")
-    # flagged cells on both sides of the chunk-7 boundary at 7 and of the
-    # chunk-1000 boundary at 1000, exact and 1e-14 m off an antenna
+    # one row of 2003 cells, cut into pieces of 8192, 1000 and 7 cells, with
+    # flagged cells on both sides of the piece boundaries at 7 and at 1000,
+    # exact and 1e-14 m off an antenna
     for i, (k, off) in zip((6, 7, 999, 1000), ((0, 0.0), (1, 1e-14), (2, -1e-14), (3, 0.0))):
         x[i], y[i] = refs[k, 0] + off, refs[k, 1]
     runs = []
@@ -300,40 +360,40 @@ def test_pseudo_spectrum_chunk_invariance(monkeypatch):
         monkeypatch.setattr(music, "CHUNK_ENTRIES", cells * cfg.n_antennas)
         runs.append(_pseudo_spectrum(g, basis, x, y))
     ref_vals, ref_bad = runs[0]
-    assert np.array_equal(np.nonzero(ref_bad)[0], [6, 7, 999, 1000])
+    assert np.array_equal(ref_bad, [6, 7, 999, 1000])
     for vals, bad in runs[1:]:
         assert np.array_equal(bad, ref_bad)
         assert np.allclose(vals, ref_vals, rtol=1e-13, atol=0.0)
 
 
 def test_music_spectrum_matches_flat_grid_path():
-    # music_spectrum reads the grid axes through broadcast views; it must give
-    # bit for bit what the row-major raveled meshgrid gives, over 10 chunks
-    # of 2048 cells (the last one partial) with an antenna cell first in
-    # chunk 5
+    # music_spectrum passes the grid axes as (1, nx) and (ny, 1); it must give
+    # bit for bit what the full (ny, nx) meshgrid arrays give through the same
+    # blocks, 11 blocks of 20 rows (2000 cells, the last one 10 rows) with an
+    # antenna cell first in block 5
     cfg = harness.desk_config(seed=0)
     g = build_geometry(cfg)
     basis = _random_noise_basis(np.random.default_rng(23), cfg.n_antennas, 30)
-    nx, ny, step = 100, 200, 0.05
+    nx, ny, step = 100, 210, 0.05
     ref_x = g.reference_positions("rx")[0, 0]
     chunk = music.CHUNK_ENTRIES // cfg.n_antennas
-    iy, ix = divmod(8192, nx)
+    iy, ix = divmod(8000, nx)
     grid = GridSpec(ref_x - ix * step, step, ref_x + (nx - 1 - ix) * step,
                     -iy * step, step, (ny - 1 - iy) * step)
     result = music_spectrum(basis, g, grid)
     gx, gy = np.meshgrid(grid.x_axis, grid.y_axis)
-    assert gx.shape == (ny, nx) and gx.size % chunk != 0
-    values, degenerate = _pseudo_spectrum(g, basis, gx.ravel(), gy.ravel())
+    assert gx.shape == (ny, nx) and chunk // nx == 20 and ny % 20 != 0
+    values, flagged = _pseudo_spectrum(g, basis, gx, gy)
     peak = int(np.argmax(values))
     assert np.array_equal(result.spectrum, (values / values[peak]).reshape(ny, nx))
     assert result.peak_index == divmod(peak, nx)
-    assert result.flagged_cells == [divmod(int(i), nx) for i in np.nonzero(degenerate)[0]]
+    assert result.flagged_cells == [divmod(int(i), nx) for i in flagged]
     assert (iy, ix) in result.flagged_cells
 
 
 def test_music_spectrum_memory_per_cell():
-    # beyond fixed chunk buffers, a spectrum keeps its values (8 bytes a cell)
-    # and degenerate flags (1 byte a cell): no full-grid coordinates or copies
+    # beyond fixed block buffers, a spectrum keeps its values (8 bytes a
+    # cell): no full-grid coordinates, flags or copies
     cfg = harness.desk_config(seed=0)
     g = build_geometry(cfg)
     resp = build_responses(g, (SceneObject(PolarPoint(18.0, 0.5), 1.0),))
@@ -356,10 +416,11 @@ def test_music_spectrum_memory_per_cell():
 
 
 def test_music_spectrum_memory_full_scale():
-    # chunks of 65536/N cells keep the work arrays near 1.7 MB at N = 192
-    # as at N = 32, and this grid at 2.1 MB; chunks of 8192 cells whatever N
-    # is peaked at 54 MB here, and a (cells, N) copy of the responses beside
-    # the phasors at 3.1 MB
+    # blocks of 65536/N cells keep the work arrays near 1.5 MB at N = 192
+    # as at N = 32, and this grid at 2.5 MB, 0.5 MB of it the range cut's
+    # x - x_k and its square, (K, 5000) each; chunks of 8192 cells whatever
+    # N is peaked at 54 MB here, and a (cells, N) copy of the responses
+    # beside the phasors adds ~1 MB
     cfg = harness.config_from_dict({"seed": 0})
     g = build_geometry(cfg)
     basis = _random_noise_basis(np.random.default_rng(5), cfg.n_antennas, cfg.n_antennas - 2)
@@ -393,7 +454,7 @@ def test_pseudo_spectrum_both_sides_match_per_cell_oracle(width):
         1.0 / (np.linalg.norm(basis.conj().T @ _g_r(g, u, v)) ** 2 + 1e-18)
         for u, v in zip(x, y)
     ])
-    assert not bad.any()
+    assert bad.size == 0
     assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
     assert np.allclose(vals, expected, rtol=1e-9, atol=0.0)
 

@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from modisac import harness  # noqa: E402
 from modisac.geometry import build_geometry  # noqa: E402
-from modisac.music import _grid_work, _pseudo_spectrum, _receive_responses_grid  # noqa: E402
+from modisac.music import (  # noqa: E402
+    _coincident_cells,
+    _grid_work,
+    _pseudo_spectrum,
+    _receive_responses_grid,
+    _x_offsets,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -37,9 +43,10 @@ def test_noise_and_signal_side_denominators_agree(seed, width, count):
     r = rng.uniform(1.0, 80.0, count)
     theta = rng.uniform(-1.5, 1.5, count)
     x, y = r * np.sin(theta), r * np.cos(theta)
+    offsets = _x_offsets(geometry, x[None])
     work = _grid_work(count, geometry.k_subarrays, geometry.m_antennas)
-    responses, degenerate = _receive_responses_grid(geometry, x, y, work)
-    assert not degenerate.any()
+    responses = _receive_responses_grid(geometry, offsets, y[None], work)
+    assert _coincident_cells(geometry, offsets[0], x[None], y[None]).size == 0
     # one response per row, entry k*M + i from G[i, k, c]
     rows = responses.transpose(2, 1, 0).reshape(count, n)
     noise_side = np.linalg.norm(rows @ noise.conj(), axis=1) ** 2

@@ -132,7 +132,10 @@ def test_reduced_eig_shares_budget_and_threshold(desk_problem):
     assert data.problem.gamma0 > 0.0
     for problem in (data.problem, dataclasses.replace(data.problem, gamma0=0.0)):
         eig = reduce_b(problem)
-        forms, offsets = problem.constraints()
+        forms, offsets = problem.constraints
+        # built once per problem and shared, so no caller may write to them
+        assert problem.constraints is problem.constraints
+        assert not forms.flags.writeable and not offsets.flags.writeable
         rows = 2 if problem.gamma0 > 0.0 else 1
         assert np.array_equal(forms, np.stack([np.eye(problem.dim), -problem.psi])[:rows])
         assert np.array_equal(offsets, [problem.power_budget, -problem.gamma0][:rows])

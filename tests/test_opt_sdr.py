@@ -325,7 +325,7 @@ def test_dual_gradient_is_constraint_residuals(request, scale, sensing, power):
     problem = power_problem(request.getfixturevalue(scale), power)
     if not sensing:
         problem = dataclasses.replace(problem, gamma0=0.0)
-    forms, offsets = problem.constraints()
+    forms, offsets = problem.constraints
     channel = problem.h_eff / np.sqrt(problem.sigma_c_sq)
     theta = off_optimum_multipliers(problem)
     point = _dual_point(theta, forms, offsets, channel)
@@ -417,7 +417,7 @@ def test_newton_direction_matches_dense(request, scale, sensing, power, gain):
     if not sensing:
         problem = dataclasses.replace(problem, gamma0=0.0)
     theta = off_optimum_multipliers(problem)
-    forms, offsets = problem.constraints()
+    forms, offsets = problem.constraints
     channel = np.sqrt(gain / problem.sigma_c_sq) * problem.h_eff
     point = _dual_point(theta, forms, offsets, channel)
     delta = -np.linalg.pinv(point.hess) @ point.grad  # as in _newton_step
