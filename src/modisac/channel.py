@@ -42,11 +42,11 @@ class PathSpec:
 
     Per-subarray arrays have length K: reference-to-reference distances along
     the path, departure angles at each subarray and arrival angles at the
-    user. `gains` holds the linear amplitude |mu| per subarray. The LoS path
-    has no scatterer; NLoS paths carry exactly one.
+    user. `gains` holds the linear amplitude |mu| per subarray. A path is LoS
+    exactly when it has no scatterer; an NLoS path bounces off its one
+    scatterer.
     """
 
-    kind: str
     gains: np.ndarray
     distances: np.ndarray
     aod: np.ndarray
@@ -54,10 +54,6 @@ class PathSpec:
     scatterer: Optional[PolarPoint] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("los", "nlos"):
-            raise ConfigurationError(f"path kind must be 'los' or 'nlos', got {self.kind!r}")
-        if (self.kind == "nlos") != (self.scatterer is not None):
-            raise ConfigurationError("NLoS paths carry a scatterer, LoS paths do not")
         if np.any(np.asarray(self.gains) <= 0):
             raise ConfigurationError("path gains must be positive")
 
@@ -82,36 +78,24 @@ def draw_paths(
 ) -> list[PathSpec]:
     """Draw the LoS path plus n_paths-1 NLoS paths with random scatterers.
 
-    Scatterers are uniform over SCATTER_RANGE x SCATTER_ANGLE. Amplitudes
-    follow free-space 1/D decay referenced to GAIN_REFERENCE, with NLoS
-    paths attenuated by NLOS_EXTRA_LOSS_DB below the LoS law.
+    Each scatterer draws its range, then its angle, uniform over
+    SCATTER_RANGE x SCATTER_ANGLE. Amplitudes follow free-space 1/D decay
+    referenced to GAIN_REFERENCE, with NLoS paths attenuated by
+    NLOS_EXTRA_LOSS_DB below the LoS law.
     """
     if config.n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
-    nlos_scale = 10.0 ** (-NLOS_EXTRA_LOSS_DB / 20.0)
+    scatterers = [
+        PolarPoint(r=float(rng.uniform(*SCATTER_RANGE)), theta=float(rng.uniform(*SCATTER_ANGLE)))
+        for _ in range(config.n_paths - 1)
+    ]
     paths = []
-    dists, aod, aoa = _path_geometry(geometry, config.user, None)
-    paths.append(
-        PathSpec(
-            kind="los",
-            gains=GAIN_REFERENCE / dists,
-            distances=dists,
-            aod=aod,
-            aoa=aoa,
-        )
-    )
-    r_lo, r_hi = SCATTER_RANGE
-    a_lo, a_hi = SCATTER_ANGLE
-    for _ in range(config.n_paths - 1):
-        sc = PolarPoint(
-            r=float(rng.uniform(r_lo, r_hi)),
-            theta=float(rng.uniform(a_lo, a_hi)),
-        )
+    for sc in [None] + scatterers:
         dists, aod, aoa = _path_geometry(geometry, config.user, sc)
+        scale = 1.0 if sc is None else 10.0 ** (-NLOS_EXTRA_LOSS_DB / 20.0)
         paths.append(
             PathSpec(
-                kind="nlos",
-                gains=nlos_scale * GAIN_REFERENCE / dists,
+                gains=scale * GAIN_REFERENCE / dists,
                 distances=dists,
                 aod=aod,
                 aoa=aoa,

@@ -200,9 +200,9 @@ class ScenarioData:
 def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
     """Deterministically build geometry, channels, fixed filter, subspace and problem.
 
-    The RNG order is fixed (layout draw, then path scatterers) so a seed
-    pins the whole instance. The fixed receive filter comes from
-    omnidirectional transmission R_X = I. The configured stream count, or
+    The RNG order is fixed (layout draw, then path scatterers, each drawing
+    its range, then its angle) so a seed pins the whole instance. The fixed
+    receive filter comes from omnidirectional transmission R_X = I. The configured stream count, or
     None, goes to `opt_sdr.make_maxdet_problem`, which sets the count and
     the power budget.
     """
@@ -281,11 +281,12 @@ SUCCESS_STATUSES = ("ok", "max_iter")
 def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
     """Run the full pipeline for one algorithm and report final metrics.
 
-    Each algorithm yields W_BB (fdb: the relaxed R_BB), its rate, iteration
-    count and status; one shared tail forms the transmit covariance and its
-    power and refreshes the receive filter from it before the SCNR is
-    measured, so the reported value reflects the MVDR filter the receiver
-    would actually deploy. An rm_jgd run whose phase 1 or stream count fails
+    Each algorithm yields W_BB, its rate, iteration count and status; fdb's
+    W_BB is the factor F F^H = R_BB of its relaxed covariance and its rate the
+    dual bound. One shared tail checks every W_BB, forms the transmit
+    covariance and its power and refreshes the receive filter from it before
+    the SCNR is measured, so the reported value reflects the MVDR filter the
+    receiver would actually deploy. An rm_jgd run whose phase 1 or stream count fails
     is a row with status `infeasible_subspace` or `error:RankDeficiencyError`;
     a start outside the barrier's interior is an `error:InfeasiblePointError`
     row, and a `LinAlgError` from any solve an `error:LinAlgError` row.
@@ -295,7 +296,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
     t0 = time.perf_counter()
     data = prepare_scenario(config)
     w_rf = beamform.optimal_analog(data.u_tilde)
-    w_bb = r_bb = None
+    w_bb = None
     se_bits, iterations = np.nan, 0
     try:
         if algorithm == "rm_jgd":
@@ -316,7 +317,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
             solution = opt_sdr.solve_maxdet(data.problem)
             status = solution.status
             if status != "infeasible":
-                r_bb, se_bits = solution.r_bb, solution.dual_bits
+                w_bb, se_bits = opt_sdr._factor(solution.r_bb), solution.dual_bits
                 iterations = solution.newton_steps
     except opt_manifold.InfeasibleProblemError:
         # phase 1 certifies infeasibility only within col(U_B), the rate
@@ -328,17 +329,11 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         # outside the barrier's interior or a linear solve that failed
         status = f"error:{type(err).__name__}"
     scnr_db = power_exact = power_proxy = np.nan
-    r_x = None
     if w_bb is not None:
         beamform.check_hybrid(w_rf, w_bb, config.k_subarrays, data.problem.power_budget)
         ww = w_rf @ w_bb
         r_x = ww @ ww.conj().T
         power_exact, power_proxy = beamform.transmit_power(w_rf, w_bb)
-    elif r_bb is not None:
-        r_x = data.u_tilde @ r_bb @ data.u_tilde.conj().T
-        power_exact = float(np.real(np.trace(r_x)))
-        power_proxy = float(config.m_antennas * np.real(np.trace(r_bb)))
-    if r_x is not None:
         w_star = beamform.mvdr_receive(data.responses, r_x, config.sigma_s_sq)
         scnr_lin = beamform.scnr(w_star, data.responses, r_x, config.sigma_s_sq)
         scnr_db = 10.0 * np.log10(scnr_lin) if scnr_lin > 0 else -np.inf

@@ -130,7 +130,6 @@ def test_criterion_4_rank_bounds():
     g = build_geometry(cfg)
     los = draw_paths(cfg, g, np.random.default_rng(0))[0]
     forced = PathSpec(
-        kind="los",
         gains=los.gains,
         distances=los.distances,
         aod=los.aod,

@@ -6,6 +6,8 @@ import pytest
 
 from modisac import harness
 from modisac.channel import (
+    GAIN_REFERENCE,
+    NLOS_EXTRA_LOSS_DB,
     SCATTER_ANGLE,
     SCATTER_RANGE,
     PathSpec,
@@ -35,7 +37,6 @@ def test_draw_paths_single_los():
     cfg, g = _geometry(paths=1)
     paths = draw_paths(cfg, g, np.random.default_rng(0))
     assert len(paths) == 1
-    assert paths[0].kind == "los"
     assert paths[0].scatterer is None
 
 
@@ -54,16 +55,37 @@ def test_draw_paths_scatterer_region():
     paths = draw_paths(cfg, g, np.random.default_rng(3))
     assert len(paths) == 4
     for p in paths[1:]:
-        assert p.kind == "nlos"
+        assert p.scatterer is not None
         assert SCATTER_RANGE[0] <= p.scatterer.r <= SCATTER_RANGE[1]
         assert SCATTER_ANGLE[0] <= p.scatterer.theta <= SCATTER_ANGLE[1]
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 4])
+def test_draw_paths_draw_order_and_gain_law(n_paths):
+    # each scatterer draws its range, then its angle; LoS gains follow the 1/D
+    # law, NLoS gains sit NLOS_EXTRA_LOSS_DB below it
+    cfg, g = _geometry(paths=n_paths)
+    paths = draw_paths(cfg, g, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    expected = [
+        PolarPoint(rng.uniform(*SCATTER_RANGE), rng.uniform(*SCATTER_ANGLE))
+        for _ in range(n_paths - 1)
+    ]
+    assert len(paths) == n_paths and paths[0].scatterer is None
+    assert np.array_equal(
+        np.reshape([(p.scatterer.r, p.scatterer.theta) for p in paths[1:]], (-1, 2)),
+        np.reshape([(p.r, p.theta) for p in expected], (-1, 2)),
+    )
+    assert np.array_equal(paths[0].gains, GAIN_REFERENCE / paths[0].distances)
+    for p in paths[1:]:
+        nlos = 10 ** (-NLOS_EXTRA_LOSS_DB / 20) * GAIN_REFERENCE / p.distances
+        assert np.array_equal(p.gains, nlos)
 
 
 def _manual_path(geometry, user, n_user, gains=None, aoa=None):
     """LoS-style PathSpec with overridable gains/arrival angles."""
     dists, aod = subarray_view(geometry, "tx", user)
     return PathSpec(
-        kind="los",
         gains=np.ones(dists.size) if gains is None else gains,
         distances=dists,
         aod=aod,
@@ -97,7 +119,7 @@ def test_channel_element_oracle():
     # H[u, kM+m] = sum_p g_p^k e^{-j2pi D_p^k/lam} e^{-j2pi u d sin(aoa)/lam} e^{+j2pi m d sin(aod)/lam}
     cfg, g = _geometry(subarrays=3, antennas_per_subarray=4, user_antennas=3, paths=2)
     los, nlos = draw_paths(cfg, g, np.random.default_rng(4))
-    assert (los.kind, nlos.kind) == ("los", "nlos")
+    assert los.scatterer is None and nlos.scatterer is not None
     h = build_comm_channel(g, [los, nlos], 3)
     lam, d = g.wavelength, g.d
     (ux, uy), (sx, sy) = cfg.user.xy, nlos.scatterer.xy

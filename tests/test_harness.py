@@ -285,6 +285,34 @@ def test_stream_count_is_rate_form_rank():
         assert channel.numerical_rank(g, 1e-5) == rank
 
 
+def test_fdb_row_matches_its_covariance():
+    # fdb's row goes through the shared W_BB tail with F = _factor(R_BB); the
+    # oracle is the covariance route R_X = U_tilde R_BB U_tilde^H
+    configs = [
+        harness.desk_config(seed=_op_seed(0, slot), scnr_threshold_db=db)
+        for slot in range(9)
+        for db in (0.0, 60.0)
+    ]
+    configs.append(harness.config_from_dict({"seed": 0, "scnr_threshold_db": 85.0}))
+    for cfg in configs:
+        row = harness.run_scenario(cfg, "fdb")
+        data = harness.prepare_scenario(cfg)
+        solution = opt_sdr.solve_maxdet(data.problem)
+        assert (row.status, row.se_bits) == ("ok", solution.dual_bits), cfg.seed
+        r_x = data.u_tilde @ solution.r_bb @ data.u_tilde.conj().T
+        power = np.real(np.trace(r_x))
+        proxy = cfg.m_antennas * np.real(np.trace(solution.r_bb))
+        assert row.power_exact == pytest.approx(power, rel=1e-12, abs=0), cfg.seed
+        assert row.power_proxy == pytest.approx(proxy, rel=1e-12, abs=0), cfg.seed
+        w_star = beamform.mvdr_receive(data.responses, r_x, cfg.sigma_s_sq)
+        scnr_db = 10 * np.log10(beamform.scnr(w_star, data.responses, r_x, cfg.sigma_s_sq))
+        assert abs(row.scnr_db - scnr_db) <= 1e-9, cfg.seed
+        beamform.check_hybrid(
+            beamform.optimal_analog(data.u_tilde), opt_sdr._factor(solution.r_bb),
+            cfg.k_subarrays, data.problem.power_budget,
+        )
+
+
 def test_refreshed_filter_improves_scnr(desk_data):
     cfg = desk_data.config
     n = cfg.n_antennas
