@@ -1,13 +1,13 @@
 """Beamformer checks, performance metrics and the subarray-response subspace.
 
-Values go in and out plain: H, the response tuple, the N-vector MVDR filter
-and the (N, N_RF) basis U_tilde, which is block diagonal: its k-th block
-stacks subarray k's steering vectors toward all sensing objects and
-communication paths side by side. U_tilde is simultaneously the optimal
-analog beamformer: every entry of a block is unit modulus, so the
-group-connected phase-shifter constraint is met for free. The sensing forms
-(`phi_matrices`, `sensing_form`) take any transmit basis B: U_tilde for the
-reduced problem, the identity for the full N-dimensional one;
+Values go in and out plain: H, the response tuple, a design's echo weights
+(all the SCNR reads of it), the MVDR filter and the (N, N_RF) basis U_tilde,
+which is block diagonal: its k-th block stacks subarray k's steering vectors
+toward all sensing objects and communication paths side by side. U_tilde is
+simultaneously the optimal analog beamformer: every entry of a block is unit
+modulus, so the group-connected phase-shifter constraint is met for free. The
+sensing forms (`phi_matrices`, `sensing_form`) take any transmit basis B:
+U_tilde for the reduced problem, the identity for the full N-dimensional one;
 `opt_sdr.make_maxdet_problem` builds both problems from them.
 """
 
@@ -111,23 +111,27 @@ def _rate_bits(g: np.ndarray, sigma_c_sq: float) -> float:
     return float(np.sum(np.log2(1.0 + s**2 / sigma_c_sq)))
 
 
+def echo_weights(responses: tuple[ObjectResponse, ...], f: np.ndarray) -> np.ndarray:
+    """Per-object echo weights alpha_q^2 ||F^H g_tq||^2 = alpha_q^2 g_tq^H R_X g_tq, R_X = F F^H."""
+    g_t = np.stack([resp.g_t for resp in responses])
+    alphas = np.array([resp.alpha for resp in responses])
+    return alphas ** 2 * np.sum(np.abs(g_t.conj() @ f) ** 2, axis=1)
+
+
 def scnr(
     w: np.ndarray,
     responses: tuple[ObjectResponse, ...],
-    r_x: np.ndarray,
+    weights: np.ndarray,
     sigma_s_sq: float,
 ) -> float:
-    """Output SCNR of receive filter w for transmit covariance R_X.
+    """Output SCNR of receive filter w for the `echo_weights` of a transmit design.
 
     Object 0 is the target; the rest are clutter. Object q's received echo
-    power is alpha_q^2 |w^H g_rq|^2 g_tq^H R_X g_tq.
+    power is weights[q] |w^H g_rq|^2.
     """
     if np.linalg.norm(w) == 0.0:
         raise ValueError("receive filter must be nonzero")
-    gains = np.empty(len(responses))
-    for q, resp in enumerate(responses):
-        forward = np.real(resp.g_t.conj() @ r_x @ resp.g_t)
-        gains[q] = resp.alpha ** 2 * np.abs(w.conj() @ resp.g_r) ** 2 * forward
+    gains = weights * np.array([np.abs(w.conj() @ resp.g_r) ** 2 for resp in responses])
     noise = sigma_s_sq * float(np.real(w.conj() @ w))
     denom = float(np.sum(gains[1:])) + noise
     if denom <= 0.0:
@@ -137,23 +141,21 @@ def scnr(
 
 def mvdr_receive(
     responses: tuple[ObjectResponse, ...],
-    r_x: np.ndarray,
+    weights: np.ndarray,
     sigma_s_sq: float,
 ) -> np.ndarray:
-    """Closed-form SCNR-optimal receive filter over the N-element receive array.
+    """Closed-form SCNR-optimal receive filter w* = C^{-1} g_r0 / (g_r0^H C^{-1} g_r0).
 
-    w* = (Sigma + sigma_s^2 I)^{-1} g_r0 / (g_r0^H (Sigma + sigma_s^2 I)^{-1} g_r0)
-    with Sigma the clutter covariance sum_q alpha_q^2 (g_tq^H R g_tq) g_rq g_rq^H.
+    C = sigma_s^2 I + G D G^H, G the clutter receive responses, D = diag(weights[1:]), is
+    never formed: by Woodbury, sigma_s^2 C^{-1} g_r0 = g_r0 - G D (sigma_s^2 I + G^H G D)^{-1}
+    G^H g_r0, a (Q-1)-square solve whose matrix has eigenvalues >= sigma_s^2.
     """
     if sigma_s_sq <= 0:
         raise ValueError("sigma_s_sq must be positive")
-    n = responses[0].g_r.size
-    cov = sigma_s_sq * np.eye(n, dtype=complex)
-    for resp in responses[1:]:
-        forward = np.real(resp.g_t.conj() @ r_x @ resp.g_t)
-        cov += resp.alpha ** 2 * forward * np.outer(resp.g_r, resp.g_r.conj())
-    g0 = responses[0].g_r
-    sol = np.linalg.solve(cov, g0)
+    g = np.stack([resp.g_r for resp in responses], axis=1)
+    g0, g_c, g_d = g[:, 0], g[:, 1:], g[:, 1:] * weights[1:]
+    inner = sigma_s_sq * np.eye(g_c.shape[1]) + g_c.conj().T @ g_d
+    sol = g0 - g_d @ np.linalg.solve(inner, g_c.conj().T @ g0)
     w = sol / np.real(g0.conj() @ sol)
     if not np.all(np.isfinite(w.view(float))):
         raise ValueError("receive beamformer has non-finite entries")

@@ -4,7 +4,7 @@ A run builds the geometry and channels, fixes the receive filter from
 omnidirectional transmission, constructs the subarray-response subspace and
 the reduced problem with its sensing constraint, hands that problem to the
 chosen optimizer and finally refreshes the receive filter from the
-optimized covariance before reporting rate and SCNR.
+optimized design's echo weights before reporting rate and SCNR.
 """
 
 from __future__ import annotations
@@ -202,16 +202,17 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
 
     The RNG order is fixed (layout draw, then path scatterers, each drawing
     its range, then its angle) so a seed pins the whole instance. The fixed
-    receive filter comes from omnidirectional transmission R_X = I. The configured stream count, or
-    None, goes to `opt_sdr.make_maxdet_problem`, which sets the count and
-    the power budget.
+    receive filter comes from R_X = I, echo weights alpha_q^2 N (g_t is unit
+    modulus). The configured stream count, or None, goes to
+    `opt_sdr.make_maxdet_problem`, which sets the count and the power budget.
     """
     rng = np.random.default_rng(config.seed)
     geometry = geo.build_geometry(config, _layout_offsets(config, rng))
     paths = channel.draw_paths(config, geometry, rng)
     h = channel.build_comm_channel(geometry, paths, config.n_user_antennas)
     responses = channel.build_responses(geometry, config.scene_objects)
-    w_fixed = beamform.mvdr_receive(responses, np.eye(config.n_antennas), config.sigma_s_sq)
+    omni = config.n_antennas * np.array([resp.alpha ** 2 for resp in responses])
+    w_fixed = beamform.mvdr_receive(responses, omni, config.sigma_s_sq)
     u_tilde = beamform.build_subspace(geometry, paths, responses)
     problem = opt_sdr.make_maxdet_problem(
         h, u_tilde, responses, w_fixed, config.scnr_min, config.sigma_c_sq,
@@ -331,11 +332,10 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
     scnr_db = power_exact = power_proxy = np.nan
     if w_bb is not None:
         beamform.check_hybrid(w_rf, w_bb, config.k_subarrays, data.problem.power_budget)
-        ww = w_rf @ w_bb
-        r_x = ww @ ww.conj().T
         power_exact, power_proxy = beamform.transmit_power(w_rf, w_bb)
-        w_star = beamform.mvdr_receive(data.responses, r_x, config.sigma_s_sq)
-        scnr_lin = beamform.scnr(w_star, data.responses, r_x, config.sigma_s_sq)
+        weights = beamform.echo_weights(data.responses, w_rf @ w_bb)
+        w_star = beamform.mvdr_receive(data.responses, weights, config.sigma_s_sq)
+        scnr_lin = beamform.scnr(w_star, data.responses, weights, config.sigma_s_sq)
         scnr_db = 10.0 * np.log10(scnr_lin) if scnr_lin > 0 else -np.inf
     return ResultRow(
         algorithm=algorithm,

@@ -222,12 +222,12 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
         r_x = wrfbb @ wrfbb.conj().T
         se_full = beamform._rate_bits(data.h @ opt_sdr._factor(r_x), cfg.sigma_c_sq)
         se_red = beamform.spectral_efficiency(data.h, w_rf, w_bb, cfg.sigma_c_sq)
+        weights = beamform.echo_weights(data.responses, wrfbb)
         worst["SE"] = max(worst["SE"], abs(se_full - se_red) / max(se_full, 1e-12))
         for name, (w, problem) in filters.items():
             red = float(np.real(np.sum(w_bb.conj() * (problem.psi @ w_bb)))) - problem.gamma0
-            s = beamform.scnr(w, data.responses, r_x, cfg.sigma_s_sq)
-            echo = float(target.alpha ** 2 * np.abs(w.conj() @ target.g_r) ** 2
-                         * np.real(target.g_t.conj() @ r_x @ target.g_t))
+            s = beamform.scnr(w, data.responses, weights, cfg.sigma_s_sq)
+            echo = float(weights[0] * np.abs(w.conj() @ target.g_r) ** 2)
             # relative to the sum of the two sides' magnitudes, echo * (1 + scnr_min / s)
             gap = abs(red - echo * (1.0 - cfg.scnr_min / s)) / (echo * (1.0 + cfg.scnr_min / s))
             worst[name] = max(worst[name], gap)
@@ -236,22 +236,20 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
 
 
 def mvdr_argmax(data: harness.ScenarioData, rng: np.random.Generator) -> tuple[bool, str]:
-    """The MVDR filter at R_X = I attains the SCNR maximum over 10^4 random filters.
+    """The fixed filter, MVDR at R_X = I, attains the SCNR maximum over 10^4 random filters.
 
     The random filters are scored in one batch (SCNR is scale-invariant in
     w); the batch formula must reproduce `beamform.scnr` at the MVDR filter.
     """
     cfg, objs = data.config, data.responses
     n = cfg.n_antennas
-    r_x = np.eye(n)
-    w_star = beamform.mvdr_receive(data.responses, r_x, cfg.sigma_s_sq)
-    best = beamform.scnr(w_star, data.responses, r_x, cfg.sigma_s_sq)
+    weights = n * np.array([r.alpha ** 2 for r in objs])
+    best = beamform.scnr(data.w_fixed, data.responses, weights, cfg.sigma_s_sq)
     w = rng.standard_normal((n, 10_000)) + 1j * rng.standard_normal((n, 10_000))
-    w = np.concatenate([w_star[:, None], w], axis=1)
-    forward = np.array([r.alpha**2 * np.real(r.g_t.conj() @ r_x @ r.g_t) for r in objs])
+    w = np.concatenate([data.w_fixed[:, None], w], axis=1)
     proj = np.abs(np.stack([r.g_r for r in objs]).conj() @ w) ** 2
     noise = cfg.sigma_s_sq * np.sum(np.abs(w) ** 2, axis=0)
-    batch = forward[0] * proj[0] / (forward[1:] @ proj[1:] + noise)
+    batch = weights[0] * proj[0] / (weights[1:] @ proj[1:] + noise)
     pin, top = abs(batch[0] - best) / best, float(np.max(batch[1:]))
     ok = pin < 1e-9 and top <= best * (1 + 1e-9)
     return ok, f"MVDR SCNR {best:.4g}, best random {top:.4g}, batch pin {pin:.1e}"

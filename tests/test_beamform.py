@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from modisac.beamform import (
     analog_feasibility,
     build_subspace,
     check_hybrid,
+    echo_weights,
     mvdr_receive,
     optimal_analog,
     phi_matrices,
@@ -88,7 +91,7 @@ def test_scnr_zero_covariance(desk_data):
     val = scnr(
         desk_data.w_fixed,
         desk_data.responses,
-        np.zeros((cfg.n_antennas, cfg.n_antennas)),
+        echo_weights(desk_data.responses, np.zeros((cfg.n_antennas, 1))),
         cfg.sigma_s_sq,
     )
     assert val == 0.0
@@ -101,7 +104,7 @@ def test_scnr_matched_filter_oracle():
     resp = build_responses(g, cfg.scene_objects)
     n = cfg.n_antennas
     w = resp[0].g_r / n
-    val = scnr(w, resp, np.eye(n), cfg.sigma_s_sq)
+    val = scnr(w, resp, echo_weights(resp, np.eye(n)), cfg.sigma_s_sq)
     expected = cfg.target.alpha**2 * n**2 / cfg.sigma_s_sq
     assert val == pytest.approx(expected, rel=1e-10)
 
@@ -111,8 +114,8 @@ def test_scnr_scaling_in_covariance():
     data = harness.prepare_scenario(cfg)
     n = cfg.n_antennas
     vals = [
-        scnr(data.w_fixed, data.responses, c * np.eye(n), cfg.sigma_s_sq)
-        for c in (1.0, 2.0, 4.0)
+        scnr(data.w_fixed, data.responses, echo_weights(data.responses, f), cfg.sigma_s_sq)
+        for f in (np.sqrt(c) * np.eye(n) for c in (1.0, 2.0, 4.0))
     ]
     assert vals[0] < vals[1] < vals[2]
 
@@ -123,7 +126,7 @@ def test_scnr_zero_denominator_raises():
     resp = build_responses(g, cfg.scene_objects)
     n = cfg.n_antennas
     with pytest.raises(ZeroDivisionError):
-        scnr(resp[0].g_r, resp, np.eye(n), 0.0)
+        scnr(resp[0].g_r, resp, echo_weights(resp, np.eye(n)), 0.0)
 
 
 def test_mvdr_no_interference_matched():
@@ -131,15 +134,58 @@ def test_mvdr_no_interference_matched():
     g = build_geometry(cfg)
     resp = build_responses(g, cfg.scene_objects)
     n = cfg.n_antennas
-    w = mvdr_receive(resp, np.eye(n), cfg.sigma_s_sq)
+    w = mvdr_receive(resp, echo_weights(resp, np.eye(n)), cfg.sigma_s_sq)
     assert np.allclose(w, resp[0].g_r / n, atol=1e-12)
 
 
 def test_mvdr_omnidirectional_finite(desk_data):
     cfg = desk_data.config
-    w = mvdr_receive(desk_data.responses, np.eye(cfg.n_antennas), cfg.sigma_s_sq)
+    weights = echo_weights(desk_data.responses, np.eye(cfg.n_antennas))
+    w = mvdr_receive(desk_data.responses, weights, cfg.sigma_s_sq)
     assert np.all(np.isfinite(w.view(float)))
     assert np.linalg.norm(w) > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a zero weight is never divided by
+@pytest.mark.parametrize("desk", [True, False], ids=["desk", "full"])
+def test_mvdr_matches_dense_covariance(desk):
+    # oracle: the dense clutter-plus-noise covariance C = sigma^2 I + G D G^H and its LU
+    for seed in range(10):
+        cfg = harness.desk_config(seed=seed) if desk else harness.config_from_dict({"seed": seed})
+        data = harness.prepare_scenario(cfg)
+        n, sigma_sq = cfg.n_antennas, cfg.sigma_s_sq
+        # distinct amplitudes, so that alpha_q^2 shows in the weights
+        objs = tuple(dataclasses.replace(r, alpha=1.0 - 0.25 * q)
+                     for q, r in enumerate(data.responses))
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        r_x = f @ f.conj().T
+        dense = np.array([r.alpha ** 2 * np.real(r.g_t.conj() @ r_x @ r.g_t) for r in objs])
+        assert np.allclose(echo_weights(objs, f), dense, rtol=1e-12, atol=0), seed
+        g = np.stack([r.g_r for r in objs], axis=1)
+        for weights in (echo_weights(objs, np.eye(n)), echo_weights(objs, f)):
+            c = sigma_sq * np.eye(n) + (g[:, 1:] * weights[1:]) @ g[:, 1:].conj().T
+            w = mvdr_receive(objs, weights, sigma_sq)
+            cw = c @ w
+            kappa = np.vdot(g[:, 0], cw) / np.vdot(g[:, 0], g[:, 0])
+            backward = np.linalg.norm(cw - kappa * g[:, 0]) / (
+                np.linalg.norm(c, 2) * np.linalg.norm(w))
+            assert backward <= 1e-14, (seed, backward)
+            sol = np.linalg.solve(c, g[:, 0])
+            w_lu = sol / np.real(np.vdot(g[:, 0], sol))
+            ours, lu = scnr(w, objs, weights, sigma_sq), scnr(w_lu, objs, weights, sigma_sq)
+            assert ours == pytest.approx(lu, rel=1e-11, abs=0), seed
+            # a clutter object with zero weight drops out; with all zero, the matched filter
+            silent = weights.copy()
+            silent[1] = 0.0
+            kept = objs[:1] + objs[2:]
+            assert np.allclose(
+                mvdr_receive(objs, silent, sigma_sq),
+                mvdr_receive(kept, np.delete(weights, 1), sigma_sq), rtol=1e-13, atol=0,
+            ), seed
+            silent[1:] = 0.0
+            assert np.allclose(mvdr_receive(objs, silent, sigma_sq), g[:, 0] / n,
+                               rtol=1e-14, atol=0), seed
 
 
 def test_mvdr_argmax_sampled(assert_check):

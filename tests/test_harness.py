@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -287,7 +289,8 @@ def test_stream_count_is_rate_form_rank():
 
 def test_fdb_row_matches_its_covariance():
     # fdb's row goes through the shared W_BB tail with F = _factor(R_BB); the
-    # oracle is the covariance route R_X = U_tilde R_BB U_tilde^H
+    # oracle is the covariance route R_X = U_tilde R_BB U_tilde^H, with the
+    # echo weights taken as alpha_q^2 g_tq^H R_X g_tq
     configs = [
         harness.desk_config(seed=_op_seed(0, slot), scnr_threshold_db=db)
         for slot in range(9)
@@ -304,8 +307,11 @@ def test_fdb_row_matches_its_covariance():
         proxy = cfg.m_antennas * np.real(np.trace(solution.r_bb))
         assert row.power_exact == pytest.approx(power, rel=1e-12, abs=0), cfg.seed
         assert row.power_proxy == pytest.approx(proxy, rel=1e-12, abs=0), cfg.seed
-        w_star = beamform.mvdr_receive(data.responses, r_x, cfg.sigma_s_sq)
-        scnr_db = 10 * np.log10(beamform.scnr(w_star, data.responses, r_x, cfg.sigma_s_sq))
+        weights = np.array([
+            r.alpha ** 2 * np.real(r.g_t.conj() @ r_x @ r.g_t) for r in data.responses
+        ])
+        w_star = beamform.mvdr_receive(data.responses, weights, cfg.sigma_s_sq)
+        scnr_db = 10 * np.log10(beamform.scnr(w_star, data.responses, weights, cfg.sigma_s_sq))
         assert abs(row.scnr_db - scnr_db) <= 1e-9, cfg.seed
         beamform.check_hybrid(
             beamform.optimal_analog(data.u_tilde), opt_sdr._factor(solution.r_bb),
@@ -318,10 +324,10 @@ def test_refreshed_filter_improves_scnr(desk_data):
     n = cfg.n_antennas
     rng = np.random.default_rng(0)
     a = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
-    r_x = a @ a.conj().T
-    fixed = beamform.scnr(desk_data.w_fixed, desk_data.responses, r_x, cfg.sigma_s_sq)
-    w_star = beamform.mvdr_receive(desk_data.responses, r_x, cfg.sigma_s_sq)
-    refreshed = beamform.scnr(w_star, desk_data.responses, r_x, cfg.sigma_s_sq)
+    weights = beamform.echo_weights(desk_data.responses, a)
+    fixed = beamform.scnr(desk_data.w_fixed, desk_data.responses, weights, cfg.sigma_s_sq)
+    w_star = beamform.mvdr_receive(desk_data.responses, weights, cfg.sigma_s_sq)
+    refreshed = beamform.scnr(w_star, desk_data.responses, weights, cfg.sigma_s_sq)
     assert refreshed >= fixed
 
 
@@ -745,6 +751,30 @@ def test_result_row_csv_bytes():
     )
     error = harness._error_row("fdb", 123, ValueError("x"))
     assert error.to_csv() == "fdb,123," + "nan," * 18 + "0,error:ValueError,0.000"
+
+
+def test_full_scale_row_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    # a binding full-scale rm_jgd row: its Newton step count follows the last
+    # bits of the fixed filter, so every BLAS call on the way must not depend
+    # on the thread count
+    config = tmp_path / "binding.yaml"
+    config.write_text("scnr_threshold_db: 80\n")
+    src = str(Path(harness.__file__).parents[1])
+    code = "import sys; from modisac.cli import main; sys.exit(main(sys.argv[1:]))"
+    rows = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, "run-scenario", "--config", str(config),
+             "--seed", "3", "--algo", "rm-jgd"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        (row,) = csv.DictReader(out.splitlines())
+        del row["wall_time_ms"]
+        rows.append(row)
+    assert rows[0]["status"] == "ok"
+    assert rows[0] == rows[1]
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):

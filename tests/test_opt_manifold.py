@@ -756,7 +756,7 @@ def test_rmjgd_iterates_stay_unitary_and_feasible(desk_problem):
 
 
 def test_rmjgd_final_power_and_scnr(desk_problem):
-    from modisac.beamform import optimal_analog, scnr, transmit_power
+    from modisac.beamform import echo_weights, optimal_analog, scnr, transmit_power
 
     data, eig = desk_problem
     init = phase1_feasible(eig)
@@ -764,7 +764,6 @@ def test_rmjgd_final_power_and_scnr(desk_problem):
     w_rf = optimal_analog(data.u_tilde)
     _, proxy = transmit_power(w_rf, result.w_bb)
     assert proxy <= data.problem.n_streams + 1e-9
-    w_tx = w_rf @ result.w_bb
-    r_x = w_tx @ w_tx.conj().T
-    achieved = scnr(data.w_fixed, data.responses, r_x, data.config.sigma_s_sq)
+    weights = echo_weights(data.responses, w_rf @ result.w_bb)
+    achieved = scnr(data.w_fixed, data.responses, weights, data.config.sigma_s_sq)
     assert achieved >= data.config.scnr_min  # strict by barrier construction

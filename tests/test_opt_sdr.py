@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modisac import harness, opt_sdr
-from modisac.beamform import _rate_bits, scnr, verify_covariance_subspace
+from modisac.beamform import _rate_bits, echo_weights, scnr, verify_covariance_subspace
 from modisac.channel import numerical_rank
 from modisac.opt_sdr import (
     RANK_TOL,
@@ -172,9 +172,8 @@ def test_sdr_rrs_deterministic(small_problem):
 def test_sdr_rrs_meets_scnr_threshold(small_problem):
     data, problem = small_problem
     result = sdr_rrs(problem, np.random.default_rng(0))
-    w_tx = data.u_tilde @ result.w_bb
-    r_x = w_tx @ w_tx.conj().T
-    achieved = scnr(data.w_fixed, data.responses, r_x, data.config.sigma_s_sq)
+    weights = echo_weights(data.responses, data.u_tilde @ result.w_bb)
+    achieved = scnr(data.w_fixed, data.responses, weights, data.config.sigma_s_sq)
     assert achieved >= data.config.scnr_min - 1e-6
 
 
