@@ -1,14 +1,14 @@
 """Beamformer checks, performance metrics and the subarray-response subspace.
 
 Values go in and out plain: H, the response tuple, a design's echo weights
-(all the SCNR reads of it), the MVDR filter and the (N, N_RF) basis U_tilde,
-which is block diagonal: its k-th block stacks subarray k's steering vectors
-toward all sensing objects and communication paths side by side. U_tilde is
-simultaneously the optimal analog beamformer: every entry of a block is unit
-modulus, so the group-connected phase-shifter constraint is met for free. The
-sensing forms (`phi_matrices`, `sensing_form`) take any transmit basis B:
-U_tilde for the reduced problem, the identity for the full N-dimensional one;
-`opt_sdr.make_maxdet_problem` builds both problems from them.
+(all the SCNR reads of it), the MVDR filter and the analog stage, a (K, M,
+Q+Np) array whose block k stacks subarray k's steering vectors toward all
+sensing objects and communication paths. The blocks are both the basis
+U_tilde = blkdiag(blocks) and the optimal group-connected analog beamformer
+W_RF: every entry is unit modulus, and none lies outside a block. Products
+with them are stacked matmuls over the blocks. The sensing forms take any
+block basis B: the steering blocks for the reduced problem, N blocks of 1x1
+ones for the full N-dimensional one (`opt_sdr.make_maxdet_problem`).
 """
 
 from __future__ import annotations
@@ -19,22 +19,17 @@ from .channel import ObjectResponse, PathSpec
 from .geometry import ArrayGeometry, steering_vector
 
 
-def check_hybrid(
-    w_rf: np.ndarray, w_bb: np.ndarray, k_subarrays: int, budget: float
-) -> None:
-    """Enforce the structural invariants of W_RF W_BB; raises on violation.
+def check_hybrid(analog: np.ndarray, w_bb: np.ndarray, budget: float) -> None:
+    """Enforce the invariants of the hybrid design; raises on violation.
 
-    Off-block analog entries must be exactly zero, in-block entries unit
-    modulus, and ||W_BB||_F^2 within `budget`, the problem's power_budget:
-    the proxy M ||W_BB||_F^2, M the rows per subarray, may exceed M * budget
-    by at most 1e-9.
+    Every entry of the (K, M, c) analog blocks must be unit modulus, and the
+    proxy M ||W_BB||_F^2 may exceed M * budget, `budget` the problem's
+    power_budget, by at most 1e-9.
     """
-    ok, mod_err = analog_feasibility(w_rf, k_subarrays)
-    if not ok:
-        raise ValueError("analog beamformer has support outside its blocks")
+    mod_err = float(np.max(np.abs(np.abs(analog) - 1.0)))
     if mod_err > 1e-9:
         raise ValueError(f"analog entries deviate from unit modulus by {mod_err:.2e}")
-    m = w_rf.shape[0] // k_subarrays
+    m = analog.shape[1]
     proxy = m * float(np.linalg.norm(w_bb) ** 2)
     if proxy > m * budget + 1e-9:
         raise ValueError(
@@ -47,59 +42,40 @@ def build_subspace(
     paths: list[PathSpec],
     responses: tuple[ObjectResponse, ...],
 ) -> np.ndarray:
-    """The (N, K*(Q+Np)) block-diagonal U_tilde of per-subarray steering vectors.
-
-    Block k holds subarray k's steering vectors toward each sensing object,
-    then toward each communication path's AoD.
-    """
-    k, m = geometry.k_subarrays, geometry.m_antennas
-    # (K, M, Q+Np): subarray k's steering vectors, the columns of block k
-    steer = np.stack([resp.a_t_blocks for resp in responses] + [
-        steering_vector(m, p.aod, geometry.d, geometry.wavelength) for p in paths], axis=2)
-    cols = steer.shape[2]
-    # column-major: the rounding of BLAS products with U_tilde (phi_matrices,
-    # reduce_b) depends on the layout, and the sweep CSVs are pinned to this one
-    u_tilde = np.zeros((k * m, k * cols), dtype=complex, order="F")
-    # entry (k*M + i, k*cols + j) is [i, k, j, k] of this F-ordered view
-    block_view = u_tilde.reshape((m, k, cols, k), order="F")
-    block_view[:, np.arange(k), :, np.arange(k)] = steer
-    return u_tilde
+    """The (K, M, Q+Np) analog blocks: block k holds subarray k's steering
+    vectors toward each sensing object, then toward each communication path's AoD."""
+    # each block column-major, its steering vectors contiguous: BLAS rounds
+    # products by layout, and the rows are pinned to this one
+    return np.stack([resp.a_t_blocks for resp in responses] + [
+        steering_vector(geometry.m_antennas, p.aod, geometry.d, geometry.wavelength)
+        for p in paths], axis=1).transpose(0, 2, 1)
 
 
-def optimal_analog(u_tilde: np.ndarray) -> np.ndarray:
-    """Closed-form analog beamformer: a C-ordered copy of the basis itself."""
-    return u_tilde.copy()
+def analog_times(analog: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """B x for the (K, M, c) blocks B and x with K*c rows, e.g. F = W_RF W_BB."""
+    k, m, c = analog.shape
+    return np.matmul(analog, x.reshape(k, c, -1)).reshape(k * m, -1)
 
 
-def analog_feasibility(
-    w_rf: np.ndarray, k_subarrays: int
-) -> tuple[bool, float]:
-    """Check group-connected membership: exact off-block zeros, unit modulus.
-
-    Returns (support_ok, max in-block modulus deviation from 1).
-    """
-    n, n_rf = w_rf.shape
-    if n % k_subarrays or n_rf % k_subarrays:
-        return False, np.inf
-    # allowed nonzero pattern: row block k (M rows) meets column block k
-    mask = (np.arange(n)[:, None] // (n // k_subarrays)
-            == np.arange(n_rf)[None, :] // (n_rf // k_subarrays))
-    support_ok = bool(np.all(w_rf[~mask] == 0.0))
-    mod_err = float(np.max(np.abs(np.abs(w_rf[mask]) - 1.0))) if mask.any() else 0.0
-    return support_ok, mod_err
+def times_analog(h: np.ndarray, analog: np.ndarray) -> np.ndarray:
+    """H B for the (K, M, c) blocks B and H with K*M columns, e.g. H_eff."""
+    k, m, c = analog.shape
+    blocks = np.matmul(h.reshape(-1, k, m).transpose(1, 0, 2), analog)
+    return blocks.transpose(1, 0, 2).reshape(h.shape[0], k * c)
 
 
 def spectral_efficiency(
-    h: np.ndarray, w_rf: np.ndarray, w_bb: np.ndarray, sigma_c_sq: float
+    h: np.ndarray, analog: np.ndarray, w_bb: np.ndarray, sigma_c_sq: float
 ) -> float:
     """Achievable rate log2 det(I + H W W^H H^H / sigma_c^2) in bits/s/Hz.
 
-    Evaluated through the singular values of H W_RF W_BB, which keeps the
-    determinant symmetric and nonnegative by construction.
+    Evaluated through the singular values of H W_RF W_BB, W_RF the (K, M, c)
+    analog blocks, which keeps the determinant symmetric and nonnegative by
+    construction.
     """
     if sigma_c_sq <= 0:
         raise ValueError("sigma_c_sq must be positive")
-    g = h @ w_rf @ w_bb
+    g = h @ analog_times(analog, w_bb)
     if not np.all(np.isfinite(g.view(float))):
         raise ValueError("non-finite effective channel")
     return _rate_bits(g, sigma_c_sq)
@@ -167,10 +143,15 @@ def mvdr_receive(
 def phi_matrices(
     basis: np.ndarray, responses: tuple[ObjectResponse, ...], w: np.ndarray
 ) -> np.ndarray:
-    """Rank-1 sensing forms Phi_q = |w^H g_rq|^2 (B^H g_tq)(B^H g_tq)^H, stacked (Q, n, n)."""
+    """Rank-1 sensing forms Phi_q = |w^H g_rq|^2 (B^H g_tq)(B^H g_tq)^H, stacked (Q, n, n).
+
+    B is a (K, M, c) block basis and n = K*c.
+    """
+    k, m, cols = basis.shape
+    adjoint = basis.conj().transpose(0, 2, 1)
     phis = []
     for resp in responses:
-        v = basis.conj().T @ resp.g_t
+        v = np.matmul(adjoint, resp.g_t.reshape(k, m, 1)).reshape(k * cols)
         c = float(np.abs(w.conj() @ resp.g_r) ** 2)
         phis.append(c * np.outer(v, v.conj()))
     return np.stack(phis)
@@ -186,40 +167,46 @@ def sensing_form(
     return 0.5 * (psi + psi.conj().T)
 
 
-def transmit_power(w_rf: np.ndarray, w_bb: np.ndarray) -> tuple[float, float]:
-    """(exact, proxy) transmit powers.
+def transmit_power(f: np.ndarray, w_bb: np.ndarray, m: int) -> tuple[float, float]:
+    """(exact, proxy) transmit powers of F = W_RF W_BB.
 
-    exact = ||W_RF W_BB||_F^2; proxy = M ||W_BB||_F^2 with M the squared
-    column norm of the analog stage (the per-subarray antenna count for
-    unit-modulus blocks). The proxy is exact only when each analog block has
-    orthogonal columns, so both are returned and the gap is the caller's to
-    report.
+    exact = ||F||_F^2; proxy = M ||W_BB||_F^2, M the antennas per subarray.
+    The proxy is exact only when each analog block has orthogonal columns,
+    so both are returned and the gap is the caller's to report.
     """
-    exact = float(np.linalg.norm(w_rf @ w_bb) ** 2)
-    m = float(np.round(np.linalg.norm(w_rf[:, 0]) ** 2))
-    proxy = float(m * np.linalg.norm(w_bb) ** 2)
-    return exact, proxy
+    return float(np.linalg.norm(f) ** 2), float(m * np.linalg.norm(w_bb) ** 2)
 
 
-# Gram eigenvalues of U_tilde at or below this fraction of the largest are
-# left out of the projector onto col(U_tilde).
+# Gram eigenvalues of the analog blocks at or below this fraction of the
+# largest over all blocks are left out of the projector onto col(U_tilde).
 GRAM_CUTOFF = 1e-10
 
 
-def verify_covariance_subspace(r_x: np.ndarray, u: np.ndarray) -> float:
-    """Relative residual of R_X outside the span of U_tilde.
+def outside_subspace(analog: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P_perp x for x with N rows, P_perp the projector onto the complement of col(U_tilde).
 
-    Returns ||P_perp R_X P_perp||_F / ||R_X||_F with P_perp the orthogonal
-    projector onto the complement of col(U_tilde); zero exactly when R_X is
+    U_tilde is block diagonal, so P_perp is too: block k's projector comes
+    from the c-square Gram of analog block k.
+    """
+    vals, vecs = np.linalg.eigh(analog.conj().transpose(0, 2, 1) @ analog)
+    keep = vals > GRAM_CUTOFF * vals.max()
+    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+    basis = analog @ vecs
+    k, m, _ = analog.shape
+    xb = x.reshape(k, m, -1)
+    coef = inv[:, :, None] * (basis.conj().transpose(0, 2, 1) @ xb)
+    return (xb - basis @ coef).reshape(x.shape)
+
+
+def verify_covariance_subspace(r_x: np.ndarray, analog: np.ndarray) -> float:
+    """Relative residual of R_X outside col(U_tilde), U_tilde = blkdiag(analog blocks).
+
+    Returns ||P_perp R_X P_perp||_F / ||R_X||_F; zero exactly when R_X is
     supported on the subspace.
     """
     norm = float(np.linalg.norm(r_x))
     if norm == 0.0:
         return 0.0
-    gram = u.conj().T @ u
-    vals, vecs = np.linalg.eigh(gram)
-    keep = vals > GRAM_CUTOFF * vals.max()
-    inv = (vecs[:, keep] / vals[keep][None, :]) @ vecs[:, keep].conj().T
-    proj = u @ inv @ u.conj().T
-    p_perp = np.eye(u.shape[0]) - proj
-    return float(np.linalg.norm(p_perp @ r_x @ p_perp) / norm)
+    half = outside_subspace(analog, r_x)
+    # P_perp (P_perp R_X)^H = (P_perp R_X P_perp)^H, of the same norm
+    return float(np.linalg.norm(outside_subspace(analog, half.conj().T)) / norm)

@@ -186,14 +186,18 @@ def _layout_offsets(
 
 @dataclass(frozen=True)
 class ScenarioData:
-    """One instance: channels, fixed filter, U_tilde and the problem built at them."""
+    """One instance: channels, fixed filter, analog stage and the problem built at them.
+
+    `analog` is the (K, M, Q+Np) array of subarray steering blocks: the basis
+    U_tilde and the analog beamformer W_RF, kept as its K blocks.
+    """
 
     config: ScenarioConfig
     geometry: geo.ArrayGeometry
     h: np.ndarray
     responses: tuple[channel.ObjectResponse, ...]
     w_fixed: np.ndarray
-    u_tilde: np.ndarray
+    analog: np.ndarray
     problem: opt_sdr.MaxDetProblem
 
 
@@ -213,10 +217,10 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
     responses = channel.build_responses(geometry, config.scene_objects)
     omni = config.n_antennas * np.array([resp.alpha ** 2 for resp in responses])
     w_fixed = beamform.mvdr_receive(responses, omni, config.sigma_s_sq)
-    u_tilde = beamform.build_subspace(geometry, paths, responses)
+    analog = beamform.build_subspace(geometry, paths, responses)
     problem = opt_sdr.make_maxdet_problem(
-        h, u_tilde, responses, w_fixed, config.scnr_min, config.sigma_c_sq,
-        config.sigma_s_sq, config.n_streams, config.m_antennas,
+        h, analog, responses, w_fixed, config.scnr_min, config.sigma_c_sq,
+        config.sigma_s_sq, config.n_streams,
     )
     return ScenarioData(
         config=config,
@@ -224,7 +228,7 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
         h=h,
         responses=responses,
         w_fixed=w_fixed,
-        u_tilde=u_tilde,
+        analog=analog,
         problem=problem,
     )
 
@@ -283,11 +287,12 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
     """Run the full pipeline for one algorithm and report final metrics.
 
     Each algorithm yields W_BB, its rate, iteration count and status; fdb's
-    W_BB is the factor F F^H = R_BB of its relaxed covariance and its rate the
-    dual bound. One shared tail checks every W_BB, forms the transmit
-    covariance and its power and refreshes the receive filter from it before
-    the SCNR is measured, so the reported value reflects the MVDR filter the
-    receiver would actually deploy. An rm_jgd run whose phase 1 or stream count fails
+    W_BB is the factor W_BB W_BB^H = R_BB of its relaxed covariance and its
+    rate the dual bound. One shared tail checks every W_BB and forms F =
+    W_RF W_BB once, block by block. The exact power, the echo weights and the
+    refreshed receive filter are read from F before the SCNR is measured, so
+    the reported value reflects the MVDR filter the receiver would actually
+    deploy. An rm_jgd run whose phase 1 or stream count fails
     is a row with status `infeasible_subspace` or `error:RankDeficiencyError`;
     a start outside the barrier's interior is an `error:InfeasiblePointError`
     row, and a `LinAlgError` from any solve an `error:LinAlgError` row.
@@ -296,7 +301,6 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     t0 = time.perf_counter()
     data = prepare_scenario(config)
-    w_rf = beamform.optimal_analog(data.u_tilde)
     w_bb = None
     se_bits, iterations = np.nan, 0
     try:
@@ -331,9 +335,10 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         status = f"error:{type(err).__name__}"
     scnr_db = power_exact = power_proxy = np.nan
     if w_bb is not None:
-        beamform.check_hybrid(w_rf, w_bb, config.k_subarrays, data.problem.power_budget)
-        power_exact, power_proxy = beamform.transmit_power(w_rf, w_bb)
-        weights = beamform.echo_weights(data.responses, w_rf @ w_bb)
+        beamform.check_hybrid(data.analog, w_bb, data.problem.power_budget)
+        f = beamform.analog_times(data.analog, w_bb)
+        power_exact, power_proxy = beamform.transmit_power(f, w_bb, data.analog.shape[1])
+        weights = beamform.echo_weights(data.responses, f)
         w_star = beamform.mvdr_receive(data.responses, weights, config.sigma_s_sq)
         scnr_lin = beamform.scnr(w_star, data.responses, weights, config.sigma_s_sq)
         scnr_db = 10.0 * np.log10(scnr_lin) if scnr_lin > 0 else -np.inf
@@ -556,7 +561,7 @@ def run_music(config: ScenarioConfig, grid):
     result = opt_sdr.sdr_rrs(data.problem, rng)
     if result.w_bb is None:
         raise TransmitDesignError(f"transmit optimization failed: {result.status}")
-    f_tx = beamform.optimal_analog(data.u_tilde) @ result.w_bb
+    f_tx = beamform.analog_times(data.analog, result.w_bb)
     symbols = (
         rng.standard_normal((data.problem.n_streams, length))
         + 1j * rng.standard_normal((data.problem.n_streams, length))

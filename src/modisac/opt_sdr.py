@@ -11,13 +11,13 @@ in closed form, and damped Newton steps on the convex two-scalar dual (a
 2x2 Hessian) find the multipliers (Yu & Lan 2007; Palomar & Fonollosa 2005).
 The dual value certifies an upper bound on the relaxation.
 `make_maxdet_problem` forms the problem, sensing constraint included, in
-any transmit basis and is the one place that sets the stream count and the
-power budget: over R_BB (basis U_tilde) the budget is the per-subarray
-power proxy n_streams/M; with the identity basis and M = 1 it is the full
-N-dimensional problem under the exact transmit power. A rank-n_streams
-beamformer is then recovered by scaling random Gaussian sketches of the
-optimal covariance and keeping the best rate among those meeting the
-sensing constraint. Both constraints are one list,
+any (K, M, c) block transmit basis and is the one place that sets the
+stream count and the power budget n_streams/M: over R_BB (the analog
+blocks) that is the per-subarray power proxy; with N blocks of 1x1 ones
+(M = 1) it is the full N-dimensional problem under the exact transmit
+power. A rank-n_streams beamformer is then recovered by scaling random
+Gaussian sketches of the optimal covariance and keeping the best rate among
+those meeting the sensing constraint. Both constraints are one list,
 tr(R D_i) <= b_i with D = (I, -Psi) and b = (budget, -gamma0)
 (`MaxDetProblem.constraints`): the dual's multipliers weight it, and
 RM-JGD's barrier sums over the same list (`opt_manifold.reduce_b`).
@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beamform import _rate_bits, phi_matrices, sensing_form
+from .beamform import _rate_bits, phi_matrices, sensing_form, times_analog
 from .channel import ObjectResponse, numerical_rank
 
 
@@ -123,23 +123,23 @@ def make_maxdet_problem(
     sigma_c_sq: float,
     sigma_s_sq: float,
     n_streams: Optional[int],
-    m_antennas: int,
 ) -> MaxDetProblem:
     """Problem over R with R_X = B R B^H: the SCNR floor under filter w and tr(R) <= n_s/M.
 
-    tr(R Psi) >= gamma0 = scnr_min * sigma_s^2 * ||w||^2. n_streams None
-    takes n_s as the numerical rank of H_eff = H B at RANK_TOL. B = U_tilde
-    with M the subarray size gives the proxy budget M*||W_BB||_F^2 <= n_s;
-    B = I_N with M = 1 gives the full problem under the exact transmit power.
+    B is a (K, M, c) block basis. tr(R Psi) >= gamma0 = scnr_min * sigma_s^2
+    * ||w||^2. n_streams None takes n_s as the numerical rank of H_eff = H B
+    at RANK_TOL. The analog blocks give the proxy budget M*||W_BB||_F^2 <=
+    n_s; np.ones((N, 1, 1)) gives the full problem under the exact transmit
+    power.
     """
-    h_eff = h @ basis
+    h_eff = times_analog(h, basis)
     if n_streams is None:
         n_streams = numerical_rank(h_eff, RANK_TOL)
     phis = phi_matrices(basis, responses, w)
     return MaxDetProblem(
         h_eff=h_eff,
         sigma_c_sq=sigma_c_sq,
-        power_budget=n_streams / m_antennas,
+        power_budget=n_streams / basis.shape[1],
         psi=sensing_form(phis, responses, scnr_min),
         gamma0=scnr_min * sigma_s_sq * float(np.real(w.conj() @ w)),
         n_streams=n_streams,

@@ -178,20 +178,21 @@ def _check_echo_linearity() -> tuple[bool, str]:
 
 def _check_subspace_structure() -> tuple[bool, str]:
     data = _mini_data()
-    ok, mod_err = beamform.analog_feasibility(data.u_tilde, data.config.k_subarrays)
-    return ok and mod_err < 1e-12, f"block support {ok}, modulus error {mod_err:.2e}"
+    cfg = data.config
+    shape = (cfg.k_subarrays, cfg.m_antennas, cfg.n_objects + cfg.n_paths)
+    ok = data.analog.shape == shape
+    mod_err = float(np.max(np.abs(np.abs(data.analog) - 1.0)))
+    return ok and mod_err < 1e-12, f"blocks {data.analog.shape}, modulus error {mod_err:.2e}"
 
 
 def _check_subspace_contains() -> tuple[bool, str]:
     data = _mini_data()
-    u = data.u_tilde
-
-    def residual(v: np.ndarray) -> float:
-        return float(np.linalg.norm(u @ np.linalg.lstsq(u, v, rcond=None)[0] - v))
-
-    worst_g = max(residual(r.g_t) / np.linalg.norm(r.g_t) for r in data.responses)
-    vh = np.linalg.svd(data.h, full_matrices=False)[2]
-    worst_v = max(residual(v.conj()) for v in vh[: channel.numerical_rank(data.h)])
+    g_t = np.stack([r.g_t for r in data.responses], axis=1)
+    vh = np.linalg.svd(data.h, full_matrices=False)[2][: channel.numerical_rank(data.h)]
+    outside = beamform.outside_subspace(data.analog, np.hstack([g_t, vh.conj().T]))
+    residual = np.linalg.norm(outside, axis=0)
+    worst_g = float(np.max(residual[: g_t.shape[1]] / np.linalg.norm(g_t, axis=0)))
+    worst_v = float(np.max(residual[g_t.shape[1]:]))
     ok = worst_g < 1e-10 and worst_v < 1e-8
     return ok, f"g_t residual {worst_g:.2e}, row-space residual {worst_v:.2e}"
 
@@ -206,23 +207,22 @@ def _check_reduced_equals_full() -> tuple[bool, str]:
     data = _mini_data()
     cfg, target = data.config, data.responses[0]
     matched = opt_sdr.make_maxdet_problem(
-        data.h, data.u_tilde, data.responses, target.g_r, cfg.scnr_min,
-        cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, cfg.m_antennas,
+        data.h, data.analog, data.responses, target.g_r, cfg.scnr_min,
+        cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams,
     )
     filters = {"MVDR margin": (data.w_fixed, data.problem),
                "matched margin": (target.g_r, matched)}
     rng = np.random.default_rng(9)
-    w_rf = beamform.optimal_analog(data.u_tilde)
     shape = (data.problem.dim, data.problem.n_streams)
     worst = dict.fromkeys(["SE", *filters], 0.0)
     for _ in range(5):
         w_bb = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         w_bb *= np.sqrt(data.problem.power_budget) / np.linalg.norm(w_bb)
-        wrfbb = w_rf @ w_bb
-        r_x = wrfbb @ wrfbb.conj().T
+        f = beamform.analog_times(data.analog, w_bb)
+        r_x = f @ f.conj().T
         se_full = beamform._rate_bits(data.h @ opt_sdr._factor(r_x), cfg.sigma_c_sq)
-        se_red = beamform.spectral_efficiency(data.h, w_rf, w_bb, cfg.sigma_c_sq)
-        weights = beamform.echo_weights(data.responses, wrfbb)
+        se_red = beamform.spectral_efficiency(data.h, data.analog, w_bb, cfg.sigma_c_sq)
+        weights = beamform.echo_weights(data.responses, f)
         worst["SE"] = max(worst["SE"], abs(se_full - se_red) / max(se_full, 1e-12))
         for name, (w, problem) in filters.items():
             red = float(np.real(np.sum(w_bb.conj() * (problem.psi @ w_bb)))) - problem.gamma0
@@ -484,9 +484,10 @@ def _check_covariance_subspace() -> tuple[bool, str]:
     res_in, res_eye, zero_ok = 0.0, np.inf, True
     # both need N > N_RF so that the basis has a nontrivial complement
     for data in (_small_data(paths=1), _mini_data()):
-        n_rf, n, u = data.problem.dim, data.config.n_antennas, data.u_tilde
+        n_rf, n, u = data.problem.dim, data.config.n_antennas, data.analog
         a = rng.standard_normal((n_rf, n_rf)) + 1j * rng.standard_normal((n_rf, n_rf))
-        r_in = u @ (a @ a.conj().T) @ u.conj().T
+        f = beamform.analog_times(u, a)
+        r_in = f @ f.conj().T
         res_in = max(res_in, beamform.verify_covariance_subspace(r_in, u))
         res_eye = min(res_eye, beamform.verify_covariance_subspace(np.eye(n), u))
         zero = beamform.verify_covariance_subspace(np.zeros((n, n)), u)
@@ -498,19 +499,16 @@ def _check_covariance_subspace() -> tuple[bool, str]:
 def _check_power_accounting() -> tuple[bool, str]:
     data = _small_data()
     rng = np.random.default_rng(43)
-    m = data.config.m_antennas
-    k = data.config.k_subarrays
-    cols = data.problem.dim // k
+    k, m, cols = data.analog.shape
     # orthogonal-column analog blocks (DFT columns) make the proxy exact
     dft = np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(cols)) / m)
-    w_rf = np.zeros((k * m, k * cols), dtype=complex)
-    for i in range(k):
-        w_rf[i * m : (i + 1) * m, i * cols : (i + 1) * cols] = dft
     w_bb = rng.standard_normal((k * cols, 2)) + 1j * rng.standard_normal((k * cols, 2))
-    exact, proxy = beamform.transmit_power(w_rf, w_bb)
+    exact, proxy = beamform.transmit_power(
+        beamform.analog_times(np.broadcast_to(dft, (k, m, cols)), w_bb), w_bb, m
+    )
     gap_orth = abs(exact - proxy)
     exact2, proxy2 = beamform.transmit_power(
-        beamform.optimal_analog(data.u_tilde), w_bb
+        beamform.analog_times(data.analog, w_bb), w_bb, m
     )
     return gap_orth < 1e-9, (
         f"orthogonal-case gap {gap_orth:.1e}; steering-case exact {exact2:.3f} "

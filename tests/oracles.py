@@ -30,25 +30,47 @@ def channel_gains(h_eff: np.ndarray, sigma_c_sq: float) -> np.ndarray:
     return s**2 / sigma_c_sq
 
 
-def exact_power_problems(data):
-    """The full-space problem of a `ScenarioData` and the same restricted to col(U~).
+def dense_basis(analog: np.ndarray) -> np.ndarray:
+    """U~ = blkdiag(blocks) of a (K, M, c) analog array, as a dense (K*M, K*c) matrix."""
+    k, m, c = analog.shape
+    u = np.zeros((k * m, k * c), dtype=analog.dtype)
+    for i in range(k):
+        u[i * m : (i + 1) * m, i * c : (i + 1) * c] = analog[i]
+    return u
 
-    The restriction is R = B X B^H with B an orthonormal basis of col(U~)
-    (singular values kept as in `beamform.verify_covariance_subspace`), so
-    tr(R) = tr(X) and the budget n_streams stays the exact transmit power:
-    the reduced problem under the exact power constraint, in whitened
-    coordinates.
+
+def full_problem(data, w=None):
+    """The full N-dimensional problem of a `ScenarioData` at its stream count.
+
+    The basis is N blocks of 1x1 ones (the identity, M = 1); the filter is
+    the fixed one unless `w` is given.
     """
-    from modisac.beamform import GRAM_CUTOFF
     from modisac.opt_sdr import make_maxdet_problem
 
     cfg = data.config
-    full = make_maxdet_problem(
-        data.h, np.eye(cfg.n_antennas), data.responses, data.w_fixed,
-        cfg.scnr_min, cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, 1,
+    return make_maxdet_problem(
+        data.h, np.ones((cfg.n_antennas, 1, 1)), data.responses,
+        data.w_fixed if w is None else w, cfg.scnr_min, cfg.sigma_c_sq,
+        cfg.sigma_s_sq, data.problem.n_streams,
     )
-    u, s, _ = np.linalg.svd(data.u_tilde, full_matrices=False)
-    b = u[:, s**2 > GRAM_CUTOFF * s[0] ** 2]
+
+
+def exact_power_problems(data):
+    """The full-space problem of a `ScenarioData` and the same restricted to col(U~).
+
+    The restriction is R = B X B^H with B an orthonormal basis of col(U~),
+    taken block by block from each block's SVD (singular values kept as in
+    `beamform.outside_subspace`, against the largest over all blocks), so
+    tr(R) = tr(X) and the budget n_streams stays the exact transmit power:
+    the reduced problem under the exact transmit power, in whitened
+    coordinates.
+    """
+    from modisac.beamform import GRAM_CUTOFF
+
+    full = full_problem(data)
+    u, s, _ = np.linalg.svd(data.analog, full_matrices=False)
+    keep = s**2 > GRAM_CUTOFF * np.max(s) ** 2
+    b = dense_basis(u)[:, keep.ravel()]
     psi = b.conj().T @ full.psi @ b
     restricted = dataclasses.replace(
         full, h_eff=full.h_eff @ b, psi=0.5 * (psi + psi.conj().T)

@@ -106,7 +106,7 @@ def test_criterion_3_subspace_optimality():
     sol_full = opt_sdr.solve_maxdet(full)
     sol_red = opt_sdr.solve_maxdet(reduced)
     gap = abs(sol_full.objective_bits - sol_red.objective_bits)
-    residual = beamform.verify_covariance_subspace(sol_full.r_bb, data.u_tilde)
+    residual = beamform.verify_covariance_subspace(sol_full.r_bb, data.analog)
     ok = (
         sol_full.status == "optimal"
         and sol_red.status == "optimal"
@@ -159,7 +159,6 @@ def test_criterion_5_descent_convergence(desk_data):
     eig = opt_manifold.reduce_b(desk_data.problem)
     assert eig.offsets.size == 2  # the sensing row is present
     optimum = restricted_optimum_bits(eig, desk_data.problem.psi)
-    w_rf = beamform.optimal_analog(desk_data.u_tilde)
     rng = np.random.default_rng(505)
     details = []
     ok = True
@@ -169,7 +168,7 @@ def test_criterion_5_descent_convergence(desk_data):
             init = random_feasible_state(eig, t_barrier, rng)
             result = opt_manifold.rm_jgd(eig, t_barrier, init)
             se = beamform.spectral_efficiency(
-                desk_data.h, w_rf, result.w_bb, desk_data.config.sigma_c_sq
+                desk_data.h, desk_data.analog, result.w_bb, desk_data.config.sigma_c_sq
             )
             gap = optimum - se
             ok = (
@@ -205,9 +204,8 @@ def test_criterion_6_algorithm_ordering():
         eig = opt_manifold.reduce_b(data.problem)
         init = opt_manifold.phase1_feasible(eig)
         rm = opt_manifold.rm_jgd(eig, opt_manifold.BARRIER_T, init)
-        w_rf = beamform.optimal_analog(data.u_tilde)
         rm_se = beamform.spectral_efficiency(
-            data.h, w_rf, rm.w_bb, cfg.sigma_c_sq
+            data.h, data.analog, rm.w_bb, cfg.sigma_c_sq
         )
         if sdr_se >= rm_se:
             sdr_wins += 1

@@ -5,12 +5,11 @@ import pytest
 
 from modisac import harness, opt_sdr
 from modisac.beamform import (
-    analog_feasibility,
+    analog_times,
     build_subspace,
     check_hybrid,
     echo_weights,
     mvdr_receive,
-    optimal_analog,
     phi_matrices,
     scnr,
     sensing_form,
@@ -21,15 +20,15 @@ from modisac.beamform import (
 from modisac.channel import build_responses, draw_paths
 from modisac.geometry import build_geometry, steering_vector
 from modisac.validation import CHECKS
+from oracles import dense_basis, full_problem
 
 
 def test_subspace_single_subarray_layout():
     cfg = harness.desk_config(subarrays=1, antennas_per_subarray=8, paths=1,
                               interferers=[])
     data = harness.prepare_scenario(cfg)
-    u_tilde = data.u_tilde
-    assert u_tilde.shape == (8, 2)  # Q=1 target + Np=1 path
-    assert np.max(np.abs(np.abs(u_tilde) - 1.0)) < 1e-12
+    assert data.analog.shape == (1, 8, 2)  # Q=1 target + Np=1 path
+    assert np.max(np.abs(np.abs(data.analog) - 1.0)) < 1e-12
 
 
 def test_subspace_block_diagonal(assert_check):
@@ -40,28 +39,9 @@ def test_subspace_contains_sensing_and_row_space(assert_check):
     assert_check("subspace_contains")
 
 
-def test_optimal_analog_is_basis(desk_data):
-    w_rf = optimal_analog(desk_data.u_tilde)
-    assert np.array_equal(w_rf, desk_data.u_tilde)
-    ok, mod_err = analog_feasibility(w_rf, desk_data.config.k_subarrays)
-    assert ok and mod_err < 1e-12
-
-
-def test_basis_and_analog_memory_layout(desk_data):
-    """U_tilde is column-major and the analog beamformer a row-major copy:
-    BLAS rounds products by layout, and the sweep CSVs are pinned to this one."""
-    u = desk_data.u_tilde
-    assert u.flags.f_contiguous and not u.flags.c_contiguous
-    w_rf = optimal_analog(u)
-    assert w_rf.flags.c_contiguous and not w_rf.flags.f_contiguous
-    assert not np.shares_memory(w_rf, u)
-    assert np.array_equal(w_rf, u)
-
-
 def test_se_zero_beamformer(desk_data):
-    w_rf = optimal_analog(desk_data.u_tilde)
     w_bb = np.zeros((desk_data.problem.dim, desk_data.problem.n_streams))
-    assert spectral_efficiency(desk_data.h, w_rf, w_bb, 1e-6) == 0.0
+    assert spectral_efficiency(desk_data.h, desk_data.analog, w_bb, 1e-6) == 0.0
 
 
 def test_se_rank1_scalar_oracle(rng):
@@ -72,7 +52,7 @@ def test_se_rank1_scalar_oracle(rng):
     )
     w = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     sigma = 0.3
-    se = spectral_efficiency(h, np.eye(n), w, sigma)
+    se = spectral_efficiency(h, np.ones((n, 1, 1)), w, sigma)
     assert se == pytest.approx(np.log2(1 + np.linalg.norm(h @ w) ** 2 / sigma), rel=1e-12)
 
 
@@ -81,8 +61,9 @@ def test_se_monotone_in_noise(rng):
         h = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
         w = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
         sigma = float(rng.uniform(0.1, 2.0))
-        assert spectral_efficiency(h, np.eye(6), w, 2 * sigma) <= spectral_efficiency(
-            h, np.eye(6), w, sigma
+        ones = np.ones((6, 1, 1))
+        assert spectral_efficiency(h, ones, w, 2 * sigma) <= spectral_efficiency(
+            h, ones, w, sigma
         )
 
 
@@ -197,24 +178,24 @@ def test_phi_orthogonal_receive_filter(desk_data):
     g_r0 = desk_data.responses[0].g_r
     w = np.ones(cfg.n_antennas, dtype=complex)
     w -= (g_r0.conj() @ w) / np.linalg.norm(g_r0) ** 2 * g_r0
-    phi = phi_matrices(desk_data.u_tilde, desk_data.responses, w)
+    phi = phi_matrices(desk_data.analog, desk_data.responses, w)
     assert phi.shape == (cfg.n_objects, desk_data.problem.dim, desk_data.problem.dim)
     assert np.linalg.norm(phi[0]) < 1e-20 * max(1.0, np.linalg.norm(w) ** 2)
 
 
 def test_phi_trace_identity(desk_data):
     w = desk_data.w_fixed
-    phi = phi_matrices(desk_data.u_tilde, desk_data.responses, w)
+    phi = phi_matrices(desk_data.analog, desk_data.responses, w)
     for q, resp in enumerate(desk_data.responses):
         expected = (
             np.abs(w.conj() @ resp.g_r) ** 2
-            * np.linalg.norm(desk_data.u_tilde.conj().T @ resp.g_t) ** 2
+            * np.linalg.norm(dense_basis(desk_data.analog).conj().T @ resp.g_t) ** 2
         )
         assert np.trace(phi[q]).real == pytest.approx(expected, rel=1e-10)
 
 
 def test_phi_rank_one(desk_data):
-    for mat in phi_matrices(desk_data.u_tilde, desk_data.responses, desk_data.w_fixed):
+    for mat in phi_matrices(desk_data.analog, desk_data.responses, desk_data.w_fixed):
         vals = np.linalg.eigvalsh(mat)
         assert vals[-1] >= 0
         assert np.all(np.abs(vals[:-1]) <= 1e-10 * max(np.trace(mat).real, 1e-300))
@@ -235,8 +216,9 @@ def test_reduced_equals_full_sees_the_clutter_term(monkeypatch):
 
 
 def test_transmit_power_zero(desk_data):
-    w_rf = optimal_analog(desk_data.u_tilde)
-    exact, proxy = transmit_power(w_rf, np.zeros((desk_data.problem.dim, 2)))
+    w_bb = np.zeros((desk_data.problem.dim, 2))
+    f = analog_times(desk_data.analog, w_bb)
+    exact, proxy = transmit_power(f, w_bb, desk_data.config.m_antennas)
     assert exact == 0.0 and proxy == 0.0
 
 
@@ -245,11 +227,11 @@ def test_transmit_power_orthogonal_columns(assert_check):
 
 
 def test_transmit_power_generic_gap(desk_data, rng):
-    w_rf = optimal_analog(desk_data.u_tilde)
     w_bb = rng.standard_normal((desk_data.problem.dim, 3)) + 1j * rng.standard_normal(
         (desk_data.problem.dim, 3)
     )
-    exact, proxy = transmit_power(w_rf, w_bb)
+    f = analog_times(desk_data.analog, w_bb)
+    exact, proxy = transmit_power(f, w_bb, desk_data.config.m_antennas)
     assert exact != pytest.approx(proxy, rel=1e-6)  # steering columns overlap
 
 
@@ -258,78 +240,125 @@ def test_covariance_subspace_residuals(assert_check):
 
 
 def test_covariance_subspace_basis_invariance(desk_data, rng):
-    n_rf = desk_data.problem.dim
+    # a change of basis inside each block keeps col(U~), and so the residual
+    k, _, c = desk_data.analog.shape
     q, _ = np.linalg.qr(
-        rng.standard_normal((n_rf, n_rf)) + 1j * rng.standard_normal((n_rf, n_rf))
+        rng.standard_normal((k, c, c)) + 1j * rng.standard_normal((k, c, c))
     )
-    rotated = desk_data.u_tilde @ q
+    rotated = desk_data.analog @ q
     n = desk_data.config.n_antennas
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     r_x = a @ a.conj().T
-    r1 = verify_covariance_subspace(r_x, desk_data.u_tilde)
+    r1 = verify_covariance_subspace(r_x, desk_data.analog)
     r2 = verify_covariance_subspace(r_x, rotated)
     assert r1 == pytest.approx(r2, abs=1e-10)
 
 
+def test_covariance_subspace_matches_dense_projector(desk_data, rng):
+    # the block-by-block projector against the dense pseudoinverse one
+    u = dense_basis(desk_data.analog)
+    p_perp = np.eye(u.shape[0]) - u @ np.linalg.pinv(u)
+    n = desk_data.config.n_antennas
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    r_x = a @ a.conj().T
+    expected = np.linalg.norm(p_perp @ r_x @ p_perp) / np.linalg.norm(r_x)
+    assert expected > 0.1
+    assert verify_covariance_subspace(r_x, desk_data.analog) == pytest.approx(
+        expected, rel=1e-10
+    )
+
+
 def test_sensing_form_hermitian(desk_data):
-    phis = phi_matrices(desk_data.u_tilde, desk_data.responses, desk_data.w_fixed)
+    phis = phi_matrices(desk_data.analog, desk_data.responses, desk_data.w_fixed)
     psi = sensing_form(phis, desk_data.responses, desk_data.config.scnr_min)
     assert np.array_equal(psi, psi.conj().T)
     assert np.array_equal(psi, desk_data.problem.psi)
 
 
 def test_hybrid_beamformer_invariants(desk_data, rng):
-    cfg = desk_data.config
-    k, m = cfg.k_subarrays, cfg.m_antennas
+    m = desk_data.config.m_antennas
     budget = desk_data.problem.power_budget
-    w_rf = optimal_analog(desk_data.u_tilde)
+    analog = desk_data.analog
     shape = (desk_data.problem.dim, desk_data.problem.n_streams)
     w_bb = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     w_bb *= np.sqrt(budget) / np.linalg.norm(w_bb)
-    check_hybrid(w_rf, w_bb, k, budget)
+    check_hybrid(analog, w_bb, budget)
 
     # power-proxy violation is caught
     with pytest.raises(ValueError, match="proxy"):
-        check_hybrid(w_rf, 2.0 * w_bb, k, budget)
+        check_hybrid(analog, 2.0 * w_bb, budget)
 
     # the budget is the caller's, not n_streams/M: M ||W_BB||^2 may exceed
     # M * budget by 1e-9 and no more
     other = 0.3
-    check_hybrid(w_rf, w_bb * np.sqrt((other + 0.5e-9 / m) / budget), k, other)
+    check_hybrid(analog, w_bb * np.sqrt((other + 0.5e-9 / m) / budget), other)
     with pytest.raises(ValueError, match="proxy"):
-        check_hybrid(w_rf, w_bb * np.sqrt((other + 2e-9 / m) / budget), k, other)
+        check_hybrid(analog, w_bb * np.sqrt((other + 2e-9 / m) / budget), other)
 
-    # off-block support is caught
-    bad = w_rf.copy()
-    bad[0, -1] = 1.0
-    with pytest.raises(ValueError, match="support"):
-        check_hybrid(bad, w_bb, k, budget)
-
-    # an in-block entry off the unit circle is caught
-    bad = w_rf.copy()
-    bad[0, 0] *= 1.0 + 1e-6
-    with pytest.raises(ValueError, match="unit modulus"):
-        check_hybrid(bad, w_bb, k, budget)
+    # one block entry off the unit circle is caught, in any block
+    for index in ((0, 0, 0), (-1, -1, -1)):
+        bad = analog.copy()
+        bad[index] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="unit modulus"):
+            check_hybrid(bad, w_bb, budget)
 
 
 def test_build_subspace_columns():
     """Block k holds the objects' intra-subarray steering vectors, then the
-    paths' AoD steering vectors, bit for bit; everything off the blocks is 0."""
+    paths' AoD steering vectors, bit for bit."""
     cfg = harness.desk_config()
     g = build_geometry(cfg)
     paths = draw_paths(cfg, g, np.random.default_rng(3))
     responses = build_responses(g, cfg.scene_objects)
-    u = build_subspace(g, paths, responses)
+    blocks = build_subspace(g, paths, responses)
     k, m = cfg.k_subarrays, cfg.m_antennas
     n_obj = len(responses)
-    cols = n_obj + len(paths)
-    assert u.shape == (k * m, k * cols)
+    assert blocks.shape == (k, m, n_obj + len(paths))
     for i in range(k):
-        block = u[i * m : (i + 1) * m, i * cols : (i + 1) * cols]
         for q, resp in enumerate(responses):
-            assert np.array_equal(block[:, q], resp.a_t_blocks[i])
+            assert np.array_equal(blocks[i, :, q], resp.a_t_blocks[i])
         for p, path in enumerate(paths):
             expected = steering_vector(m, path.aod[i], g.d, g.wavelength)
-            assert np.array_equal(block[:, n_obj + p], expected)
-    in_block = np.kron(np.eye(k, dtype=bool), np.ones((m, cols), dtype=bool))
-    assert np.all(u[~in_block] == 0.0)
+            assert np.array_equal(blocks[i, :, n_obj + p], expected)
+
+
+BLOCK_SCENES = {
+    "desk": {"desk_scale": True},
+    "full": {"scnr_threshold_db": 80.0},
+    "k64": {"subarrays": 64, "scnr_threshold_db": 80.0},
+}
+
+
+@pytest.mark.parametrize("scene", sorted(BLOCK_SCENES))
+def test_block_products_match_dense_oracle(scene):
+    # H_eff = H U~, U~^H g_t and F = U~ W_BB, block by block against the
+    # dense block-diagonal U~
+    data = harness.prepare_scenario(harness.config_from_dict(BLOCK_SCENES[scene]))
+    u = dense_basis(data.analog)
+
+    def close(got, expected):
+        return np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    assert close(data.problem.h_eff, data.h @ u)  # times_analog
+    w = data.w_fixed
+    for phi, resp in zip(phi_matrices(data.analog, data.responses, w), data.responses):
+        v = u.conj().T @ resp.g_t
+        assert close(phi, np.abs(w.conj() @ resp.g_r) ** 2 * np.outer(v, v.conj()))
+    w_bb = opt_sdr._factor(opt_sdr.solve_maxdet(data.problem).r_bb)  # fdb's design
+    assert close(analog_times(data.analog, w_bb), u @ w_bb)
+
+
+def test_ones_basis_is_the_identity_problem(desk_data):
+    # N blocks of 1x1 ones give exactly the problem of the dense identity
+    # basis: h_eff = H, psi from the g_t g_t^H forms, budget n_s
+    data, cfg = desk_data, desk_data.config
+    full = full_problem(data)
+    w = data.w_fixed
+    eye = np.eye(cfg.n_antennas)
+    phis = np.stack([
+        np.abs(w.conj() @ r.g_r) ** 2 * np.outer(eye @ r.g_t, (eye @ r.g_t).conj())
+        for r in data.responses
+    ])
+    assert np.array_equal(full.h_eff, data.h @ eye)
+    assert np.array_equal(full.psi, sensing_form(phis, data.responses, cfg.scnr_min))
+    assert full.power_budget == data.problem.n_streams

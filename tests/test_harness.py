@@ -14,6 +14,7 @@ from modisac.geometry import ConfigurationError, build_geometry
 from modisac.music import GridSpec
 from modisac.validation import CHECKS
 from modisac import opt_manifold, opt_sdr
+from oracles import dense_basis
 
 
 TINY = dict(
@@ -276,7 +277,7 @@ def test_stream_count_is_rate_form_rank():
                 data = harness.prepare_scenario(cfg)
                 expected = min(
                     channel.numerical_rank(data.h),
-                    _rate_form_rank(data.h @ data.u_tilde),
+                    _rate_form_rank(data.h @ dense_basis(data.analog)),
                     data.problem.dim,
                 )
                 assert data.problem.n_streams == expected, (seed, slot, db)
@@ -288,9 +289,10 @@ def test_stream_count_is_rate_form_rank():
 
 
 def test_fdb_row_matches_its_covariance():
-    # fdb's row goes through the shared W_BB tail with F = _factor(R_BB); the
-    # oracle is the covariance route R_X = U_tilde R_BB U_tilde^H, with the
-    # echo weights taken as alpha_q^2 g_tq^H R_X g_tq
+    # fdb's row goes through the shared W_BB tail with W_BB = _factor(R_BB);
+    # the oracle is the covariance route R_X = U_tilde R_BB U_tilde^H, with
+    # U_tilde the dense block-diagonal basis and the echo weights taken as
+    # alpha_q^2 g_tq^H R_X g_tq
     configs = [
         harness.desk_config(seed=_op_seed(0, slot), scnr_threshold_db=db)
         for slot in range(9)
@@ -302,7 +304,8 @@ def test_fdb_row_matches_its_covariance():
         data = harness.prepare_scenario(cfg)
         solution = opt_sdr.solve_maxdet(data.problem)
         assert (row.status, row.se_bits) == ("ok", solution.dual_bits), cfg.seed
-        r_x = data.u_tilde @ solution.r_bb @ data.u_tilde.conj().T
+        u = dense_basis(data.analog)
+        r_x = u @ solution.r_bb @ u.conj().T
         power = np.real(np.trace(r_x))
         proxy = cfg.m_antennas * np.real(np.trace(solution.r_bb))
         assert row.power_exact == pytest.approx(power, rel=1e-12, abs=0), cfg.seed
@@ -314,8 +317,7 @@ def test_fdb_row_matches_its_covariance():
         scnr_db = 10 * np.log10(beamform.scnr(w_star, data.responses, weights, cfg.sigma_s_sq))
         assert abs(row.scnr_db - scnr_db) <= 1e-9, cfg.seed
         beamform.check_hybrid(
-            beamform.optimal_analog(data.u_tilde), opt_sdr._factor(solution.r_bb),
-            cfg.k_subarrays, data.problem.power_budget,
+            data.analog, opt_sdr._factor(solution.r_bb), data.problem.power_budget
         )
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modisac import harness, opt_manifold
-from modisac.beamform import optimal_analog, spectral_efficiency
+from modisac.beamform import spectral_efficiency
 from modisac.opt_manifold import (
     BARRIER_T,
     NEWTON_TOL,
@@ -531,9 +531,7 @@ def test_phase1_binding_desk_cells_start_every_stream(seed, slot):
     assert np.all(start.b > 0.0)
     assert np.isfinite(barrier_value(start, eig, BARRIER_T))
     result = rm_jgd(eig, BARRIER_T, start)
-    se = spectral_efficiency(
-        data.h, optimal_analog(data.u_tilde), result.w_bb, cfg.sigma_c_sq
-    )
+    se = spectral_efficiency(data.h, data.analog, result.w_bb, cfg.sigma_c_sq)
     optimum = restricted_optimum_bits(eig, data.problem.psi)
     assert se <= optimum + 1e-6
     assert optimum - se < 3.0
@@ -756,14 +754,14 @@ def test_rmjgd_iterates_stay_unitary_and_feasible(desk_problem):
 
 
 def test_rmjgd_final_power_and_scnr(desk_problem):
-    from modisac.beamform import echo_weights, optimal_analog, scnr, transmit_power
+    from modisac.beamform import analog_times, echo_weights, scnr, transmit_power
 
     data, eig = desk_problem
     init = phase1_feasible(eig)
     result = rm_jgd(eig, BARRIER_T, init)
-    w_rf = optimal_analog(data.u_tilde)
-    _, proxy = transmit_power(w_rf, result.w_bb)
+    f = analog_times(data.analog, result.w_bb)
+    _, proxy = transmit_power(f, result.w_bb, data.config.m_antennas)
     assert proxy <= data.problem.n_streams + 1e-9
-    weights = echo_weights(data.responses, w_rf @ result.w_bb)
+    weights = echo_weights(data.responses, f)
     achieved = scnr(data.w_fixed, data.responses, weights, data.config.sigma_s_sq)
     assert achieved >= data.config.scnr_min  # strict by barrier construction

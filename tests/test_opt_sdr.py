@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from modisac import harness, opt_sdr
-from modisac.beamform import _rate_bits, echo_weights, scnr, verify_covariance_subspace
+from modisac.beamform import (
+    _rate_bits, analog_times, echo_weights, scnr, verify_covariance_subspace,
+)
 from modisac.channel import numerical_rank
 from modisac.opt_sdr import (
     RANK_TOL,
@@ -19,7 +21,9 @@ from modisac.opt_sdr import (
     _slacks,
 )
 from modisac.validation import central_differences
-from oracles import channel_gains, exact_power_problems, waterfilling_se_bits
+from oracles import (
+    channel_gains, dense_basis, exact_power_problems, full_problem, waterfilling_se_bits,
+)
 
 
 def no_sensing_problem(h_eff, sigma_c_sq, budget, n_streams):
@@ -172,7 +176,7 @@ def test_sdr_rrs_deterministic(small_problem):
 def test_sdr_rrs_meets_scnr_threshold(small_problem):
     data, problem = small_problem
     result = sdr_rrs(problem, np.random.default_rng(0))
-    weights = echo_weights(data.responses, data.u_tilde @ result.w_bb)
+    weights = echo_weights(data.responses, analog_times(data.analog, result.w_bb))
     achieved = scnr(data.w_fixed, data.responses, weights, data.config.sigma_s_sq)
     assert achieved >= data.config.scnr_min - 1e-6
 
@@ -206,13 +210,10 @@ def test_identity_basis_problem_matches_explicit_sensing_form(desk_data, receive
     # matched filter g_r0 couples the clutter, which the fixed filter nulls
     data, cfg = desk_data, desk_data.config
     w = data.w_fixed if receive == "fixed" else data.responses[0].g_r
-    full = make_maxdet_problem(
-        data.h, np.eye(cfg.n_antennas), data.responses, w, cfg.scnr_min,
-        cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, 1,
-    )
+    full = full_problem(data, w)
     reduced = make_maxdet_problem(
-        data.h, data.u_tilde, data.responses, w, cfg.scnr_min,
-        cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams, cfg.m_antennas,
+        data.h, data.analog, data.responses, w, cfg.scnr_min,
+        cfg.sigma_c_sq, cfg.sigma_s_sq, data.problem.n_streams,
     )
     explicit = sum(
         (1.0 if q == 0 else -cfg.scnr_min) * o.alpha**2 * abs(np.vdot(w, r.g_r)) ** 2
@@ -220,7 +221,8 @@ def test_identity_basis_problem_matches_explicit_sensing_form(desk_data, receive
         for q, (o, r) in enumerate(zip(cfg.scene_objects, data.responses))
     )
     assert np.linalg.norm(full.psi - explicit) <= 1e-12 * np.linalg.norm(explicit)
-    projected = data.u_tilde.conj().T @ full.psi @ data.u_tilde
+    u = dense_basis(data.analog)
+    projected = u.conj().T @ full.psi @ u
     assert np.linalg.norm(projected - reduced.psi) <= 1e-12 * np.linalg.norm(reduced.psi)
     assert full.power_budget == data.problem.n_streams
     assert full.gamma0 == reduced.gamma0
@@ -229,12 +231,13 @@ def test_identity_basis_problem_matches_explicit_sensing_form(desk_data, receive
 
 
 def test_default_stream_count_is_channel_rank_on_identity_basis(desk_data):
-    # with no configured count, the full-space problem (B = I_N, M = 1) takes
-    # the numerical rank of H itself at RANK_TOL, under the budget n_s
+    # with no configured count, the full-space problem (N blocks of 1x1
+    # ones, M = 1) takes the numerical rank of H itself at RANK_TOL, under
+    # the budget n_s
     data, cfg = desk_data, desk_data.config
     full = make_maxdet_problem(
-        data.h, np.eye(cfg.n_antennas), data.responses, data.w_fixed, cfg.scnr_min,
-        cfg.sigma_c_sq, cfg.sigma_s_sq, None, 1,
+        data.h, np.ones((cfg.n_antennas, 1, 1)), data.responses, data.w_fixed,
+        cfg.scnr_min, cfg.sigma_c_sq, cfg.sigma_s_sq, None,
     )
     assert full.n_streams == numerical_rank(data.h, RANK_TOL)
     assert full.power_budget == full.n_streams
@@ -249,7 +252,7 @@ def test_fullspace_matches_reduced(small_data):
     sol_red = solve_maxdet(reduced)
     assert sol_full.status == "optimal" and sol_red.status == "optimal"
     assert abs(sol_full.objective_bits - sol_red.objective_bits) < 1e-4
-    assert verify_covariance_subspace(sol_full.r_bb, small_data.u_tilde) < 1e-6
+    assert verify_covariance_subspace(sol_full.r_bb, small_data.analog) < 1e-6
 
 
 def test_max_iter_solution_is_primal_feasible(monkeypatch):
