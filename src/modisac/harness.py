@@ -9,16 +9,15 @@ optimized design's echo weights before reporting rate and SCNR.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 import numpy as np
-import yaml
 
 from . import beamform, channel, geometry as geo, music, opt_manifold, opt_sdr
 from .geometry import ConfigurationError, PolarPoint, ScenarioConfig, SceneObject
@@ -145,6 +144,8 @@ def config_from_dict(doc: Optional[dict], desk_scale: bool = False) -> ScenarioC
 
 def _read_yaml(path: str):
     """Parse a YAML file; an unreadable or malformed one is a ConfigurationError."""
+    import yaml  # loaded on first use: runs from Python objects never parse YAML
+
     try:
         with open(path) as f:
             return yaml.safe_load(f)
@@ -496,10 +497,12 @@ def sweep(spec: ExperimentSpec) -> str:
                 index += 1
     workers = max(1, int(os.environ.get("MODISAC_WORKERS", "1")))
     grouped: dict[tuple[str, str], list[float]] = {}
-    # the pool starts no process until a cell is submitted to it
-    with open(spec.output_path, "w", newline="") as f, ProcessPoolExecutor(workers) as pool:
+    with open(spec.output_path, "w", newline="") as f, contextlib.ExitStack() as stack:
         f.write("cell,axis,value," + ResultRow.HEADER + "\n")
-        results = pool.map(_run_cell, cells) if workers > 1 else map(_run_cell, cells)
+        results = map(_run_cell, cells)
+        if workers > 1:  # the process pool's modules load only here
+            from concurrent.futures import ProcessPoolExecutor
+            results = stack.enter_context(ProcessPoolExecutor(workers)).map(_run_cell, cells)
         for cell_index, value_str, row in results:
             f.write(f"{cell_index},{spec.sweep_axis},{value_str},{row.to_csv()}\n")
             f.flush()

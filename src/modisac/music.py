@@ -9,10 +9,11 @@ Grid responses use that factorization directly: receive block k toward a
 cell is nu_k * [1, z_k, ..., z_k^(M-1)], one inter-subarray phase nu_k and
 one intra-subarray phase step z_k, so a cell costs 2K unit phasors and
 K*(M-1) products rather than one exponential per antenna. Each unit phasor
-comes from a 4096-entry table of e^(2*pi*j*n/4096) times a degree-5 series
-in the remainder (Tang 1989), with no libm cos or sin. A cell within
-`geometry.COINCIDENT_TOL`*max(1, r) of a receive reference antenna has no
-observation angle (`geometry.subarray_view` raises); it is zeroed and flagged.
+comes from a 4096-entry table of e^(2*pi*j*n/4096), indexed with no integer
+cast, times a short series in the remainder (Tang 1989), with no libm cos or
+sin. A cell within `geometry.COINCIDENT_TOL`*max(1, r) of a receive reference
+antenna has no observation angle (`geometry.subarray_view` raises); it is
+zeroed and flagged.
 
 Each response g has unit-modulus entries, so ||g||^2 = N and the MUSIC
 denominator ||E^H g||^2 equals N - ||S^H g||^2, with S the orthonormal
@@ -20,15 +21,17 @@ complement of the noise basis E (Schmidt 1986). Cells are projected onto
 whichever of E and S has fewer columns: with few sources that is an
 N x n_src product per cell (32x2 on the desk localization scene).
 
-The grid goes in blocks of whole rows, CHUNK_ENTRIES/N cells or fewer
-(2048 at N=32) and a longer row in pieces, through work arrays allocated
-once per spectrum, ~1.5 MB whatever N is; a spectrum holds 8 bytes a cell
-beyond them. x - x_k and its square come once per spectrum from the x axis
-and y - y_k once per block from the y axis, so a block's ranges are one
-broadcast add and one sqrt; the cells near an antenna are found once, from
-the axes. A block keeps the cells innermost: ranges and sines are (K, n),
-the phasors (M+1, K, n), and the M*K x n block of responses is the right
-operand of one GEMM against the basis rows put in its (i, k) order.
+The grid goes in blocks of whole rows, CHUNK_ENTRIES/N cells or fewer (2048
+at N=32) and a longer row in pieces, through work arrays allocated once per
+spectrum, ~1.5 MB whatever N is (a spectrum holds 8 bytes a cell beyond
+them); the views a block reads are built once per spectrum for each block
+shape, so a block only slices the axes and calls numpy. x - x_k and its
+square come once per spectrum from the x axis and y - y_k once per block
+from the y axis, so a block's ranges are one broadcast add and one sqrt; the
+cells near an antenna are found once, from the axes. A block keeps the cells
+innermost: ranges and sines are (K, n), the phasors (M+1, K, n), and the
+real view of the M*K x n block of responses is the right operand of one real
+GEMM against [Re B^T; Im B^T], the basis rows put in its (i, k) order.
 """
 
 from __future__ import annotations
@@ -126,32 +129,32 @@ _TABLE = np.concatenate([_QUARTER, 1j * _QUARTER, -_QUARTER, -1j * _QUARTER])
 def _unit_phasors(source, scale, out, rho, rho_sq, index, lookup) -> None:
     """Write exp(j*scale*source) into `out` with no libm cos or sin.
 
-    With t = scale*source*T/(2*pi) and n = rint(t), the phasor is
-    TABLE[n mod T] * e^(j*rho), rho = (t - n)*2*pi/T, |rho| <= pi/T; e^(j*rho)
-    is 1 - rho^2/2 + rho^4/24 + j*rho*(1 - rho^2/6 + rho^4/120), whose next
-    terms are below 3e-22 (Tang 1989, ACM TOMS 15(2)). The error is about
-    eps*(1 + |phase|), set by rounding t. `rho`, `rho_sq` (float), `index`
-    (int64) and `lookup` (complex, C-contiguous) are work arrays of out's
-    shape.
+    With t = scale*source*T/(2*pi), n = rint(t) and r = t - n, the phasor is
+    TABLE[n mod T] * e^(j*rho), rho = h*r, h = 2*pi/T, |rho| <= pi/T; e^(j*rho)
+    is 1 - rho^2/2 + rho^4/24 + j*rho*(1 - rho^2/6), whose next terms are
+    below 2.2e-18 (Tang 1989, ACM TOMS 15(2)), with h folded into the
+    coefficients. t + 1.5*2^52 is n + 1.5*2^52, rounded half to even as by
+    rint, with n mod T in the low bits of its int64 view, for |t| < 2^51
+    (|phase| < 3.4e12). The error is about eps*(1 + |phase|), set by
+    rounding t. `rho`, `rho_sq` (float), `index` (int64) and `lookup`
+    (complex, C-contiguous) are work arrays of out's shape.
     """
+    h, rounder = 2 * np.pi / _TABLE_SIZE, 1.5 * 2.0**52
     np.multiply(source, scale * _TABLE_SIZE / (2 * np.pi), out=rho)
-    np.rint(rho, out=rho_sq)
-    np.subtract(rho, rho_sq, out=rho)
-    np.copyto(index, rho_sq, casting="unsafe")
-    np.bitwise_and(index, _TABLE_SIZE - 1, out=index)
-    np.multiply(rho, 2 * np.pi / _TABLE_SIZE, out=rho)
+    np.add(rho, rounder, out=rho_sq)
+    np.bitwise_and(rho_sq.view(np.int64), _TABLE_SIZE - 1, out=index)
+    np.subtract(rho, np.subtract(rho_sq, rounder, out=rho_sq), out=rho)
     np.multiply(rho, rho, out=rho_sq)
-    # each series by Horner in rho^2 in the first half of `lookup`, a
-    # contiguous buffer until the lookup, so `out`'s strided parts are
-    # written once each
+    # `rho` holds r and `rho_sq` r^2: each series by Horner in r^2 in the
+    # first half of `lookup`, a contiguous buffer until the lookup, so
+    # `out`'s strided parts are written once each
     poly = lookup.view(float).reshape(-1)[: rho.size].reshape(rho.shape)
-    np.add(np.multiply(rho_sq, 1 / 120, out=poly), -1 / 6, out=poly)
-    np.add(np.multiply(poly, rho_sq, out=poly), 1.0, out=poly)
+    np.add(np.multiply(rho_sq, -h**3 / 6, out=poly), h, out=poly)
     np.multiply(poly, rho, out=out.imag)
-    np.add(np.multiply(rho_sq, 1 / 24, out=poly), -1 / 2, out=poly)
+    np.add(np.multiply(rho_sq, h**4 / 24, out=poly), -h**2 / 2, out=poly)
     np.add(np.multiply(poly, rho_sq, out=poly), 1.0, out=out.real)
     # every index lies in [0, T) already; "clip" only skips the bounds check
-    np.multiply(out, np.take(_TABLE, index, out=lookup, mode="clip"), out=out)
+    np.multiply(out, _TABLE.take(index, out=lookup, mode="clip"), out=out)
 
 
 def _grid_work(cells: int, k: int, m: int) -> tuple:
@@ -167,26 +170,12 @@ def _x_offsets(geometry: ArrayGeometry, x: np.ndarray) -> tuple[np.ndarray, np.n
     return dx, dx * dx
 
 
-def _receive_responses_grid(geometry: ArrayGeometry, x_offsets: tuple, y, work) -> np.ndarray:
-    """Receive responses for one (rows, cols) block of cells, element-major.
-
-    The block is the broadcast of `x_offsets` (`_x_offsets` of its x,
-    (K, rows or 1, cols or 1)) and of its y, (rows or 1, cols or 1). Returns
-    G of shape (M, K, n), n = rows*cols: G[i, k, c] is entry k*M + i of the
-    receive response g_r of `channel.sensing_response` toward cell c
-    (row-major), not its conjugate. Block k is nu_k * [1, z_k, ...,
-    z_k^(M-1)], nu_k = exp(-j*2*pi*r_k/lambda) and
-    z_k = exp(-j*2*pi*d*sin(theta_k)/lambda) for r_k and theta_k seen from
-    receive reference antenna k: one `_unit_phasors` call over the stacked
-    ranges and sines, then M-1 contiguous (K, n) products. Cells within
-    COINCIDENT_TOL*max(1, r) of an antenna get finite, meaningless columns.
-    G is a view into `work` (`_grid_work` for at least n cells); the ranges
-    stay in work[0][0][:K*n], read as (K, n).
+def _grid_views(geometry: ArrayGeometry, work: tuple, shape: tuple, y_shape: tuple) -> tuple:
+    """What `_receive_responses_grid` reads for blocks of `shape` = (rows,
+    cols) cells whose y has `y_shape`: views of `work` (`_grid_work` for at
+    least rows*cols cells) and constants, built once for each block shape.
     """
-    refs = geometry.reference_positions("rx")
-    k, m = geometry.k_subarrays, geometry.m_antennas
-    dx, dx_sq = x_offsets
-    rows, cols = np.broadcast_shapes(dx.shape[1:], y.shape)
+    k, m, (rows, cols) = geometry.k_subarrays, geometry.m_antennas, shape
     n, slots = rows * cols, len(work[1])
     source = work[0].reshape(-1)[: 2 * k * n].reshape(2, k, rows, cols)
     phasors = work[1].reshape(-1)[: slots * k * n].reshape(slots, k, n)
@@ -195,21 +184,44 @@ def _receive_responses_grid(geometry: ArrayGeometry, x_offsets: tuple, y, work) 
     # and its square in the rho slots and the sines' mask in the index slot
     rho, rho_sq, index = (phasors[i].reshape(-1).view(t).reshape(2, k, n)
                           for i, t in ((3, float), (4, float), (5, np.int64)))
-    dy, dy_sq = (a.reshape(-1)[: k * y.size].reshape(k, *y.shape) for a in (rho, rho_sq))
+    dy = tuple(a[0, :, : y_shape[0] * y_shape[1]].reshape(k, *y_shape) for a in (rho, rho_sq))
     mask = index.reshape(-1).view(bool)[: k * n].reshape(k, rows, cols)
-    dist, sine = source
-    np.subtract(y, refs[:, 1, None, None], out=dy)
+    scale = -2.0 * np.pi / geometry.wavelength * np.array([1.0, geometry.d])[:, None, None]
+    phasor_args = (source.reshape(2, k, n), scale, phasors[:: slots - 1], rho, rho_sq, index,
+                   phasors[1:3])
+    steps = [(phasors[i - 1], phasors[-1], phasors[i]) for i in range(1, m)]
+    ref_y = geometry.reference_positions("rx")[:, 1, None, None]
+    return source, ref_y, dy, mask, phasor_args, steps, phasors[:m]
+
+
+def _receive_responses_grid(x_offsets: tuple, y, views: tuple) -> np.ndarray:
+    """Receive responses for one (rows, cols) block of cells, element-major.
+
+    The block is the broadcast of `x_offsets` (`_x_offsets` of its x,
+    (K, rows or 1, cols or 1)) and of its y, (rows or 1, cols or 1); `views`
+    is `_grid_views` of its shape. Returns G of shape (M, K, n),
+    n = rows*cols: G[i, k, c] is entry k*M + i of the receive response g_r
+    of `channel.sensing_response` toward cell c (row-major), not its
+    conjugate. Block k is nu_k * [1, z_k, ..., z_k^(M-1)],
+    nu_k = exp(-j*2*pi*r_k/lambda) and z_k = exp(-j*2*pi*d*sin(theta_k)/lambda)
+    for r_k and theta_k seen from receive reference antenna k: one
+    `_unit_phasors` call over the stacked ranges and sines, then M-1
+    contiguous (K, n) products. Cells within COINCIDENT_TOL*max(1, r) of an
+    antenna get finite, meaningless columns. G is a view into the work
+    arrays; the ranges stay in work[0][0][:K*n], read as (K, n).
+    """
+    dx, dx_sq = x_offsets
+    (dist, sine), ref_y, (dy, dy_sq), mask, phasor_args, steps, g = views
+    np.subtract(y, ref_y, out=dy)
     # sqrt(dx^2 + dy^2) rounds as subarray_view's norm does; hypot does not
     np.sqrt(np.add(dx_sq, np.multiply(dy, dy, out=dy_sq), out=dist), out=dist)
     # sin(theta) = dx/dist, clipped; where dist is 0 it keeps an earlier value
     np.divide(dx, dist, out=sine, where=np.greater(dist, 0.0, out=mask))
     np.clip(sine, -1.0, 1.0, out=sine)
-    scale = -2.0 * np.pi / geometry.wavelength * np.array([1.0, geometry.d])[:, None, None]
-    _unit_phasors(source.reshape(2, k, n), scale, phasors[:: slots - 1],
-                  rho, rho_sq, index, phasors[1:3])
-    for i in range(1, m):
-        np.multiply(phasors[i - 1], phasors[-1], out=phasors[i])
-    return phasors[:m]
+    _unit_phasors(*phasor_args)
+    for prev, step, cur in steps:
+        np.multiply(prev, step, out=cur)
+    return g
 
 
 def _coincident_cells(geometry: ArrayGeometry, dx, x, y) -> np.ndarray:
@@ -267,9 +279,10 @@ def _pseudo_spectrum(
         offset, sign = float(n), -1.0
     k, m = geometry.k_subarrays, geometry.m_antennas
     width = basis.shape[1]
-    # B^H with its columns in the (i, k) order of the grid responses' rows,
-    # so each block is one product B^H G, read straight off the phasors
-    basis_h = basis.reshape(k, m, width).transpose(2, 1, 0).reshape(width, n).conj()
+    # [Re B^T; Im B^T] with B's rows in the (i, k) order of the grid
+    # responses' rows, so each block is one real GEMM off the phasors
+    basis_t = basis.reshape(k, m, width).transpose(2, 1, 0).reshape(width, n)
+    basis_ri = np.concatenate([basis_t.real, basis_t.imag])
     x, y = np.atleast_2d(x, y)
     rows, cols = np.broadcast_shapes(x.shape, y.shape)
     x_offsets = _x_offsets(geometry, x)
@@ -281,24 +294,35 @@ def _pseudo_spectrum(
     # work as one block above it
     values = np.empty(rows * cols)
     work = _grid_work(cells, k, m)
-    proj_work, sum_work = np.empty(width * cells, dtype=complex), np.empty(2 * cells)
+    proj_work, sum_work = np.empty(4 * width * cells), np.empty(2 * cells)
+    shapes = {}  # the views of each block shape, built at its first block
     for r0 in range(0, rows, height):
         rs = slice(r0, min(r0 + height, rows))
         for c0 in range(0, cols, piece):
             cs = slice(c0, min(c0 + piece, cols))
-            g = _receive_responses_grid(
-                geometry, tuple(_block(a, rs, cs) for a in x_offsets), _block(y, rs, cs), work
-            )
-            count = g.shape[2]
-            proj = proj_work[: width * count].reshape(width, count)
-            np.matmul(basis_h, g.reshape(n, count), out=proj)
-            # |B^H g|^2: square a real view in place, sum it down the basis
-            # columns, then add each cell's re^2 and im^2 sums
-            proj = proj.view(np.float64)
-            np.multiply(proj, proj, out=proj)
-            sums = np.add.reduce(proj, axis=0, out=sum_work[: 2 * count])
+            y_block, shape = _block(y, rs, cs), (rs.stop - r0, cs.stop - c0)
+            if shape not in shapes:
+                count = shape[0] * shape[1]
+                views = _grid_views(geometry, work, shape, y_block.shape)
+                # conj(B)^T g for B^T = C + jD and g = a + jb is (Ca + Db) + j(Cb - Da):
+                # [C; D] times g's real view (N x 2n) holds Ca, Cb, interleaved by
+                # cell, in its top half and Da, Db in its bottom
+                proj = proj_work[: 4 * width * count].reshape(2 * width, 2 * count)
+                top, bottom, sums = proj[:width], proj[width:], sum_work[: 2 * count]
+                shapes[shape] = (views, views[-1].reshape(n, count).view(np.float64), proj, top,
+                                 top[:, 0::2], bottom[:, 1::2], top[:, 1::2], bottom[:, 0::2],
+                                 sums, sums[0::2], sums[1::2], count)
+            views, g, proj, top, ca, db, cb, da, sums, sums_re, sums_im, count = shapes[shape]
+            _receive_responses_grid(tuple(_block(a, rs, cs) for a in x_offsets), y_block, views)
+            np.matmul(basis_ri, g, out=proj)
+            np.add(ca, db, out=ca)
+            np.subtract(cb, da, out=cb)
+            # |B^H g|^2: square the top half, now B^H g's real view, in place,
+            # sum it down the basis columns, then add each cell's re^2 and im^2
+            np.multiply(top, top, out=top)
+            np.add.reduce(top, axis=0, out=sums)
             denom = values[r0 * cols + c0 :][:count]
-            np.add(sums[0::2], sums[1::2], out=denom)
+            np.add(sums_re, sums_im, out=denom)
             # 1 / (max(offset + sign * denom, 0) + 1e-18), in place
             np.add(offset, np.multiply(sign, denom, out=denom), out=denom)
             np.add(np.maximum(denom, 0.0, out=denom), 1e-18, out=denom)

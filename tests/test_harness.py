@@ -780,15 +780,19 @@ def test_full_scale_row_is_the_same_at_one_and_two_blas_threads(tmp_path):
 
 
 def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    serial = _tiny_spec(tmp_path, "serial.csv")
-    harness.sweep(serial)
-    monkeypatch.setenv("MODISAC_WORKERS", "2")
-    parallel = _tiny_spec(tmp_path, "parallel.csv")
-    harness.sweep(parallel)
-    monkeypatch.delenv("MODISAC_WORKERS")
-    assert _strip_timing(Path(serial.output_path).read_text()) == _strip_timing(
-        Path(parallel.output_path).read_text()
-    )
+    # the desk sweep of the benchmark: every algorithm at a slack and a
+    # binding threshold, in one process and in a pool of two
+    texts = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("MODISAC_WORKERS", workers)
+        spec = harness.ExperimentSpec(
+            base=harness.desk_config(seed=0), sweep_axis="scnr_threshold", values=[0.0, 60.0],
+            algorithms=list(harness.ALGORITHMS), repetitions=2,
+            output_path=str(tmp_path / f"workers{workers}.csv"),
+        )
+        texts.append(_strip_timing(Path(harness.sweep(spec)).read_text()))
+    assert len(texts[0].splitlines()) == 1 + 12 + 6  # header, cells, summaries
+    assert ",error:" not in texts[0] and texts[0] == texts[1]
 
 
 def test_cli_accepts_dashed_algorithm(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Every import in the package and in the tests is used, and importing
-`modisac.harness` loads every layer module."""
+`modisac.harness` loads every layer module but not the YAML parser or the
+process pool."""
 
 import ast
 import os
@@ -51,3 +52,5 @@ def test_harness_import_loads_every_layer():
     ).stdout.split()
     layers = ("geometry", "channel", "beamform", "opt_manifold", "opt_sdr", "music", "harness")
     assert [layer for layer in layers if f"modisac.{layer}" not in out] == []
+    # a config given as a file loads yaml, and MODISAC_WORKERS > 1 the pool
+    assert [name for name in ("yaml", "concurrent.futures.process") if name in out] == []

@@ -18,6 +18,7 @@ from modisac.geometry import (
 from modisac.music import (
     GridSpec,
     _coincident_cells,
+    _grid_views,
     _grid_work,
     _pseudo_spectrum,
     _receive_responses_grid,
@@ -42,7 +43,7 @@ def _row_responses(g, x, y):
     x, y = x[None], y[None]
     offsets = _x_offsets(g, x)
     work = _grid_work(x.size, g.k_subarrays, g.m_antennas)
-    responses = _receive_responses_grid(g, offsets, y, work)
+    responses = _receive_responses_grid(offsets, y, _grid_views(g, work, x.shape, y.shape))
     return responses, work, _coincident_cells(g, offsets[0], x, y)
 
 
@@ -253,16 +254,24 @@ def _phasors(phase):
 
 def test_unit_phasors_match_long_double_reference():
     # table nodes 2*pi*n/4096 and half-nodes, where rint rounds half to even,
-    # and random phases, all from 0 to +-1e5 rad
+    # and random phases, all from 0 to +-1e5 rad; then table positions
+    # t = phase*4096/(2*pi) that are negative ties n + 1/2 exactly, and
+    # phases up to the documented bound |t| < 2^51 (3.45e12 rad)
     rng = np.random.default_rng(31)
     nodes = np.concatenate([np.arange(-9000, 9001), rng.integers(-65_000_000, 65_000_000, 4000)])
+    turns = 4096 / (2 * np.pi)
+    ties = -0.5 - np.concatenate([np.arange(20_000), 2.0**51 - 2.0 ** np.arange(1, 50)])
+    near_bound = rng.uniform(0.99, 0.999, 2000) * rng.choice([-1.0, 1.0], 2000) * 2.0**51
     phase = np.concatenate([
         [0.0, 1e-300, -1e-300, 1e5, -1e5],
         2 * np.pi / 4096 * nodes,
         2 * np.pi / 4096 * (nodes + 0.5),
         rng.uniform(-1e5, 1e5, 20000),
         rng.uniform(-10.0, 10.0, 20000),
+        (ties / turns)[ties / turns * turns == ties],
+        near_bound / turns,
     ])
+    assert np.sum(phase * turns % 1 == 0.5) >= 10_000 and np.abs(phase * turns).max() < 2.0**51
     out = _phasors(phase)
     exact = phase.astype(np.longdouble)
     err = np.hypot((out.real - np.cos(exact)).astype(float), (out.imag - np.sin(exact)).astype(float))
@@ -413,6 +422,28 @@ def test_music_spectrum_memory_per_cell():
         assert result.spectrum.shape == (side, side)
         del result
     assert (peaks[600] - peaks[300]) / (600**2 - 300**2) <= 10.0
+
+
+def test_music_spectrum_keeps_no_state():
+    # the views of each block shape are built inside the call: once the
+    # result goes, so does everything the call allocated, ~1 MB of work
+    # arrays here, but for some 6 kB that numpy and Python keep for reuse
+    cfg = harness.desk_config(seed=0)
+    g = build_geometry(cfg)
+    basis = _random_noise_basis(np.random.default_rng(7), cfg.n_antennas, cfg.n_antennas - 2)
+    music_spectrum(basis, g, GridSpec(-1.0, 0.5, 1.0, 5.0, 0.5, 6.0))  # first-call set-up
+    # rows of 351 cells in blocks of 5 rows, the last block of 1
+    grid = GridSpec(2.0, 0.02, 9.0, 10.0, 0.02, 12.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = music_spectrum(basis, g, grid)
+        assert result.spectrum.shape == (101, 351)
+        del result
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert left <= 64_000
 
 
 def test_music_spectrum_memory_full_scale():

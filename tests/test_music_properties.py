@@ -12,6 +12,7 @@ from modisac import harness  # noqa: E402
 from modisac.geometry import build_geometry  # noqa: E402
 from modisac.music import (  # noqa: E402
     _coincident_cells,
+    _grid_views,
     _grid_work,
     _pseudo_spectrum,
     _receive_responses_grid,
@@ -45,7 +46,8 @@ def test_noise_and_signal_side_denominators_agree(seed, width, count):
     x, y = r * np.sin(theta), r * np.cos(theta)
     offsets = _x_offsets(geometry, x[None])
     work = _grid_work(count, geometry.k_subarrays, geometry.m_antennas)
-    responses = _receive_responses_grid(geometry, offsets, y[None], work)
+    views = _grid_views(geometry, work, (1, count), (1, count))
+    responses = _receive_responses_grid(offsets, y[None], views)
     assert _coincident_cells(geometry, offsets[0], x[None], y[None]).size == 0
     # one response per row, entry k*M + i from G[i, k, c]
     rows = responses.transpose(2, 1, 0).reshape(count, n)
