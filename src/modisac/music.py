@@ -7,13 +7,14 @@ observe the scene from sufficiently different positions.
 
 Grid responses use that factorization directly: receive block k toward a
 cell is nu_k * [1, z_k, ..., z_k^(M-1)], one inter-subarray phase nu_k and
-one intra-subarray phase step z_k, so a cell costs 2K unit phasors and
-K*(M-1) products rather than one exponential per antenna. Each unit phasor
-comes from a 4096-entry table of e^(2*pi*j*n/4096), indexed with no integer
-cast, times a short series in the remainder (Tang 1989), with no libm cos or
-sin. A cell within `geometry.COINCIDENT_TOL`*max(1, r) of a receive reference
-antenna has no observation angle (`geometry.subarray_view` raises); it is
-zeroed and flagged.
+one intra-subarray phase step z_k, with nu_k relative to subarray K-1
+(MUSIC is blind to a per-cell phase), so a cell costs 2K-1 unit phasors and
+K*(M-1) products rather than one exponential per antenna. Phases are
+positions in a 4096-entry table of e^(2*pi*j*n/4096), indexed with no
+integer cast, times a short series in the remainder (Tang 1989), with no
+libm cos or sin. A cell within `geometry.COINCIDENT_TOL`*max(1, r) of a
+receive reference antenna has no observation angle (`geometry.subarray_view`
+raises); it is zeroed and flagged.
 
 Each response g has unit-modulus entries, so ||g||^2 = N and the MUSIC
 denominator ||E^H g||^2 equals N - ||S^H g||^2, with S the orthonormal
@@ -23,15 +24,15 @@ N x n_src product per cell (32x2 on the desk localization scene).
 
 The grid goes in blocks of whole rows, CHUNK_ENTRIES/N cells or fewer (2048
 at N=32) and a longer row in pieces, through work arrays allocated once per
-spectrum, ~1.5 MB whatever N is (a spectrum holds 8 bytes a cell beyond
-them); the views a block reads are built once per spectrum for each block
-shape, so a block only slices the axes and calls numpy. x - x_k and its
-square come once per spectrum from the x axis and y - y_k once per block
-from the y axis, so a block's ranges are one broadcast add and one sqrt; the
+spectrum, ~1.4 MB whatever N is (a spectrum holds 8 bytes a cell beyond
+them); a block's views are built once per spectrum for each block shape.
+(x - x_k)^2 and A_k = -(d*T/lambda)*(x - x_k) come once per spectrum from
+the x axis and y - y_k once per block from the y axis, so a block's ranges
+are one broadcast add and one sqrt and z_k's table positions A_k/r_k; the
 cells near an antenna are found once, from the axes. A block keeps the cells
-innermost: ranges and sines are (K, n), the phasors (M+1, K, n), and the
-real view of the M*K x n block of responses is the right operand of one real
-GEMM against [Re B^T; Im B^T], the basis rows put in its (i, k) order.
+innermost: ranges are (K, n), table positions (2K-1, n), phasors (M+1, K, n),
+and the real view of the M*K x n block of responses is the right operand of
+one real GEMM against [Re B^T; Im B^T], the basis rows put in its (i, k) order.
 """
 
 from __future__ import annotations
@@ -126,29 +127,26 @@ _QUARTER = np.exp(
 _TABLE = np.concatenate([_QUARTER, 1j * _QUARTER, -_QUARTER, -1j * _QUARTER])
 
 
-def _unit_phasors(source, scale, out, rho, rho_sq, index, lookup) -> None:
-    """Write exp(j*scale*source) into `out` with no libm cos or sin.
+def _unit_phasors(t, out, rho, rho_sq, index, lookup, poly) -> None:
+    """Write exp(2*pi*j*t/T) into `out`, for table positions t, with no libm cos or sin.
 
-    With t = scale*source*T/(2*pi), n = rint(t) and r = t - n, the phasor is
-    TABLE[n mod T] * e^(j*rho), rho = h*r, h = 2*pi/T, |rho| <= pi/T; e^(j*rho)
-    is 1 - rho^2/2 + rho^4/24 + j*rho*(1 - rho^2/6), whose next terms are
-    below 2.2e-18 (Tang 1989, ACM TOMS 15(2)), with h folded into the
-    coefficients. t + 1.5*2^52 is n + 1.5*2^52, rounded half to even as by
-    rint, with n mod T in the low bits of its int64 view, for |t| < 2^51
-    (|phase| < 3.4e12). The error is about eps*(1 + |phase|), set by
-    rounding t. `rho`, `rho_sq` (float), `index` (int64) and `lookup`
-    (complex, C-contiguous) are work arrays of out's shape.
+    With n = rint(t) and r = t - n, exact, the phasor is TABLE[n mod T] *
+    e^(j*rho), rho = h*r, h = 2*pi/T, |rho| <= pi/T; e^(j*rho) is
+    1 - rho^2/2 + rho^4/24 + j*rho*(1 - rho^2/6), whose next terms are below
+    2.2e-18 (Tang 1989, ACM TOMS 15(2)), with h folded into the coefficients.
+    t + 1.5*2^52 is n + 1.5*2^52, rounded half to even as by rint, with
+    n mod T in the low bits of its int64 view, for |t| < 2^51; the error is
+    a few eps whatever t is. `rho` (which may be t), `rho_sq` (float),
+    `index` (int64) and `lookup` (complex, C-contiguous) are work arrays of
+    out's shape, and `poly` is lookup's first half as floats of that shape.
     """
     h, rounder = 2 * np.pi / _TABLE_SIZE, 1.5 * 2.0**52
-    np.multiply(source, scale * _TABLE_SIZE / (2 * np.pi), out=rho)
-    np.add(rho, rounder, out=rho_sq)
+    np.add(t, rounder, out=rho_sq)
     np.bitwise_and(rho_sq.view(np.int64), _TABLE_SIZE - 1, out=index)
-    np.subtract(rho, np.subtract(rho_sq, rounder, out=rho_sq), out=rho)
+    np.subtract(t, np.subtract(rho_sq, rounder, out=rho_sq), out=rho)
     np.multiply(rho, rho, out=rho_sq)
-    # `rho` holds r and `rho_sq` r^2: each series by Horner in r^2 in the
-    # first half of `lookup`, a contiguous buffer until the lookup, so
-    # `out`'s strided parts are written once each
-    poly = lookup.view(float).reshape(-1)[: rho.size].reshape(rho.shape)
+    # `rho` holds r and `rho_sq` r^2: each series by Horner in r^2 in `poly`,
+    # contiguous until the lookup, so `out`'s strided parts are written once
     np.add(np.multiply(rho_sq, -h**3 / 6, out=poly), h, out=poly)
     np.multiply(poly, rho, out=out.imag)
     np.add(np.multiply(rho_sq, h**4 / 24, out=poly), -h**2 / 2, out=poly)
@@ -159,82 +157,87 @@ def _unit_phasors(source, scale, out, rho, rho_sq, index, lookup) -> None:
 
 def _grid_work(cells: int, k: int, m: int) -> tuple:
     """Work arrays of `_receive_responses_grid` for blocks of up to `cells`
-    cells: ranges and sines (zeros, so an unwritten sine is finite), and the
-    phasor slots, at least 7 so that slots 1-5 can lend the block scratch."""
-    return np.zeros((2, k * cells)), np.empty((max(m + 1, 7), k * cells), dtype=complex)
+    cells: the ranges and at least 7 phasor slots (2-6 lend the scratch)."""
+    return np.empty(k * cells), np.empty((max(m + 1, 7), k * cells), dtype=complex)
 
 
 def _x_offsets(geometry: ArrayGeometry, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x - x_k and its square, shape (K,) + x.shape, for receive reference antenna k."""
+    """(x - x_k)^2 and A_k = -(d*T/lambda)*(x - x_k), shape (K,) + x.shape, for
+    receive reference antenna k: A_k/r_k is z_k's table position."""
     dx = np.subtract(x, geometry.reference_positions("rx")[:, 0, None, None])
-    return dx, dx * dx
+    return dx * dx, dx * (-geometry.d * _TABLE_SIZE / geometry.wavelength)
 
 
 def _grid_views(geometry: ArrayGeometry, work: tuple, shape: tuple, y_shape: tuple) -> tuple:
     """What `_receive_responses_grid` reads for blocks of `shape` = (rows,
     cols) cells whose y has `y_shape`: views of `work` (`_grid_work` for at
     least rows*cols cells) and constants, built once for each block shape.
+    Sets nu_(K-1) = 1, which a block of another shape writes over.
     """
     k, m, (rows, cols) = geometry.k_subarrays, geometry.m_antennas, shape
-    n, slots = rows * cols, len(work[1])
-    source = work[0].reshape(-1)[: 2 * k * n].reshape(2, k, rows, cols)
+    n, slots, run = rows * cols, len(work[1]), (2 * k - 1, rows * cols)
+    dist = work[0][: k * n].reshape(k, rows, cols)
     phasors = work[1].reshape(-1)[: slots * k * n].reshape(slots, k, n)
-    # scratch until the products: the table lookup in slots 1-2, then rho,
-    # rho^2 and the table index, (2, K, n) each, in slots 3, 4 and 5; y - y_k
-    # and its square in the rho slots and the sines' mask in the index slot
-    rho, rho_sq, index = (phasors[i].reshape(-1).view(t).reshape(2, k, n)
-                          for i, t in ((3, float), (4, float), (5, np.int64)))
-    dy = tuple(a[0, :, : y_shape[0] * y_shape[1]].reshape(k, *y_shape) for a in (rho, rho_sq))
-    mask = index.reshape(-1).view(bool)[: k * n].reshape(k, rows, cols)
-    scale = -2.0 * np.pi / geometry.wavelength * np.array([1.0, geometry.d])[:, None, None]
-    phasor_args = (source.reshape(2, k, n), scale, phasors[:: slots - 1], rho, rho_sq, index,
-                   phasors[1:3])
-    steps = [(phasors[i - 1], phasors[-1], phasors[i]) for i in range(1, m)]
+    # z_0..z_(K-1) in slot 0 and nu_0..nu_(K-1) in slot 1, so the 2K-1
+    # phasors are one contiguous run. Scratch until the products: the table
+    # lookup in slots 2-3, then the table positions, their squares and the
+    # table index, (2K-1, n) each, in slots 4, 5 and 6; y - y_k in slot 5
+    out, lookup, poly, t, t_sq, index = (
+        phasors[i:].reshape(-1).view(dt)[: run[0] * n].reshape(run)
+        for i, dt in ((0, complex), (2, complex), (2, float), (4, float), (5, float), (6, np.int64))
+    )
+    dy = t_sq.reshape(-1)[: k * y_shape[0] * y_shape[1]].reshape(k, *y_shape)
+    phasors[1, k - 1] = 1.0
+    positions = (t[:k].reshape(k, rows, cols), dist[:-1], dist[-1],
+                 t[k:].reshape(k - 1, rows, cols), -_TABLE_SIZE / geometry.wavelength)
+    steps = [(phasors[i], phasors[0], phasors[i + 1]) for i in range(1, m)]
     ref_y = geometry.reference_positions("rx")[:, 1, None, None]
-    return source, ref_y, dy, mask, phasor_args, steps, phasors[:m]
+    return (dist, ref_y, dy, positions, (t, out, t, t_sq, index, lookup, poly), steps,
+            phasors[1, k - 1], phasors[1 : m + 1])
 
 
 def _receive_responses_grid(x_offsets: tuple, y, views: tuple) -> np.ndarray:
-    """Receive responses for one (rows, cols) block of cells, element-major.
+    """Receive responses for one (rows, cols) block of cells, element-major,
+    relative to receive subarray K-1.
 
     The block is the broadcast of `x_offsets` (`_x_offsets` of its x,
     (K, rows or 1, cols or 1)) and of its y, (rows or 1, cols or 1); `views`
-    is `_grid_views` of its shape. Returns G of shape (M, K, n),
-    n = rows*cols: G[i, k, c] is entry k*M + i of the receive response g_r
-    of `channel.sensing_response` toward cell c (row-major), not its
-    conjugate. Block k is nu_k * [1, z_k, ..., z_k^(M-1)],
-    nu_k = exp(-j*2*pi*r_k/lambda) and z_k = exp(-j*2*pi*d*sin(theta_k)/lambda)
+    is `_grid_views` of its shape. Returns G of shape (M, K, n), n =
+    rows*cols: G[i, k, c] times nu_ref = exp(-j*2*pi*r_(K-1)/lambda) is entry
+    k*M + i of the receive response g_r of `channel.sensing_response` toward
+    cell c (row-major). Block k is nu_k * [1, z_k, ..., z_k^(M-1)], at table
+    positions -(T/lambda)*(r_k - r_(K-1)) and A_k/r_k = -(d*T/lambda)*sin(theta_k)
     for r_k and theta_k seen from receive reference antenna k: one
-    `_unit_phasors` call over the stacked ranges and sines, then M-1
-    contiguous (K, n) products. Cells within COINCIDENT_TOL*max(1, r) of an
-    antenna get finite, meaningless columns. G is a view into the work
-    arrays; the ranges stay in work[0][0][:K*n], read as (K, n).
+    `_unit_phasors` call over the 2K-1 phasors (nu_(K-1) = 1), then M-1
+    contiguous (K, n) products. A cell on an antenna gets NaN columns (0/0,
+    under the caller's error state), one within COINCIDENT_TOL*max(1, r) of
+    it finite, meaningless ones. G is a view into the work arrays; the
+    ranges stay in work[0][:K*n], read as (K, n).
     """
-    dx, dx_sq = x_offsets
-    (dist, sine), ref_y, (dy, dy_sq), mask, phasor_args, steps, g = views
+    dx_sq, a = x_offsets
+    dist, ref_y, dy, (z_t, head, last, nu_t, scale), phasor_args, steps, _, g = views
     np.subtract(y, ref_y, out=dy)
     # sqrt(dx^2 + dy^2) rounds as subarray_view's norm does; hypot does not
-    np.sqrt(np.add(dx_sq, np.multiply(dy, dy, out=dy_sq), out=dist), out=dist)
-    # sin(theta) = dx/dist, clipped; where dist is 0 it keeps an earlier value
-    np.divide(dx, dist, out=sine, where=np.greater(dist, 0.0, out=mask))
-    np.clip(sine, -1.0, 1.0, out=sine)
+    np.sqrt(np.add(dx_sq, np.multiply(dy, dy, out=dy), out=dist), out=dist)
+    np.divide(a, dist, out=z_t)
+    np.multiply(np.subtract(head, last, out=nu_t), scale, out=nu_t)
     _unit_phasors(*phasor_args)
-    for prev, step, cur in steps:
-        np.multiply(prev, step, out=cur)
+    for prev, z, cur in steps:
+        np.multiply(prev, z, out=cur)
     return g
 
 
-def _coincident_cells(geometry: ArrayGeometry, dx, x, y) -> np.ndarray:
+def _coincident_cells(geometry: ArrayGeometry, x, y) -> np.ndarray:
     """Sorted flat indices of the cells of the grid of x and y within
-    COINCIDENT_TOL*max(1, r) of a receive reference antenna; dx is
-    `_x_offsets(geometry, x)[0]`. Such a cell has |x - x_k| and |y - y_k|
-    below `reach`, so only rows and columns that pass both get the exact
-    test of `geometry.subarray_view`, in the float operations of the ranges.
+    COINCIDENT_TOL*max(1, r) of a receive reference antenna. Such a cell has
+    |x - x_k| and |y - y_k| below `reach`, so only rows and columns that pass
+    both get `geometry.subarray_view`'s exact test, in the ranges' float ops.
     """
     refs = geometry.reference_positions("rx")
     rows, cols = np.broadcast_shapes(x.shape, y.shape)
     reach = 2.0 * COINCIDENT_TOL * max(1.0, float(np.hypot(np.abs(x).max(), np.abs(y).max())))
-    near_x, near_y = np.abs(dx) <= reach, np.abs(y - refs[:, 1, None, None]) <= reach
+    near_x = np.abs(x - refs[:, 0, None, None]) <= reach
+    near_y = np.abs(y - refs[:, 1, None, None]) <= reach
     x, y = np.broadcast_to(x, (rows, cols)), np.broadcast_to(y, (rows, cols))
     hits = set()
     for k in np.flatnonzero(near_x.any(axis=(1, 2)) & near_y.any(axis=(1, 2))):
@@ -265,20 +268,16 @@ def _pseudo_spectrum(
 
     Cells are projected onto the noise basis E when it has at most N/2
     columns (an empty basis gives the exact flat spectrum 1e18); otherwise
-    onto its orthonormal complement S, taken once from a complete QR of E,
-    with the denominator N - ||S^H g||^2 clamped at 0 before the 1e-18
-    floor: its absolute rounding error is about N*eps, all there is at a
-    noiseless null, and of either sign. Off such nulls it is negligible (the
-    smallest is 2.4e-5 over the localize workload's first 15 grids).
+    onto its orthonormal complement S, from a complete QR of E, with the
+    denominator N - ||S^H g||^2 clamped at 0 before the 1e-18 floor: its
+    rounding error, about N*eps and of either sign, is all there is at a
+    noiseless null (the smallest over the localize workload's first 15
+    grids is 2.4e-5). The block loop runs with divide and invalid ignored.
     """
     n, width = noise_basis.shape
-    if 2 * width <= n:
-        basis, offset, sign = noise_basis, 0.0, 1.0
-    else:
-        basis = np.linalg.qr(noise_basis, mode="complete")[0][:, width:]
-        offset, sign = float(n), -1.0
-    k, m = geometry.k_subarrays, geometry.m_antennas
-    width = basis.shape[1]
+    flip = 2 * width > n  # project onto S, the denominator N - ||S^H g||^2
+    basis = np.linalg.qr(noise_basis, mode="complete")[0][:, width:] if flip else noise_basis
+    k, m, width = geometry.k_subarrays, geometry.m_antennas, basis.shape[1]
     # [Re B^T; Im B^T] with B's rows in the (i, k) order of the grid
     # responses' rows, so each block is one real GEMM off the phasors
     basis_t = basis.reshape(k, m, width).transpose(2, 1, 0).reshape(width, n)
@@ -286,47 +285,52 @@ def _pseudo_spectrum(
     x, y = np.atleast_2d(x, y)
     rows, cols = np.broadcast_shapes(x.shape, y.shape)
     x_offsets = _x_offsets(geometry, x)
-    flagged = _coincident_cells(geometry, x_offsets[0], x, y)
-    piece = min(cols, CHUNK_ENTRIES // n)
-    height = max(1, CHUNK_ENTRIES // n // cols)
+    flagged = _coincident_cells(geometry, x, y)
+    piece, height = min(cols, CHUNK_ENTRIES // n), max(1, CHUNK_ENTRIES // n // cols)
     cells = min(height, rows) * piece
     # the output before the work arrays, so that glibc's heap frees the
     # work as one block above it
     values = np.empty(rows * cols)
     work = _grid_work(cells, k, m)
     proj_work, sum_work = np.empty(4 * width * cells), np.empty(2 * cells)
-    shapes = {}  # the views of each block shape, built at its first block
-    for r0 in range(0, rows, height):
-        rs = slice(r0, min(r0 + height, rows))
-        for c0 in range(0, cols, piece):
-            cs = slice(c0, min(c0 + piece, cols))
-            y_block, shape = _block(y, rs, cs), (rs.stop - r0, cs.stop - c0)
-            if shape not in shapes:
-                count = shape[0] * shape[1]
-                views = _grid_views(geometry, work, shape, y_block.shape)
-                # conj(B)^T g for B^T = C + jD and g = a + jb is (Ca + Db) + j(Cb - Da):
-                # [C; D] times g's real view (N x 2n) holds Ca, Cb, interleaved by
-                # cell, in its top half and Da, Db in its bottom
-                proj = proj_work[: 4 * width * count].reshape(2 * width, 2 * count)
-                top, bottom, sums = proj[:width], proj[width:], sum_work[: 2 * count]
-                shapes[shape] = (views, views[-1].reshape(n, count).view(np.float64), proj, top,
-                                 top[:, 0::2], bottom[:, 1::2], top[:, 1::2], bottom[:, 0::2],
-                                 sums, sums[0::2], sums[1::2], count)
-            views, g, proj, top, ca, db, cb, da, sums, sums_re, sums_im, count = shapes[shape]
-            _receive_responses_grid(tuple(_block(a, rs, cs) for a in x_offsets), y_block, views)
-            np.matmul(basis_ri, g, out=proj)
-            np.add(ca, db, out=ca)
-            np.subtract(cb, da, out=cb)
-            # |B^H g|^2: square the top half, now B^H g's real view, in place,
-            # sum it down the basis columns, then add each cell's re^2 and im^2
-            np.multiply(top, top, out=top)
-            np.add.reduce(top, axis=0, out=sums)
-            denom = values[r0 * cols + c0 :][:count]
-            np.add(sums_re, sums_im, out=denom)
-            # 1 / (max(offset + sign * denom, 0) + 1e-18), in place
-            np.add(offset, np.multiply(sign, denom, out=denom), out=denom)
-            np.add(np.maximum(denom, 0.0, out=denom), 1e-18, out=denom)
-            np.divide(1.0, denom, out=denom)
+    shapes, x_blocks, last = {}, {}, None  # views of each block shape and x block
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on an antenna
+        for r0 in range(0, rows, height):
+            rs = slice(r0, min(r0 + height, rows))
+            for c0 in range(0, cols, piece):
+                cs = slice(c0, min(c0 + piece, cols))
+                y_block, shape = _block(y, rs, cs), (rs.stop - r0, cs.stop - c0)
+                if shape not in shapes:
+                    count = shape[0] * shape[1]
+                    views = _grid_views(geometry, work, shape, y_block.shape)
+                    # conj(B)^T g for B^T = C + jD and g = a + jb is (Ca + Db) + j(Cb - Da):
+                    # [C; D] times g's real view (N x 2n) holds Ca, Cb, interleaved by
+                    # cell, in its top half and Da, Db in its bottom
+                    proj = proj_work[: 4 * width * count].reshape(2 * width, 2 * count)
+                    top, bottom, sums = proj[:width], proj[width:], sum_work[: 2 * count]
+                    shapes[shape] = (views, views[-1].reshape(n, count).view(np.float64), proj,
+                                     top, top[:, 0::2], bottom[:, 1::2], top[:, 1::2],
+                                     bottom[:, 0::2], sums, sums[0::2], sums[1::2], count)
+                if shape != last:
+                    views, g, proj, top, ca, db, cb, da, sums, re_sq, im_sq, count = shapes[shape]
+                    views[-2].fill(1.0)  # nu_(K-1): a block of another shape writes over it
+                    last = shape
+                key = (r0 if x.shape[0] > 1 else 0, c0)
+                if key not in x_blocks:
+                    x_blocks[key] = tuple(_block(a, rs, cs) for a in x_offsets)
+                _receive_responses_grid(x_blocks[key], y_block, views)
+                np.matmul(basis_ri, g, out=proj)
+                np.add(ca, db, out=ca)
+                np.subtract(cb, da, out=cb)
+                # |B^H g|^2: square the top half, now B^H g's real view, sum it
+                # down the basis columns, then add each cell's re^2 and im^2
+                np.multiply(top, top, out=top)
+                np.add.reduce(top, axis=0, out=sums)
+                denom = values[r0 * cols + c0 :][:count]
+                np.add(re_sq, im_sq, out=denom)
+                if flip:  # N - ||S^H g||^2, clamped at 0
+                    np.maximum(np.subtract(n, denom, out=denom), 0.0, out=denom)
+                np.divide(1.0, np.add(denom, 1e-18, out=denom), out=denom)
     values[flagged] = 0.0
     return values, flagged
 

@@ -44,7 +44,14 @@ def _row_responses(g, x, y):
     offsets = _x_offsets(g, x)
     work = _grid_work(x.size, g.k_subarrays, g.m_antennas)
     responses = _receive_responses_grid(offsets, y, _grid_views(g, work, x.shape, y.shape))
-    return responses, work, _coincident_cells(g, offsets[0], x, y)
+    return responses, work, _coincident_cells(g, x, y)
+
+
+def _nu_ref(g, points):
+    """exp(-j*2*pi*r_(K-1)/lambda) toward each point, from subarray_view's range:
+    the phase `_receive_responses_grid` leaves out of every entry."""
+    ranges = np.array([subarray_view(g, "rx", p)[0][-1] for p in points])
+    return np.exp(-2j * np.pi / g.wavelength * ranges)
 
 
 def test_sample_covariance_single_snapshot(rng):
@@ -196,9 +203,10 @@ def test_grid_responses_match_sensing_response(desk):
     xy = np.array([p.xy for p in points])
     responses, _, flagged = _row_responses(g, xy[:, 0], xy[:, 1])
     expected = np.array([sensing_response(g, SceneObject(p)).g_r for p in points])
-    # G[i, k, c] is entry k*M + i of the response toward cell c
+    # G[i, k, c] * nu_ref[c] is entry k*M + i of the response toward cell c
     assert responses.shape == (g.m_antennas, g.k_subarrays, 400)
-    rows = responses.transpose(2, 1, 0).reshape(400, cfg.n_antennas)
+    assert np.all(responses[0, -1] == 1.0)
+    rows = responses.transpose(2, 1, 0).reshape(400, cfg.n_antennas) * _nu_ref(g, points)[:, None]
     assert flagged.size == 0
     assert np.max(np.abs(rows - expected)) <= 5e-11
 
@@ -215,7 +223,7 @@ def test_grid_responses_with_one_antenna_per_subarray():
     expected = np.array([sensing_response(g, SceneObject(p)).g_r for p in points])
     assert responses.shape == (1, 32, 50)
     assert flagged.size == 0
-    assert np.max(np.abs(responses[0].T - expected)) <= 5e-11
+    assert np.max(np.abs(responses[0].T * _nu_ref(g, points)[:, None] - expected)) <= 5e-11
 
 
 def test_music_all_flagged_grid_raises():
@@ -224,6 +232,99 @@ def test_music_all_flagged_grid_raises():
     basis = _random_noise_basis(np.random.default_rng(2), g.n_antennas, 8)
     with pytest.raises(DegenerateGeometryError, match="identically zero"):
         music_spectrum(basis, g, GridSpec(x, 1.0, x, y, 1.0, y))
+
+
+def test_spectrum_leaves_the_floating_point_error_state_alone():
+    # the block loop ignores divide and invalid, the 0/0 of a cell on an
+    # antenna, inside np.errstate: the caller's state is back after a
+    # spectrum and after one that raises
+    g = build_geometry(harness.desk_config(seed=0))
+    basis = _random_noise_basis(np.random.default_rng(2), g.n_antennas, 8)
+    x, y = g.reference_positions("rx")[1]
+    before = np.geterr()
+    music_spectrum(basis, g, GridSpec(x, 0.5, x + 2.0, y, 0.5, y + 2.0))
+    assert np.geterr() == before
+    with pytest.raises(DegenerateGeometryError):
+        music_spectrum(basis, g, GridSpec(x, 1.0, x, y, 1.0, y))
+    assert np.geterr() == before
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("width", [8, 30])
+def test_cells_on_antennas_leave_the_rest_finite(width):
+    # one cell exactly on each receive reference antenna, the first K of the
+    # grid: 0/0 there, zeroed, and finite, nonzero values everywhere else,
+    # projected on either side
+    g = build_geometry(harness.desk_config(seed=0))
+    refs = g.reference_positions("rx")
+    basis = _random_noise_basis(np.random.default_rng(4), g.n_antennas, width)
+    xs = np.concatenate([refs[:, 0], [0.3, 4.0]])
+    ys = np.array([refs[0, 1], 0.7, 12.0])
+    assert np.all(refs[:, 1] == refs[0, 1])
+    values, flagged = _pseudo_spectrum(g, basis, xs[None], ys[:, None])
+    assert flagged.tolist() == list(range(g.k_subarrays))
+    assert np.all(np.isfinite(values)) and np.all(values[flagged] == 0.0)
+    assert np.all(np.delete(values, flagged) > 0.0)
+    result = music_spectrum(basis, g, GridSpec(refs[0, 0], 0.5, refs[0, 0] + 3.0, 0.0, 0.5, 2.0))
+    assert result.flagged_cells[0] == (0, 0) and np.all(np.isfinite(result.spectrum))
+
+
+@pytest.mark.parametrize("k, m", [(1, 32), (32, 1)])
+@pytest.mark.parametrize("width", [12, 24])
+def test_one_subarray_or_one_antenna_grids_match_per_cell_oracle(k, m, width):
+    # K = 1: no inter-subarray phase but the reference's, nu_0 = 1; M = 1: no
+    # running product. Both sides of the projection
+    g = build_geometry(harness.apply_axis(harness.desk_config(seed=0), "subarray_scale", (k, m)))
+    rng = np.random.default_rng(17)
+    basis = _random_noise_basis(rng, g.n_antennas, width)
+    x, y = rng.uniform(-15.0, 15.0, 300), rng.uniform(0.5, 25.0, 300)
+    vals, bad = _pseudo_spectrum(g, basis, x, y)
+    expected = np.array([
+        1.0 / (np.linalg.norm(basis.conj().T @ _g_r(g, u, v)) ** 2 + 1e-18)
+        for u, v in zip(x, y)
+    ])
+    assert bad.size == 0
+    assert np.allclose(vals, expected, rtol=1e-9, atol=0.0)
+
+
+def _long_double_spectrum(g, basis, x, y):
+    """1/(||E^H g||^2 + 1e-18) per cell with g and its projection in long double."""
+    ld = np.longdouble
+    refs = g.reference_positions("rx").astype(ld)
+    dx = x.astype(ld)[:, None] - refs[:, 0]
+    dy = y.astype(ld)[:, None] - refs[:, 1]
+    r = np.sqrt(dx * dx + dy * dy)
+    steps = np.arange(g.m_antennas) * ld(g.d)
+    phase = -2 * np.arccos(ld(-1)) / ld(g.wavelength) * (r[..., None] + steps * (dx / r)[..., None])
+    g_r = (np.cos(phase) + 1j * np.sin(phase)).reshape(x.size, -1)
+    proj = g_r @ basis.astype(np.clongdouble).conj()
+    return 1 / (np.sum(proj.real**2 + proj.imag**2, axis=1) + ld(1e-18))
+
+
+def test_spectrum_near_the_localize_range_matches_long_double_oracle():
+    # cells within 5 m of the localize target (20 m at 45 degrees) and a 1 cm
+    # grid, offset half a cell, around it; the noise basis of an exact
+    # covariance of the target and an interferer at (30 m, 40 degrees). The
+    # largest error, 8.0e-10 (5.7e-10 with absolute phases), is at the cell
+    # nearest the target, whose denominator is the smallest (3.8e-4); the
+    # median is 3.7e-13 (4.6e-13 with absolute phases)
+    g = build_geometry(harness.desk_config(seed=0))
+    objects = [SceneObject(PolarPoint(r, np.radians(a)), 1.0)
+               for r, a in ((20.0, 45.0), (30.0, 40.0))]
+    cov = sum(np.outer(o.g_r, o.g_r.conj()) for o in build_responses(g, tuple(objects)))
+    basis = noise_subspace(cov + 1e-3 * np.eye(g.n_antennas), 2)
+    rng = np.random.default_rng(41)
+    tx, ty = objects[0].location.xy
+    near = 0.01 * np.arange(-20, 21) + 0.005
+    gx, gy = np.meshgrid(tx + near, ty + near)
+    x = np.concatenate([tx + rng.uniform(-5.0, 5.0, 2000), gx.ravel()])
+    y = np.concatenate([ty + rng.uniform(-5.0, 5.0, 2000), gy.ravel()])
+    vals, bad = _pseudo_spectrum(g, basis, x, y)
+    exact = _long_double_spectrum(g, basis, x, y)
+    rel = np.abs((vals - exact) / exact).astype(float)
+    assert bad.size == 0 and basis.shape[1] == 30
+    assert np.max(rel) <= 1e-9
+    assert np.median(rel) <= 1e-12
 
 
 @pytest.mark.parametrize("desk", [True, False], ids=["desk", "full"])
@@ -239,48 +340,46 @@ def test_grid_ranges_match_subarray_view_bitwise(desk):
     xy = np.array([p.xy for p in points])
     _, work, flagged = _row_responses(g, xy[:, 0], xy[:, 1])
     expected = np.array([subarray_view(g, "rx", p)[0] for p in points])
-    ranges = work[0][0][: g.k_subarrays * len(points)].reshape(g.k_subarrays, len(points))
+    ranges = work[0][: g.k_subarrays * len(points)].reshape(g.k_subarrays, len(points))
     assert flagged.size == 0
     assert np.array_equal(ranges.T, expected)
 
 
-def _phasors(phase):
-    """`_unit_phasors` of a flat phase array, with fresh work arrays."""
-    out, lookup = np.empty(phase.size, dtype=complex), np.empty(phase.size, dtype=complex)
-    rho, rho_sq, index = np.empty(phase.size), np.empty(phase.size), np.empty(phase.size, np.int64)
-    _unit_phasors(phase, 1.0, out, rho, rho_sq, index, lookup)
+def _phasors(t):
+    """`_unit_phasors` of a flat array of table positions, with fresh work arrays."""
+    out, lookup = np.empty(t.size, dtype=complex), np.empty(t.size, dtype=complex)
+    rho, rho_sq, index = np.empty(t.size), np.empty(t.size), np.empty(t.size, np.int64)
+    _unit_phasors(t, out, rho, rho_sq, index, lookup, lookup.view(float)[: t.size])
     return out
 
 
 def test_unit_phasors_match_long_double_reference():
-    # table nodes 2*pi*n/4096 and half-nodes, where rint rounds half to even,
-    # and random phases, all from 0 to +-1e5 rad; then table positions
-    # t = phase*4096/(2*pi) that are negative ties n + 1/2 exactly, and
-    # phases up to the documented bound |t| < 2^51 (3.45e12 rad)
+    # table nodes n and half-nodes n + 1/2, where rint rounds half to even,
+    # and the positions of random phases from 0 to +-1e5 rad; then negative
+    # ties n + 1/2 exactly and positions up to the documented bound |t| < 2^51
     rng = np.random.default_rng(31)
     nodes = np.concatenate([np.arange(-9000, 9001), rng.integers(-65_000_000, 65_000_000, 4000)])
     turns = 4096 / (2 * np.pi)
     ties = -0.5 - np.concatenate([np.arange(20_000), 2.0**51 - 2.0 ** np.arange(1, 50)])
     near_bound = rng.uniform(0.99, 0.999, 2000) * rng.choice([-1.0, 1.0], 2000) * 2.0**51
-    phase = np.concatenate([
-        [0.0, 1e-300, -1e-300, 1e5, -1e5],
-        2 * np.pi / 4096 * nodes,
-        2 * np.pi / 4096 * (nodes + 0.5),
-        rng.uniform(-1e5, 1e5, 20000),
-        rng.uniform(-10.0, 10.0, 20000),
-        (ties / turns)[ties / turns * turns == ties],
-        near_bound / turns,
+    t = np.concatenate([
+        [0.0, 1e-300, -1e-300, 1e5 * turns, -1e5 * turns],
+        nodes, nodes + 0.5,
+        rng.uniform(-1e5, 1e5, 20000) * turns,
+        rng.uniform(-10.0, 10.0, 20000) * turns,
+        ties, near_bound,
     ])
-    assert np.sum(phase * turns % 1 == 0.5) >= 10_000 and np.abs(phase * turns).max() < 2.0**51
-    out = _phasors(phase)
-    exact = phase.astype(np.longdouble)
+    assert np.sum(t % 1 == 0.5) >= 10_000 and np.abs(t).max() < 2.0**51
+    out = _phasors(t.copy())
+    # the exact phase 2*pi*t/T, reduced mod 2*pi in exact float steps first
+    whole = np.floor(t)
+    turn = np.fmod(whole, 4096).astype(np.longdouble) + (t - whole).astype(np.longdouble)
+    exact = 2 * np.arccos(np.longdouble(-1)) / 4096 * turn
     err = np.hypot((out.real - np.cos(exact)).astype(float), (out.imag - np.sin(exact)).astype(float))
+    # t - rint(t) is exact, so what is left is the table's and the series'
+    # rounding, 0.87 eps at most here, whatever |t| is
     eps = np.finfo(float).eps
-    assert np.all(err <= 4 * eps * (1 + np.abs(phase)))
-    # within two turns the table's own rounding shows: a table rounded from
-    # double angles reaches 2.9 * eps * (1 + |phase|) there
-    small = np.abs(phase) <= 4 * np.pi
-    assert np.all(err[small] <= 2 * eps * (1 + np.abs(phase[small])))
+    assert np.all(err <= 2 * eps)
     assert np.max(np.abs(np.abs(out) - 1.0)) <= 4 * eps
     assert out[0] == 1.0
 
@@ -447,9 +546,9 @@ def test_music_spectrum_keeps_no_state():
 
 
 def test_music_spectrum_memory_full_scale():
-    # blocks of 65536/N cells keep the work arrays near 1.5 MB at N = 192
+    # blocks of 65536/N cells keep the work arrays near 1.4 MB at N = 192
     # as at N = 32, and this grid at 2.5 MB, 0.5 MB of it the range cut's
-    # x - x_k and its square, (K, 5000) each; chunks of 8192 cells whatever
+    # (x - x_k)^2 and A_k, (K, 5000) each; chunks of 8192 cells whatever
     # N is peaked at 54 MB here, and a (cells, N) copy of the responses
     # beside the phasors adds ~1 MB
     cfg = harness.config_from_dict({"seed": 0})
@@ -465,6 +564,28 @@ def test_music_spectrum_memory_full_scale():
         tracemalloc.stop()
     assert result.spectrum.shape == (100, 100)
     assert peak <= 2.6e6
+
+
+def test_pseudo_spectrum_block_work_set():
+    # one 2048-cell block at N = 32 with 2 signal columns: the (K, n) ranges,
+    # 9 phasor slots of (K, n) complex, a 4 x 2n projection and 2n sums are
+    # 1,409,024 bytes, and the call's traced peak read 1,650,393. The bounds
+    # are what the kernel took with (K, n) sines stored beside the ranges: a
+    # larger work set can move localize peak_rss_mb by a ~4 MB heap-layout step
+    g = build_geometry(harness.desk_config(seed=0))
+    basis = _random_noise_basis(np.random.default_rng(3), g.n_antennas, 30)
+    x, y = np.linspace(2.0, 6.0, 2048)[None], np.array([[15.0]])
+    work = _grid_work(2048, g.k_subarrays, g.m_antennas)
+    assert sum(a.nbytes for a in work) + (4 * 2 + 2) * 2048 * 8 <= 1_474_560
+    _pseudo_spectrum(g, basis, x, y)  # first-call set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _pseudo_spectrum(g, basis, x, y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_715_545
 
 
 @pytest.mark.parametrize("width", [0, 1, 16, 17, 30, 31])

@@ -48,7 +48,7 @@ def test_noise_and_signal_side_denominators_agree(seed, width, count):
     work = _grid_work(count, geometry.k_subarrays, geometry.m_antennas)
     views = _grid_views(geometry, work, (1, count), (1, count))
     responses = _receive_responses_grid(offsets, y[None], views)
-    assert _coincident_cells(geometry, offsets[0], x[None], y[None]).size == 0
+    assert _coincident_cells(geometry, x[None], y[None]).size == 0
     # one response per row, entry k*M + i from G[i, k, c]
     rows = responses.transpose(2, 1, 0).reshape(count, n)
     noise_side = np.linalg.norm(rows @ noise.conj(), axis=1) ** 2
