@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -191,6 +192,7 @@ class ScenarioData:
 
     `analog` is the (K, M, Q+Np) array of subarray steering blocks: the basis
     U_tilde and the analog beamformer W_RF, kept as its K blocks.
+    `solution` solves `problem` on first use; sdr_rrs and fdb share it, read-only.
     """
 
     config: ScenarioConfig
@@ -200,6 +202,10 @@ class ScenarioData:
     w_fixed: np.ndarray
     analog: np.ndarray
     problem: opt_sdr.MaxDetProblem
+
+    @cached_property
+    def solution(self) -> opt_sdr.SdpSolution:
+        return opt_sdr.solve_maxdet(self.problem)
 
 
 def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
@@ -223,15 +229,7 @@ def prepare_scenario(config: ScenarioConfig) -> ScenarioData:
         h, analog, responses, w_fixed, config.scnr_min, config.sigma_c_sq,
         config.sigma_s_sq, config.n_streams,
     )
-    return ScenarioData(
-        config=config,
-        geometry=geometry,
-        h=h,
-        responses=responses,
-        w_fixed=w_fixed,
-        analog=analog,
-        problem=problem,
-    )
+    return ScenarioData(config, geometry, h, responses, w_fixed, analog, problem)
 
 
 @dataclass
@@ -284,12 +282,16 @@ _SOLVED_STATUS = {"converged": "ok", "optimal": "ok"}
 SUCCESS_STATUSES = ("ok", "max_iter")
 
 
-def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
+def run_scenario(
+    config: ScenarioConfig, algorithm: str, data: Optional[ScenarioData] = None
+) -> ResultRow:
     """Run the full pipeline for one algorithm and report final metrics.
 
-    Each algorithm yields W_BB, its rate, iteration count and status; fdb's
-    W_BB is the factor W_BB W_BB^H = R_BB of its relaxed covariance and its
-    rate the dual bound. One shared tail checks every W_BB and forms F =
+    `data` is `prepare_scenario(config)` when the caller has it; the row's
+    wall time then leaves the prepare out. Each algorithm yields W_BB, its
+    rate, iteration count and status; fdb's W_BB is the factor W_BB W_BB^H =
+    R_BB of the relaxed covariance sdr_rrs randomizes, its rate the dual
+    bound. One shared tail checks every W_BB and forms F =
     W_RF W_BB once, block by block. The exact power, the echo weights and the
     refreshed receive filter are read from F before the SCNR is measured, so
     the reported value reflects the MVDR filter the receiver would actually
@@ -301,7 +303,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     t0 = time.perf_counter()
-    data = prepare_scenario(config)
+    data = prepare_scenario(config) if data is None else data
     w_bb = None
     se_bits, iterations = np.nan, 0
     try:
@@ -311,20 +313,17 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
             result = opt_manifold.rm_jgd(eig, opt_manifold.BARRIER_T, init)
             status, w_bb, iterations = result.status, result.w_bb, result.iterations
             se_bits = beamform._rate_bits(data.problem.h_eff @ w_bb, data.problem.sigma_c_sq)
-        elif algorithm == "sdr_rrs":
-            # salt 2 keeps the randomization draws apart from the scenario's
-            rng = np.random.default_rng(derive_seed(config.seed, 2))
-            result = opt_sdr.sdr_rrs(data.problem, rng)
-            status = result.status
-            if result.w_bb is not None:
-                w_bb, se_bits = result.w_bb, result.se_bits
-                iterations = result.solution.newton_steps
-        else:  # fdb
-            solution = opt_sdr.solve_maxdet(data.problem)
+        else:  # sdr_rrs randomizes the relaxed solve that fdb factors
+            solution = data.solution
             status = solution.status
-            if status != "infeasible":
+            if algorithm == "sdr_rrs":
+                # salt 2 keeps the randomization draws apart from the scenario's
+                rng = np.random.default_rng(derive_seed(config.seed, 2))
+                result = opt_sdr.sdr_rrs(data.problem, rng, solution)
+                status, w_bb, se_bits = result.status, result.w_bb, result.se_bits
+            elif status != "infeasible":
                 w_bb, se_bits = opt_sdr._factor(solution.r_bb), solution.dual_bits
-                iterations = solution.newton_steps
+            iterations = 0 if w_bb is None else solution.newton_steps
     except opt_manifold.InfeasibleProblemError:
         # phase 1 certifies infeasibility only within col(U_B), the rate
         # form's top eigenspace, not over the whole subarray-response subspace
@@ -358,8 +357,7 @@ def run_scenario(config: ScenarioConfig, algorithm: str) -> ResultRow:
         user_range_m=config.user.r,
         user_angle_deg=float(np.rad2deg(config.user.theta)),
         scnr_threshold_db=float(10.0 * np.log10(config.scnr_min))
-        if config.scnr_min > 0
-        else -np.inf,
+        if config.scnr_min > 0 else -np.inf,
         sigma_c_sq=config.sigma_c_sq,
         sigma_s_sq=config.sigma_s_sq,
         se_bits=se_bits,
@@ -392,15 +390,8 @@ class ExperimentSpec:
     repetitions: int = 1
     output_path: str = "sweep.csv"
 
-    AXES = (
-        "snr",
-        "scnr_threshold",
-        "rf_chains",
-        "subarray_scale",
-        "user_distance",
-        "subarray_count",
-        "layout",
-    )
+    AXES = ("snr", "scnr_threshold", "rf_chains", "subarray_scale", "user_distance",
+            "subarray_count", "layout")
 
     def __post_init__(self) -> None:
         if self.sweep_axis not in self.AXES:
@@ -466,44 +457,51 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _run_cell(args: tuple) -> tuple[int, str, ResultRow]:
-    cell_index, axis, value, algorithm, rep, base = args
+def _run_point(args: tuple) -> list[tuple[str, ResultRow]]:
+    """A sweep point (value, repetition): one row per algorithm, all on one prepared
+    scenario. A failed prepare is retried, and fails again, for each algorithm."""
+    axis, value, algorithms, rep, base = args
     seed = derive_seed(base.seed, rep)
-    try:
-        config = dataclasses.replace(apply_axis(base, axis, value), seed=seed)
-        row = run_scenario(config, algorithm)
-    except Exception as err:  # failures become rows, never abort the sweep
-        print(f"{algorithm} seed {seed}: {type(err).__name__}: {err}", file=sys.stderr)
-        row = _error_row(algorithm, seed, err)
-    return cell_index, _format_value(value), row
+    data, cells = None, []
+    for algorithm in algorithms:
+        try:
+            if data is None:
+                config = dataclasses.replace(apply_axis(base, axis, value), seed=seed)
+                data = prepare_scenario(config)
+            row = run_scenario(config, algorithm, data)
+        except Exception as err:  # failures become rows, never abort the sweep
+            print(f"{algorithm} seed {seed}: {type(err).__name__}: {err}", file=sys.stderr)
+            row = _error_row(algorithm, seed, err)
+        cells.append((_format_value(value), row))
+    return cells
 
 
 def sweep(spec: ExperimentSpec) -> str:
     """Run every (value, algorithm, repetition) cell and write the CSV.
 
     The channel seed is derived from (master seed, repetition) so runs are
-    paired across axis values and algorithms. Rows are flushed as they
-    complete, in deterministic cell order regardless of the worker count
-    (MODISAC_WORKERS); per-cell mean/std summary rows are appended at the
-    end. Wall-clock time sits in the final column so byte comparisons can
-    drop it.
+    paired across axis values and algorithms; the cells of a (value,
+    repetition) point share its prepared scenario and relaxed solve. Rows are
+    flushed as each value completes, in cell order whatever the number of
+    MODISAC_WORKERS processes the points are spread over; per-cell mean/std
+    summary rows follow. Wall time sits in the last column so byte comparisons can drop it.
     """
-    cells = []
-    index = 0
-    for value in spec.values:
-        for algorithm in spec.algorithms:
-            for rep in range(spec.repetitions):
-                cells.append((index, spec.sweep_axis, value, algorithm, rep, spec.base))
-                index += 1
+    reps = spec.repetitions
+    points = [(spec.sweep_axis, value, spec.algorithms, rep, spec.base)
+              for value in spec.values for rep in range(reps)]
     workers = max(1, int(os.environ.get("MODISAC_WORKERS", "1")))
     grouped: dict[tuple[str, str], list[float]] = {}
     with open(spec.output_path, "w", newline="") as f, contextlib.ExitStack() as stack:
         f.write("cell,axis,value," + ResultRow.HEADER + "\n")
-        results = map(_run_cell, cells)
+        results = map(_run_point, points)
         if workers > 1:  # the process pool's modules load only here
             from concurrent.futures import ProcessPoolExecutor
-            results = stack.enter_context(ProcessPoolExecutor(workers)).map(_run_cell, cells)
-        for cell_index, value_str, row in results:
+            results = stack.enter_context(ProcessPoolExecutor(workers)).map(_run_point, points)
+        # a value's points come repetition-major and its cells algorithm-major
+        cells = (cell for _ in spec.values
+                 for by_algorithm in zip(*[next(results) for _ in range(reps)])
+                 for cell in by_algorithm)
+        for cell_index, (value_str, row) in enumerate(cells):
             f.write(f"{cell_index},{spec.sweep_axis},{value_str},{row.to_csv()}\n")
             f.flush()
             # summarize SE as written (9 digits) so the rows reproduce it

@@ -406,8 +406,10 @@ def randomize_rank(
     return best_w
 
 
-def sdr_rrs(problem: MaxDetProblem, rng: np.random.Generator) -> SdrResult:
-    """Full SDR pipeline: solve the relaxation, then randomize the rank.
+def sdr_rrs(
+    problem: MaxDetProblem, rng: np.random.Generator, solution: Optional[SdpSolution] = None
+) -> SdrResult:
+    """Full SDR pipeline: solve the relaxation, or take its `solution`, then randomize.
 
     The status is the solver's own (`optimal`, `max_iter`, `stalled`,
     `infeasible`), or `randomization_failed` when no sketch meets the
@@ -416,7 +418,7 @@ def sdr_rrs(problem: MaxDetProblem, rng: np.random.Generator) -> SdrResult:
     beamformer; only `infeasible` and `randomization_failed` leave w_bb
     None.
     """
-    solution = solve_maxdet(problem)
+    solution = solve_maxdet(problem) if solution is None else solution
     if solution.status == "infeasible":
         return SdrResult(
             w_bb=None, se_bits=np.nan, status="infeasible", solution=solution

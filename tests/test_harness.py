@@ -369,9 +369,7 @@ def test_apply_axis_subarray_scale_needs_exactly_two_integers(value, capsys):
     # one-entry value was an untyped error:ValueError row
     with pytest.raises(ConfigurationError, match="pair"):
         harness.apply_axis(harness.desk_config(), "subarray_scale", value)
-    _, _, row = harness._run_cell(
-        (0, "subarray_scale", value, "fdb", 0, harness.desk_config())
-    )
+    [(_, row)] = harness._run_point(("subarray_scale", value, ["fdb"], 0, harness.desk_config()))
     assert row.status == "error:ConfigurationError"
 
 
@@ -452,6 +450,32 @@ def test_sweep_failure_rows_do_not_abort(tmp_path, capsys):
     assert f"fdb seed {seed}: ConfigurationError: rf_chains=7 not divisible by K=2" in err
 
 
+def test_sweep_prepare_failure_fails_every_algorithm_of_the_point(tmp_path, capsys, monkeypatch):
+    # a point prepares its scenario once; when that fails, each algorithm
+    # still gets its own error row and its own stderr line
+    def fail(config):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(harness, "prepare_scenario", fail)
+    base = harness.desk_config(seed=7, **TINY)
+    spec = harness.ExperimentSpec(
+        base=base, sweep_axis="snr", values=[0.0], repetitions=2,
+        output_path=str(tmp_path / "fail.csv"),
+    )
+    harness.sweep(spec)
+    lines = Path(spec.output_path).read_text().splitlines()
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("summary,")]
+    assert [(r[0], r[3]) for r in rows] == [
+        (str(i), algo) for i, algo in enumerate(a for a in harness.ALGORITHMS for _ in range(2))
+    ]
+    assert all(r[-2] == "error:LinAlgError" for r in rows)
+    err = capsys.readouterr().err
+    for rep in range(2):
+        seed = harness.derive_seed(base.seed, rep)
+        for algo in harness.ALGORITHMS:
+            assert err.count(f"{algo} seed {seed}: LinAlgError: Singular matrix") == 1
+
+
 @pytest.mark.parametrize(
     "axis, value",
     [("subarray_count", 4.7), ("subarray_count", True), ("rf_chains", "16"),
@@ -462,7 +486,7 @@ def test_sweep_axis_values_are_not_coerced(axis, value, capsys):
     # int() would run K=4 for 4.7, K=1 for True and 16 chains for "16";
     # float() would run 1 dB for True and 25 m for "25"
     kind = "a number" if axis in ("snr", "scnr_threshold", "user_distance") else "an integer"
-    _, value_str, row = harness._run_cell((0, axis, value, "fdb", 0, harness.desk_config()))
+    [(value_str, row)] = harness._run_point((axis, value, ["fdb"], 0, harness.desk_config()))
     assert row.status == "error:ConfigurationError"
     assert value_str == harness._format_value(value)
     assert f"ConfigurationError: {axis} must be {kind}" in capsys.readouterr().err
