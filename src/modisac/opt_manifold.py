@@ -291,10 +291,9 @@ def _skew_basis(n: int) -> np.ndarray:
     """Real basis of the skew-Hermitian n x n matrices with a zero diagonal.
 
     For the pairs i < j in `np.triu_indices` order, first the real
-    directions e_i e_j^T - e_j e_i^T, then the imaginary ones
-    i (e_i e_j^T + e_j e_i^T): n(n-1) matrices stacked (n(n-1), n, n). The
-    diagonal, Q's column phases, is left out: the barrier does not depend
-    on it, so keeping it would make the Hessian singular.
+    directions e_i e_j^T - e_j e_i^T, then the imaginary ones i (e_i e_j^T +
+    e_j e_i^T), stacked (n(n-1), n, n). The diagonal, Q's column phases, is
+    left out: the barrier does not depend on it.
     """
     rows, cols = np.triu_indices(n, 1)
     k, half = np.arange(rows.size), rows.size
@@ -304,33 +303,18 @@ def _skew_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _form_derivatives(
-    m0: np.ndarray, b: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian at x = 0 of s(x) = sum_i b_i^2 (e^{-Omega} M0 e^{Omega})_ii.
-
-    x = (omega, delta b): Omega = sum_k omega_k E_k over `basis`, and b is
-    replaced by b + delta b. M0 = Q^H M Q for a Hermitian form M. To second
-    order e^{-Omega} M0 e^{Omega} = M0 + [M0, Omega] + (Omega^2 M0 + M0
-    Omega^2)/2 - Omega M0 Omega, so with W = diag(b^2) the omega block of
-    the Hessian is Re(T + T^T - T' - T'^T), T_kl = tr(M0 W E_k E_l) and
-    T'_kl = tr(W E_k M0 E_l), each one product of flattened stacks.
-    """
-    w, (p, n, _) = b**2, basis.shape
-    e_m0 = basis @ m0
-    first = np.diagonal(m0 @ basis - e_m0, axis1=1, axis2=2).real  # diag [M0, E_k]
-    e_t = basis.transpose(0, 2, 1).reshape(p, n * n).T
-    t = ((m0 * w) @ basis).reshape(p, n * n) @ e_t
-    t_mid = (w[:, None] * e_m0).reshape(p, n * n) @ e_t
-    d = np.diagonal(m0).real
-    mixed = 2.0 * first * b
-    grad = np.concatenate([first @ w, 2.0 * b * d])
-    hess = np.block([[(t + t.T - t_mid - t_mid.T).real, mixed], [mixed.T, np.diag(2.0 * d)]])
-    return grad, hess
+def _pair_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pairs i < j (`np.triu_indices`), P = `_skew_basis` flattened to
+    (n(n-1), n^2), and the (n(n-1), n) table with -1 at i and +1 at j on
+    each row of P. `rm_jgd` builds them once and passes them down."""
+    rows, cols = np.triu_indices(n, 1)
+    ends, k = np.zeros((2 * rows.size, n)), np.arange(2 * rows.size)
+    ends[k, np.tile(rows, 2)], ends[k, np.tile(cols, 2)] = -1.0, 1.0
+    return rows, cols, _skew_basis(n).reshape(-1, n * n), ends
 
 
 def barrier_derivatives(
-    state: ManifoldState, eig: EigB, t: float
+    state: ManifoldState, eig: EigB, t: float, tables: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the barrier's pullback at x = 0.
 
@@ -338,48 +322,66 @@ def barrier_derivatives(
     delta b), Omega = sum_k omega_k E_k over `_skew_basis`: n_streams^2 real
     coordinates. The polar factor agrees with Q e^{Omega} to second order,
     so the Hessian is exact for the step taken. The gradient comes from
-    `grad_v`, `tangent_project` and `grad_b`: with K = skew(Q^H grad_v),
-    d/d omega_k is 2 Re K_ij along the real direction of the pair (i, j)
-    and 2 Im K_ij along the imaginary one. Each barrier term -ln(u)/t of a
-    slack u = offset_i - s, s the value of the constraint form F_i, adds
-    (grad s grad s^T / u^2 + hess s / u)/t, and the rate -ln(1 + b_i^2)
-    adds -2(1 - b_i^2)/(1 + b_i^2)^2 on the gains' diagonal.
+    `grad_v`, `tangent_project` and `grad_b`: with K = skew(Q^H grad_v), it
+    is 2 (Re, Im) K_ij along the pair (i, j)'s real and imaginary directions.
+
+    The Hessian is closed-form in M_i = Q^H F_i Q (`tables`: `_pair_tables`,
+    built when absent). With w = b^2, the value s_i of F_i has gradient
+    2 (w_j - w_i) (Re, Im) (M_i)_ij along the pair (i, j) and 2 b diag(M_i)
+    along the gains; each term -ln(u_i)/t, u_i = offset_i - s_i, adds
+    (grad s_i grad s_i^T / u_i^2 + hess s_i / u_i)/t, and hess s is linear in
+    the form: all rows' curvature is that of M = sum_i M_i / u_i. As
+    e^{-Omega} M e^{Omega} = M + [M, Omega] + (Omega^2 M + M Omega^2)/2 -
+    Omega M Omega + O(Omega^3), its omega block is Re(X + X^T), X = P (W (x)
+    M - (M W)^T (x) I) P^H, W = diag(w), P the flattened basis (tr(A E_k B
+    E_l) = vec(E_k)^T (A^T (x) B) vec(E_l^T), E_l^T = -conj(E_l)), its mixed
+    block 4 (Re, Im) M_ij (-b_i, b_j) and its gain block diag(2 diag M). The
+    rate -ln(1 + b_i^2) adds -2(1 - b_i^2)/(1 + b_i^2)^2 on the gains.
     """
     q, b = state.q, state.b
-    n = b.size
-    basis = _skew_basis(n)
-    rows, cols = np.triu_indices(n, 1)
+    n, w = b.size, b**2
+    rows, cols, basis, ends = tables or _pair_tables(n)
     skew = -q.conj().T @ tangent_project(q, grad_v(state, eig, t))
     pairs = skew[rows, cols]
     grad = np.concatenate([2.0 * pairs.real, 2.0 * pairs.imag, grad_b(state, eig, t)])
-    hess = np.zeros((n * n, n * n))
-    gains = np.arange(basis.shape[0], n * n)
-    hess[gains, gains] = -2.0 * (1.0 - b**2) / (1.0 + b**2) ** 2
-    for form, slack in zip(eig.forms, _interior_slacks(state, eig)):
-        g_s, h_s = _form_derivatives(q.conj().T @ form @ q, b, basis)
-        hess += (np.outer(g_s, g_s) / slack**2 + h_s / slack) / t
-    return grad, hess
+    forms_q, diags = _terms_of(q, eig)
+    slacks = (eig.offsets - diags @ w)[:, None]  # `_slacks`, checked by grad_v
+    forms, diags = (q.conj().T @ forms_q) / slacks[..., None], diags / slacks
+    entries, m = forms[:, rows, cols], forms.sum(0)
+    coords = np.concatenate([entries.real, entries.imag], axis=1)
+    g_s = 2.0 * np.concatenate([(ends @ w) * coords, b * diags], axis=1)
+    # K[(b, c), (a, d)] = W_ba M_cd - (M W)_ab delta_cd, i.e. W (x) M - (M W)^T (x) I
+    kron = np.diag(w)[:, None, :, None] * m[:, None, :]
+    kron -= (m * w).T[:, None, :, None] * np.eye(n)[:, None, :]
+    x = basis @ kron.reshape(n * n, n * n) @ basis.conj().T
+    p, mixed = basis.shape[0], 4.0 * coords.sum(0)[:, None] * ends * b
+    hess = g_s.T @ g_s
+    hess[:p, :p] += (x + x.T).real
+    hess[:p, p:] += mixed
+    hess[p:, :p] += mixed.T
+    hess[p:, p:] += np.diag(2.0 * diags.sum(0) - 2.0 * t * (1.0 - w) / (1.0 + w) ** 2)
+    return grad, hess / t
 
 
 def newton_step(
-    state: ManifoldState, eig: EigB, t: float
+    state: ManifoldState, eig: EigB, t: float, tables: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Newton direction (Omega, delta b) and squared decrement g^T H^{-1} g.
 
-    H is `barrier_derivatives`' Hessian with each eigenvalue lambda
-    replaced by max(|lambda|, EIG_FLOOR max|lambda|): positive definite, so
-    the direction descends wherever the gradient is nonzero, and equal to
-    the exact Hessian near a minimizer.
-    """
-    grad, hess = barrier_derivatives(state, eig, t)
+    H is `barrier_derivatives`' closed-form Hessian with each eigenvalue
+    lambda replaced by max(|lambda|, EIG_FLOOR max|lambda|): positive
+    definite, so the direction descends wherever the gradient is nonzero,
+    and equal to the exact Hessian near a minimizer. `tables` are
+    `_pair_tables(n_streams)`, built here when absent."""
+    n, tables = state.b.size, tables or _pair_tables(state.b.size)
+    grad, hess = barrier_derivatives(state, eig, t, tables)
     lam, vecs = np.linalg.eigh(hess)
     lam = np.abs(lam)
     lam = np.maximum(lam, EIG_FLOOR * lam.max())
     coef = vecs.T @ grad
     step = -vecs @ (coef / lam)
-    p = step.size - state.b.size
-    omega = np.tensordot(step[:p], _skew_basis(state.b.size), axes=1)
-    return omega, step[p:], float(coef @ (coef / lam))
+    omega = (step[: n * n - n] @ tables[2]).reshape(n, n)
+    return omega, step[n * n - n :], float(coef @ (coef / lam))
 
 
 def rm_jgd(eig: EigB, t: float, init: ManifoldState) -> RmJgdResult:
@@ -400,12 +402,10 @@ def rm_jgd(eig: EigB, t: float, init: ManifoldState) -> RmJgdResult:
     f_cur = barrier_value(state, eig, t)
     if not np.isfinite(f_cur):
         raise InfeasiblePointError("initial state is infeasible for the barrier")
-    trace = [f_cur]
-    status = "max_iter"
-    iters = 0
-    eye = np.eye(eig.n_streams)
+    trace, status, iters = [f_cur], "max_iter", 0
+    eye, tables = np.eye(eig.n_streams), _pair_tables(eig.n_streams)
     for n in range(MAX_ITERATIONS):
-        omega, delta_b, decrement = newton_step(state, eig, t)
+        omega, delta_b, decrement = newton_step(state, eig, t, tables)
         if decrement < NEWTON_TOL:
             status = "converged"
             break

@@ -100,3 +100,45 @@ def restricted_optimum_bits(eig, psi: np.ndarray) -> float:
     solution = solve_maxdet(problem)
     assert solution.status == "optimal", solution.status
     return solution.dual_bits
+
+
+def basis_contraction_derivatives(state, eig, t: float):
+    """Gradient and Hessian of the barrier's pullback by a per-form basis contraction.
+
+    For each constraint form F_i, M0 = Q^H F_i Q and s(x) = sum_j b_j^2
+    (e^{-Omega} M0 e^{Omega})_jj with Omega = sum_k omega_k E_k over the skew
+    basis; to second order e^{-Omega} M0 e^{Omega} = M0 + [M0, Omega] +
+    (Omega^2 M0 + M0 Omega^2)/2 - Omega M0 Omega, so with W = diag(b^2) the
+    omega block of s's Hessian is Re(T + T^T - T' - T'^T), T_kl =
+    tr(M0 W E_k E_l) and T'_kl = tr(W E_k M0 E_l), each taken as one product
+    of the flattened (n(n-1), n, n) basis stacks. Each barrier term -ln(u)/t,
+    u = offset_i - s, adds grad s / (t u) and (grad s grad s^T / u^2 +
+    hess s / u)/t; the rate -ln(1 + b_j^2) adds its own gain terms. An
+    oracle for tests only: one form at a time, with no shared sum.
+    """
+    from modisac.opt_manifold import _interior_slacks, _skew_basis
+
+    q, b = state.q, state.b
+    n, w = b.size, b**2
+    basis = _skew_basis(n)
+    p = basis.shape[0]
+    e_t = basis.transpose(0, 2, 1).reshape(p, n * n).T
+    grad = np.concatenate([np.zeros(p), -2.0 * b / (1.0 + w)])
+    hess = np.zeros((n * n, n * n))
+    hess[np.arange(p, n * n), np.arange(p, n * n)] = -2.0 * (1.0 - w) / (1.0 + w) ** 2
+    for form, slack in zip(eig.forms, _interior_slacks(state, eig)):
+        m0 = q.conj().T @ form @ q
+        e_m0 = basis @ m0
+        first = np.diagonal(m0 @ basis - e_m0, axis1=1, axis2=2).real  # diag [M0, E_k]
+        t_mat = ((m0 * w) @ basis).reshape(p, n * n) @ e_t
+        t_mid = (w[:, None] * e_m0).reshape(p, n * n) @ e_t
+        d = np.diagonal(m0).real
+        mixed = 2.0 * first * b
+        g_s = np.concatenate([first @ w, 2.0 * b * d])
+        h_s = np.block([
+            [(t_mat + t_mat.T - t_mid - t_mid.T).real, mixed],
+            [mixed.T, np.diag(2.0 * d)],
+        ])
+        grad += g_s / (t * slack)
+        hess += (np.outer(g_s, g_s) / slack**2 + h_s / slack) / t
+    return grad, hess

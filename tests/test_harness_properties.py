@@ -58,3 +58,28 @@ def test_sweep_rows_match_single_runs_and_fdb_bounds(
         for other in ("sdr_rrs", "rm_jgd"):
             if "fdb" in point and other in point:
                 assert point["fdb"] >= point[other] - SE_TOL_BITS, (other, point)
+
+
+def _row_fields(row: harness.ResultRow) -> list[str]:
+    """Every field of a row but its wall time, as exact reprs (nan == nan)."""
+    return [
+        repr(getattr(row, f.name)) for f in dataclasses.fields(row) if f.name != "wall_time_ms"
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    paths=st.integers(1, 2),
+    user_antennas=st.integers(2, 4),
+)
+def test_same_seed_gives_the_same_row(seed, paths, user_antennas):
+    # every algorithm, run twice from scratch on one config, returns the same
+    # row field for field, slack (0 dB) and binding (60 dB) sensing alike
+    for db in (0.0, 60.0):
+        config = harness.desk_config(
+            seed=seed, paths=paths, user_antennas=user_antennas, scnr_threshold_db=db
+        )
+        for algorithm in harness.ALGORITHMS:
+            first, second = (harness.run_scenario(config, algorithm) for _ in range(2))
+            assert _row_fields(first) == _row_fields(second), (algorithm, db)

@@ -33,7 +33,11 @@ from modisac.validation import (
     gradient_error,
     probe_state,
 )
-from oracles import restricted_optimum_bits, waterfilling_se_bits
+from oracles import (
+    basis_contraction_derivatives,
+    restricted_optimum_bits,
+    waterfilling_se_bits,
+)
 
 
 def fake_problem(h: np.ndarray, budget: float) -> MaxDetProblem:
@@ -668,6 +672,64 @@ def test_newton_step_descends_along_the_gradient(desk_problem):
     direction = np.concatenate([omega[rows, cols].real, omega[rows, cols].imag, delta_b])
     assert decrement > NEWTON_TOL
     assert float(grad @ direction) == pytest.approx(-decrement, rel=1e-6)
+
+
+def _oracle_eigs(scale):
+    """EigBs with a sensing row: desk_sweep cells at 0 and 60 dB, full
+    scale (n_s = 7) at 5 and 80 dB, K = 64 (n_s = 12) at its default."""
+    if scale == "desk":
+        configs = [
+            harness.desk_config(seed=harness.derive_seed(harness.derive_seed(0, slot), 0),
+                                scnr_threshold_db=db)
+            for slot in (0, 1, 2) for db in (0.0, 60.0)
+        ]
+    elif scale == "full":
+        configs = [harness.config_from_dict({"seed": 0, "scnr_threshold_db": db})
+                   for db in (5.0, 80.0)]
+    else:
+        configs = [harness.config_from_dict({"seed": 0, "subarrays": 64})]
+    return [reduce_b(harness.prepare_scenario(cfg).problem) for cfg in configs]
+
+
+@pytest.mark.parametrize(
+    "scale, n_streams, n_states", [("desk", {3, 4}, 10), ("full", {7}, 4), ("k64", {12}, 2)]
+)
+def test_closed_form_hessian_matches_basis_contraction(scale, n_streams, n_states):
+    """The closed-form Hessian, built from the slack-weighted sum of the
+    forms, is the per-form basis contraction's to 1e-12 relative (measured
+    <= 7e-16) at phase-1 starts and at converged states; the gradient is
+    the oracle's at the starts, where it is far from zero. One desk cell,
+    seed 0's slot 2 at 60 dB, is infeasible."""
+    eigs, checked = _oracle_eigs(scale), 0
+    assert {eig.n_streams for eig in eigs} == n_streams
+    for eig in eigs:
+        assert eig.offsets.size == 2
+        try:
+            start = phase1_feasible(eig)
+        except InfeasibleProblemError:
+            continue
+        done = rm_jgd(eig, BARRIER_T, start)
+        assert done.status == "converged" and done.iterations > 1
+        for state in (start, done.state):
+            grad, hess = barrier_derivatives(state, eig, BARRIER_T)
+            grad_o, hess_o = basis_contraction_derivatives(state, eig, BARRIER_T)
+            assert np.linalg.norm(hess - hess_o) <= 1e-12 * np.linalg.norm(hess_o)
+            if state is start:
+                assert np.linalg.norm(grad - grad_o) <= 1e-12 * np.linalg.norm(grad_o)
+            checked += 1
+    assert checked == n_states
+
+
+def test_rmjgd_builds_the_skew_basis_once_per_call(desk_problem, monkeypatch):
+    """rm_jgd builds its pair tables once and passes them to every Newton
+    step; nothing keeps them between calls."""
+    _, eig = desk_problem
+    calls = []
+    build = opt_manifold._skew_basis
+    monkeypatch.setattr(opt_manifold, "_skew_basis", lambda n: calls.append(n) or build(n))
+    for expected in (1, 2):
+        result = rm_jgd(eig, BARRIER_T, phase1_feasible(eig))
+        assert result.iterations > 1 and calls == [eig.n_streams] * expected
 
 
 def _desk_sweep_cells():
