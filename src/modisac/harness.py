@@ -289,14 +289,15 @@ def run_scenario(
 
     `data` is `prepare_scenario(config)` when the caller has it; the row's
     wall time then leaves the prepare out. Each algorithm yields W_BB, its
-    rate, iteration count and status; fdb's W_BB is the factor W_BB W_BB^H =
-    R_BB of the relaxed covariance sdr_rrs randomizes, its rate the dual
-    bound. One shared tail checks every W_BB and forms F =
-    W_RF W_BB once, block by block. The exact power, the echo weights and the
-    refreshed receive filter are read from F before the SCNR is measured, so
-    the reported value reflects the MVDR filter the receiver would actually
-    deploy. An rm_jgd run whose phase 1 or stream count fails
-    is a row with status `infeasible_subspace` or `error:RankDeficiencyError`;
+    rate, iteration count and status; fdb's W_BB is `data.solution.w_bb`,
+    the full factor W_BB W_BB^H = R_BB of the relaxed covariance whose
+    leading n_s columns sdr_rrs sketches, and its rate the dual bound. One
+    shared tail checks every W_BB and forms F = W_RF W_BB once, block by
+    block. The exact power, the echo weights and the refreshed receive
+    filter are read from F before the SCNR is measured, so the reported
+    value reflects the MVDR filter the receiver would actually deploy. An
+    rm_jgd run whose phase 1 or stream count fails is a row with status
+    `infeasible_subspace` or `error:RankDeficiencyError`;
     a start outside the barrier's interior is an `error:InfeasiblePointError`
     row, and a `LinAlgError` from any solve an `error:LinAlgError` row.
     """
@@ -322,7 +323,7 @@ def run_scenario(
                 result = opt_sdr.sdr_rrs(data.problem, rng, solution)
                 status, w_bb, se_bits = result.status, result.w_bb, result.se_bits
             elif status != "infeasible":
-                w_bb, se_bits = opt_sdr._factor(solution.r_bb), solution.dual_bits
+                w_bb, se_bits = solution.w_bb, solution.dual_bits
             iterations = 0 if w_bb is None else solution.newton_steps
     except opt_manifold.InfeasibleProblemError:
         # phase 1 certifies infeasibility only within col(U_B), the rate
@@ -548,18 +549,19 @@ class TransmitDesignError(RuntimeError):
 def run_music(config: ScenarioConfig, grid):
     """Localize the target from echoes of the optimized transmit waveform.
 
-    `config.snapshots` snapshots use the SDR beamformer with fresh Gaussian
-    symbols and noise; reflection coefficients stay fixed over the block.
-    Raw array snapshots feed MUSIC (the noise subspace needs the full
-    N-dimensional output), whose model order is the number of scene objects.
-    `grid` is a `music.GridSpec`. Returns the spectrum result, the scenario
-    data and the transmit matrix W_RF W_BB. Raises TransmitDesignError when
-    sdr_rrs is infeasible or its randomization fails.
+    `config.snapshots` snapshots use sdr_rrs's beamformer, randomized from
+    the scenario's relaxed solve `data.solution`, with fresh Gaussian symbols
+    and noise; reflection coefficients stay fixed over the block. Raw array
+    snapshots feed MUSIC (the noise subspace needs the full N-dimensional
+    output), whose model order is the number of scene objects. `grid` is a
+    `music.GridSpec`. Returns the spectrum result, the scenario data and the
+    transmit matrix W_RF W_BB. Raises TransmitDesignError when sdr_rrs is
+    infeasible or its randomization fails.
     """
     length = config.snapshots
     data = prepare_scenario(config)
     rng = np.random.default_rng(derive_seed(config.seed, 17))
-    result = opt_sdr.sdr_rrs(data.problem, rng)
+    result = opt_sdr.sdr_rrs(data.problem, rng, data.solution)
     if result.w_bb is None:
         raise TransmitDesignError(f"transmit optimization failed: {result.status}")
     f_tx = beamform.analog_times(data.analog, result.w_bb)

@@ -75,15 +75,18 @@ class MaxDetProblem:
 
 @dataclass
 class SdpSolution:
-    """Primal-feasible covariance, its rate and the dual bound on the optimum.
+    """Primal-feasible covariance, its factor, its rate and the dual bound on the optimum.
 
-    r_bb meets the power budget with equality and the sensing constraint;
-    objective_bits is its rate and dual_bits the dual value at the final
-    multipliers, an upper bound on every feasible rate. newton_steps counts
-    dual Newton steps.
+    r_bb meets the power budget with equality and the sensing constraint.
+    w_bb = `_factor(r_bb)`, zeros when infeasible or at zero budget, has its
+    columns in descending eigenvalue order: w_bb[:, :n] is the best rank-n
+    factor. objective_bits is its rate and dual_bits the dual value at the
+    final multipliers, an upper bound on every feasible rate. newton_steps
+    counts dual Newton steps.
     """
 
     r_bb: np.ndarray
+    w_bb: np.ndarray
     objective_bits: float
     dual_bits: float
     status: str
@@ -111,7 +114,6 @@ class SdrResult:
     w_bb: Optional[np.ndarray]
     se_bits: float
     status: str
-    solution: Optional[SdpSolution] = None
 
 
 def make_maxdet_problem(
@@ -154,11 +156,10 @@ def _slacks(r: np.ndarray, problem: MaxDetProblem) -> np.ndarray:
     return offsets - np.array([np.real(np.sum(r * d.T)) for d in forms])
 
 
-def _factor(r: np.ndarray, rank: Optional[int] = None) -> np.ndarray:
-    """F with F F^H the best rank-`rank` PSD approximation of r (all if None)."""
+def _factor(r: np.ndarray) -> np.ndarray:
+    """F with F F^H = r (negative eigenvalues clipped), columns in descending eigenvalue order."""
     vals, vecs = np.linalg.eigh(r)
-    vals, vecs = vals[::-1][:rank], vecs[:, ::-1][:, :rank]
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))[None, :]
+    return vecs[:, ::-1] * np.sqrt(np.clip(vals[::-1], 0.0, None))[None, :]
 
 
 @dataclass
@@ -289,9 +290,9 @@ def solve_maxdet(problem: MaxDetProblem) -> SdpSolution:
     (`stalled`).
     """
     budget = problem.power_budget
-    eye = np.eye(problem.dim)
     zero = SdpSolution(
-        r_bb=np.zeros_like(eye, dtype=complex),
+        r_bb=np.zeros((problem.dim,) * 2, dtype=complex),
+        w_bb=np.zeros((problem.dim,) * 2, dtype=complex),
         objective_bits=0.0,
         dual_bits=0.0,
         status="optimal",
@@ -330,7 +331,8 @@ def solve_maxdet(problem: MaxDetProblem) -> SdpSolution:
         r = _make_feasible(point.r, problem, top)
         # the rate from singular values keeps its digits where the slogdet of
         # I + H R H^H / sigma_c^2 loses them to the channel's conditioning
-        bits = _rate_bits(problem.h_eff @ _factor(r), problem.sigma_c_sq)
+        w_bb = _factor(r)
+        bits = _rate_bits(problem.h_eff @ w_bb, problem.sigma_c_sq)
         gap = point.value - bits * np.log(2.0)
         if gap <= GAP_TOL or steps >= MAX_NEWTON_STEPS:
             status = "optimal" if gap <= GAP_TOL else "max_iter"
@@ -344,6 +346,7 @@ def solve_maxdet(problem: MaxDetProblem) -> SdpSolution:
         steps += 1
     return SdpSolution(
         r_bb=r,
+        w_bb=w_bb,
         objective_bits=bits,
         dual_bits=point.value / np.log(2.0),
         status=status,
@@ -356,23 +359,22 @@ def randomize_rank(
     solution: SdpSolution,
     problem: MaxDetProblem,
     rng: np.random.Generator,
-    trials: Optional[int] = None,
+    trials: int,
 ) -> np.ndarray:
     """Recover a rank-n_streams beamformer from the relaxed optimum.
 
-    Factor the top n_streams eigenspace of R*, sketch it with i.i.d. CN(0,1)
-    matrices, rescale every candidate to the power budget with equality and
-    return the rate-best candidate meeting the sensing constraint. The
-    identity sketch is always injected first so an already rank-n_streams
-    optimum is recovered exactly. A `max_iter` or `stalled` solution is
-    primal feasible too and is randomized like an optimal one.
+    Sketch the best rank-n_streams factor of R*, the first n_streams columns
+    of `solution.w_bb`, with `trials` i.i.d. CN(0,1) matrices, rescale every
+    candidate to the power budget with equality and return the rate-best
+    candidate meeting the sensing constraint. The identity sketch is always
+    injected first so an already rank-n_streams optimum is recovered
+    exactly. A `max_iter` or `stalled` solution is primal feasible too and
+    is randomized like an optimal one.
     """
     if solution.status == "infeasible":
         raise ValueError("cannot randomize an infeasible solution")
     ns = problem.n_streams
-    if trials is None:
-        trials = TRIALS_PER_STREAM * ns
-    factor = _factor(solution.r_bb, ns)
+    factor = solution.w_bb[:, :ns]
     feas_tol = 1e-9 * max(1.0, abs(problem.gamma0))
 
     best_w = None
@@ -406,23 +408,19 @@ def randomize_rank(
     return best_w
 
 
-def sdr_rrs(
-    problem: MaxDetProblem, rng: np.random.Generator, solution: Optional[SdpSolution] = None
-) -> SdrResult:
-    """Full SDR pipeline: solve the relaxation, or take its `solution`, then randomize.
+def sdr_rrs(problem: MaxDetProblem, rng: np.random.Generator, solution: SdpSolution) -> SdrResult:
+    """SDR recovery: randomize `solution`, the relaxation `solve_maxdet(problem)`.
 
-    The status is the solver's own (`optimal`, `max_iter`, `stalled`,
-    `infeasible`), or `randomization_failed` when no sketch meets the
-    sensing constraint even after the sketch count is increased once. A
-    relaxation stopped short of its gap tolerance still yields a
-    beamformer; only `infeasible` and `randomization_failed` leave w_bb
-    None.
+    `randomize_rank` draws TRIALS_PER_STREAM * n_streams sketches, and
+    RETRY_PER_STREAM * n_streams once more when none meets the sensing
+    constraint. The status is the solver's own (`optimal`, `max_iter`,
+    `stalled`, `infeasible`), or `randomization_failed` when the retry
+    misses too. A relaxation stopped short of its gap tolerance still
+    yields a beamformer; only `infeasible` and `randomization_failed` leave
+    w_bb None.
     """
-    solution = solve_maxdet(problem) if solution is None else solution
     if solution.status == "infeasible":
-        return SdrResult(
-            w_bb=None, se_bits=np.nan, status="infeasible", solution=solution
-        )
+        return SdrResult(w_bb=None, se_bits=np.nan, status="infeasible")
     for per_stream in (TRIALS_PER_STREAM, RETRY_PER_STREAM):
         try:
             w = randomize_rank(solution, problem, rng, trials=per_stream * problem.n_streams)
@@ -430,8 +428,6 @@ def sdr_rrs(
         except RandomizationFailure:
             pass
     else:
-        return SdrResult(
-            w_bb=None, se_bits=np.nan, status="randomization_failed", solution=solution
-        )
+        return SdrResult(w_bb=None, se_bits=np.nan, status="randomization_failed")
     se = _rate_bits(problem.h_eff @ w, problem.sigma_c_sq)
-    return SdrResult(w_bb=w, se_bits=se, status=solution.status, solution=solution)
+    return SdrResult(w_bb=w, se_bits=se, status=solution.status)

@@ -435,7 +435,7 @@ def _check_sdp_invariants() -> tuple[bool, str]:
     sens = float(np.real(np.sum(r * problem.psi.T)))
     sens_ok = sens >= problem.gamma0 - 1e-8
     rng = np.random.default_rng(37)
-    w = opt_sdr.randomize_rank(sol, problem, rng)
+    w = opt_sdr.randomize_rank(sol, problem, rng, opt_sdr.TRIALS_PER_STREAM * problem.n_streams)
     power = float(np.linalg.norm(w) ** 2)
     tight = abs(power - problem.power_budget) < 1e-9 * max(1.0, problem.power_budget)
     se_w = beamform._rate_bits(problem.h_eff @ w, problem.sigma_c_sq)

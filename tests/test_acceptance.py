@@ -64,7 +64,9 @@ def test_criterion_1_waterfilling_oracle():
         assert solution.status == "optimal", (seed, solution.status)
         fdb = solution.dual_bits
         worst_fdb = max(worst_fdb, abs(fdb - expected))
-        result = opt_sdr.sdr_rrs(problem, np.random.default_rng(seed))
+        result = opt_sdr.sdr_rrs(
+            problem, np.random.default_rng(seed), opt_sdr.solve_maxdet(problem)
+        )
         worst_sdr = max(worst_sdr, (expected - result.se_bits) / expected)
     ok = worst_fdb < 1e-3 and worst_sdr < 0.02
     _accept(
@@ -198,7 +200,8 @@ def test_criterion_6_algorithm_ordering():
         solution = opt_sdr.solve_maxdet(problem)
         fdb = solution.objective_bits
         w = opt_sdr.randomize_rank(
-            solution, problem, np.random.default_rng(harness.derive_seed(seed, 2))
+            solution, problem, np.random.default_rng(harness.derive_seed(seed, 2)),
+            opt_sdr.TRIALS_PER_STREAM * problem.n_streams,
         )
         sdr_se = beamform._rate_bits(problem.h_eff @ w, problem.sigma_c_sq)
         eig = opt_manifold.reduce_b(data.problem)

@@ -321,6 +321,25 @@ def test_fdb_row_matches_its_covariance():
         )
 
 
+def test_one_factor_of_r_star_per_solve_round(monkeypatch):
+    # a sweep point's prepare, fdb and sdr_rrs eigendecompose a covariance
+    # only in solve_maxdet's rounds; fdb and sdr_rrs read the last round's factor
+    factored, checked = [], []
+    real_factor, real_check = opt_sdr._factor, beamform.check_hybrid
+    monkeypatch.setattr(opt_sdr, "_factor", lambda r: factored.append(r) or real_factor(r))
+    monkeypatch.setattr(
+        beamform, "check_hybrid", lambda *args: checked.append(args[1]) or real_check(*args)
+    )
+    cfg = harness.desk_config(seed=0, scnr_threshold_db=60.0)
+    data = harness.prepare_scenario(cfg)
+    for algorithm in ("fdb", "sdr_rrs"):
+        assert harness.run_scenario(cfg, algorithm, data).status == "ok"
+    solution = data.solution
+    assert solution.newton_steps > 0  # the sensing floor binds: several rounds
+    assert len(factored) == 1 + solution.newton_steps
+    assert checked[0] is solution.w_bb
+
+
 def test_refreshed_filter_improves_scnr(desk_data):
     cfg = desk_data.config
     n = cfg.n_antennas

@@ -93,7 +93,9 @@ def test_budget_monotonicity(rng):
 def test_randomization_rank_recovery(small_problem):
     _, problem = small_problem
     sol = solve_maxdet(problem)
-    w = randomize_rank(sol, problem, np.random.default_rng(0))
+    w = randomize_rank(
+        sol, problem, np.random.default_rng(0), trials=TRIALS_PER_STREAM * problem.n_streams
+    )
     assert w.shape == (problem.dim, problem.n_streams)
     # identity sketch reproduces an (effectively) rank-n_streams optimum
     assert abs(_rate_bits(problem.h_eff @ w, problem.sigma_c_sq) - sol.objective_bits) < 1e-6
@@ -103,7 +105,9 @@ def test_randomization_power_equality(small_problem, rng):
     _, problem = small_problem
     sol = solve_maxdet(problem)
     for seed in range(3):
-        w = randomize_rank(sol, problem, np.random.default_rng(seed))
+        w = randomize_rank(
+            sol, problem, np.random.default_rng(seed), trials=TRIALS_PER_STREAM * problem.n_streams
+        )
         power = float(np.linalg.norm(w) ** 2)
         assert power == pytest.approx(problem.power_budget, abs=1e-9)
 
@@ -120,8 +124,9 @@ def test_randomization_never_beats_relaxation(small_problem):
 def test_randomization_deterministic(small_problem):
     _, problem = small_problem
     sol = solve_maxdet(problem)
-    w1 = randomize_rank(sol, problem, np.random.default_rng(9))
-    w2 = randomize_rank(sol, problem, np.random.default_rng(9))
+    trials = TRIALS_PER_STREAM * problem.n_streams
+    w1 = randomize_rank(sol, problem, np.random.default_rng(9), trials)
+    w2 = randomize_rank(sol, problem, np.random.default_rng(9), trials)
     assert np.array_equal(w1, w2)
 
 
@@ -136,7 +141,7 @@ def test_randomization_failure_raised(small_problem):
 
 def test_sdr_rrs_close_to_relaxation_no_sensing(small_data):
     problem = dataclasses.replace(small_data.problem, gamma0=0.0)
-    result = sdr_rrs(problem, np.random.default_rng(0))
+    result = sdr_rrs(problem, np.random.default_rng(0), solve_maxdet(problem))
     assert result.status == "optimal"
     bound = solve_maxdet(problem).objective_bits
     assert result.se_bits >= 0.98 * bound
@@ -167,15 +172,15 @@ def test_sdr_rrs_retries_a_failed_randomization(seed, streams, row):
 
 def test_sdr_rrs_deterministic(small_problem):
     _, problem = small_problem
-    r1 = sdr_rrs(problem, np.random.default_rng(11))
-    r2 = sdr_rrs(problem, np.random.default_rng(11))
+    r1 = sdr_rrs(problem, np.random.default_rng(11), solve_maxdet(problem))
+    r2 = sdr_rrs(problem, np.random.default_rng(11), solve_maxdet(problem))
     assert np.array_equal(r1.w_bb, r2.w_bb)
     assert r1.se_bits == r2.se_bits
 
 
 def test_sdr_rrs_meets_scnr_threshold(small_problem):
     data, problem = small_problem
-    result = sdr_rrs(problem, np.random.default_rng(0))
+    result = sdr_rrs(problem, np.random.default_rng(0), solve_maxdet(problem))
     weights = echo_weights(data.responses, analog_times(data.analog, result.w_bb))
     achieved = scnr(data.w_fixed, data.responses, weights, data.config.sigma_s_sq)
     assert achieved >= data.config.scnr_min - 1e-6
@@ -186,7 +191,7 @@ def test_fdb_upper_bounds_sdr(small_problem):
     solution = solve_maxdet(problem)
     assert solution.status == "optimal"
     fdb = solution.dual_bits
-    result = sdr_rrs(problem, np.random.default_rng(0))
+    result = sdr_rrs(problem, np.random.default_rng(0), solve_maxdet(problem))
     # slack covers the solver gap: both sides are solved to tol=1e-10 nats
     assert fdb >= result.se_bits - 1e-6
 
@@ -265,7 +270,7 @@ def test_max_iter_solution_is_primal_feasible(monkeypatch):
     p_slack, s_slack = _slacks(sol.r_bb, problem)
     assert abs(p_slack) <= 1e-9 * problem.power_budget
     assert s_slack >= 0.0
-    result = sdr_rrs(problem, np.random.default_rng(0))
+    result = sdr_rrs(problem, np.random.default_rng(0), solve_maxdet(problem))
     assert result.status == "max_iter" and result.w_bb is not None
     assert result.se_bits <= sol.dual_bits
 

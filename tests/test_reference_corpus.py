@@ -39,7 +39,7 @@ def _row_mismatches(ref: dict[str, str], new: dict[str, str]) -> list[str]:
             ok = ref[name] == new[name] or (name == "iterations" and rm_jgd and binding)
         elif name not in METRICS:  # configuration
             ok = _close(ref[name], new[name], rel=1e-9)
-        elif rm_jgd:
+        elif rm_jgd:  # its SCNR and powers follow the step count; se_bits is pinned
             ok = name != "se_bits" or _close(ref[name], new[name], abs_=1e-7)
         else:
             ok = _close(ref[name], new[name], rel=1e-9)
