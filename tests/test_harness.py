@@ -15,6 +15,7 @@ from modisac.music import GridSpec
 from modisac.validation import CHECKS
 from modisac import opt_manifold, opt_sdr
 from oracles import dense_basis
+from reference_corpus import op_seed
 
 
 TINY = dict(
@@ -242,15 +243,10 @@ def test_rank_deficient_stream_count_is_error_row(tmp_path, capsys):
     assert cell.rsplit(",", 1)[0] == "0,snr,0.0," + expected.to_csv().rsplit(",", 1)[0]
 
 
-def _op_seed(seed: int, slot: int) -> int:
-    """Scenario seed of the benchmark's desk_sweep input slot `slot` at `seed`."""
-    return int(np.random.SeedSequence([seed, slot]).generate_state(1)[0])
-
-
 def test_rm_jgd_phase1_infeasible_is_subspace_status():
     # phase 1's bound covers col(U_B) only; SDR over all of U_tilde meets 60 dB
     cfg = harness.desk_config(
-        seed=harness.derive_seed(_op_seed(0, 2), 0), scnr_threshold_db=60.0
+        seed=harness.derive_seed(op_seed(0, 2), 0), scnr_threshold_db=60.0
     )
     assert harness.run_scenario(cfg, "rm_jgd").status == "infeasible_subspace"
     sdr = harness.run_scenario(cfg, "sdr_rrs")
@@ -271,7 +267,7 @@ def test_stream_count_is_rate_form_rank():
         for slot in range(9):
             for db in (0.0, 60.0):
                 cfg = harness.desk_config(
-                    seed=harness.derive_seed(_op_seed(seed, slot), 0),
+                    seed=harness.derive_seed(op_seed(seed, slot), 0),
                     scnr_threshold_db=db,
                 )
                 data = harness.prepare_scenario(cfg)
@@ -294,7 +290,7 @@ def test_fdb_row_matches_its_covariance():
     # U_tilde the dense block-diagonal basis and the echo weights taken as
     # alpha_q^2 g_tq^H R_X g_tq
     configs = [
-        harness.desk_config(seed=_op_seed(0, slot), scnr_threshold_db=db)
+        harness.desk_config(seed=op_seed(0, slot), scnr_threshold_db=db)
         for slot in range(9)
         for db in (0.0, 60.0)
     ]
