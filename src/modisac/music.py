@@ -157,8 +157,16 @@ def _unit_phasors(t, out, rho, rho_sq, index, lookup, poly) -> None:
 
 def _grid_work(cells: int, k: int, m: int) -> tuple:
     """Work arrays of `_receive_responses_grid` for blocks of up to `cells`
-    cells: the ranges and at least 7 phasor slots (2-6 lend the scratch)."""
-    return np.empty(k * cells), np.empty((max(m + 1, 7), k * cells), dtype=complex)
+    cells: the ranges and at least 7 phasor slots (2-6 lend the scratch).
+    Both are cut from one buffer, the phasors at a page boundary and the
+    ranges 1024 bytes past one: sharing an offset mod 4096, as the heap may
+    place them, cost `music_spectrum` 8-12%."""
+    phasor_bytes = 16 * max(m + 1, 7) * k * cells
+    gap = -(-phasor_bytes // 4096) * 4096 + 1024
+    raw = np.empty(4096 + gap + 8 * k * cells, dtype=np.uint8)
+    raw = raw[-raw.ctypes.data % 4096 :]
+    phasors = raw[:phasor_bytes].view(complex).reshape(-1, k * cells)
+    return raw[gap : gap + 8 * k * cells].view(float), phasors
 
 
 def _x_offsets(geometry: ArrayGeometry, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

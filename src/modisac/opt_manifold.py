@@ -171,13 +171,14 @@ def _slacks(state: ManifoldState, eig: EigB) -> np.ndarray:
     return eig.offsets - _terms_of(state.q, eig)[1] @ state.b**2
 
 
-def _interior_slacks(state: ManifoldState, eig: EigB) -> np.ndarray:
-    """`_slacks` at a strictly feasible state; raises InfeasiblePointError
-    anywhere else, where the barrier has no gradient."""
-    slacks = _slacks(state, eig)
+def _interior_terms(state: ManifoldState, eig: EigB) -> tuple[np.ndarray, ...]:
+    """`_terms_of` and `_slacks` from one F_i Q at a strictly feasible state;
+    raises InfeasiblePointError anywhere else, where the barrier has no gradient."""
+    forms_q, diags = _terms_of(state.q, eig)
+    slacks = eig.offsets - diags @ state.b**2
     if np.any(slacks <= 0.0):
         raise InfeasiblePointError("gradient requested at an infeasible point")
-    return slacks
+    return forms_q, diags, slacks
 
 
 def barrier_value(state: ManifoldState, eig: EigB, t: float) -> float:
@@ -195,17 +196,15 @@ def barrier_value(state: ManifoldState, eig: EigB, t: float) -> float:
 
 def grad_b(state: ManifoldState, eig: EigB, t: float) -> np.ndarray:
     """Euclidean gradient of the barrier objective with respect to b."""
-    b = state.b
-    diags = _terms_of(state.q, eig)[1]
-    slacks = _interior_slacks(state, eig)
+    b, (_, diags, slacks) = state.b, _interior_terms(state, eig)
     return -2.0 * b / (1.0 + b**2) + (2.0 / t) * ((1.0 / slacks) @ diags) * b
 
 
 def grad_v(state: ManifoldState, eig: EigB, t: float) -> np.ndarray:
     """Euclidean gradient of the barrier objective with respect to Q."""
-    forms_q = _terms_of(state.q, eig)[0]
-    slacks = _interior_slacks(state, eig)
-    return (2.0 / t) * np.tensordot(1.0 / slacks, forms_q, axes=1) * state.b[None, :] ** 2
+    forms_q, _, slacks = _interior_terms(state, eig)
+    weighted = ((1.0 / slacks) @ forms_q.reshape(len(slacks), -1)).reshape(forms_q.shape[1:])
+    return (2.0 / t) * weighted * state.b[None, :] ** 2
 
 
 def tangent_project(q: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -363,49 +363,43 @@ def randomize_rank(
 ) -> np.ndarray:
     """Recover a rank-n_streams beamformer from the relaxed optimum.
 
-    Sketch the best rank-n_streams factor of R*, the first n_streams columns
-    of `solution.w_bb`, with `trials` i.i.d. CN(0,1) matrices, rescale every
-    candidate to the power budget with equality and return the rate-best
-    candidate meeting the sensing constraint. The identity sketch is always
-    injected first so an already rank-n_streams optimum is recovered
-    exactly. A `max_iter` or `stalled` solution is primal feasible too and
-    is randomized like an optimal one.
+    Sketch the best rank-n_streams factor F of R*, the first n_streams
+    columns of `solution.w_bb`, with `trials` i.i.d. CN(0,1) matrices z,
+    rescale every candidate F z to the power budget with equality and return
+    the rate-best candidate meeting the sensing constraint, the first on a
+    tie. The identity sketch is always injected first so an already
+    rank-n_streams optimum is recovered exactly. All candidates are scored
+    at once in the n_streams-square sketch space: power tr(z^H F^H F z),
+    sensing tr(z^H F^H Psi F z) and the rate from the singular values of
+    (H_eff F) z, each scaled by budget/power; only the winner is formed. A
+    `max_iter` or `stalled` solution is primal feasible too and is
+    randomized like an optimal one.
     """
     if solution.status == "infeasible":
         raise ValueError("cannot randomize an infeasible solution")
     ns = problem.n_streams
     factor = solution.w_bb[:, :ns]
-    feas_tol = 1e-9 * max(1.0, abs(problem.gamma0))
-
-    best_w = None
-    best_se = -np.inf
-    for i in range(trials + 1):
-        if i == 0:
-            z = np.eye(ns, dtype=complex)
-        else:
-            z = (
-                rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns))
-            ) / np.sqrt(2.0)
-        w = factor @ z
-        # ||w||_F^2 summed in the (stream, antenna) order of w^H o w^T: another
-        # order moves the rescaled candidate, and all built on it, by rounding
-        power = float(np.real(np.sum(np.multiply(w.conj().T, w.T, order="C"))))
-        if power <= 0.0:
-            continue
-        w = w * np.sqrt(problem.power_budget / power)
-        if problem.sensing_active:
-            sens = float(np.real(np.sum(w.conj() * (problem.psi @ w))))
-            if sens < problem.gamma0 - feas_tol:
-                continue
-        se = _rate_bits(problem.h_eff @ w, problem.sigma_c_sq)
-        if se > best_se:
-            best_se = se
-            best_w = w
-    if best_w is None:
-        raise RandomizationFailure(
-            f"no candidate out of {trials + 1} met the sensing constraint"
-        )
-    return best_w
+    # one draw, in the order of a real then an imaginary (ns, ns) draw per trial
+    draws = rng.standard_normal((trials, 2, ns, ns))
+    z = np.empty((trials + 1, ns, ns), dtype=complex)
+    z[0], z[1:] = np.eye(ns), (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+    power = np.real(np.sum(z.conj() * (factor.conj().T @ factor @ z), axis=(1, 2)))
+    keep = power > 0.0
+    scale = np.divide(problem.power_budget, power, out=np.zeros_like(power), where=keep)
+    if problem.sensing_active:
+        form = factor.conj().T @ (problem.psi @ factor)
+        sens = scale * np.real(np.sum(z.conj() * (form @ z), axis=(1, 2)))
+        keep &= ~(sens < problem.gamma0 - 1e-9 * max(1.0, abs(problem.gamma0)))
+    sv = np.linalg.svd((problem.h_eff @ factor) @ z, compute_uv=False)
+    se = np.sum(np.log2(1.0 + scale[:, None] * sv**2 / problem.sigma_c_sq), axis=1)
+    keep &= ~np.isnan(se)
+    if not keep.any():
+        raise RandomizationFailure(f"no candidate out of {trials + 1} met the sensing constraint")
+    w = factor @ z[np.argmax(np.where(keep, se, -np.inf))]
+    # ||w||_F^2 summed in the (stream, antenna) order of w^H o w^T: another
+    # order moves the rescaled candidate, and all built on it, by rounding
+    power = float(np.real(np.sum(np.multiply(w.conj().T, w.T, order="C"))))
+    return w * np.sqrt(problem.power_budget / power)
 
 
 def sdr_rrs(problem: MaxDetProblem, rng: np.random.Generator, solution: SdpSolution) -> SdrResult:

@@ -102,6 +102,17 @@ def restricted_optimum_bits(eig, psi: np.ndarray) -> float:
     return solution.dual_bits
 
 
+def _interior_slacks(state, eig) -> np.ndarray:
+    """`opt_manifold._slacks` at a strictly feasible state; raises
+    InfeasiblePointError anywhere else, where the barrier has no gradient."""
+    from modisac.opt_manifold import InfeasiblePointError, _slacks
+
+    slacks = _slacks(state, eig)
+    if np.any(slacks <= 0.0):
+        raise InfeasiblePointError("gradient requested at an infeasible point")
+    return slacks
+
+
 def basis_contraction_derivatives(state, eig, t: float):
     """Gradient and Hessian of the barrier's pullback by a per-form basis contraction.
 
@@ -116,7 +127,7 @@ def basis_contraction_derivatives(state, eig, t: float):
     hess s / u)/t; the rate -ln(1 + b_j^2) adds its own gain terms. An
     oracle for tests only: one form at a time, with no shared sum.
     """
-    from modisac.opt_manifold import _interior_slacks, _skew_basis
+    from modisac.opt_manifold import _skew_basis
 
     q, b = state.q, state.b
     n, w = b.size, b**2
@@ -142,3 +153,44 @@ def basis_contraction_derivatives(state, eig, t: float):
         grad += g_s / (t * slack)
         hess += (np.outer(g_s, g_s) / slack**2 + h_s / slack) / t
     return grad, hess
+
+
+def randomize_rank_loop(solution, problem, rng, trials: int) -> np.ndarray:
+    """`opt_sdr.randomize_rank` one candidate at a time, each formed in full.
+
+    Draws each sketch z as a real then an imaginary (n_s, n_s) block, forms
+    w = F z, rescales it to the power budget and scores its sensing value
+    tr(w^H Psi w) and rate in the full transmit space; the identity sketch
+    comes first and the first strict maximum wins. An oracle for tests only.
+    """
+    from modisac.beamform import _rate_bits
+    from modisac.opt_sdr import RandomizationFailure
+
+    if solution.status == "infeasible":
+        raise ValueError("cannot randomize an infeasible solution")
+    ns = problem.n_streams
+    factor = solution.w_bb[:, :ns]
+    feas_tol = 1e-9 * max(1.0, abs(problem.gamma0))
+    best_w, best_se = None, -np.inf
+    for i in range(trials + 1):
+        if i == 0:
+            z = np.eye(ns, dtype=complex)
+        else:
+            z = (
+                rng.standard_normal((ns, ns)) + 1j * rng.standard_normal((ns, ns))
+            ) / np.sqrt(2.0)
+        w = factor @ z
+        power = float(np.real(np.sum(np.multiply(w.conj().T, w.T, order="C"))))
+        if power <= 0.0:
+            continue
+        w = w * np.sqrt(problem.power_budget / power)
+        if problem.sensing_active:
+            sens = float(np.real(np.sum(w.conj() * (problem.psi @ w))))
+            if sens < problem.gamma0 - feas_tol:
+                continue
+        se = _rate_bits(problem.h_eff @ w, problem.sigma_c_sq)
+        if se > best_se:
+            best_se, best_w = se, w
+    if best_w is None:
+        raise RandomizationFailure(f"no candidate out of {trials + 1} met the sensing constraint")
+    return best_w

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from modisac.beamform import (
 from modisac.channel import numerical_rank
 from modisac.opt_sdr import (
     RANK_TOL,
+    RETRY_PER_STREAM,
     TRIALS_PER_STREAM,
     MaxDetProblem,
     RandomizationFailure,
@@ -22,8 +25,10 @@ from modisac.opt_sdr import (
 )
 from modisac.validation import central_differences
 from oracles import (
-    channel_gains, dense_basis, exact_power_problems, full_problem, waterfilling_se_bits,
+    channel_gains, dense_basis, exact_power_problems, full_problem, randomize_rank_loop,
+    waterfilling_se_bits,
 )
+import reference_corpus
 
 
 def no_sensing_problem(h_eff, sigma_c_sq, budget, n_streams):
@@ -433,3 +438,110 @@ def test_newton_direction_matches_dense(request, scale, sensing, power, gain):
     assert slope < 0.0
     assert np.linalg.norm(delta - ref_delta) <= 1e-9 * np.linalg.norm(ref_delta)
     assert slope == pytest.approx(ref_slope, rel=1e-9)
+
+
+def oracle_cases():
+    """The desk cells, full-scale seeds 0-2 at 80 dB and K = 64 seed 0, as configs."""
+    yield from (cfg for case, cfg in reference_corpus.scenarios() if case != "full")
+    for seed in range(3):
+        yield harness.config_from_dict({"seed": seed, "scnr_threshold_db": 80.0})
+
+
+def assert_matches_loop(solution, problem, rng, ref_rng, trials):
+    """randomize_rank on `rng` against the loop oracle on its twin `ref_rng`:
+    the same W_BB bit for bit, or RandomizationFailure from both, with no
+    RuntimeWarning, and the same next draw. Returns whether a beamformer
+    came back."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            ref = randomize_rank_loop(solution, problem, ref_rng, trials)
+        except RandomizationFailure:
+            ref = None
+        if ref is None:
+            with pytest.raises(RandomizationFailure):
+                randomize_rank(solution, problem, rng, trials)
+        else:
+            w = randomize_rank(solution, problem, rng, trials)
+            assert w.shape == ref.shape and w.tobytes() == ref.tobytes()
+    # drawn from copies, so that a retry goes on from where the round left off
+    assert copy.deepcopy(rng).standard_normal() == copy.deepcopy(ref_rng).standard_normal()
+    return ref is not None
+
+
+def twin_generators(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def test_randomize_rank_matches_loop_oracle_on_corpus_scenarios():
+    feasible = 0
+    for cfg in oracle_cases():
+        data = harness.prepare_scenario(cfg)
+        if data.solution.status == "infeasible":
+            continue
+        # the first round, then the retry on the same generators, as sdr_rrs runs them
+        rngs = twin_generators(harness.derive_seed(cfg.seed, 2))
+        for per_stream in (TRIALS_PER_STREAM, RETRY_PER_STREAM):
+            trials = per_stream * data.problem.n_streams
+            if assert_matches_loop(data.solution, data.problem, *rngs, trials):
+                break
+        feasible += 1
+    assert feasible >= 48
+
+
+def test_randomize_rank_matches_loop_oracle_when_a_sketch_wins(small_problem):
+    _, problem = small_problem
+    sol = solve_maxdet(problem)
+    rng = np.random.default_rng(5)
+    shape = (problem.dim, problem.dim)
+    # a factor that is not the optimum's: its first column, in the null space of
+    # H_eff, takes nearly all of the identity sketch's power, so another sketch wins
+    w_bb = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / problem.dim
+    w_bb[:, 0] = 10.0 * np.linalg.svd(problem.h_eff)[2][-1].conj()
+    rigged = dataclasses.replace(sol, w_bb=w_bb)
+    tight = dataclasses.replace(problem, gamma0=0.0)
+    trials = TRIALS_PER_STREAM * problem.n_streams
+    assert assert_matches_loop(rigged, tight, *twin_generators(3), trials)
+    w = randomize_rank(rigged, tight, np.random.default_rng(3), trials)
+    identity = rigged.w_bb[:, : problem.n_streams]
+    assert not np.allclose(w, identity * np.sqrt(problem.power_budget) / np.linalg.norm(identity))
+    for seed in range(5):
+        assert_matches_loop(rigged, problem, *twin_generators(seed), trials)
+
+
+def test_randomize_rank_matches_loop_oracle_through_a_forced_retry():
+    cfg = harness.desk_config(seed=2, scnr_threshold_db=60.0, streams=2)
+    data = harness.prepare_scenario(cfg)
+    rngs = twin_generators(harness.derive_seed(cfg.seed, 2))
+    # as in test_sdr_rrs_retries_a_failed_randomization: the first round
+    # misses, the retry finds a beamformer
+    assert not assert_matches_loop(data.solution, data.problem, *rngs, TRIALS_PER_STREAM * 2)
+    assert assert_matches_loop(data.solution, data.problem, *rngs, RETRY_PER_STREAM * 2)
+
+
+class Replay:
+    """Generator stand-in whose standard_normal hands out `values` in order."""
+
+    def __init__(self, values):
+        self.values, self.used = values, 0
+
+    def standard_normal(self, shape=()):
+        count = int(np.prod(shape))
+        self.used += count
+        return self.values[self.used - count : self.used].reshape(shape)
+
+
+def test_randomize_rank_skips_zero_power_candidates(small_problem):
+    _, problem = small_problem
+    sol = solve_maxdet(problem)
+    ns = problem.n_streams
+    trials, block = TRIALS_PER_STREAM * ns, 2 * ns * ns
+    values = np.random.default_rng(8).standard_normal(trials * block + 1)
+    values[3 * block : 4 * block] = 0.0  # sketch 4 is z = 0: no power
+    tight = dataclasses.replace(problem, gamma0=0.0)
+    rigged = dataclasses.replace(sol, w_bb=np.ones_like(sol.w_bb) + np.eye(problem.dim))
+    for solution, prob in ((sol, problem), (rigged, tight)):
+        assert assert_matches_loop(solution, prob, Replay(values), Replay(values), trials)
+    # a zero factor: no candidate has power, and none is returned
+    zero = dataclasses.replace(sol, w_bb=np.zeros_like(sol.w_bb))
+    assert not assert_matches_loop(zero, tight, Replay(values), Replay(values), trials)
