@@ -235,30 +235,36 @@ def stiefel_retract(z: np.ndarray) -> np.ndarray:
 def phase1_feasible(eig: EigB) -> ManifoldState:
     """Construct a strictly feasible starting state or certify infeasibility.
 
-    The budget is the first offset. The streams first get a waterfilling
-    split of 90% of it over the channel directions (Q = I); that start is
-    returned whenever every slack is positive. Otherwise, in the coordinates
-    Y = Q diag(b^2) Q^H the power is tr(Sigma_B^{-1} Y) and the sensing
-    value tr(Phi Y), Phi = -forms[1] and floor = -offsets[1] being the
-    sensing row, and along v = Sigma_B^{1/2} p, p the top eigenvector of the
-    pencil Sigma_B^{1/2} Phi Sigma_B^{1/2}, a unit of power buys lambda_max of
-    sensing. The infeasibility certificate is that bound: no point reaches
-    more than budget * lambda_max. Below it, Y = beta v v^H + eps Sigma_B
-    puts beta a tenth of the way from the threshold's power floor/lambda_max
-    to the budget and spends at most half of what remains of the power and
-    of the sensing surplus on eps Sigma_B, which is positive definite; Y's
-    eigenvectors are Q and b^2 = diag(Q^H Y Q), a sum of nonnegative terms,
-    so every gain is positive (a phase-I point; Boyd & Vandenberghe 2004,
-    sec. 11.4).
+    The budget is the first offset. The streams first get a waterfilling split
+    of 90% of it over the channel directions (Q = I). Where every slack is
+    positive there, the start is the barrier's own split: at Q = I under the
+    power row, `water_level` with the power slack as one more channel of
+    weight 1/t (t = BARRIER_T) minimizes the barrier over the gains and leaves
+    a slack of level/t, the central path's point (Boyd & Vandenberghe 2004,
+    ex. 5.2, sec. 11.2). The 90% split stays where that split is not strictly
+    feasible or has no active channel (t budget <= min 1/sigma_B). Otherwise,
+    in the coordinates Y = Q diag(b^2) Q^H the power is tr(Sigma_B^{-1} Y) and
+    the sensing value tr(Phi Y), Phi = -forms[1] and floor = -offsets[1] being
+    the sensing row, and along v = Sigma_B^{1/2} p, p the top eigenvector of
+    the pencil Sigma_B^{1/2} Phi Sigma_B^{1/2}, a unit of power buys
+    lambda_max of sensing. The infeasibility certificate is that bound: no
+    point reaches more than budget * lambda_max. Below it, Y = beta v v^H +
+    eps Sigma_B puts beta a tenth of the way from the threshold's power
+    floor/lambda_max to the budget and spends at most half of what remains of
+    the power and of the sensing surplus on eps Sigma_B, which is positive
+    definite; Y's eigenvectors are Q and b^2 = diag(Q^H Y Q), a sum of
+    nonnegative terms, so every gain is positive (a phase-I point; Boyd &
+    Vandenberghe 2004, sec. 11.4).
     """
     ns, budget = eig.n_streams, eig.offsets[0]
     inv = 1.0 / eig.sigma_b
-    level = water_level(inv, 0.9 * budget)
-    start = ManifoldState(
-        q=np.eye(ns, dtype=complex), b=np.sqrt(np.maximum(level - inv, 0.0) * eig.sigma_b)
+    split, barrier = (
+        ManifoldState(np.eye(ns, dtype=complex), np.sqrt(np.maximum(lv - inv, 0.0) * eig.sigma_b))
+        for lv in (water_level(inv, 0.9 * budget), water_level(inv, budget, 1.0 / BARRIER_T))
     )
-    if np.all(_slacks(start, eig) > 0.0):
-        return start
+    if np.all(_slacks(split, eig) > 0.0):
+        interior = np.any(barrier.b > 0.0) and np.all(_slacks(barrier, eig) > 0.0)
+        return barrier if interior else split
 
     phi, floor = -eig.forms[1], -eig.offsets[1]
     scale = np.sqrt(eig.sigma_b)

@@ -267,14 +267,18 @@ def _make_feasible(
     return out
 
 
-def water_level(inv: np.ndarray, budget: float) -> float:
-    """Water level of max sum ln(1 + p_i / inv_i) s.t. sum p_i <= budget.
+def water_level(inv: np.ndarray, budget: float, weight: float = 0.0) -> float:
+    """Water level of max sum ln(1 + p_i / inv_i) + weight ln(s), s = budget - sum p_i.
 
     inv holds the channels' positive inverse gains in ascending order; the
-    optimal powers are (level - inv_i)^+.
+    optimal powers are (level - inv_i)^+. Weight 0 is plain waterfilling
+    under sum p_i <= budget (budget > 0); with weight > 0 the slack s is one
+    more channel and ends at weight * level, or, where budget <= weight *
+    inv_0 and no channel is active, at the budget, with level budget/weight.
     """
-    levels = (budget + np.cumsum(inv)) / np.arange(1, inv.size + 1)
-    return float(levels[np.flatnonzero(levels > inv)[-1]])
+    levels = (budget + np.cumsum(inv)) / (np.arange(1, inv.size + 1) + weight)
+    active = np.flatnonzero(levels > inv)
+    return float(levels[active[-1]]) if active.size else budget / weight
 
 
 def solve_maxdet(problem: MaxDetProblem) -> SdpSolution:

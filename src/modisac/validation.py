@@ -38,13 +38,9 @@ class ValidationReport:
         return all(r.ok for r in self.results)
 
     def to_text(self) -> str:
-        lines = []
-        for r in self.results:
-            mark = "PASS" if r.ok else "FAIL"
-            lines.append(f"[{mark}] {r.name} ({r.wall_ms:.0f} ms) {r.detail}")
-        verdict = "ALL CHECKS PASSED" if self.all_ok else "CHECKS FAILED"
-        lines.append(verdict)
-        return "\n".join(lines)
+        lines = [f"[{'PASS' if r.ok else 'FAIL'}] {r.name} ({r.wall_ms:.0f} ms) {r.detail}"
+                 for r in self.results]
+        return "\n".join(lines + ["ALL CHECKS PASSED" if self.all_ok else "CHECKS FAILED"])
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as f:
@@ -127,13 +123,8 @@ def _check_rank_bounds() -> tuple[bool, str]:
 def _check_response_modulus() -> tuple[bool, str]:
     data = _mini_data()
     extra = channel.sensing_response(data.geometry, SceneObject(PolarPoint(20.0, np.pi / 4)))
-    worst = 0.0
-    for resp in data.responses + (extra,):
-        worst = max(
-            worst,
-            float(np.max(np.abs(np.abs(resp.g_t) - 1.0))),
-            float(np.max(np.abs(np.abs(resp.g_r) - 1.0))),
-        )
+    vecs = [v for resp in data.responses + (extra,) for v in (resp.g_t, resp.g_r)]
+    worst = max(float(np.max(np.abs(np.abs(v) - 1.0))) for v in vecs)
     return worst < 1e-12, f"max response modulus deviation {worst:.2e}"
 
 
@@ -455,9 +446,7 @@ def _check_fdb_bounds() -> tuple[bool, str]:
     cfg = harness.desk_config(seed=4)
     rows = {a: harness.run_scenario(cfg, a) for a in harness.ALGORITHMS}
     fdb = rows["fdb"].se_bits
-    ok = (
-        fdb + 1e-6 >= rows["sdr_rrs"].se_bits and fdb + 1e-6 >= rows["rm_jgd"].se_bits
-    )
+    ok = all(fdb + 1e-6 >= rows[a].se_bits for a in ("sdr_rrs", "rm_jgd"))
     detail = ", ".join(f"{a}={rows[a].se_bits:.3f}" for a in harness.ALGORITHMS)
     return ok, detail
 

@@ -102,6 +102,40 @@ def restricted_optimum_bits(eig, psi: np.ndarray) -> float:
     return solution.dual_bits
 
 
+def ninety_percent_split(eig):
+    """Waterfilling split of 90% of the power budget at Q = I: b_j^2 =
+    sigma_j (level - 1/sigma_j)^+ with `opt_sdr.water_level`'s level for
+    0.9 * offsets[0].
+
+    `opt_manifold.phase1_feasible` tests this split for feasibility and,
+    where it clears every row, starts at the barrier's own split, whose
+    power slack level/t is far smaller. Derivative tests that need an
+    interior state with a 10% power slack build it here.
+    """
+    from modisac.opt_manifold import ManifoldState
+    from modisac.opt_sdr import water_level
+
+    inv = 1.0 / eig.sigma_b
+    level = water_level(inv, 0.9 * eig.offsets[0])
+    b = np.sqrt(np.maximum(level - inv, 0.0) * eig.sigma_b)
+    return ManifoldState(q=np.eye(eig.n_streams, dtype=complex), b=b)
+
+
+def barrier_split_gains(inv: np.ndarray, budget: float, t: float):
+    """Gains w minimizing -sum ln(1 + w_j) - ln(s)/t, s = budget - sum_j w_j inv_j.
+
+    Over p_j = w_j inv_j this is waterfilling with the slack s as one more
+    channel of weight 1/t: p_j = (level - inv_j)^+ and s = level/t, at the
+    level of the largest k whose (budget + sum_{j<k} inv_j)/(k + 1/t) clears
+    inv_{k-1} (inv ascending); every gain is 0 when no channel is active.
+    """
+    for k in range(inv.size, 0, -1):
+        level = (budget + np.sum(inv[:k])) / (k + 1.0 / t)
+        if level > inv[k - 1]:
+            return np.maximum(level - inv, 0.0) / inv
+    return np.zeros(inv.size)
+
+
 def _interior_slacks(state, eig) -> np.ndarray:
     """`opt_manifold._slacks` at a strictly feasible state; raises
     InfeasiblePointError anywhere else, where the barrier has no gradient."""

@@ -35,6 +35,7 @@ from modisac.validation import (
 )
 from oracles import (
     basis_contraction_derivatives,
+    ninety_percent_split,
     restricted_optimum_bits,
     waterfilling_se_bits,
 )
@@ -439,11 +440,14 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
     _full_width_barrier leaves the full-width gradient itself off by ~2e-11.
     [U_B, N] is made orthonormal to extended precision by one Newton-Schulz
     step; the polar factor is well conditioned (singular values >= 1 along a
-    tangent step) and is taken by SVD in double. The phase-1 start has a
-    diagonal Q, along which the power term of the gradient is Hermitian and
-    projects to zero, so a rotated start is checked as well. Steps of 1e-3
-    and above leave the feasible region at these points; the 1e-9 and 1e-6
-    steps are the ones that compare finite barrier values.
+    tangent step) and is taken by SVD in double. The 90% waterfilling split
+    (`oracles.ninety_percent_split`, 10% of the budget left as power slack)
+    has a diagonal Q, along which the power term of the gradient is
+    Hermitian and projects to zero, so a rotated start is checked as well.
+    Steps of 1e-3 and above leave the feasible region at these points; the
+    1e-9 and 1e-6 steps are the ones that compare finite barrier values.
+    Phase 1's own start, the barrier's split, is not used: its power slack
+    is only level/t, and every step but 1e-9 leaves the region there.
     """
     data, eig = desk_problem
     assert eig.offsets.size == 2
@@ -456,7 +460,7 @@ def test_unitary_reduction_matches_full_width_step(desk_problem, rng):
     basis = basis @ (3 * np.eye(basis.shape[0]) - basis.conj().T @ basis) / 2
     u_b, null = basis[:, :ns], basis[:, ns:]
     starts = [
-        phase1_feasible(eig),
+        ninety_percent_split(eig),
         random_feasible_state(eig, t, rng),
     ]
     for state in starts:
@@ -638,14 +642,14 @@ def test_barrier_hessian_matches_central_differences(desk_problem, rng, case):
     the polar retraction, with sensing active in every case.
 
     The differences' error falls as h^2. At the desk probe state h = 1e-5
-    leaves 2e-7 on the gradient and 1e-6 on the Hessian; the desk phase-1
-    start, with its 1/sigma_B weights up to 250 and a zero gain, needs
-    h = 1e-7 to bring the Hessian's to 1e-5 (1e-1 at h = 1e-5, 1e-3 at
-    1e-6).
+    leaves 2e-7 on the gradient and 1e-6 on the Hessian; the desk 90%
+    waterfilling split (`oracles.ninety_percent_split`), with its 1/sigma_B
+    weights up to 250 and a zero gain, needs h = 1e-7 to bring the Hessian's
+    to 1e-5 (1e-1 at h = 1e-5, 1e-3 at 1e-6).
     """
     if case == "desk_ns4":
         _, eig = desk_problem
-        cases = [(probe_state(eig, rng), 1e-5, 1e-5), (phase1_feasible(eig), 1e-7, 1e-4)]
+        cases = [(probe_state(eig, rng), 1e-5, 1e-5), (ninety_percent_split(eig), 1e-7, 1e-4)]
     elif case == "single_stream_ns1":
         eig = _single_stream_eig()
         cases = [(ManifoldState(np.array([[np.exp(0.3j)]]), np.array([0.6])), 1e-5, 1e-5)]
@@ -732,12 +736,13 @@ def test_rmjgd_builds_the_skew_basis_once_per_call(desk_problem, monkeypatch):
         assert result.iterations > 1 and calls == [eig.n_streams] * expected
 
 
-def _desk_sweep_cells():
+def _desk_sweep_cells(thresholds_db=(0.0, 60.0)):
     """desk_sweep's 54 cells at run seeds 0-2: the slots' base seeds
-    derive_seed(seed, slot), repetition 0 derived again, x {0, 60} dB."""
+    derive_seed(seed, slot), repetition 0 derived again, x {0, 60} dB
+    (`thresholds_db`)."""
     for seed in range(3):
         for slot in range(9):
-            for db in (0.0, 60.0):
+            for db in thresholds_db:
                 yield harness.desk_config(
                     seed=harness.derive_seed(harness.derive_seed(seed, slot), 0),
                     scnr_threshold_db=db,
@@ -772,6 +777,22 @@ def test_rmjgd_desk_cells_end_ok_near_restricted_optimum():
         assert dual.value / np.log(2.0) == pytest.approx(row.se_bits + bias, rel=0, abs=1e-8)
     assert statuses.count("ok") == 45 and statuses.count("infeasible_subspace") == 9
     assert -1e-6 <= min(gaps) and max(gaps) <= 0.05
+
+
+def test_rmjgd_slack_desk_cells_converge_in_three_steps():
+    """On desk_sweep's 27 cells at 0 dB, where sensing is slack, phase 1
+    starts at the barrier's own waterfilling split and every run converges
+    in at most 3 Newton steps (2-3 measured). From the 90% waterfilling
+    split the same runs take 5-9."""
+    steps, before = [], []
+    for cfg in _desk_sweep_cells(thresholds_db=(0.0,)):
+        eig = reduce_b(harness.prepare_scenario(cfg).problem)
+        result = rm_jgd(eig, BARRIER_T, phase1_feasible(eig))
+        assert result.status == "converged"
+        steps.append(result.iterations)
+        before.append(rm_jgd(eig, BARRIER_T, ninety_percent_split(eig)).iterations)
+    assert len(steps) == 27 and max(steps) <= 3, steps
+    assert min(before) >= 5, before
 
 
 def test_rmjgd_desk_seeds_converge_in_few_steps():

@@ -1,5 +1,7 @@
 """Property tests of the RM-JGD phase-1 start and retraction (needs `hypothesis`)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from modisac.opt_manifold import (  # noqa: E402
     phase1_feasible,
     tangent_project,
 )
+from oracles import barrier_split_gains, ninety_percent_split  # noqa: E402
 
 
 def _eig(n, log_cond, top, spread, budget, gamma0, seed) -> EigB:
@@ -78,6 +81,57 @@ def test_phase1_starts_or_certifies(n, log_cond, top, spread, budget, seed, frac
     )
     if opt_manifold._slacks(wf, eig)[1] <= 0.0:
         assert np.all(state.b > 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 11),
+    log_cond=st.floats(0.0, 7.0),
+    spread=st.floats(0.0, 10.0),
+    log_tp=st.floats(-2.0, 4.0),
+    frac=st.floats(1e-6, 1.0 - 1e-12),
+    sensing=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase1_starts_at_the_barrier_split(n, log_cond, spread, log_tp, frac, sensing, seed):
+    # where the 90% split clears every row, phase 1 starts at the minimizer
+    # of -sum ln(1 + w_j) - ln(s_p)/t over the gains at Q = I, s_p the power
+    # slack: strictly feasible, with a zero gradient on the active gains and
+    # a nonnegative one on the dead gains. It keeps the 90% split only where
+    # that minimizer has no active channel (t P <= min inv_j, including
+    # budgets far below it; at t P = min inv_j to 1e-12 rounding decides)
+    # or misses the sensing row.
+    eig = _eig(n, log_cond, 1.0, spread, 1.0, 0.0, seed)
+    inv, t = 1.0 / eig.sigma_b, BARRIER_T
+    budget = 10.0**log_tp * inv[0] / t
+    rows = 1 + sensing
+    offsets = np.array([budget, -frac * budget])[:rows]
+    eig = dataclasses.replace(eig, forms=eig.forms[:rows], offsets=offsets)
+    split = ninety_percent_split(eig)
+    if np.any(opt_manifold._slacks(split, eig) <= 0.0):
+        return  # the Y start of test_phase1_starts_or_certifies
+    state = phase1_feasible(eig)
+    assert np.array_equal(state.q, np.eye(n))
+    edge = abs(t * budget / inv[0] - 1.0) <= 1e-12
+    if t * budget <= inv[0] and not edge:
+        assert np.array_equal(state.b, split.b)
+        return
+    if np.array_equal(state.b, split.b):
+        if edge:
+            return
+        # the minimizer misses the sensing row, up to rounding
+        assert sensing
+        gains, sens = barrier_split_gains(inv, budget, t), np.diagonal(eig.forms[1]).real
+        assert offsets[1] - sens @ gains <= 1e-9 * (abs(offsets[1]) + np.abs(sens) @ gains)
+        return
+    slacks = opt_manifold._slacks(state, eig)
+    assert np.all(slacks > 0.0)
+    w = state.b**2
+    grad = -1.0 / (1.0 + w) + np.diagonal(eig.forms[0]).real / (t * slacks[0])
+    active = w > 0.0
+    assert np.any(active)
+    assert np.all(np.abs(grad[active]) <= 1e-10 / (1.0 + w[active]))
+    assert np.all(grad[~active] >= -1e-10)
 
 
 @settings(max_examples=200, deadline=None)
